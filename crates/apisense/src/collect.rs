@@ -91,13 +91,42 @@ impl Encode for DayBatch {
         self.user.0.encode(buf);
         self.day.encode(buf);
         self.end_of_day.encode(buf);
-        let recs: Vec<(i64, f64, f64)> = self
-            .records
-            .iter()
-            .map(|r| (r.time.seconds(), r.point.latitude(), r.point.longitude()))
-            .collect();
-        recs.encode(buf);
+        encode_records(&self.records, buf);
     }
+}
+
+/// Encoded size of one record: time `i64`, latitude and longitude `f64`.
+const RECORD_BYTES: usize = 24;
+
+/// Appends `records` in the wire layout of a `Vec<(i64, f64, f64)>` of
+/// (time, latitude, longitude): a `u32` count, then the fields in order.
+fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
+    (records.len() as u32).encode(buf);
+    for r in records {
+        r.time.seconds().encode(buf);
+        r.point.latitude().encode(buf);
+        r.point.longitude().encode(buf);
+    }
+}
+
+/// Reads what [`encode_records`] wrote, attributing every record to
+/// `user`. Errors match a `Vec<(i64, f64, f64)>` decode followed by a
+/// coordinate check: an over-cap count, then a short buffer, then the
+/// first out-of-range coordinate.
+fn decode_records(buf: &mut Bytes, user: UserId) -> Result<Vec<LocationRecord>, WireError> {
+    let len = simnet::wire::decode_len(buf)?;
+    if buf.len() < len * RECORD_BYTES {
+        return Err(WireError::Truncated);
+    }
+    let mut records = Vec::with_capacity(len.min(1024));
+    for _ in 0..len {
+        let t = i64::decode(buf)?;
+        let (lat, lon) = (f64::decode(buf)?, f64::decode(buf)?);
+        let point = geo::GeoPoint::new(lat, lon)
+            .map_err(|_| WireError::Corrupt("record coordinates out of range"))?;
+        records.push(LocationRecord::new(user, Timestamp::new(t), point));
+    }
+    Ok(records)
 }
 
 impl Decode for DayBatch {
@@ -106,13 +135,7 @@ impl Decode for DayBatch {
         let user = UserId(u64::decode(buf)?);
         let day = i64::decode(buf)?;
         let end_of_day = bool::decode(buf)?;
-        let raw: Vec<(i64, f64, f64)> = Vec::decode(buf)?;
-        let mut records = Vec::with_capacity(raw.len());
-        for (t, lat, lon) in raw {
-            let point = geo::GeoPoint::new(lat, lon)
-                .map_err(|_| WireError::Corrupt("record coordinates out of range"))?;
-            records.push(LocationRecord::new(user, Timestamp::new(t), point));
-        }
+        let records = decode_records(buf, user)?;
         Ok(Self {
             device,
             user,
@@ -550,12 +573,7 @@ pub fn window_fingerprint(window: &DatasetWindow) -> Vec<u8> {
     (window.dataset().trajectory_count() as u64).encode(&mut buf);
     for traj in window.dataset().trajectories() {
         traj.user().0.encode(&mut buf);
-        let recs: Vec<(i64, f64, f64)> = traj
-            .records()
-            .iter()
-            .map(|r| (r.time.seconds(), r.point.latitude(), r.point.longitude()))
-            .collect();
-        recs.encode(&mut buf);
+        encode_records(traj.records(), &mut buf);
     }
     buf.to_vec()
 }
@@ -617,6 +635,86 @@ mod tests {
         vec![(5i64, 123.0f64, 4.1f64)].encode(&mut buf);
         let err = DayBatch::decode_from_slice(&buf).unwrap_err();
         assert!(matches!(err, WireError::Corrupt(_)));
+    }
+
+    /// Records as the `Vec<(i64, f64, f64)>` of (time, latitude, longitude)
+    /// whose wire layout batches and fingerprints use.
+    fn tuples(records: &[LocationRecord]) -> Vec<(i64, f64, f64)> {
+        records
+            .iter()
+            .map(|r| (r.time.seconds(), r.point.latitude(), r.point.longitude()))
+            .collect()
+    }
+
+    fn tuple_encoded_batch(b: &DayBatch) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        b.device.encode(&mut buf);
+        b.user.0.encode(&mut buf);
+        b.day.encode(&mut buf);
+        b.end_of_day.encode(&mut buf);
+        tuples(&b.records).encode(&mut buf);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn record_lists_keep_the_tuple_vector_bytes() {
+        // 1 500 records: past the 1 024-record preallocation cap.
+        for n in [0, 1, 3, 1_500] {
+            let records: Vec<LocationRecord> = (0..n)
+                .map(|i| rec(9, 60 * i, -179.5 + 1e-3 * i as f64))
+                .collect();
+            let b = batch(3, 9, 0, n % 2 == 1, records.clone());
+            let bytes = b.encode_to_vec();
+            assert_eq!(bytes, tuple_encoded_batch(&b), "{n} records");
+            assert_eq!(DayBatch::decode_from_slice(&bytes).unwrap(), b);
+
+            let dataset = Dataset::from_records(records);
+            let window = DatasetWindow::from_parts(0, dataset.clone());
+            let mut expected = BytesMut::new();
+            0i64.encode(&mut expected);
+            (dataset.trajectory_count() as u64).encode(&mut expected);
+            for traj in dataset.trajectories() {
+                traj.user().0.encode(&mut expected);
+                tuples(traj.records()).encode(&mut expected);
+            }
+            assert_eq!(
+                window_fingerprint(&window),
+                expected.to_vec(),
+                "{n} records"
+            );
+        }
+    }
+
+    #[test]
+    fn truncated_and_oversized_record_lists_are_typed_wire_errors() {
+        let b = batch(3, 9, 0, true, vec![rec(9, 5, 4.1), rec(9, 65, 4.2)]);
+        let bytes = b.encode_to_vec();
+        // Every proper prefix fails as truncated, never as a panic.
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                DayBatch::decode_from_slice(&bytes[..cut]),
+                Err(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        // A short list is reported as truncated even when an earlier
+        // record is out of range, as the tuple-vector decode did.
+        let mut bad = b.clone();
+        bad.records.clear();
+        let mut buf = BytesMut::new();
+        let header = bad.encode_to_vec();
+        buf.extend_from_slice(&header[..header.len() - 4]);
+        2u32.encode(&mut buf);
+        (5i64, 123.0f64, 4.1f64).encode(&mut buf);
+        assert_eq!(DayBatch::decode_from_slice(&buf), Err(WireError::Truncated));
+        // A count above the 16 MiB cap is rejected before any read.
+        let mut buf = BytesMut::new();
+        buf.extend_from_slice(&header[..header.len() - 4]);
+        (16 * 1024 * 1024 + 1u32).encode(&mut buf);
+        assert_eq!(
+            DayBatch::decode_from_slice(&buf),
+            Err(WireError::LengthOverflow(16 * 1024 * 1024 + 1))
+        );
     }
 
     #[test]

@@ -17,7 +17,6 @@ use mobility::{Timestamp, Trajectory, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::Arc;
 
 /// Identifier of a device in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -207,6 +206,8 @@ pub struct Device {
     records_produced: u64,
     records_suppressed: u64,
     script_fuel: u64,
+    /// Buffer for the values one run emits, reused across runs.
+    emitted: Vec<Value>,
 }
 
 impl Device {
@@ -225,6 +226,7 @@ impl Device {
             records_produced: 0,
             records_suppressed: 0,
             script_fuel: 200_000,
+            emitted: Vec::new(),
         }
     }
 
@@ -347,19 +349,17 @@ impl Device {
                 due.push(i);
             }
         }
+        // Detach the task list so each run can borrow its task's program and
+        // VM while the device itself is borrowed mutably.
+        let mut installed = std::mem::take(&mut self.installed);
         for i in due {
-            let (id, compiled, interval) = {
-                let t = &self.installed[i];
-                (t.id, Arc::clone(t.script.compiled()), t.sampling_interval_s)
-            };
-            self.installed[i].next_run = now + interval;
-            // Take the task's VM so the run can borrow `self` mutably; the
-            // program itself is only an `Arc` bump, never a re-compile.
-            let mut vm = std::mem::take(&mut self.installed[i].vm);
-            let records = self.execute_compiled(id, &compiled, &mut vm, now);
-            self.installed[i].vm = vm;
+            let task = &mut installed[i];
+            task.next_run = now + task.sampling_interval_s;
+            let records =
+                self.execute_compiled(task.id, task.script.compiled(), &mut task.vm, now);
             self.outbox.extend(records);
         }
+        self.installed = installed;
     }
 
     /// Runs one compiled task program at `now` on the given VM, returning the
@@ -371,40 +371,38 @@ impl Device {
         vm: &mut Vm,
         now: Timestamp,
     ) -> Vec<SensedRecord> {
-        let mut host = self.host_at(now);
+        let fuel = self.script_fuel;
         // Script failures are logged, not fatal: one bad task must not take
         // down the client (the platform is multi-tenant).
-        let _ = vm.run(compiled, &mut host, self.script_fuel);
-        let (emitted, costs) = (host.emitted, host.sensor_costs);
-        self.finish_run(task, emitted, costs, now)
+        self.run_on_host(task, now, |host| {
+            let _ = vm.run(compiled, host, fuel);
+        })
     }
 
-    /// Builds the script host view of this device at `now`.
-    fn host_at(&self, now: Timestamp) -> DeviceHost<'_> {
-        DeviceHost {
-            device_sensors: &self.sensors,
-            prefs: &self.prefs,
-            battery_level: self.battery.level(),
-            position: self.position_at(now),
-            now,
-            speed: self.speed_at(now),
-            emitted: Vec::new(),
-            sensor_costs: 0.0,
-        }
-    }
-
-    /// Applies a finished run's side effects: battery drain, record wrapping
+    /// Runs a script through `run` against this device's host at `now`,
+    /// then applies the run's side effects: battery drain, record wrapping
     /// and the privacy filter. Returns the surviving records.
-    fn finish_run(
+    fn run_on_host(
         &mut self,
         task: TaskId,
-        emitted: Vec<Value>,
-        sensor_costs: f64,
         now: Timestamp,
+        run: impl FnOnce(&mut DeviceHost<'_>),
     ) -> Vec<SensedRecord> {
+        let mut host = DeviceHost {
+            device_sensors: &self.sensors,
+            prefs: &self.prefs,
+            trajectory: &self.trajectory,
+            battery_level: self.battery.level(),
+            now,
+            position: None,
+            emitted: std::mem::take(&mut self.emitted),
+            sensor_costs: 0.0,
+        };
+        run(&mut host);
+        let (mut emitted, sensor_costs) = (host.emitted, host.sensor_costs);
         self.battery.drain(sensor_costs);
         let mut kept = Vec::with_capacity(emitted.len());
-        for value in emitted {
+        for value in emitted.drain(..) {
             self.records_produced += 1;
             let record = SensedRecord {
                 task,
@@ -418,6 +416,8 @@ impl Device {
                 None => self.records_suppressed += 1,
             }
         }
+        // Keep the (now empty) buffer for the next run.
+        self.emitted = emitted;
         kept
     }
 
@@ -432,8 +432,7 @@ impl Device {
         vm: &mut Vm,
         now: Timestamp,
     ) -> Vec<SensedRecord> {
-        let compiled = Arc::clone(script.compiled());
-        self.execute_compiled(task, &compiled, vm, now)
+        self.execute_compiled(task, script.compiled(), vm, now)
     }
 
     /// Executes `script` once at `now` through the tree-walking interpreter —
@@ -444,20 +443,10 @@ impl Device {
         script: &Script,
         now: Timestamp,
     ) -> Vec<SensedRecord> {
-        let mut host = self.host_at(now);
-        let _ = script.run_interpreted(&mut host, self.script_fuel);
-        let (emitted, costs) = (host.emitted, host.sensor_costs);
-        self.finish_run(task, emitted, costs, now)
-    }
-
-    /// Approximate speed at `time` (m/s), for the accelerometer model.
-    fn speed_at(&self, time: Timestamp) -> f64 {
-        let a = self.trajectory.position_at(time - 30);
-        let b = self.trajectory.position_at(time + 30);
-        match (a, b) {
-            (Some(a), Some(b)) => a.haversine_distance(&b).get() / 60.0,
-            _ => 0.0,
-        }
+        let fuel = self.script_fuel;
+        self.run_on_host(task, now, |host| {
+            let _ = script.run_interpreted(host, fuel);
+        })
     }
 
     /// Drains queued records for upload.
@@ -471,14 +460,17 @@ impl Device {
     }
 }
 
-/// The script host exposing one device's sensors.
+/// The script host exposing one device's sensors for one run. Trajectory
+/// lookups happen only when a sensor needs them: the position at most once
+/// per run, on first use, and the speed only for accelerometer samples.
 struct DeviceHost<'a> {
     device_sensors: &'a BTreeSet<SensorKind>,
     prefs: &'a PrivacyPreferences,
+    trajectory: &'a Trajectory,
     battery_level: f64,
-    position: Option<GeoPoint>,
     now: Timestamp,
-    speed: f64,
+    /// Position at `now`, once looked up (`Some(None)`: no trajectory).
+    position: Option<Option<GeoPoint>>,
     emitted: Vec<Value>,
     sensor_costs: f64,
 }
@@ -488,12 +480,30 @@ impl DeviceHost<'_> {
         self.device_sensors.contains(&kind) && self.prefs.sensor_enabled(kind)
     }
 
+    /// The device position at `now`, looked up on first use.
+    fn position(&mut self) -> Option<GeoPoint> {
+        let (trajectory, now) = (self.trajectory, self.now);
+        *self
+            .position
+            .get_or_insert_with(|| trajectory.position_at(now))
+    }
+
+    /// Approximate speed at `now` (m/s), for the accelerometer model.
+    fn speed(&self) -> f64 {
+        let a = self.trajectory.position_at(self.now - 30);
+        let b = self.trajectory.position_at(self.now + 30);
+        match (a, b) {
+            (Some(a), Some(b)) => a.haversine_distance(&b).get() / 60.0,
+            _ => 0.0,
+        }
+    }
+
     /// A deterministic pseudo-random value in `[0, 1)` derived from position
     /// and time (propagation and vibration models need plausible texture,
     /// not true randomness).
-    fn noise(&self, salt: u64) -> f64 {
+    fn noise(&mut self, salt: u64) -> f64 {
         let mut h = salt ^ (self.now.seconds() as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        if let Some(p) = self.position {
+        if let Some(p) = self.position() {
             h ^= (p.latitude().to_bits()).wrapping_mul(0xD6E8FEB86659FD93);
             h ^= (p.longitude().to_bits()).rotate_left(17);
         }
@@ -566,7 +576,7 @@ impl Host for DeviceHost<'_> {
                     return Ok(Value::Null);
                 }
                 self.sensor_costs += SensorKind::Gps.sample_cost();
-                match self.position {
+                match self.position() {
                     Some(p) => {
                         let mut m = std::collections::BTreeMap::new();
                         m.insert("lat".to_string(), Value::Num(p.latitude()));
@@ -593,7 +603,7 @@ impl Host for DeviceHost<'_> {
                 }
                 self.sensor_costs += SensorKind::Accelerometer.sample_cost();
                 // Vibration magnitude grows with speed; 9.81 at rest.
-                let magnitude = 9.81 + self.speed * 0.3 + self.noise(2) * 0.5;
+                let magnitude = 9.81 + self.speed() * 0.3 + self.noise(2) * 0.5;
                 Ok(Value::Num(magnitude))
             }
             EP_NETWORK => {
@@ -777,6 +787,209 @@ mod tests {
         device.tick(start());
         // The good task still produced its record.
         assert_eq!(device.outbox_len(), 1);
+    }
+
+    /// FNV-1a 64 over `text`.
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Scripts that reach the sensors in every order the host must serve:
+    /// motion or network before the fix, the fix twice, no sensor at all.
+    const GOLDEN_SCRIPTS: [(&str, &str); 5] = [
+        (
+            "acc_then_gps",
+            r#"let a = sensor.accelerometer(); let f = sensor.gps();
+               if (f != null) {
+                   emit({ "acc": a, "lat": f.lat, "lon": f.lon, "accuracy": f.accuracy });
+               } else { emit({ "acc": a }); }"#,
+        ),
+        (
+            "net_then_gps",
+            r#"let r = sensor.network(); let f = sensor.gps();
+               if (f != null) { emit({ "rssi": r, "lat": f.lat, "lon": f.lon }); }"#,
+        ),
+        (
+            "gps_twice",
+            r#"let a = sensor.gps(); let b = sensor.gps();
+               if (b != null) {
+                   emit({ "lat": a.lat, "lon": b.lon, "accuracy": b.accuracy,
+                          "battery": sensor.battery() });
+               }"#,
+        ),
+        (
+            "no_sensor",
+            r#"log("tick");
+               emit({ "lat": 45.75, "lon": 4.855, "t": time.now(), "h": time.hour() });"#,
+        ),
+        (
+            "acc_only",
+            r#"emit(sensor.accelerometer()); emit(sensor.network());"#,
+        ),
+    ];
+
+    /// Privacy settings with and without each location-touching filter.
+    fn golden_prefs() -> Vec<(&'static str, PrivacyPreferences)> {
+        let zone = crate::privacy::ExclusionZone::new(
+            GeoPoint::new(45.75, 4.856).unwrap(),
+            geo::Meters::new(300.0),
+        );
+        let window = crate::privacy::TimeWindow::new(11, 13);
+        let blur = geo::Meters::new(50.0);
+        vec![
+            ("open", PrivacyPreferences::default()),
+            (
+                "zone",
+                PrivacyPreferences::default().with_exclusion_zone(zone),
+            ),
+            ("blur", PrivacyPreferences::default().with_blur(blur)),
+            (
+                "window",
+                PrivacyPreferences::default().with_time_window(window),
+            ),
+            (
+                "all",
+                PrivacyPreferences::default()
+                    .with_exclusion_zone(zone)
+                    .with_blur(blur)
+                    .with_time_window(window)
+                    .with_salt(99),
+            ),
+            (
+                "no_gps",
+                PrivacyPreferences::default().without_sensor(SensorKind::Gps),
+            ),
+        ]
+    }
+
+    /// Runs one script under one preference set on every path that builds
+    /// a device host (VM and interpreter samples, scheduled ticks, a device
+    /// with no trajectory) and renders every payload, battery level and
+    /// counter. `{:?}` prints an `f64` in its shortest round-trip form, so
+    /// the text pins every bit.
+    fn golden_run(src: &str, prefs: &PrivacyPreferences) -> (String, u64) {
+        let script = Script::compile(src).unwrap();
+        let times = [-600, 0, 1_234, 3_617, 7_200, 14_000, 20_000];
+        let mut out = String::new();
+        let mut suppressed = 0;
+        let mut render = |tag: &str, device: &Device, records: &[SensedRecord]| {
+            for r in records {
+                out.push_str(&format!(
+                    "{tag} t={} {}\n",
+                    r.time.seconds(),
+                    r.payload.to_json()
+                ));
+            }
+            out.push_str(&format!(
+                "{tag} battery={:?} produced={} suppressed={}\n",
+                device.battery().level(),
+                device.records_produced(),
+                device.records_suppressed()
+            ));
+        };
+        let fresh = |trajectory: Trajectory| {
+            Device::new(DeviceId(1), UserId(1), trajectory).with_preferences(prefs.clone())
+        };
+
+        for (tag, trajectory) in [
+            ("vm", trajectory()),
+            ("vm-empty", Trajectory::new(UserId(1), Vec::new())),
+        ] {
+            let mut device = fresh(trajectory);
+            let mut vm = Vm::new();
+            let mut records = Vec::new();
+            for t in times {
+                records.extend(device.sample_scripted(
+                    TaskId(3),
+                    &script,
+                    &mut vm,
+                    start() + t,
+                ));
+            }
+            render(tag, &device, &records);
+            suppressed += device.records_suppressed();
+        }
+
+        let mut device = fresh(trajectory());
+        let mut records = Vec::new();
+        for t in times {
+            records.extend(device.sample_interpreted(TaskId(3), &script, start() + t));
+        }
+        render("interp", &device, &records);
+        suppressed += device.records_suppressed();
+
+        let mut device = fresh(trajectory());
+        device.install(TaskId(3), script.clone(), 420, 0.0, start());
+        for i in 0..55 {
+            device.tick(start() - 600 + i * 300);
+        }
+        let records = device.drain_outbox();
+        render("tick", &device, &records);
+        suppressed += device.records_suppressed();
+        (out, suppressed)
+    }
+
+    #[test]
+    fn device_host_outputs_are_pinned_bit_for_bit() {
+        // (script/prefs, suppressed records, FNV-1a of the rendered run),
+        // pinned from a host that looked up position and speed eagerly on
+        // every run.
+        const EXPECTED: [(&str, u64, u64); 30] = [
+            ("acc_then_gps/open", 0, 0xf576024a78a0173d),
+            ("acc_then_gps/zone", 9, 0x8dafa7d4b104a203),
+            ("acc_then_gps/blur", 0, 0x82740b37281920d5),
+            ("acc_then_gps/window", 30, 0x1eedcc182afb58f0),
+            ("acc_then_gps/all", 36, 0x57b30c71f4a49d58),
+            ("acc_then_gps/no_gps", 0, 0x713b8d1b9daeda14),
+            ("net_then_gps/open", 0, 0x2f9a84e9bf6bc026),
+            ("net_then_gps/zone", 9, 0x0b53789b3138ae79),
+            ("net_then_gps/blur", 0, 0xa8877553a8d153b2),
+            ("net_then_gps/window", 25, 0x2aacdc8c2c014cd6),
+            ("net_then_gps/all", 31, 0x854d5d78f227c3d9),
+            ("net_then_gps/no_gps", 0, 0x737c0cdb2c2e88f0),
+            ("gps_twice/open", 0, 0x32ebc53a6b6c130e),
+            ("gps_twice/zone", 9, 0x5011ff7c79440f91),
+            ("gps_twice/blur", 0, 0x3fe81ba1e2f83832),
+            ("gps_twice/window", 25, 0x1b06a80d0d58ecc2),
+            ("gps_twice/all", 31, 0x6a37456749133d99),
+            ("gps_twice/no_gps", 0, 0xa0fc7b6b4ce5e03d),
+            ("no_sensor/open", 0, 0xfc115ca1eda61ccb),
+            ("no_sensor/zone", 48, 0xca925be7a729c40d),
+            ("no_sensor/blur", 0, 0xa2e950df469a29e8),
+            ("no_sensor/window", 30, 0x3f85581203516c83),
+            ("no_sensor/all", 48, 0xca925be7a729c40d),
+            ("no_sensor/no_gps", 0, 0xfc115ca1eda61ccb),
+            ("acc_only/open", 0, 0x5529315421375a4a),
+            ("acc_only/zone", 0, 0x5529315421375a4a),
+            ("acc_only/blur", 0, 0x5529315421375a4a),
+            ("acc_only/window", 60, 0x16abc6b266e1966e),
+            ("acc_only/all", 60, 0x16abc6b266e1966e),
+            ("acc_only/no_gps", 0, 0x5529315421375a4a),
+        ];
+        let mut actual = Vec::new();
+        for (name, src) in GOLDEN_SCRIPTS {
+            for (prefs_name, prefs) in golden_prefs() {
+                let (text, suppressed) = golden_run(src, &prefs);
+                actual.push((format!("{name}/{prefs_name}"), suppressed, fnv(&text), text));
+            }
+        }
+        let table: String = actual
+            .iter()
+            .map(|(case, s, h, _)| format!("(\"{case}\", {s}, 0x{h:016x}),\n"))
+            .collect();
+        assert_eq!(actual.len(), EXPECTED.len(), "actual table:\n{table}");
+        for ((case, suppressed, digest, text), (want_case, want_s, want_h)) in
+            actual.iter().zip(EXPECTED)
+        {
+            assert_eq!(case, want_case);
+            assert_eq!(
+                (*suppressed, *digest),
+                (want_s, want_h),
+                "{case} drifted; rendered run:\n{text}"
+            );
+        }
     }
 
     #[test]

@@ -164,13 +164,18 @@ impl PrivacyPreferences {
                 return None;
             }
         }
+        let blur = self.blur_sigma_m > 0.0;
+        if self.exclusion_zones.is_empty() && !blur {
+            // Nothing below reads the location: skip extracting it.
+            return Some(record);
+        }
         // Where: exclusion zones (only applies to located records).
         if let Some(location) = record.location() {
             if self.exclusion_zones.iter().any(|z| z.contains(&location)) {
                 return None;
             }
             // Blur.
-            if self.blur_sigma_m > 0.0 {
+            if blur {
                 let blurred = self.blur_point(&location, record.time.seconds());
                 if let Value::Map(m) = &mut record.payload {
                     m.insert("lat".to_string(), Value::Num(blurred.latitude()));

@@ -224,6 +224,12 @@ pub(crate) enum Op {
     SlotFuelNumeric(u32, u32, NumOp),
     /// `LoadSlotFuel(slot, n)` then `Add` (`SlotFuelAdd(slot, n)`).
     SlotFuelAdd(u32, u32),
+    /// `LoadSlot(slot)` then `Member(f)` — a field read like `fix.lat` that
+    /// borrows the slot and clones only the field (`SlotMember(slot, f)`).
+    SlotMember(u32, u32),
+    /// `LoadSlotFuel(slot, n)` then `Member(f)`: range check, fuel, then the
+    /// borrowed field read (`SlotFuelMember(slot, n, f)`).
+    SlotFuelMember(u32, u32, u32),
 }
 
 /// The purely numeric binary operators, as carried by fused ops.
@@ -305,6 +311,10 @@ fn fuse(prev: Op, next: Op) -> Option<Op> {
             Some(Op::SlotFuelNumeric(slot, n, num_op_of(op)?))
         }
         (Op::LoadSlotFuel(slot, n), Op::Add) => Some(Op::SlotFuelAdd(slot, n)),
+        // Field reads off a local: read through the slot instead of
+        // pushing a deep clone of the whole container.
+        (Op::LoadSlot(slot), Op::Member(f)) => Some(Op::SlotMember(slot, f)),
+        (Op::LoadSlotFuel(slot, n), Op::Member(f)) => Some(Op::SlotFuelMember(slot, n, f)),
         _ => None,
     }
 }
@@ -1306,7 +1316,8 @@ mod tests {
             | Op::SlotsFuelAdd(_, _, n)
             | Op::LoadSlotFuel(_, n)
             | Op::SlotFuelNumeric(_, n, _)
-            | Op::SlotFuelAdd(_, n) => *n,
+            | Op::SlotFuelAdd(_, n)
+            | Op::SlotFuelMember(_, n, _) => *n,
             _ => 0,
         }
     }
@@ -1330,6 +1341,36 @@ mod tests {
             .code
             .iter()
             .any(|op| matches!(op, Op::CallNamed(1) | Op::FuelCallNamed(_, 1))));
+    }
+
+    #[test]
+    fn field_reads_off_locals_fuse_into_slot_member_ops() {
+        // The location task of the end-to-end benchmark: one reading.
+        let program = compiled(
+            r#"
+            let fix = sensor.gps();
+            let battery = sensor.battery();
+            if (fix != null) {
+                emit({ "lat": fix.lat, "lon": fix.lon, "battery": battery });
+            }
+            "#,
+        );
+        for pair in program.code.windows(2) {
+            assert!(
+                !matches!(
+                    pair,
+                    [Op::LoadSlot(_) | Op::LoadSlotFuel(..), Op::Member(_)]
+                ),
+                "unfused field read {pair:?} in {:?}",
+                program.code
+            );
+        }
+        let fused = program
+            .code
+            .iter()
+            .filter(|op| matches!(op, Op::SlotMember(..) | Op::SlotFuelMember(..)))
+            .count();
+        assert_eq!(fused, 2, "{:?}", program.code);
     }
 
     #[test]

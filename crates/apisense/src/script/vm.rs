@@ -15,7 +15,10 @@
 //! - call sites carry inline caches: bare-name dispatch (user function vs
 //!   host) is resolved once per site and reused until a function
 //!   (re)declaration or a new run bumps the VM's binding epoch,
-//! - fuel is charged in per-basic-block batches instead of per AST node.
+//! - fuel is charged in per-basic-block batches instead of per AST node,
+//!   and `vm.fuel_spent` is counted once per run,
+//! - field reads off a local (`fix.lat`) borrow the slot and clone only the
+//!   field, never the container.
 //!
 //! A `Vm` is cheap to keep around and is designed for compile-once /
 //! run-many: reusing one instance across readings reuses its stack, locals
@@ -98,6 +101,33 @@ fn underflow(op: &'static str, pc: usize) -> ApisenseError {
 
 fn name_of(program: &CompiledProgram, id: u32) -> &str {
     program.names.get(id as usize).map_or("?", String::as_str)
+}
+
+/// Charges `n` fuel units, or fails with `FuelExhausted` and charges
+/// nothing when fewer remain.
+#[inline]
+fn charge(fuel: &mut u64, n: u32) -> Result<(), ApisenseError> {
+    let n = u64::from(n);
+    if *fuel < n {
+        return Err(ApisenseError::FuelExhausted);
+    }
+    *fuel -= n;
+    Ok(())
+}
+
+/// Reads field `field` of `value` without consuming it: map fields (absent
+/// ones read as `null`) and the `length` of lists and strings. Clones only
+/// the field, never the container (the `Member` behavior).
+#[inline]
+fn member_of(value: &Value, field: &str) -> Result<Value, ApisenseError> {
+    match value {
+        Value::Map(m) => Ok(m.get(field).cloned().unwrap_or(Value::Null)),
+        Value::List(items) if field == "length" => Ok(Value::Num(items.len() as f64)),
+        Value::Str(s) if field == "length" => Ok(Value::Num(s.chars().count() as f64)),
+        other => Err(ApisenseError::Runtime(format!(
+            "no field '{field}' on {other}"
+        ))),
+    }
 }
 
 /// Maps a plain numeric-operator op onto its [`NumOp`].
@@ -231,7 +261,12 @@ impl Vm {
     ) -> Result<Value, ApisenseError> {
         let mut span = obs::span("vm.exec");
         obs::count("vm.executions", 1);
-        let result = self.run_inner(program, host, fuel);
+        let mut remaining = fuel;
+        let result = self.run_inner(program, host, &mut remaining);
+        // One counter bump per run, whatever the outcome: a charge that
+        // exhausts the budget deducts nothing, so this is exactly the fuel
+        // the run consumed.
+        obs::count("vm.fuel_spent", fuel - remaining);
         if result.is_err() {
             obs::count("vm.faults", 1);
             span.set_attr("fault", true);
@@ -243,10 +278,9 @@ impl Vm {
         &mut self,
         program: &CompiledProgram,
         host: &mut dyn Host,
-        fuel: u64,
+        fuel: &mut u64,
     ) -> Result<Value, ApisenseError> {
         self.reset(program);
-        let mut fuel = fuel;
         let mut pc: usize = 0;
         let mut base: usize = 0;
         loop {
@@ -256,14 +290,7 @@ impl Vm {
             };
             pc += 1;
             match op {
-                Op::Fuel(n) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
-                }
+                Op::Fuel(n) => charge(fuel, n)?,
                 Op::Const(i) => self.push_const(program, i, cur)?,
                 Op::Null => self.stack.push(Value::Null),
                 Op::True => self.stack.push(Value::Bool(true)),
@@ -377,21 +404,12 @@ impl Vm {
                     self.stack.push(Value::Bool(lhs != rhs));
                 }
                 Op::Member(f) => {
-                    let value = self.stack.pop().ok_or_else(|| underflow("Member", cur))?;
-                    let field = name_of(program, f);
-                    let out = match value {
-                        Value::Map(mut m) => m.remove(field).unwrap_or(Value::Null),
-                        Value::List(items) if field == "length" => {
-                            Value::Num(items.len() as f64)
+                    let out = match self.stack.pop().ok_or_else(|| underflow("Member", cur))? {
+                        // Sole owner of the map: move the field out.
+                        Value::Map(mut m) => {
+                            m.remove(name_of(program, f)).unwrap_or(Value::Null)
                         }
-                        Value::Str(s) if field == "length" => {
-                            Value::Num(s.chars().count() as f64)
-                        }
-                        other => {
-                            return Err(ApisenseError::Runtime(format!(
-                                "no field '{field}' on {other}"
-                            )))
-                        }
+                        other => member_of(&other, name_of(program, f))?,
                     };
                     self.stack.push(out);
                 }
@@ -592,39 +610,19 @@ impl Vm {
                     self.push_const(program, i, cur)?;
                 }
                 Op::FuelAdd(n) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     self.add_top(cur)?;
                 }
                 Op::FuelNumeric(n, nop) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     self.numeric_top(nop, cur)?;
                 }
                 Op::FuelJump(n, t) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     pc = t as usize;
                 }
                 Op::FuelJumpIfFalse(n, t) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let value = self
                         .stack
                         .pop()
@@ -634,12 +632,7 @@ impl Vm {
                     }
                 }
                 Op::FuelNumericJumpIfFalse(n, nop, t) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let rhs = self
                         .stack
                         .pop()
@@ -653,21 +646,11 @@ impl Vm {
                     }
                 }
                 Op::FuelCallNamed(n, site) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     self.call_named(program, host, site, &mut pc, &mut base, cur)?;
                 }
                 Op::FuelCallHost(n, site) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let argc = program
                         .sites
                         .get(site as usize)
@@ -676,12 +659,7 @@ impl Vm {
                     self.host_call(program, host, site as usize, argc, cur)?;
                 }
                 Op::FuelAddStore(n, slot) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let rhs = self
                         .stack
                         .pop()
@@ -697,12 +675,7 @@ impl Vm {
                         .1 = out;
                 }
                 Op::FuelNumericStore(n, nop, slot) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let rhs = self
                         .stack
                         .pop()
@@ -756,12 +729,7 @@ impl Vm {
                     pc = t as usize;
                 }
                 Op::FuelReturn(n) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let value = self
                         .stack
                         .pop()
@@ -779,20 +747,10 @@ impl Vm {
                 Op::LoadSlot2Fuel(a, b, n) => {
                     self.load_slot(base, a, cur)?;
                     self.load_slot(base, b, cur)?;
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                 }
                 Op::SlotsFuelNumeric(a, b, n, nop) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let out = {
                         let lhs = self.locals.get(base + a as usize).ok_or_else(|| {
                             fault("SlotsFuelNumeric", cur, "frame slot out of range")
@@ -805,12 +763,7 @@ impl Vm {
                     self.stack.push(out);
                 }
                 Op::SlotsFuelAdd(a, b, n) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let out = {
                         let lhs = self.locals.get(base + a as usize).ok_or_else(|| {
                             fault("SlotsFuelAdd", cur, "frame slot out of range")
@@ -824,20 +777,10 @@ impl Vm {
                 }
                 Op::LoadSlotFuel(slot, n) => {
                     self.load_slot(base, slot, cur)?;
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                 }
                 Op::SlotFuelNumeric(slot, n, nop) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let lhs = self
                         .stack
                         .pop()
@@ -848,13 +791,18 @@ impl Vm {
                     let out = numeric_values(nop, &lhs, &rhs.1)?;
                     self.stack.push(out);
                 }
+                Op::SlotMember(slot, f) => {
+                    let out = member_of(self.slot(base, slot, cur)?, name_of(program, f))?;
+                    self.stack.push(out);
+                }
+                Op::SlotFuelMember(slot, n, f) => {
+                    let value = self.slot(base, slot, cur)?;
+                    charge(fuel, n)?;
+                    let out = member_of(value, name_of(program, f))?;
+                    self.stack.push(out);
+                }
                 Op::SlotFuelAdd(slot, n) => {
-                    let n = u64::from(n);
-                    if fuel < n {
-                        return Err(ApisenseError::FuelExhausted);
-                    }
-                    fuel -= n;
-                    obs::count("vm.fuel_spent", n);
+                    charge(fuel, n)?;
                     let lhs = self
                         .stack
                         .pop()
@@ -870,14 +818,20 @@ impl Vm {
         }
     }
 
+    /// Borrows frame slot `i`, with the `LoadSlot` range check.
+    #[inline]
+    fn slot(&self, base: usize, i: u32, cur: usize) -> Result<&Value, ApisenseError> {
+        self.locals
+            .get(base + i as usize)
+            .map(|local| &local.1)
+            .ok_or_else(|| fault("LoadSlot", cur, "frame slot out of range"))
+    }
+
     /// Pushes a clone of frame slot `i` (the `LoadSlot` behavior).
     #[inline]
     fn load_slot(&mut self, base: usize, i: u32, cur: usize) -> Result<(), ApisenseError> {
-        let value = self
-            .locals
-            .get(base + i as usize)
-            .ok_or_else(|| fault("LoadSlot", cur, "frame slot out of range"))?;
-        self.stack.push(value.1.clone());
+        let value = self.slot(base, i, cur)?.clone();
+        self.stack.push(value);
         Ok(())
     }
 

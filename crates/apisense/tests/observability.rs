@@ -7,7 +7,9 @@
 //! and the incremental streaming publisher) twice, recorder off then on,
 //! and require byte-identical published windows plus identical audit
 //! deltas ([`privapi::streaming::IngestDelta`],
-//! [`privapi::streaming::StrategyCacheDelta`]).
+//! [`privapi::streaming::StrategyCacheDelta`]). The counters themselves
+//! must also say what happened: `vm.fuel_spent` is checked against the fuel
+//! each run consumed.
 //!
 //! The obs recorder is process-global, so every test here serializes on
 //! one lock; each `tests/*.rs` file is its own process, so nothing else
@@ -15,6 +17,8 @@
 
 use apisense::collect::window_fingerprint;
 use apisense::fleet::{run_fleet, FleetConfig};
+use apisense::script::{Host, Script, Value, Vm};
+use apisense::ApisenseError;
 use mobility::gen::{CityModel, PopulationConfig};
 use mobility::WindowedDataset;
 use privapi::prelude::*;
@@ -155,5 +159,77 @@ fn recording_accumulates_the_instrumented_families() {
                 .any(|(name, value)| name.starts_with(family) && *value > 0),
             "no non-zero counter in family {family:?}"
         );
+    }
+}
+
+/// Host for the fuel-counter test: every call returns `null`.
+struct NullHost;
+
+impl Host for NullHost {
+    fn call(&mut self, _: &str, _: &mut [Value]) -> Result<Value, ApisenseError> {
+        Ok(Value::Null)
+    }
+}
+
+/// Runs `script` once on a fresh VM with `fuel` and returns the outcome
+/// with what the run added to the `vm.fuel_spent` counter.
+fn run_counting_fuel(script: &Script, fuel: u64) -> (Result<Value, ApisenseError>, u64) {
+    let counter = obs::metrics::counter("vm.fuel_spent");
+    let before = counter.get();
+    let outcome = script.run_vm(&mut Vm::new(), &mut NullHost, fuel);
+    (outcome, counter.get() - before)
+}
+
+/// `vm.fuel_spent` counts the fuel each run consumed — budget minus what
+/// remains — whether the run completes, fails, or exhausts its budget.
+#[test]
+fn vm_fuel_counter_records_the_fuel_each_run_consumed() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let was_enabled = obs::enabled();
+    obs::enable();
+
+    // A clean run consumes exactly the smallest budget that completes it.
+    let clean = Script::compile("let a = 1; let b = a + 2; emit(b); b * 3;").unwrap();
+    let needed = (0..1_000)
+        .find(|&fuel| run_counting_fuel(&clean, fuel).0.is_ok())
+        .expect("the script completes on a small budget");
+    for fuel in [needed, needed + 1, 100_000] {
+        assert_eq!(
+            run_counting_fuel(&clean, fuel),
+            (Ok(Value::Num(9.0)), needed)
+        );
+    }
+    // Below that, the run exhausts having consumed no more than its budget.
+    for fuel in 0..needed {
+        let (outcome, spent) = run_counting_fuel(&clean, fuel);
+        assert_eq!(outcome, Err(ApisenseError::FuelExhausted));
+        assert!(spent <= fuel, "spent {spent} of {fuel}");
+    }
+
+    // A runtime error consumes the fuel charged up to the failing op, which
+    // is the smallest budget that reaches the error.
+    let failing = Script::compile("let a = 1; emit(a); let b = null + a; emit(b);").unwrap();
+    let runtime_error = |outcome: &Result<Value, ApisenseError>| matches!(outcome, Err(ApisenseError::Runtime(m)) if m.contains("cannot add"));
+    let to_error = (0..1_000)
+        .find(|&fuel| runtime_error(&run_counting_fuel(&failing, fuel).0))
+        .expect("the script reaches its runtime error on a small budget");
+    for fuel in [to_error, to_error + 1, 100_000] {
+        let (outcome, spent) = run_counting_fuel(&failing, fuel);
+        assert!(runtime_error(&outcome), "{outcome:?}");
+        assert_eq!(spent, to_error);
+    }
+
+    // An empty infinite loop charges one unit per step, so exhaustion
+    // consumes the whole budget.
+    let spin = Script::compile("while (true) {}").unwrap();
+    for fuel in [0, 1, 7, 1_000] {
+        assert_eq!(
+            run_counting_fuel(&spin, fuel),
+            (Err(ApisenseError::FuelExhausted), fuel)
+        );
+    }
+
+    if !was_enabled {
+        obs::disable();
     }
 }

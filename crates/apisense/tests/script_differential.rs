@@ -226,7 +226,7 @@ impl ProgramGen {
             return;
         }
         self.budget -= 1;
-        match self.rng.gen_range(0..10) {
+        match self.rng.gen_range(0..11) {
             0..=3 => {
                 let e = self.expr(depth);
                 let name = self.fresh_var();
@@ -283,6 +283,14 @@ impl ProgramGen {
                 let e = self.expr(depth);
                 self.out.push_str(&format!("return {e};\n"));
             }
+            10 => {
+                // A local of a known shape, so later bare field reads
+                // (`v.lat`) meet maps, lists, strings, numbers and null.
+                let e = self.shaped_value(depth);
+                let name = self.fresh_var();
+                self.out.push_str(&format!("let {name} = {e};\n"));
+                self.scopes.last_mut().expect("scope").push(name);
+            }
             _ => {
                 let e = self.expr(depth);
                 self.out.push_str(&format!("{e};\n"));
@@ -328,7 +336,7 @@ impl ProgramGen {
                 // Parenthesized: a bare number literal would lex `42.lat`
                 // as the number `42.` followed by a stray identifier.
                 let e = self.expr(depth + 1);
-                let field = ["lat", "lon", "length", "k0", "missing"][self.rng.gen_range(0..5)];
+                let field = self.field();
                 format!("({e}).{field}")
             }
             9 => {
@@ -337,7 +345,32 @@ impl ProgramGen {
                 format!("{e}[{i}]")
             }
             10 => self.call(depth),
-            _ => self.leaf(),
+            // Bare field read on a local: the VM's fused slot-field op.
+            _ => match self.declared_var() {
+                Some(v) => format!("{v}.{}", self.field()),
+                None => self.leaf(),
+            },
+        }
+    }
+
+    fn field(&mut self) -> &'static str {
+        ["lat", "lon", "length", "k0", "missing"][self.rng.gen_range(0..5)]
+    }
+
+    /// A value of a chosen shape: map (literal or a GPS fix), list,
+    /// string, number or null.
+    fn shaped_value(&mut self, depth: usize) -> String {
+        match self.rng.gen_range(0..6) {
+            0 => format!(
+                "{{ \"lat\": {}, \"k0\": {} }}",
+                self.expr(depth + 1),
+                self.expr(depth + 1)
+            ),
+            1 => "sensor.gps()".to_string(),
+            2 => format!("[{}, {}]", self.expr(depth + 1), self.expr(depth + 1)),
+            3 => format!("\"s{}\"", self.rng.gen_range(0..5)),
+            4 => format!("{}", self.rng.gen_range(0..100)),
+            _ => "null".to_string(),
         }
     }
 
@@ -483,4 +516,70 @@ fn assignment_error_parity() {
     ] {
         assert_parity_across_budgets(src);
     }
+}
+
+/// Field reads off a local compile to one fused op that reads through the
+/// slot; on every shape of value it must fail (or succeed) exactly like the
+/// interpreter, with the same `no field '…' on …` message.
+#[test]
+fn slot_field_reads_match_on_every_value_shape() {
+    for (src, expected) in [
+        ("let n = 4; n.lat;", Err("no field 'lat' on 4")),
+        ("let s = \"abc\"; s.lat;", Err("no field 'lat' on abc")),
+        ("let z = null; z.k0;", Err("no field 'k0' on null")),
+        ("let xs = [1, 2]; xs.lat;", Err("no field 'lat' on [1, 2]")),
+        ("let b = true; b.length;", Err("no field 'length' on true")),
+        ("let s = \"abc\"; s.length;", Ok(Value::Num(3.0))),
+        ("let xs = [1, 2]; xs.length;", Ok(Value::Num(2.0))),
+        (
+            "let m = { \"lat\": 2 }; m.lat + m.lat;",
+            Ok(Value::Num(4.0)),
+        ),
+        ("let m = { \"lat\": 2 }; m.missing;", Ok(Value::Null)),
+        (
+            "fn f(p) { return p.lat; } f(sensor.gps());",
+            Ok(Value::Num(45.75)),
+        ),
+        (
+            "fn f(p) { return p.lat; } f(7);",
+            Err("no field 'lat' on 7"),
+        ),
+    ] {
+        assert_parity_across_budgets(src);
+        let script = Script::compile(src).unwrap();
+        let outcome = script.run_vm(&mut Vm::new(), &mut DiffHost::default(), 10_000);
+        match expected {
+            Ok(value) => assert_eq!(outcome, Ok(value), "{src}"),
+            Err(message) => assert_eq!(
+                outcome,
+                Err(ApisenseError::Runtime(message.to_string())),
+                "{src}"
+            ),
+        }
+    }
+}
+
+/// Fuel sweep across fused field reads: the charge folded into the fused
+/// op lands before the read, so both tiers exhaust, fail on the non-map
+/// read, and finish at exactly the same budgets.
+#[test]
+fn fuel_sweep_across_fused_field_reads() {
+    let src = "let fix = sensor.gps();\n\
+               let lat = fix.lat;\n\
+               emit({ \"lat\": lat, \"lon\": fix.lon });\n\
+               let n = 5;\n\
+               let bad = n.lat;\n\
+               emit(bad);";
+    let script = Script::compile(src).unwrap();
+    let mut vm = Vm::new();
+    let mut outcomes = Vec::new();
+    for fuel in 0..40 {
+        assert_parity(&script, &mut vm, fuel, src);
+        outcomes.push(script.run_vm(&mut vm, &mut DiffHost::default(), fuel));
+    }
+    assert!(outcomes.contains(&Err(ApisenseError::FuelExhausted)));
+    assert!(
+        outcomes.contains(&Err(ApisenseError::Runtime("no field 'lat' on 5".into()))),
+        "the sweep must reach the failing field read"
+    );
 }

@@ -88,6 +88,21 @@ pub trait Decode: Sized {
     }
 }
 
+/// Reads the `u32` length prefix of a string or list, rejecting lengths
+/// above the 16 MiB sanity cap before anything is allocated for them.
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when fewer than four bytes remain,
+/// [`WireError::LengthOverflow`] when the length exceeds the cap.
+pub fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
+    let len = u64::from(u32::decode(buf)?);
+    if len > MAX_LEN {
+        return Err(WireError::LengthOverflow(len));
+    }
+    Ok(len as usize)
+}
+
 fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
     if buf.remaining() < n {
         Err(WireError::Truncated)
@@ -144,12 +159,9 @@ impl Encode for String {
 
 impl Decode for String {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::LengthOverflow(len));
-        }
-        need(buf, len as usize)?;
-        let raw = buf.copy_to_bytes(len as usize);
+        let len = decode_len(buf)?;
+        need(buf, len)?;
+        let raw = buf.copy_to_bytes(len);
         String::from_utf8(raw.to_vec()).map_err(|_| WireError::InvalidUtf8)
     }
 }
@@ -165,11 +177,8 @@ impl<T: Encode> Encode for Vec<T> {
 
 impl<T: Decode> Decode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_LEN {
-            return Err(WireError::LengthOverflow(len));
-        }
-        let mut out = Vec::with_capacity(len.min(1024) as usize);
+        let len = decode_len(buf)?;
+        let mut out = Vec::with_capacity(len.min(1024));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }
