@@ -41,11 +41,17 @@ pub struct E11Config {
     pub participation_pct: u64,
     /// Whether the batch model re-publishes *every* prefix. `false` (the
     /// `Scale::Large` stress shape) batches only the first and last
-    /// prefixes — re-publishing every prefix of a five-digit population
-    /// would measure patience, not the deployment model — and winner
-    /// parity is asserted on exactly those windows.
+    /// prefixes plus [`MID_STREAM_SAMPLES`] evenly spaced interior ones —
+    /// re-publishing every prefix of a five-digit population would measure
+    /// patience, not the deployment model — and winner parity is asserted
+    /// on exactly those windows.
     pub batch_all_windows: bool,
 }
+
+/// Interior prefixes batch-replayed (and parity-checked) when
+/// [`E11Config::batch_all_windows`] is off, evenly spaced between the
+/// first and the last window.
+pub const MID_STREAM_SAMPLES: usize = 2;
 
 impl E11Config {
     /// Tiny CI smoke shape: seconds end to end, still exercising the
@@ -75,6 +81,16 @@ impl E11Config {
             participation_pct: crate::data::by_scale(scale, 40, 40, 40, 5),
             batch_all_windows: crate::data::by_scale(scale, true, true, true, false),
         }
+    }
+
+    /// Whether window `i` of `windows` is batch-replayed and
+    /// parity-checked.
+    fn batches(&self, i: usize, windows: usize) -> bool {
+        let last = windows.saturating_sub(1);
+        self.batch_all_windows
+            || i == 0
+            || i == last
+            || (1..=MID_STREAM_SAMPLES).any(|k| i == k * last / (MID_STREAM_SAMPLES + 1))
     }
 }
 
@@ -145,6 +161,29 @@ pub struct E11Report {
     /// Sum over windows of candidates that fell back to the full uncached
     /// path (non-local strategies; zero for the default pool).
     pub strategy_full_fallbacks: usize,
+    /// Original-side shard refreshes that folded in only the appended
+    /// trajectories through the extraction memo.
+    pub shards_appended: usize,
+    /// Original-side shard refreshes from scratch without a usable memo
+    /// (first window, grid rebuild).
+    pub shards_rebuilt: usize,
+    /// Original-side shard refreshes from scratch after a rejected memo
+    /// (late records, non-append history); zero on a clean stream.
+    pub shards_fallback: usize,
+    /// Sum over windows and candidates of input trajectories anonymized.
+    pub strategy_trajectories_anonymized: usize,
+    /// Sum over windows and candidates of protected trajectories reused
+    /// because their source trajectory was unchanged.
+    pub strategy_trajectories_reused: usize,
+    /// Protected-side shard refreshes through the extraction memo.
+    pub strategy_shards_appended: usize,
+    /// Protected-side shard refreshes from scratch without a usable memo.
+    pub strategy_shards_rebuilt: usize,
+    /// Protected-side shard refreshes from scratch after a rejected memo.
+    pub strategy_shards_fallback: usize,
+    /// Windows whose streaming release was parity-checked against a batch
+    /// publish of the same prefix.
+    pub parity_windows: usize,
     /// Windows whose utility baseline was extended in place by folding
     /// only the new window's trajectories.
     pub baseline_reuses: usize,
@@ -193,7 +232,12 @@ impl E11Report {
              \"strategy_shard_reuses\": {},\n  \"strategy_shard_refreshes\": {},\n  \
              \"strategy_grid_rebuilds\": {},\n  \"strategy_full_fallbacks\": {},\n  \
              \"baseline_reuses\": {},\n  \"baseline_rebuilds\": {},\n  \
-             \"baseline_cells_updated\": {}\n}}\n",
+             \"baseline_cells_updated\": {},\n  \"shards_appended\": {},\n  \
+             \"shards_rebuilt\": {},\n  \"shards_fallback\": {},\n  \
+             \"strategy_trajectories_anonymized\": {},\n  \
+             \"strategy_trajectories_reused\": {},\n  \
+             \"strategy_shards_appended\": {},\n  \"strategy_shards_rebuilt\": {},\n  \
+             \"strategy_shards_fallback\": {},\n  \"parity_windows\": {}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -226,6 +270,15 @@ impl E11Report {
             self.baseline_reuses,
             self.baseline_rebuilds,
             self.baseline_cells_updated,
+            self.shards_appended,
+            self.shards_rebuilt,
+            self.shards_fallback,
+            self.strategy_trajectories_anonymized,
+            self.strategy_trajectories_reused,
+            self.strategy_shards_appended,
+            self.strategy_shards_rebuilt,
+            self.strategy_shards_fallback,
+            self.parity_windows,
         )
     }
 }
@@ -319,6 +372,21 @@ impl fmt::Display for E11Report {
             self.strategy_grid_rebuilds,
             self.strategy_full_fallbacks
         )?;
+        writeln!(
+            f,
+            "trajectory reuse: {} trajectories anonymized / {} reused; shards appended / \
+             rebuilt / fallback: original {} / {} / {}, protected {} / {} / {}; \
+             parity checked on {} windows",
+            self.strategy_trajectories_anonymized,
+            self.strategy_trajectories_reused,
+            self.shards_appended,
+            self.shards_rebuilt,
+            self.shards_fallback,
+            self.strategy_shards_appended,
+            self.strategy_shards_rebuilt,
+            self.strategy_shards_fallback,
+            self.parity_windows
+        )?;
         write!(
             f,
             "baselines: {} folded in place ({} cells touched), {} full rebuilds",
@@ -340,14 +408,15 @@ pub fn run(config: &E11Config) -> E11Report {
     );
 
     // Batch model: every day re-publishes the whole prefix from scratch.
-    // When `batch_all_windows` is off only the first and last prefixes are
-    // replayed (and parity is asserted on exactly those two windows).
+    // When `batch_all_windows` is off only the first and last prefixes and
+    // the sampled mid-stream ones are replayed (and parity is asserted on
+    // exactly those windows).
     let batch_api = PrivApi::default();
     let mut batch_total_ms = 0.0;
     let mut batch_last_window_ms = 0.0;
     let mut batch_releases: Vec<Option<_>> = Vec::with_capacity(windows.len());
     for i in 0..windows.len() {
-        if !config.batch_all_windows && i != 0 && i != windows.len() - 1 {
+        if !config.batches(i, windows.len()) {
             batch_releases.push(None);
             continue;
         }
@@ -376,6 +445,8 @@ pub fn run(config: &E11Config) -> E11Report {
     let mut baseline_rebuilds = 0;
     let mut baseline_cells_updated = 0;
     let mut strategy_totals = privapi::streaming::StrategyCacheDelta::default();
+    let mut original_paths = [0usize; 3];
+    let mut parity_windows = 0;
     for (i, window) in windows.iter().enumerate() {
         let before = probe.extractions();
         let start = Instant::now();
@@ -405,6 +476,7 @@ pub fn run(config: &E11Config) -> E11Report {
                 "window {i}: streaming winners drifted from batch"
             );
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
+            parity_windows += 1;
         }
         shard_reuses += release.delta.users_reused;
         shard_refreshes += release.delta.users_refreshed;
@@ -418,6 +490,14 @@ pub fn run(config: &E11Config) -> E11Report {
         strategy_totals.shards_refreshed += release.strategies.shards_refreshed;
         strategy_totals.protected_grid_rebuilds += release.strategies.protected_grid_rebuilds;
         strategy_totals.full_fallbacks += release.strategies.full_fallbacks;
+        strategy_totals.trajectories_anonymized += release.strategies.trajectories_anonymized;
+        strategy_totals.trajectories_reused += release.strategies.trajectories_reused;
+        strategy_totals.shards_appended += release.strategies.shards_appended;
+        strategy_totals.shards_rebuilt += release.strategies.shards_rebuilt;
+        strategy_totals.shards_fallback += release.strategies.shards_fallback;
+        original_paths[0] += release.delta.shards_appended;
+        original_paths[1] += release.delta.shards_rebuilt;
+        original_paths[2] += release.delta.shards_fallback;
     }
     let incremental_extractions = probe.extractions();
     let incremental_user_extractions = probe.user_extractions();
@@ -454,6 +534,15 @@ pub fn run(config: &E11Config) -> E11Report {
         baseline_reuses,
         baseline_rebuilds,
         baseline_cells_updated,
+        shards_appended: original_paths[0],
+        shards_rebuilt: original_paths[1],
+        shards_fallback: original_paths[2],
+        strategy_trajectories_anonymized: strategy_totals.trajectories_anonymized,
+        strategy_trajectories_reused: strategy_totals.trajectories_reused,
+        strategy_shards_appended: strategy_totals.shards_appended,
+        strategy_shards_rebuilt: strategy_totals.shards_rebuilt,
+        strategy_shards_fallback: strategy_totals.shards_fallback,
+        parity_windows,
     }
 }
 
@@ -496,6 +585,16 @@ mod tests {
         assert_eq!(report.baseline_rebuilds, 0, "{report:?}");
         assert_eq!(report.baseline_reuses, report.windows - 1, "{report:?}");
         assert!(report.baseline_cells_updated > 0, "{report:?}");
+        // Refreshes after the first window fold in only what each user
+        // appended: every later shard refresh goes through the memo on
+        // both sides, and a clean stream never falls back.
+        assert_eq!(report.shards_rebuilt, report.users, "{report:?}");
+        assert!(report.shards_appended > 0, "{report:?}");
+        assert_eq!(report.shards_fallback, 0, "{report:?}");
+        assert!(report.strategy_shards_appended > 0, "{report:?}");
+        assert_eq!(report.strategy_shards_fallback, 0, "{report:?}");
+        assert!(report.strategy_trajectories_reused > 0, "{report:?}");
+        assert_eq!(report.parity_windows, report.windows);
         assert!(report.batch_total_ms > 0.0);
         assert!(report.incremental_total_ms > 0.0);
         assert!(report.incremental_first_window_ms > 0.0);
@@ -519,6 +618,12 @@ mod tests {
             "\"baseline_reuses\"",
             "\"baseline_rebuilds\"",
             "\"baseline_cells_updated\"",
+            "\"shards_appended\"",
+            "\"shards_fallback\"",
+            "\"strategy_trajectories_reused\"",
+            "\"strategy_shards_appended\"",
+            "\"strategy_shards_fallback\"",
+            "\"parity_windows\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -527,19 +632,27 @@ mod tests {
         assert!(text.contains("extractions:"));
         assert!(text.contains("protected side:"));
         assert!(text.contains("baselines:"));
+        assert!(text.contains("trajectory reuse:"));
         assert!(text.contains("last/first-steady ratio"));
     }
 
     #[test]
     fn sparse_batch_mode_skips_interior_prefixes_but_keeps_parity() {
         let mut config = E11Config::smoke();
+        config.days = 6;
         config.batch_all_windows = false;
+        let sampled: Vec<usize> = (0..config.days)
+            .filter(|&i| config.batches(i, config.days))
+            .collect();
+        assert_eq!(sampled, vec![0, 1, 3, 5], "first, two mid-stream, last");
         let report = run(&config);
-        // Only the first and last prefixes are batch-replayed.
-        assert_eq!(report.batch_extractions, 2 * (report.pool_size + 1));
+        assert_eq!(report.windows, config.days);
+        // Only the sampled prefixes are batch-replayed and parity-checked.
+        assert_eq!(report.batch_extractions, 4 * (report.pool_size + 1));
         assert_eq!(report.incremental_extractions, 0);
         assert_eq!(report.baseline_rebuilds, 0);
         assert_eq!(report.baseline_reuses, report.windows - 1);
+        assert_eq!(report.parity_windows, 4);
     }
 
     #[test]
@@ -556,5 +669,9 @@ mod tests {
         assert_eq!(large.users, 10_000);
         assert_eq!(large.participation_pct, 5);
         assert!(!large.batch_all_windows);
+        let sampled: Vec<usize> = (0..large.days)
+            .filter(|&i| large.batches(i, large.days))
+            .collect();
+        assert_eq!(sampled, vec![0, 2, 4, 7], "first, two mid-stream, last");
     }
 }

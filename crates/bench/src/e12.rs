@@ -188,6 +188,27 @@ pub struct E12Report {
     /// Baseline cells / day-histogram entries touched by in-place folds
     /// across all orchestrated releases.
     pub baseline_cells_updated: usize,
+    /// Original-side shard refreshes of the orchestrated run (shared
+    /// sessions once per window, private subset views per campaign) that
+    /// folded in only the appended trajectories through the memo.
+    pub shards_appended: usize,
+    /// Original-side shard refreshes from scratch without a usable memo
+    /// (first window, grid rebuild, a shard last derived from a donor).
+    pub shards_rebuilt: usize,
+    /// Original-side shard refreshes from scratch after a rejected memo;
+    /// zero on a clean stream.
+    pub shards_fallback: usize,
+    /// Input trajectories the orchestrated campaigns anonymized.
+    pub strategy_trajectories_anonymized: usize,
+    /// Protected trajectories the orchestrated campaigns reused because
+    /// their source trajectory was unchanged.
+    pub strategy_trajectories_reused: usize,
+    /// Protected-side shard refreshes through the extraction memo.
+    pub strategy_shards_appended: usize,
+    /// Protected-side shard refreshes from scratch without a usable memo.
+    pub strategy_shards_rebuilt: usize,
+    /// Protected-side shard refreshes from scratch after a rejected memo.
+    pub strategy_shards_fallback: usize,
 }
 
 impl E12Report {
@@ -220,7 +241,11 @@ impl E12Report {
              \"original_side_ratio\": {:.3},\n  \"independent_extractions\": {},\n  \
              \"orchestrated_extractions\": {},\n  \"shards_derived\": {},\n  \
              \"users_donated\": {},\n  \"shards_donated\": {},\n  \
-             \"baseline_rebuilds\": {},\n  \"baseline_cells_updated\": {}\n}}\n",
+             \"baseline_rebuilds\": {},\n  \"baseline_cells_updated\": {},\n  \
+             \"shards_appended\": {},\n  \"shards_rebuilt\": {},\n  \
+             \"shards_fallback\": {},\n  \"strategy_trajectories_anonymized\": {},\n  \
+             \"strategy_trajectories_reused\": {},\n  \"strategy_shards_appended\": {},\n  \
+             \"strategy_shards_rebuilt\": {},\n  \"strategy_shards_fallback\": {}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -246,6 +271,14 @@ impl E12Report {
             self.shards_donated,
             self.baseline_rebuilds,
             self.baseline_cells_updated,
+            self.shards_appended,
+            self.shards_rebuilt,
+            self.shards_fallback,
+            self.strategy_trajectories_anonymized,
+            self.strategy_trajectories_reused,
+            self.strategy_shards_appended,
+            self.strategy_shards_rebuilt,
+            self.strategy_shards_fallback,
         )
     }
 }
@@ -311,7 +344,7 @@ impl fmt::Display for E12Report {
             self.releases,
             self.shards_derived
         )?;
-        write!(
+        writeln!(
             f,
             "donor sharing: {} anonymizations / {} shards adopted by followers; \
              baselines: {} rebuilds, {} cells folded",
@@ -319,6 +352,19 @@ impl fmt::Display for E12Report {
             self.shards_donated,
             self.baseline_rebuilds,
             self.baseline_cells_updated
+        )?;
+        write!(
+            f,
+            "trajectory reuse: {} trajectories anonymized / {} reused; shards appended / \
+             rebuilt / fallback: original {} / {} / {}, protected {} / {} / {}",
+            self.strategy_trajectories_anonymized,
+            self.strategy_trajectories_reused,
+            self.shards_appended,
+            self.shards_rebuilt,
+            self.shards_fallback,
+            self.strategy_shards_appended,
+            self.strategy_shards_rebuilt,
+            self.strategy_shards_fallback
         )
     }
 }
@@ -439,10 +485,25 @@ pub fn run(config: &E12Config) -> E12Report {
     let mut shards_donated = 0;
     let mut baseline_rebuilds = 0;
     let mut baseline_cells_updated = 0;
+    let mut original_paths = [0usize; 3];
+    let mut strategy_totals = privapi::streaming::StrategyCacheDelta::default();
     for (w, window) in windows.iter().enumerate() {
         let start = Instant::now();
         let report = orchestrator.advance_day(window).expect("ascending days");
         orchestrated_total_ms += start.elapsed().as_secs_f64() * 1e3;
+        // Shared sessions advance once per window whatever the number of
+        // campaigns reading them; private views advance per campaign.
+        let private = report
+            .outcomes
+            .iter()
+            .filter_map(|(id, _)| report.release_of(*id))
+            .filter(|release| !release.shared)
+            .map(|release| &release.delta);
+        for delta in report.sessions.iter().chain(private) {
+            original_paths[0] += delta.shards_appended;
+            original_paths[1] += delta.shards_rebuilt;
+            original_paths[2] += delta.shards_fallback;
+        }
         for (c, (id, _, _)) in mix.iter().enumerate() {
             let orchestrated = report.release_of(CampaignId(*id));
             let independent = independent_releases[c][w].as_ref();
@@ -459,6 +520,12 @@ pub fn run(config: &E12Config) -> E12Report {
                     shards_donated += a.strategies.shards_donated;
                     baseline_rebuilds += usize::from(a.baseline.rebuilt);
                     baseline_cells_updated += a.baseline.cells_updated;
+                    let s = &a.strategies;
+                    strategy_totals.trajectories_anonymized += s.trajectories_anonymized;
+                    strategy_totals.trajectories_reused += s.trajectories_reused;
+                    strategy_totals.shards_appended += s.shards_appended;
+                    strategy_totals.shards_rebuilt += s.shards_rebuilt;
+                    strategy_totals.shards_fallback += s.shards_fallback;
                 }
                 (None, None) => {}
                 (a, b) => panic!(
@@ -500,6 +567,14 @@ pub fn run(config: &E12Config) -> E12Report {
         shards_donated,
         baseline_rebuilds,
         baseline_cells_updated,
+        shards_appended: original_paths[0],
+        shards_rebuilt: original_paths[1],
+        shards_fallback: original_paths[2],
+        strategy_trajectories_anonymized: strategy_totals.trajectories_anonymized,
+        strategy_trajectories_reused: strategy_totals.trajectories_reused,
+        strategy_shards_appended: strategy_totals.shards_appended,
+        strategy_shards_rebuilt: strategy_totals.shards_rebuilt,
+        strategy_shards_fallback: strategy_totals.shards_fallback,
     }
 }
 
@@ -551,6 +626,13 @@ mod tests {
         // is ever discarded — every window folds in place.
         assert_eq!(report.baseline_rebuilds, 0, "{report:?}");
         assert!(report.baseline_cells_updated > 0, "{report:?}");
+        // Later windows fold only what each user appended, on both sides;
+        // the clean stream never rejects a memo.
+        assert!(report.shards_appended > 0, "{report:?}");
+        assert_eq!(report.shards_fallback, 0, "{report:?}");
+        assert!(report.strategy_shards_appended > 0, "{report:?}");
+        assert!(report.strategy_trajectories_reused > 0, "{report:?}");
+        assert_eq!(report.strategy_shards_fallback, 0, "{report:?}");
         let json = report.to_json();
         for key in [
             "\"experiment\": \"e12_multi_campaign\"",
@@ -563,6 +645,11 @@ mod tests {
             "\"shards_donated\"",
             "\"baseline_rebuilds\"",
             "\"baseline_cells_updated\"",
+            "\"shards_appended\"",
+            "\"shards_fallback\"",
+            "\"strategy_trajectories_reused\"",
+            "\"strategy_shards_appended\"",
+            "\"strategy_shards_fallback\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -570,6 +657,7 @@ mod tests {
         assert!(text.contains("all campaigns"));
         assert!(text.contains("per-user extractions:"));
         assert!(text.contains("donor sharing:"));
+        assert!(text.contains("trajectory reuse:"));
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! filters.
 
 use campaign::{Campaign, CampaignId, CampaignOutcome, Orchestrator};
+use geo::GeoPoint;
 use mobility::gen::{thin_participation_salted, CityModel, PopulationConfig};
-use mobility::{ParticipantFilter, UserId, WindowedDataset};
+use mobility::{
+    Dataset, LocationRecord, ParticipantFilter, Timestamp, UserId, WindowedDataset, DAY_SECONDS,
+};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
 use privapi::streaming::StreamingPublisher;
 use proptest::prelude::*;
@@ -40,6 +43,31 @@ proptest! {
         // Sparse participation: some windows genuinely miss users, so the
         // reuse and derivation paths execute.
         let data = thin_participation_salted(&data, 50, seed);
+        // Two day-0 beacons pin user 0 (in the subset) to the population's
+        // day-0 corners, so the subset campaign derives its day-0 shards
+        // from the shared session. On the last day a wanderer outside the
+        // subset moves the population grid away from the subset's: the
+        // subset must then extract its users itself, from scratch, since a
+        // derived shard carries no extraction memo.
+        let day0 = WindowedDataset::partition(&data).windows()[0]
+            .dataset()
+            .bounding_box()
+            .unwrap();
+        let mut records: Vec<LocationRecord> = data.iter_records().copied().collect();
+        for (i, corner) in [day0.min(), day0.max()].into_iter().enumerate() {
+            records.push(LocationRecord::new(UserId(0), Timestamp::new(i as i64), corner));
+        }
+        let far = GeoPoint::new(day0.max().latitude() + 0.3, day0.max().longitude() + 0.3)
+            .unwrap();
+        let last_day = (days as i64 - 1) * DAY_SECONDS;
+        for i in 0..12 {
+            records.push(LocationRecord::new(
+                UserId(1_000),
+                Timestamp::new(last_day + 3_600 + 300 * i),
+                far,
+            ));
+        }
+        let data = Dataset::from_records(records);
         let windows = WindowedDataset::partition(&data);
         let subset = ParticipantFilter::users(
             (0..users as u64 / 2 + 1).map(UserId).collect::<Vec<_>>(),
@@ -86,6 +114,41 @@ proptest! {
                 prop_assert_eq!(release.strategies.users_refreshed, 0);
                 prop_assert_eq!(release.strategies.shards_refreshed, 0);
             }
+        }
+
+        // The user-subset campaign: day 0 is derived; every refresh runs
+        // on a known path (no fallback on a fault-free stream); the first
+        // later refresh it pays itself starts from scratch (its shards were
+        // derived); and the wanderer's day is never derived.
+        let subset_releases: Vec<_> = reports
+            .iter()
+            .filter_map(|r| r.release_of(CampaignId(2)))
+            .collect();
+        if let Some(first) = reports[0].release_of(CampaignId(2)) {
+            prop_assert!(first.delta.users_derived > 0,
+                "day 0: the subset must derive from the shared session");
+        }
+        for release in &subset_releases {
+            let d = &release.delta;
+            prop_assert_eq!(
+                d.users_refreshed,
+                d.shards_appended + d.shards_rebuilt + d.shards_fallback
+            );
+            prop_assert_eq!(d.shards_fallback, 0, "day {}", release.day);
+        }
+        if let Some(first_own) = subset_releases
+            .iter()
+            .find(|r| r.day > windows.days()[0] && r.delta.users_refreshed > 0)
+        {
+            prop_assert_eq!(first_own.delta.users_derived, 0);
+            prop_assert_eq!(
+                first_own.delta.shards_rebuilt, first_own.delta.users_refreshed,
+                "day {}: derived shards leave no memo to amend", first_own.day
+            );
+        }
+        if let Some(last) = reports.last().and_then(|r| r.release_of(CampaignId(2))) {
+            prop_assert_eq!(last.delta.users_derived, 0,
+                "the wanderer moved the population grid away from the subset's");
         }
 
         for (id, config, filter) in &campaigns {

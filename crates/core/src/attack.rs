@@ -38,7 +38,9 @@
 //!   [`PoiAttack::extract`] fans the shards out over the available cores and
 //!   reassembles them in `UserId` order, so the result is byte-identical to
 //!   the sequential reference path ([`PoiAttack::extract_serial`]). Shards
-//!   are also the unit a streaming/incremental deployment would cache.
+//!   are also the unit the streaming caches keep, and
+//!   [`PoiAttack::extract_user_from`] amends a cached shard with only the
+//!   trajectories appended since it was extracted ([`ExtractionMemo`]).
 //! * **Spatial-indexed matching.** Reference POIs are bucketed once into a
 //!   [`ReferenceIndex`] (a [`geo::PointIndex`] per user, cell side =
 //!   [`PoiAttackConfig::match_distance`]); matching a candidate's extraction
@@ -47,11 +49,11 @@
 //!   equals the scan matcher's ([`PoiAttack::match_extracted_scan`])
 //!   bit-for-bit, boundary distances included.
 
-use geo::{GeoPoint, Meters, PointIndex, UniformGrid};
+use geo::{BoundingBox, GeoPoint, Meters, PointIndex, UniformGrid};
 use mobility::gen::GroundTruth;
 use mobility::poi::{extract_pois, PoiConfig};
-use mobility::staypoint::{detect_all, StayPointConfig};
-use mobility::{Dataset, UserId};
+use mobility::staypoint::{detect_all, StayPoint, StayPointConfig};
+use mobility::{Dataset, LocationRecord, Trajectory, UserId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
@@ -172,6 +174,37 @@ pub struct UserAttackShard {
     pub threshold_s: f64,
     /// POIs extracted for this user (density ∪ stay-point, de-duplicated).
     pub pois: Vec<GeoPoint>,
+}
+
+/// What [`PoiAttack::extract_user_from`] keeps between two extractions of
+/// one user so the second can fold in only the appended trajectories.
+///
+/// It holds pointers and stay points, never record copies: the source
+/// handles the shard was extracted from, the last record of their
+/// time-sorted merge, and the user's stay points sorted by arrival. The
+/// dwell running sum is the shard's own [`DwellField`]. A memo is only
+/// meaningful for the attack configuration that produced it; the
+/// streaming caches drop theirs when the configuration changes.
+#[derive(Debug, Clone)]
+pub struct ExtractionMemo {
+    sources: Vec<Arc<Trajectory>>,
+    last: Option<LocationRecord>,
+    stays: Vec<StayPoint>,
+    grid: (BoundingBox, Meters),
+}
+
+/// How [`PoiAttack::extract_user_from`] produced a shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ExtractionPath {
+    /// Only the trajectories appended since the memo were folded in.
+    Appended,
+    /// Extracted from scratch without a usable memo: none was given, or
+    /// it was taken on a different grid.
+    Rebuilt,
+    /// Extracted from scratch because the memo was rejected: the sources
+    /// do not extend the memo's by pointer, or a new record is earlier
+    /// than the memo's last one.
+    Fallback,
 }
 
 /// Per-user spatial index over reference POIs, built once per evaluation
@@ -343,24 +376,84 @@ impl PoiAttack {
         user: UserId,
         grid: &UniformGrid,
     ) -> UserAttackShard {
+        self.extract_user_from(dataset.shared_of(user), user, grid, None)
+            .0
+    }
+
+    /// Extracts `user`'s shard from their trajectories `sources` (in
+    /// dataset order), amending `prior` — the shard and memo of an earlier
+    /// extraction — when it can, and returns the memo the next call
+    /// amends.
+    ///
+    /// The amending path runs only when the memo was taken on `grid`, the
+    /// memo's sources are a pointer prefix of `sources`, and no appended
+    /// record is earlier than the memo's last record. It then adds only
+    /// the appended record pairs to the dwell field and only the appended
+    /// trajectories' stays to the stay list, and reruns the per-user
+    /// finish (threshold, density clustering, stay clustering). The result
+    /// equals a from-scratch extraction: dwell masses are whole seconds,
+    /// so their sums are exact in any order, and the stable time sort of
+    /// old ++ new records (or stays) is the old sort followed by the new
+    /// one. In
+    /// every other case the shard is extracted from scratch, which is
+    /// also what a call without `prior` does.
+    ///
+    /// Every call counts one [`PoiAttack::user_extractions`] pass,
+    /// whichever path it takes.
+    pub fn extract_user_from(
+        &self,
+        sources: Vec<Arc<Trajectory>>,
+        user: UserId,
+        grid: &UniformGrid,
+        prior: Option<(&UserAttackShard, &ExtractionMemo)>,
+    ) -> (UserAttackShard, ExtractionMemo, ExtractionPath) {
         self.user_extractions.fetch_add(1, Ordering::Relaxed);
-        let dwell = self.dwell_field(dataset, user, grid);
-        let threshold_s = self.poi_threshold(&dwell);
-        let mut pois = self.extract_density_pois(&dwell, grid, threshold_s);
-        for p in self.extract_staypoint_pois(dataset, user, threshold_s) {
-            let dup = pois
-                .iter()
-                .any(|q| q.haversine_distance(&p).get() < self.config.poi.merge_distance.get());
-            if !dup {
-                pois.push(p);
+        let key = (grid.bbox(), grid.cell_size());
+        let mut path = ExtractionPath::Rebuilt;
+        if let Some((shard, memo)) = prior.filter(|(_, memo)| memo.grid == key) {
+            let kept = memo.sources.len();
+            let extends = sources.len() >= kept
+                && sources
+                    .iter()
+                    .zip(&memo.sources)
+                    .all(|(a, b)| Arc::ptr_eq(a, b));
+            if extends {
+                let fresh = time_sorted(&sources[kept..]);
+                let in_order = match (memo.last, fresh.first()) {
+                    (Some(last), Some(first)) => first.time >= last.time,
+                    _ => true,
+                };
+                if in_order {
+                    let mut mass = shard.dwell.mass.clone();
+                    let last = self.fold_dwell(&mut mass, memo.last, &fresh, grid);
+                    // No new record precedes the old ones, so neither does
+                    // a new stay: old ++ new is already the stable arrival
+                    // sort a from-scratch extraction computes.
+                    let mut stays = memo.stays.clone();
+                    stays.extend(self.detect_stays(&sources[kept..]));
+                    let shard = self.finish_user(user, mass, &stays, grid);
+                    let memo = ExtractionMemo {
+                        sources,
+                        last,
+                        stays,
+                        grid: key,
+                    };
+                    return (shard, memo, ExtractionPath::Appended);
+                }
             }
+            path = ExtractionPath::Fallback;
         }
-        UserAttackShard {
-            user,
-            dwell,
-            threshold_s,
-            pois,
-        }
+        let mut mass = HashMap::new();
+        let last = self.fold_dwell(&mut mass, None, &time_sorted(&sources), grid);
+        let stays = self.detect_stays(&sources);
+        let shard = self.finish_user(user, mass, &stays, grid);
+        let memo = ExtractionMemo {
+            sources,
+            last,
+            stays,
+            grid: key,
+        };
+        (shard, memo, path)
     }
 
     /// Extracts every user's shard, fanned out over the available cores.
@@ -412,55 +505,84 @@ impl PoiAttack {
             .max(self.config.concentration_factor * field.mean_positive)
     }
 
-    /// Accumulates the user's dwell mass per grid cell.
-    fn dwell_field(&self, dataset: &Dataset, user: UserId, grid: &UniformGrid) -> DwellField {
-        let records = dataset.records_of(user);
-        let mut mass: HashMap<geo::CellId, f64> = HashMap::new();
-        for w in records.windows(2) {
-            let dwell = (w[1].time - w[0].time).clamp(0, self.config.max_record_dwell_s) as f64;
-            if dwell <= 0.0 {
-                continue;
+    /// Adds the dwell of each consecutive pair of `records` (time-sorted),
+    /// starting from the pair `(prev, records[0])`, to the cell of the
+    /// pair's first record. Returns the new last record.
+    fn fold_dwell(
+        &self,
+        mass: &mut HashMap<geo::CellId, f64>,
+        mut prev: Option<LocationRecord>,
+        records: &[LocationRecord],
+        grid: &UniformGrid,
+    ) -> Option<LocationRecord> {
+        for record in records {
+            if let Some(p) = prev {
+                let dwell =
+                    (record.time - p.time).clamp(0, self.config.max_record_dwell_s) as f64;
+                if dwell > 0.0 {
+                    *mass.entry(grid.cell_of(&p.point)).or_insert(0.0) += dwell;
+                }
             }
-            *mass.entry(grid.cell_of(&w[0].point)).or_insert(0.0) += dwell;
+            prev = Some(*record);
         }
-        let mean_positive = if mass.is_empty() {
-            0.0
-        } else {
-            mass.values().sum::<f64>() / mass.len() as f64
-        };
-        DwellField {
-            mass,
-            mean_positive,
-        }
+        prev
     }
 
-    /// Stay-point + clustering extractor, filtered by the dwell threshold.
+    /// Stay points of the trajectories the speed filter keeps, sorted by
+    /// arrival.
     ///
     /// Trajectories whose speed is (near-)constant are skipped: on such data
     /// the detector produces a uniform chain of pseudo-stays along the path,
     /// which an adversary can recognise (and must discard) by checking the
     /// published speeds directly.
-    fn extract_staypoint_pois(
+    fn detect_stays(&self, trajectories: &[Arc<Trajectory>]) -> Vec<StayPoint> {
+        let kept = trajectories.iter().map(AsRef::as_ref).filter(|t| {
+            t.speed_cv()
+                .map(|cv| cv >= self.config.min_speed_cv)
+                .unwrap_or(true)
+        });
+        detect_all(kept, &self.config.stay)
+    }
+
+    /// The per-user finish shared by both extraction paths: the dwell
+    /// threshold, the density POIs, then the stay-point POIs above the
+    /// threshold that no density POI already covers.
+    fn finish_user(
         &self,
-        dataset: &Dataset,
         user: UserId,
-        threshold_s: f64,
-    ) -> Vec<GeoPoint> {
-        let trajs: Vec<&mobility::Trajectory> = dataset
-            .trajectories_of(user)
-            .into_iter()
-            .filter(|t| {
-                t.speed_cv()
-                    .map(|cv| cv >= self.config.min_speed_cv)
-                    .unwrap_or(true)
-            })
-            .collect();
-        let stays = detect_all(trajs.iter().copied(), &self.config.stay);
-        extract_pois(&stays, &self.config.poi)
+        mass: HashMap<geo::CellId, f64>,
+        stays: &[StayPoint],
+        grid: &UniformGrid,
+    ) -> UserAttackShard {
+        let mean_positive = if mass.is_empty() {
+            0.0
+        } else {
+            mass.values().sum::<f64>() / mass.len() as f64
+        };
+        let dwell = DwellField {
+            mass,
+            mean_positive,
+        };
+        let threshold_s = self.poi_threshold(&dwell);
+        let mut pois = self.extract_density_pois(&dwell, grid, threshold_s);
+        let stay_pois = extract_pois(stays, &self.config.poi)
             .into_iter()
             .filter(|p| p.total_dwell_s as f64 >= threshold_s)
-            .map(|p| p.centroid)
-            .collect()
+            .map(|p| p.centroid);
+        for p in stay_pois {
+            let dup = pois
+                .iter()
+                .any(|q| q.haversine_distance(&p).get() < self.config.poi.merge_distance.get());
+            if !dup {
+                pois.push(p);
+            }
+        }
+        UserAttackShard {
+            user,
+            dwell,
+            threshold_s,
+            pois,
+        }
     }
 
     /// Dwell-density extractor: anomalously heavy cells clustered by
@@ -671,6 +793,17 @@ fn assemble_report(
         extracted_pois: extracted_total,
         matched,
     }
+}
+
+/// The records of `trajectories`, stably sorted by time — the order the
+/// dwell field is accumulated in.
+fn time_sorted(trajectories: &[Arc<Trajectory>]) -> Vec<LocationRecord> {
+    let mut records: Vec<LocationRecord> = trajectories
+        .iter()
+        .flat_map(|t| t.records().iter().copied())
+        .collect();
+    records.sort_by_key(|r| r.time);
+    records
 }
 
 /// Result of the user re-identification attack.

@@ -172,9 +172,10 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Attaches the caller's per-user decomposition of the original prefix
-    /// (and its tracked bounding box) so candidate refreshes can
-    /// re-anonymize single users against minimal views — the streaming
-    /// publish path's O(active users) lever.
+    /// (and its tracked bounding box) so candidate refreshes can anonymize
+    /// a user's appended trajectories against minimal views — the streaming
+    /// publish path's lever for paying per new trajectory, not per
+    /// history.
     pub(crate) fn with_population(
         mut self,
         by_user: &'a BTreeMap<UserId, Vec<Arc<Trajectory>>>,
@@ -424,10 +425,11 @@ impl EvaluationEngine {
     /// a session cache amends across day windows, so no original-side
     /// extraction happens here at all. `strategies` carries the
     /// *protected-side* per-candidate caches: each candidate is refreshed
-    /// per its declared [`crate::strategy::UserLocality`] — only the
-    /// `update`-listed changed users are re-anonymized and re-extracted
-    /// for local candidates, while non-local candidates fall back to the
-    /// full anonymize + self-attack. The winner's release dataset is
+    /// per its declared [`crate::strategy::UserLocality`] — for local
+    /// candidates only the trajectories the `update`-listed changed users
+    /// appended are anonymized and folded into their shards, while
+    /// non-local candidates fall back to the full anonymize +
+    /// self-attack. The winner's release dataset is
     /// re-assembled from its cache by pure clones instead of re-running
     /// its strategy over the whole prefix.
     ///
@@ -553,16 +555,9 @@ impl EvaluationEngine {
                     .attack
                     .match_extracted(&extracted, context.reference_index());
                 let delta = CandidateDelta {
-                    info: strategy.info(),
-                    locality: strategy.locality(),
-                    users_refreshed: 0,
-                    users_reused: 0,
                     users_donated: all_users.len(),
-                    shards_refreshed: 0,
-                    shards_reused: 0,
                     shards_donated: state.shard_count(),
-                    protected_grid_rebuilt: false,
-                    full_fallback: false,
+                    ..CandidateDelta::empty(strategy.info(), strategy.locality())
                 };
                 let result = CandidateResult {
                     info: strategy.info(),
@@ -702,6 +697,17 @@ fn record_candidate_deltas(deltas: &[CandidateDelta]) {
             delta.protected_grid_rebuilt as u64,
         );
         obs::count("strategy.full_fallbacks", delta.full_fallback as u64);
+        obs::count(
+            "strategy.trajectories_anonymized",
+            delta.trajectories_anonymized as u64,
+        );
+        obs::count(
+            "strategy.trajectories_reused",
+            delta.trajectories_reused as u64,
+        );
+        obs::count("strategy.shards_appended", delta.shards_appended as u64);
+        obs::count("strategy.shards_rebuilt", delta.shards_rebuilt as u64);
+        obs::count("strategy.shards_fallback", delta.shards_fallback as u64);
         let hit_or_miss = if delta.full_fallback {
             "engine.cache_misses"
         } else {

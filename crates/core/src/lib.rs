@@ -87,8 +87,8 @@ pub use error::PrivapiError;
 /// Convenient single-import surface for the common PRIVAPI workflow.
 pub mod prelude {
     pub use crate::attack::{
-        BackgroundProfiles, PoiAttack, PoiAttackConfig, PoiAttackReport, ReferenceIndex,
-        ReidentificationAttack, UserAttackShard,
+        BackgroundProfiles, ExtractionMemo, ExtractionPath, PoiAttack, PoiAttackConfig,
+        PoiAttackReport, ReferenceIndex, ReidentificationAttack, UserAttackShard,
     };
     pub use crate::engine::{
         choose_winner, EvalContext, EvaluationEngine, ExecutionMode, WinnerRelease,

@@ -172,9 +172,10 @@ impl PrivApi {
     /// over the full accumulated prefix with **zero** original-side
     /// extraction passes; the per-candidate self-attacks then run against
     /// the session's per-strategy protected-side caches
-    /// ([`crate::streaming::StrategySessionCache`]), re-anonymizing and
-    /// re-extracting only the users the window changed for every candidate
-    /// whose [`crate::strategy::UserLocality`] permits it.
+    /// ([`crate::streaming::StrategySessionCache`]), anonymizing only the
+    /// trajectories the window appended and folding only those into the
+    /// changed users' shards, for every candidate whose
+    /// [`crate::strategy::UserLocality`] permits it.
     ///
     /// The release is byte-identical to [`PrivApi::publish`] over the same
     /// prefix — only cheaper: the original's POI exposure is amended from

@@ -12,44 +12,49 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// How much of the dataset one user's protected output depends on — the
-/// determinism contract behind per-user incremental re-anonymization.
+/// How much of the dataset one protected trajectory depends on — the
+/// determinism contract behind incremental re-anonymization.
 ///
 /// A streaming deployment re-publishes a growing prefix every day. Whether
 /// yesterday's protected output (and the self-attack shards derived from
-/// it) can be reused for a user who contributed no new records depends on
-/// what [`AnonymizationStrategy::anonymize`] actually reads, so every
-/// strategy *declares* it here and the per-strategy session cache
-/// ([`crate::streaming::StrategySessionCache`]) turns the declaration into
-/// an invalidation rule:
+/// it) can be reused depends on what [`AnonymizationStrategy::anonymize`]
+/// actually reads, so every strategy *declares* it here and the
+/// per-strategy session cache ([`crate::streaming::StrategySessionCache`])
+/// turns the declaration into an invalidation rule. The promise is made
+/// per **trajectory**: each output trajectory is a function of its own
+/// input trajectory, the run seed and — for grid-anchored strategies — the
+/// quantized anchor of the dataset bounding box. Anonymizing a whole
+/// dataset therefore equals anonymizing each trajectory on its own (with
+/// two corner pins holding the bounding box in place, for grid-anchored
+/// strategies), which is what lets the cache keep every output whose input
+/// is unchanged and anonymize only the trajectories a window appended.
 ///
-/// * [`UserLocality::UserLocal`] — user `u`'s output trajectories depend
-///   only on `u`'s own records and the run seed. Unchanged users keep
-///   their cached protected trajectories across windows. Randomized
-///   mechanisms qualify only when their randomness is derived per
-///   user/trajectory (as the strategies' shared `trajectory_rng` seed
-///   derivation does) — a
-///   mechanism drawing from one dataset-wide RNG stream would couple users
-///   through record ordering and must declare [`UserLocality::NonLocal`].
+/// * [`UserLocality::UserLocal`] — output trajectory `t'` depends only on
+///   input trajectory `t` and the run seed. Randomized mechanisms qualify
+///   only when their randomness is derived per trajectory (as the
+///   strategies' shared `trajectory_rng` seed derivation does) — a
+///   mechanism drawing from one dataset-wide RNG stream would couple
+///   trajectories through record ordering and must declare
+///   [`UserLocality::NonLocal`].
 /// * [`UserLocality::GridAnchored`] — like `UserLocal`, plus the dataset's
 ///   bounding box (the strategy anchors a grid/tessellation on its
 ///   *quantized* padded form, [`geo::BoundingBox::grid_anchor`], e.g.
 ///   [`crate::strategies::SpatialCloaking`]). A window that widens the
 ///   prefix bounding box past a lattice line shifts every cell and
-///   invalidates **every** user's cached output for this strategy;
-///   drift inside the lattice — the common case — and windows touching
-///   only some users re-anonymize the changed users alone.
+///   invalidates **every** cached output for this strategy; drift inside
+///   the lattice — the common case — keeps them all.
 /// * [`UserLocality::NonLocal`] — the output may depend on anything in the
 ///   dataset. Nothing is cached: every window re-runs the full
 ///   [`AnonymizationStrategy::anonymize`] and a full protected-side
 ///   extraction. This is the safe default for external implementations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UserLocality {
-    /// Output for user `u` is a function of (`u`'s records, seed) only.
+    /// Each output trajectory is a function of (its input trajectory,
+    /// seed) only.
     UserLocal,
-    /// Output for user `u` is a function of (`u`'s records, seed, dataset
-    /// bounding box) only — and of the box only through its quantized
-    /// anchor form ([`geo::BoundingBox::grid_anchor`]).
+    /// Each output trajectory is a function of (its input trajectory,
+    /// seed, dataset bounding box) only — and of the box only through its
+    /// quantized anchor form ([`geo::BoundingBox::grid_anchor`]).
     GridAnchored,
     /// Output may depend on the whole dataset (the conservative default).
     NonLocal,
@@ -122,9 +127,11 @@ pub trait AnonymizationStrategy: Send + Sync {
     /// order. Strategies declaring [`UserLocality::UserLocal`] or
     /// [`UserLocality::GridAnchored`] additionally promise:
     ///
-    /// * **locality** — the result depends only on `u`'s records, the
-    ///   seed and (for `GridAnchored`) the dataset bounding box, so an
-    ///   unchanged user's cached output stays valid as the dataset grows;
+    /// * **locality** — each output trajectory depends only on its own
+    ///   input trajectory, the seed and (for `GridAnchored`) the dataset
+    ///   bounding box, so a cached output stays valid as the dataset grows
+    ///   and `anonymize_user` over a dataset holding only some of `u`'s
+    ///   trajectories returns exactly their outputs;
     /// * **shape preservation** — `anonymize` maps each input trajectory
     ///   to exactly one output trajectory (possibly emptied), preserving
     ///   dataset order, so per-user outputs can be re-interleaved into the

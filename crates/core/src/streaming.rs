@@ -32,8 +32,15 @@
 //!    shifts every user's cell boundaries and invalidates *all* shards.
 //!
 //! Either way no *full-dataset* extraction pass runs on the original side:
-//! refreshes go through the per-user [`PoiAttack::extract_user`] delta
-//! path (fanned out over the cores).
+//! refreshes go through the per-user [`PoiAttack::extract_user_from`]
+//! path (fanned out over the cores), which amends the user's cached shard
+//! with only the trajectories appended since it was extracted — the
+//! [`ExtractionMemo`] records the source handles, the last time-sorted
+//! record and the sorted stay list. A user's refresh therefore costs
+//! O(records the window added), not O(the user's whole history). The memo
+//! is dropped on a grid rebuild, and rejected — a from-scratch extraction,
+//! counted as a fallback — when the appended records are older than the
+//! memo's last one (late records quarantined into a later window).
 //!
 //! # The protected side: per-strategy caches
 //!
@@ -45,12 +52,15 @@
 //! strategy declares through
 //! [`crate::strategy::AnonymizationStrategy::locality`]:
 //!
-//! * a [`UserLocality::UserLocal`] candidate re-anonymizes only users
-//!   with new records; everyone else's cached protected trajectories —
-//!   and, while the candidate's protected bounding box holds still, their
-//!   protected-side [`UserAttackShard`]s — carry over;
+//! * a [`UserLocality::UserLocal`] candidate anonymizes only the
+//!   trajectories the window appended: every cached output whose source
+//!   trajectory is still the same `Arc` in the prefix carries over, and —
+//!   while the candidate's protected bounding box holds still — so do the
+//!   protected-side [`UserAttackShard`]s of inactive users, while active
+//!   users' shards fold in only their appended outputs;
 //! * a [`UserLocality::GridAnchored`] candidate additionally re-anonymizes
-//!   everyone when the prefix bounding box widens (its tessellation moved);
+//!   the whole prefix when the bounding box's quantized anchor moves (its
+//!   tessellation moved);
 //! * a [`UserLocality::NonLocal`] candidate is never cached and re-runs
 //!   the full anonymize + self-attack, exactly as batch publish would.
 //!
@@ -71,7 +81,8 @@
 //! generator seeds enforce this.
 
 use crate::attack::{
-    PoiAttack, PoiAttackConfig, ReferenceIndex, ReferencePois, UserAttackShard,
+    ExtractionMemo, ExtractionPath, PoiAttack, PoiAttackConfig, ReferenceIndex, ReferencePois,
+    UserAttackShard,
 };
 use crate::engine::{EvalContext, ObjectiveBaseline};
 use crate::error::PrivapiError;
@@ -101,7 +112,8 @@ pub struct WindowDelta {
     /// Day index of the ingested window.
     pub day: i64,
     /// Users re-extracted over the grown prefix (new records, or a grid
-    /// rebuild touched everyone).
+    /// rebuild touched everyone): `shards_appended + shards_rebuilt +
+    /// shards_fallback`.
     pub users_refreshed: usize,
     /// Users whose cached shard (and per-user index) was reused untouched.
     pub users_reused: usize,
@@ -123,6 +135,36 @@ pub struct WindowDelta {
     /// every delta so downstream audit rows carry the padding factor the
     /// `grid_rebuilt` flag was judged under.
     pub grid_quantum_millideg: u32,
+    /// Refreshed shards that folded in only the user's appended
+    /// trajectories ([`ExtractionPath::Appended`]).
+    pub shards_appended: usize,
+    /// Refreshed shards extracted from scratch without a usable memo: the
+    /// user's first window, a grid rebuild, or a shard last derived from a
+    /// donor ([`ExtractionPath::Rebuilt`]).
+    pub shards_rebuilt: usize,
+    /// Refreshed shards extracted from scratch because their memo was
+    /// rejected — late records older than the memo's last one, or history
+    /// that is not a pointer extension ([`ExtractionPath::Fallback`]).
+    pub shards_fallback: usize,
+}
+
+/// How a batch of per-user extractions split over the
+/// [`ExtractionPath`]s.
+#[derive(Debug, Clone, Copy, Default)]
+struct PathCounts {
+    appended: usize,
+    rebuilt: usize,
+    fallback: usize,
+}
+
+impl PathCounts {
+    fn add(&mut self, path: ExtractionPath) {
+        match path {
+            ExtractionPath::Appended => self.appended += 1,
+            ExtractionPath::Rebuilt => self.rebuilt += 1,
+            ExtractionPath::Fallback => self.fallback += 1,
+        }
+    }
 }
 
 /// [`WindowDelta::grid_quantum_millideg`], derived from the geo constant.
@@ -142,6 +184,9 @@ fn record_window_delta(delta: &WindowDelta) {
     obs::count("streaming.users_derived", delta.users_derived as u64);
     obs::count("streaming.indexes_extended", delta.indexes_extended as u64);
     obs::count("streaming.grid_rebuilds", delta.grid_rebuilt as u64);
+    obs::count("streaming.shards_appended", delta.shards_appended as u64);
+    obs::count("streaming.shards_rebuilt", delta.shards_rebuilt as u64);
+    obs::count("streaming.shards_fallback", delta.shards_fallback as u64);
     obs::count("streaming.windows_ingested", 1);
 }
 
@@ -286,6 +331,10 @@ pub struct PopulationCache {
     /// cached shard valid.
     grid_box: Option<geo::BoundingBox>,
     shards: BTreeMap<UserId, UserAttackShard>,
+    /// Per-user extraction memos of `shards`, so a refresh folds in only
+    /// the user's appended trajectories. Shards derived from a donor have
+    /// none (the memo would point at the donor's trajectories).
+    memos: BTreeMap<UserId, ExtractionMemo>,
     reference: ReferencePois,
     index: Option<ReferenceIndex>,
     windows_ingested: usize,
@@ -651,6 +700,7 @@ impl PopulationCache {
             && self.attack_config.as_ref() != Some(attack.config());
         if config_changed {
             self.shards.clear();
+            self.memos.clear();
             self.reference.clear();
             self.index = None;
         }
@@ -683,6 +733,9 @@ impl PopulationCache {
                 grid_rebuilt: false,
                 users_derived: 0,
                 grid_quantum_millideg: grid_quantum_millideg(),
+                shards_appended: 0,
+                shards_rebuilt: 0,
+                shards_fallback: 0,
             });
         };
         // The extraction grid is anchored on the *quantized* padded box:
@@ -721,13 +774,15 @@ impl PopulationCache {
         }
         let grid = attack.grid_for(bbox);
         // Each refresh reads only the user's own history through the
-        // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan.
-        let refreshed: Vec<UserAttackShard> = to_extract
+        // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan —
+        // and, through the user's memo, re-reads only the trajectories
+        // appended since the last refresh.
+        let refreshed: Vec<(UserAttackShard, ExtractionMemo, ExtractionPath)> = to_extract
             .par_iter()
             .map(|&user| {
-                let history =
-                    Dataset::from_shared(self.by_user.get(&user).cloned().unwrap_or_default());
-                attack.extract_user(&history, user, &grid)
+                let sources = self.by_user.get(&user).cloned().unwrap_or_default();
+                let prior = self.shards.get(&user).zip(self.memos.get(&user));
+                attack.extract_user_from(sources, user, &grid, prior)
             })
             .collect();
         let index = self
@@ -735,7 +790,16 @@ impl PopulationCache {
             .get_or_insert_with(|| ReferenceIndex::empty(attack.config().match_distance));
         let mut indexes_extended = 0;
         let users_derived = derived.len();
-        for shard in derived.into_iter().chain(refreshed) {
+        let mut paths = PathCounts::default();
+        let refreshed = refreshed.into_iter().map(|(shard, memo, path)| {
+            paths.add(path);
+            (shard, Some(memo))
+        });
+        for (shard, memo) in derived.into_iter().map(|s| (s, None)).chain(refreshed) {
+            match memo {
+                Some(memo) => self.memos.insert(shard.user, memo),
+                None => self.memos.remove(&shard.user),
+            };
             if index.update_user(shard.user, &shard.pois) {
                 indexes_extended += 1;
             }
@@ -752,6 +816,9 @@ impl PopulationCache {
             grid_rebuilt,
             users_derived,
             grid_quantum_millideg: grid_quantum_millideg(),
+            shards_appended: paths.appended,
+            shards_rebuilt: paths.rebuilt,
+            shards_fallback: paths.fallback,
         };
         record_window_delta(&delta);
         Ok(delta)
@@ -873,8 +940,9 @@ pub struct CandidateDelta {
     pub info: StrategyInfo,
     /// The locality contract the candidate declared.
     pub locality: UserLocality,
-    /// Users re-anonymized over the grown prefix
-    /// ([`AnonymizationStrategy::anonymize_user`] calls).
+    /// Users refreshed this window: the users with new records, or every
+    /// user on a full pass. How many of their trajectories were actually
+    /// anonymized is `trajectories_anonymized`.
     pub users_refreshed: usize,
     /// Users whose cached protected trajectories were reused untouched.
     pub users_reused: usize,
@@ -883,8 +951,9 @@ pub struct CandidateDelta {
     /// anonymization work here; always zero outside the multi-campaign
     /// orchestrator's donor path.
     pub users_donated: usize,
-    /// Users whose protected-side [`UserAttackShard`] was re-extracted via
-    /// the per-user delta path.
+    /// Users whose protected-side [`UserAttackShard`] was refreshed via
+    /// the per-user delta path: `shards_appended + shards_rebuilt +
+    /// shards_fallback`.
     pub shards_refreshed: usize,
     /// Users whose cached protected-side shard was reused untouched.
     pub shards_reused: usize,
@@ -900,6 +969,45 @@ pub struct CandidateDelta {
     /// [`UserLocality::NonLocal`], or violated the shape contract): a full
     /// re-anonymization plus a full protected-side extraction.
     pub full_fallback: bool,
+    /// Input trajectories anonymized this window: the appended tail of
+    /// each refreshed user, or the whole prefix on a full pass.
+    pub trajectories_anonymized: usize,
+    /// Refreshed users' trajectories whose cached protected output was
+    /// reused because its source is the same trajectory as before.
+    pub trajectories_reused: usize,
+    /// Protected-side shard refreshes that folded in only the appended
+    /// outputs ([`ExtractionPath::Appended`]).
+    pub shards_appended: usize,
+    /// Protected-side shard refreshes from scratch without a usable memo:
+    /// first window, a full re-anonymization, or a protected-grid move
+    /// ([`ExtractionPath::Rebuilt`]).
+    pub shards_rebuilt: usize,
+    /// Protected-side shard refreshes from scratch because the memo was
+    /// rejected ([`ExtractionPath::Fallback`]).
+    pub shards_fallback: usize,
+}
+
+impl CandidateDelta {
+    /// A delta for `info` with every counter at zero.
+    pub(crate) fn empty(info: StrategyInfo, locality: UserLocality) -> Self {
+        Self {
+            info,
+            locality,
+            users_refreshed: 0,
+            users_reused: 0,
+            users_donated: 0,
+            shards_refreshed: 0,
+            shards_reused: 0,
+            shards_donated: 0,
+            protected_grid_rebuilt: false,
+            full_fallback: false,
+            trajectories_anonymized: 0,
+            trajectories_reused: 0,
+            shards_appended: 0,
+            shards_rebuilt: 0,
+            shards_fallback: 0,
+        }
+    }
 }
 
 /// Pool-wide aggregate of [`CandidateDelta`]s for one window — the
@@ -925,6 +1033,19 @@ pub struct StrategyCacheDelta {
     pub protected_grid_rebuilds: usize,
     /// Candidates that took the full uncached path.
     pub full_fallbacks: usize,
+    /// Total per-candidate input trajectories anonymized.
+    pub trajectories_anonymized: usize,
+    /// Total per-candidate protected trajectories reused by source.
+    pub trajectories_reused: usize,
+    /// Total per-candidate shard refreshes that folded in only appended
+    /// outputs.
+    pub shards_appended: usize,
+    /// Total per-candidate shard refreshes from scratch without a usable
+    /// memo.
+    pub shards_rebuilt: usize,
+    /// Total per-candidate shard refreshes from scratch after a rejected
+    /// memo.
+    pub shards_fallback: usize,
 }
 
 impl StrategyCacheDelta {
@@ -943,15 +1064,21 @@ impl StrategyCacheDelta {
             total.shards_donated += d.shards_donated;
             total.protected_grid_rebuilds += usize::from(d.protected_grid_rebuilt);
             total.full_fallbacks += usize::from(d.full_fallback);
+            total.trajectories_anonymized += d.trajectories_anonymized;
+            total.trajectories_reused += d.trajectories_reused;
+            total.shards_appended += d.shards_appended;
+            total.shards_rebuilt += d.shards_rebuilt;
+            total.shards_fallback += d.shards_fallback;
         }
         total
     }
 }
 
 /// One candidate strategy's cross-window protected-side state: the
-/// per-user protected trajectories of the accumulated prefix, the
-/// protected bounding box the extraction grid is anchored on, and the
-/// per-user self-attack shards extracted from the protected data.
+/// per-user protected trajectories of the accumulated prefix together with
+/// the input trajectory each was produced from, the protected bounding box
+/// the extraction grid is anchored on, and the per-user self-attack shards
+/// extracted from the protected data.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct CandidateState {
     /// Identity card of the candidate this state belongs to (`None` until
@@ -962,6 +1089,11 @@ pub(crate) struct CandidateState {
     /// shared handles, so cloning a state (the donor path) or assembling
     /// the release copies pointers, never record data.
     protected: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
+    /// The original trajectory each entry of `protected` was anonymized
+    /// from, index for index. An output stays valid while its source is
+    /// the same `Arc` in the prefix (the per-trajectory locality
+    /// contract), so a window re-anonymizes only the appended tail.
+    sources: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
     /// Per-user bounding boxes of the protected trajectories, so the
     /// protected prefix box is a union fold over users — O(users) —
     /// instead of a record scan over the assembled dataset.
@@ -974,8 +1106,9 @@ pub(crate) struct CandidateState {
     /// Shards survive raw protected-box drift inside the padded lattice.
     grid_box: Option<geo::BoundingBox>,
     /// Per-user protected-side shards (the candidate's own self-attack
-    /// decomposition), shared so donor clones are pointer copies.
-    shards: BTreeMap<UserId, Arc<UserAttackShard>>,
+    /// decomposition) with the memos their next refresh amends, shared so
+    /// donor clones are pointer copies.
+    shards: BTreeMap<UserId, Arc<CachedShard>>,
     /// Incrementally maintained protected-side utility counts, keyed on
     /// the *baseline* grid.
     utility: UtilityCache,
@@ -983,9 +1116,26 @@ pub(crate) struct CandidateState {
     primed: bool,
 }
 
+/// A protected-side shard and the memo of the extraction that produced it.
+#[derive(Debug)]
+struct CachedShard {
+    shard: UserAttackShard,
+    memo: ExtractionMemo,
+}
+
+/// One user's re-anonymization for a window: how many cached outputs
+/// survive, the user's current source trajectories, and the outputs of
+/// the sources past the survivors.
+struct Reanonymized {
+    user: UserId,
+    kept: usize,
+    sources: Vec<Arc<Trajectory>>,
+    tail: Vec<Arc<Trajectory>>,
+}
+
 /// The protected side of the incremental utility computation: per-user
 /// contributions to the objective's histogram plus the folded global
-/// counts, so a window re-scores `O(changed users' records)` instead of
+/// counts, so a window re-scores only the outputs it appended instead of
 /// re-histogramming the whole assembled protected prefix.
 ///
 /// Keyed on the **baseline** grid (anchor box + cell size): a baseline
@@ -1005,7 +1155,7 @@ enum UtilityCache {
         anchor: BoundingBox,
         cell: Meters,
         /// Each user's distinct `(cell, record-user)` contribution.
-        by_user: BTreeMap<UserId, Vec<(CellId, UserId)>>,
+        by_user: BTreeMap<UserId, HashSet<(CellId, UserId)>>,
         /// How many users contribute each pair.
         pair_refs: HashMap<(CellId, UserId), u32>,
         /// Distinct visitors per cell — fed to
@@ -1029,6 +1179,7 @@ impl CandidateState {
     /// Drops all cached data (keeps the identity card).
     fn clear(&mut self) {
         self.protected.clear();
+        self.sources.clear();
         self.boxes.clear();
         self.bbox = None;
         self.grid_box = None;
@@ -1083,7 +1234,7 @@ impl CandidateState {
     pub(crate) fn extracted_pois(&self) -> ReferencePois {
         self.shards
             .iter()
-            .map(|(user, shard)| (*user, shard.pois.clone()))
+            .map(|(user, cached)| (*user, cached.shard.pois.clone()))
             .collect()
     }
 
@@ -1132,13 +1283,14 @@ impl CandidateState {
         }
     }
 
-    /// Folds one window into this candidate's cache: re-anonymizes the
-    /// invalidated users (per the declared [`UserLocality`]), re-extracts
-    /// the invalidated protected-side shards, folds the refreshed users
-    /// into the incremental utility counts, and returns the extracted POIs
-    /// plus the utility score — exactly what [`PoiAttack::extract`] +
-    /// utility scoring over a fresh [`AnonymizationStrategy::anonymize`]
-    /// would produce, without paying for the unchanged users.
+    /// Folds one window into this candidate's cache: anonymizes only the
+    /// trajectories the window appended (or the whole prefix on the first
+    /// window and when a grid-anchored candidate's anchor moves),
+    /// re-extracts the invalidated protected-side shards by folding in
+    /// their appended outputs, adds those outputs to the incremental
+    /// utility counts, and returns the extracted POIs plus the utility
+    /// score — exactly what [`PoiAttack::extract`] + utility scoring over
+    /// a fresh [`AnonymizationStrategy::anonymize`] would produce.
     ///
     /// Returns `(None, delta)` when the candidate cannot be cached
     /// ([`UserLocality::NonLocal`], or a shape-contract violation): the
@@ -1154,18 +1306,7 @@ impl CandidateState {
     ) -> (Option<(ReferencePois, f64)>, CandidateDelta) {
         let info = strategy.info();
         let locality = strategy.locality();
-        let mut delta = CandidateDelta {
-            info: info.clone(),
-            locality,
-            users_refreshed: 0,
-            users_reused: 0,
-            users_donated: 0,
-            shards_refreshed: 0,
-            shards_reused: 0,
-            shards_donated: 0,
-            protected_grid_rebuilt: false,
-            full_fallback: false,
-        };
+        let mut delta = CandidateDelta::empty(info.clone(), locality);
         self.info = Some(info);
         if locality == UserLocality::NonLocal {
             self.clear();
@@ -1173,65 +1314,78 @@ impl CandidateState {
             return (None, delta);
         }
         let original = context.original();
-        let to_refresh: &[UserId] = if !self.primed
-            || (locality == UserLocality::GridAnchored && update.grid_rebuilt)
-        {
+        // A full pass runs on the first window and when a grid-anchored
+        // candidate's quantized anchor moved (every output changes); any
+        // other window re-anonymizes only what the changed users appended.
+        let full =
+            !self.primed || (locality == UserLocality::GridAnchored && update.grid_rebuilt);
+        let to_refresh: &[UserId] = if full {
             all_users
         } else {
             &update.changed_users
         };
         delta.users_refreshed = to_refresh.len();
         delta.users_reused = all_users.len() - to_refresh.len();
-        let full = to_refresh.len() == all_users.len();
-        if full {
-            // Full refresh (first window, or a grid-anchored candidate
-            // after a quantized-anchor move): one whole-dataset `anonymize`
-            // pass, decomposed per user, beats `users` separate
-            // `anonymize_user` scans over the full trajectory list — and
-            // is the canonical output the per-user surface must agree
-            // with anyway.
-            let mut grouped: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
-            for trajectory in strategy.anonymize(original, seed).into_shared() {
-                grouped
-                    .entry(trajectory.user())
-                    .or_default()
-                    .push(trajectory);
-            }
-            self.boxes = grouped
-                .iter()
-                .map(|(user, mine)| (*user, user_bounding_box(mine)))
-                .collect();
-            self.protected = grouped;
+        // Per refreshed user, the index from which its outputs are new
+        // since the last utility fold (`None`: replaced wholesale).
+        let mut appended: Vec<(UserId, Option<usize>)> = Vec::new();
+        let shape_ok = if full {
+            delta.trajectories_anonymized = original.trajectory_count();
+            self.anonymize_all(strategy, original, seed)
         } else {
-            let refreshed: Vec<(UserId, Vec<Arc<Trajectory>>)> = to_refresh
+            let refreshed: Vec<Reanonymized> = to_refresh
                 .par_iter()
-                .map(|&user| (user, anonymize_one_user(strategy, context, user, seed)))
+                .map(|&user| self.reanonymize(strategy, context, user, seed))
                 .collect();
-            for (user, trajectories) in refreshed {
-                self.boxes.insert(user, user_bounding_box(&trajectories));
-                self.protected.insert(user, trajectories);
+            for Reanonymized {
+                user,
+                kept,
+                sources,
+                tail,
+            } in refreshed
+            {
+                delta.trajectories_reused += kept;
+                delta.trajectories_anonymized += sources.len() - kept;
+                let protected = self.protected.entry(user).or_default();
+                let pure_append = kept == protected.len();
+                let tail_box = user_bounding_box(&tail);
+                protected.truncate(kept);
+                protected.extend(tail);
+                let bbox = if pure_append {
+                    let old = self.boxes.get(&user).copied().flatten();
+                    old.into_iter().chain(tail_box).reduce(|a, b| a.union(&b))
+                } else {
+                    user_bounding_box(protected)
+                };
+                self.boxes.insert(user, bbox);
+                self.sources.insert(user, sources);
+                appended.push((user, pure_append.then_some(kept)));
             }
-        }
-        // Shape check, O(users): the cached decomposition re-interleaves
-        // into the prefix iff it covers exactly the prefix's users with
-        // exactly the prefix's per-user trajectory counts (the
-        // one-output-per-input contract).
-        let mut expected: BTreeMap<UserId, usize> = BTreeMap::new();
-        for t in original.trajectories() {
-            *expected.entry(t.user()).or_insert(0) += 1;
-        }
-        let shape_ok = expected.len() == self.protected.len()
-            && expected
-                .iter()
-                .all(|(user, n)| self.protected.get(user).map(Vec::len) == Some(*n));
+            // Shape check: the cached decomposition re-interleaves into the
+            // prefix iff it covers exactly the prefix's users with exactly
+            // the prefix's per-user trajectory counts, one output per
+            // source (the one-output-per-input contract).
+            let mut expected: BTreeMap<UserId, usize> = BTreeMap::new();
+            for t in original.trajectories() {
+                *expected.entry(t.user()).or_insert(0) += 1;
+            }
+            expected.len() == self.protected.len()
+                && expected.iter().all(|(user, n)| {
+                    self.protected.get(user).map(Vec::len) == Some(*n)
+                        && self.sources.get(user).map(Vec::len) == Some(*n)
+                })
+        };
         if !shape_ok {
             // Shape-contract violation: drop everything and let the caller
             // take the always-correct full path.
             self.clear();
-            delta.full_fallback = true;
-            delta.users_refreshed = 0;
-            delta.users_reused = 0;
-            return (None, delta);
+            return (
+                None,
+                CandidateDelta {
+                    full_fallback: true,
+                    ..CandidateDelta::empty(delta.info, locality)
+                },
+            );
         }
         // The protected-side extraction grid is anchored on the *protected*
         // bounding box — through its quantized padded form, so drift inside
@@ -1250,22 +1404,32 @@ impl CandidateState {
         match bbox {
             Some(bbox) => {
                 let grid = attack.grid_for(bbox);
-                let shards: Vec<UserAttackShard> = shard_refresh
-                    .par_iter()
-                    .map(|&user| {
-                        // The shard depends only on the user's own records
-                        // and the grid: extract from the user's protected
-                        // trajectories alone instead of the assembled
-                        // prefix.
-                        let mine = Dataset::from_shared(
-                            self.protected.get(&user).cloned().unwrap_or_default(),
-                        );
-                        attack.extract_user(&mine, user, &grid)
-                    })
-                    .collect();
-                for shard in shards {
-                    self.shards.insert(shard.user, Arc::new(shard));
+                let shards: Vec<(UserAttackShard, ExtractionMemo, ExtractionPath)> =
+                    shard_refresh
+                        .par_iter()
+                        .map(|&user| {
+                            // The shard depends only on the user's own
+                            // records and the grid; after a full pass every
+                            // output is new, so no memo applies.
+                            let sources =
+                                self.protected.get(&user).cloned().unwrap_or_default();
+                            let prior = self
+                                .shards
+                                .get(&user)
+                                .filter(|_| !full)
+                                .map(|cached| (&cached.shard, &cached.memo));
+                            attack.extract_user_from(sources, user, &grid, prior)
+                        })
+                        .collect();
+                let mut paths = PathCounts::default();
+                for (shard, memo, path) in shards {
+                    paths.add(path);
+                    self.shards
+                        .insert(shard.user, Arc::new(CachedShard { shard, memo }));
                 }
+                delta.shards_appended = paths.appended;
+                delta.shards_rebuilt = paths.rebuilt;
+                delta.shards_fallback = paths.fallback;
             }
             None => {
                 // An entirely emptied protected prefix extracts nothing —
@@ -1278,20 +1442,115 @@ impl CandidateState {
         self.bbox = bbox;
         self.grid_box = grid_box;
         self.primed = true;
-        let utility = self.refresh_utility(context, to_refresh, full);
+        let utility = self.refresh_utility(context, &appended, full);
         (Some((self.extracted_pois(), utility)), delta)
     }
 
-    /// Folds the `refreshed` users into the incremental utility counts
-    /// (rebuilding them when `full` or when the baseline grid moved) and
-    /// scores the candidate — byte-identical to scoring the assembled
+    /// One whole-dataset [`AnonymizationStrategy::anonymize`] pass,
+    /// decomposed per user next to the sources each output came from.
+    /// Returns `false` — leaving the state for the caller to clear — when
+    /// the output is not one same-user trajectory per input trajectory.
+    fn anonymize_all(
+        &mut self,
+        strategy: &dyn AnonymizationStrategy,
+        original: &Dataset,
+        seed: u64,
+    ) -> bool {
+        let outputs = strategy.anonymize(original, seed).into_shared();
+        if outputs.len() != original.trajectory_count() {
+            return false;
+        }
+        let mut protected: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
+        let mut sources: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
+        for (source, output) in original.trajectories().iter().zip(outputs) {
+            if output.user() != source.user() {
+                return false;
+            }
+            protected.entry(source.user()).or_default().push(output);
+            sources
+                .entry(source.user())
+                .or_default()
+                .push(Arc::clone(source));
+        }
+        self.boxes = protected
+            .iter()
+            .map(|(user, mine)| (*user, user_bounding_box(mine)))
+            .collect();
+        self.protected = protected;
+        self.sources = sources;
+        true
+    }
+
+    /// Re-anonymizes `user` for a window: keeps every cached output whose
+    /// source is still the same `Arc` at the same position of the user's
+    /// history, and anonymizes only the trajectories after them — against
+    /// a view of just those trajectories ([`UserLocality::UserLocal`]) or
+    /// those trajectories plus two pins at the prefix bounding box's
+    /// corners ([`UserLocality::GridAnchored`], see [`pinned_view`]). The
+    /// per-trajectory locality contract makes the outputs byte-identical to
+    /// a full-prefix `anonymize_user`. Falls back to that full-prefix call
+    /// (keeping nothing) when the context carries no per-user decomposition
+    /// or the pin id collides with a real participant.
+    fn reanonymize(
+        &self,
+        strategy: &dyn AnonymizationStrategy,
+        context: &EvalContext<'_>,
+        user: UserId,
+        seed: u64,
+    ) -> Reanonymized {
+        let original = context.original();
+        let view_box = match strategy.locality() {
+            UserLocality::UserLocal => Some(None),
+            UserLocality::GridAnchored => context
+                .original_bbox()
+                .or_else(|| original.bounding_box())
+                .map(Some),
+            UserLocality::NonLocal => None,
+        };
+        let by_user = context
+            .original_by_user()
+            .filter(|by_user| !by_user.contains_key(&BBOX_PIN_USER));
+        let (Some(by_user), Some(view_box)) = (by_user, view_box) else {
+            return Reanonymized {
+                user,
+                kept: 0,
+                sources: original.shared_of(user),
+                tail: strategy.anonymize_user(original, user, seed),
+            };
+        };
+        let sources = by_user.get(&user).cloned().unwrap_or_default();
+        let cached = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+        let kept = sources
+            .iter()
+            .zip(cached)
+            .take_while(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        let fresh = sources[kept..].to_vec();
+        let view = match view_box {
+            Some(bbox) => pinned_view(fresh, bbox),
+            None => Dataset::from_shared(fresh),
+        };
+        let tail = strategy.anonymize_user(&view, user, seed);
+        Reanonymized {
+            user,
+            kept,
+            sources,
+            tail,
+        }
+    }
+
+    /// Folds the refreshed users' outputs into the incremental utility
+    /// counts (rebuilding them when `full` or when the baseline grid moved)
+    /// and scores the candidate — byte-identical to scoring the assembled
     /// protected prefix, because [`CrowdedBaseline::score_counts`] /
     /// [`TrafficBaseline::score_train`] are fed histograms equal to what
-    /// the full per-record scan would produce.
+    /// the full per-record scan would produce. A user listed with
+    /// `Some(from)` only appended outputs from index `from` on, so only
+    /// those are added; `None` replaces the user's whole contribution.
     fn refresh_utility(
         &mut self,
         context: &EvalContext<'_>,
-        refreshed: &[UserId],
+        refreshed: &[(UserId, Option<usize>)],
         full: bool,
     ) -> f64 {
         match context.baseline() {
@@ -1312,11 +1571,7 @@ impl CandidateState {
                         counts: HashMap::new(),
                     };
                 }
-                let users: Vec<UserId> = if rebuild {
-                    self.protected.keys().copied().collect()
-                } else {
-                    refreshed.to_vec()
-                };
+                let users = self.users_to_fold(refreshed, rebuild);
                 let protected = &self.protected;
                 let UtilityCache::Crowded {
                     by_user,
@@ -1327,8 +1582,8 @@ impl CandidateState {
                 else {
                     unreachable!("rebuilt above")
                 };
-                for user in users {
-                    Self::fold_crowded(protected, grid, user, by_user, pair_refs, counts);
+                for (user, from) in users {
+                    Self::fold_crowded(protected, grid, user, from, by_user, pair_refs, counts);
                 }
                 b.score_counts(counts).precision_at_k
             }
@@ -1349,11 +1604,7 @@ impl CandidateState {
                         by_day: BTreeMap::new(),
                     };
                 }
-                let users: Vec<UserId> = if rebuild {
-                    self.protected.keys().copied().collect()
-                } else {
-                    refreshed.to_vec()
-                };
+                let users = self.users_to_fold(refreshed, rebuild);
                 let protected = &self.protected;
                 let UtilityCache::Traffic {
                     by_user,
@@ -1364,8 +1615,8 @@ impl CandidateState {
                 else {
                     unreachable!("rebuilt above")
                 };
-                for user in users {
-                    Self::fold_traffic(protected, grid, user, by_user, total, by_day);
+                for (user, from) in users {
+                    Self::fold_traffic(protected, grid, user, from, by_user, total, by_day);
                 }
                 b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
                     .utility_score()
@@ -1387,19 +1638,37 @@ impl CandidateState {
         }
     }
 
-    /// Replaces `user`'s contribution to the crowded-places visitor counts:
-    /// refcounted `(cell, record-user)` pairs make removal exact even when
-    /// several map-users carry records of the same record-user.
+    /// The users a utility fold visits: every user, whole, after a
+    /// rebuild; otherwise the refreshed users as listed.
+    fn users_to_fold(
+        &self,
+        refreshed: &[(UserId, Option<usize>)],
+        rebuild: bool,
+    ) -> Vec<(UserId, Option<usize>)> {
+        if rebuild {
+            self.protected.keys().map(|user| (*user, None)).collect()
+        } else {
+            refreshed.to_vec()
+        }
+    }
+
+    /// Adds `user`'s outputs from index `from` on to the crowded-places
+    /// visitor counts — after removing the user's whole old contribution
+    /// when `from` is `None`. Refcounted `(cell, record-user)` pairs make
+    /// removal exact even when several map-users carry records of the same
+    /// record-user, and a pair counts once per user however often it
+    /// recurs, so appending equals a fresh fold.
     fn fold_crowded(
         protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
         grid: &UniformGrid,
         user: UserId,
-        by_user: &mut BTreeMap<UserId, Vec<(CellId, UserId)>>,
+        from: Option<usize>,
+        by_user: &mut BTreeMap<UserId, HashSet<(CellId, UserId)>>,
         pair_refs: &mut HashMap<(CellId, UserId), u32>,
         counts: &mut HashMap<CellId, u64>,
     ) {
-        if let Some(old) = by_user.remove(&user) {
-            for pair in old {
+        if from.is_none() {
+            for pair in by_user.remove(&user).unwrap_or_default() {
                 let Some(refs) = pair_refs.get_mut(&pair) else {
                     continue;
                 };
@@ -1415,39 +1684,39 @@ impl CandidateState {
                 }
             }
         }
-        let mut distinct: HashSet<(CellId, UserId)> = HashSet::new();
-        if let Some(mine) = protected.get(&user) {
-            for t in mine {
-                for r in t.records() {
-                    distinct.insert((grid.cell_of(&r.point), r.user));
+        let mine = by_user.entry(user).or_default();
+        let outputs = protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+        for t in &outputs[from.unwrap_or(0)..] {
+            for r in t.records() {
+                let pair = (grid.cell_of(&r.point), r.user);
+                if mine.insert(pair) {
+                    let refs = pair_refs.entry(pair).or_insert(0);
+                    *refs += 1;
+                    if *refs == 1 {
+                        *counts.entry(pair.0).or_insert(0) += 1;
+                    }
                 }
             }
         }
-        let pairs: Vec<(CellId, UserId)> = distinct.into_iter().collect();
-        for &pair in &pairs {
-            let refs = pair_refs.entry(pair).or_insert(0);
-            *refs += 1;
-            if *refs == 1 {
-                *counts.entry(pair.0).or_insert(0) += 1;
-            }
-        }
-        by_user.insert(user, pairs);
     }
 
-    /// Replaces `user`'s contribution to the traffic histograms. All counts
-    /// are integer-valued `f64` sums of `1.0`, so additions and the removal
-    /// subtractions are exact in any order; entries are pruned at exact
-    /// zero so key sets match what a fresh scan would produce.
+    /// Adds `user`'s outputs from index `from` on to the traffic
+    /// histograms — after subtracting the user's whole old contribution
+    /// when `from` is `None`. All counts are integer-valued `f64` sums of
+    /// `1.0`, so additions and the removal subtractions are exact in any
+    /// order; entries are pruned at exact zero so key sets match what a
+    /// fresh scan would produce.
     fn fold_traffic(
         protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
         grid: &UniformGrid,
         user: UserId,
+        from: Option<usize>,
         by_user: &mut BTreeMap<UserId, HashMap<(CellId, i64, i64), f64>>,
         total: &mut HashMap<(CellId, i64), f64>,
         by_day: &mut BTreeMap<i64, HashMap<(CellId, i64), f64>>,
     ) {
-        if let Some(old) = by_user.remove(&user) {
-            for ((cell, hour, day), v) in old {
+        if from.is_none() {
+            for ((cell, hour, day), v) in by_user.remove(&user).unwrap_or_default() {
                 let key = (cell, hour);
                 if let Some(t) = total.get_mut(&key) {
                     *t -= v;
@@ -1468,28 +1737,24 @@ impl CandidateState {
                 }
             }
         }
-        let mut mine: HashMap<(CellId, i64, i64), f64> = HashMap::new();
-        if let Some(ts) = protected.get(&user) {
-            for t in ts {
-                for r in t.records() {
-                    let key = (
-                        grid.cell_of(&r.point),
-                        r.time.hour_of_day(),
-                        r.time.day_index(),
-                    );
-                    *mine.entry(key).or_insert(0.0) += 1.0;
-                }
+        let mine = by_user.entry(user).or_default();
+        let outputs = protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+        for t in &outputs[from.unwrap_or(0)..] {
+            for r in t.records() {
+                let (cell, hour, day) = (
+                    grid.cell_of(&r.point),
+                    r.time.hour_of_day(),
+                    r.time.day_index(),
+                );
+                *mine.entry((cell, hour, day)).or_insert(0.0) += 1.0;
+                *total.entry((cell, hour)).or_insert(0.0) += 1.0;
+                *by_day
+                    .entry(day)
+                    .or_default()
+                    .entry((cell, hour))
+                    .or_insert(0.0) += 1.0;
             }
         }
-        for (&(cell, hour, day), &v) in &mine {
-            *total.entry((cell, hour)).or_insert(0.0) += v;
-            *by_day
-                .entry(day)
-                .or_default()
-                .entry((cell, hour))
-                .or_insert(0.0) += v;
-        }
-        by_user.insert(user, mine);
     }
 
     /// The protected-side training histogram for `eval_day`:
@@ -1512,47 +1777,6 @@ impl CandidateState {
             }
         }
         train
-    }
-}
-
-/// Re-anonymizes one user against a minimal view of the prefix: a
-/// [`UserLocality::UserLocal`] candidate sees only the user's own (shared)
-/// trajectories; a [`UserLocality::GridAnchored`] candidate sees them plus
-/// two synthetic single-record pins at the prefix bounding box's corners
-/// ([`pinned_view`]), so the view's box — the only dataset-global input the
-/// locality contract admits — equals the prefix box and the output is
-/// byte-identical to a full-prefix `anonymize_user` at `O(user records)`
-/// cost. Falls back to the full-prefix scan when the context carries no
-/// per-user decomposition or the pin id collides with a real participant.
-fn anonymize_one_user(
-    strategy: &dyn AnonymizationStrategy,
-    context: &EvalContext<'_>,
-    user: UserId,
-    seed: u64,
-) -> Vec<Arc<Trajectory>> {
-    let original = context.original();
-    let Some(by_user) = context.original_by_user() else {
-        return strategy.anonymize_user(original, user, seed);
-    };
-    if by_user.contains_key(&BBOX_PIN_USER) {
-        return strategy.anonymize_user(original, user, seed);
-    }
-    let mine = by_user.get(&user).cloned().unwrap_or_default();
-    match strategy.locality() {
-        UserLocality::UserLocal => {
-            let view = Dataset::from_shared(mine);
-            strategy.anonymize_user(&view, user, seed)
-        }
-        UserLocality::GridAnchored => {
-            let Some(bbox) = context.original_bbox().or_else(|| original.bounding_box()) else {
-                return strategy.anonymize_user(original, user, seed);
-            };
-            let view = pinned_view(mine, bbox);
-            strategy.anonymize_user(&view, user, seed)
-        }
-        // NonLocal never reaches the per-user path; keep the correct
-        // full-prefix fallback anyway.
-        UserLocality::NonLocal => strategy.anonymize_user(original, user, seed),
     }
 }
 
@@ -1635,10 +1859,11 @@ impl StrategyDonor {
 /// incremental too, under the determinism contract each strategy declares
 /// through [`AnonymizationStrategy::locality`]:
 ///
-/// * [`UserLocality::UserLocal`] candidates refresh only the users with
-///   new records;
-/// * [`UserLocality::GridAnchored`] candidates additionally refresh
-///   everyone when the prefix bounding box widens;
+/// * [`UserLocality::UserLocal`] candidates anonymize only the
+///   trajectories each window appended and fold only those outputs into
+///   the active users' shards and utility counts;
+/// * [`UserLocality::GridAnchored`] candidates additionally re-anonymize
+///   the whole prefix when the bounding box's quantized anchor moves;
 /// * [`UserLocality::NonLocal`] candidates are never cached — every window
 ///   re-runs their full anonymize + self-attack, exactly as batch publish
 ///   would.
@@ -1960,6 +2185,11 @@ mod tests {
                 candidate.info
             );
             assert_eq!(candidate.users_reused, 1, "{}", candidate.info);
+            // Of user 1's two trajectories only day 1's is new: day 0's
+            // output is reused by source, day 1's alone is anonymized.
+            assert_eq!(candidate.trajectories_reused, 1, "{}", candidate.info);
+            assert_eq!(candidate.trajectories_anonymized, 1, "{}", candidate.info);
+            assert_eq!(candidate.shards_fallback, 0, "{}", candidate.info);
         }
         assert_eq!(release.strategies.users_refreshed, pool);
         assert_eq!(release.strategies.users_reused, pool);
@@ -2005,10 +2235,16 @@ mod tests {
         assert!(!d0.grid_rebuilt, "first window never reports a rebuild");
         let user2_day0 = cache.shards()[&UserId(2)].clone();
 
+        assert_eq!(d0.shards_rebuilt, 2, "a first window has no memo");
         let d1 = cache.advance(&attack, &windows.windows()[1]).unwrap();
         assert!(!d1.grid_rebuilt, "day 1 stays inside the day-0 bbox");
         assert_eq!(d1.users_refreshed, 1, "only user 1 has new records");
         assert_eq!(d1.users_reused, 1);
+        assert_eq!(
+            (d1.shards_appended, d1.shards_rebuilt, d1.shards_fallback),
+            (1, 0, 0),
+            "user 1's shard folds in only the day-1 trajectory"
+        );
         // The reused shard is bitwise yesterday's.
         assert_eq!(cache.shards()[&UserId(2)].pois, user2_day0.pois);
         assert_eq!(
@@ -2387,6 +2623,66 @@ mod tests {
             no_donor_match.shards(),
             &standalone_prefix_shards(&attack, &sub_windows)
         );
+    }
+
+    #[test]
+    fn derived_shards_carry_no_memo_and_rebuild_from_scratch() {
+        // Day 0 has no usable donor: the subset extracts both users
+        // itself. Day 1 derives them from the donor, which must drop the
+        // day-0 memos (they no longer describe the cached shards), so on
+        // day 2, again without a donor, both are extracted from scratch
+        // rather than amended. Every step equals a standalone cache.
+        use geo::GeoPoint;
+        use mobility::{LocationRecord, Timestamp, DAY_SECONDS};
+        let mut records = Vec::new();
+        for day in 0..3i64 {
+            for i in 0..120i64 {
+                let t = Timestamp::new(day * DAY_SECONDS + i * 300);
+                let wobble = 0.0004 * (i % 40) as f64;
+                records.push(LocationRecord::new(
+                    UserId(1),
+                    t,
+                    GeoPoint::new(45.70, 4.78 + wobble).unwrap(),
+                ));
+                records.push(LocationRecord::new(
+                    UserId(2),
+                    t,
+                    GeoPoint::new(45.80, 4.88 + wobble).unwrap(),
+                ));
+                records.push(LocationRecord::new(
+                    UserId(3),
+                    t,
+                    GeoPoint::new(45.75, 4.85).unwrap(),
+                ));
+            }
+        }
+        let population = Dataset::from_records(records);
+        let subset = mobility::ParticipantFilter::users([UserId(1), UserId(2)])
+            .filter_dataset(&population);
+        let pop_windows = WindowedDataset::partition(&population);
+        let sub_windows = WindowedDataset::partition(&subset);
+        let attack = PoiAttack::default();
+        let mut donor = PopulationCache::new();
+        let mut derived = PopulationCache::new();
+        let mut standalone = PopulationCache::new();
+        let stale = PopulationCache::new();
+        let mut paths = Vec::new();
+        for (day, (pop_w, sub_w)) in pop_windows.iter().zip(sub_windows.iter()).enumerate() {
+            donor.advance(&attack, pop_w).unwrap();
+            let offered = if day == 1 { &donor } else { &stale };
+            let delta = derived
+                .advance_derived(&attack, sub_w, Some(offered))
+                .unwrap();
+            paths.push((
+                delta.users_derived,
+                delta.shards_appended,
+                delta.shards_rebuilt,
+                delta.shards_fallback,
+            ));
+            standalone.advance(&attack, sub_w).unwrap();
+            assert_eq!(derived.shards(), standalone.shards(), "day {day}");
+        }
+        assert_eq!(paths, vec![(0, 0, 2, 0), (2, 0, 0, 0), (0, 0, 2, 0)]);
     }
 
     /// Shards of a from-scratch cache over the first window only.

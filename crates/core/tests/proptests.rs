@@ -352,7 +352,8 @@ proptest! {
     /// The streaming-publication contract: replaying a dataset as day
     /// windows selects byte-identical winners (same selection report, same
     /// released data) as batch-publishing each concatenated prefix, for
-    /// any generator seed and population shape — and never pays a full
+    /// any generator seed and population shape and under every objective
+    /// (each has its own incremental utility fold) — and never pays a full
     /// extraction pass after ingesting the window: the original side goes
     /// through the session cache's per-user delta path and every
     /// default-pool candidate's self-attack goes through its per-strategy
@@ -369,6 +370,7 @@ proptest! {
         days in 2usize..4,
     ) {
         use mobility::WindowedDataset;
+        use privapi::selection::Objective;
         use privapi::streaming::StreamingPublisher;
 
         let data = mobility::gen::CityModel::builder()
@@ -387,37 +389,343 @@ proptest! {
         // seed so the dropout pattern varies across cases.
         let data = mobility::gen::thin_participation_salted(&data, 50, seed);
         let windows = WindowedDataset::partition(&data);
+        // Every objective's incremental utility fold is on the line.
+        for objective in [
+            PrivApiConfig::default().objective,
+            Objective::Traffic { cell: geo::Meters::new(500.0) },
+            Objective::Distortion,
+        ] {
+            let config = PrivApiConfig {
+                objective,
+                ..PrivApiConfig::default()
+            };
+            let mut publisher = StreamingPublisher::new(config);
+            let pool = publisher.privapi().pool().len();
+            let probe = publisher.privapi().attack().clone();
+            for (i, window) in windows.iter().enumerate() {
+                let before = probe.extractions();
+                let incremental = publisher.publish_window(window);
+                let extractions = probe.extractions() - before;
+                prop_assert!(
+                    extractions < pool + 1,
+                    "window {}: {} extractions breaks the streaming budget",
+                    i,
+                    extractions
+                );
+                prop_assert_eq!(
+                    extractions,
+                    0,
+                    "window {}: both cache layers must spare every full pass",
+                    i
+                );
+                let batch = PrivApi::new(config).publish(&windows.prefix(i));
+                match (incremental, batch) {
+                    (Ok(inc), Ok(batch)) => {
+                        prop_assert_eq!(&inc.published.selection, &batch.selection, "window {}", i);
+                        prop_assert_eq!(&inc.published.strategy, &batch.strategy, "window {}", i);
+                        prop_assert_eq!(&inc.published.privacy, &batch.privacy, "window {}", i);
+                        prop_assert_eq!(&inc.published.dataset, &batch.dataset, "window {}", i);
+                        prop_assert_eq!(inc.day, window.day());
+                    }
+                    (Err(a), Err(b)) => {
+                        // Both paths must fail the same way (e.g. no feasible
+                        // strategy on a tiny prefix).
+                        prop_assert_eq!(format!("{a}"), format!("{b}"), "window {}", i);
+                    }
+                    (inc, batch) => {
+                        return Err(TestCaseError::fail(format!(
+                            "window {i}: streaming {inc:?} vs batch {batch:?} disagree"
+                        )));
+                    }
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The per-trajectory locality contract that streaming output reuse
+    /// rests on: for every built-in strategy that declares a cacheable
+    /// locality, anonymizing the whole multi-day dataset equals
+    /// anonymizing each trajectory on its own — through both `anonymize`
+    /// and `anonymize_user` — where "on its own" adds the two
+    /// bounding-box corner pins for grid-anchored strategies.
+    #[test]
+    fn local_strategies_anonymize_each_trajectory_on_its_own(
+        seed in any::<u64>(),
+        run_seed in any::<u64>(),
+    ) {
+        use privapi::pool::StrategyPool;
+        use std::sync::Arc;
+
+        let data = mobility::gen::CityModel::builder()
+            .seed(seed ^ 0x70CA1)
+            .build()
+            .generate_population(&mobility::gen::PopulationConfig {
+                users: 3,
+                days: 3,
+                sampling_interval_s: 600,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.4,
+            });
+        let bbox = data.bounding_box().unwrap();
+        let pin_user = UserId(u64::MAX);
+        let pins: Vec<Arc<Trajectory>> = [bbox.min(), bbox.max()]
+            .into_iter()
+            .map(|p| {
+                Arc::new(Trajectory::new(
+                    pin_user,
+                    vec![LocationRecord::new(pin_user, Timestamp::new(0), p)],
+                ))
+            })
+            .collect();
+        let anchored = SpatialCloaking::new(geo::Meters::new(300.0))
+            .unwrap()
+            .with_anchor(bbox.grid_anchor());
+        let pools = [StrategyPool::default_pool(), StrategyPool::evaluation_grid()];
+        let strategies = pools
+            .iter()
+            .flat_map(|pool| pool.iter())
+            .chain(std::iter::once(&anchored as &dyn AnonymizationStrategy));
+        for strategy in strategies {
+            let locality = strategy.locality();
+            prop_assert!(locality != UserLocality::NonLocal, "{}", strategy.info());
+            let whole = strategy.anonymize(&data, run_seed);
+            prop_assert_eq!(whole.trajectory_count(), data.trajectory_count());
+            for (input, output) in data.trajectories().iter().zip(whole.trajectories()) {
+                let mut alone = vec![Arc::clone(input)];
+                if locality == UserLocality::GridAnchored {
+                    alone.extend(pins.iter().cloned());
+                }
+                let view = Dataset::from_shared(alone);
+                let own = strategy.anonymize(&view, run_seed);
+                prop_assert_eq!(&own.trajectories()[0], output, "{}", strategy.info());
+                let own = strategy.anonymize_user(&view, input.user(), run_seed);
+                prop_assert_eq!(own.len(), 1, "{}", strategy.info());
+                prop_assert_eq!(&own[0], output, "{}", strategy.info());
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The memo path of `PoiAttack::extract_user_from` returns exactly the
+    /// shard a from-scratch extraction over the whole history returns,
+    /// over random per-user append schedules: plain appends, empty and
+    /// single-record trajectories, a record equal in time to the memo's
+    /// last one, constant-speed trajectories the speed filter drops, late
+    /// records older than the memo's last one and source lists that are
+    /// not a pointer extension (both must fall back), and a grid change
+    /// (must rebuild).
+    #[test]
+    fn memo_extraction_equals_scratch_extraction(
+        seed in any::<u64>(),
+        days in 2usize..4,
+        steps in prop::collection::vec(0u8..8, 1..10),
+    ) {
+        use std::collections::VecDeque;
+        use std::sync::Arc;
+
+        let data = mobility::gen::CityModel::builder()
+            .seed(seed ^ 0x3E30)
+            .build()
+            .generate_population(&mobility::gen::PopulationConfig {
+                users: 1,
+                days,
+                sampling_interval_s: 300,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.4,
+            });
+        let user = data.users()[0];
+        // Split every day in two so appends do not line up with days.
+        let mut pieces: VecDeque<Arc<Trajectory>> = data
+            .trajectories()
+            .iter()
+            .flat_map(|t| {
+                let (a, b) = t.records().split_at(t.len() / 2);
+                [Trajectory::new(user, a.to_vec()), Trajectory::new(user, b.to_vec())]
+            })
+            .map(Arc::new)
+            .collect();
+        let attack = PoiAttack::default();
+        let grid = attack.extraction_grid(&data).unwrap();
+        let scratch = |sources: &[Arc<Trajectory>], grid: &geo::UniformGrid| {
+            attack.extract_user(&Dataset::from_shared(sources.to_vec()), user, grid)
+        };
+        let at = |time: i64, lon: f64| {
+            LocationRecord::new(user, Timestamp::new(time), GeoPoint::new(45.76, lon).unwrap())
+        };
+        let mut sources = vec![pieces.pop_front().unwrap()];
+        let (mut shard, mut memo, path) =
+            attack.extract_user_from(sources.clone(), user, &grid, None);
+        prop_assert_eq!(path, ExtractionPath::Rebuilt);
+        prop_assert_eq!(&shard, &scratch(&sources, &grid));
+        for step in steps {
+            let last = sources
+                .iter()
+                .flat_map(|t| t.records())
+                .map(|r| r.time.seconds())
+                .max()
+                .unwrap();
+            let expected = match step {
+                0 | 1 => {
+                    // The next piece may start before a synthetic
+                    // trajectory appended earlier ended.
+                    let piece = pieces.pop_front();
+                    let late = piece
+                        .as_ref()
+                        .and_then(|p| p.records().first())
+                        .is_some_and(|r| r.time.seconds() < last);
+                    sources.extend(piece);
+                    if late {
+                        ExtractionPath::Fallback
+                    } else {
+                        ExtractionPath::Appended
+                    }
+                }
+                2 => {
+                    sources.push(Arc::new(Trajectory::new(user, Vec::new())));
+                    ExtractionPath::Appended
+                }
+                3 => {
+                    // Equal timestamps at the boundary stay on the memo path.
+                    sources.push(Arc::new(Trajectory::new(user, vec![at(last, 4.85)])));
+                    ExtractionPath::Appended
+                }
+                4 => {
+                    // Constant speed: the stay detector never sees it.
+                    let records = (1..=40)
+                        .map(|i| at(last + 60 * i, 4.80 + 0.0005 * i as f64))
+                        .collect();
+                    sources.push(Arc::new(Trajectory::new(user, records)));
+                    ExtractionPath::Appended
+                }
+                5 => {
+                    // Quarantined late records, older than the memo's last.
+                    let records = (0..3).map(|i| at(last - 7_200 + 60 * i, 4.83)).collect();
+                    sources.push(Arc::new(Trajectory::new(user, records)));
+                    ExtractionPath::Fallback
+                }
+                6 => {
+                    // Same records, different allocation: not a pointer prefix.
+                    sources[0] = Arc::new(sources[0].as_ref().clone());
+                    ExtractionPath::Fallback
+                }
+                _ => {
+                    // A history shorter than the memo's is no extension.
+                    if sources.len() < 2 {
+                        sources.push(Arc::new(Trajectory::new(user, vec![at(last + 60, 4.84)])));
+                        ExtractionPath::Appended
+                    } else {
+                        sources.pop();
+                        ExtractionPath::Fallback
+                    }
+                }
+            };
+            let (next, next_memo, path) =
+                attack.extract_user_from(sources.clone(), user, &grid, Some((&shard, &memo)));
+            prop_assert_eq!(path, expected, "step {}", step);
+            prop_assert_eq!(&next, &scratch(&sources, &grid), "step {}", step);
+            shard = next;
+            memo = next_memo;
+        }
+        // A memo taken on another grid is never amended.
+        let moved = attack.grid_for(grid.bbox().expanded(0.2));
+        sources.extend(pieces.pop_front());
+        let (next, _, path) =
+            attack.extract_user_from(sources.clone(), user, &moved, Some((&shard, &memo)));
+        prop_assert_eq!(path, ExtractionPath::Rebuilt);
+        prop_assert_eq!(&next, &scratch(&sources, &moved));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(5))]
+
+    /// Late-record parity: each window after the first carries part of
+    /// user 0's previous day — records older than that day's last one, as
+    /// a straggler quarantined into the next window would be. Streaming
+    /// must stay byte-identical to batch prefixes with zero full
+    /// extractions, and the late windows must take the extraction memo's
+    /// fallback on the original side (unless the grid moved anyway).
+    #[test]
+    fn late_records_keep_streaming_parity(
+        seed in any::<u64>(),
+        users in 2usize..4,
+    ) {
+        use mobility::{DatasetWindow, WindowedDataset};
+        use privapi::streaming::StreamingPublisher;
+        use std::collections::BTreeMap;
+
+        let data = mobility::gen::CityModel::builder()
+            .seed(seed ^ 0x1A7E)
+            .build()
+            .generate_population(&mobility::gen::PopulationConfig {
+                users,
+                days: 3,
+                sampling_interval_s: 600,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.3,
+            });
+        let partition = WindowedDataset::partition(&data);
+        let mut per_day: Vec<BTreeMap<UserId, Vec<LocationRecord>>> = partition
+            .iter()
+            .map(|w| {
+                w.dataset()
+                    .trajectories()
+                    .iter()
+                    .map(|t| (t.user(), t.records().to_vec()))
+                    .collect()
+            })
+            .collect();
+        for d in 0..per_day.len() - 1 {
+            let Some(records) = per_day[d].get_mut(&UserId(0)) else { continue };
+            let n = records.len();
+            let late: Vec<LocationRecord> = records.drain(n / 3..n / 2).collect();
+            per_day[d + 1].entry(UserId(0)).or_default().extend(late);
+        }
+        let windows: Vec<DatasetWindow> = per_day
+            .into_iter()
+            .zip(partition.days())
+            .map(|(by_user, day)| {
+                let dataset: Dataset = by_user
+                    .into_iter()
+                    .map(|(user, records)| Trajectory::new(user, records))
+                    .collect();
+                DatasetWindow::from_parts(day, dataset)
+            })
+            .collect();
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
-        let pool = publisher.privapi().pool().len();
         let probe = publisher.privapi().attack().clone();
+        let mut prefix = Dataset::new();
         for (i, window) in windows.iter().enumerate() {
+            prefix.extend(window.dataset().trajectories().iter().cloned());
             let before = probe.extractions();
             let incremental = publisher.publish_window(window);
-            let extractions = probe.extractions() - before;
-            prop_assert!(
-                extractions < pool + 1,
-                "window {}: {} extractions breaks the streaming budget",
-                i,
-                extractions
-            );
-            prop_assert_eq!(
-                extractions,
-                0,
-                "window {}: both cache layers must spare every full pass",
-                i
-            );
-            let batch = PrivApi::default().publish(&windows.prefix(i));
+            prop_assert_eq!(probe.extractions() - before, 0, "window {}", i);
+            let batch = PrivApi::default().publish(&prefix);
             match (incremental, batch) {
                 (Ok(inc), Ok(batch)) => {
                     prop_assert_eq!(&inc.published.selection, &batch.selection, "window {}", i);
-                    prop_assert_eq!(&inc.published.strategy, &batch.strategy, "window {}", i);
-                    prop_assert_eq!(&inc.published.privacy, &batch.privacy, "window {}", i);
                     prop_assert_eq!(&inc.published.dataset, &batch.dataset, "window {}", i);
-                    prop_assert_eq!(inc.day, window.day());
+                    prop_assert_eq!(
+                        inc.delta.users_refreshed,
+                        inc.delta.shards_appended
+                            + inc.delta.shards_rebuilt
+                            + inc.delta.shards_fallback
+                    );
+                    if i > 0 && !inc.delta.grid_rebuilt {
+                        prop_assert!(
+                            inc.delta.shards_fallback >= 1,
+                            "window {}: late records must take the fallback", i
+                        );
+                    }
                 }
                 (Err(a), Err(b)) => {
-                    // Both paths must fail the same way (e.g. no feasible
-                    // strategy on a tiny prefix).
                     prop_assert_eq!(format!("{a}"), format!("{b}"), "window {}", i);
                 }
                 (inc, batch) => {
