@@ -163,41 +163,6 @@ impl CampaignGateway {
         self.orchestrator.advance_day(window)
     }
 
-    /// Publishes a day window assembled by the reliable ingestion layer
-    /// (see [`crate::collect`]), stamping its
-    /// [`privapi::streaming::IngestDelta`] provenance into the report.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`CampaignGateway::publish_day`].
-    pub fn publish_day_with_ingest(
-        &mut self,
-        window: &DatasetWindow,
-        ingest: privapi::streaming::IngestDelta,
-    ) -> Result<DayReport, CampaignError> {
-        self.orchestrator.advance_day_with_ingest(window, ingest)
-    }
-
-    /// Publishes a day window assembled by the *federated* release layer
-    /// (see [`crate::federated`]), stamping both provenance ledgers — the
-    /// reliable-ingest [`privapi::streaming::IngestDelta`] of the raw
-    /// calibration cohort (when one ran) and the
-    /// [`privapi::federated::FederationDelta`] of the protected lanes —
-    /// into the report.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`CampaignGateway::publish_day`].
-    pub fn publish_day_federated(
-        &mut self,
-        window: &DatasetWindow,
-        ingest: Option<privapi::streaming::IngestDelta>,
-        federation: privapi::federated::FederationDelta,
-    ) -> Result<DayReport, CampaignError> {
-        self.orchestrator
-            .advance_day_federated(window, ingest, federation)
-    }
-
     /// The release a task's campaign published in a day report, if any.
     pub fn release_for<'a>(
         &self,

@@ -14,14 +14,20 @@
 //! * **reorder** — out-of-order frames are buffered per device and applied in
 //!   sequence order, so a device's batches always take effect in the order
 //!   they were produced;
-//! * **windowing** — records accumulate in per-day buckets; [`Collector::close_day`]
-//!   seals one day into a [`DatasetWindow`], in ascending day order, exactly
-//!   once. The ascending-day contract is therefore satisfied *by protocol*,
-//!   not by trusting the network;
+//! * **windowing** — records accumulate in per-day buckets;
+//!   [`LaneCollector::close_day`] seals one day into a [`DatasetWindow`], in
+//!   ascending day order, exactly once. The ascending-day contract is
+//!   therefore satisfied *by protocol*, not by trusting the network;
 //! * **quarantine** — records that arrive after their day was closed (e.g. a
 //!   partitioned region's stragglers) are folded into the *next* closed
 //!   window instead of poisoning the stream, and the per-window
 //!   [`IngestDelta`] audit trail counts exactly what happened.
+//!
+//! Dedup, reorder, the misrouting and owner checks, the close-in-order
+//! guard and the straggler count live in one lane core,
+//! [`LaneCollector`]. What a batch *means* is its [`LanePayload`]: raw
+//! [`DayBuckets`] here ([`Collector`]), device-anonymized whole days in
+//! [`crate::federated`] ([`crate::federated::FederatedCollector`]).
 //!
 //! The device side is [`DeviceOutbox`]: it stages day batches into a
 //! persistent [`simnet::reliable::ReliableSender`] outbox, survives
@@ -100,7 +106,7 @@ const RECORD_BYTES: usize = 24;
 
 /// Appends `records` in the wire layout of a `Vec<(i64, f64, f64)>` of
 /// (time, latitude, longitude): a `u32` count, then the fields in order.
-fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
+pub(crate) fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
     (records.len() as u32).encode(buf);
     for r in records {
         r.time.seconds().encode(buf);
@@ -113,7 +119,10 @@ fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
 /// `user`. Errors match a `Vec<(i64, f64, f64)>` decode followed by a
 /// coordinate check: an over-cap count, then a short buffer, then the
 /// first out-of-range coordinate.
-fn decode_records(buf: &mut Bytes, user: UserId) -> Result<Vec<LocationRecord>, WireError> {
+pub(crate) fn decode_records(
+    buf: &mut Bytes,
+    user: UserId,
+) -> Result<Vec<LocationRecord>, WireError> {
     let len = simnet::wire::decode_len(buf)?;
     if buf.len() < len * RECORD_BYTES {
         return Err(WireError::Truncated);
@@ -151,7 +160,8 @@ impl Decode for DayBatch {
 pub enum CollectError {
     /// A frame arrived from a device that never registered.
     UnknownDevice(u64),
-    /// A released chunk did not decode as a [`DayBatch`].
+    /// A released chunk did not decode as a batch of the lane's payload,
+    /// or decoded to a batch its payload rejects as malformed.
     Wire(WireError),
     /// A batch's claimed device id did not match the lane it arrived on.
     Misrouted {
@@ -160,7 +170,7 @@ pub enum CollectError {
         /// The device id the batch body claims.
         claimed: u64,
     },
-    /// [`Collector::close_day`] called out of order.
+    /// [`LaneCollector::close_day`] called out of order.
     CloseOutOfOrder {
         /// The requested day.
         day: i64,
@@ -195,45 +205,137 @@ impl From<WireError> for CollectError {
     }
 }
 
-/// Per-device ingestion lane: the reliable-transport receiver plus the
-/// highest day this device has finished reporting.
+/// Per-device ingestion lane: the registered owner, the reliable-transport
+/// receiver, and the highest day this device has finished reporting.
 #[derive(Debug)]
-struct DeviceLane {
+struct Lane {
     user: UserId,
     rx: ReliableReceiver,
     completed_through: Option<i64>,
 }
 
-/// The Hive-side `collect` endpoint: per-device deduplicating receivers in
-/// front of day-window assembly with straggler quarantine.
+/// Every registered device's lane, as a [`LanePayload`] sees them at a
+/// close.
+#[derive(Debug, Default)]
+pub struct DeviceLanes(BTreeMap<u64, Lane>);
+
+impl DeviceLanes {
+    /// Total duplicate frame deliveries absorbed so far, over all devices.
+    pub(crate) fn duplicates(&self) -> u64 {
+        self.0.values().map(|l| l.rx.stats().duplicates).sum()
+    }
+
+    /// Devices that have not finished reporting day `day` (registered but
+    /// silent devices included).
+    pub(crate) fn stragglers(&self, day: i64) -> u64 {
+        self.0
+            .values()
+            .filter(|l| l.completed_through.is_none_or(|c| c < day))
+            .count() as u64
+    }
+
+    /// Chunks delivered but stuck behind a sequence gap, over all lanes.
+    pub(crate) fn buffered_chunks(&self) -> impl Iterator<Item = &[u8]> {
+        self.0.values().flat_map(|l| l.rx.buffered_chunks())
+    }
+
+    /// Forgets every device's completed days: each must report again
+    /// before it stops counting as a straggler.
+    pub(crate) fn reset_completion(&mut self) {
+        for lane in self.0.values_mut() {
+            lane.completed_through = None;
+        }
+    }
+}
+
+/// What one kind of upload does with its batches once the shared lane
+/// core ([`LaneCollector`]) has deduplicated, ordered, decoded and
+/// authenticated them. Two payloads exist: raw day batches
+/// ([`DayBuckets`]) and device-anonymized whole days
+/// ([`crate::federated::ProtectedDays`]). The trait is sealed: it is
+/// public only because [`LaneCollector::close_day`] names its `Delta`.
+pub trait LanePayload: sealed::Sealed {
+    /// Transport-endpoint bit set on top of the device id by this
+    /// payload's senders (0 for the raw lane).
+    const LANE_BIT: u64;
+    /// The upload unit one chunk decodes to.
+    type Batch: Decode;
+    /// The per-window audit a close returns.
+    type Delta;
+
+    /// The `(device, user)` a batch claims to come from.
+    fn origin(batch: &Self::Batch) -> (u64, UserId);
+
+    /// Applies one in-sequence batch that arrived on `device`'s lane and
+    /// names its owner. Returns the day the device has now finished
+    /// reporting, if the batch completes one.
+    ///
+    /// # Errors
+    ///
+    /// A batch the payload rejects; the lane skips it.
+    fn apply(
+        &mut self,
+        device: u64,
+        batch: Self::Batch,
+        last_closed: Option<i64>,
+    ) -> Result<Option<i64>, CollectError>;
+
+    /// Whether payload-side state still awaits a close.
+    fn has_backlog(&self, last_closed: Option<i64>) -> bool;
+
+    /// Seals day `day` (already checked to follow the last close) into a
+    /// window and its audit.
+    fn close(&mut self, day: i64, lanes: &DeviceLanes) -> (DatasetWindow, Self::Delta);
+}
+
+mod sealed {
+    /// Restricts [`super::LanePayload`] to this crate's two payloads.
+    pub trait Sealed {}
+    impl Sealed for super::DayBuckets {}
+    impl Sealed for crate::federated::ProtectedDays {}
+}
+
+/// A Hive-side ingestion endpoint: one deduplicating, reordering lane per
+/// registered device in front of a [`LanePayload`] that assembles day
+/// windows. [`Collector`] and [`crate::federated::FederatedCollector`] are
+/// its two instantiations.
 ///
 /// See the [module docs](self) for the protocol.
 #[derive(Debug, Default)]
-pub struct Collector {
-    lanes: BTreeMap<u64, DeviceLane>,
-    /// Not-yet-closed days: day → user → records, in application order.
-    open: BTreeMap<i64, BTreeMap<UserId, Vec<LocationRecord>>>,
-    /// Late records (their day already closed) awaiting the next close.
-    quarantine: BTreeMap<UserId, Vec<LocationRecord>>,
-    quarantined_records: u64,
-    batches_applied: u64,
-    batches_duplicate: u64,
+pub struct LaneCollector<P> {
+    pub(crate) lanes: DeviceLanes,
     last_closed: Option<i64>,
+    pub(crate) payload: P,
 }
+
+/// The raw `collect` endpoint: devices upload their sensed fixes as
+/// [`DayBatch`]es.
+pub type Collector = LaneCollector<DayBuckets>;
 
 impl Collector {
     /// An endpoint with no registered devices.
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+impl<P: LanePayload> LaneCollector<P> {
+    /// An endpoint with no registered devices in front of `payload`.
+    pub(crate) fn with_payload(payload: P) -> Self {
+        Self {
+            lanes: DeviceLanes::default(),
+            last_closed: None,
+            payload,
+        }
+    }
 
     /// Registers a device lane. Frames from unregistered devices are
     /// rejected; registered-but-silent devices count as stragglers on
     /// every close.
     pub fn register(&mut self, device: u64, user: UserId) {
-        self.lanes.entry(device).or_insert_with(|| {
+        self.lanes.0.entry(device).or_insert_with(|| {
             obs::count("collect.lanes", 1);
-            DeviceLane {
+            Lane {
                 user,
                 rx: ReliableReceiver::new(),
                 completed_through: None,
@@ -241,32 +343,21 @@ impl Collector {
         });
     }
 
-    /// Registered devices.
-    pub fn device_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// The last day sealed by [`Collector::close_day`], if any.
-    pub fn last_closed(&self) -> Option<i64> {
-        self.last_closed
-    }
-
-    /// Whether any data is still waiting for a close: open day buckets,
-    /// quarantined stragglers, or chunks gapped in a reorder buffer.
+    /// Whether any data is still waiting for a close: chunks gapped in a
+    /// reorder buffer, or payload state not yet sealed.
     pub fn has_backlog(&self) -> bool {
-        self.open.values().any(|users| !users.is_empty())
-            || !self.quarantine.is_empty()
-            || self.lanes.values().any(|l| l.rx.buffered() > 0)
+        self.lanes.0.values().any(|l| l.rx.buffered() > 0)
+            || self.payload.has_backlog(self.last_closed)
     }
 
     /// Total duplicate frame deliveries absorbed so far, over all devices.
     pub fn duplicates_absorbed(&self) -> u64 {
-        self.lanes.values().map(|l| l.rx.stats().duplicates).sum()
+        self.lanes.duplicates()
     }
 
     /// Ingests one transport frame from a device, returning the ack to
     /// answer with. Duplicates are absorbed (and still acked); in-sequence
-    /// frames release their day batches into the open window buckets.
+    /// frames release their batches into the payload.
     ///
     /// # Errors
     ///
@@ -278,14 +369,16 @@ impl Collector {
     ///   loss, not about trusting payloads), so the batch is skipped and the
     ///   error reported.
     pub fn ingest(&mut self, frame: &DataFrame) -> Result<AckFrame, CollectError> {
+        let device = frame.sender & !P::LANE_BIT;
         let lane = self
             .lanes
-            .get_mut(&frame.sender)
-            .ok_or(CollectError::UnknownDevice(frame.sender))?;
+            .0
+            .get_mut(&device)
+            .ok_or(CollectError::UnknownDevice(device))?;
         let (released, ack) = lane.rx.accept(frame.sender, frame.seq, frame.chunk.clone());
         let mut result = Ok(ack);
         for (_seq, chunk) in released {
-            if let Err(e) = self.apply(frame.sender, &chunk) {
+            if let Err(e) = apply(&mut self.payload, device, lane, self.last_closed, &chunk) {
                 // Keep applying later chunks (the transport has moved past
                 // them either way) but report the first failure.
                 result = result.and(Err(e));
@@ -294,64 +387,8 @@ impl Collector {
         result
     }
 
-    /// Applies one in-sequence chunk: decode, route each record to its open
-    /// bucket (or quarantine if its day already closed), track end-of-day.
-    fn apply(&mut self, lane_id: u64, chunk: &[u8]) -> Result<(), CollectError> {
-        let batch = DayBatch::decode_from_slice(chunk)?;
-        if batch.device != lane_id {
-            obs::count("collect.misrouted", 1);
-            return Err(CollectError::Misrouted {
-                lane: lane_id,
-                claimed: batch.device,
-            });
-        }
-        if batch.user != self.lanes.get(&lane_id).expect("lane exists").user {
-            return Err(CollectError::Wire(WireError::Corrupt(
-                "batch user does not match the device's registered owner",
-            )));
-        }
-        self.batches_applied += 1;
-        let mut quarantined_here: u64 = 0;
-        for rec in &batch.records {
-            let day = rec.time.day_index();
-            if self.last_closed.is_some_and(|closed| day <= closed) {
-                self.quarantine.entry(rec.user).or_default().push(*rec);
-                self.quarantined_records += 1;
-                quarantined_here += 1;
-            } else {
-                self.open
-                    .entry(day)
-                    .or_default()
-                    .entry(rec.user)
-                    .or_default()
-                    .push(*rec);
-            }
-        }
-        if quarantined_here > 0 && obs::enabled() {
-            // One aggregated event per offending batch, carrying the
-            // quarantine reason for the trace.
-            obs::event(
-                "ingest.quarantine",
-                &[
-                    ("device", obs::AttrValue::U64(lane_id)),
-                    ("records", obs::AttrValue::U64(quarantined_here)),
-                    ("reason", obs::AttrValue::Str("day_already_closed".into())),
-                ],
-            );
-        }
-        if batch.end_of_day {
-            let lane = self.lanes.get_mut(&lane_id).expect("lane exists");
-            lane.completed_through = Some(
-                lane.completed_through
-                    .map_or(batch.day, |c| c.max(batch.day)),
-            );
-        }
-        Ok(())
-    }
-
-    /// Seals day `day`: everything collected for it (plus any quarantined
-    /// stragglers from earlier closed days) becomes one [`DatasetWindow`],
-    /// and the [`IngestDelta`] audit records how cleanly it was assembled.
+    /// Seals day `day` into one [`DatasetWindow`] plus the payload's audit
+    /// of how cleanly it was assembled.
     ///
     /// Days must be closed in strictly ascending order — that is exactly how
     /// the endpoint guarantees the publication stream's ascending-day
@@ -361,10 +398,7 @@ impl Collector {
     ///
     /// [`CollectError::CloseOutOfOrder`] when `day` does not exceed the last
     /// closed day.
-    pub fn close_day(
-        &mut self,
-        day: i64,
-    ) -> Result<(DatasetWindow, IngestDelta), CollectError> {
+    pub fn close_day(&mut self, day: i64) -> Result<(DatasetWindow, P::Delta), CollectError> {
         if let Some(last) = self.last_closed {
             if day <= last {
                 return Err(CollectError::CloseOutOfOrder {
@@ -373,15 +407,120 @@ impl Collector {
                 });
             }
         }
+        let closed = self.payload.close(day, &self.lanes);
+        self.last_closed = Some(day);
+        Ok(closed)
+    }
+}
+
+/// Applies one in-sequence chunk of `device`'s lane: decode, check the
+/// claimed device and owner, hand the batch to the payload and advance the
+/// lane's completion watermark.
+fn apply<P: LanePayload>(
+    payload: &mut P,
+    device: u64,
+    lane: &mut Lane,
+    last_closed: Option<i64>,
+    chunk: &[u8],
+) -> Result<(), CollectError> {
+    let batch = P::Batch::decode_from_slice(chunk)?;
+    let (claimed, user) = P::origin(&batch);
+    if claimed != device {
+        obs::count("collect.misrouted", 1);
+        return Err(CollectError::Misrouted {
+            lane: device,
+            claimed,
+        });
+    }
+    if user != lane.user {
+        return Err(CollectError::Wire(WireError::Corrupt(
+            "batch user does not match the device's registered owner",
+        )));
+    }
+    if let Some(day) = payload.apply(device, batch, last_closed)? {
+        lane.completed_through = Some(lane.completed_through.map_or(day, |c| c.max(day)));
+    }
+    Ok(())
+}
+
+/// The raw payload: day-window assembly with straggler quarantine.
+/// Records route by their own day into open buckets; records whose day
+/// already closed wait in quarantine for the next close.
+#[derive(Debug, Default)]
+pub struct DayBuckets {
+    /// Not-yet-closed days: day → user → records, in application order.
+    open: BTreeMap<i64, BTreeMap<UserId, Vec<LocationRecord>>>,
+    /// Late records (their day already closed) awaiting the next close.
+    quarantine: BTreeMap<UserId, Vec<LocationRecord>>,
+    quarantined_records: u64,
+    batches_applied: u64,
+    /// Running total of duplicates already reported by earlier closes.
+    batches_duplicate: u64,
+}
+
+impl LanePayload for DayBuckets {
+    const LANE_BIT: u64 = 0;
+    type Batch = DayBatch;
+    type Delta = IngestDelta;
+
+    fn origin(batch: &DayBatch) -> (u64, UserId) {
+        (batch.device, batch.user)
+    }
+
+    /// Routes each record to its open bucket (or quarantine if its day
+    /// already closed); an `end_of_day` batch completes its day.
+    fn apply(
+        &mut self,
+        device: u64,
+        batch: DayBatch,
+        last_closed: Option<i64>,
+    ) -> Result<Option<i64>, CollectError> {
+        self.batches_applied += 1;
+        let mut quarantined_here: u64 = 0;
+        for rec in batch.records {
+            let day = rec.time.day_index();
+            if last_closed.is_some_and(|closed| day <= closed) {
+                self.quarantine.entry(rec.user).or_default().push(rec);
+                self.quarantined_records += 1;
+                quarantined_here += 1;
+            } else {
+                self.open
+                    .entry(day)
+                    .or_default()
+                    .entry(rec.user)
+                    .or_default()
+                    .push(rec);
+            }
+        }
+        if quarantined_here > 0 && obs::enabled() {
+            // One aggregated event per offending batch, carrying the
+            // quarantine reason for the trace.
+            obs::event(
+                "ingest.quarantine",
+                &[
+                    ("device", obs::AttrValue::U64(device)),
+                    ("records", obs::AttrValue::U64(quarantined_here)),
+                    ("reason", obs::AttrValue::Str("day_already_closed".into())),
+                ],
+            );
+        }
+        Ok(batch.end_of_day.then_some(batch.day))
+    }
+
+    fn has_backlog(&self, _last_closed: Option<i64>) -> bool {
+        self.open.values().any(|users| !users.is_empty()) || !self.quarantine.is_empty()
+    }
+
+    /// Everything collected for `day` (plus any quarantined stragglers from
+    /// earlier closed days) becomes one window; the [`IngestDelta`] audit
+    /// records how cleanly it was assembled.
+    fn close(&mut self, day: i64, lanes: &DeviceLanes) -> (DatasetWindow, IngestDelta) {
         let mut delta = IngestDelta::new(day);
         delta.batches_applied = std::mem::take(&mut self.batches_applied);
-        delta.batches_duplicate = {
-            let total = self.duplicates_absorbed();
-            let new = total - std::mem::replace(&mut self.batches_duplicate, total);
-            // self.batches_duplicate now carries the running total; `new`
-            // is this window's share.
-            new
-        };
+        // `batches_duplicate` carries the running total; the difference is
+        // this window's share.
+        let total = lanes.duplicates();
+        delta.batches_duplicate = total - std::mem::replace(&mut self.batches_duplicate, total);
         delta.records_quarantined = std::mem::take(&mut self.quarantined_records);
 
         // Quarantined stragglers first: their timestamps predate this day,
@@ -389,8 +528,7 @@ impl Collector {
         // regardless of insertion order.
         let mut users: BTreeMap<UserId, Vec<LocationRecord>> =
             std::mem::take(&mut self.quarantine);
-        let mut own_days: Vec<i64> = self.open.range(..=day).map(|(d, _)| *d).collect();
-        own_days.sort_unstable();
+        let own_days: Vec<i64> = self.open.range(..=day).map(|(d, _)| *d).collect();
         for d in own_days {
             let bucket = self.open.remove(&d).unwrap_or_default();
             for (user, recs) in bucket {
@@ -398,15 +536,9 @@ impl Collector {
                 users.entry(user).or_default().extend(recs);
             }
         }
-        delta.straggler_devices = self
-            .lanes
-            .values()
-            .filter(|l| l.completed_through.is_none_or(|c| c < day))
-            .count() as u64;
-        delta.records_deferred = self
-            .lanes
-            .values()
-            .flat_map(|l| l.rx.buffered_chunks())
+        delta.straggler_devices = lanes.stragglers(day);
+        delta.records_deferred = lanes
+            .buffered_chunks()
             .filter_map(|chunk| DayBatch::decode_from_slice(chunk).ok())
             .flat_map(|b| b.records)
             .filter(|r| r.time.day_index() <= day)
@@ -416,9 +548,8 @@ impl Collector {
             .into_iter()
             .map(|(user, recs)| Trajectory::new(user, recs))
             .collect();
-        self.last_closed = Some(day);
         record_ingest_delta(&delta);
-        Ok((DatasetWindow::from_parts(day, dataset), delta))
+        (DatasetWindow::from_parts(day, dataset), delta)
     }
 }
 
@@ -453,23 +584,83 @@ fn record_ingest_delta(delta: &IngestDelta) {
     );
 }
 
-/// The device-side staging store: walks a pregenerated sensing schedule,
-/// cuts it into [`DayBatch`] chunks and feeds them to a persistent
+/// A device's durable upload schedule, shared by the raw and protected
+/// outboxes: the pregenerated, time-sorted sensing records, the next day
+/// still to finalize, and the persistent [`ReliableSender`] outbox.
+///
+/// The records and the finalize cursor model the device's flash storage:
+/// they survive crashes. Only the transport's in-flight state is volatile
+/// — on restart call [`ReliableSender::crash`] and carry on.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    pub(crate) device: u64,
+    pub(crate) user: UserId,
+    pub(crate) tx: ReliableSender,
+    /// Time-sorted sensing records.
+    pub(crate) records: Vec<LocationRecord>,
+    /// The first scheduled day (day 0 for an empty schedule).
+    pub(crate) first_day: i64,
+    /// Next day that still needs finalizing.
+    pub(crate) finalize_next: i64,
+}
+
+impl Schedule {
+    /// A schedule over `records` (sorted here) sending as endpoint
+    /// `device | lane_bit`.
+    pub(crate) fn new(
+        device: u64,
+        lane_bit: u64,
+        user: UserId,
+        config: ReliableConfig,
+        mut records: Vec<LocationRecord>,
+    ) -> Self {
+        records.sort_by_key(|r| r.time);
+        let first_day = records.first().map_or(0, |r| r.time.day_index());
+        Self {
+            device,
+            user,
+            tx: ReliableSender::new(device | lane_bit, config),
+            records,
+            first_day,
+            finalize_next: first_day,
+        }
+    }
+
+    /// The next day fully elapsed at wall-clock `now_s` that is not yet
+    /// finalized, if any; the cursor moves past it.
+    pub(crate) fn finalize_due(&mut self, now_s: i64) -> Option<i64> {
+        let day = self.finalize_next;
+        (day < now_s.div_euclid(DAY_SECONDS)).then(|| {
+            self.finalize_next += 1;
+            day
+        })
+    }
+
+    /// Whether every day through `last_day` is finalized and every staged
+    /// chunk acknowledged.
+    pub(crate) fn settled(&self, last_day: i64) -> bool {
+        self.finalize_next > last_day && self.tx.is_idle()
+    }
+
+    /// The records of day `day`, found by binary search.
+    pub(crate) fn day_slice(&self, day: i64) -> &[LocationRecord] {
+        let start = self.records.partition_point(|r| r.time.day_index() < day);
+        let end = self.records.partition_point(|r| r.time.day_index() <= day);
+        &self.records[start..end]
+    }
+}
+
+/// The device-side raw staging store: walks the sensing schedule, cuts it
+/// into [`DayBatch`] chunks and feeds them to a persistent
 /// [`ReliableSender`] outbox.
 ///
-/// The record schedule and the staging cursor model the device's flash
-/// storage: they survive crashes. Only the transport's in-flight state is
-/// volatile — on restart call [`ReliableSender::crash`] via
-/// [`DeviceOutbox::sender_mut`] and carry on.
+/// The schedule and the staging cursor survive crashes; on restart call
+/// [`ReliableSender::crash`] via [`DeviceOutbox::sender_mut`] and carry on.
 #[derive(Debug)]
 pub struct DeviceOutbox {
-    device: u64,
-    user: UserId,
-    tx: ReliableSender,
-    records: Vec<LocationRecord>,
+    schedule: Schedule,
+    /// Records before this index are staged.
     cursor: usize,
-    /// Next day that still needs its `end_of_day` marker.
-    finalize_next: i64,
 }
 
 impl DeviceOutbox {
@@ -480,45 +671,29 @@ impl DeviceOutbox {
         device: u64,
         user: UserId,
         config: ReliableConfig,
-        mut records: Vec<LocationRecord>,
+        records: Vec<LocationRecord>,
     ) -> Self {
-        records.sort_by_key(|r| r.time);
-        let first_day = records.first().map_or(0, |r| r.time.day_index());
         Self {
-            device,
-            user,
-            tx: ReliableSender::new(device, config),
-            records,
+            schedule: Schedule::new(device, 0, user, config, records),
             cursor: 0,
-            finalize_next: first_day,
         }
-    }
-
-    /// The device id.
-    pub fn device(&self) -> u64 {
-        self.device
-    }
-
-    /// The owning participant.
-    pub fn user(&self) -> UserId {
-        self.user
     }
 
     /// The reliable transport sender (poll transmissions, apply acks,
     /// requeue on crash).
     pub fn sender_mut(&mut self) -> &mut ReliableSender {
-        &mut self.tx
+        &mut self.schedule.tx
     }
 
     /// Read access to the transport sender.
     pub fn sender(&self) -> &ReliableSender {
-        &self.tx
+        &self.schedule.tx
     }
 
     /// Whether every scheduled record has been staged, every elapsed day
     /// finalized, and every staged chunk acknowledged.
     pub fn drained(&self, last_day: i64) -> bool {
-        self.cursor >= self.records.len() && self.finalize_next > last_day && self.tx.is_idle()
+        self.cursor >= self.schedule.records.len() && self.schedule.settled(last_day)
     }
 
     /// Stages everything sensed up to wall-clock `now_s` (seconds since the
@@ -526,40 +701,38 @@ impl DeviceOutbox {
     /// finalized (possibly empty), then a partial batch of the current day's
     /// new fixes. Returns the number of batches enqueued.
     pub fn stage(&mut self, now_s: i64) -> usize {
-        let current_day = now_s.div_euclid(DAY_SECONDS);
         let mut batches = 0;
-        while self.finalize_next < current_day {
-            let day = self.finalize_next;
+        while let Some(day) = self.schedule.finalize_due(now_s) {
             let recs = self.take_records(|t| t.day_index() == day);
             self.enqueue_batch(day, true, recs);
-            self.finalize_next += 1;
             batches += 1;
         }
         let fresh = self.take_records(|t| t.seconds() <= now_s);
         if !fresh.is_empty() {
-            self.enqueue_batch(current_day, false, fresh);
+            self.enqueue_batch(now_s.div_euclid(DAY_SECONDS), false, fresh);
             batches += 1;
         }
         batches
     }
 
     fn take_records(&mut self, keep: impl Fn(Timestamp) -> bool) -> Vec<LocationRecord> {
+        let records = &self.schedule.records;
         let start = self.cursor;
-        while self.cursor < self.records.len() && keep(self.records[self.cursor].time) {
+        while self.cursor < records.len() && keep(records[self.cursor].time) {
             self.cursor += 1;
         }
-        self.records[start..self.cursor].to_vec()
+        records[start..self.cursor].to_vec()
     }
 
     fn enqueue_batch(&mut self, day: i64, end_of_day: bool, records: Vec<LocationRecord>) {
         let batch = DayBatch {
-            device: self.device,
-            user: self.user,
+            device: self.schedule.device,
+            user: self.schedule.user,
             day,
             end_of_day,
             records,
         };
-        self.tx.enqueue(batch.encode_to_vec());
+        self.schedule.tx.enqueue(batch.encode_to_vec());
     }
 }
 
@@ -581,6 +754,7 @@ pub fn window_fingerprint(window: &DatasetWindow) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federated::ProtectedBatch;
     use mobility::WindowedDataset;
 
     fn rec(user: u64, t: i64, lon: f64) -> LocationRecord {
@@ -667,6 +841,27 @@ mod tests {
             let bytes = b.encode_to_vec();
             assert_eq!(bytes, tuple_encoded_batch(&b), "{n} records");
             assert_eq!(DayBatch::decode_from_slice(&bytes).unwrap(), b);
+
+            let p = ProtectedBatch {
+                device: 3,
+                user: UserId(9),
+                version: 2,
+                day: 0,
+                end_of_day: true,
+                had_data: n > 0,
+                records: records.clone(),
+            };
+            let bytes = p.encode_to_vec();
+            let mut expected = BytesMut::new();
+            p.device.encode(&mut expected);
+            p.user.0.encode(&mut expected);
+            p.version.encode(&mut expected);
+            p.day.encode(&mut expected);
+            p.end_of_day.encode(&mut expected);
+            p.had_data.encode(&mut expected);
+            tuples(&p.records).encode(&mut expected);
+            assert_eq!(bytes, expected.to_vec(), "{n} protected records");
+            assert_eq!(ProtectedBatch::decode_from_slice(&bytes).unwrap(), p);
 
             let dataset = Dataset::from_records(records);
             let window = DatasetWindow::from_parts(0, dataset.clone());

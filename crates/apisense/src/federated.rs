@@ -12,11 +12,13 @@
 //!   device);
 //! * every device anonymizes its own day slices locally
 //!   ([`FederatedOutbox`], running
-//!   [`privapi::strategy::AnonymizationStrategy::anonymize_user`]) and
-//!   uploads only protected records as [`ProtectedBatch`] chunks on a
-//!   dedicated *protected lane*;
-//! * the Hive-side [`FederatedCollector`] admits uploads into a
-//!   [`privapi::federated::FederatedSession`] — version-checking first
+//!   [`privapi::strategy::AnonymizationStrategy::anonymize_user`] over the
+//!   same durable schedule the raw outbox walks) and uploads only
+//!   protected records as [`ProtectedBatch`] chunks on a dedicated
+//!   *protected lane*;
+//! * the Hive-side [`FederatedCollector`] — the [`crate::collect`] lane
+//!   core with a [`ProtectedDays`] payload — admits uploads into a
+//!   [`privapi::federated::FederatedSession`]: version-checking first
 //!   (stale-config uploads are quarantined, counted and flagged, never
 //!   silently mixed), then gating each batch against the strategy's
 //!   plausibility region (a poisoning device cannot steer a release);
@@ -44,10 +46,13 @@
 //! (smoothing resamples the entire polyline; the per-trajectory RNG is
 //! keyed by the trajectory start).
 
-use crate::collect::{CollectError, Collector, DayBatch, DeviceOutbox};
+use crate::collect::{
+    decode_records, encode_records, CollectError, DayBatch, DeviceLanes, LaneCollector,
+    LanePayload, Schedule,
+};
+use crate::fleet::TICK_RETRY;
 use bytes::{Bytes, BytesMut};
 use geo::{BoundingBox, GeoPoint};
-use mobility::gen::{thin_participation, CityModel, PopulationConfig};
 use mobility::{
     Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId, WindowedDataset,
     DAY_SECONDS,
@@ -63,19 +68,14 @@ use simnet::reliable::{
     AckFrame, DataFrame, ReliableConfig, ReliableReceiver, ReliableSender, Transmission,
 };
 use simnet::wire::{Decode, Encode, WireError};
-use simnet::{Actor, Context, Message, NetworkStats, NodeId, SimTime, Simulation};
+use simnet::{Context, NetworkStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Transport-endpoint id bit marking a device's *protected* upload lane.
 pub const PROTECTED_LANE_BIT: u64 = 1 << 48;
 /// Transport-endpoint id bit marking the Hive→device *config* lane.
 pub const CONFIG_LANE_BIT: u64 = 1 << 49;
-
-/// Timer id for a device's periodic upload tick (shared with
-/// [`crate::fleet`]'s convention).
-const TICK_UPLOAD: u64 = 1;
-/// Timer id for a pending retransmission deadline.
-const TICK_RETRY: u64 = 2;
 
 // ---------------------------------------------------------------------------
 // Wire frames
@@ -217,12 +217,7 @@ impl Encode for ProtectedBatch {
         self.day.encode(buf);
         self.end_of_day.encode(buf);
         self.had_data.encode(buf);
-        let recs: Vec<(i64, f64, f64)> = self
-            .records
-            .iter()
-            .map(|r| (r.time.seconds(), r.point.latitude(), r.point.longitude()))
-            .collect();
-        recs.encode(buf);
+        encode_records(&self.records, buf);
     }
 }
 
@@ -234,13 +229,7 @@ impl Decode for ProtectedBatch {
         let day = i64::decode(buf)?;
         let end_of_day = bool::decode(buf)?;
         let had_data = bool::decode(buf)?;
-        let raw: Vec<(i64, f64, f64)> = Vec::decode(buf)?;
-        let mut records = Vec::with_capacity(raw.len());
-        for (t, lat, lon) in raw {
-            let point = GeoPoint::new(lat, lon)
-                .map_err(|_| WireError::Corrupt("record coordinates out of range"))?;
-            records.push(LocationRecord::new(user, Timestamp::new(t), point));
-        }
+        let records = decode_records(buf, user)?;
         Ok(Self {
             device,
             user,
@@ -257,11 +246,11 @@ impl Decode for ProtectedBatch {
 // Device side
 // ---------------------------------------------------------------------------
 
-/// The device-side federated staging store: holds the full raw sensing
-/// schedule (flash-durable — raw records never leave the device), the
-/// currently installed [`StrategyConfig`], and a finalize cursor walking
-/// day by day. Each fully elapsed day is anonymized locally and enqueued
-/// as one whole-day [`ProtectedBatch`] on the protected lane.
+/// The device-side federated staging store: the same durable schedule as
+/// [`crate::collect::DeviceOutbox`] (raw records, finalize cursor and
+/// protected-lane sender; raw records never leave the device) plus the
+/// currently installed [`StrategyConfig`]. Each fully elapsed day is
+/// anonymized locally and enqueued as one whole-day [`ProtectedBatch`].
 ///
 /// Version invalidation on the device: installing a *newer* config resets
 /// the finalize cursor to the schedule's first day, so the device
@@ -269,12 +258,7 @@ impl Decode for ProtectedBatch {
 /// that is how a fleet converges back to parity after an upgrade.
 #[derive(Debug)]
 pub struct FederatedOutbox {
-    device: u64,
-    user: UserId,
-    tx: ReliableSender,
-    records: Vec<LocationRecord>,
-    first_day: i64,
-    finalize_next: i64,
+    schedule: Schedule,
     config: Option<StrategyConfig>,
     strategy: Option<Box<dyn privapi::strategy::AnonymizationStrategy>>,
     poisoned: bool,
@@ -289,28 +273,16 @@ impl FederatedOutbox {
         device: u64,
         user: UserId,
         config: ReliableConfig,
-        mut records: Vec<LocationRecord>,
+        records: Vec<LocationRecord>,
         poisoned: bool,
     ) -> Self {
-        records.sort_by_key(|r| r.time);
-        let first_day = records.first().map_or(0, |r| r.time.day_index());
         Self {
-            device,
-            user,
-            tx: ReliableSender::new(device | PROTECTED_LANE_BIT, config),
-            records,
-            first_day,
-            finalize_next: first_day,
+            schedule: Schedule::new(device, PROTECTED_LANE_BIT, user, config, records),
             config: None,
             strategy: None,
             poisoned,
             bytes_enqueued: 0,
         }
-    }
-
-    /// The device id (without the lane bit).
-    pub fn device(&self) -> u64 {
-        self.device
     }
 
     /// The currently installed config, if any arrived yet.
@@ -326,12 +298,7 @@ impl FederatedOutbox {
 
     /// The protected-lane transport sender.
     pub fn sender_mut(&mut self) -> &mut ReliableSender {
-        &mut self.tx
-    }
-
-    /// Read access to the protected-lane sender.
-    pub fn sender(&self) -> &ReliableSender {
-        &self.tx
+        &mut self.schedule.tx
     }
 
     /// Installs a broadcast config. Returns `true` when the version
@@ -350,7 +317,7 @@ impl FederatedOutbox {
         let strategy = config.instantiate()?;
         self.config = Some(config);
         self.strategy = Some(strategy);
-        self.finalize_next = self.first_day;
+        self.schedule.finalize_next = self.schedule.first_day;
         Ok(true)
     }
 
@@ -358,7 +325,7 @@ impl FederatedOutbox {
     /// config and every upload acknowledged. A device with no config yet
     /// is *not* drained (it has not reported anything).
     pub fn drained(&self, last_day: i64) -> bool {
-        self.config.is_some() && self.finalize_next > last_day && self.tx.is_idle()
+        self.config.is_some() && self.schedule.settled(last_day)
     }
 
     /// Anonymizes and enqueues every fully elapsed, not-yet-finalized day.
@@ -368,24 +335,20 @@ impl FederatedOutbox {
         let Some(config) = self.config else {
             return 0;
         };
-        let current_day = now_s.div_euclid(DAY_SECONDS);
+        let user = self.schedule.user;
         let mut batches = 0;
-        while self.finalize_next < current_day {
-            let day = self.finalize_next;
-            let day_records: Vec<LocationRecord> = self
-                .records
-                .iter()
-                .copied()
-                .filter(|r| r.time.day_index() == day)
-                .collect();
+        while let Some(day) = self.schedule.finalize_due(now_s) {
+            let day_records = self.schedule.day_slice(day);
             let mut had_data = !day_records.is_empty();
             let mut protected = if had_data {
-                let local =
-                    Dataset::from_trajectories(vec![Trajectory::new(self.user, day_records)]);
+                let local = Dataset::from_trajectories(vec![Trajectory::new(
+                    user,
+                    day_records.to_vec(),
+                )]);
                 self.strategy
                     .as_ref()
                     .expect("strategy instantiated with config")
-                    .anonymize_user(&local, self.user, config.seed)
+                    .anonymize_user(&local, user, config.seed)
                     .first()
                     .map(|t| t.records().to_vec())
                     .unwrap_or_default()
@@ -394,11 +357,11 @@ impl FederatedOutbox {
             };
             if self.poisoned {
                 had_data = true;
-                protected = poison_records(self.user, day, &protected);
+                protected = poison_records(user, day, &protected);
             }
             let batch = ProtectedBatch {
-                device: self.device,
-                user: self.user,
+                device: self.schedule.device,
+                user,
                 version: config.version,
                 day,
                 end_of_day: true,
@@ -407,8 +370,7 @@ impl FederatedOutbox {
             };
             let chunk = batch.encode_to_vec();
             self.bytes_enqueued += chunk.len() as u64;
-            self.tx.enqueue(chunk);
-            self.finalize_next += 1;
+            self.schedule.tx.enqueue(chunk);
             batches += 1;
         }
         batches
@@ -534,19 +496,9 @@ impl ConfigBroadcaster {
 // Hive side: protected-lane ingestion
 // ---------------------------------------------------------------------------
 
-/// Per-device protected-lane state: the dedup receiver plus the highest
-/// day this device has *validly* finished reporting under the current
-/// config version.
-#[derive(Debug)]
-struct ProtectedLane {
-    user: UserId,
-    rx: ReliableReceiver,
-    completed_through: Option<i64>,
-}
-
-/// The Hive-side federated ingestion endpoint: per-device deduplicating
-/// receivers in front of a [`FederatedSession`], with a version check and
-/// a plausibility gate between transport and store.
+/// The Hive-side federated ingestion endpoint: the shared lane core
+/// ([`LaneCollector`]) in front of a [`FederatedSession`], with a version
+/// check and a plausibility gate between transport and store.
 ///
 /// Hostile-fleet containment, in admission order:
 ///
@@ -563,10 +515,14 @@ struct ProtectedLane {
 /// Both outcomes still acknowledge the transport frame: at-least-once
 /// delivery is about loss, not about trusting payloads, and an unacked
 /// hostile batch would be retried forever.
+pub type FederatedCollector = LaneCollector<ProtectedDays>;
+
+/// The protected payload of the [`FederatedCollector`]: whole-day
+/// admission into a [`FederatedSession`] plus the per-window quarantine
+/// counters of its [`FederationDelta`].
 #[derive(Debug)]
-pub struct FederatedCollector {
+pub struct ProtectedDays {
     session: FederatedSession,
-    lanes: BTreeMap<u64, ProtectedLane>,
     sensing_region: BoundingBox,
     window_reuploaded: u64,
     window_stale_batches: u64,
@@ -574,16 +530,14 @@ pub struct FederatedCollector {
     window_stale_devices: BTreeSet<u64>,
     window_implausible: u64,
     poisoned: BTreeSet<u64>,
-    last_closed: Option<i64>,
 }
 
 impl FederatedCollector {
     /// An endpoint gating against `sensing_region` (the fleet's raw
     /// sensing bounding box, provisioned operator-side).
     pub fn new(sensing_region: BoundingBox) -> Self {
-        Self {
+        Self::with_payload(ProtectedDays {
             session: FederatedSession::new(),
-            lanes: BTreeMap::new(),
             sensing_region,
             window_reuploaded: 0,
             window_stale_batches: 0,
@@ -591,27 +545,17 @@ impl FederatedCollector {
             window_stale_devices: BTreeSet::new(),
             window_implausible: 0,
             poisoned: BTreeSet::new(),
-            last_closed: None,
-        }
-    }
-
-    /// Registers a device's protected lane.
-    pub fn register(&mut self, device: u64, user: UserId) {
-        self.lanes.entry(device).or_insert_with(|| ProtectedLane {
-            user,
-            rx: ReliableReceiver::new(),
-            completed_through: None,
-        });
+        })
     }
 
     /// The underlying session (store, totals, stale users, release).
     pub fn session(&self) -> &FederatedSession {
-        &self.session
+        &self.payload.session
     }
 
     /// Devices ever flagged by the plausibility gate.
     pub fn poisoned_devices(&self) -> &BTreeSet<u64> {
-        &self.poisoned
+        &self.payload.poisoned
     }
 
     /// Installs a broadcast config server-side. On a version bump the
@@ -619,74 +563,41 @@ impl FederatedCollector {
     /// — devices must finish re-reporting under the new version before
     /// they stop counting as stragglers.
     pub fn install(&mut self, config: StrategyConfig) -> bool {
-        let bumped = self.session.install(config);
+        let bumped = self.payload.session.install(config);
         if bumped {
-            for lane in self.lanes.values_mut() {
-                lane.completed_through = None;
-            }
+            self.lanes.reset_completion();
         }
         bumped
     }
+}
 
-    /// Whether anything still awaits a close: gapped chunks in a reorder
-    /// buffer, admitted days newer than the last close, or per-window
-    /// counters from uploads that arrived after it.
-    pub fn has_backlog(&self) -> bool {
-        self.lanes.values().any(|l| l.rx.buffered() > 0)
-            || self
-                .session
-                .days()
-                .iter()
-                .any(|&d| self.last_closed.is_none_or(|c| d > c))
-            || self.window_reuploaded > 0
-            || self.window_stale_batches > 0
-            || self.window_implausible > 0
+impl LanePayload for ProtectedDays {
+    const LANE_BIT: u64 = PROTECTED_LANE_BIT;
+    type Batch = ProtectedBatch;
+    type Delta = FederationDelta;
+
+    fn origin(batch: &ProtectedBatch) -> (u64, UserId) {
+        (batch.device, batch.user)
     }
 
-    /// Ingests one protected-lane transport frame, returning the ack.
-    ///
-    /// # Errors
-    ///
-    /// * [`CollectError::UnknownDevice`] — the lane never registered
-    ///   (nothing acked, the device keeps retrying);
-    /// * [`CollectError::Wire`] / [`CollectError::Misrouted`] — a released
-    ///   chunk is not a well-formed batch of this device (the transport
-    ///   has advanced; the batch is skipped and the error reported).
-    pub fn ingest(&mut self, frame: &DataFrame) -> Result<AckFrame, CollectError> {
-        let device = frame.sender & !PROTECTED_LANE_BIT;
-        let lane = self
-            .lanes
-            .get_mut(&device)
-            .ok_or(CollectError::UnknownDevice(device))?;
-        let (released, ack) = lane.rx.accept(frame.sender, frame.seq, frame.chunk.clone());
-        let mut result = Ok(ack);
-        for (_seq, chunk) in released {
-            if let Err(e) = self.apply(device, &chunk) {
-                result = result.and(Err(e));
-            }
-        }
-        result
-    }
-
-    /// Applies one in-sequence protected batch: decode, version-check,
-    /// gate, admit.
-    fn apply(&mut self, device: u64, chunk: &[u8]) -> Result<(), CollectError> {
-        let batch = ProtectedBatch::decode_from_slice(chunk)?;
-        if batch.device != device {
-            return Err(CollectError::Misrouted {
-                lane: device,
-                claimed: batch.device,
-            });
-        }
-        let lane = self.lanes.get_mut(&device).expect("lane exists");
-        if batch.user != lane.user {
-            return Err(CollectError::Wire(WireError::Corrupt(
-                "batch user does not match the device's registered owner",
-            )));
-        }
+    /// Whole-day check, version check, plausibility gate, admission. Only
+    /// an admitted (or admitted-empty) current-version day completes.
+    fn apply(
+        &mut self,
+        device: u64,
+        batch: ProtectedBatch,
+        last_closed: Option<i64>,
+    ) -> Result<Option<i64>, CollectError> {
         if !batch.end_of_day {
             return Err(CollectError::Wire(WireError::Corrupt(
                 "federated uploads must cover whole days",
+            )));
+        }
+        if !batch.had_data && !batch.records.is_empty() {
+            // Such a batch would be neither admitted nor counted, yet would
+            // complete its day: its records would vanish from the ledger.
+            return Err(CollectError::Wire(WireError::Corrupt(
+                "a batch without raw data carries records",
             )));
         }
         let current = self.session.config().map(|c| c.version);
@@ -716,7 +627,7 @@ impl FederatedCollector {
                 Trajectory::new(batch.user, batch.records),
             );
             debug_assert!(!matches!(admission, Admission::Accepted));
-            return Ok(());
+            return Ok(None);
         }
         let spec = self.session.config().expect("version checked").spec;
         let region = spec.plausible_region(&self.sensing_region);
@@ -741,9 +652,9 @@ impl FederatedCollector {
                     ],
                 );
             }
-            return Ok(());
+            return Ok(None);
         }
-        if self.last_closed.is_some_and(|closed| batch.day <= closed) {
+        if last_closed.is_some_and(|closed| batch.day <= closed) {
             self.window_reuploaded += batch.records.len() as u64;
         }
         if batch.had_data {
@@ -755,33 +666,25 @@ impl FederatedCollector {
             );
             debug_assert_eq!(admission, Admission::Accepted);
         }
-        lane.completed_through = Some(
-            lane.completed_through
-                .map_or(batch.day, |c| c.max(batch.day)),
-        );
-        Ok(())
+        Ok(Some(batch.day))
     }
 
-    /// Seals day `day`: the admitted protected trajectories become one
-    /// [`DatasetWindow`] and the [`FederationDelta`] audit records exactly
-    /// how cleanly (or not) the window was assembled.
-    ///
-    /// # Errors
-    ///
-    /// [`CollectError::CloseOutOfOrder`] when `day` does not exceed the
-    /// last closed day.
-    pub fn close_day(
-        &mut self,
-        day: i64,
-    ) -> Result<(DatasetWindow, FederationDelta), CollectError> {
-        if let Some(last) = self.last_closed {
-            if day <= last {
-                return Err(CollectError::CloseOutOfOrder {
-                    day,
-                    last_closed: last,
-                });
-            }
-        }
+    /// Admitted days newer than the last close, or per-window counters
+    /// from uploads that arrived after it.
+    fn has_backlog(&self, last_closed: Option<i64>) -> bool {
+        self.session
+            .days()
+            .iter()
+            .any(|&d| last_closed.is_none_or(|c| d > c))
+            || self.window_reuploaded > 0
+            || self.window_stale_batches > 0
+            || self.window_implausible > 0
+    }
+
+    /// The admitted protected trajectories of `day` become one window; the
+    /// [`FederationDelta`] audit records exactly how cleanly (or not) it
+    /// was assembled.
+    fn close(&mut self, day: i64, lanes: &DeviceLanes) -> (DatasetWindow, FederationDelta) {
         let version = self.session.config().map_or(0, |c| c.version);
         let mut delta = FederationDelta::new(day, version);
         let dataset = self.session.day_slice(day);
@@ -792,13 +695,8 @@ impl FederatedCollector {
         delta.stale_devices = std::mem::take(&mut self.window_stale_devices).len() as u64;
         delta.implausible_records = std::mem::take(&mut self.window_implausible);
         delta.poisoned_devices = self.poisoned.len() as u64;
-        delta.straggler_devices = self
-            .lanes
-            .values()
-            .filter(|l| l.completed_through.is_none_or(|c| c < day))
-            .count() as u64;
-        self.last_closed = Some(day);
-        Ok((DatasetWindow::from_parts(day, dataset), delta))
+        delta.straggler_devices = lanes.stragglers(day);
+        (DatasetWindow::from_parts(day, dataset), delta)
     }
 }
 
@@ -948,134 +846,141 @@ impl FederatedFleetOutcome {
     }
 }
 
-/// A federated smartphone: one actor multiplexing the raw lane (cohort
-/// members only), the protected lane and the config lane over its link to
-/// the Hive.
-struct FederatedDeviceActor {
-    hive: NodeId,
-    raw: Option<DeviceOutbox>,
-    fed: FederatedOutbox,
+/// A federated device's protected upload lane and its Hive→device config
+/// lane, carried by the fleet's device actor next to the raw lane of
+/// calibration-cohort members.
+pub(crate) struct ProtectedLanes {
+    pub(crate) outbox: FederatedOutbox,
     config_rx: ReliableReceiver,
-    deaf_from_ms: u64,
-    deaf_until_ms: u64,
-    upload_every_ms: u64,
-    last_day: i64,
+    /// Sim-ms during which config frames are dropped unacked.
+    deaf: Range<u64>,
 }
 
-impl FederatedDeviceActor {
-    fn deaf(&self, now_ms: u64) -> bool {
-        now_ms >= self.deaf_from_ms && now_ms < self.deaf_until_ms
-    }
-
-    fn pump(&mut self, ctx: &mut Context<'_>) {
-        let now = ctx.now().as_millis();
-        if let Some(raw) = self.raw.as_mut() {
-            for tx in raw.sender_mut().poll(now) {
-                if tx.retransmit {
-                    ctx.note_retry();
-                }
-                ctx.send(self.hive, tx.frame.to_message());
-            }
-        }
-        for tx in self.fed.sender_mut().poll(now) {
-            if tx.retransmit {
-                ctx.note_retry();
-            }
-            ctx.send(self.hive, tx.frame.to_message());
-        }
-        let due = [
-            self.raw.as_ref().and_then(|r| r.sender().next_due()),
-            self.fed.sender().next_due(),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        if let Some(due) = due {
-            ctx.set_timer(due.saturating_sub(now).max(1), TICK_RETRY);
+impl ProtectedLanes {
+    pub(crate) fn new(
+        config: &FederatedFleetConfig,
+        user: UserId,
+        records: Vec<LocationRecord>,
+    ) -> Self {
+        let deaf = config
+            .deaf
+            .iter()
+            .find(|(d, _, _)| *d == user.0)
+            .map_or(0..0, |&(_, from, until)| from..until);
+        let poisoned = config.poisoned.contains(&user.0);
+        Self {
+            outbox: FederatedOutbox::new(
+                user.0,
+                user,
+                config.fleet.reliable,
+                records,
+                poisoned,
+            ),
+            config_rx: ReliableReceiver::new(),
+            deaf,
         }
     }
 
-    fn done(&self) -> bool {
-        let raw_done = self.raw.as_ref().is_none_or(|r| r.drained(self.last_day));
-        // An unconfigured device parks until a config frame wakes it.
-        let fed_done = self.fed.config().is_none() || self.fed.drained(self.last_day);
-        raw_done && fed_done
-    }
-}
-
-impl Actor for FederatedDeviceActor {
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Message) {
-        let now = ctx.now().as_millis();
-        if let Ok(frame) = DataFrame::from_message(&msg) {
-            // Config lane (the only Hive→device data direction).
-            if self.deaf(now) {
-                return;
-            }
-            let (released, ack) =
-                self.config_rx
-                    .accept(frame.sender, frame.seq, frame.chunk.clone());
-            ctx.send(self.hive, ack.to_message());
-            let mut installed = false;
-            for (_seq, chunk) in released {
-                if let Ok(frame) = ConfigFrame::decode_from_slice(&chunk) {
-                    // A non-instantiating config is ignored: the device
-                    // keeps its previous mechanism.
-                    installed |= self.fed.install(frame.0).unwrap_or(false);
-                }
-            }
-            if installed {
-                ctx.set_timer(1, TICK_UPLOAD);
-            }
-        } else if let Ok(ack) = AckFrame::from_message(&msg) {
-            if ack.sender & PROTECTED_LANE_BIT != 0 {
-                self.fed.sender_mut().on_ack(&ack, now);
-            } else if let Some(raw) = self.raw.as_mut() {
-                raw.sender_mut().on_ack(&ack, now);
-            }
-            self.pump(ctx);
-        }
+    /// An unconfigured device parks until a config frame wakes it.
+    pub(crate) fn done(&self, last_day: i64) -> bool {
+        self.outbox.config().is_none() || self.outbox.drained(last_day)
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, timer_id: u64) {
-        match timer_id {
-            TICK_UPLOAD => {
-                let now_s = ctx.now().as_millis() as i64;
-                if let Some(raw) = self.raw.as_mut() {
-                    raw.stage(now_s);
-                }
-                self.fed.stage(now_s);
-                self.pump(ctx);
-                if !self.done() {
-                    ctx.set_timer(self.upload_every_ms, TICK_UPLOAD);
-                }
+    /// Accepts a config-lane frame at `now_ms`: the ack to answer with and
+    /// whether a newer config got installed, or `None` while deaf.
+    pub(crate) fn on_config(
+        &mut self,
+        frame: DataFrame,
+        now_ms: u64,
+    ) -> Option<(AckFrame, bool)> {
+        if self.deaf.contains(&now_ms) {
+            return None;
+        }
+        let (released, ack) = self.config_rx.accept(frame.sender, frame.seq, frame.chunk);
+        let mut installed = false;
+        for (_seq, chunk) in released {
+            if let Ok(frame) = ConfigFrame::decode_from_slice(&chunk) {
+                // A non-instantiating config is ignored: the device
+                // keeps its previous mechanism.
+                installed |= self.outbox.install(frame.0).unwrap_or(false);
             }
-            _ => self.pump(ctx),
         }
-    }
-
-    fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        // Volatile transport state is gone; schedules, cursors and the
-        // installed config are flash-durable.
-        if let Some(raw) = self.raw.as_mut() {
-            raw.sender_mut().crash();
-        }
-        self.fed.sender_mut().crash();
-        ctx.set_timer(1, TICK_UPLOAD);
+        Some((ack, installed))
     }
 }
 
-/// The Hive's federated front: the cohort's raw [`Collector`], the
-/// [`FederatedCollector`] and the [`ConfigBroadcaster`], multiplexed by
-/// lane id.
-struct FederatedHiveActor {
-    cohort: Collector,
-    federated: FederatedCollector,
+/// The Hive's federated side in a fleet run: the [`FederatedCollector`],
+/// the [`ConfigBroadcaster`], the config-version policy (cohort selection
+/// and forced upgrades), the protected windows closed so far and the
+/// run's byte economics.
+pub(crate) struct HiveFederation {
+    pub(crate) collector: FederatedCollector,
     broadcaster: ConfigBroadcaster,
-    nodes: BTreeMap<u64, NodeId>,
+    /// Device id → simulator node, for config sends.
+    pub(crate) nodes: BTreeMap<u64, NodeId>,
+    /// The users that keep a raw lane.
+    pub(crate) cohort: BTreeSet<UserId>,
+    raw_bytes_uplinked: u64,
+    central_raw_bytes: u64,
+    /// Summed over the devices by the runner once the run ends.
+    pub(crate) protected_bytes_uplinked: u64,
+    seed: u64,
+    anchor: BoundingBox,
+    current: StrategyConfig,
+    upgrade_at_close: Option<(i64, StrategySpec)>,
+    selection: Option<(PrivApi, SessionCache)>,
+    windows: Vec<DatasetWindow>,
+    deltas: Vec<FederationDelta>,
+    selections: Vec<(i64, String)>,
 }
 
-impl FederatedHiveActor {
-    fn pump_broadcast(&mut self, ctx: &mut Context<'_>) {
+impl HiveFederation {
+    /// Picks the calibration cohort, registers every user's protected and
+    /// config lanes and broadcasts config version 1.
+    pub(crate) fn new(
+        config: &FederatedFleetConfig,
+        population: &Dataset,
+        users: &[UserId],
+    ) -> Self {
+        let region = population
+            .bounding_box()
+            .expect("generated population is non-empty");
+        let cohort = FederationPolicy::new(config.cohort_size).cohort(users);
+        let days = config.fleet.days;
+        let anchor = region.grid_anchor();
+        let seed = config.anonymization_seed;
+        let current = strategy_config(1, config.spec, seed, anchor);
+        let mut collector = FederatedCollector::new(region);
+        let mut broadcaster = ConfigBroadcaster::new(config.fleet.reliable);
+        for &user in users {
+            collector.register(user.0, user);
+            broadcaster.register(user.0);
+        }
+        collector.install(current);
+        broadcaster.broadcast(&current);
+        Self {
+            collector,
+            broadcaster,
+            nodes: BTreeMap::new(),
+            raw_bytes_uplinked: canonical_raw_bytes(population, cohort.iter(), days),
+            central_raw_bytes: canonical_raw_bytes(population, users.iter(), days),
+            cohort,
+            protected_bytes_uplinked: 0,
+            seed,
+            anchor,
+            current,
+            upgrade_at_close: config.upgrade_at_close,
+            selection: config
+                .select
+                .then(|| (PrivApi::new(PrivApiConfig::default()), SessionCache::new())),
+            windows: Vec::new(),
+            deltas: Vec::new(),
+            selections: Vec::new(),
+        }
+    }
+
+    /// Sends every due config (re)transmission and arms the next deadline.
+    pub(crate) fn pump(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now().as_millis();
         for (device, tx) in self.broadcaster.poll(now) {
             if tx.retransmit {
@@ -1089,26 +994,80 @@ impl FederatedHiveActor {
             ctx.set_timer(due.saturating_sub(now).max(1), TICK_RETRY);
         }
     }
-}
 
-impl Actor for FederatedHiveActor {
-    fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message) {
-        if let Ok(frame) = DataFrame::from_message(&msg) {
-            if frame.sender & PROTECTED_LANE_BIT != 0 {
-                if let Ok(ack) = self.federated.ingest(&frame) {
-                    ctx.send(from, ack.to_message());
-                }
-            } else if let Ok(ack) = self.cohort.ingest(&frame) {
-                ctx.send(from, ack.to_message());
-            }
-        } else if let Ok(ack) = AckFrame::from_message(&msg) {
-            self.broadcaster.on_ack(&ack, ctx.now().as_millis());
-            self.pump_broadcast(ctx);
-        }
+    /// Applies a device's config-lane ack, then pumps.
+    pub(crate) fn on_config_ack(&mut self, ctx: &mut Context<'_>, ack: &AckFrame) {
+        self.broadcaster.on_ack(ack, ctx.now().as_millis());
+        self.pump(ctx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer_id: u64) {
-        self.pump_broadcast(ctx);
+    /// Closes protected day `day` after the cohort's raw window (if any)
+    /// ran selection. Returns whether a new config version was broadcast.
+    pub(crate) fn close_day(
+        &mut self,
+        day: i64,
+        cohort_window: Option<&DatasetWindow>,
+    ) -> bool {
+        let mut next_spec = None;
+        if let (Some((api, cache)), Some(window)) = (self.selection.as_mut(), cohort_window) {
+            if window.record_count() > 0 {
+                if let Ok(p) = api.publish_window(cache, window) {
+                    let info = p.published.strategy.clone();
+                    self.selections.push((day, info.to_string()));
+                    let winner = api.pool().iter().find(|s| s.info() == info);
+                    next_spec = winner
+                        .and_then(|s| s.spec())
+                        .filter(|&s| s != self.current.spec);
+                }
+            }
+        }
+        let (window, delta) = self
+            .collector
+            .close_day(day)
+            .expect("federated days close in order");
+        self.windows.push(window);
+        self.deltas.push(delta);
+        if let Some((at, spec)) = self.upgrade_at_close {
+            if at == day && spec != self.current.spec {
+                next_spec = Some(spec);
+            }
+        }
+        let Some(spec) = next_spec else {
+            return false;
+        };
+        self.current = strategy_config(self.current.version + 1, spec, self.seed, self.anchor);
+        self.collector.install(self.current);
+        self.broadcaster.broadcast(&self.current);
+        true
+    }
+
+    /// Publishes a trailing window after the last scheduled close iff
+    /// backlog remains.
+    pub(crate) fn drain(&mut self, days: i64) {
+        if self.collector.has_backlog() {
+            let (window, delta) = self
+                .collector
+                .close_day(days)
+                .expect("trailing federated close follows the last day");
+            self.windows.push(window);
+            self.deltas.push(delta);
+        }
+    }
+}
+
+/// The broadcast config of `version`: `spec` under the fleet-wide `seed`,
+/// pinned to `anchor` when the mechanism needs one.
+fn strategy_config(
+    version: u64,
+    spec: StrategySpec,
+    seed: u64,
+    anchor: BoundingBox,
+) -> StrategyConfig {
+    StrategyConfig {
+        version,
+        spec,
+        seed,
+        grid_anchor: spec.requires_anchor().then_some(anchor),
     }
 }
 
@@ -1145,7 +1104,9 @@ fn canonical_raw_bytes<'a>(
 /// broadcast config v1, let every device anonymize locally and upload
 /// protected day batches under the configured fault schedule, close day
 /// windows with federation audits, optionally run cohort selection and
-/// config upgrades, then assemble the final release.
+/// config upgrades, then assemble the final release. This is the fleet
+/// runner of [`crate::fleet::run_fleet`] with the protected and config
+/// lanes switched on.
 ///
 /// Determinism: the same `config` always produces the same outcome, byte
 /// for byte — the federated chaos proptests rely on it.
@@ -1156,228 +1117,29 @@ fn canonical_raw_bytes<'a>(
 /// configuration) or if a simulated endpoint violates the close-in-order
 /// protocol — impossible by construction.
 pub fn run_federated_fleet(config: &FederatedFleetConfig) -> FederatedFleetOutcome {
-    let fleet = &config.fleet;
-    let population = CityModel::builder()
-        .seed(fleet.seed)
-        .build()
-        .generate_population(&PopulationConfig {
-            users: fleet.users,
-            days: fleet.days as usize,
-            sampling_interval_s: fleet.sampling_interval_s,
-            ..PopulationConfig::default()
-        });
-    let population = thin_participation(&population, config.participation_pct);
-    let baseline = WindowedDataset::partition(&population);
-    let generated_records = population.record_count() as u64;
-    let users = population.users();
-    let region = population
-        .bounding_box()
-        .expect("generated population is non-empty");
-    let anchor = region.grid_anchor();
-    let policy = FederationPolicy::new(config.cohort_size);
-    let cohort = policy.cohort(&users);
-    let seed = config.anonymization_seed;
-    let mk_config = |version: u64, spec: StrategySpec| StrategyConfig {
-        version,
-        spec,
-        seed,
-        grid_anchor: spec.requires_anchor().then_some(anchor),
-    };
-    let mut current = mk_config(1, config.spec);
-
-    let mut sim = Simulation::new(fleet.seed);
-    sim.set_default_link(fleet.link);
-
-    let mut cohort_collector = Collector::new();
-    for &user in &cohort {
-        cohort_collector.register(user.0, user);
-    }
-    let mut federated = FederatedCollector::new(region);
-    let mut broadcaster = ConfigBroadcaster::new(fleet.reliable);
-    for &user in &users {
-        federated.register(user.0, user);
-        broadcaster.register(user.0);
-    }
-    federated.install(current);
-    broadcaster.broadcast(&current);
-    let hive = sim.add_node(
-        "hive",
-        Box::new(FederatedHiveActor {
-            cohort: cohort_collector,
-            federated,
-            broadcaster,
-            nodes: BTreeMap::new(),
-        }),
-    );
-
-    let mut nodes = BTreeMap::new();
-    let mut device_nodes = Vec::with_capacity(users.len());
-    for &user in &users {
-        let deaf = config
-            .deaf
-            .iter()
-            .find(|(d, _, _)| *d == user.0)
-            .copied()
-            .unwrap_or((user.0, 0, 0));
-        let fed = FederatedOutbox::new(
-            user.0,
-            user,
-            fleet.reliable,
-            population.records_of(user),
-            config.poisoned.contains(&user.0),
-        );
-        let raw = cohort.contains(&user).then(|| {
-            DeviceOutbox::new(user.0, user, fleet.reliable, population.records_of(user))
-        });
-        let node = sim.add_node(
-            &format!("device-{}", user.0),
-            Box::new(FederatedDeviceActor {
-                hive,
-                raw,
-                fed,
-                config_rx: ReliableReceiver::new(),
-                deaf_from_ms: deaf.1,
-                deaf_until_ms: deaf.2,
-                upload_every_ms: fleet.upload_every_s,
-                last_day: fleet.days - 1,
-            }),
-        );
-        nodes.insert(user.0, node);
-        device_nodes.push(node);
-    }
-    sim.actor_as_mut::<FederatedHiveActor>(hive)
-        .expect("hive actor")
-        .nodes = nodes;
-    sim.set_fault_plan(fleet.faults.clone());
-    for (i, &node) in device_nodes.iter().enumerate() {
-        sim.post_timer(node, 1 + (i as u64 % 97), TICK_UPLOAD);
-    }
-    // Kick the config broadcast.
-    sim.post_timer(hive, 1, TICK_RETRY);
-
-    let mut selection = config
-        .select
-        .then(|| (PrivApi::new(PrivApiConfig::default()), SessionCache::new()));
-    let mut windows = Vec::new();
-    let mut deltas = Vec::new();
-    let mut cohort_windows = Vec::new();
-    let mut cohort_deltas = Vec::new();
-    let mut selections = Vec::new();
-    for day in 0..fleet.days {
-        let close_at = (day + 1) as u64 * DAY_SECONDS as u64 + fleet.grace_s;
-        sim.run_until(SimTime::from_millis(close_at));
-        let mut next_config: Option<StrategyConfig> = None;
-        {
-            let hive_actor = sim
-                .actor_as_mut::<FederatedHiveActor>(hive)
-                .expect("hive actor");
-            if !cohort.is_empty() {
-                let (w, d) = hive_actor
-                    .cohort
-                    .close_day(day)
-                    .expect("cohort days close in order");
-                if let Some((api, cache)) = selection.as_mut() {
-                    if w.record_count() > 0 {
-                        if let Ok(p) = api.publish_window(cache, &w) {
-                            let info = p.published.strategy.clone();
-                            selections.push((day, info.to_string()));
-                            let winner_spec = api
-                                .pool()
-                                .iter()
-                                .find(|s| s.info() == info)
-                                .and_then(|s| s.spec());
-                            if let Some(spec) = winner_spec {
-                                if spec != current.spec {
-                                    next_config = Some(mk_config(current.version + 1, spec));
-                                }
-                            }
-                        }
-                    }
-                }
-                cohort_windows.push(w);
-                cohort_deltas.push(d);
-            }
-            let (w, d) = hive_actor
-                .federated
-                .close_day(day)
-                .expect("federated days close in order");
-            windows.push(w);
-            deltas.push(d);
-            if let Some((at, spec)) = config.upgrade_at_close {
-                if at == day && spec != current.spec {
-                    next_config = Some(mk_config(current.version + 1, spec));
-                }
-            }
-            if let Some(nc) = next_config {
-                current = nc;
-                hive_actor.federated.install(current);
-                hive_actor.broadcaster.broadcast(&current);
-            }
-        }
-        if next_config.is_some() {
-            sim.post_timer(hive, 1, TICK_RETRY);
-        }
-    }
-    // Drain everything the faults (or a late upgrade) delayed past the
-    // last scheduled close, then publish trailing quarantine windows.
-    sim.run();
-    {
-        let hive_actor = sim
-            .actor_as_mut::<FederatedHiveActor>(hive)
-            .expect("hive actor");
-        if !cohort.is_empty() && hive_actor.cohort.has_backlog() {
-            let (w, d) = hive_actor
-                .cohort
-                .close_day(fleet.days)
-                .expect("trailing cohort close follows the last day");
-            cohort_windows.push(w);
-            cohort_deltas.push(d);
-        }
-        if hive_actor.federated.has_backlog() {
-            let (w, d) = hive_actor
-                .federated
-                .close_day(fleet.days)
-                .expect("trailing federated close follows the last day");
-            windows.push(w);
-            deltas.push(d);
-        }
-    }
-
-    let mut protected_bytes_uplinked = 0u64;
-    for &node in &device_nodes {
-        let device = sim
-            .actor_as::<FederatedDeviceActor>(node)
-            .expect("device actor");
-        protected_bytes_uplinked += device.fed.bytes_enqueued();
-    }
-    let raw_bytes_uplinked = canonical_raw_bytes(&population, cohort.iter(), fleet.days);
-    let central_raw_bytes = canonical_raw_bytes(&population, users.iter(), fleet.days);
-    let stats = sim.stats();
-    let hive_actor = sim
-        .actor_as::<FederatedHiveActor>(hive)
-        .expect("hive actor");
-    let poisoned_devices = hive_actor.federated.poisoned_devices().clone();
-    let session = hive_actor.federated.session();
+    let (cohort_run, federation) = crate::fleet::run(crate::fleet::FleetRun::Federated(config));
+    let federation = federation.expect("a federated run has a federated Hive");
+    let session = federation.collector.session();
     FederatedFleetOutcome {
-        windows,
-        deltas,
-        cohort_windows,
-        cohort_deltas,
         release: session.release(),
-        final_config: current,
+        final_config: federation.current,
         session_totals: session.totals(),
         stale_users: session.stale_users().clone(),
-        poisoned_devices,
-        selections,
-        stats,
-        baseline,
-        cohort,
-        generated_records,
-        raw_bytes_uplinked,
-        central_raw_bytes,
-        protected_bytes_uplinked,
-        config_frames_broadcast: hive_actor.broadcaster.frames_sent(),
-        config_bytes_broadcast: hive_actor.broadcaster.bytes_sent(),
+        poisoned_devices: federation.collector.poisoned_devices().clone(),
+        selections: federation.selections,
+        stats: cohort_run.stats,
+        raw_bytes_uplinked: federation.raw_bytes_uplinked,
+        central_raw_bytes: federation.central_raw_bytes,
+        protected_bytes_uplinked: federation.protected_bytes_uplinked,
+        config_frames_broadcast: federation.broadcaster.frames_sent(),
+        config_bytes_broadcast: federation.broadcaster.bytes_sent(),
+        windows: federation.windows,
+        deltas: federation.deltas,
+        cohort_windows: cohort_run.windows,
+        cohort_deltas: cohort_run.deltas,
+        baseline: cohort_run.baseline,
+        cohort: federation.cohort,
+        generated_records: cohort_run.generated_records,
     }
 }
 
@@ -1519,6 +1281,42 @@ mod tests {
         assert_eq!(totals.implausible_records, 1);
         assert!(collector.session().stale_users().contains(&UserId(1)));
         assert_eq!(collector.poisoned_devices().len(), 1);
+    }
+
+    #[test]
+    fn batches_claiming_no_data_but_carrying_records_are_rejected() {
+        let mut collector = FederatedCollector::new(sample_region());
+        collector.register(1, UserId(1));
+        collector.install(StrategyConfig {
+            version: 1,
+            spec: StrategySpec::Identity,
+            seed: 0,
+            grid_anchor: None,
+        });
+        let inconsistent = ProtectedBatch {
+            device: 1,
+            user: UserId(1),
+            version: 1,
+            day: 0,
+            end_of_day: true,
+            had_data: false,
+            records: vec![rec(1, 100, 45.5, 4.5)],
+        };
+        let frame = DataFrame {
+            sender: 1 | PROTECTED_LANE_BIT,
+            seq: 1,
+            chunk: inconsistent.encode_to_vec(),
+        };
+        assert!(matches!(
+            collector.ingest(&frame),
+            Err(CollectError::Wire(WireError::Corrupt(_)))
+        ));
+        let (window, delta) = collector.close_day(0).unwrap();
+        assert_eq!(window.record_count(), 0);
+        assert_eq!(
+            delta.straggler_devices, 1,
+            "a rejected batch does not complete its day"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! synthetic population, give every user a device actor that stages day
 //! batches into a reliable outbox, wire all devices to one Hive actor over
 //! fault-injected links ([`simnet::FaultPlan`]), then advance the clock day
-//! by day, closing each day window after a grace period.
+//! by day, closing each day window after a grace period. The same runner,
+//! with protected and config lanes added, drives the federated fleets of
+//! [`crate::federated::run_federated_fleet`] (experiment E15).
 //!
 //! Time mapping: **1 simulated millisecond = 1 dataset second**, so one
 //! mobility day (86 400 s) is 86 400 sim-ms and link latencies (a few sim-ms)
@@ -19,18 +21,22 @@
 //! (see [`crate::collect::window_fingerprint`]).
 
 use crate::collect::{Collector, DeviceOutbox};
-use mobility::gen::{CityModel, PopulationConfig};
-use mobility::{DatasetWindow, WindowedDataset, DAY_SECONDS};
+use crate::federated::{
+    FederatedFleetConfig, HiveFederation, ProtectedLanes, PROTECTED_LANE_BIT,
+};
+use mobility::gen::{thin_participation, CityModel, PopulationConfig};
+use mobility::{DatasetWindow, UserId, WindowedDataset, DAY_SECONDS};
 use privapi::streaming::IngestDelta;
-use simnet::reliable::{AckFrame, DataFrame, ReliableConfig};
+use simnet::reliable::{AckFrame, DataFrame, ReliableConfig, ReliableSender};
 use simnet::{
     Actor, Context, FaultPlan, LinkModel, Message, NetworkStats, NodeId, SimTime, Simulation,
 };
+use std::collections::BTreeMap;
 
 /// Timer id for a device's periodic upload tick.
-const TICK_UPLOAD: u64 = 1;
+pub(crate) const TICK_UPLOAD: u64 = 1;
 /// Timer id for a pending retransmission deadline.
-const TICK_RETRY: u64 = 2;
+pub(crate) const TICK_RETRY: u64 = 2;
 
 /// Configuration of one fleet run.
 #[derive(Debug, Clone)]
@@ -111,12 +117,16 @@ impl FleetOutcome {
     }
 }
 
-/// A simulated smartphone: stages day batches on a timer, pumps the
-/// reliable sender, applies acks, and survives crash/restart by requeueing
-/// its volatile in-flight window.
+/// A simulated smartphone: stages its lanes' batches on a timer, pumps
+/// their reliable senders, applies acks, and survives crash/restart by
+/// requeueing its volatile in-flight windows. In a central run every
+/// device has only the raw lane; in a federated run every device has the
+/// protected and config lanes, and calibration-cohort members the raw lane
+/// as well.
 struct DeviceActor {
     hive: NodeId,
-    outbox: DeviceOutbox,
+    raw: Option<DeviceOutbox>,
+    protected: Option<ProtectedLanes>,
     upload_every_ms: u64,
     /// Last day of the schedule: ticking stops once drained past it.
     last_day: i64,
@@ -124,27 +134,64 @@ struct DeviceActor {
 }
 
 impl DeviceActor {
+    fn senders(&mut self) -> impl Iterator<Item = &mut ReliableSender> {
+        let protected = self.protected.iter_mut().map(|p| p.outbox.sender_mut());
+        self.raw
+            .iter_mut()
+            .map(DeviceOutbox::sender_mut)
+            .chain(protected)
+    }
+
     fn pump(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now().as_millis();
-        for tx in self.outbox.sender_mut().poll(now) {
-            if tx.retransmit {
-                ctx.note_retry();
+        let hive = self.hive;
+        let mut due: Option<u64> = None;
+        for sender in self.senders() {
+            for tx in sender.poll(now) {
+                if tx.retransmit {
+                    ctx.note_retry();
+                }
+                ctx.send(hive, tx.frame.to_message());
             }
-            ctx.send(self.hive, tx.frame.to_message());
+            due = due.into_iter().chain(sender.next_due()).min();
         }
-        if let Some(due) = self.outbox.sender().next_due() {
+        if let Some(due) = due {
             ctx.set_timer(due.saturating_sub(now).max(1), TICK_RETRY);
         }
+    }
+
+    fn done(&self) -> bool {
+        self.raw.as_ref().is_none_or(|r| r.drained(self.last_day))
+            && self
+                .protected
+                .as_ref()
+                .is_none_or(|p| p.done(self.last_day))
     }
 }
 
 impl Actor for DeviceActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, _from: NodeId, msg: Message) {
+        let now = ctx.now().as_millis();
         if let Ok(ack) = AckFrame::from_message(&msg) {
-            let now = ctx.now().as_millis();
-            self.ack_latencies_ms
-                .extend(self.outbox.sender_mut().on_ack(&ack, now));
+            let sender = match self.protected.as_mut() {
+                Some(p) if ack.sender & PROTECTED_LANE_BIT != 0 => Some(p.outbox.sender_mut()),
+                _ => self.raw.as_mut().map(DeviceOutbox::sender_mut),
+            };
+            if let Some(sender) = sender {
+                self.ack_latencies_ms.extend(sender.on_ack(&ack, now));
+            }
             self.pump(ctx);
+        } else if let Some(protected) = self.protected.as_mut() {
+            // The config lane is the only Hive→device data direction.
+            let Ok(frame) = DataFrame::from_message(&msg) else {
+                return;
+            };
+            if let Some((ack, installed)) = protected.on_config(frame, now) {
+                ctx.send(self.hive, ack.to_message());
+                if installed {
+                    ctx.set_timer(1, TICK_UPLOAD);
+                }
+            }
         }
     }
 
@@ -152,9 +199,14 @@ impl Actor for DeviceActor {
         match timer_id {
             TICK_UPLOAD => {
                 let now_s = ctx.now().as_millis() as i64;
-                self.outbox.stage(now_s);
+                if let Some(raw) = self.raw.as_mut() {
+                    raw.stage(now_s);
+                }
+                if let Some(protected) = self.protected.as_mut() {
+                    protected.outbox.stage(now_s);
+                }
                 self.pump(ctx);
-                if !self.outbox.drained(self.last_day) {
+                if !self.done() {
                     ctx.set_timer(self.upload_every_ms, TICK_UPLOAD);
                 }
             }
@@ -163,25 +215,44 @@ impl Actor for DeviceActor {
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_>) {
-        // Volatile transport state is gone; the staged outbox and cursor
-        // are flash-durable. Requeue and resume ticking immediately.
-        self.outbox.sender_mut().crash();
+        // Volatile transport state is gone; schedules, cursors and any
+        // installed config are flash-durable. Requeue and resume ticking
+        // immediately.
+        for sender in self.senders() {
+            sender.crash();
+        }
         ctx.set_timer(1, TICK_UPLOAD);
     }
 }
 
-/// The Hive's ingestion front: one [`Collector`] absorbing every device's
-/// frames and answering acks.
+/// The Hive's ingestion front: the raw [`Collector`] absorbing raw-lane
+/// frames, plus the federated side in federated runs, multiplexed by lane
+/// id.
 struct HiveActor {
-    collector: Collector,
+    raw: Collector,
+    federation: Option<HiveFederation>,
 }
 
 impl Actor for HiveActor {
     fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message) {
         if let Ok(frame) = DataFrame::from_message(&msg) {
-            if let Ok(ack) = self.collector.ingest(&frame) {
+            let ack = match self.federation.as_mut() {
+                Some(f) if frame.sender & PROTECTED_LANE_BIT != 0 => f.collector.ingest(&frame),
+                _ => self.raw.ingest(&frame),
+            };
+            if let Ok(ack) = ack {
                 ctx.send(from, ack.to_message());
             }
+        } else if let Some(federation) = self.federation.as_mut() {
+            if let Ok(ack) = AckFrame::from_message(&msg) {
+                federation.on_config_ack(ctx, &ack);
+            }
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _timer_id: u64) {
+        if let Some(federation) = self.federation.as_mut() {
+            federation.pump(ctx);
         }
     }
 }
@@ -197,6 +268,35 @@ impl Actor for HiveActor {
 /// Panics if the simulated Hive violates the close-in-order protocol —
 /// impossible by construction (days are closed by a monotone loop).
 pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
+    run(FleetRun::Raw(config)).0
+}
+
+/// What [`run`] runs: a raw fleet, or a federated one whose fleet shape is
+/// its own [`FederatedFleetConfig::fleet`] — either way exactly one
+/// [`FleetConfig`].
+pub(crate) enum FleetRun<'a> {
+    Raw(&'a FleetConfig),
+    Federated(&'a FederatedFleetConfig),
+}
+
+/// The one fleet runner behind [`run_fleet`] ([`FleetRun::Raw`]) and
+/// [`crate::federated::run_federated_fleet`]: generate the population,
+/// give every user a device actor, wire all devices to one Hive actor over
+/// fault-injected links, then advance the clock day by day, closing each
+/// day window after a grace period, and drain what the faults delayed.
+/// The outcome carries the raw lane (the calibration cohort's, in a
+/// federated run); the Hive's federated side comes back as it ended.
+///
+/// # Panics
+///
+/// Panics when a federated run's population is empty, or if a simulated
+/// endpoint violates the close-in-order protocol — impossible by
+/// construction.
+pub(crate) fn run(run: FleetRun<'_>) -> (FleetOutcome, Option<HiveFederation>) {
+    let (config, federated) = match run {
+        FleetRun::Raw(config) => (config, None),
+        FleetRun::Federated(f) => (&f.fleet, Some(f)),
+    };
     let mut fleet_span = obs::span("fleet.run");
     fleet_span.set_attr("devices", config.users);
     fleet_span.set_attr("days", config.days as u64);
@@ -209,41 +309,60 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
             sampling_interval_s: config.sampling_interval_s,
             ..PopulationConfig::default()
         });
+    let population = match federated {
+        Some(f) => thin_participation(&population, f.participation_pct),
+        None => population,
+    };
     let baseline = WindowedDataset::partition(&population);
     let generated_records = population.record_count() as u64;
-
-    let mut sim = Simulation::new(config.seed);
-    sim.set_default_link(config.link);
-
     // One device per user: the generator emits one trajectory per
     // (user, day), so collect each user's full schedule first.
     let users = population.users();
-    let mut collector = Collector::new();
-    for &user in &users {
-        collector.register(user.0, user);
-    }
-    let hive = sim.add_node("hive", Box::new(HiveActor { collector }));
+    let federation = federated.map(|f| HiveFederation::new(f, &population, &users));
+    let cohort = federation.as_ref().map(|f| f.cohort.clone());
+    let has_raw_lane = |user: &UserId| cohort.as_ref().is_none_or(|c| c.contains(user));
+    let closes_raw = cohort.as_ref().is_none_or(|c| !c.is_empty());
 
+    let mut sim = Simulation::new(config.seed);
+    sim.set_default_link(config.link);
+    let mut raw = Collector::new();
+    for user in users.iter().filter(|u| has_raw_lane(u)) {
+        raw.register(user.0, *user);
+    }
+    let hive = sim.add_node("hive", Box::new(HiveActor { raw, federation }));
+
+    let mut nodes = BTreeMap::new();
     let mut device_nodes = Vec::with_capacity(users.len());
     for &user in &users {
-        let outbox =
-            DeviceOutbox::new(user.0, user, config.reliable, population.records_of(user));
+        let records = population.records_of(user);
+        let protected = federated.map(|f| ProtectedLanes::new(f, user, records.clone()));
+        let raw = has_raw_lane(&user)
+            .then(|| DeviceOutbox::new(user.0, user, config.reliable, records));
         let node = sim.add_node(
             &format!("device-{}", user.0),
             Box::new(DeviceActor {
                 hive,
-                outbox,
+                raw,
+                protected,
                 upload_every_ms: config.upload_every_s,
                 last_day: config.days - 1,
                 ack_latencies_ms: Vec::new(),
             }),
         );
+        nodes.insert(user.0, node);
         device_nodes.push(node);
+    }
+    if let Some(federation) = hive_actor(&mut sim, hive).federation.as_mut() {
+        federation.nodes = nodes;
     }
     sim.set_fault_plan(config.faults.clone());
     for (i, &node) in device_nodes.iter().enumerate() {
         // Stagger first ticks so the fleet does not thunder in lockstep.
         sim.post_timer(node, 1 + (i as u64 % 97), TICK_UPLOAD);
+    }
+    if federated.is_some() {
+        // Kick the config broadcast.
+        sim.post_timer(hive, 1, TICK_RETRY);
     }
 
     let mut windows = Vec::new();
@@ -251,40 +370,60 @@ pub fn run_fleet(config: &FleetConfig) -> FleetOutcome {
     for day in 0..config.days {
         let close_at = (day + 1) as u64 * DAY_SECONDS as u64 + config.grace_s;
         sim.run_until(SimTime::from_millis(close_at));
-        let hive_actor = sim.actor_as_mut::<HiveActor>(hive).expect("hive actor");
-        let (window, delta) = hive_actor
-            .collector
-            .close_day(day)
-            .expect("days close in order");
-        windows.push(window);
-        deltas.push(delta);
+        let hive_actor = hive_actor(&mut sim, hive);
+        let closed =
+            closes_raw.then(|| hive_actor.raw.close_day(day).expect("days close in order"));
+        let rebroadcast = hive_actor
+            .federation
+            .as_mut()
+            .is_some_and(|f| f.close_day(day, closed.as_ref().map(|(w, _)| w)));
+        if let Some((window, delta)) = closed {
+            windows.push(window);
+            deltas.push(delta);
+        }
+        if rebroadcast {
+            sim.post_timer(hive, 1, TICK_RETRY);
+        }
     }
-    // Drain whatever the faults delayed past the last scheduled close; if
-    // stragglers remain, publish them in one trailing quarantine window.
+    // Drain whatever the faults (or a late upgrade) delayed past the last
+    // scheduled close; if stragglers remain, publish them in one trailing
+    // quarantine window.
     sim.run();
-    let hive_actor = sim.actor_as_mut::<HiveActor>(hive).expect("hive actor");
-    if hive_actor.collector.has_backlog() {
+    let hive_actor = hive_actor(&mut sim, hive);
+    if closes_raw && hive_actor.raw.has_backlog() {
         let (window, delta) = hive_actor
-            .collector
+            .raw
             .close_day(config.days)
             .expect("trailing close follows the last day");
         windows.push(window);
         deltas.push(delta);
     }
+    if let Some(federation) = hive_actor.federation.as_mut() {
+        federation.drain(config.days);
+    }
+    let mut federation = hive_actor.federation.take();
 
     let mut ack_latencies_ms = Vec::new();
     for &node in &device_nodes {
         let device = sim.actor_as::<DeviceActor>(node).expect("device actor");
         ack_latencies_ms.extend_from_slice(&device.ack_latencies_ms);
+        if let (Some(federation), Some(protected)) = (federation.as_mut(), &device.protected) {
+            federation.protected_bytes_uplinked += protected.outbox.bytes_enqueued();
+        }
     }
-    FleetOutcome {
+    let outcome = FleetOutcome {
         windows,
         deltas,
         stats: sim.stats(),
         ack_latencies_ms,
         baseline,
         generated_records,
-    }
+    };
+    (outcome, federation)
+}
+
+fn hive_actor(sim: &mut Simulation, hive: NodeId) -> &mut HiveActor {
+    sim.actor_as_mut::<HiveActor>(hive).expect("hive actor")
 }
 
 #[cfg(test)]

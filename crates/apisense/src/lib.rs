@@ -36,20 +36,21 @@
 //!   at-least-once day-batch delivery with (device, sequence) dedup,
 //!   out-of-order buffering and straggler quarantine, so the publication
 //!   stream's ascending-day contract holds by protocol under network
-//!   faults;
-//! * [`fleet`] — fault-injected fleet runs (experiment E13): a device
-//!   population uploading through [`collect`] over [`simnet::FaultPlan`]
-//!   chaos, with the fault-free partition as byte-identity oracle;
+//!   faults. One lane core serves both raw and federated uploads;
+//! * [`fleet`] — fault-injected fleet runs (experiments E13 and E15): a
+//!   device population uploading through [`collect`] over
+//!   [`simnet::FaultPlan`] chaos, with the fault-free partition as
+//!   byte-identity oracle;
 //! * [`campaigns`] — the multi-campaign publication surface: every
 //!   deployed task mapped onto a [`campaign::Orchestrator`] campaign, so
 //!   N concurrent tasks release daily over one shared population stream
 //!   with the original-side attack extraction paid once;
 //! * [`federated`] — device-local anonymization (experiment E15): the Hive
 //!   broadcasts the winning strategy as a versioned config, devices
-//!   anonymize their own day slices and upload only protected records,
-//!   and the server-side collector quarantines stale-config and poisoned
-//!   uploads while keeping the assembled release byte-identical to the
-//!   central counterfactual.
+//!   anonymize their own day slices and upload only protected records
+//!   through the [`collect`] lane core, and its protected payload
+//!   quarantines stale-config and poisoned uploads while keeping the
+//!   assembled release byte-identical to the central counterfactual.
 //!
 //! # Example
 //!

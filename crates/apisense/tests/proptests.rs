@@ -145,3 +145,116 @@ proptest! {
         }
     }
 }
+
+/// Flips bits of one byte of `chunk`, then truncates it.
+fn mutate(mut chunk: Vec<u8>, flip_at: usize, flip_bits: u8, cut: usize) -> Vec<u8> {
+    if !chunk.is_empty() {
+        let at = flip_at % chunk.len();
+        chunk[at] ^= flip_bits;
+    }
+    chunk.truncate(cut % (chunk.len() + 1));
+    chunk
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutation fuzzing of the device→Hive boundary, after simnet's
+    /// `frame_decoder_survives_mutated_frames`: take a valid `DayBatch`,
+    /// `ProtectedBatch` or `ConfigFrame` chunk, flip one byte and/or
+    /// truncate it, and drive the result through the three decoders and
+    /// through the ingest of both collectors, followed by the untouched
+    /// chunk and a duplicate. Nothing panics, every delivery yields an ack
+    /// or a typed payload error, and the days still close.
+    #[test]
+    fn ingest_survives_mutated_chunks(
+        kind in 0u8..3,
+        fixes in prop::collection::vec((0i64..172_800, 44.5..46.5f64, 3.5..5.5f64), 0..6),
+        version in 0u64..3,
+        day in 0i64..2,
+        end_of_day in any::<bool>(),
+        had_data in any::<bool>(),
+        flip_at in any::<usize>(),
+        flip_bits in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        use apisense::collect::{CollectError, Collector, DayBatch};
+        use apisense::federated::{
+            ConfigFrame, FederatedCollector, ProtectedBatch, PROTECTED_LANE_BIT,
+        };
+        use geo::BoundingBox;
+        use mobility::{LocationRecord, Timestamp, UserId};
+        use privapi::federated::{StrategyConfig, StrategySpec};
+        use simnet::reliable::DataFrame;
+        use simnet::wire::{Decode, Encode};
+
+        let user = UserId(1);
+        let records: Vec<LocationRecord> = fixes
+            .iter()
+            .map(|&(t, lat, lon)| {
+                LocationRecord::new(user, Timestamp::new(t), GeoPoint::new(lat, lon).unwrap())
+            })
+            .collect();
+        let region = BoundingBox::new(
+            GeoPoint::new(45.0, 4.0).unwrap(),
+            GeoPoint::new(46.0, 5.0).unwrap(),
+        )
+        .unwrap();
+        let config = StrategyConfig {
+            version: 1,
+            spec: StrategySpec::GaussianPerturbation { sigma_m: 50.0 },
+            seed: 7,
+            grid_anchor: None,
+        };
+        let valid = match kind {
+            0 => DayBatch { device: 1, user, day, end_of_day, records }.encode_to_vec(),
+            1 => ProtectedBatch {
+                device: 1,
+                user,
+                version,
+                day,
+                end_of_day,
+                had_data,
+                records,
+            }
+            .encode_to_vec(),
+            _ => ConfigFrame(StrategyConfig {
+                version,
+                spec: StrategySpec::SpatialCloaking { cell_m: 250.0 },
+                grid_anchor: Some(region.grid_anchor()),
+                ..config
+            })
+            .encode_to_vec(),
+        };
+        let mutated = mutate(valid.clone(), flip_at, flip_bits, cut);
+        let _ = DayBatch::decode_from_slice(&mutated);
+        let _ = ProtectedBatch::decode_from_slice(&mutated);
+        let _ = ConfigFrame::decode_from_slice(&mutated);
+
+        let mut raw = Collector::new();
+        raw.register(1, user);
+        let mut federated = FederatedCollector::new(region);
+        federated.register(1, user);
+        federated.install(config);
+        // The mutated chunk, the untouched one, then a duplicate of the
+        // first: cumulative acks 1, 2, 2 whenever a chunk is accepted.
+        let deliveries = [(1, &mutated, 1), (2, &valid, 2), (1, &mutated, 2)];
+        for (seq, chunk, cumulative) in deliveries {
+            let frame = |sender| DataFrame { sender, seq, chunk: chunk.clone() };
+            for outcome in [
+                raw.ingest(&frame(1)),
+                federated.ingest(&frame(1 | PROTECTED_LANE_BIT)),
+            ] {
+                match outcome {
+                    Ok(ack) => prop_assert_eq!(ack.cumulative, cumulative),
+                    Err(CollectError::Wire(_) | CollectError::Misrouted { .. }) => {}
+                    Err(e) => prop_assert!(false, "unexpected error at seq {}: {}", seq, e),
+                }
+            }
+        }
+        for close in 0..2 {
+            prop_assert!(raw.close_day(close).is_ok());
+            prop_assert!(federated.close_day(close).is_ok());
+        }
+    }
+}

@@ -152,18 +152,17 @@ pub struct DayReport {
     /// Per-campaign outcomes, in registration order.
     pub outcomes: Vec<(CampaignId, CampaignOutcome)>,
     /// Provenance of the window itself, when it was assembled by the
-    /// reliable ingestion layer (see
-    /// [`Orchestrator::advance_day_with_ingest`]): how many batches were
-    /// folded in, what was deduplicated, and whether straggler data was
-    /// quarantined into this window. `None` for windows fed directly from
-    /// a materialized dataset.
+    /// reliable ingestion layer: how many batches were folded in, what was
+    /// deduplicated, and whether straggler data was quarantined into this
+    /// window. [`Orchestrator::advance_day`] leaves it `None`; the caller
+    /// that closed the window stamps the collector's audit here.
     pub ingest: Option<IngestDelta>,
     /// Federated-release provenance, when the window came from the
-    /// device-local pipeline (see
-    /// [`Orchestrator::advance_day_federated`]): which config version it
-    /// was assembled under, and exactly what was quarantined as stale,
-    /// rejected as implausible or superseded by catch-up re-uploads.
-    /// `None` for central (raw-upload) windows.
+    /// device-local pipeline: which config version it was assembled under,
+    /// and exactly what was quarantined as stale, rejected as implausible
+    /// or superseded by catch-up re-uploads. `None` for central
+    /// (raw-upload) windows; stamped by the caller like
+    /// [`DayReport::ingest`].
     pub federation: Option<FederationDelta>,
 }
 
@@ -513,62 +512,6 @@ impl Orchestrator {
             ingest: None,
             federation: None,
         })
-    }
-
-    /// [`Orchestrator::advance_day`] for a window assembled by the
-    /// reliable ingestion layer, stamping its [`IngestDelta`] provenance
-    /// into the report.
-    ///
-    /// This is the degraded-mode path: the ingestion protocol closes days
-    /// strictly in order and quarantines straggler data into the next
-    /// window, so a partitioned region can never poison the stream with a
-    /// stale day — the window publishes normally and the report carries
-    /// the audit of what was quarantined or deferred.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Orchestrator::advance_day`]. The ingestion
-    /// protocol satisfies the ascending-day contract by construction, so
-    /// [`CampaignError::Stream`] here indicates a harness bug, not a
-    /// network fault.
-    pub fn advance_day_with_ingest(
-        &mut self,
-        window: &DatasetWindow,
-        ingest: IngestDelta,
-    ) -> Result<DayReport, CampaignError> {
-        debug_assert_eq!(window.day(), ingest.day, "ingest audit for wrong day");
-        let mut report = self.advance_day(window)?;
-        report.ingest = Some(ingest);
-        Ok(report)
-    }
-
-    /// [`Orchestrator::advance_day`] for a *federated* window: the
-    /// dataset holds device-anonymized trajectories assembled by the
-    /// protected-lane collector, `ingest` is the calibration cohort's raw
-    /// ingestion audit (when the cohort fed this day's selection) and
-    /// `federation` is the protected lane's ledger. The report carries
-    /// both, and [`DayReport::degraded`] flags the day whenever either
-    /// ledger shows stale, implausible, superseded or straggling data —
-    /// the campaign-layer half of the "never silently mixed" invariant.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of [`Orchestrator::advance_day`].
-    pub fn advance_day_federated(
-        &mut self,
-        window: &DatasetWindow,
-        ingest: Option<IngestDelta>,
-        federation: FederationDelta,
-    ) -> Result<DayReport, CampaignError> {
-        debug_assert_eq!(
-            window.day(),
-            federation.day,
-            "federation audit for wrong day"
-        );
-        let mut report = self.advance_day(window)?;
-        report.ingest = ingest;
-        report.federation = Some(federation);
-        Ok(report)
     }
 
     /// For each campaign observing `day` on a shared session, the

