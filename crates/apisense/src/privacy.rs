@@ -618,7 +618,10 @@ mod tests {
             assert_eq!(release.published.selection, batch.selection, "window {i}");
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
         }
-        assert_eq!(gateway.session().windows_ingested(), windows.len());
+        assert_eq!(
+            gateway.session().population().windows_ingested(),
+            windows.len()
+        );
         // Later windows reuse protected-side work for inactive users (the
         // generator's dense data keeps everyone active, so reuse shows up
         // as shard reuse only when the protected boxes hold still; the
@@ -665,7 +668,7 @@ mod tests {
                 "got {err}"
             );
         }
-        assert_eq!(gateway.session().windows_ingested(), 1);
+        assert_eq!(gateway.session().population().windows_ingested(), 1);
     }
 
     #[test]

@@ -162,6 +162,54 @@ fn recording_accumulates_the_instrumented_families() {
     }
 }
 
+/// A recorded streaming run breaks each candidate's protected-side work
+/// into phase spans under its `engine.candidate` span, and records where
+/// the work store is filled, so a trace shows where a window's time goes.
+#[test]
+fn candidate_phases_record_as_child_spans() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let was_enabled = obs::enabled();
+    obs::reset();
+    obs::enable();
+    let _ = stream(11, 4, 2);
+    if !was_enabled {
+        obs::disable();
+    }
+    let (spans, _, _) = obs::trace::snapshot();
+    let name_of = |id: u64| spans.iter().find(|s| s.id == id).map(|s| s.name);
+    for phase in [
+        "candidate.anonymize",
+        "candidate.extract",
+        "candidate.utility",
+        "candidate.match",
+    ] {
+        let recorded: Vec<_> = spans.iter().filter(|s| s.name == phase).collect();
+        assert!(!recorded.is_empty(), "no {phase} span recorded");
+        for span in recorded {
+            assert_eq!(name_of(span.parent), Some("engine.candidate"), "{phase}");
+        }
+    }
+    let fills: Vec<_> = spans.iter().filter(|s| s.name == "store.fill").collect();
+    assert!(!fills.is_empty(), "no store.fill span recorded");
+    for span in fills {
+        let parent = name_of(span.parent);
+        assert!(
+            matches!(parent, Some("engine.sweep" | "streaming.advance")),
+            "store.fill under {parent:?}"
+        );
+    }
+    let store = obs::metrics::snapshot();
+    for counter in ["store.lookups", "store.fills"] {
+        assert!(
+            store
+                .counters
+                .iter()
+                .any(|(name, v)| name == counter && *v > 0),
+            "{counter} never counted"
+        );
+    }
+}
+
 /// Host for the fuel-counter test: every call returns `null`.
 struct NullHost;
 

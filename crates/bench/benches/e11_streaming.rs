@@ -43,7 +43,7 @@ fn bench_streaming(c: &mut Criterion) {
             for window in &windows {
                 black_box(cache.advance(&attack, window).expect("ascending windows"));
             }
-            black_box(cache.windows_ingested())
+            black_box(cache.population().windows_ingested())
         })
     });
 

@@ -7,9 +7,9 @@
 //!   `StreamingPublisher` re-extracting the original side per session;
 //! * `orchestrated_campaigns` — the same K campaigns through one
 //!   `campaign::Orchestrator` sharing the original-side session;
-//! * `orchestrated_donor_sharing` — the same orchestrated shape with the
-//!   §3.11 donor counters (`users_donated`/`shards_donated`) summed into
-//!   the measurement;
+//! * `orchestrated_store_sharing` — the same orchestrated shape with the
+//!   §3.11 work-store counters (`users_donated`/`shards_donated`) summed
+//!   into the measurement;
 //! * `orchestrator_register` — registry overhead (register + duplicate
 //!   rejection + retire), separate from the per-window work.
 
@@ -58,11 +58,11 @@ fn bench_campaigns(c: &mut Criterion) {
         })
     });
 
-    // The §3.11 donor scheme: K fingerprint-identical campaigns, the
-    // followers adopting the leader's protected side — the summed
+    // The §3.11 work store: K fingerprint-identical campaigns, all but
+    // the first served its protected side — the summed
     // `users_donated`/`shards_donated` counters are black-boxed so the
-    // donor bookkeeping itself is inside the measurement.
-    group.bench_function("orchestrated_donor_sharing", |b| {
+    // store bookkeeping itself is inside the measurement.
+    group.bench_function("orchestrated_store_sharing", |b| {
         b.iter(|| {
             let mut orchestrator = Orchestrator::new();
             for id in 0..CAMPAIGNS {

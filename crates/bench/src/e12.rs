@@ -10,10 +10,11 @@
 //!   per-user extraction is paid **once**, vs **K×** for independent
 //!   sessions;
 //! * one user-subset campaign (the commuter cohort) with the same attack
-//!   configuration — derives shards from the shared session whenever the
-//!   extraction grids agree;
-//! * one campaign with its own attack parameters — pays exactly its own
-//!   original-side pass.
+//!   configuration — is served its shards from the work store whenever
+//!   the extraction grids agree;
+//! * one campaign with its own matching distance — its own session, but
+//!   served every shard from the work store, since extraction does not
+//!   read the matching distance.
 //!
 //! Per-campaign winner parity against the independent replay is asserted
 //! for every release before any number is reported. The `bench_summary`
@@ -25,7 +26,7 @@ use mobility::gen::ScenarioPreset;
 use mobility::{Dataset, LocationRecord, ParticipantFilter, UserId, WindowedDataset};
 use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
-use privapi::streaming::{PopulationCache, StreamingPublisher};
+use privapi::streaming::{PopulationCache, StreamingPublisher, WorkStore};
 use std::fmt;
 use std::time::Instant;
 
@@ -174,13 +175,19 @@ pub struct E12Report {
     pub independent_extractions: usize,
     /// Full-dataset extraction passes, orchestrated run.
     pub orchestrated_extractions: usize,
-    /// Subset-campaign shards derived (cloned) from the shared session.
+    /// Original-side shards served from the work store (subset and
+    /// custom-attack views), summed per release.
     pub shards_derived: usize,
-    /// Protected-side anonymizations the same-config followers adopted
-    /// from their group leader's donor snapshot instead of recomputing.
+    /// Protected-side users whose new outputs were all served from the
+    /// work store instead of re-anonymized.
     pub users_donated: usize,
-    /// Protected-side extraction shards adopted from the donor snapshot.
+    /// Protected-side shards served from the work store.
     pub shards_donated: usize,
+    /// Work-store lookups of the orchestrated run (shared sessions once
+    /// per window, private views and candidate sweeps per campaign).
+    pub store_lookups: usize,
+    /// Work-store entries the orchestrated run computed and filled.
+    pub store_fills: usize,
     /// Orchestrated releases where a stale utility-baseline fold was
     /// discarded and rebuilt (a quantized-grid move; a session's first
     /// build is not counted, and windows fold in place otherwise).
@@ -193,7 +200,7 @@ pub struct E12Report {
     /// folded in only the appended trajectories through the memo.
     pub shards_appended: usize,
     /// Original-side shard refreshes from scratch without a usable memo
-    /// (first window, grid rebuild, a shard last derived from a donor).
+    /// (first window, grid rebuild).
     pub shards_rebuilt: usize,
     /// Original-side shard refreshes from scratch after a rejected memo;
     /// zero on a clean stream.
@@ -241,6 +248,7 @@ impl E12Report {
              \"original_side_ratio\": {:.3},\n  \"independent_extractions\": {},\n  \
              \"orchestrated_extractions\": {},\n  \"shards_derived\": {},\n  \
              \"users_donated\": {},\n  \"shards_donated\": {},\n  \
+             \"store_lookups\": {},\n  \"store_fills\": {},\n  \
              \"baseline_rebuilds\": {},\n  \"baseline_cells_updated\": {},\n  \
              \"shards_appended\": {},\n  \"shards_rebuilt\": {},\n  \
              \"shards_fallback\": {},\n  \"strategy_trajectories_anonymized\": {},\n  \
@@ -269,6 +277,8 @@ impl E12Report {
             self.shards_derived,
             self.users_donated,
             self.shards_donated,
+            self.store_lookups,
+            self.store_fills,
             self.baseline_rebuilds,
             self.baseline_cells_updated,
             self.shards_appended,
@@ -337,7 +347,7 @@ impl fmt::Display for E12Report {
         writeln!(
             f,
             "full passes: {} independent vs {} orchestrated; {} shared sessions, \
-             {} releases, {} subset shards derived",
+             {} releases, {} shards served to other views",
             self.independent_extractions,
             self.orchestrated_extractions,
             self.shared_sessions,
@@ -346,10 +356,12 @@ impl fmt::Display for E12Report {
         )?;
         writeln!(
             f,
-            "donor sharing: {} anonymizations / {} shards adopted by followers; \
-             baselines: {} rebuilds, {} cells folded",
+            "store sharing: {} users / {} shards served across campaigns, {} lookups / \
+             {} fills; baselines: {} rebuilds, {} cells folded",
             self.users_donated,
             self.shards_donated,
+            self.store_lookups,
+            self.store_fills,
             self.baseline_rebuilds,
             self.baseline_cells_updated
         )?;
@@ -378,8 +390,8 @@ fn campaign_mix(
 ) -> Vec<(u64, ParticipantFilter, PoiAttack)> {
     // The subset: the commuter cohort plus the two boundary beacons —
     // with the beacons aboard, the subset's bounding box equals the
-    // population's, so its original-side shards derive from the shared
-    // session instead of being re-extracted.
+    // population's, so its original-side shards are served from the work
+    // store instead of being re-extracted.
     let commuters = config.users / 2 + config.users % 2;
     let subset = ParticipantFilter::users(
         (0..commuters as u64)
@@ -453,9 +465,10 @@ pub fn run(config: &E12Config) -> E12Report {
     // independent.
     let original_probe = PoiAttack::default();
     let mut original_cache = PopulationCache::new();
+    let mut store = WorkStore::new();
     for window in &windows {
         original_cache
-            .advance(&original_probe, window)
+            .advance(&original_probe, window, &mut store)
             .expect("ascending windows");
     }
     let original_side_user_extractions = original_probe.user_extractions();
@@ -483,6 +496,8 @@ pub fn run(config: &E12Config) -> E12Report {
     let mut shards_derived = 0;
     let mut users_donated = 0;
     let mut shards_donated = 0;
+    let mut store_lookups = 0;
+    let mut store_fills = 0;
     let mut baseline_rebuilds = 0;
     let mut baseline_cells_updated = 0;
     let mut original_paths = [0usize; 3];
@@ -503,6 +518,8 @@ pub fn run(config: &E12Config) -> E12Report {
             original_paths[0] += delta.shards_appended;
             original_paths[1] += delta.shards_rebuilt;
             original_paths[2] += delta.shards_fallback;
+            store_lookups += delta.store_lookups;
+            store_fills += delta.store_fills;
         }
         for (c, (id, _, _)) in mix.iter().enumerate() {
             let orchestrated = report.release_of(CampaignId(*id));
@@ -518,6 +535,8 @@ pub fn run(config: &E12Config) -> E12Report {
                     shards_derived += a.delta.users_derived;
                     users_donated += a.strategies.users_donated;
                     shards_donated += a.strategies.shards_donated;
+                    store_lookups += a.strategies.store_lookups;
+                    store_fills += a.strategies.store_fills;
                     baseline_rebuilds += usize::from(a.baseline.rebuilt);
                     baseline_cells_updated += a.baseline.cells_updated;
                     let s = &a.strategies;
@@ -565,6 +584,8 @@ pub fn run(config: &E12Config) -> E12Report {
         shards_derived,
         users_donated,
         shards_donated,
+        store_lookups,
+        store_fills,
         baseline_rebuilds,
         baseline_cells_updated,
         shards_appended: original_paths[0],
@@ -587,8 +608,8 @@ mod tests {
         let report = run(&E12Config::smoke());
         assert_eq!(report.windows, 3);
         assert_eq!(report.campaigns, report.same_config_campaigns + 2);
-        // Two sessions: the default-attack group (+ subset donor) and the
-        // custom-attack campaign.
+        // Two sessions: the default-attack group and the custom-attack
+        // campaign.
         assert_eq!(report.shared_sessions, 2);
         assert!(report.releases > 0);
         // The orchestrated run must beat the independent replay on
@@ -608,20 +629,25 @@ mod tests {
             "{report:?}"
         );
         assert!(report.original_side_ratio() >= report.same_config_campaigns as f64 - 1e-9);
-        // The beacon-pinned subset actually exercises derivation: its
-        // shards are cloned from the shared session, never re-extracted.
+        // The beacon-pinned subset actually exercises serving: its
+        // shards come from the work store, never re-extracted.
         assert!(
             report.shards_derived > 0,
-            "the subset campaign must derive shards from the shared session"
+            "the subset campaign must be served shards from the store"
         );
         // No full passes anywhere: every campaign stays on the delta
         // paths (the default pool is fully local).
         assert_eq!(report.independent_extractions, 0);
         assert_eq!(report.orchestrated_extractions, 0);
-        // K = 3 same-config campaigns means two followers per window, and
-        // followers adopt the leader's protected side wholesale.
+        // K = 3 same-config campaigns means two replicas per window, and
+        // the store serves them the first campaign's protected side.
         assert!(report.users_donated > 0, "{report:?}");
         assert!(report.shards_donated > 0, "{report:?}");
+        // Every fill answers a miss; the rest of the lookups were served.
+        assert!(
+            0 < report.store_fills && report.store_fills < report.store_lookups,
+            "{report:?}"
+        );
         // The beacon-pinned bounding box never moves, so no baseline fold
         // is ever discarded — every window folds in place.
         assert_eq!(report.baseline_rebuilds, 0, "{report:?}");
@@ -643,6 +669,8 @@ mod tests {
             "\"shards_derived\"",
             "\"users_donated\"",
             "\"shards_donated\"",
+            "\"store_lookups\"",
+            "\"store_fills\"",
             "\"baseline_rebuilds\"",
             "\"baseline_cells_updated\"",
             "\"shards_appended\"",
@@ -656,7 +684,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("all campaigns"));
         assert!(text.contains("per-user extractions:"));
-        assert!(text.contains("donor sharing:"));
+        assert!(text.contains("store sharing:"));
         assert!(text.contains("trajectory reuse:"));
     }
 

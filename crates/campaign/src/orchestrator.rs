@@ -1,5 +1,5 @@
 //! The multi-campaign orchestrator: N concurrent campaigns, one
-//! population stream, shared original-side extraction.
+//! population stream, one work store.
 //!
 //! # Why sharing works
 //!
@@ -12,26 +12,35 @@
 //!   or privacy floor. K campaigns with the same attack configuration
 //!   need it exactly once.
 //! * **protected side** — anonymizing and self-attacking every candidate
-//!   strategy. This depends on the campaign's pool and seed and is never
-//!   shared; each campaign keeps its own
-//!   [`privapi::streaming::StrategySessionCache`].
+//!   strategy. Each protected output depends only on (strategy, seed,
+//!   quantized anchor, source trajectory), each attack shard only on
+//!   (extraction parameters, grid, user, trajectory list) and each utility
+//!   contribution only on (baseline grid, output).
 //!
-//! The orchestrator therefore keeps one [`SharedSession`] (a
-//! [`PopulationCache`] plus the attack that maintains it) per distinct
-//! *(attack configuration, start day, stream position)* group.
+//! The orchestrator keeps one [`SharedSession`] (a [`PopulationCache`]
+//! plus the attack that maintains it) per distinct *(attack
+//! configuration, start day, stream position)* group, and one
+//! [`WorkStore`] that every session and every campaign's
+//! [`privapi::streaming::StrategySessionCache`] reads and fills. A
+//! campaign that differs from another only in its user subset, matching
+//! distance or objective is then served everything their inputs have in
+//! common — shards, outputs, contributions — instead of recomputing it;
+//! a served entry is byte-identical to a recomputed one, so the store
+//! only ever skips work.
+//!
 //! [`Orchestrator::advance_day`] advances each consumed session **once**,
-//! then fans the per-campaign evaluations out across the cores — campaigns
-//! × candidate strategies — collecting outcomes in registration order so
-//! the winner schedule is deterministic regardless of scheduling.
+//! then evaluates the campaigns in registration order, each sweep fanned
+//! out over its candidates. Sweeps only read the store; what each
+//! computed is inserted after it, in a fixed order, so releases and every
+//! counter are independent of thread count. At the end of the day the
+//! store drops every entry no session or campaign holds any more.
 //!
 //! Filtered campaigns own a private [`PopulationCache`] over their
-//! filtered stream. A pure user-subset campaign additionally names a
-//! matching shared session as *donor*: whenever the donor is in lockstep
-//! (same attack configuration, same day, same extraction grid — i.e. the
-//! subset spans the population's bounding box), invalidated shards are
-//! **derived** (cloned) from the donor instead of re-extracted
-//! ([`PopulationCache::advance_derived`]); any mismatch falls back to a
-//! real extraction, so derivation can never change results.
+//! filtered stream. A user-subset filter keeps each kept trajectory as the
+//! same shared handle, so the subset's shards are served from the store
+//! whenever its extraction grid matches the population's (the subset
+//! spans the population's bounding box) — whatever order the campaigns
+//! were registered in.
 //!
 //! # The parity invariant
 //!
@@ -46,16 +55,14 @@
 use crate::campaign::{Campaign, CampaignError, CampaignId, CampaignStatus};
 use crate::registry::{CampaignEntry, CampaignRegistry, View};
 use mobility::{DatasetWindow, UserId};
-use privapi::attack::{PoiAttack, PoiAttackConfig};
+use privapi::attack::PoiAttack;
 use privapi::federated::FederationDelta;
 use privapi::pipeline::PublishedDataset;
 use privapi::streaming::{
-    BaselineDelta, IngestDelta, PopulationCache, StrategyCacheDelta, StrategyDonor,
-    StrategySessionCache, WindowDelta, WindowUpdate,
+    BaselineDelta, IngestDelta, PopulationCache, StrategyCacheDelta, StrategySessionCache,
+    WindowDelta, WindowUpdate, WorkStore,
 };
 use privapi::PrivapiError;
-use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// One shared original-side extraction session: the population's
 /// [`PopulationCache`] under one attack configuration, advanced once per
@@ -66,7 +73,6 @@ pub(crate) struct SharedSession {
     /// campaign's, so its extraction accounting lands on that campaign's
     /// probe).
     pub(crate) attack: PoiAttack,
-    pub(crate) config: PoiAttackConfig,
     pub(crate) cache: PopulationCache,
     /// First day the session ingests (the attached campaigns' common
     /// `start_day`).
@@ -113,7 +119,7 @@ impl CampaignOutcome {
 }
 
 /// One campaign's release for one day, with the audit of what its caches
-/// reused, derived or recomputed.
+/// reused, were served from the work store, or recomputed.
 #[derive(Debug)]
 pub struct CampaignRelease {
     /// The campaign that released.
@@ -123,12 +129,12 @@ pub struct CampaignRelease {
     /// Original-side cache audit for the campaign's view. For a shared
     /// campaign this is the shared session's delta (paid once, reported
     /// to every sharer); [`WindowDelta::users_derived`] counts shards
-    /// cloned from a donor session.
+    /// served from the work store.
     pub delta: WindowDelta,
     /// Protected-side audit summed over the campaign's candidate pool.
-    /// [`StrategyCacheDelta::users_donated`] counts per-user protected
-    /// states adopted from a fingerprint-identical campaign on the same
-    /// shared session instead of being re-anonymized.
+    /// [`StrategyCacheDelta::users_donated`] counts users whose new
+    /// protected trajectories were all served from the work store instead
+    /// of being re-anonymized.
     pub strategies: StrategyCacheDelta,
     /// Incremental utility-baseline audit for this release: cells folded
     /// in place versus grids rebuilt from scratch.
@@ -206,15 +212,19 @@ impl DayReport {
 /// orchestrator.register(Campaign::new(2, "replica", PrivApiConfig::default())).unwrap();
 /// for window in &WindowedDataset::partition(&data) {
 ///     let report = orchestrator.advance_day(window).unwrap();
-///     // Both campaigns release; the original-side extraction ran once.
+///     // Both campaigns release; the original-side extraction ran once,
+///     // and the replica was served every candidate's work.
 ///     assert_eq!(report.published().count(), 2);
 ///     assert_eq!(report.sessions.len(), 1);
+///     let replica = report.release_of(campaign::CampaignId(2)).unwrap();
+///     assert_eq!(replica.strategies.store_fills, 0);
 /// }
 /// ```
 #[derive(Debug, Default)]
 pub struct Orchestrator {
     registry: CampaignRegistry,
     sessions: Vec<SharedSession>,
+    store: WorkStore,
     last_day: Option<i64>,
 }
 
@@ -241,6 +251,11 @@ impl Orchestrator {
         self.sessions.len()
     }
 
+    /// The work store every session and campaign reads and fills.
+    pub fn store(&self) -> &WorkStore {
+        &self.store
+    }
+
     /// Lifecycle status of a campaign relative to the stream position.
     pub fn status(&self, id: CampaignId) -> Option<CampaignStatus> {
         self.registry.status(id, self.last_day)
@@ -253,10 +268,9 @@ impl Orchestrator {
     /// A full-population campaign joins (or creates) the shared session
     /// matching its attack configuration, start day and stream position,
     /// so K same-configuration campaigns pay the original-side extraction
-    /// once. A filtered campaign gets a private view; a pure user-subset
-    /// filter additionally links the matching shared session as shard
-    /// donor **if one already exists** — register the full-population
-    /// campaign first to give its subsets a donor.
+    /// once. A filtered campaign gets a private view, whose shards are
+    /// served from the work store wherever its inputs match another
+    /// cache's — registration order does not matter.
     ///
     /// # Errors
     ///
@@ -281,14 +295,7 @@ impl Orchestrator {
         let view = if campaign.filter().is_all() {
             View::Shared(self.find_or_create_session(&campaign))
         } else {
-            View::Private {
-                cache: Box::new(PopulationCache::new()),
-                donor: if campaign.filter().is_user_subset() {
-                    self.find_session(&campaign)
-                } else {
-                    None
-                },
-            }
+            View::Private(Box::new(PopulationCache::new()))
         };
         self.registry.push(CampaignEntry {
             campaign,
@@ -301,11 +308,12 @@ impl Orchestrator {
     }
 
     /// Retires an active campaign: it stops observing the stream
-    /// immediately and its id becomes reusable. A shared session whose
-    /// last non-retired consumer retires is garbage-collected on the spot
-    /// (its cache freed, surviving session indices remapped); a later
-    /// campaign with the same configuration starts a fresh session rather
-    /// than resurrecting the dead one's shards.
+    /// immediately, its id becomes reusable and its state is dropped. A
+    /// shared session whose last non-retired consumer retires is
+    /// garbage-collected on the spot (its cache freed, surviving session
+    /// indices remapped); a later campaign with the same configuration
+    /// starts a fresh session rather than resurrecting the dead one's
+    /// shards. Work-store entries nothing holds any more go with them.
     ///
     /// # Errors
     ///
@@ -313,13 +321,13 @@ impl Orchestrator {
     pub fn retire(&mut self, id: CampaignId) -> Result<(), CampaignError> {
         self.registry.retire(id)?;
         self.collect_sessions();
+        self.store.drop_unreferenced();
         Ok(())
     }
 
     /// Drops every shared session left without a non-retired `Shared`
     /// consumer and remaps the indices held by surviving views. Retired
-    /// campaigns whose session died are detached; private donor links to a
-    /// dead session are severed (they were already best-effort).
+    /// campaigns whose session died are detached.
     fn collect_sessions(&mut self) {
         let mut keep = vec![false; self.sessions.len()];
         for entry in &self.registry.entries {
@@ -346,33 +354,22 @@ impl Orchestrator {
             keep[index - 1]
         });
         for entry in &mut self.registry.entries {
-            let detach = match &mut entry.view {
-                View::Shared(i) => match remap[*i] {
-                    Some(new) => {
-                        *i = new;
-                        false
-                    }
-                    None => true,
-                },
-                View::Private { donor, .. } => {
-                    if let Some(d) = *donor {
-                        *donor = remap[d];
-                    }
-                    false
+            if let View::Shared(i) = &mut entry.view {
+                match remap[*i] {
+                    Some(new) => *i = new,
+                    None => entry.view = View::Detached,
                 }
-                View::Detached => false,
-            };
-            if detach {
-                entry.view = View::Detached;
             }
         }
     }
 
     /// Processes one population day window: advances every consumed shared
-    /// session exactly once, then evaluates all campaigns — campaigns ×
-    /// candidate strategies fanned out over the available cores — and
-    /// reports per-campaign outcomes in registration order (the
-    /// deterministic winner schedule).
+    /// session exactly once, then evaluates the campaigns in registration
+    /// order — each sweep fanned out over its candidate strategies, all of
+    /// them reading and filling the one work store — reports per-campaign
+    /// outcomes in registration order (the deterministic winner
+    /// schedule), and finally drops the store entries nothing holds any
+    /// more.
     ///
     /// # Errors
     ///
@@ -425,9 +422,7 @@ impl Orchestrator {
         }
 
         // Phase 1 — advance each shared session consumed by at least one
-        // campaign observing this day. Donor-only links do not keep a
-        // session alive: extracting the whole population to spare a
-        // subset would cost more than it saves.
+        // campaign observing this day.
         let mut session_deltas: Vec<Option<WindowDelta>> = Vec::new();
         session_deltas.resize_with(self.sessions.len(), || None);
         for (index, session) in self.sessions.iter_mut().enumerate() {
@@ -442,69 +437,30 @@ impl Orchestrator {
             }
             let delta = session
                 .cache
-                .advance(&session.attack, window)
+                .advance(&session.attack, window, &mut self.store)
                 .expect("sessions follow the orchestrator's strictly ascending days");
             session_deltas[index] = Some(delta);
         }
 
         // Phase 2 — evaluate every campaign against its view, in
-        // parallel, collecting in registration order. Campaigns on the
-        // same shared session with identical (pool, seed, attack,
-        // objective) fingerprints share protected-side work too: the
-        // registration-order leader of each group evaluates first, then
-        // its followers adopt the leader's per-candidate snapshot
-        // ([`StrategyDonor`]) instead of re-anonymizing and re-attacking
-        // the same prefix.
-        let leader_of = self.donor_leaders(day);
-        let sessions = &self.sessions;
-        let deltas = &session_deltas;
-        let (mut followers, mut leads): (Vec<_>, Vec<_>) = self
+        // registration order: each campaign is served what the sessions
+        // and campaigns before it filled into the store.
+        let outcomes = self
             .registry
             .entries
             .iter_mut()
-            .enumerate()
-            .partition(|(i, _)| leader_of[*i].is_some());
-        let mut indexed: Vec<(usize, (CampaignId, CampaignOutcome))> = leads
-            .par_iter_mut()
-            .map(|(i, entry)| {
-                let id = entry.campaign.id();
-                (
-                    *i,
-                    (id, evaluate_campaign(entry, window, sessions, deltas, None)),
-                )
+            .map(|entry| {
+                let outcome = evaluate_campaign(
+                    entry,
+                    window,
+                    &self.sessions,
+                    &session_deltas,
+                    &mut self.store,
+                );
+                (entry.campaign.id(), outcome)
             })
             .collect();
-        if !followers.is_empty() {
-            let donors: HashMap<usize, StrategyDonor> = leads
-                .iter()
-                .filter(|(i, _)| leader_of.contains(&Some(*i)))
-                .filter_map(|(i, entry)| {
-                    let windows = entry
-                        .view
-                        .shared_session()
-                        .map(|s| sessions[s].cache.windows_ingested())?;
-                    Some((*i, entry.strategies.donor_snapshot(windows)?))
-                })
-                .collect();
-            let donors = &donors;
-            let follower_outcomes: Vec<(usize, (CampaignId, CampaignOutcome))> = followers
-                .par_iter_mut()
-                .map(|(i, entry)| {
-                    let donor = leader_of[*i].and_then(|l| donors.get(&l));
-                    let id = entry.campaign.id();
-                    (
-                        *i,
-                        (
-                            id,
-                            evaluate_campaign(entry, window, sessions, deltas, donor),
-                        ),
-                    )
-                })
-                .collect();
-            indexed.extend(follower_outcomes);
-        }
-        indexed.sort_by_key(|(i, _)| *i);
-        let outcomes = indexed.into_iter().map(|(_, o)| o).collect();
+        self.store.drop_released();
         Ok(DayReport {
             day,
             sessions: session_deltas.into_iter().flatten().collect(),
@@ -514,69 +470,20 @@ impl Orchestrator {
         })
     }
 
-    /// For each campaign observing `day` on a shared session, the
-    /// registration-order leader it may adopt protected-side state from:
-    /// the earliest non-retired campaign on the *same* session with an
-    /// identical `(pool, seed, attack, objective)` fingerprint. Leaders
-    /// (and every campaign without one) map to `None`. Privacy floors may
-    /// differ — the floor gates acceptance, not the per-candidate
-    /// protected state being shared.
-    fn donor_leaders(&self, day: i64) -> Vec<Option<usize>> {
-        let entries = &self.registry.entries;
-        let eligible: Vec<Option<usize>> = entries
-            .iter()
-            .map(|e| {
-                if e.retired || !e.campaign.covers(day) {
-                    None
-                } else {
-                    e.view.shared_session()
-                }
-            })
-            .collect();
-        let mut leader: Vec<Option<usize>> = vec![None; entries.len()];
-        for i in 0..entries.len() {
-            let Some(session) = eligible[i] else { continue };
-            if leader[i].is_some() {
-                continue;
-            }
-            let a = entries[i].campaign.privapi();
-            for j in (i + 1)..entries.len() {
-                if leader[j].is_some() || eligible[j] != Some(session) {
-                    continue;
-                }
-                let b = entries[j].campaign.privapi();
-                if a.config().seed == b.config().seed
-                    && a.config().objective == b.config().objective
-                    && a.attack().config() == b.attack().config()
-                    && a.pool().infos() == b.pool().infos()
-                {
-                    leader[j] = Some(i);
-                }
-            }
-        }
-        leader
-    }
-
-    /// An existing, joinable session matching the campaign's attack
-    /// configuration, start day and stream position (nothing ingested
-    /// yet — a session that already absorbed windows holds a prefix the
-    /// newcomer never saw).
-    fn find_session(&self, campaign: &Campaign) -> Option<usize> {
-        self.sessions.iter().position(|s| {
+    /// The session a full-population campaign joins: an existing one
+    /// matching its attack configuration, start day and stream position
+    /// (nothing ingested yet — a session that already absorbed windows
+    /// holds a prefix the newcomer never saw), or a new one.
+    fn find_or_create_session(&mut self, campaign: &Campaign) -> usize {
+        if let Some(index) = self.sessions.iter().position(|s| {
             s.cache.windows_ingested() == 0
                 && s.start_day == campaign.start_day()
-                && &s.config == campaign.privapi().attack().config()
-        })
-    }
-
-    fn find_or_create_session(&mut self, campaign: &Campaign) -> usize {
-        if let Some(index) = self.find_session(campaign) {
+                && s.attack.config() == campaign.privapi().attack().config()
+        }) {
             return index;
         }
-        let attack = campaign.privapi().attack().clone();
         self.sessions.push(SharedSession {
-            config: attack.config().clone(),
-            attack,
+            attack: campaign.privapi().attack().clone(),
             cache: PopulationCache::new(),
             start_day: campaign.start_day(),
         });
@@ -585,16 +492,15 @@ impl Orchestrator {
 }
 
 /// One campaign's step for one day: scope checks, view ingest (shared
-/// read / private advance with optional donor derivation), then the
-/// standard [`privapi::pipeline::PrivApi::publish_session`] evaluation —
-/// with an optional protected-side [`StrategyDonor`] from a
-/// fingerprint-identical leader campaign on the same shared session.
+/// read / private advance), then the standard
+/// [`privapi::pipeline::PrivApi::publish_session`] evaluation, both
+/// through the orchestrator's work store.
 fn evaluate_campaign(
     entry: &mut CampaignEntry,
     window: &DatasetWindow,
     sessions: &[SharedSession],
     session_deltas: &[Option<WindowDelta>],
-    donor: Option<&StrategyDonor>,
+    store: &mut WorkStore,
 ) -> CampaignOutcome {
     let day = window.day();
     if entry.retired {
@@ -609,10 +515,6 @@ fn evaluate_campaign(
         strategies,
         ..
     } = entry;
-    debug_assert!(
-        donor.is_none() || matches!(view, View::Shared(_)),
-        "donors are only selected among same-session shared campaigns"
-    );
     if campaign.start_day().is_some_and(|s| day < s) {
         return CampaignOutcome::Skipped(SkipReason::NotStarted);
     }
@@ -631,20 +533,16 @@ fn evaluate_campaign(
                 .expect("an active shared campaign's session advanced this day");
             (&sessions[*index].cache, delta, window.users(), true)
         }
-        View::Private { cache, donor } => {
+        View::Private(cache) => {
             let Some(filtered) = campaign.filter().filter_window(window) else {
                 return CampaignOutcome::Skipped(SkipReason::NoParticipants);
             };
             filtered_window = filtered;
-            let donor_cache = donor.map(|index| &sessions[index].cache);
-            let delta = match cache.advance_derived(
-                campaign.privapi().attack(),
-                &filtered_window,
-                donor_cache,
-            ) {
-                Ok(delta) => delta,
-                Err(error) => return CampaignOutcome::Failed(error),
-            };
+            let delta =
+                match cache.advance(campaign.privapi().attack(), &filtered_window, store) {
+                    Ok(delta) => delta,
+                    Err(error) => return CampaignOutcome::Failed(error),
+                };
             (&**cache, delta, filtered_window.users(), false)
         }
         View::Detached => unreachable!("only retired campaigns are detached"),
@@ -655,7 +553,7 @@ fn evaluate_campaign(
     };
     match campaign
         .privapi()
-        .publish_session(population, strategies, &update, donor)
+        .publish_session(population, strategies, &update, store)
     {
         Ok((published, strategy_delta, baseline)) => {
             entry.windows_published += 1;

@@ -5,7 +5,8 @@
 //! state each one accumulates across windows: its view of the population
 //! (shared or private original-side cache) and its per-strategy
 //! protected-side caches. Overlapping duplicate ids are rejected at
-//! registration; a retired campaign's id becomes reusable.
+//! registration; a retired campaign's id becomes reusable, and its state
+//! is dropped.
 
 use crate::campaign::{Campaign, CampaignError, CampaignId, CampaignStatus};
 use privapi::streaming::{PopulationCache, StrategySessionCache};
@@ -18,31 +19,25 @@ pub(crate) enum View {
     /// orchestrator's session table). Its original-side extraction is the
     /// session's — paid once per window however many campaigns share it.
     Shared(usize),
-    /// Filtered campaign with its own [`PopulationCache`]. A pure
-    /// user-subset campaign may name a shared session as `donor`:
-    /// whenever the donor is in lockstep (same attack configuration, same
-    /// day, same extraction grid), invalidated shards are cloned from it
-    /// instead of re-extracted.
-    Private {
-        /// The campaign's own original-side cache over its filtered
-        /// stream. (Boxed: a populated cache dwarfs the `Shared` index.)
-        cache: Box<PopulationCache>,
-        /// Shared-session index shards may be derived from, when exact.
-        donor: Option<usize>,
-    },
-    /// A retired shared campaign whose session was garbage-collected: the
-    /// index it held is gone, and a detached view can never be read again
-    /// (retired campaigns skip every window before touching their view).
+    /// Filtered campaign with its own [`PopulationCache`] over its
+    /// filtered stream. Shards whose inputs it shares with another cache —
+    /// a user subset's kept users — are served from the orchestrator's
+    /// [`privapi::streaming::WorkStore`]. (Boxed: a populated cache dwarfs
+    /// the `Shared` index.)
+    Private(Box<PopulationCache>),
+    /// A retired campaign whose view was dropped: a private cache freed on
+    /// retirement, or a shared session that was garbage-collected. A
+    /// detached view can never be read again (retired campaigns skip every
+    /// window before touching their view).
     Detached,
 }
 
 impl View {
-    /// The shared session this view advances (donor links do not keep a
-    /// session alive — see the orchestrator's session-advance rule).
+    /// The shared session this view reads.
     pub(crate) fn shared_session(&self) -> Option<usize> {
         match self {
             View::Shared(i) => Some(*i),
-            View::Private { .. } | View::Detached => None,
+            View::Private(_) | View::Detached => None,
         }
     }
 }
@@ -54,7 +49,8 @@ pub(crate) struct CampaignEntry {
     pub(crate) retired: bool,
     pub(crate) view: View,
     /// The campaign's protected-side per-candidate caches (its own pool,
-    /// seed and attack fingerprints — never shared across campaigns).
+    /// seed and attack fingerprints). What they hold is shared with other
+    /// campaigns through the orchestrator's work store.
     pub(crate) strategies: StrategySessionCache,
     /// Windows this campaign actually published.
     pub(crate) windows_published: usize,
@@ -148,7 +144,8 @@ impl CampaignRegistry {
         Ok(id)
     }
 
-    /// Retires the active campaign holding `id`.
+    /// Retires the active campaign holding `id` and drops its protected
+    /// state and any private view.
     pub(crate) fn retire(&mut self, id: CampaignId) -> Result<(), CampaignError> {
         match self
             .entries
@@ -157,6 +154,10 @@ impl CampaignRegistry {
         {
             Some(entry) => {
                 entry.retired = true;
+                entry.strategies = StrategySessionCache::new();
+                if let View::Private(_) = entry.view {
+                    entry.view = View::Detached;
+                }
                 Ok(())
             }
             None => Err(CampaignError::Unknown(id)),

@@ -1,6 +1,6 @@
 //! Integration tests of the multi-campaign orchestrator: the
-//! shared-extraction counting invariants, donor derivation, and the
-//! campaign lifecycle.
+//! shared-extraction counting invariants, work-store sharing across
+//! campaigns, scheduling independence, and the campaign lifecycle.
 
 use campaign::{
     Campaign, CampaignError, CampaignId, CampaignOutcome, CampaignStatus, Orchestrator,
@@ -12,8 +12,9 @@ use mobility::{
     Dataset, LocationRecord, ParticipantFilter, Timestamp, UserId, WindowedDataset, DAY_SECONDS,
 };
 use privapi::attack::{PoiAttack, PoiAttackConfig};
-use privapi::pipeline::PrivApiConfig;
-use privapi::streaming::{PopulationCache, StreamingPublisher};
+use privapi::pipeline::{PrivApi, PrivApiConfig};
+use privapi::pool::StrategyPool;
+use privapi::streaming::{PopulationCache, StreamingPublisher, WorkStore};
 
 fn dataset(seed: u64, users: usize, days: usize) -> Dataset {
     CityModel::builder()
@@ -33,8 +34,9 @@ fn dataset(seed: u64, users: usize, days: usize) -> Dataset {
 fn original_side_cost(windows: &WindowedDataset) -> usize {
     let probe = PoiAttack::default();
     let mut cache = PopulationCache::new();
+    let mut store = WorkStore::new();
     for window in windows {
-        cache.advance(&probe, window).unwrap();
+        cache.advance(&probe, window, &mut store).unwrap();
     }
     probe.user_extractions()
 }
@@ -56,10 +58,10 @@ fn same_config_campaigns_share_the_original_side_extraction() {
     // The headline counter: K campaigns with identical (pool, seed,
     // attack, objective) fingerprints on one session pay the whole
     // per-user extraction bill ONCE, not K times — the original side
-    // through the shared session, the protected side through donor
-    // snapshots (the registration-order leader evaluates; followers
-    // adopt its per-candidate state by pointer clone). The
-    // orchestrator's total is exactly one standalone replay.
+    // through the shared session, the protected side through the work
+    // store (the first campaign in registration order computes; the
+    // others are served every output, shard and utility contribution).
+    // The orchestrator's total is exactly one standalone replay.
     let windows = WindowedDataset::partition(&dataset(61, 4, 3));
     let config = PrivApiConfig::default();
     let original = original_side_cost(&windows);
@@ -92,12 +94,13 @@ fn same_config_campaigns_share_the_original_side_extraction() {
         for follower in &releases[1..] {
             assert!(follower.shared);
             // Followers re-anonymize and re-attack nobody: every
-            // candidate's protected state arrives from the leader.
+            // candidate's protected work is served from the store.
             assert_eq!(follower.strategies.users_refreshed, 0);
             assert_eq!(follower.strategies.shards_refreshed, 0);
             assert!(follower.strategies.users_donated > 0);
             assert!(follower.strategies.shards_donated > 0);
-            // Donor adoption is exact: byte-identical releases.
+            assert_eq!(follower.strategies.store_fills, 0);
+            // Serving is exact: byte-identical releases.
             assert_eq!(follower.published.selection, leader.published.selection);
             assert_eq!(follower.published.dataset, leader.published.dataset);
         }
@@ -112,29 +115,42 @@ fn same_config_campaigns_share_the_original_side_extraction() {
     assert_eq!(probe.extractions(), 0);
 }
 
+/// Per-user extraction cost of one standalone streaming campaign under
+/// `attack_config`.
+fn standalone_cost_under(windows: &WindowedDataset, attack_config: &PoiAttackConfig) -> usize {
+    let probe = PoiAttack::new(attack_config.clone());
+    let privapi =
+        privapi::pipeline::PrivApi::new(PrivApiConfig::default()).with_attack(probe.clone());
+    let mut publisher = StreamingPublisher::from_privapi(privapi);
+    for window in windows {
+        publisher.publish_window(window).unwrap();
+    }
+    probe.user_extractions()
+}
+
 #[test]
 fn differing_config_campaigns_pay_exactly_their_own_pass() {
     let windows = WindowedDataset::partition(&dataset(67, 3, 3));
     let config = PrivApiConfig::default();
-    let custom_attack_config = PoiAttackConfig {
+    // Only the matching distance differs: every shard this campaign needs
+    // is one the default group extracts too.
+    let matching_config = PoiAttackConfig {
         match_distance: geo::Meters::new(500.0),
+        ..PoiAttackConfig::default()
+    };
+    // An extraction parameter differs: no shard is shared.
+    let extraction_config = PoiAttackConfig {
+        min_poi_dwell_s: 30 * 60,
         ..PoiAttackConfig::default()
     };
 
     // Reference costs, measured in isolation.
-    let shared_probe = PoiAttack::default();
-    let custom_probe = PoiAttack::new(custom_attack_config.clone());
     let standalone_default = standalone_cost(&windows, config);
-    let standalone_custom = {
-        let probe = PoiAttack::new(custom_attack_config.clone());
-        let privapi = privapi::pipeline::PrivApi::new(config).with_attack(probe.clone());
-        let mut publisher = StreamingPublisher::from_privapi(privapi);
-        for window in &windows {
-            publisher.publish_window(window).unwrap();
-        }
-        probe.user_extractions()
-    };
-    // Two same-config campaigns + one with its own attack parameters.
+    let standalone_extraction = standalone_cost_under(&windows, &extraction_config);
+    let shared_probe = PoiAttack::default();
+    let matching_probe = PoiAttack::new(matching_config);
+    let extraction_probe = PoiAttack::new(extraction_config);
+    // Two same-config campaigns + two with their own attack parameters.
     let mut orchestrator = Orchestrator::new();
     for k in 0..2u64 {
         orchestrator
@@ -144,32 +160,38 @@ fn differing_config_campaigns_pay_exactly_their_own_pass() {
             .unwrap();
     }
     orchestrator
-        .register(Campaign::new(9, "custom", config).with_attack(custom_probe.clone()))
+        .register(Campaign::new(9, "matching", config).with_attack(matching_probe.clone()))
+        .unwrap();
+    orchestrator
+        .register(Campaign::new(10, "extraction", config).with_attack(extraction_probe.clone()))
         .unwrap();
     assert_eq!(
         orchestrator.shared_sessions(),
-        2,
+        3,
         "differing attack configurations never share a session"
     );
     for window in &windows {
         let report = orchestrator.advance_day(window).unwrap();
-        assert_eq!(report.published().count(), 3);
-        assert_eq!(report.sessions.len(), 2);
+        assert_eq!(report.published().count(), 4);
+        assert_eq!(report.sessions.len(), 3);
+        let matching = report.release_of(CampaignId(9)).unwrap();
+        assert_eq!(matching.delta.users_refreshed, 0, "served, not extracted");
+        assert_eq!(matching.strategies.shards_refreshed, 0);
     }
     // The same-config pair shares everything — one original-side pass
-    // through the session, one protected-side pass through the donor
-    // snapshot; the custom campaign pays exactly its own standalone cost
-    // — no more, no less.
+    // through the session, one protected-side pass through the store. A
+    // campaign differing only in matching distance pays no extraction at
+    // all; one with its own extraction parameters pays exactly its own
+    // standalone cost — no more, no less.
     assert_eq!(shared_probe.user_extractions(), standalone_default);
-    assert_eq!(custom_probe.user_extractions(), standalone_custom);
+    assert_eq!(matching_probe.user_extractions(), 0);
+    assert_eq!(extraction_probe.user_extractions(), standalone_extraction);
 }
 
-#[test]
-fn user_subset_campaign_derives_shards_from_the_shared_session() {
-    // Users 1 and 2 pin the population bounding box, so the {1, 2}
-    // subset's extraction grid equals the population's on every window —
-    // the exact-derivation condition. The subset campaign must then add
-    // ZERO original-side per-user extractions of its own.
+/// Three users over three days; users 1 and 2 pin the population
+/// bounding box, so the {1, 2} subset's extraction grid equals the
+/// population's on every window.
+fn pinned_windows() -> WindowedDataset {
     let mut records = Vec::new();
     for day in 0..3i64 {
         for i in 0..120i64 {
@@ -191,11 +213,19 @@ fn user_subset_campaign_derives_shards_from_the_shared_session() {
             ));
         }
     }
-    let windows = WindowedDataset::partition(&Dataset::from_records(records));
+    WindowedDataset::partition(&Dataset::from_records(records))
+}
+
+#[test]
+fn user_subset_campaign_derives_shards_from_the_shared_session() {
+    // The subset campaign must add ZERO per-user extractions of its own:
+    // its original-side shards are the shared session's, and every
+    // protected output, shard and contribution of its users is the full
+    // campaign's.
+    let windows = pinned_windows();
     let config = PrivApiConfig::default();
     let probe = PoiAttack::default();
     let mut orchestrator = Orchestrator::new();
-    // Full-population campaign first, so the subset finds its donor.
     orchestrator
         .register(Campaign::new(1, "full", config).with_attack(probe.clone()))
         .unwrap();
@@ -221,48 +251,150 @@ fn user_subset_campaign_derives_shards_from_the_shared_session() {
         derived_total += subset.delta.users_derived;
     }
     assert_eq!(derived_total, 2 * windows.len(), "both users, every window");
-    // Grand total: shared original side (= full-population replay) paid
-    // once, plus protected-side work for both campaigns — not a single
-    // subset-side original extraction.
-    let full_standalone = {
-        let p = PoiAttack::default();
-        let mut publisher = StreamingPublisher::from_privapi(
-            privapi::pipeline::PrivApi::new(config).with_attack(p.clone()),
-        );
-        for window in &windows {
-            publisher.publish_window(window).unwrap();
-        }
-        p.user_extractions()
-    };
-    let subset_protected = {
-        let filter = ParticipantFilter::users([UserId(1), UserId(2)]);
-        let filtered: Vec<_> = windows
-            .iter()
-            .filter_map(|w| filter.filter_window(w))
-            .collect();
-        // Standalone subset campaign: total cost...
-        let p = PoiAttack::default();
-        let mut publisher = StreamingPublisher::from_privapi(
-            privapi::pipeline::PrivApi::new(config).with_attack(p.clone()),
-        );
-        for window in &filtered {
-            publisher.publish_window(window).unwrap();
-        }
-        // ...minus its original-side share (which the orchestrator
-        // derives for free) leaves the protected-side work it always
-        // pays itself.
-        let op = PoiAttack::default();
-        let mut oc = PopulationCache::new();
-        for window in &filtered {
-            oc.advance(&op, window).unwrap();
-        }
-        p.user_extractions() - op.user_extractions()
-    };
+    // Grand total: the full-population campaign's standalone replay, and
+    // not a single subset-side extraction on either side.
+    let full_standalone = standalone_cost(&windows, config);
     assert_eq!(
         probe.user_extractions(),
-        full_standalone + subset_protected,
-        "the subset campaign's original side must ride the shared session"
+        full_standalone,
+        "the subset campaign must ride the full campaign's work"
     );
+}
+
+#[test]
+fn subset_registered_before_its_population_is_still_served() {
+    // Registration order no longer decides sharing: the shared session
+    // advances before any campaign evaluates, so a subset registered
+    // first is served its original-side shards all the same — and still
+    // releases exactly what it would alone.
+    let windows = pinned_windows();
+    let config = PrivApiConfig::default();
+    let filter = ParticipantFilter::users([UserId(1), UserId(2)]);
+    let mut orchestrator = Orchestrator::new();
+    orchestrator
+        .register(Campaign::new(2, "subset", config).with_filter(filter.clone()))
+        .unwrap();
+    orchestrator
+        .register(Campaign::new(1, "full", config))
+        .unwrap();
+    let mut standalone = StreamingPublisher::new(config);
+    for window in &windows {
+        let report = orchestrator.advance_day(window).unwrap();
+        let subset = report.release_of(CampaignId(2)).expect("subset releases");
+        assert!(
+            subset.delta.users_derived > 0,
+            "day {}: the subset's shards come from the store",
+            window.day()
+        );
+        assert_eq!(subset.delta.users_refreshed, 0);
+        let expected = standalone
+            .publish_window(&filter.filter_window(window).unwrap())
+            .unwrap();
+        assert_eq!(subset.published.selection, expected.published.selection);
+        assert_eq!(subset.published.strategy, expected.published.strategy);
+        assert_eq!(subset.published.privacy, expected.published.privacy);
+        assert_eq!(subset.published.dataset, expected.published.dataset);
+    }
+}
+
+#[test]
+fn strategies_equal_at_display_precision_share_no_output() {
+    // `gaussian(sigma=100m)` names both the default pool's 100 m candidate
+    // and a 100.3 m one; likewise `cell=250m` and `epsilon=0.1000/m`. The
+    // store keys outputs on each strategy's exact identity, so the second
+    // campaign is served none of the first one's outputs and releases
+    // exactly what it would alone.
+    let windows = WindowedDataset::partition(&dataset(83, 4, 3));
+    let config = PrivApiConfig {
+        privacy_floor: 1.0, // keep every candidate feasible
+        ..PrivApiConfig::default()
+    };
+    let near_pool = || {
+        StrategyPool::new()
+            .with_gaussian_perturbation(&[100.3])
+            .unwrap()
+            .with_spatial_cloaking(&[250.4])
+            .unwrap()
+            .with_geo_indistinguishability(&[0.100_000_01])
+            .unwrap()
+    };
+    let default_infos = StrategyPool::default_pool().infos();
+    for info in near_pool().infos() {
+        assert!(
+            default_infos.contains(&info),
+            "{info} must collide on display"
+        );
+    }
+    let mut orchestrator = Orchestrator::new();
+    orchestrator
+        .register(Campaign::new(1, "default", config))
+        .unwrap();
+    orchestrator
+        .register(Campaign::new(2, "near", config).with_pool(near_pool()))
+        .unwrap();
+    let mut default_alone = StreamingPublisher::new(config);
+    let mut near_alone =
+        StreamingPublisher::from_privapi(PrivApi::new(config).with_pool(near_pool()));
+    for window in &windows {
+        let report = orchestrator.advance_day(window).unwrap();
+        for (id, alone) in [(1, &mut default_alone), (2, &mut near_alone)] {
+            let release = report.release_of(CampaignId(id)).expect("releases");
+            let expected = alone.publish_window(window).unwrap();
+            assert_eq!(release.published.selection, expected.published.selection);
+            assert_eq!(release.published.strategy, expected.published.strategy);
+            assert_eq!(release.published.privacy, expected.published.privacy);
+            assert_eq!(release.published.dataset, expected.published.dataset);
+        }
+        let near = report.release_of(CampaignId(2)).unwrap();
+        assert_eq!(
+            near.strategies.users_donated,
+            0,
+            "day {}: no output may be served across distinct strategies",
+            window.day()
+        );
+    }
+}
+
+#[test]
+fn reports_are_identical_under_one_and_two_threads() {
+    // Sweeps read the store and fill it afterwards in a fixed order, so
+    // nothing a day reports — releases, original- and protected-side
+    // deltas, store counters — depends on how many threads ran it.
+    let windows = WindowedDataset::partition(&dataset(71, 4, 3));
+    let run = || {
+        let config = PrivApiConfig::default();
+        let mut orchestrator = Orchestrator::new();
+        let campaigns = [
+            Campaign::new(1, "full", config),
+            Campaign::new(2, "replica", config),
+            Campaign::new(3, "subset", config)
+                .with_filter(ParticipantFilter::users([UserId(0), UserId(2)])),
+            Campaign::new(4, "matching", config).with_attack(PoiAttack::new(PoiAttackConfig {
+                match_distance: geo::Meters::new(400.0),
+                ..PoiAttackConfig::default()
+            })),
+        ];
+        for campaign in campaigns {
+            orchestrator.register(campaign).unwrap();
+        }
+        windows
+            .iter()
+            .map(|w| format!("{:?}", orchestrator.advance_day(w).unwrap()))
+            .collect::<Vec<_>>()
+    };
+    let in_pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(run)
+    };
+    let (one, two) = (in_pool(1), in_pool(2));
+    assert_eq!(one.len(), windows.len());
+    for (day, (a, b)) in one.iter().zip(&two).enumerate() {
+        assert_eq!(a, b, "day {day}: the report depends on the thread count");
+    }
+    assert!(one[1].contains("users_donated"), "reports carry the deltas");
 }
 
 #[test]

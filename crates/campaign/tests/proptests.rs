@@ -10,6 +10,7 @@ use mobility::gen::{thin_participation_salted, CityModel, PopulationConfig};
 use mobility::{
     Dataset, LocationRecord, ParticipantFilter, Timestamp, UserId, WindowedDataset, DAY_SECONDS,
 };
+use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
 use privapi::streaming::StreamingPublisher;
 use proptest::prelude::*;
@@ -44,11 +45,11 @@ proptest! {
         // reuse and derivation paths execute.
         let data = thin_participation_salted(&data, 50, seed);
         // Two day-0 beacons pin user 0 (in the subset) to the population's
-        // day-0 corners, so the subset campaign derives its day-0 shards
-        // from the shared session. On the last day a wanderer outside the
-        // subset moves the population grid away from the subset's: the
-        // subset must then extract its users itself, from scratch, since a
-        // derived shard carries no extraction memo.
+        // day-0 corners, so the subset campaign is served its day-0 shards
+        // from the store. On the last day a wanderer outside the subset
+        // moves the population grid away from the subset's: the subset
+        // must then extract its users itself — amending the shards it was
+        // served, whose extraction memo came with them.
         let day0 = WindowedDataset::partition(&data).windows()[0]
             .dataset()
             .bounding_box()
@@ -77,12 +78,13 @@ proptest! {
             ..PrivApiConfig::default()
         };
         // Campaign 4 is fingerprint-identical to campaign 1 (same pool,
-        // seed, attack and objective on the same session), so it rides
-        // the protected-side donor path — its releases must STILL be
-        // bitwise-equal to its own standalone replay.
+        // seed, attack and objective on the same session), so the store
+        // serves it all of campaign 1's protected-side work — its
+        // releases must STILL be bitwise-equal to its own standalone
+        // replay.
         let campaigns: Vec<(u64, PrivApiConfig, ParticipantFilter)> = vec![
             (1, PrivApiConfig::default(), ParticipantFilter::All),
-            (2, PrivApiConfig::default(), subset),
+            (2, PrivApiConfig::default(), subset.clone()),
             (3, other_seed, ParticipantFilter::All),
             (4, PrivApiConfig::default(), ParticipantFilter::All),
         ];
@@ -104,22 +106,24 @@ proptest! {
             reports.push(orchestrator.advance_day(window).unwrap());
         }
 
-        // The follower campaign adopted every protected state it
-        // published with — never re-anonymizing a user the leader
-        // already covered.
+        // The replica campaign was served every protected output and
+        // shard it published with — never re-anonymizing a user campaign
+        // 1 already covered.
         for report in &reports {
             if let Some(release) = report.release_of(CampaignId(4)) {
                 prop_assert!(release.strategies.users_donated > 0,
-                    "day {}: follower must adopt the leader's states", report.day);
+                    "day {}: the replica must be served campaign 1's work", report.day);
                 prop_assert_eq!(release.strategies.users_refreshed, 0);
                 prop_assert_eq!(release.strategies.shards_refreshed, 0);
+                prop_assert_eq!(release.strategies.store_fills, 0);
             }
         }
 
-        // The user-subset campaign: day 0 is derived; every refresh runs
+        // The user-subset campaign: day 0 is served; every refresh runs
         // on a known path (no fallback on a fault-free stream); the first
-        // later refresh it pays itself starts from scratch (its shards were
-        // derived); and the wanderer's day is never derived.
+        // later refresh it pays itself amends the served shards of the
+        // users it already had (their memo came with them) unless its own
+        // grid moved; and the wanderer's day is never served.
         let subset_releases: Vec<_> = reports
             .iter()
             .filter_map(|r| r.release_of(CampaignId(2)))
@@ -140,11 +144,33 @@ proptest! {
             .iter()
             .find(|r| r.day > windows.days()[0] && r.delta.users_refreshed > 0)
         {
-            prop_assert_eq!(first_own.delta.users_derived, 0);
-            prop_assert_eq!(
-                first_own.delta.shards_rebuilt, first_own.delta.users_refreshed,
-                "day {}: derived shards leave no memo to amend", first_own.day
-            );
+            let d = &first_own.delta;
+            prop_assert_eq!(d.users_derived, 0);
+            if d.grid_rebuilt {
+                prop_assert_eq!(d.shards_rebuilt, d.users_refreshed,
+                    "day {}: a moved grid invalidates every memo", first_own.day);
+            } else {
+                // The refreshed users are the day's subset users; those
+                // the subset already had amend, newcomers extract afresh.
+                let seen: std::collections::BTreeSet<UserId> = windows
+                    .iter()
+                    .take_while(|w| w.day() < first_own.day)
+                    .filter_map(|w| subset.filter_window(w))
+                    .flat_map(|w| w.users())
+                    .collect();
+                let today = windows
+                    .iter()
+                    .find(|w| w.day() == first_own.day)
+                    .and_then(|w| subset.filter_window(w))
+                    .expect("the subset released this day")
+                    .users();
+                let known = today.iter().filter(|u| seen.contains(u)).count();
+                prop_assert_eq!(d.users_refreshed, today.len());
+                prop_assert_eq!(
+                    (d.shards_appended, d.shards_rebuilt), (known, today.len() - known),
+                    "day {}: served shards keep their memo to amend", first_own.day
+                );
+            }
         }
         if let Some(last) = reports.last().and_then(|r| r.release_of(CampaignId(2))) {
             prop_assert_eq!(last.delta.users_derived, 0,
@@ -208,5 +234,61 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// Work-store entries live exactly as long as some session or
+    /// campaign holds them, whatever the retire schedule: after every day
+    /// and every retirement no live entry is referenced by the store
+    /// alone, and once every campaign has retired the store is empty.
+    #[test]
+    fn store_entries_live_exactly_as_long_as_their_holders(
+        seed in any::<u64>(),
+        retire_after in prop::collection::vec(0usize..4, 4..5),
+    ) {
+        let data = CityModel::builder()
+            .seed(seed ^ 0x570)
+            .build()
+            .generate_population(&PopulationConfig {
+                users: 4,
+                days: 3,
+                sampling_interval_s: 600,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.3,
+            });
+        let windows = WindowedDataset::partition(&thin_participation_salted(&data, 60, seed));
+        let config = PrivApiConfig::default();
+        let campaigns = [
+            Campaign::new(0, "full", config),
+            Campaign::new(1, "replica", config),
+            Campaign::new(2, "subset", config)
+                .with_filter(ParticipantFilter::users([UserId(0), UserId(1)])),
+            Campaign::new(3, "matching", config).with_attack(PoiAttack::new(PoiAttackConfig {
+                match_distance: geo::Meters::new(400.0),
+                ..PoiAttackConfig::default()
+            })),
+        ];
+        let mut orchestrator = Orchestrator::new();
+        for campaign in campaigns {
+            orchestrator.register(campaign).unwrap();
+        }
+        for (day, window) in windows.iter().enumerate() {
+            let published = orchestrator.advance_day(window).unwrap().published().count();
+            prop_assert_eq!(orchestrator.store().unreferenced(), 0, "day {}", day);
+            if published > 0 {
+                prop_assert!(!orchestrator.store().is_empty(), "day {}: nothing stored", day);
+            }
+            for (id, after) in retire_after.iter().enumerate() {
+                if *after == day {
+                    orchestrator.retire(CampaignId(id as u64)).unwrap();
+                    prop_assert_eq!(orchestrator.store().unreferenced(), 0,
+                        "day {}: campaign {} retired", day, id);
+                }
+            }
+        }
+        for id in orchestrator.registry().active_ids() {
+            orchestrator.retire(id).unwrap();
+        }
+        prop_assert!(orchestrator.store().is_empty(),
+            "{} entries outlived every campaign", orchestrator.store().len());
     }
 }

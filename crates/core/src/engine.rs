@@ -35,7 +35,7 @@ use crate::metrics::{spatial_distortion, CrowdedBaseline, TrafficBaseline};
 use crate::pool::StrategyPool;
 use crate::selection::{CandidateResult, Objective, SelectionReport};
 use crate::streaming::{
-    CandidateDelta, CandidateState, StrategyDonor, StrategySessionCache, WindowUpdate,
+    CandidateDelta, CandidateState, Fills, StrategySessionCache, WindowUpdate, WorkStore,
 };
 use geo::BoundingBox;
 use mobility::{Dataset, Trajectory, UserId};
@@ -433,6 +433,11 @@ impl EvaluationEngine {
     /// re-assembled from its cache by pure clones instead of re-running
     /// its strategy over the whole prefix.
     ///
+    /// Every protected output, shard and utility contribution is looked
+    /// up in `store` first. Candidates are swept in parallel against the
+    /// store as it stood before the sweep; what they computed on a miss is
+    /// inserted afterwards, in pool order.
+    ///
     /// The report is identical to what
     /// [`EvaluationEngine::evaluate_release_extracting`] would produce on
     /// the same dataset — verified by the streaming parity property tests.
@@ -449,12 +454,14 @@ impl EvaluationEngine {
         context: &EvalContext<'_>,
         strategies: &mut StrategySessionCache,
         update: &WindowUpdate,
-        donor: Option<&StrategyDonor>,
+        store: &mut WorkStore,
     ) -> Result<(SelectionReport, Option<WinnerRelease>), PrivapiError> {
         Self::check_nonempty(pool, context.original())?;
         let mut sweep_span = obs::span("engine.sweep");
         sweep_span.set_attr("candidates", pool.len());
-        strategies.align(pool, self.seed, &self.attack);
+        if strategies.align(pool, self.seed, &self.attack) {
+            store.release_all();
+        }
         // Hoisted once per sweep: every candidate reuses the same user
         // list instead of re-deriving it from the prefix.
         let all_users: Vec<UserId> = match context.original_by_user() {
@@ -465,6 +472,7 @@ impl EvaluationEngine {
             pool.iter().collect();
         let mut work: Vec<(usize, &mut CandidateState)> =
             strategies.states.iter_mut().enumerate().collect();
+        let read_only: &WorkStore = store;
         let eval = |slot: &mut (usize, &mut CandidateState)| {
             let (index, state) = slot;
             self.evaluate_candidate_cached(
@@ -474,20 +482,22 @@ impl EvaluationEngine {
                 context,
                 update,
                 &all_users,
-                donor,
+                read_only,
             )
         };
-        let scored: Vec<(CandidateResult, PoiAttackReport, CandidateDelta)> = match self.mode {
-            ExecutionMode::Sequential => work.iter_mut().map(eval).collect(),
-            ExecutionMode::Parallel => work.par_iter_mut().map(eval).collect(),
-        };
+        let scored: Vec<(CandidateResult, PoiAttackReport, CandidateDelta, Fills)> =
+            match self.mode {
+                ExecutionMode::Sequential => work.iter_mut().map(eval).collect(),
+                ExecutionMode::Parallel => work.par_iter_mut().map(eval).collect(),
+            };
         let mut results = Vec::with_capacity(scored.len());
         let mut privacy_reports = Vec::with_capacity(scored.len());
         let mut deltas = Vec::with_capacity(scored.len());
-        for (result, privacy, delta) in scored {
+        for (result, privacy, delta, fills) in scored {
             results.push(result);
             privacy_reports.push(privacy);
             deltas.push(delta);
+            store.insert(fills);
         }
         strategies.last_deltas = deltas;
         record_candidate_deltas(&strategies.last_deltas);
@@ -515,18 +525,12 @@ impl EvaluationEngine {
         Ok((report, winner))
     }
 
-    /// One candidate of the cached streaming sweep. Preference order:
-    ///
-    /// 1. **Adopt a donor state** — when a compatible donor campaign
-    ///    already refreshed this slot for the same window, its state is
-    ///    pointer-cloned wholesale: zero anonymization and zero extraction
-    ///    here. Privacy matching (and the feasibility verdict under *this*
-    ///    engine's floor) still runs locally.
-    /// 2. **Refresh the local cache** per the declared locality, scoring
-    ///    privacy from the cached shards and utility from the incremental
-    ///    counts.
-    /// 3. **Full fallback** to [`EvaluationEngine::evaluate_candidate`]
-    ///    when the candidate cannot be cached.
+    /// One candidate of the cached streaming sweep: refreshes the
+    /// candidate's cache per its declared locality — reading `store`,
+    /// returning what it computed as [`Fills`] — and scores privacy from
+    /// the cached shards and utility from the incremental counts, or falls
+    /// back to [`EvaluationEngine::evaluate_candidate`] when the candidate
+    /// cannot be cached.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidate_cached(
         &self,
@@ -536,52 +540,32 @@ impl EvaluationEngine {
         context: &EvalContext<'_>,
         update: &WindowUpdate,
         all_users: &[UserId],
-        donor: Option<&StrategyDonor>,
-    ) -> (CandidateResult, PoiAttackReport, CandidateDelta) {
-        // Per-candidate evaluation span. In parallel mode these run on
-        // rayon workers, so they root at the worker's (empty) span stack
-        // rather than under `engine.sweep` — the `candidate` attr keys
-        // them back to pool order.
+        store: &WorkStore,
+    ) -> (CandidateResult, PoiAttackReport, CandidateDelta, Fills) {
+        // Per-candidate evaluation span, with the refresh's phases
+        // (`candidate.anonymize`, `.extract`, `.utility`, `.match`) as
+        // children. In parallel mode these run on rayon workers, so they
+        // root at the worker's (empty) span stack rather than under
+        // `engine.sweep` — the `candidate` attr keys them back to pool
+        // order.
         let mut span = obs::span("engine.candidate");
         span.set_attr("candidate", index);
-        if let Some(donated) = donor.and_then(|d| d.state_for(index, &strategy.info())) {
-            // `utility_for` is None only when the donated shape cannot be
-            // aligned with this prefix — an incompatible donor, which the
-            // local refresh path below then handles from scratch.
-            if let Some(utility) = donated.utility_for(context) {
-                *state = donated.clone();
-                let extracted = state.extracted_pois();
-                let privacy = self
-                    .attack
-                    .match_extracted(&extracted, context.reference_index());
-                let delta = CandidateDelta {
-                    users_donated: all_users.len(),
-                    shards_donated: state.shard_count(),
-                    ..CandidateDelta::empty(strategy.info(), strategy.locality())
-                };
-                let result = CandidateResult {
-                    info: strategy.info(),
-                    poi_recall: privacy.recall,
-                    utility,
-                    feasible: privacy.recall <= self.privacy_floor,
-                };
-                span.set_attr("path", "donated");
-                return (result, privacy, delta);
-            }
-        }
-        let (cached, delta) = state.refresh(
+        let (cached, delta, fills) = state.refresh(
             strategy,
             &self.attack,
             context,
             update,
             all_users,
             self.seed,
+            store,
         );
         match cached {
             Some((extracted, utility)) => {
-                let privacy = self
-                    .attack
-                    .match_extracted(&extracted, context.reference_index());
+                let privacy = {
+                    let _span = obs::span("candidate.match");
+                    self.attack
+                        .match_extracted(&extracted, context.reference_index())
+                };
                 let result = CandidateResult {
                     info: strategy.info(),
                     poi_recall: privacy.recall,
@@ -589,12 +573,12 @@ impl EvaluationEngine {
                     feasible: privacy.recall <= self.privacy_floor,
                 };
                 span.set_attr("path", "cached");
-                (result, privacy, delta)
+                (result, privacy, delta, fills)
             }
             None => {
                 let (result, privacy) = self.evaluate_candidate(strategy, context);
                 span.set_attr("path", "full");
-                (result, privacy, delta)
+                (result, privacy, delta, fills)
             }
         }
     }
@@ -708,6 +692,8 @@ fn record_candidate_deltas(deltas: &[CandidateDelta]) {
         obs::count("strategy.shards_appended", delta.shards_appended as u64);
         obs::count("strategy.shards_rebuilt", delta.shards_rebuilt as u64);
         obs::count("strategy.shards_fallback", delta.shards_fallback as u64);
+        obs::count("store.lookups", delta.store_lookups as u64);
+        obs::count("store.fills", delta.store_fills as u64);
         let hit_or_miss = if delta.full_fallback {
             "engine.cache_misses"
         } else {

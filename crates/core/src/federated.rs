@@ -35,7 +35,7 @@ use crate::strategies::{
     GaussianPerturbation, GeoIndistinguishability, Identity, SpatialCloaking, SpeedSmoothing,
     TemporalDownsampling,
 };
-use crate::strategy::{AnonymizationStrategy, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, UserLocality};
 use geo::{BoundingBox, Meters};
 use mobility::{Dataset, Trajectory, UserId};
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,21 @@ impl StrategySpec {
             StrategySpec::TemporalDownsampling { .. } => "temporal-downsampling",
             StrategySpec::Identity => "identity",
         }
+    }
+
+    /// The [`AnonymizationStrategy::output_identity`] of the mechanism
+    /// this spec describes: the spec at full precision, followed by the
+    /// `extra` parameters it leaves out.
+    pub(crate) fn identity(&self, extra: impl IntoIterator<Item = u64>) -> OutputIdentity {
+        let param = match *self {
+            StrategySpec::SpeedSmoothing { epsilon_m: x }
+            | StrategySpec::GeoIndistinguishability { epsilon: x }
+            | StrategySpec::SpatialCloaking { cell_m: x }
+            | StrategySpec::GaussianPerturbation { sigma_m: x } => x.to_bits(),
+            StrategySpec::TemporalDownsampling { window_s } => window_s as u64,
+            StrategySpec::Identity => 0,
+        };
+        (self.name(), std::iter::once(param).chain(extra).collect())
     }
 
     /// Whether instantiation needs a broadcast grid anchor (true exactly

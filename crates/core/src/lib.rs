@@ -40,7 +40,9 @@
 //!   reference index across releases, and the per-candidate
 //!   [`streaming::StrategySessionCache`] extends the same reuse to every
 //!   pooled strategy's protected data and self-attack shards, per the
-//!   [`strategy::UserLocality`] contract each strategy declares.
+//!   [`strategy::UserLocality`] contract each strategy declares; both read
+//!   and fill one [`streaming::WorkStore`], so sessions over shared inputs
+//!   compute each output, shard and utility contribution once.
 //!
 //! # Example
 //!
@@ -112,6 +114,6 @@ pub mod prelude {
     pub use crate::streaming::{
         CandidateDelta, IngestDelta, PopulationCache, PublishedWindow, SessionCache,
         StrategyCacheDelta, StrategySessionCache, StreamingPublisher, WindowDelta,
-        WindowUpdate,
+        WindowUpdate, WorkStore,
     };
 }

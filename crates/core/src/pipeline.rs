@@ -19,7 +19,7 @@ use crate::selection::{Objective, SelectionReport};
 use crate::strategy::StrategyInfo;
 use crate::streaming::{
     BaselineDelta, PopulationCache, PublishedWindow, SessionCache, StrategyCacheDelta,
-    StrategyDonor, StrategySessionCache, WindowUpdate,
+    StrategySessionCache, WindowUpdate, WorkStore,
 };
 use geo::Meters;
 use mobility::{Dataset, DatasetWindow};
@@ -168,7 +168,7 @@ impl PrivApi {
 
     /// Protects and publishes one **day window** incrementally: the window
     /// is folded into `cache` (per-user shard reuse, amended reference
-    /// index — see [`SessionCache::advance`]) and the release is selected
+    /// index — see [`PopulationCache::advance`]) and the release is selected
     /// over the full accumulated prefix with **zero** original-side
     /// extraction passes; the per-candidate self-attacks then run against
     /// the session's per-strategy protected-side caches
@@ -195,7 +195,7 @@ impl PrivApi {
     /// (e.g. [`PrivapiError::NoFeasibleStrategy`]), the window's records
     /// remain part of the session prefix and are **not** rolled back —
     /// re-sending the same window is rejected with the typed
-    /// [`PrivapiError::StreamError`] by [`SessionCache::advance`], so a
+    /// [`PrivapiError::StreamError`] by [`PopulationCache::advance`], so a
     /// retry loop can never silently double-ingest a day and corrupt the
     /// batch-parity invariant.
     ///
@@ -242,18 +242,15 @@ impl PrivApi {
         // breakdown.
         let mut span = obs::span("privapi.window");
         span.set_attr("day", window.day());
+        let (population, strategies, store) = cache.parts();
+        let delta = population.advance(&self.attack, window, store)?;
         let update = WindowUpdate {
             changed_users: window.users(),
-            grid_rebuilt: false,
-        };
-        let delta = cache.advance(&self.attack, window)?;
-        let update = WindowUpdate {
             grid_rebuilt: delta.grid_rebuilt,
-            ..update
         };
-        let (population, strategies) = cache.split_for_evaluation();
-        let (published, strategy_delta, baseline) =
-            self.publish_session(population, strategies, &update, None)?;
+        let published = self.publish_session(population, strategies, &update, store);
+        store.drop_released();
+        let (published, strategy_delta, baseline) = published?;
         Ok(PublishedWindow {
             day: window.day(),
             delta,
@@ -267,7 +264,7 @@ impl PrivApi {
     /// over an **already-advanced** [`PopulationCache`], refreshing the
     /// caller's per-strategy caches along the way. This is what
     /// [`PrivApi::publish_window`] runs right after
-    /// [`SessionCache::advance`], split out so callers that *share* one
+    /// [`PopulationCache::advance`], split out so callers that *share* one
     /// population cache across several consumers — the multi-campaign
     /// orchestrator, which advances the population once per window and
     /// then evaluates N campaigns against it — can drive the exact same
@@ -278,11 +275,11 @@ impl PrivApi {
     /// changed (its active users, and whether the extraction grid was
     /// rebuilt), exactly as [`PrivApi::publish_window`] would build it.
     ///
-    /// `donor`, when given, is another campaign's frozen protected-side
-    /// snapshot for the *same* window: candidates whose slot it covers are
-    /// adopted by pointer clone instead of re-anonymized (the orchestrator
-    /// pre-checks [`StrategyDonor::compatible`]; per-slot identity is
-    /// checked again here). Pass `None` on standalone sessions.
+    /// `store` is read and filled by every candidate — the session's own
+    /// store, or the one the orchestrator shares across campaigns, where
+    /// a campaign finds what the campaigns before it already computed for
+    /// the same inputs. Dropping its unreferenced entries afterwards is the
+    /// caller's job ([`WorkStore::drop_released`]).
     ///
     /// # Errors
     ///
@@ -295,18 +292,11 @@ impl PrivApi {
         population: &PopulationCache,
         strategies: &mut StrategySessionCache,
         update: &WindowUpdate,
-        donor: Option<&StrategyDonor>,
+        store: &mut WorkStore,
     ) -> Result<(PublishedDataset, StrategyCacheDelta, BaselineDelta), PrivapiError> {
         let Some(index) = population.reference_index() else {
             return Err(PrivapiError::EmptyDataset);
         };
-        let donor = donor.filter(|d| {
-            d.compatible(
-                self.config.seed,
-                self.attack.config(),
-                population.windows_ingested(),
-            )
-        });
         let (baseline, baseline_delta) = population.baseline_for(self.config.objective);
         let context = EvalContext::from_cache(
             population.prefix(),
@@ -317,7 +307,7 @@ impl PrivApi {
         .with_population(population.by_user(), population.bounding_box());
         let (selection, winner) = self
             .engine()
-            .evaluate_release_with(&self.pool, &context, strategies, update, donor)?;
+            .evaluate_release_with(&self.pool, &context, strategies, update, store)?;
         let strategy_delta = strategies.last_window();
         let Some(winner) = winner else {
             return Err(selection.no_feasible_error());

@@ -3,7 +3,7 @@
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
 use crate::strategies::{map_user_trajectories, perturb_trajectory};
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{GeoPoint, Meters};
 use mobility::{Dataset, Trajectory, UserId};
 use rand::rngs::StdRng;
@@ -81,6 +81,10 @@ impl AnonymizationStrategy for GaussianPerturbation {
         Some(StrategySpec::GaussianPerturbation {
             sigma_m: self.sigma().get(),
         })
+    }
+
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        self.spec().map(|spec| spec.identity([]))
     }
 
     fn anonymize_user(

@@ -12,7 +12,7 @@
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
 use crate::strategies::{map_user_trajectories, perturb_trajectory};
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{Degrees, GeoPoint, Meters};
 use mobility::{Dataset, Trajectory, UserId};
 use rand::rngs::StdRng;
@@ -141,6 +141,10 @@ impl AnonymizationStrategy for GeoIndistinguishability {
         Some(StrategySpec::GeoIndistinguishability {
             epsilon: self.epsilon(),
         })
+    }
+
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        self.spec().map(|spec| spec.identity([]))
     }
 
     fn anonymize_user(

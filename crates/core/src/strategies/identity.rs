@@ -2,7 +2,7 @@
 
 use crate::federated::StrategySpec;
 use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use mobility::{Dataset, Trajectory, UserId};
 use std::sync::Arc;
 
@@ -37,6 +37,10 @@ impl AnonymizationStrategy for Identity {
 
     fn spec(&self) -> Option<StrategySpec> {
         Some(StrategySpec::Identity)
+    }
+
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        self.spec().map(|spec| spec.identity([]))
     }
 
     fn anonymize_user(

@@ -91,7 +91,38 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::AnonymizationStrategy;
+    use geo::{BoundingBox, GeoPoint, Meters};
     use rand::Rng;
+
+    #[test]
+    fn output_identities_tell_apart_what_info_rounds() {
+        let gaussian = |sigma| GaussianPerturbation::new(Meters::new(sigma)).unwrap();
+        assert_eq!(gaussian(100.0).info(), gaussian(100.3).info());
+        assert_ne!(
+            gaussian(100.0).output_identity(),
+            gaussian(100.3).output_identity()
+        );
+        assert_eq!(
+            gaussian(100.0).output_identity(),
+            gaussian(100.0).output_identity()
+        );
+        // Parameters the spec leaves out count too.
+        let smoothing = SpeedSmoothing::new(Meters::new(100.0)).unwrap();
+        let untrimmed = smoothing.with_endpoint_trim(Meters::new(0.0)).unwrap();
+        assert_eq!(smoothing.spec(), untrimmed.spec());
+        assert_ne!(smoothing.output_identity(), untrimmed.output_identity());
+        let cloaking = SpatialCloaking::new(Meters::new(250.0)).unwrap();
+        let corner = |lat, lon| GeoPoint::new(lat, lon).unwrap();
+        let pin = |lat| BoundingBox::new(corner(lat, 4.8), corner(45.8, 4.9)).unwrap();
+        let (a, b) = (
+            cloaking.with_anchor(pin(45.7)),
+            cloaking.with_anchor(pin(45.701)),
+        );
+        assert_eq!(a.info(), b.info());
+        assert_ne!(a.output_identity(), b.output_identity());
+        assert_ne!(cloaking.output_identity(), a.output_identity());
+    }
 
     #[test]
     fn trajectory_rng_is_deterministic_and_distinct() {

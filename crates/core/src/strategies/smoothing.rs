@@ -33,7 +33,7 @@
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
 use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::Meters;
 use mobility::{Dataset, LocationRecord, Timestamp, Trajectory, UserId};
 use std::sync::Arc;
@@ -203,6 +203,12 @@ impl AnonymizationStrategy for SpeedSmoothing {
         Some(StrategySpec::SpeedSmoothing {
             epsilon_m: self.epsilon().get(),
         })
+    }
+
+    /// The spec plus the endpoint trim, which the spec leaves out.
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        let trim = self.endpoint_trim.get().to_bits();
+        self.spec().map(|spec| spec.identity([trim]))
     }
 
     fn anonymize_user(

@@ -7,7 +7,7 @@
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
 use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, Meters, UniformGrid};
 use mobility::{Dataset, LocationRecord, Trajectory, UserId};
 use std::sync::Arc;
@@ -105,8 +105,8 @@ impl SpatialCloaking {
 impl AnonymizationStrategy for SpatialCloaking {
     fn info(&self) -> StrategyInfo {
         // Anchored and free-floating instances cloak to different grids,
-        // so the anchor is part of the identity (cache/donor fingerprints
-        // must not conflate them).
+        // so the anchor is part of the identity (cache fingerprints must
+        // not conflate them).
         let params = match &self.anchor {
             Some(a) => format!(
                 "cell={:.0}m,anchor=({:.2},{:.2})",
@@ -148,6 +148,13 @@ impl AnonymizationStrategy for SpatialCloaking {
         Some(StrategySpec::SpatialCloaking {
             cell_m: self.cell_size.get(),
         })
+    }
+
+    /// The spec plus the pinned anchor, which the spec leaves out.
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        let corners = self.anchor.iter().flat_map(|a| [a.min(), a.max()]);
+        let anchor = corners.flat_map(|p| [p.latitude().to_bits(), p.longitude().to_bits()]);
+        self.spec().map(|spec| spec.identity(anchor))
     }
 
     fn anonymize_user(

@@ -3,7 +3,7 @@
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
 use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use mobility::{Dataset, LocationRecord, Trajectory, UserId};
 use std::sync::Arc;
 
@@ -73,6 +73,10 @@ impl AnonymizationStrategy for TemporalDownsampling {
         Some(StrategySpec::TemporalDownsampling {
             window_s: self.window_s(),
         })
+    }
+
+    fn output_identity(&self) -> Option<OutputIdentity> {
+        self.spec().map(|spec| spec.identity([]))
     }
 
     fn anonymize_user(

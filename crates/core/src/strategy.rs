@@ -47,7 +47,7 @@ use std::sync::Arc;
 ///   dataset. Nothing is cached: every window re-runs the full
 ///   [`AnonymizationStrategy::anonymize`] and a full protected-side
 ///   extraction. This is the safe default for external implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum UserLocality {
     /// Each output trajectory is a function of (its input trajectory,
     /// seed) only.
@@ -57,18 +57,24 @@ pub enum UserLocality {
     /// quantized anchor form ([`geo::BoundingBox::grid_anchor`]).
     GridAnchored,
     /// Output may depend on the whole dataset (the conservative default).
+    #[default]
     NonLocal,
 }
 
 /// Identity card of a strategy instance: mechanism name plus the parameter
 /// setting, used in reports and tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StrategyInfo {
     /// Mechanism family name, e.g. `"speed-smoothing"`.
     pub name: String,
     /// Human-readable parameter description, e.g. `"epsilon=100m"`.
     pub params: String,
 }
+
+/// The exact identity of a strategy instance's outputs — see
+/// [`AnonymizationStrategy::output_identity`]: the mechanism name and
+/// every parameter as an exact bit pattern.
+pub type OutputIdentity = (&'static str, Vec<u64>);
 
 impl fmt::Display for StrategyInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -113,6 +119,16 @@ pub trait AnonymizationStrategy: Send + Sync {
     /// guarantee `spec().instantiate(..)` rebuilds a mechanism whose
     /// outputs are byte-identical to its own.
     fn spec(&self) -> Option<StrategySpec> {
+        None
+    }
+
+    /// The exact identity of this instance's outputs: instances with equal
+    /// identities must produce byte-identical outputs for every input,
+    /// seed and (for [`UserLocality::GridAnchored`]) bounding-box anchor,
+    /// so the streaming work store may share outputs between them. Every
+    /// parameter counts at full precision — unlike [`StrategyInfo`], whose
+    /// text is rounded for display. `None` — the default — shares nothing.
+    fn output_identity(&self) -> Option<OutputIdentity> {
         None
     }
 

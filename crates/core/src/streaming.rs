@@ -69,6 +69,15 @@
 //! `pool + 1` per release), and keep [`PoiAttack::user_extractions`]
 //! proportional to the users a window actually changed.
 //!
+//! # The work store
+//!
+//! Both layers read and fill one [`WorkStore`]: every protected output,
+//! per-user attack shard and per-output utility contribution is keyed by
+//! exactly the inputs it depends on, so sessions that share an input —
+//! several campaigns over one population, a user subset, a campaign that
+//! differs only in its matching distance — compute it once. A session
+//! owns its own store; the multi-campaign orchestrator owns one for all.
+//!
 //! # The winners-parity invariant
 //!
 //! Publishing window `i` incrementally selects **byte-identical** winners
@@ -90,13 +99,14 @@ use crate::metrics::{CrowdedBaseline, TrafficBaseline};
 use crate::pipeline::{PrivApi, PrivApiConfig, PublishedDataset};
 use crate::pool::StrategyPool;
 use crate::selection::Objective;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
+use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
 use mobility::{
     Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId, WindowedDataset,
 };
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
 /// Reserved synthetic user id used to pin a per-user mini-dataset's
@@ -107,12 +117,12 @@ const BBOX_PIN_USER: UserId = UserId(u64::MAX);
 
 /// What [`SessionCache::advance`] did with one day window — the audit
 /// record of the incremental path's cache behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowDelta {
     /// Day index of the ingested window.
     pub day: i64,
-    /// Users re-extracted over the grown prefix (new records, or a grid
-    /// rebuild touched everyone): `shards_appended + shards_rebuilt +
+    /// Users re-extracted here over the grown prefix (new records, or a
+    /// grid rebuild touched everyone): `shards_appended + shards_rebuilt +
     /// shards_fallback`.
     pub users_refreshed: usize,
     /// Users whose cached shard (and per-user index) was reused untouched.
@@ -123,11 +133,11 @@ pub struct WindowDelta {
     /// Whether the window widened the prefix bounding box, forcing a new
     /// extraction grid and a full per-user refresh.
     pub grid_rebuilt: bool,
-    /// Users whose shard was **derived** from a donor cache's extraction
-    /// ([`PopulationCache::advance_derived`]) instead of re-extracted —
-    /// the multi-campaign orchestrator's shared-extraction savings.
-    /// Always zero on the single-session [`PopulationCache::advance`]
-    /// path.
+    /// Users whose refreshed shard was **served from the [`WorkStore`]**,
+    /// filled by another session (a user subset or a campaign with another
+    /// matching distance reading what the full population extracted),
+    /// instead of re-extracted. Always zero for a session with a store of
+    /// its own.
     pub users_derived: usize,
     /// Lattice pitch of the padded extraction-grid anchor, in millidegrees
     /// ([`geo::GRID_ANCHOR_QUANTUM_DEG`]): the documented tolerance within
@@ -139,13 +149,17 @@ pub struct WindowDelta {
     /// trajectories ([`ExtractionPath::Appended`]).
     pub shards_appended: usize,
     /// Refreshed shards extracted from scratch without a usable memo: the
-    /// user's first window, a grid rebuild, or a shard last derived from a
-    /// donor ([`ExtractionPath::Rebuilt`]).
+    /// user's first window or a grid rebuild ([`ExtractionPath::Rebuilt`]).
     pub shards_rebuilt: usize,
     /// Refreshed shards extracted from scratch because their memo was
     /// rejected — late records older than the memo's last one, or history
     /// that is not a pointer extension ([`ExtractionPath::Fallback`]).
     pub shards_fallback: usize,
+    /// Shard lookups in the [`WorkStore`]: one per refreshed user.
+    pub store_lookups: usize,
+    /// Shards this window extracted and filled into the store (as many
+    /// as `users_refreshed`).
+    pub store_fills: usize,
 }
 
 /// How a batch of per-user extractions split over the
@@ -188,6 +202,8 @@ fn record_window_delta(delta: &WindowDelta) {
     obs::count("streaming.shards_rebuilt", delta.shards_rebuilt as u64);
     obs::count("streaming.shards_fallback", delta.shards_fallback as u64);
     obs::count("streaming.windows_ingested", 1);
+    obs::count("store.lookups", delta.store_lookups as u64);
+    obs::count("store.fills", delta.store_fills as u64);
 }
 
 /// Feed a baseline-fold delta into the `streaming.baseline_*` obs
@@ -308,7 +324,8 @@ impl std::fmt::Display for IngestDelta {
 /// The cache is pure state — it holds no attack of its own.
 /// [`PopulationCache::advance`] borrows the caller's [`PoiAttack`] so the
 /// extraction accounting (and any custom attack parameters) stay with the
-/// publisher that owns the session.
+/// publisher that owns the session, and the caller's [`WorkStore`], so
+/// caches over overlapping inputs extract each shard once.
 #[derive(Debug, Default)]
 pub struct PopulationCache {
     prefix: Dataset,
@@ -330,11 +347,9 @@ pub struct PopulationCache {
     /// raw-box drift: growth inside the padded 0.05° lattice keeps every
     /// cached shard valid.
     grid_box: Option<geo::BoundingBox>,
-    shards: BTreeMap<UserId, UserAttackShard>,
-    /// Per-user extraction memos of `shards`, so a refresh folds in only
-    /// the user's appended trajectories. Shards derived from a donor have
-    /// none (the memo would point at the donor's trajectories).
-    memos: BTreeMap<UserId, ExtractionMemo>,
+    /// Per-user shards with the memos their next refresh amends — shared
+    /// with the [`WorkStore`] entries they were served from or filled.
+    shards: BTreeMap<UserId, Arc<CachedShard>>,
     reference: ReferencePois,
     index: Option<ReferenceIndex>,
     windows_ingested: usize,
@@ -345,111 +360,61 @@ pub struct PopulationCache {
     /// itself stays valid) and re-extracts everyone instead of silently
     /// matching at stale parameters.
     attack_config: Option<PoiAttackConfig>,
-    /// Incrementally folded per-objective utility baselines (interior
+    /// Incrementally folded per-objective utility baselines, one per
+    /// objective the session has been published under (interior
     /// mutability: folding is a cache amendment, not an observable state
     /// change — `publish_session` borrows the population immutably).
-    baselines: Mutex<BaselineFold>,
+    baselines: Mutex<Vec<BaselineSlot>>,
 }
 
-/// The incrementally folded original-side utility projections, one slot
-/// per objective the session has been published under.
-#[derive(Debug, Default)]
-struct BaselineFold {
-    slots: Vec<BaselineSlot>,
-}
-
-/// One objective's folded projection of the prefix.
+/// One objective's folded projection of the prefix: the same histogram
+/// fold the candidates keep of their protected outputs
+/// ([`UtilityFold`]), over the original trajectories.
 #[derive(Debug)]
 struct BaselineSlot {
     objective: Objective,
     /// The quantized prefix box the slot's grid is anchored on; a window
     /// that moves it invalidates every folded count.
     grid_box: BoundingBox,
+    grid: UniformGrid,
     /// Number of prefix trajectories folded so far — the lazy-fold cursor
     /// into [`PopulationCache::prefix`].
     folded: usize,
-    kind: SlotKind,
+    counts: UtilityFold,
 }
 
-/// The objective-specific folded counts.
-#[derive(Debug)]
-enum SlotKind {
-    /// Crowded places: distinct visitors per cell (insert-only under
-    /// append, so the fold needs no retraction logic).
-    Crowded {
-        grid: UniformGrid,
-        visitors: HashMap<CellId, HashSet<UserId>>,
-    },
-    /// Traffic: hourly `(cell, hour)` histograms per day — the day keys
-    /// give the train/eval split, the last day's map is the ground truth.
-    Traffic {
-        grid: UniformGrid,
-        by_day: BTreeMap<i64, HashMap<(CellId, i64), f64>>,
-    },
-}
-
-impl SlotKind {
+impl BaselineSlot {
     /// An empty fold for `objective` on the already-quantized `grid_box`,
     /// or `None` when the objective's parameters cannot back a baseline
     /// (zero `k`, invalid cell size) — mirroring the constructor errors
     /// the legacy per-window build mapped to the `Unavailable` baseline.
     fn fresh(objective: Objective, grid_box: BoundingBox) -> Option<Self> {
-        match objective {
-            Objective::CrowdedPlaces { cell, k } => {
-                if k == 0 {
-                    return None;
-                }
-                let grid = UniformGrid::new(grid_box, cell).ok()?;
-                Some(SlotKind::Crowded {
-                    grid,
-                    visitors: HashMap::new(),
-                })
-            }
-            Objective::Traffic { cell } => {
-                let grid = UniformGrid::new(grid_box, cell).ok()?;
-                Some(SlotKind::Traffic {
-                    grid,
-                    by_day: BTreeMap::new(),
-                })
-            }
-            Objective::Distortion => None,
-        }
+        let (kind, cell) = match objective {
+            Objective::CrowdedPlaces { k: 0, .. } | Objective::Distortion => return None,
+            Objective::CrowdedPlaces { cell, .. } => (FoldKind::Crowded, cell),
+            Objective::Traffic { cell } => (FoldKind::Traffic, cell),
+        };
+        let grid = UniformGrid::new(grid_box, cell).ok()?;
+        Some(Self {
+            objective,
+            grid_box,
+            counts: UtilityFold::new((kind, grid_key(&grid))),
+            grid,
+            folded: 0,
+        })
     }
-}
 
-impl BaselineSlot {
     /// Folds the trajectories appended since the last call into the
-    /// counts, returning how many distinct cells / day-histogram entries
-    /// were touched.
+    /// counts, returning how many distinct cells (crowded) or
+    /// `(cell, hour)` entries (traffic) were touched.
     fn fold(&mut self, trajectories: &[Arc<Trajectory>]) -> usize {
-        let fresh = &trajectories[self.folded..];
-        self.folded = trajectories.len();
         let mut touched: HashSet<(CellId, i64)> = HashSet::new();
-        match &mut self.kind {
-            SlotKind::Crowded { grid, visitors } => {
-                for t in fresh {
-                    for r in t.records() {
-                        let cell = grid.cell_of(&r.point);
-                        visitors.entry(cell).or_default().insert(r.user);
-                        touched.insert((cell, 0));
-                    }
-                }
-            }
-            SlotKind::Traffic { grid, by_day } => {
-                for t in fresh {
-                    for r in t.records() {
-                        let cell = grid.cell_of(&r.point);
-                        let hour = r.time.hour_of_day();
-                        *by_day
-                            .entry(r.time.day_index())
-                            .or_default()
-                            .entry((cell, hour))
-                            .or_insert(0.0) += 1.0;
-                        touched.insert((cell, hour));
-                    }
-                }
-            }
+        for t in &trajectories[self.folded..] {
+            let contribution = Contribution::of(self.counts.key.0, &self.grid, t);
+            touched.extend(contribution.bins());
+            self.counts.apply(&contribution, 1.0);
         }
+        self.folded = trajectories.len();
         touched.len()
     }
 
@@ -457,41 +422,37 @@ impl BaselineSlot {
     /// values [`CrowdedBaseline::new`]/[`TrafficBaseline::new`] compute
     /// from scratch, handed through their `from_parts` surface so the
     /// scoring arithmetic stays in the metrics module.
-    fn project(&self, objective: Objective) -> ObjectiveBaseline {
-        match (&self.kind, objective) {
-            (SlotKind::Crowded { grid, visitors }, Objective::CrowdedPlaces { cell, k }) => {
-                let counts: HashMap<CellId, u64> = visitors
-                    .iter()
-                    .map(|(cell, users)| (*cell, users.len() as u64))
-                    .collect();
-                let top: HashSet<CellId> = UniformGrid::top_k(&counts, k)
+    fn project(&self) -> ObjectiveBaseline {
+        match self.objective {
+            Objective::CrowdedPlaces { cell, k } => {
+                let top: HashSet<CellId> = UniformGrid::top_k(&self.counts.counts, k)
                     .into_iter()
                     .map(|(c, _)| c)
                     .collect();
                 ObjectiveBaseline::Crowded(CrowdedBaseline::from_parts(
-                    grid.clone(),
+                    self.grid.clone(),
                     top,
                     k,
                     cell,
                 ))
             }
-            (SlotKind::Traffic { grid, by_day }, Objective::Traffic { .. }) => {
-                if by_day.len() < 2 {
+            Objective::Traffic { .. } => {
+                let by_day = &self.counts.by_day;
+                let Some((&eval_day, truth)) =
+                    by_day.iter().next_back().filter(|_| by_day.len() >= 2)
+                else {
                     // No train/eval split possible yet — same zero-utility
                     // outcome as the legacy single-day constructor error.
                     return ObjectiveBaseline::Unavailable;
-                }
-                let eval_day = *by_day.keys().next_back().expect("non-empty");
-                let train_days = (by_day.len() - 1) as f64;
-                let truth = by_day[&eval_day].clone();
+                };
                 ObjectiveBaseline::Traffic(TrafficBaseline::from_parts(
-                    grid.clone(),
+                    self.grid.clone(),
                     eval_day,
-                    train_days,
-                    truth,
+                    (by_day.len() - 1) as f64,
+                    truth.clone(),
                 ))
             }
-            _ => ObjectiveBaseline::Unavailable,
+            Objective::Distortion => ObjectiveBaseline::Unavailable,
         }
     }
 }
@@ -509,9 +470,9 @@ impl PopulationCache {
         &self.prefix
     }
 
-    /// The cached per-user shards, keyed by user.
-    pub fn shards(&self) -> &BTreeMap<UserId, UserAttackShard> {
-        &self.shards
+    /// The cached per-user shards, in user order.
+    pub fn shards(&self) -> impl Iterator<Item = &UserAttackShard> + '_ {
+        self.shards.values().map(|cached| &cached.shard)
     }
 
     /// The reference POIs extracted from the prefix (one entry per user).
@@ -577,39 +538,33 @@ impl PopulationCache {
             // Distortion has no original-only projection to fold.
             return (ObjectiveBaseline::Distortion, delta);
         }
-        let mut fold = self.baselines.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = match fold
-            .slots
+        let mut slots = self.baselines.lock().unwrap_or_else(|e| e.into_inner());
+        let slot = match slots
             .iter()
             .position(|s| s.objective == objective && s.grid_box == grid_box)
         {
             Some(at) => {
                 delta.reused = true;
-                &mut fold.slots[at]
+                &mut slots[at]
             }
             None => {
                 // Discard any stale fold of the same objective (moved
                 // grid) before starting a fresh one. A rebuild is only
                 // reported when a fold actually existed and was thrown
                 // away — a session's first build is not a rebuild.
-                let had_stale = fold.slots.iter().any(|s| s.objective == objective);
-                fold.slots.retain(|s| s.objective != objective);
-                let Some(kind) = SlotKind::fresh(objective, grid_box) else {
+                let had_stale = slots.iter().any(|s| s.objective == objective);
+                slots.retain(|s| s.objective != objective);
+                let Some(fresh) = BaselineSlot::fresh(objective, grid_box) else {
                     return (ObjectiveBaseline::Unavailable, delta);
                 };
                 delta.rebuilt = had_stale;
-                fold.slots.push(BaselineSlot {
-                    objective,
-                    grid_box,
-                    folded: 0,
-                    kind,
-                });
-                fold.slots.last_mut().expect("just pushed")
+                slots.push(fresh);
+                slots.last_mut().expect("just pushed")
             }
         };
         delta.cells_updated = slot.fold(self.prefix.trajectories());
         record_baseline_delta(&delta);
-        (slot.project(objective), delta)
+        (slot.project(), delta)
     }
 
     /// The attack configuration the cached extraction was derived under
@@ -620,8 +575,16 @@ impl PopulationCache {
 
     /// Folds one day window into the cache: appends its trajectories to
     /// the prefix, re-extracts (only) the invalidated users' shards over
-    /// the grown prefix via the [`PoiAttack::extract_user`] delta path,
-    /// and amends the reference POIs and their spatial index.
+    /// the grown prefix via the [`PoiAttack::extract_user_from`] delta
+    /// path, and amends the reference POIs and their spatial index.
+    ///
+    /// Each invalidated shard is first looked up in `store`: a shard
+    /// another cache already extracted for the same extraction parameters,
+    /// grid, user and trajectory list is served from there — reported in
+    /// [`WindowDelta::users_derived`] and free of
+    /// [`PoiAttack::user_extractions`] cost — and every shard extracted
+    /// here is filled in for the caches that follow. Served and extracted
+    /// shards are byte-identical, so the store only ever skips work.
     ///
     /// Per-window cost is `O(window + refreshed users)`: the prefix
     /// bounding box is maintained by [`geo::BoundingBox::union`] (exact
@@ -649,37 +612,7 @@ impl PopulationCache {
         &mut self,
         attack: &PoiAttack,
         window: &DatasetWindow,
-    ) -> Result<WindowDelta, PrivapiError> {
-        self.advance_derived(attack, window, None)
-    }
-
-    /// [`PopulationCache::advance`] with a **donor**: a cache holding the
-    /// same attack configuration over a *superset* population whose
-    /// per-user record histories bitwise contain this cache's (a
-    /// user-subset view of the same window stream). When the donor has
-    /// already ingested this window and both caches agree on the prefix
-    /// bounding box (hence on the extraction grid), invalidated users'
-    /// shards are **cloned from the donor** instead of re-extracted —
-    /// byte-identical by determinism of [`PoiAttack::extract_user`], and
-    /// free of [`PoiAttack::user_extractions`] cost. Users the donor does
-    /// not hold, or any mismatch in configuration, day, or bounding box,
-    /// fall back to a real extraction, so a donor can never change
-    /// results — only skip work. The derived count is reported in
-    /// [`WindowDelta::users_derived`].
-    ///
-    /// The *caller* is responsible for the superset-records contract
-    /// (e.g. only passing a donor when this cache's view is a pure
-    /// user-subset filter of the donor's stream); everything else is
-    /// verified here.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`PopulationCache::advance`].
-    pub fn advance_derived(
-        &mut self,
-        attack: &PoiAttack,
-        window: &DatasetWindow,
-        donor: Option<&PopulationCache>,
+        store: &mut WorkStore,
     ) -> Result<WindowDelta, PrivapiError> {
         let mut span = obs::span("streaming.advance");
         span.set_attr("day", window.day());
@@ -700,7 +633,6 @@ impl PopulationCache {
             && self.attack_config.as_ref() != Some(attack.config());
         if config_changed {
             self.shards.clear();
-            self.memos.clear();
             self.reference.clear();
             self.index = None;
         }
@@ -727,15 +659,8 @@ impl PopulationCache {
             // Empty prefix: nothing to extract yet.
             return Ok(WindowDelta {
                 day: window.day(),
-                users_refreshed: 0,
-                users_reused: 0,
-                indexes_extended: 0,
-                grid_rebuilt: false,
-                users_derived: 0,
                 grid_quantum_millideg: grid_quantum_millideg(),
-                shards_appended: 0,
-                shards_rebuilt: 0,
-                shards_fallback: 0,
+                ..WindowDelta::default()
             });
         };
         // The extraction grid is anchored on the *quantized* padded box:
@@ -749,62 +674,34 @@ impl PopulationCache {
         } else {
             changed
         };
-        // A donor's shard for user `u` equals our own extraction iff the
-        // donor extracted under the same attack parameters, over the same
-        // accumulated stream position, on the same grid (same quantized
-        // anchor box) — and, per the caller's contract, holds bitwise our
-        // records for `u`. Anything else disqualifies the donor entirely.
-        let donor = donor.filter(|d| {
-            d.attack_config.as_ref() == Some(attack.config())
-                && d.last_day == Some(window.day())
-                && d.grid_box == Some(grid_box)
-        });
-        let mut derived: Vec<UserAttackShard> = Vec::new();
-        let mut to_extract: Vec<UserId> = Vec::new();
-        match donor {
-            Some(donor) => {
-                for &user in &to_refresh {
-                    match donor.shards.get(&user) {
-                        Some(shard) => derived.push(shard.clone()),
-                        None => to_extract.push(user),
-                    }
-                }
-            }
-            None => to_extract = to_refresh.clone(),
-        }
         let grid = attack.grid_for(bbox);
+        let config = extraction_config(attack.config());
         // Each refresh reads only the user's own history through the
         // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan —
         // and, through the user's memo, re-reads only the trajectories
         // appended since the last refresh.
-        let refreshed: Vec<(UserAttackShard, ExtractionMemo, ExtractionPath)> = to_extract
+        let found: Vec<ShardLookup> = to_refresh
             .par_iter()
             .map(|&user| {
                 let sources = self.by_user.get(&user).cloned().unwrap_or_default();
-                let prior = self.shards.get(&user).zip(self.memos.get(&user));
-                attack.extract_user_from(sources, user, &grid, prior)
+                let prior = self.shards.get(&user).map(|cached| &**cached);
+                store.shard(attack, &config, &grid, user, sources, prior)
             })
             .collect();
+        let mut fills = Fills::default();
+        let mut paths = PathCounts::default();
+        let users_derived =
+            file_shards(&to_refresh, found, &mut self.shards, &mut fills, &mut paths);
         let index = self
             .index
             .get_or_insert_with(|| ReferenceIndex::empty(attack.config().match_distance));
         let mut indexes_extended = 0;
-        let users_derived = derived.len();
-        let mut paths = PathCounts::default();
-        let refreshed = refreshed.into_iter().map(|(shard, memo, path)| {
-            paths.add(path);
-            (shard, Some(memo))
-        });
-        for (shard, memo) in derived.into_iter().map(|s| (s, None)).chain(refreshed) {
-            match memo {
-                Some(memo) => self.memos.insert(shard.user, memo),
-                None => self.memos.remove(&shard.user),
-            };
-            if index.update_user(shard.user, &shard.pois) {
+        for user in &to_refresh {
+            let pois = &self.shards[user].shard.pois;
+            if index.update_user(*user, pois) {
                 indexes_extended += 1;
             }
-            self.reference.insert(shard.user, shard.pois.clone());
-            self.shards.insert(shard.user, shard);
+            self.reference.insert(*user, pois.clone());
         }
         self.bbox = Some(bbox);
         self.grid_box = Some(grid_box);
@@ -819,7 +716,11 @@ impl PopulationCache {
             shards_appended: paths.appended,
             shards_rebuilt: paths.rebuilt,
             shards_fallback: paths.fallback,
+            store_lookups: to_refresh.len(),
+            store_fills: fills.len(),
         };
+        store.released.extend(&to_refresh);
+        store.insert(fills);
         record_window_delta(&delta);
         Ok(delta)
     }
@@ -827,13 +728,16 @@ impl PopulationCache {
 
 /// Cross-window state of one streaming publication session: the
 /// original-side [`PopulationCache`] paired with the per-candidate
-/// protected-side [`StrategySessionCache`].
+/// protected-side [`StrategySessionCache`] and the [`WorkStore`] both
+/// read and fill — the same code path the multi-campaign orchestrator
+/// runs over its one shared store.
 #[derive(Debug, Default)]
 pub struct SessionCache {
     population: PopulationCache,
     /// The protected-side twin: per-candidate caches of each strategy's
     /// protected prefix and self-attack shards.
     strategies: StrategySessionCache,
+    store: WorkStore,
 }
 
 impl SessionCache {
@@ -842,42 +746,10 @@ impl SessionCache {
         Self::default()
     }
 
-    /// The original-side half of the session.
+    /// The original-side half of the session: its prefix, shards,
+    /// reference POIs and index, and window count.
     pub fn population(&self) -> &PopulationCache {
         &self.population
-    }
-
-    /// The accumulated prefix: every ingested window's trajectories,
-    /// concatenated in ingestion order. Equals
-    /// [`mobility::WindowedDataset::prefix`] of the same windows.
-    pub fn prefix(&self) -> &Dataset {
-        self.population.prefix()
-    }
-
-    /// The cached per-user shards, keyed by user.
-    pub fn shards(&self) -> &BTreeMap<UserId, UserAttackShard> {
-        self.population.shards()
-    }
-
-    /// The reference POIs extracted from the prefix (one entry per user).
-    pub fn reference(&self) -> &ReferencePois {
-        self.population.reference()
-    }
-
-    /// The amended spatial index over [`SessionCache::reference`], or
-    /// `None` before the first window.
-    pub fn reference_index(&self) -> Option<&ReferenceIndex> {
-        self.population.reference_index()
-    }
-
-    /// Number of windows folded into this session.
-    pub fn windows_ingested(&self) -> usize {
-        self.population.windows_ingested()
-    }
-
-    /// Day index of the most recently ingested window.
-    pub fn last_day(&self) -> Option<i64> {
-        self.population.last_day()
     }
 
     /// The per-strategy protected-side caches this session maintains
@@ -886,19 +758,25 @@ impl SessionCache {
         &self.strategies
     }
 
-    /// Splits the session into the borrow shape
-    /// [`crate::pipeline::PrivApi::publish_window`] needs: the
-    /// original-side state read-only (it feeds
-    /// [`crate::engine::EvalContext::from_cache`]) and the per-strategy
-    /// caches mutably (the engine refreshes them while sweeping the pool).
-    pub(crate) fn split_for_evaluation(
+    /// The session's work store.
+    pub fn store(&self) -> &WorkStore {
+        &self.store
+    }
+
+    /// Splits the session into the three parts
+    /// [`crate::pipeline::PrivApi::publish_window`] drives separately.
+    pub(crate) fn parts(
         &mut self,
-    ) -> (&PopulationCache, &mut StrategySessionCache) {
-        (&self.population, &mut self.strategies)
+    ) -> (
+        &mut PopulationCache,
+        &mut StrategySessionCache,
+        &mut WorkStore,
+    ) {
+        (&mut self.population, &mut self.strategies, &mut self.store)
     }
 
     /// Folds one day window into the session's original-side state — see
-    /// [`PopulationCache::advance`].
+    /// [`PopulationCache::advance`] — through the session's own store.
     ///
     /// # Errors
     ///
@@ -909,7 +787,9 @@ impl SessionCache {
         attack: &PoiAttack,
         window: &DatasetWindow,
     ) -> Result<WindowDelta, PrivapiError> {
-        self.population.advance(attack, window)
+        let delta = self.population.advance(attack, window, &mut self.store);
+        self.store.drop_released();
+        delta
     }
 }
 
@@ -934,31 +814,33 @@ pub struct WindowUpdate {
 
 /// Protected-side audit of one candidate strategy for one window: what its
 /// [`StrategySessionCache`] entry reused vs. recomputed.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CandidateDelta {
     /// The candidate this delta describes.
     pub info: StrategyInfo,
     /// The locality contract the candidate declared.
     pub locality: UserLocality,
-    /// Users refreshed this window: the users with new records, or every
-    /// user on a full pass. How many of their trajectories were actually
-    /// anonymized is `trajectories_anonymized`.
+    /// Users refreshed this window — the users with new records, or every
+    /// user on a full pass — whose new trajectories were not all served
+    /// from the [`WorkStore`]; how many trajectories were anonymized here
+    /// is `trajectories_anonymized`.
     pub users_refreshed: usize,
     /// Users whose cached protected trajectories were reused untouched.
     pub users_reused: usize,
-    /// Users whose protected trajectories were **adopted from a donor
-    /// campaign's** already-refreshed state ([`StrategyDonor`]) — zero
-    /// anonymization work here; always zero outside the multi-campaign
-    /// orchestrator's donor path.
+    /// Refreshed users whose every new protected trajectory was **served
+    /// from the [`WorkStore`]**, filled by another session (a campaign
+    /// with the same candidate, seed and — for grid-anchored candidates —
+    /// anchor) — zero anonymization work here.
     pub users_donated: usize,
-    /// Users whose protected-side [`UserAttackShard`] was refreshed via
-    /// the per-user delta path: `shards_appended + shards_rebuilt +
+    /// Users whose protected-side [`UserAttackShard`] was extracted here
+    /// via the per-user delta path: `shards_appended + shards_rebuilt +
     /// shards_fallback`.
     pub shards_refreshed: usize,
     /// Users whose cached protected-side shard was reused untouched.
     pub shards_reused: usize,
-    /// Protected-side shards adopted from a donor campaign's state —
-    /// the cross-campaign twin of `shards_reused`.
+    /// Protected-side shard refreshes served from the [`WorkStore`],
+    /// filled by another session — the cross-session twin of
+    /// `shards_reused`.
     pub shards_donated: usize,
     /// Whether the candidate's **protected** bounding box moved, forcing a
     /// new extraction grid and a full per-user shard refresh (independent
@@ -985,6 +867,12 @@ pub struct CandidateDelta {
     /// Protected-side shard refreshes from scratch because the memo was
     /// rejected ([`ExtractionPath::Fallback`]).
     pub shards_fallback: usize,
+    /// [`WorkStore`] lookups: one per new source trajectory, refreshed
+    /// shard and new output's utility contribution.
+    pub store_lookups: usize,
+    /// Entries this candidate computed on a lookup miss and filled into
+    /// the store.
+    pub store_fills: usize,
 }
 
 impl CandidateDelta {
@@ -993,19 +881,7 @@ impl CandidateDelta {
         Self {
             info,
             locality,
-            users_refreshed: 0,
-            users_reused: 0,
-            users_donated: 0,
-            shards_refreshed: 0,
-            shards_reused: 0,
-            shards_donated: 0,
-            protected_grid_rebuilt: false,
-            full_fallback: false,
-            trajectories_anonymized: 0,
-            trajectories_reused: 0,
-            shards_appended: 0,
-            shards_rebuilt: 0,
-            shards_fallback: 0,
+            ..Self::default()
         }
     }
 }
@@ -1021,13 +897,15 @@ pub struct StrategyCacheDelta {
     pub users_refreshed: usize,
     /// Total per-candidate users whose protected trajectories were reused.
     pub users_reused: usize,
-    /// Total per-candidate users adopted from a donor campaign's state.
+    /// Total per-candidate users served from another session's store
+    /// entries.
     pub users_donated: usize,
     /// Total per-candidate protected-side shard re-extractions.
     pub shards_refreshed: usize,
     /// Total per-candidate protected-side shards reused untouched.
     pub shards_reused: usize,
-    /// Total protected-side shards adopted from a donor campaign's state.
+    /// Total protected-side shards served from another session's store
+    /// entries.
     pub shards_donated: usize,
     /// Candidates whose protected extraction grid moved this window.
     pub protected_grid_rebuilds: usize,
@@ -1046,6 +924,10 @@ pub struct StrategyCacheDelta {
     /// Total per-candidate shard refreshes from scratch after a rejected
     /// memo.
     pub shards_fallback: usize,
+    /// Total per-candidate [`WorkStore`] lookups.
+    pub store_lookups: usize,
+    /// Total per-candidate [`WorkStore`] fills.
+    pub store_fills: usize,
 }
 
 impl StrategyCacheDelta {
@@ -1069,6 +951,8 @@ impl StrategyCacheDelta {
             total.shards_appended += d.shards_appended;
             total.shards_rebuilt += d.shards_rebuilt;
             total.shards_fallback += d.shards_fallback;
+            total.store_lookups += d.store_lookups;
+            total.store_fills += d.store_fills;
         }
         total
     }
@@ -1079,15 +963,18 @@ impl StrategyCacheDelta {
 /// the input trajectory each was produced from, the protected bounding box
 /// the extraction grid is anchored on, and the per-user self-attack shards
 /// extracted from the protected data.
-#[derive(Debug, Default, Clone)]
+///
+/// Outputs, shards and utility contributions are shared handles into
+/// [`WorkStore`] entries: the state is what keeps them alive there.
+#[derive(Debug, Default)]
 pub(crate) struct CandidateState {
     /// Identity card of the candidate this state belongs to (`None` until
     /// first primed). A pool edit that changes the candidate at this slot
     /// resets the state.
     pub(crate) info: Option<StrategyInfo>,
     /// Protected trajectories per user, each in the user's prefix order —
-    /// shared handles, so cloning a state (the donor path) or assembling
-    /// the release copies pointers, never record data.
+    /// shared handles, so assembling the release copies pointers, never
+    /// record data.
     protected: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
     /// The original trajectory each entry of `protected` was anonymized
     /// from, index for index. An output stays valid while its source is
@@ -1098,81 +985,41 @@ pub(crate) struct CandidateState {
     /// protected prefix box is a union fold over users — O(users) —
     /// instead of a record scan over the assembled dataset.
     boxes: BTreeMap<UserId, Option<geo::BoundingBox>>,
-    /// Bounding box of the protected prefix after the last window (union
-    /// of `boxes`).
-    bbox: Option<geo::BoundingBox>,
-    /// The quantized anchor ([`geo::BoundingBox::grid_anchor`]) of `bbox`
-    /// — the box the protected-side extraction grid is actually built on.
-    /// Shards survive raw protected-box drift inside the padded lattice.
+    /// The quantized anchor ([`geo::BoundingBox::grid_anchor`]) of the
+    /// protected prefix box after the last window — the box the
+    /// protected-side extraction grid is actually built on. Shards survive
+    /// raw protected-box drift inside the padded lattice.
     grid_box: Option<geo::BoundingBox>,
     /// Per-user protected-side shards (the candidate's own self-attack
-    /// decomposition) with the memos their next refresh amends, shared so
-    /// donor clones are pointer copies.
+    /// decomposition) with the memos their next refresh amends.
     shards: BTreeMap<UserId, Arc<CachedShard>>,
     /// Incrementally maintained protected-side utility counts, keyed on
-    /// the *baseline* grid.
-    utility: UtilityCache,
+    /// the *baseline* grid (`None`: distortion or no baseline).
+    utility: Option<UtilityFold>,
     /// Whether this state has absorbed at least one window.
     primed: bool,
 }
 
-/// A protected-side shard and the memo of the extraction that produced it.
+/// A per-user attack shard and the memo of the extraction that produced
+/// it — the value of a [`WorkStore`] shard entry.
 #[derive(Debug)]
-struct CachedShard {
+pub(crate) struct CachedShard {
     shard: UserAttackShard,
     memo: ExtractionMemo,
 }
 
 /// One user's re-anonymization for a window: how many cached outputs
-/// survive, the user's current source trajectories, and the outputs of
-/// the sources past the survivors.
+/// survive, the user's current source trajectories, the outputs of the
+/// sources past the survivors, how many of those the store was asked for
+/// and served, and the ones anonymized here as store fills.
 struct Reanonymized {
     user: UserId,
     kept: usize,
     sources: Vec<Arc<Trajectory>>,
     tail: Vec<Arc<Trajectory>>,
-}
-
-/// The protected side of the incremental utility computation: per-user
-/// contributions to the objective's histogram plus the folded global
-/// counts, so a window re-scores only the outputs it appended instead of
-/// re-histogramming the whole assembled protected prefix.
-///
-/// Keyed on the **baseline** grid (anchor box + cell size): a baseline
-/// whose grid moved — prefix crossed the anchor lattice, objective changed
-/// — mismatches the key and forces a rebuild over all users.
-#[derive(Debug, Clone, Default)]
-enum UtilityCache {
-    /// No incremental projection (distortion / unavailable baseline).
-    #[default]
-    None,
-    /// Crowded places. Distinct-visitor semantics need refcounts: a cell's
-    /// count is the number of distinct `(cell, record-user)` pairs alive,
-    /// and a pair stays alive while *any* map-user's trajectories carry it
-    /// — exact for arbitrary record ownership, not just the common
-    /// `record.user == trajectory.user` case.
-    Crowded {
-        anchor: BoundingBox,
-        cell: Meters,
-        /// Each user's distinct `(cell, record-user)` contribution.
-        by_user: BTreeMap<UserId, HashSet<(CellId, UserId)>>,
-        /// How many users contribute each pair.
-        pair_refs: HashMap<(CellId, UserId), u32>,
-        /// Distinct visitors per cell — fed to
-        /// [`CrowdedBaseline::score_counts`] verbatim.
-        counts: HashMap<CellId, u64>,
-    },
-    /// Traffic. Counts are additive, so plain per-user histograms keyed
-    /// `(cell, hour, day)` suffice; the train histogram for eval day `d`
-    /// is `total − by_day[d]` with exact-zero keys pruned (integer-valued
-    /// `f64`, so the subtraction is exact).
-    Traffic {
-        anchor: BoundingBox,
-        cell: Meters,
-        by_user: BTreeMap<UserId, HashMap<(CellId, i64, i64), f64>>,
-        total: HashMap<(CellId, i64), f64>,
-        by_day: BTreeMap<i64, HashMap<(CellId, i64), f64>>,
-    },
+    served: usize,
+    lookups: usize,
+    fills: Vec<(OutputKey, Arc<Trajectory>)>,
 }
 
 impl CandidateState {
@@ -1181,10 +1028,9 @@ impl CandidateState {
         self.protected.clear();
         self.sources.clear();
         self.boxes.clear();
-        self.bbox = None;
         self.grid_box = None;
         self.shards.clear();
-        self.utility = UtilityCache::None;
+        self.utility = None;
         self.primed = false;
     }
 
@@ -1238,53 +1084,8 @@ impl CandidateState {
             .collect()
     }
 
-    /// Number of protected-side shards currently cached.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Utility of this (primed) state under `context`, **without**
-    /// refreshing anything: scores the incrementally maintained counts
-    /// when their key matches the context's baseline grid, and otherwise
-    /// falls back to assembling the protected prefix (pointer clones) and
-    /// scoring it whole. `None` only when the cached shape cannot be
-    /// aligned with the context's original — a donated state from a
-    /// different prefix, which the caller must reject.
-    pub(crate) fn utility_for(&self, context: &EvalContext<'_>) -> Option<f64> {
-        match (context.baseline(), &self.utility) {
-            (ObjectiveBaseline::Unavailable, _) => Some(0.0),
-            (
-                ObjectiveBaseline::Crowded(b),
-                UtilityCache::Crowded {
-                    anchor,
-                    cell,
-                    counts,
-                    ..
-                },
-            ) if *anchor == b.grid().bbox() && *cell == b.grid().cell_size() => {
-                Some(b.score_counts(counts).precision_at_k)
-            }
-            (
-                ObjectiveBaseline::Traffic(b),
-                UtilityCache::Traffic {
-                    anchor,
-                    cell,
-                    total,
-                    by_day,
-                    ..
-                },
-            ) if *anchor == b.grid().bbox() && *cell == b.grid().cell_size() => Some(
-                b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
-                    .utility_score(),
-            ),
-            _ => self
-                .assemble(context.original())
-                .map(|assembled| context.utility_of(&assembled)),
-        }
-    }
-
     /// Folds one window into this candidate's cache: anonymizes only the
-    /// trajectories the window appended (or the whole prefix on the first
+    /// trajectories the window appended (every trajectory on the first
     /// window and when a grid-anchored candidate's anchor moves),
     /// re-extracts the invalidated protected-side shards by folding in
     /// their appended outputs, adds those outputs to the incremental
@@ -1292,9 +1093,15 @@ impl CandidateState {
     /// score — exactly what [`PoiAttack::extract`] + utility scoring over
     /// a fresh [`AnonymizationStrategy::anonymize`] would produce.
     ///
-    /// Returns `(None, delta)` when the candidate cannot be cached
+    /// Every output, shard and utility contribution is first looked up in
+    /// `store`; what is computed here on a miss comes back as [`Fills`]
+    /// for the caller to insert once the sweep is over, so candidates
+    /// swept in parallel only ever read the store.
+    ///
+    /// Returns `(None, delta, _)` when the candidate cannot be cached
     /// ([`UserLocality::NonLocal`], or a shape-contract violation): the
     /// caller must evaluate it through the full uncached path.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn refresh(
         &mut self,
         strategy: &dyn AnonymizationStrategy,
@@ -1303,89 +1110,105 @@ impl CandidateState {
         update: &WindowUpdate,
         all_users: &[UserId],
         seed: u64,
-    ) -> (Option<(ReferencePois, f64)>, CandidateDelta) {
+        store: &WorkStore,
+    ) -> (Option<(ReferencePois, f64)>, CandidateDelta, Fills) {
         let info = strategy.info();
         let locality = strategy.locality();
         let mut delta = CandidateDelta::empty(info.clone(), locality);
-        self.info = Some(info);
+        let mut fills = Fills::default();
+        self.info = Some(info.clone());
         if locality == UserLocality::NonLocal {
+            fills.released_all = self.primed;
             self.clear();
             delta.full_fallback = true;
-            return (None, delta);
+            return (None, delta, fills);
         }
-        let original = context.original();
         // A full pass runs on the first window and when a grid-anchored
         // candidate's quantized anchor moved (every output changes); any
         // other window re-anonymizes only what the changed users appended.
         let full =
             !self.primed || (locality == UserLocality::GridAnchored && update.grid_rebuilt);
+        // What this window lets go of: the refreshed users' old outputs,
+        // shards and contributions — everyone's on a full pass, and below
+        // on a protected grid or baseline grid move.
+        fills.released_all = self.primed && full;
+        fills.released.clone_from(&update.changed_users);
+        if full {
+            self.protected.clear();
+            self.sources.clear();
+            self.boxes.clear();
+        }
         let to_refresh: &[UserId] = if full {
             all_users
         } else {
             &update.changed_users
         };
-        delta.users_refreshed = to_refresh.len();
         delta.users_reused = all_users.len() - to_refresh.len();
-        // Per refreshed user, the index from which its outputs are new
-        // since the last utility fold (`None`: replaced wholesale).
-        let mut appended: Vec<(UserId, Option<usize>)> = Vec::new();
-        let shape_ok = if full {
-            delta.trajectories_anonymized = original.trajectory_count();
-            self.anonymize_all(strategy, original, seed)
-        } else {
-            let refreshed: Vec<Reanonymized> = to_refresh
-                .par_iter()
-                .map(|&user| self.reanonymize(strategy, context, user, seed))
-                .collect();
-            for Reanonymized {
-                user,
-                kept,
-                sources,
-                tail,
-            } in refreshed
-            {
-                delta.trajectories_reused += kept;
-                delta.trajectories_anonymized += sources.len() - kept;
-                let protected = self.protected.entry(user).or_default();
-                let pure_append = kept == protected.len();
-                let tail_box = user_bounding_box(&tail);
-                protected.truncate(kept);
-                protected.extend(tail);
-                let bbox = if pure_append {
-                    let old = self.boxes.get(&user).copied().flatten();
-                    old.into_iter().chain(tail_box).reduce(|a, b| a.union(&b))
-                } else {
-                    user_bounding_box(protected)
-                };
-                self.boxes.insert(user, bbox);
-                self.sources.insert(user, sources);
-                appended.push((user, pure_append.then_some(kept)));
-            }
-            // Shape check: the cached decomposition re-interleaves into the
-            // prefix iff it covers exactly the prefix's users with exactly
-            // the prefix's per-user trajectory counts, one output per
-            // source (the one-output-per-input contract).
-            let mut expected: BTreeMap<UserId, usize> = BTreeMap::new();
-            for t in original.trajectories() {
-                *expected.entry(t.user()).or_insert(0) += 1;
-            }
-            expected.len() == self.protected.len()
-                && expected.iter().all(|(user, n)| {
-                    self.protected.get(user).map(Vec::len) == Some(*n)
-                        && self.sources.get(user).map(Vec::len) == Some(*n)
-                })
+        // A grid-anchored candidate's views are pinned to the prefix box,
+        // and its quantized anchor is part of every output's key.
+        let pin = match locality {
+            UserLocality::GridAnchored => context
+                .original_bbox()
+                .or_else(|| context.original().bounding_box()),
+            _ => None,
         };
-        if !shape_ok {
-            // Shape-contract violation: drop everything and let the caller
-            // take the always-correct full path.
-            self.clear();
-            return (
-                None,
-                CandidateDelta {
-                    full_fallback: true,
-                    ..CandidateDelta::empty(delta.info, locality)
-                },
-            );
+        let family = OutputFamily {
+            identity: strategy.output_identity().map(Arc::new),
+            seed,
+            anchor: pin.map(|b| box_bits(&b.grid_anchor())),
+        };
+        let refreshed: Vec<Option<Reanonymized>> = {
+            let _span = obs::span("candidate.anonymize");
+            to_refresh
+                .par_iter()
+                .map(|&user| self.reanonymize(strategy, context, &family, pin, user, store))
+                .collect()
+        };
+        let Some(refreshed) = refreshed.into_iter().collect::<Option<Vec<_>>>() else {
+            return self.shape_violation(delta.info, locality);
+        };
+        // Per refreshed user, how many of its outputs survived from the
+        // last window — the utility fold adds only the ones after them.
+        let mut kept_outputs: Vec<(UserId, usize)> = Vec::with_capacity(refreshed.len());
+        for Reanonymized {
+            user,
+            kept,
+            sources,
+            tail,
+            served,
+            lookups,
+            fills: anonymized,
+        } in refreshed
+        {
+            delta.trajectories_reused += kept;
+            delta.trajectories_anonymized += tail.len() - served;
+            delta.store_lookups += lookups;
+            if served > 0 && served == tail.len() {
+                delta.users_donated += 1;
+            } else {
+                delta.users_refreshed += 1;
+            }
+            let protected = self.protected.entry(user).or_default();
+            let pure_append = kept == protected.len();
+            let tail_box = user_bounding_box(&tail);
+            protected.truncate(kept);
+            protected.extend(tail);
+            let bbox = if pure_append {
+                let old = self.boxes.get(&user).copied().flatten();
+                old.into_iter().chain(tail_box).reduce(|a, b| a.union(&b))
+            } else {
+                user_bounding_box(protected)
+            };
+            self.boxes.insert(user, bbox);
+            self.sources.insert(user, sources);
+            kept_outputs.push((user, kept));
+            fills.outputs.extend(anonymized);
+        }
+        // Each refreshed user holds one output per source; the cached
+        // decomposition re-interleaves into the prefix iff it also covers
+        // exactly the prefix's users.
+        if self.protected.len() != all_users.len() {
+            return self.shape_violation(delta.info, locality);
         }
         // The protected-side extraction grid is anchored on the *protected*
         // bounding box — through its quantized padded form, so drift inside
@@ -1394,39 +1217,43 @@ impl CandidateState {
         let bbox = union_of(&self.boxes);
         let grid_box = bbox.map(|b| b.grid_anchor());
         delta.protected_grid_rebuilt = self.primed && grid_box != self.grid_box;
+        fills.released_all |= delta.protected_grid_rebuilt || (bbox.is_none() && self.primed);
         let shard_refresh: &[UserId] = if !self.primed || delta.protected_grid_rebuilt {
             all_users
         } else {
             to_refresh
         };
-        delta.shards_refreshed = shard_refresh.len();
         delta.shards_reused = all_users.len() - shard_refresh.len();
         match bbox {
             Some(bbox) => {
+                let _span = obs::span("candidate.extract");
                 let grid = attack.grid_for(bbox);
-                let shards: Vec<(UserAttackShard, ExtractionMemo, ExtractionPath)> =
-                    shard_refresh
-                        .par_iter()
-                        .map(|&user| {
-                            // The shard depends only on the user's own
-                            // records and the grid; after a full pass every
-                            // output is new, so no memo applies.
-                            let sources =
-                                self.protected.get(&user).cloned().unwrap_or_default();
-                            let prior = self
-                                .shards
-                                .get(&user)
-                                .filter(|_| !full)
-                                .map(|cached| (&cached.shard, &cached.memo));
-                            attack.extract_user_from(sources, user, &grid, prior)
-                        })
-                        .collect();
+                let config = extraction_config(attack.config());
+                let found: Vec<ShardLookup> = shard_refresh
+                    .par_iter()
+                    .map(|&user| {
+                        // The shard depends only on the user's own records
+                        // and the grid; after a full pass every output is
+                        // new, so no memo applies.
+                        let sources = self.protected.get(&user).cloned().unwrap_or_default();
+                        let prior = self
+                            .shards
+                            .get(&user)
+                            .filter(|_| !full)
+                            .map(|cached| &**cached);
+                        store.shard(attack, &config, &grid, user, sources, prior)
+                    })
+                    .collect();
                 let mut paths = PathCounts::default();
-                for (shard, memo, path) in shards {
-                    paths.add(path);
-                    self.shards
-                        .insert(shard.user, Arc::new(CachedShard { shard, memo }));
-                }
+                delta.shards_donated = file_shards(
+                    shard_refresh,
+                    found,
+                    &mut self.shards,
+                    &mut fills,
+                    &mut paths,
+                );
+                delta.shards_refreshed = shard_refresh.len() - delta.shards_donated;
+                delta.store_lookups += shard_refresh.len();
                 delta.shards_appended = paths.appended;
                 delta.shards_rebuilt = paths.rebuilt;
                 delta.shards_fallback = paths.fallback;
@@ -1434,89 +1261,77 @@ impl CandidateState {
             None => {
                 // An entirely emptied protected prefix extracts nothing —
                 // mirror `PoiAttack::extract` on a record-less dataset.
-                delta.shards_refreshed = 0;
                 delta.shards_reused = 0;
                 self.shards.clear();
             }
         }
-        self.bbox = bbox;
         self.grid_box = grid_box;
         self.primed = true;
-        let utility = self.refresh_utility(context, &appended, full);
-        (Some((self.extracted_pois(), utility)), delta)
+        let utility = {
+            let _span = obs::span("candidate.utility");
+            self.refresh_utility(context, &kept_outputs, full, store, &mut fills, &mut delta)
+        };
+        delta.store_fills = fills.len();
+        (Some((self.extracted_pois(), utility)), delta, fills)
     }
 
-    /// One whole-dataset [`AnonymizationStrategy::anonymize`] pass,
-    /// decomposed per user next to the sources each output came from.
-    /// Returns `false` — leaving the state for the caller to clear — when
-    /// the output is not one same-user trajectory per input trajectory.
-    fn anonymize_all(
+    /// Drops everything after a shape-contract violation, for the caller
+    /// to take the always-correct full path.
+    fn shape_violation(
         &mut self,
-        strategy: &dyn AnonymizationStrategy,
-        original: &Dataset,
-        seed: u64,
-    ) -> bool {
-        let outputs = strategy.anonymize(original, seed).into_shared();
-        if outputs.len() != original.trajectory_count() {
-            return false;
-        }
-        let mut protected: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
-        let mut sources: BTreeMap<UserId, Vec<Arc<Trajectory>>> = BTreeMap::new();
-        for (source, output) in original.trajectories().iter().zip(outputs) {
-            if output.user() != source.user() {
-                return false;
-            }
-            protected.entry(source.user()).or_default().push(output);
-            sources
-                .entry(source.user())
-                .or_default()
-                .push(Arc::clone(source));
-        }
-        self.boxes = protected
-            .iter()
-            .map(|(user, mine)| (*user, user_bounding_box(mine)))
-            .collect();
-        self.protected = protected;
-        self.sources = sources;
-        true
+        info: StrategyInfo,
+        locality: UserLocality,
+    ) -> (Option<(ReferencePois, f64)>, CandidateDelta, Fills) {
+        self.clear();
+        let delta = CandidateDelta {
+            full_fallback: true,
+            ..CandidateDelta::empty(info, locality)
+        };
+        let fills = Fills {
+            released_all: true,
+            ..Fills::default()
+        };
+        (None, delta, fills)
     }
 
     /// Re-anonymizes `user` for a window: keeps every cached output whose
     /// source is still the same `Arc` at the same position of the user's
-    /// history, and anonymizes only the trajectories after them — against
-    /// a view of just those trajectories ([`UserLocality::UserLocal`]) or
-    /// those trajectories plus two pins at the prefix bounding box's
-    /// corners ([`UserLocality::GridAnchored`], see [`pinned_view`]). The
+    /// history, serves the outputs of the sources after them from `store`
+    /// where it holds them, and anonymizes only the rest — against a view
+    /// of just those trajectories ([`UserLocality::UserLocal`]) or those
+    /// trajectories plus two pins at the corners of `pin`, the prefix
+    /// bounding box ([`UserLocality::GridAnchored`], see [`pinned_view`]). The
     /// per-trajectory locality contract makes the outputs byte-identical to
     /// a full-prefix `anonymize_user`. Falls back to that full-prefix call
-    /// (keeping nothing) when the context carries no per-user decomposition
-    /// or the pin id collides with a real participant.
+    /// (keeping and storing nothing) when the context carries no per-user
+    /// decomposition or the pin id collides with a real participant.
+    ///
+    /// `None` when the strategy broke the one-output-per-input contract.
     fn reanonymize(
         &self,
         strategy: &dyn AnonymizationStrategy,
         context: &EvalContext<'_>,
+        family: &OutputFamily,
+        pin: Option<BoundingBox>,
         user: UserId,
-        seed: u64,
-    ) -> Reanonymized {
+        store: &WorkStore,
+    ) -> Option<Reanonymized> {
         let original = context.original();
-        let view_box = match strategy.locality() {
-            UserLocality::UserLocal => Some(None),
-            UserLocality::GridAnchored => context
-                .original_bbox()
-                .or_else(|| original.bounding_box())
-                .map(Some),
-            UserLocality::NonLocal => None,
-        };
         let by_user = context
             .original_by_user()
             .filter(|by_user| !by_user.contains_key(&BBOX_PIN_USER));
-        let (Some(by_user), Some(view_box)) = (by_user, view_box) else {
-            return Reanonymized {
+        let Some(by_user) = by_user else {
+            let sources = original.shared_of(user);
+            let tail = strategy.anonymize_user(original, user, family.seed);
+            return (tail.len() == sources.len()).then_some(Reanonymized {
                 user,
                 kept: 0,
-                sources: original.shared_of(user),
-                tail: strategy.anonymize_user(original, user, seed),
-            };
+                sources,
+                tail,
+                served: 0,
+                lookups: 0,
+                fills: Vec::new(),
+            });
         };
         let sources = by_user.get(&user).cloned().unwrap_or_default();
         let cached = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
@@ -1525,18 +1340,57 @@ impl CandidateState {
             .zip(cached)
             .take_while(|(a, b)| Arc::ptr_eq(a, b))
             .count();
-        let fresh = sources[kept..].to_vec();
-        let view = match view_box {
-            Some(bbox) => pinned_view(fresh, bbox),
-            None => Dataset::from_shared(fresh),
-        };
-        let tail = strategy.anonymize_user(&view, user, seed);
-        Reanonymized {
+        let keys: Vec<OutputKey> = sources[kept..]
+            .iter()
+            .map(|source| (family.clone(), ById(Arc::clone(source))))
+            .collect();
+        // Outputs are shared only under an exact identity of the strategy.
+        let shared = family.identity.is_some();
+        let mut tail: Vec<Option<Arc<Trajectory>>> = keys
+            .iter()
+            .map(|key| store.output(key).filter(|_| shared).cloned())
+            .collect();
+        let missed: Vec<Arc<Trajectory>> = keys
+            .iter()
+            .zip(&tail)
+            .filter(|(_, output)| output.is_none())
+            .map(|(key, _)| Arc::clone(&key.1 .0))
+            .collect();
+        let served = tail.len() - missed.len();
+        let lookups = if shared { keys.len() } else { 0 };
+        let mut fills = Vec::with_capacity(missed.len());
+        if !missed.is_empty() {
+            let count = missed.len();
+            let view = match pin {
+                Some(bbox) => pinned_view(missed, bbox),
+                None => Dataset::from_shared(missed),
+            };
+            let anonymized = strategy.anonymize_user(&view, user, family.seed);
+            if anonymized.len() != count {
+                return None;
+            }
+            let mut anonymized = anonymized.into_iter();
+            for (key, slot) in keys.into_iter().zip(&mut tail) {
+                if slot.is_none() {
+                    let output = anonymized.next().expect("one output per missed source");
+                    *slot = Some(Arc::clone(&output));
+                    // An output that is its own source would keep itself
+                    // alive through its key: nothing to share anyway.
+                    if shared && !Arc::ptr_eq(&key.1 .0, &output) {
+                        fills.push((key, output));
+                    }
+                }
+            }
+        }
+        Some(Reanonymized {
             user,
             kept,
             sources,
-            tail,
-        }
+            tail: tail.into_iter().flatten().collect(),
+            served,
+            lookups,
+            fills,
+        })
     }
 
     /// Folds the refreshed users' outputs into the incremental utility
@@ -1544,215 +1398,228 @@ impl CandidateState {
     /// and scores the candidate — byte-identical to scoring the assembled
     /// protected prefix, because [`CrowdedBaseline::score_counts`] /
     /// [`TrafficBaseline::score_train`] are fed histograms equal to what
-    /// the full per-record scan would produce. A user listed with
-    /// `Some(from)` only appended outputs from index `from` on, so only
-    /// those are added; `None` replaces the user's whole contribution.
+    /// the full per-record scan would produce. Each `(user, kept)` pair
+    /// retracts the user's contributions past `kept` and adds those of the
+    /// outputs after it, served from `store` where it holds them.
     fn refresh_utility(
         &mut self,
         context: &EvalContext<'_>,
-        refreshed: &[(UserId, Option<usize>)],
+        refreshed: &[(UserId, usize)],
         full: bool,
+        store: &WorkStore,
+        fills: &mut Fills,
+        delta: &mut CandidateDelta,
     ) -> f64 {
-        match context.baseline() {
-            ObjectiveBaseline::Crowded(b) => {
-                let grid = b.grid();
-                let keyed = matches!(
-                    &self.utility,
-                    UtilityCache::Crowded { anchor, cell, .. }
-                        if *anchor == grid.bbox() && *cell == grid.cell_size()
-                );
-                let rebuild = full || !keyed;
-                if rebuild {
-                    self.utility = UtilityCache::Crowded {
-                        anchor: grid.bbox(),
-                        cell: grid.cell_size(),
-                        by_user: BTreeMap::new(),
-                        pair_refs: HashMap::new(),
-                        counts: HashMap::new(),
-                    };
-                }
-                let users = self.users_to_fold(refreshed, rebuild);
-                let protected = &self.protected;
-                let UtilityCache::Crowded {
-                    by_user,
-                    pair_refs,
-                    counts,
-                    ..
-                } = &mut self.utility
-                else {
-                    unreachable!("rebuilt above")
-                };
-                for (user, from) in users {
-                    Self::fold_crowded(protected, grid, user, from, by_user, pair_refs, counts);
-                }
-                b.score_counts(counts).precision_at_k
-            }
-            ObjectiveBaseline::Traffic(b) => {
-                let grid = b.grid();
-                let keyed = matches!(
-                    &self.utility,
-                    UtilityCache::Traffic { anchor, cell, .. }
-                        if *anchor == grid.bbox() && *cell == grid.cell_size()
-                );
-                let rebuild = full || !keyed;
-                if rebuild {
-                    self.utility = UtilityCache::Traffic {
-                        anchor: grid.bbox(),
-                        cell: grid.cell_size(),
-                        by_user: BTreeMap::new(),
-                        total: HashMap::new(),
-                        by_day: BTreeMap::new(),
-                    };
-                }
-                let users = self.users_to_fold(refreshed, rebuild);
-                let protected = &self.protected;
-                let UtilityCache::Traffic {
-                    by_user,
-                    total,
-                    by_day,
-                    ..
-                } = &mut self.utility
-                else {
-                    unreachable!("rebuilt above")
-                };
-                for (user, from) in users {
-                    Self::fold_traffic(protected, grid, user, from, by_user, total, by_day);
-                }
-                b.score_train(&Self::traffic_train(total, by_day, b.eval_day()))
-                    .utility_score()
-            }
+        let (kind, grid) = match context.baseline() {
+            ObjectiveBaseline::Crowded(b) => (FoldKind::Crowded, b.grid()),
+            ObjectiveBaseline::Traffic(b) => (FoldKind::Traffic, b.grid()),
             ObjectiveBaseline::Distortion => {
                 // Distortion pairs original and protected records directly;
                 // there is no histogram to maintain. Assembling is pointer
                 // clones, so the candidate still avoids re-anonymization.
-                self.utility = UtilityCache::None;
+                fills.released_all |= self.utility.take().is_some();
                 let assembled = self
                     .assemble(context.original())
                     .expect("shape checked before scoring");
-                context.utility_of(&assembled)
+                return context.utility_of(&assembled);
             }
             ObjectiveBaseline::Unavailable => {
-                self.utility = UtilityCache::None;
-                0.0
+                fills.released_all |= self.utility.take().is_some();
+                return 0.0;
             }
-        }
-    }
-
-    /// The users a utility fold visits: every user, whole, after a
-    /// rebuild; otherwise the refreshed users as listed.
-    fn users_to_fold(
-        &self,
-        refreshed: &[(UserId, Option<usize>)],
-        rebuild: bool,
-    ) -> Vec<(UserId, Option<usize>)> {
-        if rebuild {
-            self.protected.keys().map(|user| (*user, None)).collect()
+        };
+        let key = (kind, grid_key(grid));
+        let rebuild = full || self.utility.as_ref().map(|f| f.key) != Some(key);
+        let users: Vec<(UserId, usize)> = if rebuild {
+            self.protected.keys().map(|user| (*user, 0)).collect()
         } else {
             refreshed.to_vec()
+        };
+        if rebuild {
+            fills.released_all |= self.utility.replace(UtilityFold::new(key)).is_some();
+        }
+        let fold = self.utility.as_mut().expect("set on rebuild");
+        for (user, kept) in users {
+            let outputs = self.protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+            fold.update(user, kept, outputs, grid, store, fills, delta);
+        }
+        match context.baseline() {
+            ObjectiveBaseline::Crowded(b) => b.score_counts(&fold.counts).precision_at_k,
+            ObjectiveBaseline::Traffic(b) => b
+                .score_train(&fold.traffic_train(b.eval_day()))
+                .utility_score(),
+            _ => unreachable!("histogram objectives only"),
+        }
+    }
+}
+
+/// Which utility histogram a contribution feeds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum FoldKind {
+    Crowded,
+    Traffic,
+}
+
+/// One protected output's share of a utility histogram on one baseline
+/// grid — the value of a [`WorkStore`] utility entry.
+#[derive(Debug)]
+enum Contribution {
+    /// The output's distinct `(cell, record-user)` pairs.
+    Crowded(Vec<(CellId, UserId)>),
+    /// The output's record counts per `(cell, hour, day)`.
+    Traffic(Vec<((CellId, i64, i64), f64)>),
+}
+
+impl Contribution {
+    /// The histogram entries the contribution touches: `(cell, 0)` per
+    /// crowded pair, `(cell, hour)` per traffic bin.
+    fn bins(&self) -> Vec<(CellId, i64)> {
+        match self {
+            Contribution::Crowded(pairs) => pairs.iter().map(|(cell, _)| (*cell, 0)).collect(),
+            Contribution::Traffic(bins) => bins
+                .iter()
+                .map(|((cell, hour, _), _)| (*cell, *hour))
+                .collect(),
         }
     }
 
-    /// Adds `user`'s outputs from index `from` on to the crowded-places
-    /// visitor counts — after removing the user's whole old contribution
-    /// when `from` is `None`. Refcounted `(cell, record-user)` pairs make
-    /// removal exact even when several map-users carry records of the same
-    /// record-user, and a pair counts once per user however often it
-    /// recurs, so appending equals a fresh fold.
-    fn fold_crowded(
-        protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-        grid: &UniformGrid,
+    /// The contribution of `output` to a `kind` histogram on `grid`.
+    fn of(kind: FoldKind, grid: &UniformGrid, output: &Trajectory) -> Self {
+        match kind {
+            FoldKind::Crowded => {
+                let pairs: HashSet<(CellId, UserId)> = output
+                    .records()
+                    .iter()
+                    .map(|r| (grid.cell_of(&r.point), r.user))
+                    .collect();
+                Contribution::Crowded(pairs.into_iter().collect())
+            }
+            FoldKind::Traffic => {
+                let mut bins: HashMap<(CellId, i64, i64), f64> = HashMap::new();
+                for r in output.records() {
+                    let bin = (
+                        grid.cell_of(&r.point),
+                        r.time.hour_of_day(),
+                        r.time.day_index(),
+                    );
+                    *bins.entry(bin).or_insert(0.0) += 1.0;
+                }
+                Contribution::Traffic(bins.into_iter().collect())
+            }
+        }
+    }
+}
+
+/// The protected side of the incremental utility computation: per-output
+/// contributions to the objective's histogram plus the folded global
+/// counts, so a window re-scores only the outputs it appended instead of
+/// re-histogramming the whole assembled protected prefix.
+///
+/// Keyed on the **baseline** grid (anchor box + cell size): a baseline
+/// whose grid moved — prefix crossed the anchor lattice, objective changed
+/// — mismatches the key and forces a rebuild over all users.
+#[derive(Debug)]
+struct UtilityFold {
+    key: (FoldKind, GridKey),
+    /// Each user's contributions, index for index with the user's
+    /// protected outputs.
+    by_user: BTreeMap<UserId, Vec<Arc<Contribution>>>,
+    /// Crowded places: how many outputs carry each `(cell, record-user)`
+    /// pair. Distinct-visitor semantics need the refcount: a pair counts
+    /// once while *any* output carries it — exact for arbitrary record
+    /// ownership, not just the common `record.user == trajectory.user`
+    /// case.
+    pair_refs: HashMap<(CellId, UserId), u32>,
+    /// Crowded places: distinct visitors per cell — fed to
+    /// [`CrowdedBaseline::score_counts`] verbatim.
+    counts: HashMap<CellId, u64>,
+    /// Traffic: `(cell, hour)` counts over every day. The train histogram
+    /// for eval day `d` is `total − by_day[d]` with exact-zero keys pruned
+    /// (integer-valued `f64`, so every addition and subtraction is exact
+    /// in any order).
+    total: HashMap<(CellId, i64), f64>,
+    /// Traffic: `(cell, hour)` counts per day.
+    by_day: BTreeMap<i64, HashMap<(CellId, i64), f64>>,
+}
+
+impl UtilityFold {
+    fn new(key: (FoldKind, GridKey)) -> Self {
+        Self {
+            key,
+            by_user: BTreeMap::new(),
+            pair_refs: HashMap::new(),
+            counts: HashMap::new(),
+            total: HashMap::new(),
+            by_day: BTreeMap::new(),
+        }
+    }
+
+    /// Retracts `user`'s contributions past `kept` and adds those of
+    /// `outputs` after them, looking each up in `store` first.
+    #[allow(clippy::too_many_arguments)]
+    fn update(
+        &mut self,
         user: UserId,
-        from: Option<usize>,
-        by_user: &mut BTreeMap<UserId, HashSet<(CellId, UserId)>>,
-        pair_refs: &mut HashMap<(CellId, UserId), u32>,
-        counts: &mut HashMap<CellId, u64>,
+        kept: usize,
+        outputs: &[Arc<Trajectory>],
+        grid: &UniformGrid,
+        store: &WorkStore,
+        fills: &mut Fills,
+        delta: &mut CandidateDelta,
     ) {
-        if from.is_none() {
-            for pair in by_user.remove(&user).unwrap_or_default() {
-                let Some(refs) = pair_refs.get_mut(&pair) else {
-                    continue;
-                };
-                *refs -= 1;
-                if *refs == 0 {
-                    pair_refs.remove(&pair);
-                    if let Some(count) = counts.get_mut(&pair.0) {
-                        *count -= 1;
+        let mut mine = self.by_user.remove(&user).unwrap_or_default();
+        let retracted = mine.split_off(kept.min(mine.len()));
+        for gone in &retracted {
+            self.apply(gone, -1.0);
+        }
+        for output in &outputs[mine.len()..] {
+            let key = (self.key.0, self.key.1, ById(Arc::clone(output)));
+            delta.store_lookups += 1;
+            let contribution = match store.contribution(user, &key) {
+                Some(stored) => Arc::clone(stored),
+                None => {
+                    let computed = Arc::new(Contribution::of(self.key.0, grid, output));
+                    fills.utility.push((user, key, Arc::clone(&computed)));
+                    computed
+                }
+            };
+            self.apply(&contribution, 1.0);
+            mine.push(contribution);
+        }
+        self.by_user.insert(user, mine);
+    }
+
+    /// Adds (`sign = 1`) or retracts (`sign = -1`) one contribution,
+    /// pruning entries that reach zero so key sets match a fresh scan.
+    fn apply(&mut self, contribution: &Contribution, sign: f64) {
+        match contribution {
+            Contribution::Crowded(pairs) => {
+                for pair in pairs {
+                    let refs = self.pair_refs.entry(*pair).or_insert(0);
+                    let was = *refs;
+                    *refs = if sign > 0.0 { was + 1 } else { was - 1 };
+                    let now = *refs;
+                    if now == 0 {
+                        self.pair_refs.remove(pair);
+                    }
+                    if was == 0 || now == 0 {
+                        let count = self.counts.entry(pair.0).or_insert(0);
+                        *count = if now == 0 { *count - 1 } else { *count + 1 };
                         if *count == 0 {
-                            counts.remove(&pair.0);
+                            self.counts.remove(&pair.0);
                         }
                     }
                 }
             }
-        }
-        let mine = by_user.entry(user).or_default();
-        let outputs = protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
-        for t in &outputs[from.unwrap_or(0)..] {
-            for r in t.records() {
-                let pair = (grid.cell_of(&r.point), r.user);
-                if mine.insert(pair) {
-                    let refs = pair_refs.entry(pair).or_insert(0);
-                    *refs += 1;
-                    if *refs == 1 {
-                        *counts.entry(pair.0).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Adds `user`'s outputs from index `from` on to the traffic
-    /// histograms — after subtracting the user's whole old contribution
-    /// when `from` is `None`. All counts are integer-valued `f64` sums of
-    /// `1.0`, so additions and the removal subtractions are exact in any
-    /// order; entries are pruned at exact zero so key sets match what a
-    /// fresh scan would produce.
-    fn fold_traffic(
-        protected: &BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-        grid: &UniformGrid,
-        user: UserId,
-        from: Option<usize>,
-        by_user: &mut BTreeMap<UserId, HashMap<(CellId, i64, i64), f64>>,
-        total: &mut HashMap<(CellId, i64), f64>,
-        by_day: &mut BTreeMap<i64, HashMap<(CellId, i64), f64>>,
-    ) {
-        if from.is_none() {
-            for ((cell, hour, day), v) in by_user.remove(&user).unwrap_or_default() {
-                let key = (cell, hour);
-                if let Some(t) = total.get_mut(&key) {
-                    *t -= v;
-                    if *t == 0.0 {
-                        total.remove(&key);
-                    }
-                }
-                if let Some(day_map) = by_day.get_mut(&day) {
-                    if let Some(t) = day_map.get_mut(&key) {
-                        *t -= v;
-                        if *t == 0.0 {
-                            day_map.remove(&key);
-                        }
-                    }
+            Contribution::Traffic(bins) => {
+                for &((cell, hour, day), v) in bins {
+                    add_pruned(&mut self.total, (cell, hour), sign * v);
+                    let day_map = self.by_day.entry(day).or_default();
+                    add_pruned(day_map, (cell, hour), sign * v);
                     if day_map.is_empty() {
-                        by_day.remove(&day);
+                        self.by_day.remove(&day);
                     }
                 }
-            }
-        }
-        let mine = by_user.entry(user).or_default();
-        let outputs = protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
-        for t in &outputs[from.unwrap_or(0)..] {
-            for r in t.records() {
-                let (cell, hour, day) = (
-                    grid.cell_of(&r.point),
-                    r.time.hour_of_day(),
-                    r.time.day_index(),
-                );
-                *mine.entry((cell, hour, day)).or_insert(0.0) += 1.0;
-                *total.entry((cell, hour)).or_insert(0.0) += 1.0;
-                *by_day
-                    .entry(day)
-                    .or_default()
-                    .entry((cell, hour))
-                    .or_insert(0.0) += 1.0;
             }
         }
     }
@@ -1760,23 +1627,21 @@ impl CandidateState {
     /// The protected-side training histogram for `eval_day`:
     /// `total − by_day[eval_day]`, pruned at exact zero — equal to
     /// `hourly_histogram(assembled, grid, |d| d != eval_day)`.
-    fn traffic_train(
-        total: &HashMap<(CellId, i64), f64>,
-        by_day: &BTreeMap<i64, HashMap<(CellId, i64), f64>>,
-        eval_day: i64,
-    ) -> HashMap<(CellId, i64), f64> {
-        let mut train = total.clone();
-        if let Some(eval) = by_day.get(&eval_day) {
-            for (key, v) in eval {
-                if let Some(t) = train.get_mut(key) {
-                    *t -= v;
-                    if *t == 0.0 {
-                        train.remove(key);
-                    }
-                }
-            }
+    fn traffic_train(&self, eval_day: i64) -> HashMap<(CellId, i64), f64> {
+        let mut train = self.total.clone();
+        for (key, v) in self.by_day.get(&eval_day).into_iter().flatten() {
+            add_pruned(&mut train, *key, -v);
         }
         train
+    }
+}
+
+/// Adds `v` to `map[key]`, removing the entry when it reaches exact zero.
+fn add_pruned(map: &mut HashMap<(CellId, i64), f64>, key: (CellId, i64), v: f64) {
+    let entry = map.entry(key).or_insert(0.0);
+    *entry += v;
+    if *entry == 0.0 {
+        map.remove(&key);
     }
 }
 
@@ -1813,39 +1678,351 @@ fn union_of(boxes: &BTreeMap<UserId, Option<BoundingBox>>) -> Option<BoundingBox
     boxes.values().flatten().copied().reduce(|a, b| a.union(&b))
 }
 
-/// A frozen snapshot of one campaign's protected-side caches, offered to
-/// *follower* campaigns whose `(pool, seed, attack)` fingerprint matches:
-/// their per-candidate states become pointer-cloned copies of the donor's,
-/// so the whole pool's anonymize + self-attack for the window is paid once
-/// per fingerprint instead of once per campaign. Privacy matching and the
-/// feasibility verdict still run per follower (floors differ), and
-/// validity is structural — a primed `CandidateState` is a pure function
-/// of `(prefix, seed, attack, strategy)`, all of which the fingerprint
-/// pins.
+/// A trajectory handle compared and hashed by address. A key holding one
+/// keeps the trajectory alive, so its address can never be reused by
+/// another trajectory while the key exists.
 #[derive(Debug, Clone)]
-pub struct StrategyDonor {
-    seed: u64,
-    attack_config: PoiAttackConfig,
-    windows: usize,
-    states: Vec<CandidateState>,
+struct ById(Arc<Trajectory>);
+
+impl PartialEq for ById {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
-impl StrategyDonor {
-    /// Whether this snapshot may seed a follower at `(seed, attack)` that
-    /// has ingested exactly `windows` windows of the same shared prefix.
-    pub fn compatible(&self, seed: u64, attack: &PoiAttackConfig, windows: usize) -> bool {
-        self.seed == seed && &self.attack_config == attack && self.windows == windows
+impl Eq for ById {}
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Arc::as_ptr(&self.0).hash(state);
+    }
+}
+
+/// A bounding box and a cell size, bit for bit: the identity of a grid.
+type GridKey = [u64; 5];
+
+fn grid_key(grid: &UniformGrid) -> GridKey {
+    let [a, b, c, d] = box_bits(&grid.bbox());
+    [a, b, c, d, grid.cell_size().get().to_bits()]
+}
+
+fn box_bits(b: &BoundingBox) -> [u64; 4] {
+    [
+        b.min().latitude().to_bits(),
+        b.min().longitude().to_bits(),
+        b.max().latitude().to_bits(),
+        b.max().longitude().to_bits(),
+    ]
+}
+
+/// What a candidate's protected outputs depend on besides their source:
+/// the strategy's exact identity
+/// ([`AnonymizationStrategy::output_identity`]; `None` shares nothing),
+/// the seed and, for a grid-anchored strategy, the quantized anchor of the
+/// prefix bounding box.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct OutputFamily {
+    identity: Option<Arc<OutputIdentity>>,
+    seed: u64,
+    anchor: Option<[u64; 4]>,
+}
+
+/// The key of a protected output: its family and its source trajectory.
+type OutputKey = (OutputFamily, ById);
+
+/// The key of a per-output utility contribution: the histogram kind, the
+/// baseline grid and the output.
+type UtilityKey = (FoldKind, GridKey, ById);
+
+/// The key of a per-user attack shard: the extraction parameters
+/// ([`extraction_config`]), the grid, the user and the user's trajectory
+/// list, by identity. Original-side and protected-side shards share it.
+#[derive(Debug)]
+struct ShardKey {
+    config: PoiAttackConfig,
+    grid: GridKey,
+    user: UserId,
+    sources: Vec<Arc<Trajectory>>,
+}
+
+impl PartialEq for ShardKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid
+            && self.user == other.user
+            && self.sources.len() == other.sources.len()
+            && self
+                .sources
+                .iter()
+                .zip(&other.sources)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+            && self.config == other.config
+    }
+}
+
+impl Eq for ShardKey {}
+
+impl Hash for ShardKey {
+    // The configuration is left out: a store holds shards of one or two
+    // configurations, and `eq` tells them apart.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.grid.hash(state);
+        self.user.hash(state);
+        for source in &self.sources {
+            Arc::as_ptr(source).hash(state);
+        }
+    }
+}
+
+/// The attack parameters a shard depends on: all of them but
+/// `match_distance`, which only matching reads.
+fn extraction_config(config: &PoiAttackConfig) -> PoiAttackConfig {
+    PoiAttackConfig {
+        match_distance: Meters::default(),
+        ..config.clone()
+    }
+}
+
+/// A shard looked up in the store: the entry, or a freshly extracted shard
+/// with the key to fill it under and the path its extraction took.
+struct ShardLookup {
+    shard: Arc<CachedShard>,
+    fill: Option<(ShardKey, ExtractionPath)>,
+}
+
+/// Files looked-up shards into `shards`, queueing the extracted ones as
+/// fills and counting their paths; returns how many the store served.
+fn file_shards(
+    users: &[UserId],
+    found: Vec<ShardLookup>,
+    shards: &mut BTreeMap<UserId, Arc<CachedShard>>,
+    fills: &mut Fills,
+    paths: &mut PathCounts,
+) -> usize {
+    let mut served = 0;
+    for (user, ShardLookup { shard, fill }) in users.iter().zip(found) {
+        match fill {
+            Some((key, path)) => {
+                paths.add(path);
+                fills.shards.push((key, Arc::clone(&shard)));
+            }
+            None => served += 1,
+        }
+        shards.insert(*user, shard);
+    }
+    served
+}
+
+/// Entries computed on [`WorkStore`] misses, handed back by work that only
+/// reads the store (the parallel per-user and per-candidate sections) and
+/// inserted by its caller afterwards, in a fixed order — together with the
+/// users whose entries that work may have stopped holding.
+#[derive(Debug, Default)]
+pub(crate) struct Fills {
+    outputs: Vec<(OutputKey, Arc<Trajectory>)>,
+    shards: Vec<(ShardKey, Arc<CachedShard>)>,
+    utility: Vec<(UserId, UtilityKey, Arc<Contribution>)>,
+    released: Vec<UserId>,
+    /// A reset, a full pass or a grid move: possibly any user's entries.
+    released_all: bool,
+}
+
+impl Fills {
+    /// Number of entries to insert.
+    pub(crate) fn len(&self) -> usize {
+        self.outputs.len() + self.shards.len() + self.utility.len()
+    }
+}
+
+/// The work store: every protected output, per-user attack shard and
+/// per-output utility contribution computed by any session it serves,
+/// keyed by exactly the inputs the value depends on.
+///
+/// * A **protected output** is keyed by the strategy's exact
+///   [`AnonymizationStrategy::output_identity`] (a strategy without one
+///   shares none), the seed, the quantized prefix anchor for a
+///   [`UserLocality::GridAnchored`] strategy (nothing for a
+///   [`UserLocality::UserLocal`] one) and the source trajectory.
+///   [`UserLocality::NonLocal`] outputs are never stored, nor is an output
+///   that is its own source.
+/// * A **per-user attack shard** — original-side and protected-side alike
+///   — is keyed by the extraction parameters ([`PoiAttackConfig`] without
+///   `match_distance`), the grid, the user and the user's trajectory list.
+///   A requester whose list extends its own previous one pointer by
+///   pointer amends that shard through [`PoiAttack::extract_user_from`].
+/// * A **utility contribution** is keyed by the baseline grid and the
+///   protected output.
+///
+/// Keys hold their input trajectories by strong `Arc` and compare them by
+/// address, so a freed address can never alias another entry. Sessions
+/// and candidate states hold the values they use; at the end of each
+/// published window the owner drops the entries nobody else holds
+/// ([`WorkStore::drop_released`]), so the store never outgrows what the
+/// sessions reference — there is no eviction policy. Entries are bucketed
+/// by user, and a holder only ever lets go of the entries of users it
+/// refreshed (or of everyone, on a reset or a grid move), so that pass
+/// visits only those users' buckets: its cost follows what the window
+/// replaced, not the prefix.
+///
+/// Work swept in parallel only reads the store and returns its misses as
+/// fills, which the caller inserts in a fixed order (users in id order,
+/// candidates in pool order, campaigns in registration order), so what is
+/// served, filled and released never depends on thread count.
+#[derive(Debug, Default)]
+pub struct WorkStore {
+    users: HashMap<UserId, Entries>,
+    /// Users whose holders may have let go of an entry since the last
+    /// collection, or (`released_all`) possibly any user.
+    released: HashSet<UserId>,
+    released_all: bool,
+}
+
+/// One user's [`WorkStore`] entries.
+#[derive(Debug, Default)]
+struct Entries {
+    outputs: HashMap<OutputKey, Arc<Trajectory>>,
+    shards: HashMap<ShardKey, Arc<CachedShard>>,
+    utility: HashMap<UtilityKey, Arc<Contribution>>,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.outputs.len() + self.shards.len() + self.utility.len()
     }
 
-    /// The donated state for candidate slot `index`, if it is primed and
-    /// carries the expected identity card.
-    pub(crate) fn state_for(
+    fn unreferenced(&self) -> usize {
+        fn only_stored<K, V>(map: &HashMap<K, Arc<V>>) -> usize {
+            map.values().filter(|v| Arc::strong_count(v) == 1).count()
+        }
+        only_stored(&self.outputs) + only_stored(&self.shards) + only_stored(&self.utility)
+    }
+
+    /// Drops every entry nothing but the store references. Shards and
+    /// contributions go first: their keys hold outputs, which can then go
+    /// in the same pass.
+    fn drop_unreferenced(&mut self) {
+        self.shards.retain(|_, v| Arc::strong_count(v) > 1);
+        self.utility.retain(|_, v| Arc::strong_count(v) > 1);
+        self.outputs.retain(|_, v| Arc::strong_count(v) > 1);
+    }
+}
+
+impl WorkStore {
+    /// An empty store.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries held.
+    pub fn len(&self) -> usize {
+        self.users.values().map(Entries::len).sum()
+    }
+
+    /// Whether the store holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.users.is_empty()
+    }
+
+    /// Number of entries nothing but the store references — what a full
+    /// [`WorkStore::drop_unreferenced`] would drop.
+    pub fn unreferenced(&self) -> usize {
+        self.users.values().map(Entries::unreferenced).sum()
+    }
+
+    /// Drops every entry nothing but the store references, visiting
+    /// every user.
+    pub fn drop_unreferenced(&mut self) {
+        self.users.retain(|_, entries| {
+            entries.drop_unreferenced();
+            entries.len() > 0
+        });
+        self.released.clear();
+        self.released_all = false;
+    }
+
+    /// Drops the entries nothing but the store references among those of
+    /// the users whose holders let go of any since the last collection —
+    /// the same entries [`WorkStore::drop_unreferenced`] would drop, at a
+    /// cost proportional to what was replaced.
+    pub fn drop_released(&mut self) {
+        if self.released_all {
+            return self.drop_unreferenced();
+        }
+        for user in std::mem::take(&mut self.released) {
+            if let Some(entries) = self.users.get_mut(&user) {
+                entries.drop_unreferenced();
+                if entries.len() == 0 {
+                    self.users.remove(&user);
+                }
+            }
+        }
+    }
+
+    /// Notes that any user's holders may have let go of entries.
+    pub(crate) fn release_all(&mut self) {
+        self.released_all = true;
+    }
+
+    fn output(&self, key: &OutputKey) -> Option<&Arc<Trajectory>> {
+        self.users.get(&key.1 .0.user())?.outputs.get(key)
+    }
+
+    fn contribution(&self, user: UserId, key: &UtilityKey) -> Option<&Arc<Contribution>> {
+        self.users.get(&user)?.utility.get(key)
+    }
+
+    /// `user`'s shard over `sources` on `grid`: the stored entry when one
+    /// matches, else extracted here — amending `prior` when its memo
+    /// applies — with the key to fill it under.
+    fn shard(
         &self,
-        index: usize,
-        info: &StrategyInfo,
-    ) -> Option<&CandidateState> {
-        let state = self.states.get(index)?;
-        (state.primed && state.info.as_ref() == Some(info)).then_some(state)
+        attack: &PoiAttack,
+        config: &PoiAttackConfig,
+        grid: &UniformGrid,
+        user: UserId,
+        sources: Vec<Arc<Trajectory>>,
+        prior: Option<&CachedShard>,
+    ) -> ShardLookup {
+        let key = ShardKey {
+            config: config.clone(),
+            grid: grid_key(grid),
+            user,
+            sources,
+        };
+        if let Some(stored) = self.users.get(&user).and_then(|e| e.shards.get(&key)) {
+            return ShardLookup {
+                shard: Arc::clone(stored),
+                fill: None,
+            };
+        }
+        let (shard, memo, path) = attack.extract_user_from(
+            key.sources.clone(),
+            user,
+            grid,
+            prior.map(|cached| (&cached.shard, &cached.memo)),
+        );
+        ShardLookup {
+            shard: Arc::new(CachedShard { shard, memo }),
+            fill: Some((key, path)),
+        }
+    }
+
+    /// Inserts `fills` in order; a key already present keeps its entry.
+    pub(crate) fn insert(&mut self, fills: Fills) {
+        let _span = obs::span("store.fill");
+        for (key, value) in fills.outputs {
+            let entries = self.users.entry(key.1 .0.user()).or_default();
+            entries.outputs.entry(key).or_insert(value);
+        }
+        for (key, value) in fills.shards {
+            let entries = self.users.entry(key.user).or_default();
+            entries.shards.entry(key).or_insert(value);
+        }
+        for (user, key, value) in fills.utility {
+            let entries = self.users.entry(user).or_default();
+            entries.utility.entry(key).or_insert(value);
+        }
+        self.released.extend(fills.released);
+        self.released_all |= fills.released_all;
     }
 }
 
@@ -1914,38 +2091,30 @@ impl StrategySessionCache {
         self.states.is_empty()
     }
 
-    /// Freezes this cache's per-candidate states into a [`StrategyDonor`]
-    /// for follower campaigns that have ingested exactly `windows` windows
-    /// of the same shared prefix. Pointer clones only — the states' record
-    /// data is shared, not copied. `None` before the first cached sweep
-    /// (nothing to donate).
-    pub fn donor_snapshot(&self, windows: usize) -> Option<StrategyDonor> {
-        Some(StrategyDonor {
-            seed: self.seed?,
-            attack_config: self.attack_config.clone()?,
-            windows,
-            states: self.states.clone(),
-        })
-    }
-
     /// Sizes the cache to `pool` and resets every slot whose fingerprint
     /// (candidate identity, seed, attack parameters) no longer matches —
-    /// called by the engine before each cached sweep.
-    pub(crate) fn align(&mut self, pool: &StrategyPool, seed: u64, attack: &PoiAttack) {
+    /// called by the engine before each cached sweep. Returns whether a
+    /// slot holding state was dropped.
+    pub(crate) fn align(&mut self, pool: &StrategyPool, seed: u64, attack: &PoiAttack) -> bool {
+        let mut dropped = false;
         if self.seed != Some(seed) || self.attack_config.as_ref() != Some(attack.config()) {
+            dropped = !self.states.is_empty();
             self.states.clear();
             self.seed = Some(seed);
             self.attack_config = Some(attack.config().clone());
         }
         let infos = pool.infos();
+        dropped |= self.states.len() > infos.len();
         self.states.truncate(infos.len());
         self.states
             .resize_with(infos.len(), CandidateState::default);
         for (state, info) in self.states.iter_mut().zip(&infos) {
             if state.info.as_ref() != Some(info) {
+                dropped |= state.primed;
                 *state = CandidateState::default();
             }
         }
+        dropped
     }
 }
 
@@ -1988,7 +2157,7 @@ pub struct PublishedWindow {
 ///     let release = publisher.publish_window(window).unwrap();
 ///     assert_eq!(release.day, window.day());
 /// }
-/// assert_eq!(publisher.cache().windows_ingested(), windows.len());
+/// assert_eq!(publisher.cache().population().windows_ingested(), windows.len());
 /// ```
 #[derive(Debug)]
 pub struct StreamingPublisher {
@@ -2233,7 +2402,7 @@ mod tests {
         assert_eq!(d0.users_refreshed, 2);
         assert_eq!(d0.users_reused, 0);
         assert!(!d0.grid_rebuilt, "first window never reports a rebuild");
-        let user2_day0 = cache.shards()[&UserId(2)].clone();
+        let user2_day0 = shard_of(&cache, UserId(2));
 
         assert_eq!(d0.shards_rebuilt, 2, "a first window has no memo");
         let d1 = cache.advance(&attack, &windows.windows()[1]).unwrap();
@@ -2246,15 +2415,11 @@ mod tests {
             "user 1's shard folds in only the day-1 trajectory"
         );
         // The reused shard is bitwise yesterday's.
-        assert_eq!(cache.shards()[&UserId(2)].pois, user2_day0.pois);
+        assert_eq!(shard_of(&cache, UserId(2)), user2_day0);
+        assert_eq!(cache.population().windows_ingested(), 2);
+        assert_eq!(cache.population().reference().len(), 2);
         assert_eq!(
-            cache.shards()[&UserId(2)].threshold_s,
-            user2_day0.threshold_s
-        );
-        assert_eq!(cache.windows_ingested(), 2);
-        assert_eq!(cache.reference().len(), 2);
-        assert_eq!(
-            cache.reference_index().unwrap().user_count(),
+            cache.population().reference_index().unwrap().user_count(),
             2,
             "index covers both users"
         );
@@ -2520,7 +2685,7 @@ mod tests {
         let windows = WindowedDataset::partition(&ds);
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
         publisher.publish_window(&windows.windows()[1]).unwrap();
-        let records_before = publisher.cache().prefix().record_count();
+        let records_before = publisher.cache().population().prefix().record_count();
         let strategy_deltas_before = publisher.cache().strategies().last_deltas().to_vec();
         assert!(!strategy_deltas_before.is_empty());
         // Re-sending the same window (a retry after a failed release, or a
@@ -2538,8 +2703,11 @@ mod tests {
                 ),
                 "got {err}"
             );
-            assert_eq!(publisher.cache().prefix().record_count(), records_before);
-            assert_eq!(publisher.cache().windows_ingested(), 1);
+            assert_eq!(
+                publisher.cache().population().prefix().record_count(),
+                records_before
+            );
+            assert_eq!(publisher.cache().population().windows_ingested(), 1);
             assert_eq!(
                 publisher.cache().strategies().last_deltas(),
                 strategy_deltas_before.as_slice(),
@@ -2547,162 +2715,227 @@ mod tests {
             );
         }
         assert_eq!(
-            publisher.cache().last_day(),
+            publisher.cache().population().last_day(),
             Some(windows.windows()[1].day())
         );
     }
 
-    #[test]
-    fn donor_derivation_is_byte_identical_and_skips_extraction() {
-        // A population of three users where users 1 and 2 attain the
-        // bounding-box extremes; the {1, 2} subset view therefore shares
-        // the population's extraction grid, and its shards can be cloned
-        // from the population cache instead of re-extracted.
+    /// A population of three users where users 1 and 2 attain the
+    /// bounding-box extremes on every day, and the {1, 2} subset of its
+    /// windows — which therefore shares the population's extraction grid,
+    /// and its trajectories.
+    fn pinned_population(days: i64) -> (WindowedDataset, Vec<DatasetWindow>) {
         use geo::GeoPoint;
         use mobility::{LocationRecord, Timestamp, DAY_SECONDS};
         let mut records = Vec::new();
-        for day in 0..2i64 {
+        for day in 0..days {
             for i in 0..120i64 {
-                let t = |s: i64| Timestamp::new(day * DAY_SECONDS + s * 300);
-                records.push(LocationRecord::new(
-                    UserId(1),
-                    t(i),
-                    GeoPoint::new(45.70, 4.78).unwrap(),
-                ));
-                records.push(LocationRecord::new(
-                    UserId(2),
-                    t(i),
-                    GeoPoint::new(45.80, 4.90).unwrap(),
-                ));
-                records.push(LocationRecord::new(
-                    UserId(3),
-                    t(i),
-                    GeoPoint::new(45.75, 4.85).unwrap(),
-                ));
+                let t = Timestamp::new(day * DAY_SECONDS + i * 300);
+                let wobble = 0.0004 * (i % 40) as f64;
+                for (user, lat, lon) in [(1, 45.70, 4.78), (2, 45.80, 4.88), (3, 45.75, 4.85)] {
+                    let lon = if user == 3 { lon } else { lon + wobble };
+                    let point = GeoPoint::new(lat, lon).unwrap();
+                    records.push(LocationRecord::new(UserId(user), t, point));
+                }
             }
         }
-        let population = Dataset::from_records(records);
+        let population = WindowedDataset::partition(&Dataset::from_records(records));
         let filter = mobility::ParticipantFilter::users([UserId(1), UserId(2)]);
-        let subset = filter.filter_dataset(&population);
-        assert_eq!(subset.bounding_box(), population.bounding_box());
-        let pop_windows = WindowedDataset::partition(&population);
-        let sub_windows = WindowedDataset::partition(&subset);
+        let subset: Vec<DatasetWindow> = population
+            .iter()
+            .map(|w| filter.filter_window(w).unwrap())
+            .collect();
+        for (p, s) in population.iter().zip(&subset) {
+            assert_eq!(s.dataset().bounding_box(), p.dataset().bounding_box());
+        }
+        (population, subset)
+    }
 
+    #[test]
+    fn store_derivation_is_byte_identical_and_skips_extraction() {
+        // The subset view shares the population's trajectories (the filter
+        // keeps them as the same handles) and grid, so once the population
+        // cache has advanced, every subset shard is served from the store
+        // instead of re-extracted.
+        let (pop_windows, sub_windows) = pinned_population(2);
         let attack = PoiAttack::default();
-        let mut donor = PopulationCache::new();
+        let mut store = WorkStore::new();
+        let mut population = PopulationCache::new();
         let mut derived = PopulationCache::new();
         let mut standalone = PopulationCache::new();
         for (pop_w, sub_w) in pop_windows.iter().zip(sub_windows.iter()) {
-            donor.advance(&attack, pop_w).unwrap();
+            population.advance(&attack, pop_w, &mut store).unwrap();
             let before = attack.user_extractions();
-            let delta = derived
-                .advance_derived(&attack, sub_w, Some(&donor))
-                .unwrap();
-            assert_eq!(delta.users_derived, 2, "both subset users derive");
+            let delta = derived.advance(&attack, sub_w, &mut store).unwrap();
+            assert_eq!(delta.users_derived, 2, "both subset users are served");
             assert_eq!(delta.users_refreshed, 0, "nothing re-extracted");
+            assert_eq!((delta.store_lookups, delta.store_fills), (2, 0));
             assert_eq!(
                 attack.user_extractions(),
                 before,
                 "derivation must not pay the per-user probe"
             );
-            standalone.advance(&attack, sub_w).unwrap();
-            assert_eq!(derived.shards(), standalone.shards(), "shards drifted");
+            standalone
+                .advance(&attack, sub_w, &mut WorkStore::new())
+                .unwrap();
+            assert!(derived.shards().eq(standalone.shards()), "shards drifted");
             assert_eq!(derived.reference(), standalone.reference());
+            store.drop_released();
+            assert_eq!(store.unreferenced(), 0);
         }
 
-        // A donor whose grid does not match (here: a fresh cache that
-        // never ingested the window) is ignored, not trusted.
-        let mut no_donor_match = PopulationCache::new();
-        let stale_donor = PopulationCache::new();
-        let delta = no_donor_match
-            .advance_derived(&attack, &sub_windows.windows()[0], Some(&stale_donor))
+        // A store that holds nothing for the subset's inputs serves
+        // nothing: the subset extracts its users itself.
+        let mut own = PopulationCache::new();
+        let delta = own
+            .advance(&attack, &sub_windows[0], &mut WorkStore::new())
             .unwrap();
-        assert_eq!(delta.users_derived, 0);
-        assert_eq!(delta.users_refreshed, 2);
-        assert_eq!(
-            no_donor_match.shards(),
-            &standalone_prefix_shards(&attack, &sub_windows)
+        assert_eq!((delta.users_derived, delta.users_refreshed), (0, 2));
+        assert!(own
+            .shards()
+            .eq(standalone_prefix_shards(&attack, &sub_windows[0]).iter()));
+
+        // Entries live exactly as long as a cache holds them.
+        assert!(!store.is_empty());
+        drop((population, derived));
+        store.drop_unreferenced();
+        assert!(
+            store.is_empty(),
+            "{} entries outlived their caches",
+            store.len()
+        );
+    }
+
+    /// A user-local strategy that releases its input handles unchanged.
+    struct PassThrough;
+    impl AnonymizationStrategy for PassThrough {
+        fn info(&self) -> StrategyInfo {
+            StrategyInfo {
+                name: "pass-through".into(),
+                params: String::new(),
+            }
+        }
+        fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
+            dataset.clone()
+        }
+        fn locality(&self) -> UserLocality {
+            UserLocality::UserLocal
+        }
+        fn output_identity(&self) -> Option<OutputIdentity> {
+            Some(("pass-through", Vec::new()))
+        }
+    }
+
+    #[test]
+    fn outputs_that_are_their_own_sources_leave_no_entry_behind() {
+        use crate::pool::StrategyPool;
+        let windows = WindowedDataset::partition(&dataset(11, 3, 3));
+        let privapi = PrivApi::new(PrivApiConfig {
+            privacy_floor: 1.0, // keep the candidate feasible
+            ..PrivApiConfig::default()
+        })
+        .with_pool(StrategyPool::new().with(Box::new(PassThrough)));
+        let mut store = WorkStore::new();
+        let mut population = PopulationCache::new();
+        let mut strategies = StrategySessionCache::new();
+        for (i, window) in windows.iter().enumerate() {
+            let delta = population
+                .advance(privapi.attack(), window, &mut store)
+                .unwrap();
+            let update = WindowUpdate {
+                changed_users: window.users(),
+                grid_rebuilt: delta.grid_rebuilt,
+            };
+            privapi
+                .publish_session(&population, &mut strategies, &update, &mut store)
+                .unwrap();
+            let candidate = &strategies.last_deltas()[0];
+            assert!(!candidate.full_fallback, "window {i}");
+            assert!(candidate.store_lookups > 0, "window {i}");
+            store.drop_released();
+            assert_eq!(store.unreferenced(), 0, "window {i}");
+        }
+        drop((population, strategies));
+        store.drop_unreferenced();
+        assert!(
+            store.is_empty(),
+            "{} entries outlived the session",
+            store.len()
         );
     }
 
     #[test]
-    fn derived_shards_carry_no_memo_and_rebuild_from_scratch() {
-        // Day 0 has no usable donor: the subset extracts both users
-        // itself. Day 1 derives them from the donor, which must drop the
-        // day-0 memos (they no longer describe the cached shards), so on
-        // day 2, again without a donor, both are extracted from scratch
-        // rather than amended. Every step equals a standalone cache.
-        use geo::GeoPoint;
-        use mobility::{LocationRecord, Timestamp, DAY_SECONDS};
-        let mut records = Vec::new();
-        for day in 0..3i64 {
-            for i in 0..120i64 {
-                let t = Timestamp::new(day * DAY_SECONDS + i * 300);
-                let wobble = 0.0004 * (i % 40) as f64;
-                records.push(LocationRecord::new(
-                    UserId(1),
-                    t,
-                    GeoPoint::new(45.70, 4.78 + wobble).unwrap(),
-                ));
-                records.push(LocationRecord::new(
-                    UserId(2),
-                    t,
-                    GeoPoint::new(45.80, 4.88 + wobble).unwrap(),
-                ));
-                records.push(LocationRecord::new(
-                    UserId(3),
-                    t,
-                    GeoPoint::new(45.75, 4.85).unwrap(),
-                ));
-            }
-        }
-        let population = Dataset::from_records(records);
-        let subset = mobility::ParticipantFilter::users([UserId(1), UserId(2)])
-            .filter_dataset(&population);
-        let pop_windows = WindowedDataset::partition(&population);
-        let sub_windows = WindowedDataset::partition(&subset);
+    fn served_shards_keep_their_memo_and_amend() {
+        // Day 0: the subset advances first, so it extracts both users
+        // itself — and the population, advancing after it, is served them.
+        // Day 1: the population goes first and the subset is served both.
+        // Day 2: the subset goes first again; the shards it was served
+        // carry their extraction memo, so it amends them with only the
+        // day-2 trajectories. Every step equals a standalone cache.
+        let (pop_windows, sub_windows) = pinned_population(3);
         let attack = PoiAttack::default();
-        let mut donor = PopulationCache::new();
-        let mut derived = PopulationCache::new();
+        let mut store = WorkStore::new();
+        let mut population = PopulationCache::new();
+        let mut subset = PopulationCache::new();
         let mut standalone = PopulationCache::new();
-        let stale = PopulationCache::new();
         let mut paths = Vec::new();
         for (day, (pop_w, sub_w)) in pop_windows.iter().zip(sub_windows.iter()).enumerate() {
-            donor.advance(&attack, pop_w).unwrap();
-            let offered = if day == 1 { &donor } else { &stale };
-            let delta = derived
-                .advance_derived(&attack, sub_w, Some(offered))
-                .unwrap();
+            let subset_first = day != 1;
+            if !subset_first {
+                population.advance(&attack, pop_w, &mut store).unwrap();
+            }
+            let delta = subset.advance(&attack, sub_w, &mut store).unwrap();
+            if subset_first {
+                let served = population.advance(&attack, pop_w, &mut store).unwrap();
+                assert_eq!(
+                    served.users_derived, 2,
+                    "day {day}: users 1 and 2 are served"
+                );
+            }
             paths.push((
                 delta.users_derived,
                 delta.shards_appended,
                 delta.shards_rebuilt,
                 delta.shards_fallback,
             ));
-            standalone.advance(&attack, sub_w).unwrap();
-            assert_eq!(derived.shards(), standalone.shards(), "day {day}");
+            standalone
+                .advance(&attack, sub_w, &mut WorkStore::new())
+                .unwrap();
+            assert!(subset.shards().eq(standalone.shards()), "day {day}");
+            store.drop_released();
+            assert_eq!(store.unreferenced(), 0, "day {day}");
         }
-        assert_eq!(paths, vec![(0, 0, 2, 0), (2, 0, 0, 0), (0, 0, 2, 0)]);
+        assert_eq!(paths, vec![(0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)]);
     }
 
-    /// Shards of a from-scratch cache over the first window only.
+    /// Shards of a from-scratch cache over one window.
     fn standalone_prefix_shards(
         attack: &PoiAttack,
-        windows: &WindowedDataset,
-    ) -> BTreeMap<UserId, UserAttackShard> {
+        window: &DatasetWindow,
+    ) -> Vec<UserAttackShard> {
         let mut cache = PopulationCache::new();
-        cache.advance(attack, &windows.windows()[0]).unwrap();
-        cache.shards().clone()
+        cache
+            .advance(attack, window, &mut WorkStore::new())
+            .unwrap();
+        cache.shards().cloned().collect()
+    }
+
+    /// A copy of `user`'s cached shard.
+    fn shard_of(cache: &SessionCache, user: UserId) -> UserAttackShard {
+        let mut shards = cache.population().shards();
+        shards.find(|s| s.user == user).unwrap().clone()
     }
 
     #[test]
     fn fresh_session_is_empty() {
         let cache = SessionCache::new();
-        assert_eq!(cache.windows_ingested(), 0);
-        assert!(cache.reference_index().is_none());
-        assert_eq!(cache.prefix().record_count(), 0);
-        assert!(cache.shards().is_empty());
-        assert!(cache.reference().is_empty());
+        let population = cache.population();
+        assert_eq!(population.windows_ingested(), 0);
+        assert!(population.reference_index().is_none());
+        assert_eq!(population.prefix().record_count(), 0);
+        assert!(population.shards().next().is_none());
+        assert!(cache.store().is_empty());
+        assert!(population.reference().is_empty());
         assert!(cache.strategies().is_empty());
         assert_eq!(cache.strategies().candidates(), 0);
         assert!(cache.strategies().last_deltas().is_empty());
@@ -2724,10 +2957,16 @@ mod tests {
             releases.iter().map(|r| r.day).collect::<Vec<_>>(),
             windows.days()
         );
-        assert_eq!(publisher.cache().windows_ingested(), windows.len());
+        assert_eq!(
+            publisher.cache().population().windows_ingested(),
+            windows.len()
+        );
         // The final release covers the whole dataset's record count.
         let last = releases.last().unwrap();
-        assert_eq!(publisher.cache().prefix().record_count(), ds.record_count());
+        assert_eq!(
+            publisher.cache().population().prefix().record_count(),
+            ds.record_count()
+        );
         assert!(last.published.selection.winner().is_some());
     }
 }

@@ -19,6 +19,7 @@ use crate::record::{Dataset, LocationRecord, Trajectory, UserId};
 use crate::window::DatasetWindow;
 use geo::BoundingBox;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A campaign's recruitment rule: which users and records of the shared
 /// population stream it observes.
@@ -133,59 +134,46 @@ impl ParticipantFilter {
         if self.is_all() {
             return Some(window.clone());
         }
-        let trajectories: Vec<Trajectory> = window
-            .dataset()
-            .trajectories()
-            .iter()
-            .filter_map(|t| {
-                let records: Vec<LocationRecord> = t
-                    .records()
-                    .iter()
-                    .filter(|r| self.keeps(r))
-                    .copied()
-                    .collect();
-                if records.is_empty() {
-                    None
-                } else {
-                    Some(Trajectory::new(t.user(), records))
-                }
-            })
-            .collect();
-        if trajectories.is_empty() {
-            return None;
-        }
-        Some(DatasetWindow::from_parts(
-            window.day(),
-            Dataset::from_trajectories(trajectories),
-        ))
+        let filtered = self.filter_dataset(window.dataset());
+        (filtered.trajectory_count() > 0)
+            .then(|| DatasetWindow::from_parts(window.day(), filtered))
     }
 
     /// Applies the filter to a whole dataset — the batch-side twin of
     /// [`ParticipantFilter::filter_window`], used to build the standalone
     /// comparison input in parity tests.
+    ///
+    /// A trajectory every record of which passes is kept as the same
+    /// shared handle, so a user-subset view shares its trajectories —
+    /// and every result keyed on their identity — with the full stream.
     pub fn filter_dataset(&self, dataset: &Dataset) -> Dataset {
         if self.is_all() {
             return dataset.clone();
         }
-        Dataset::from_trajectories(
+        Dataset::from_shared(
             dataset
                 .trajectories()
                 .iter()
-                .filter_map(|t| {
-                    let records: Vec<LocationRecord> = t
-                        .records()
-                        .iter()
-                        .filter(|r| self.keeps(r))
-                        .copied()
-                        .collect();
-                    if records.is_empty() {
-                        None
-                    } else {
-                        Some(Trajectory::new(t.user(), records))
-                    }
-                })
+                .filter_map(|t| self.filter_trajectory(t))
                 .collect(),
         )
+    }
+
+    /// The part of `t` that passes, or `None` when nothing does.
+    fn filter_trajectory(&self, t: &Arc<Trajectory>) -> Option<Arc<Trajectory>> {
+        let records: Vec<LocationRecord> = t
+            .records()
+            .iter()
+            .filter(|r| self.keeps(r))
+            .copied()
+            .collect();
+        if records.is_empty() {
+            None
+        } else if records.len() == t.len() {
+            Some(Arc::clone(t))
+        } else {
+            Some(Arc::new(Trajectory::new(t.user(), records)))
+        }
     }
 }
 
@@ -268,6 +256,30 @@ mod tests {
         let collapsed = ParticipantFilter::All.and(ParticipantFilter::users([UserId(1)]));
         assert_eq!(collapsed, ParticipantFilter::users([UserId(1)]));
         assert!(ParticipantFilter::All.and(ParticipantFilter::All).is_all());
+    }
+
+    #[test]
+    fn fully_kept_trajectories_stay_shared() {
+        let windows = WindowedDataset::partition(&sample());
+        let window = &windows.windows()[0];
+        let subset = ParticipantFilter::users([UserId(1)]);
+        let kept = subset.filter_window(window).unwrap();
+        assert_eq!(kept.dataset().trajectory_count(), 1);
+        let source = &window.dataset().trajectories()[0];
+        assert!(Arc::ptr_eq(&kept.dataset().trajectories()[0], source));
+        // A time-window filter keeps only part of user 1's day: a new
+        // trajectory, holding exactly the records that pass.
+        let morning = ParticipantFilter::hours(8, 10)
+            .filter_window(window)
+            .unwrap();
+        let partial = &morning.dataset().trajectories()[0];
+        assert!(!Arc::ptr_eq(partial, source));
+        assert_eq!(partial.records(), &source.records()[..1]);
+        // User 2's only record passes: the same handle again.
+        assert!(Arc::ptr_eq(
+            &morning.dataset().trajectories()[1],
+            &window.dataset().trajectories()[1]
+        ));
     }
 
     #[test]

@@ -332,6 +332,43 @@ pub fn render(summary: &TraceSummary) -> String {
         );
     }
 
+    // Protected-side phases: the children of the engine.candidate spans,
+    // summed by name, plus the work-store fills after each sweep.
+    let candidates: Vec<&SpanData> = summary
+        .spans
+        .iter()
+        .filter(|s| s.name == "engine.candidate")
+        .collect();
+    if !candidates.is_empty() {
+        let total: u64 = candidates.iter().map(|s| s.duration_ns()).sum();
+        let _ = writeln!(
+            out,
+            "\nprotected-side phases ({} candidate evaluations, {:.3} ms):",
+            candidates.len(),
+            ms(total)
+        );
+        for phase in [
+            "candidate.anonymize",
+            "candidate.extract",
+            "candidate.utility",
+            "candidate.match",
+            "store.fill",
+        ] {
+            let ns: u64 = summary
+                .spans
+                .iter()
+                .filter(|s| s.name == phase)
+                .map(SpanData::duration_ns)
+                .sum();
+            let _ = writeln!(
+                out,
+                "  {phase:<22} {:>10.3} ms {:>6.1}%",
+                ms(ns),
+                ratio_pct(ns, total)
+            );
+        }
+    }
+
     // Per-campaign cost: campaign.publish spans keyed by campaign id.
     let mut campaigns: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
     for span in summary
@@ -471,6 +508,15 @@ pub fn render(summary: &TraceSummary) -> String {
             ratio_pct(baseline_reuses, baseline_reuses + baseline_rebuilds)
         ));
     }
+    let lookups = counter("store.lookups");
+    if lookups > 0 {
+        let served = lookups.saturating_sub(counter("store.fills"));
+        cache_lines.push(format!(
+            "  {:<26} {:>6.2}% ({served} served / {lookups} lookups)",
+            "work store",
+            ratio_pct(served, lookups)
+        ));
+    }
     if !cache_lines.is_empty() {
         let _ = writeln!(out, "\ncache hit rates:");
         for line in cache_lines {
@@ -524,11 +570,15 @@ mod tests {
     #[test]
     fn parses_and_segments_a_synthetic_trace() {
         let trace = concat!(
-            "{\"t\":\"meta\",\"version\":1,\"spans\":1,\"events\":4,\"dropped\":0}\n",
+            "{\"t\":\"meta\",\"version\":1,\"spans\":3,\"events\":4,\"dropped\":0}\n",
             "{\"t\":\"counter\",\"name\":\"ingest.records\",\"value\":12}\n",
             "{\"t\":\"counter\",\"name\":\"streaming.users_reused\",\"value\":9}\n",
             "{\"t\":\"counter\",\"name\":\"streaming.users_refreshed\",\"value\":3}\n",
+            "{\"t\":\"counter\",\"name\":\"store.lookups\",\"value\":4}\n",
+            "{\"t\":\"counter\",\"name\":\"store.fills\",\"value\":1}\n",
             "{\"t\":\"span\",\"id\":1,\"parent\":0,\"name\":\"privapi.window\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":5000000,\"attrs\":{\"day\":2}}\n",
+            "{\"t\":\"span\",\"id\":2,\"parent\":0,\"name\":\"engine.candidate\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":4000000,\"attrs\":{\"candidate\":0}}\n",
+            "{\"t\":\"span\",\"id\":3,\"parent\":2,\"name\":\"candidate.extract\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":1000000,\"attrs\":{}}\n",
             "{\"t\":\"event\",\"seq\":0,\"name\":\"obs.phase\",\"domain\":\"wall\",\"at_ns\":0,\"attrs\":{\"phase\":\"chaos\"}}\n",
             "{\"t\":\"event\",\"seq\":1,\"name\":\"reliable.delivered\",\"domain\":\"sim\",\"at_ns\":1,\"attrs\":{\"latency_ms\":10}}\n",
             "{\"t\":\"event\",\"seq\":2,\"name\":\"reliable.delivered\",\"domain\":\"sim\",\"at_ns\":2,\"attrs\":{\"latency_ms\":30}}\n",
@@ -554,5 +604,8 @@ mod tests {
         assert!(rendered.contains("per-window wall breakdown"));
         assert!(rendered.contains("chaos"));
         assert!(rendered.contains("streaming session reuse"));
+        assert!(rendered.contains("protected-side phases (1 candidate evaluations, 4.000 ms)"));
+        assert!(rendered.contains("candidate.extract           1.000 ms   25.0%"));
+        assert!(rendered.contains("work store                  75.00% (3 served / 4 lookups)"));
     }
 }
