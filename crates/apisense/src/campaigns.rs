@@ -1,10 +1,10 @@
 //! The multi-campaign publication surface: APISENSE tasks mapped onto
 //! orchestrated privacy-preserving campaigns.
 //!
-//! The single-campaign [`crate::privacy::PublicationGateway`] pairs one
-//! PRIVAPI session with one task. A real APISENSE deployment runs *many*
-//! tasks at once over the same community — each with its own objective,
-//! privacy policy and recruited participant set. [`CampaignGateway`]
+//! One task's daily releases need one PRIVAPI session, a
+//! [`privapi::streaming::StreamingPublisher`]. A real APISENSE deployment
+//! runs *many* tasks at once over the same community — each with its own
+//! objective, privacy policy and recruited participant set. [`CampaignGateway`]
 //! bridges the platform's existing campaign objects (a published
 //! [`crate::honeycomb::SensingTask`] plus its [`crate::hive::Hive`]
 //! deployment) onto a [`campaign::Orchestrator`], so N concurrent tasks

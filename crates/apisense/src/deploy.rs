@@ -498,4 +498,60 @@ mod tests {
     fn malformed_record_batch_is_dropped() {
         assert!(decode_records(TaskId(1), &[1, 2, 3]).is_empty());
     }
+
+    #[test]
+    fn device_ignores_a_hostile_deployment_and_keeps_running() {
+        // A deployment nested far past the parser's bound is refused like
+        // any malformed script: no install, no ack. The device then
+        // installs the next, well-formed deployment and senses.
+        let user = UserId(0);
+        let data =
+            CityModel::builder()
+                .seed(5)
+                .build()
+                .generate_population(&PopulationConfig {
+                    users: 1,
+                    days: 1,
+                    sampling_interval_s: 60,
+                    ..PopulationConfig::default()
+                });
+        let device = Device::new(
+            DeviceId(0),
+            user,
+            Trajectory::new(user, data.records_of(user)),
+        );
+        let mut sim = Simulation::new(5);
+        let start = Timestamp::from_day_time(0, 7, 0, 0);
+        let device_node = sim.add_node(
+            "device",
+            Box::new(DeviceActor::new(device, NodeId(1), start)),
+        );
+        let hive_node = sim.add_node("hive", Box::new(HiveActor::new(vec![device_node])));
+        let deploy = |task: u64, source: String| Message {
+            kind: kind::TASK_DEPLOY,
+            request_id: task,
+            payload: ("task".to_string(), (source, (60i64, 0.0f64)))
+                .encode_to_vec()
+                .into(),
+        };
+        let deep = format!("let x = {}1{};", "(".repeat(100_000), ")".repeat(100_000));
+        sim.post(hive_node, device_node, deploy(1, deep));
+        sim.run_until(SimTime::from_millis(60_000));
+        let actor = sim.actor_as::<DeviceActor>(device_node).unwrap();
+        assert_eq!(actor.task, None, "the hostile script was not installed");
+        let hive = sim.actor_as::<HiveActor>(hive_node).unwrap();
+        assert!(hive.ack_times_ms.is_empty(), "and not acknowledged");
+
+        let gps = "let fix = sensor.gps(); emit({ \"lat\": fix.lat, \"lon\": fix.lon });";
+        sim.post(hive_node, device_node, deploy(2, gps.to_string()));
+        sim.run_until(SimTime::from_millis(3_600_000));
+        let actor = sim.actor_as::<DeviceActor>(device_node).unwrap();
+        assert_eq!(actor.task, Some((2, 60)));
+        assert!(actor.uploaded > 0, "the device kept sensing");
+        let hive = sim.actor_as::<HiveActor>(hive_node).unwrap();
+        assert_eq!(
+            hive.ack_times_ms.keys().copied().collect::<Vec<_>>(),
+            vec![2]
+        );
+    }
 }

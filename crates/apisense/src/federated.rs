@@ -61,8 +61,8 @@ use privapi::federated::{
     central_release, Admission, FederatedSession, FederationDelta, FederationPolicy,
     SessionTotals, StrategyConfig, StrategySpec,
 };
-use privapi::pipeline::{PrivApi, PrivApiConfig};
-use privapi::streaming::{IngestDelta, SessionCache};
+use privapi::pipeline::PrivApiConfig;
+use privapi::streaming::{IngestDelta, StreamingPublisher};
 use privapi::PrivapiError;
 use simnet::reliable::{
     AckFrame, DataFrame, ReliableConfig, ReliableReceiver, ReliableSender, Transmission,
@@ -928,7 +928,7 @@ pub(crate) struct HiveFederation {
     anchor: BoundingBox,
     current: StrategyConfig,
     upgrade_at_close: Option<(i64, StrategySpec)>,
-    selection: Option<(PrivApi, SessionCache)>,
+    selection: Option<StreamingPublisher>,
     windows: Vec<DatasetWindow>,
     deltas: Vec<FederationDelta>,
     selections: Vec<(i64, String)>,
@@ -972,7 +972,7 @@ impl HiveFederation {
             upgrade_at_close: config.upgrade_at_close,
             selection: config
                 .select
-                .then(|| (PrivApi::new(PrivApiConfig::default()), SessionCache::new())),
+                .then(|| StreamingPublisher::new(PrivApiConfig::default())),
             windows: Vec::new(),
             deltas: Vec::new(),
             selections: Vec::new(),
@@ -1009,16 +1009,18 @@ impl HiveFederation {
         cohort_window: Option<&DatasetWindow>,
     ) -> bool {
         let mut next_spec = None;
-        if let (Some((api, cache)), Some(window)) = (self.selection.as_mut(), cohort_window) {
-            if window.record_count() > 0 {
-                if let Ok(p) = api.publish_window(cache, window) {
-                    let info = p.published.strategy.clone();
-                    self.selections.push((day, info.to_string()));
-                    let winner = api.pool().iter().find(|s| s.info() == info);
-                    next_spec = winner
-                        .and_then(|s| s.spec())
-                        .filter(|&s| s != self.current.spec);
-                }
+        if let (Some(publisher), Some(window)) = (self.selection.as_mut(), cohort_window) {
+            // An empty or infeasible cohort window keeps the current config.
+            if let Ok(p) = publisher.publish_window(window) {
+                self.selections
+                    .push((day, p.published.strategy.to_string()));
+                next_spec = p
+                    .published
+                    .selection
+                    .chosen
+                    .and_then(|index| publisher.privapi().pool().get(index))
+                    .and_then(|s| s.spec())
+                    .filter(|&s| s != self.current.spec);
             }
         }
         let (window, delta) = self

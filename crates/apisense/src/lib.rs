@@ -21,11 +21,13 @@
 //!   and sandboxed tree-walking interpreter with a sensor host API;
 //! * [`device`] — simulated smartphones: battery model, sensor suite backed
 //!   by mobility trajectories, client runtime executing deployed scripts;
-//! * [`privacy`] — the two privacy layers: the device-side filter ("filter
-//!   out and blur sensitive information (e.g., address book, location)
-//!   depending on user preferences") and the platform-side
-//!   [`privacy::PublicationGateway`] releasing collected datasets through
-//!   the PRIVAPI evaluation engine and its shared strategy pool;
+//! * [`privacy`] — the device-side privacy filter ("filter out and blur
+//!   sensitive information (e.g., address book, location) depending on
+//!   user preferences"). The platform-side layer is PRIVAPI itself: a
+//!   task's [`honeycomb::Honeycomb::mobility_dataset`] is released through
+//!   [`privapi::pipeline::PrivApi::publish`], a daily stream through
+//!   [`privapi::streaming::StreamingPublisher`], and many tasks through
+//!   [`campaigns`];
 //! * [`virtual_sensor`] — device-group orchestration with round-robin,
 //!   energy-aware and coverage-aware retrieval strategies;
 //! * [`incentives`] — user feedback, ranking, rewarding and win-win

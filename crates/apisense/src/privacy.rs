@@ -16,6 +16,13 @@
 //!   coordinates;
 //! * **contact hashing** — address-book identifiers are one-way hashed
 //!   before ever leaving the device.
+//!
+//! The paper's second layer, "deployed in the cloud and enforces privacy
+//! before datasets are released" (§2), is PRIVAPI itself: a task's
+//! collected data ([`crate::honeycomb::Honeycomb::mobility_dataset`]) goes
+//! through [`privapi::pipeline::PrivApi::publish`], a daily stream through
+//! [`privapi::streaming::StreamingPublisher`], and many concurrent tasks
+//! through [`crate::campaigns::CampaignGateway`].
 
 use crate::device::{SensedRecord, SensorKind};
 use crate::script::Value;
@@ -220,124 +227,6 @@ impl PrivacyPreferences {
     }
 }
 
-/// The platform-side publication gateway: the second privacy layer of the
-/// paper's architecture, bridging APISENSE data collection to the PRIVAPI
-/// middleware.
-///
-/// "A second \[layer\] is deployed in the cloud and enforces privacy before
-/// datasets are released" (paper, §2). Where [`PrivacyPreferences`] filters
-/// on the device, the gateway protects whole collected datasets: it hands a
-/// task's [`crate::honeycomb::Honeycomb`] data to PRIVAPI's parallel
-/// evaluation engine, which searches the **shared**
-/// [`privapi::pool::StrategyPool`] for the best-utility strategy under the
-/// configured privacy floor. Continuously collected data goes through the
-/// streaming entry point [`PublicationGateway::publish_window`], which
-/// reuses the gateway's session cache across daily releases.
-#[derive(Debug)]
-pub struct PublicationGateway {
-    privapi: privapi::pipeline::PrivApi,
-    session: privapi::streaming::SessionCache,
-}
-
-impl Default for PublicationGateway {
-    /// A gateway with PRIVAPI's default configuration and default pool.
-    fn default() -> Self {
-        Self::new(privapi::pipeline::PrivApiConfig::default())
-    }
-}
-
-impl PublicationGateway {
-    /// Creates a gateway enforcing `config` with the shared default pool
-    /// and an empty streaming session.
-    pub fn new(config: privapi::pipeline::PrivApiConfig) -> Self {
-        Self {
-            privapi: privapi::pipeline::PrivApi::new(config),
-            session: privapi::streaming::SessionCache::new(),
-        }
-    }
-
-    /// Replaces the strategy pool searched on publication.
-    pub fn with_pool(mut self, pool: privapi::pool::StrategyPool) -> Self {
-        self.privapi = self.privapi.with_pool(pool);
-        self
-    }
-
-    /// Replaces the attack measuring POI exposure (custom parameters, or an
-    /// instrumented probe for extraction accounting).
-    pub fn with_attack(mut self, attack: privapi::attack::PoiAttack) -> Self {
-        self.privapi = self.privapi.with_attack(attack);
-        self
-    }
-
-    /// Sets the evaluation schedule (parallel by default).
-    pub fn with_mode(mut self, mode: privapi::engine::ExecutionMode) -> Self {
-        self.privapi = self.privapi.with_mode(mode);
-        self
-    }
-
-    /// The underlying PRIVAPI middleware.
-    pub fn privapi(&self) -> &privapi::pipeline::PrivApi {
-        &self.privapi
-    }
-
-    /// Protects and publishes one task's collected mobility data.
-    ///
-    /// # Errors
-    ///
-    /// * [`privapi::PrivapiError::EmptyDataset`] when the task has no
-    ///   located records;
-    /// * [`privapi::PrivapiError::NoFeasibleStrategy`] when no pooled
-    ///   strategy meets the privacy floor on this dataset.
-    pub fn publish_task(
-        &self,
-        honeycomb: &crate::honeycomb::Honeycomb,
-        task: crate::hive::TaskId,
-    ) -> Result<privapi::pipeline::PublishedDataset, privapi::PrivapiError> {
-        self.privapi.publish(&honeycomb.mobility_dataset(task))
-    }
-
-    /// Protects and publishes an already-assembled mobility dataset.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`privapi::pipeline::PrivApi::publish`].
-    pub fn publish_dataset(
-        &self,
-        dataset: &mobility::Dataset,
-    ) -> Result<privapi::pipeline::PublishedDataset, privapi::PrivapiError> {
-        self.privapi.publish(dataset)
-    }
-
-    /// The streaming entry point: protects and publishes one **day
-    /// window** incrementally, reusing the gateway's session cache (per-
-    /// user attack shards and the amended reference index) across calls.
-    ///
-    /// Scripted sensors that report continuously should feed their data
-    /// through here — each window's release is byte-identical to a batch
-    /// [`PublicationGateway::publish_dataset`] of everything collected so
-    /// far, without re-running the original-side extraction for users that
-    /// produced no new records. See
-    /// [`privapi::pipeline::PrivApi::publish_window`].
-    ///
-    /// # Errors
-    ///
-    /// * [`privapi::PrivapiError::EmptyDataset`] for an empty window;
-    /// * [`privapi::PrivapiError::NoFeasibleStrategy`] when no pooled
-    ///   strategy meets the privacy floor on the accumulated prefix.
-    pub fn publish_window(
-        &mut self,
-        window: &mobility::DatasetWindow,
-    ) -> Result<privapi::streaming::PublishedWindow, privapi::PrivapiError> {
-        self.privapi.publish_window(&mut self.session, window)
-    }
-
-    /// The streaming session state accumulated by
-    /// [`PublicationGateway::publish_window`].
-    pub fn session(&self) -> &privapi::streaming::SessionCache {
-        &self.session
-    }
-}
-
 /// Hash of (salt, point, time) mapped to `[0, 1)`.
 fn hash_unit(salt: u64, point: &GeoPoint, time_s: i64) -> f64 {
     let mut h = salt
@@ -355,6 +244,8 @@ mod tests {
     use super::*;
     use crate::hive::TaskId;
     use mobility::{Timestamp, UserId};
+    use privapi::pipeline::{PrivApi, PrivApiConfig};
+    use privapi::streaming::StreamingPublisher;
     use std::collections::BTreeMap;
 
     fn located_record(lat: f64, lon: f64, time: Timestamp) -> SensedRecord {
@@ -557,9 +448,11 @@ mod tests {
             .collect();
         honeycomb.receive(sensed);
 
-        let gateway = PublicationGateway::default();
-        let published = gateway.publish_task(&honeycomb, task).unwrap();
-        let floor = gateway.privapi().config().privacy_floor;
+        // The platform-side gate: the task's collected fixes go through
+        // PRIVAPI before release.
+        let gateway = PrivApi::default();
+        let published = gateway.publish(&honeycomb.mobility_dataset(task)).unwrap();
+        let floor = gateway.config().privacy_floor;
         assert!(
             published.privacy.recall <= floor + 1e-9,
             "gateway release leaks {} above floor {floor}",
@@ -570,8 +463,8 @@ mod tests {
         // The platform-side publish path attacks the original exactly once:
         // one extraction for the reference plus one per pooled candidate.
         assert_eq!(
-            gateway.privapi().attack().extractions(),
-            gateway.privapi().pool().len() + 1,
+            gateway.attack().extractions(),
+            gateway.pool().len() + 1,
             "gateway publish must extract the original dataset exactly once"
         );
     }
@@ -595,7 +488,7 @@ mod tests {
         let windows = WindowedDataset::partition(&data);
         assert!(windows.len() >= 2);
 
-        let mut gateway = PublicationGateway::default();
+        let mut gateway = StreamingPublisher::new(PrivApiConfig::default());
         let floor = gateway.privapi().config().privacy_floor;
         let pool = gateway.privapi().pool().len();
         let probe = gateway.privapi().attack().clone();
@@ -614,19 +507,16 @@ mod tests {
             assert_eq!(release.strategies.candidates, pool, "window {i}");
             assert_eq!(release.strategies.full_fallbacks, 0, "window {i}");
             // Parity with a batch release of everything collected so far.
-            let batch = gateway.publish_dataset(&windows.prefix(i)).unwrap();
+            let batch = PrivApi::default().publish(&windows.prefix(i)).unwrap();
             assert_eq!(release.published.selection, batch.selection, "window {i}");
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
         }
-        assert_eq!(
-            gateway.session().population().windows_ingested(),
-            windows.len()
-        );
+        assert_eq!(gateway.population().windows_ingested(), windows.len());
         // Later windows reuse protected-side work for inactive users (the
         // generator's dense data keeps everyone active, so reuse shows up
         // as shard reuse only when the protected boxes hold still; the
         // audit counters are at least well-formed end to end).
-        let last = gateway.session().strategies().last_window();
+        let last = gateway.strategies().last_window();
         assert_eq!(last.candidates, pool);
         assert_eq!(
             last.users_refreshed + last.users_reused,
@@ -651,7 +541,7 @@ mod tests {
                     leisure_probability: 0.3,
                 });
         let windows = WindowedDataset::partition(&data);
-        let mut gateway = PublicationGateway::default();
+        let mut gateway = StreamingPublisher::new(PrivApiConfig::default());
         gateway.publish_window(&windows.windows()[1]).unwrap();
         // A replayed or out-of-order window surfaces as the typed
         // `StreamError` at the platform layer too — carrying the
@@ -668,7 +558,7 @@ mod tests {
                 "got {err}"
             );
         }
-        assert_eq!(gateway.session().population().windows_ingested(), 1);
+        assert_eq!(gateway.population().windows_ingested(), 1);
     }
 
     #[test]
@@ -677,9 +567,8 @@ mod tests {
         use crate::honeycomb::Honeycomb;
 
         let honeycomb = Honeycomb::new("empty");
-        let gateway = PublicationGateway::default();
         assert!(matches!(
-            gateway.publish_task(&honeycomb, TaskId(1)),
+            PrivApi::default().publish(&honeycomb.mobility_dataset(TaskId(1))),
             Err(privapi::PrivapiError::EmptyDataset)
         ));
     }

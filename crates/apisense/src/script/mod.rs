@@ -50,7 +50,7 @@ mod vm;
 
 pub use compile::CompiledProgram;
 pub use interp::{Host, Interpreter};
-pub use parser::{BinaryOp, Expr, Program, Stmt, UnaryOp};
+pub use parser::{BinaryOp, Expr, Program, Stmt, UnaryOp, MAX_NESTING};
 pub use vm::Vm;
 
 use crate::error::ApisenseError;

@@ -118,18 +118,52 @@ pub enum Expr {
     Assign(Box<Expr>, Box<Expr>),
 }
 
+/// How deep expressions, blocks and `else if` chains may nest: every
+/// parenthesis, list, map, call argument, index, prefix operator, binary
+/// or postfix link, assignment, block and `else if` is one level. The
+/// bytecode compiler, the tree-walker and the tree's own drop all recurse
+/// over the parsed tree, so a script past this bound — a hostile
+/// deployment, say — is a typed [`ApisenseError::Parse`] instead of a
+/// stack overflow. Real task scripts stay far below it.
+pub const MAX_NESTING: usize = 128;
+
+/// Binary operators with their precedence, loosest `0`; every level is
+/// left-associative.
+const BINARY_OPS: [(&str, usize, BinaryOp); 13] = [
+    ("||", 0, BinaryOp::Or),
+    ("&&", 1, BinaryOp::And),
+    ("==", 2, BinaryOp::Eq),
+    ("!=", 2, BinaryOp::Ne),
+    ("<", 3, BinaryOp::Lt),
+    ("<=", 3, BinaryOp::Le),
+    (">", 3, BinaryOp::Gt),
+    (">=", 3, BinaryOp::Ge),
+    ("+", 4, BinaryOp::Add),
+    ("-", 4, BinaryOp::Sub),
+    ("*", 5, BinaryOp::Mul),
+    ("/", 5, BinaryOp::Div),
+    ("%", 5, BinaryOp::Rem),
+];
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Current nesting level, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 /// Parses a token stream into a program.
 ///
 /// # Errors
 ///
-/// Returns [`ApisenseError::Parse`] with a 1-based line number.
+/// Returns [`ApisenseError::Parse`] with a 1-based line number, also for
+/// a program nested deeper than [`MAX_NESTING`].
 pub fn parse(tokens: Vec<Token>) -> Result<Program, ApisenseError> {
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut statements = Vec::new();
     while !parser.check_eof() {
         statements.push(parser.statement()?);
@@ -163,6 +197,16 @@ impl Parser {
             message: message.into(),
             line: self.line(),
         }
+    }
+
+    /// Enters one nesting level; the caller restores `depth` when it
+    /// leaves (an error abandons the whole parse, so no restore is owed).
+    fn nest(&mut self) -> Result<(), ApisenseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        Ok(())
     }
 
     fn eat_punct(&mut self, p: &str) -> Result<(), ApisenseError> {
@@ -266,7 +310,10 @@ impl Parser {
         let then_branch = self.block()?;
         let else_branch = if self.try_keyword("else") {
             if self.try_keyword("if") {
-                vec![self.if_statement()?]
+                self.nest()?;
+                let chained = self.if_statement()?;
+                self.depth -= 1;
+                vec![chained]
             } else {
                 self.block()?
             }
@@ -282,6 +329,7 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ApisenseError> {
         self.eat_punct("{")?;
+        self.nest()?;
         let mut statements = Vec::new();
         while !self.try_punct("}") {
             if self.check_eof() {
@@ -289,19 +337,23 @@ impl Parser {
             }
             statements.push(self.statement()?);
         }
+        self.depth -= 1;
         Ok(statements)
     }
 
     fn expression(&mut self) -> Result<Expr, ApisenseError> {
-        self.assignment()
+        self.nest()?;
+        let expr = self.assignment()?;
+        self.depth -= 1;
+        Ok(expr)
     }
 
     fn assignment(&mut self) -> Result<Expr, ApisenseError> {
-        let target = self.or_expr()?;
+        let target = self.binary(0)?;
         if self.try_punct("=") {
             match target {
                 Expr::Ident(_) | Expr::Member(_, _) | Expr::Index(_, _) => {
-                    let value = self.assignment()?;
+                    let value = self.expression()?;
                     Ok(Expr::Assign(Box::new(target), Box::new(value)))
                 }
                 _ => Err(self.error("invalid assignment target")),
@@ -311,105 +363,47 @@ impl Parser {
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ApisenseError> {
-        let mut left = self.and_expr()?;
-        while self.try_punct("||") {
-            let right = self.and_expr()?;
-            left = Expr::Binary(BinaryOp::Or, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, ApisenseError> {
-        let mut left = self.equality()?;
-        while self.try_punct("&&") {
-            let right = self.equality()?;
-            left = Expr::Binary(BinaryOp::And, Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn equality(&mut self) -> Result<Expr, ApisenseError> {
-        let mut left = self.comparison()?;
-        loop {
-            let op = if self.try_punct("==") {
-                BinaryOp::Eq
-            } else if self.try_punct("!=") {
-                BinaryOp::Ne
-            } else {
-                return Ok(left);
-            };
-            let right = self.comparison()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-    }
-
-    fn comparison(&mut self) -> Result<Expr, ApisenseError> {
-        let mut left = self.additive()?;
-        loop {
-            let op = if self.try_punct("<=") {
-                BinaryOp::Le
-            } else if self.try_punct(">=") {
-                BinaryOp::Ge
-            } else if self.try_punct("<") {
-                BinaryOp::Lt
-            } else if self.try_punct(">") {
-                BinaryOp::Gt
-            } else {
-                return Ok(left);
-            };
-            let right = self.additive()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, ApisenseError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = if self.try_punct("+") {
-                BinaryOp::Add
-            } else if self.try_punct("-") {
-                BinaryOp::Sub
-            } else {
-                return Ok(left);
-            };
-            let right = self.multiplicative()?;
-            left = Expr::Binary(op, Box::new(left), Box::new(right));
-        }
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, ApisenseError> {
+    /// Binary operators of precedence `min_level` and tighter, by
+    /// precedence climbing (one frame per operand, not per level). Each
+    /// link nests the tree one level deeper.
+    fn binary(&mut self, min_level: usize) -> Result<Expr, ApisenseError> {
+        let depth = self.depth;
         let mut left = self.unary()?;
-        loop {
-            let op = if self.try_punct("*") {
-                BinaryOp::Mul
-            } else if self.try_punct("/") {
-                BinaryOp::Div
-            } else if self.try_punct("%") {
-                BinaryOp::Rem
-            } else {
-                return Ok(left);
-            };
-            let right = self.unary()?;
+        while let Some(&(_, level, op)) = BINARY_OPS.iter().find(|(p, level, _)| {
+            *level >= min_level && matches!(self.peek(), TokenKind::Punct(q) if q == p)
+        }) {
+            self.advance();
+            self.nest()?;
+            let right = self.binary(level + 1)?;
             left = Expr::Binary(op, Box::new(left), Box::new(right));
         }
+        self.depth = depth;
+        Ok(left)
     }
 
     fn unary(&mut self) -> Result<Expr, ApisenseError> {
-        if self.try_punct("-") {
-            let operand = self.unary()?;
-            return Ok(Expr::Unary(UnaryOp::Neg, Box::new(operand)));
-        }
-        if self.try_punct("!") {
-            let operand = self.unary()?;
-            return Ok(Expr::Unary(UnaryOp::Not, Box::new(operand)));
-        }
-        self.postfix()
+        let op = if self.try_punct("-") {
+            UnaryOp::Neg
+        } else if self.try_punct("!") {
+            UnaryOp::Not
+        } else {
+            return self.postfix();
+        };
+        self.nest()?;
+        let operand = self.unary()?;
+        self.depth -= 1;
+        Ok(Expr::Unary(op, Box::new(operand)))
     }
 
+    /// Calls, member and index accesses; each link nests the tree one
+    /// level deeper.
     fn postfix(&mut self) -> Result<Expr, ApisenseError> {
+        let depth = self.depth;
         let mut expr = self.primary()?;
         loop {
+            if matches!(self.peek(), TokenKind::Punct("(" | "." | "[")) {
+                self.nest()?;
+            }
             if self.try_punct("(") {
                 let mut args = Vec::new();
                 if !self.try_punct(")") {
@@ -430,6 +424,7 @@ impl Parser {
                 self.eat_punct("]")?;
                 expr = Expr::Index(Box::new(expr), Box::new(index));
             } else {
+                self.depth = depth;
                 return Ok(expr);
             }
         }

@@ -258,3 +258,43 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutation fuzzing of the two JSON readers: a dataset written as JSONL
+    /// for `mobility::io::read_jsonl`, and a trace-style document for
+    /// `obs::json::parse`, each with one byte flipped and/or truncated.
+    /// Both return a value or a typed error, and never panic.
+    #[test]
+    fn json_readers_survive_mutated_input(
+        fixes in prop::collection::vec((0u64..4, 0i64..172_800, 44.5..46.5f64, 3.5..5.5f64), 1..6),
+        flip_at in any::<usize>(),
+        flip_bits in any::<u8>(),
+        cut in any::<usize>(),
+    ) {
+        use mobility::{io, Dataset, LocationRecord, Timestamp, UserId};
+
+        let records: Vec<LocationRecord> = fixes
+            .iter()
+            .map(|&(user, t, lat, lon)| {
+                LocationRecord::new(UserId(user), Timestamp::new(t), GeoPoint::new(lat, lon).unwrap())
+            })
+            .collect();
+        let mut jsonl = Vec::new();
+        io::write_jsonl(&Dataset::from_records(records), &mut jsonl).unwrap();
+        prop_assert!(io::read_jsonl(jsonl.as_slice()).is_ok());
+        let _ = io::read_jsonl(mutate(jsonl, flip_at, flip_bits, cut).as_slice());
+
+        let samples: Vec<String> = fixes.iter().map(|f| format!("{:e}", f.2)).collect();
+        let document = format!(
+            r#"{{"kind":"span","name":"privapi.window","attrs":{{"day":{},"label":"café \"{}\""}},"samples":[{}],"ok":true,"parent":null}}"#,
+            fixes[0].1,
+            fixes[0].0,
+            samples.join(","),
+        );
+        prop_assert!(obs::json::parse(&document).is_ok());
+        let mutated = mutate(document.into_bytes(), flip_at, flip_bits, cut);
+        let _ = obs::json::parse(&String::from_utf8_lossy(&mutated));
+    }
+}

@@ -18,7 +18,7 @@
 //! Numeric comparison is NaN-aware (`0 / 0` must be "equal" across tiers
 //! even though `NaN != NaN`).
 
-use apisense::script::{Host, Script, Value, Vm};
+use apisense::script::{Host, Script, Value, Vm, MAX_NESTING};
 use apisense::ApisenseError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -582,4 +582,79 @@ fn fuel_sweep_across_fused_field_reads() {
         outcomes.contains(&Err(ApisenseError::Runtime("no field 'lat' on 5".into()))),
         "the sweep must reach the failing field read"
     );
+}
+
+/// A script source builder over the number of nested constructs.
+type Shape = fn(usize) -> String;
+
+/// Every way a script nests, as a source builder over the number of
+/// nested constructs: parentheses, lists, prefix minus, blocks, `else if`
+/// chains, binary links, member links and chained assignments.
+fn nesting_shapes() -> [(&'static str, Shape); 8] {
+    [
+        ("parens", |k| {
+            format!("emit({}1{});", "(".repeat(k), ")".repeat(k))
+        }),
+        ("lists", |k| {
+            format!("emit({}1{});", "[".repeat(k), "]".repeat(k))
+        }),
+        ("unary", |k| format!("emit({}1);", "-".repeat(k))),
+        ("blocks", |k| {
+            format!("{} emit(1); {}", "if (true) {".repeat(k), "}".repeat(k))
+        }),
+        ("else-if", |k| {
+            format!(
+                "if (false) {{}} {} else {{ emit(1); }}",
+                "else if (false) {} ".repeat(k)
+            )
+        }),
+        ("binary", |k| format!("emit(1{});", " + 1".repeat(k))),
+        ("members", |k| {
+            format!("let v = 1; emit(v{});", ".a".repeat(k))
+        }),
+        ("assignments", |k| {
+            format!("let v = 0; {}1;", "v = ".repeat(k))
+        }),
+    ]
+}
+
+/// Hostile nesting far past the bound is a typed parse error on every
+/// shape, not a stack overflow.
+#[test]
+fn hostile_nesting_is_a_parse_error() {
+    for (shape, source) in nesting_shapes() {
+        match Script::compile(&source(100_000)) {
+            Err(ApisenseError::Parse { message, .. }) => {
+                assert!(message.contains("nesting"), "{shape}: {message}")
+            }
+            other => panic!("{shape}: expected a nesting parse error, got {other:?}"),
+        }
+    }
+}
+
+/// The deepest script the parser accepts compiles and runs on both tiers
+/// with identical outcomes, inside the default 2 MB test-thread stack —
+/// the bound leaves every later recursion (bytecode compiler, tree-walker,
+/// drop) room to spare, even in a debug build.
+#[test]
+fn scripts_nested_at_the_limit_run_on_both_tiers() {
+    for (shape, source) in nesting_shapes() {
+        let deepest = (1..=MAX_NESTING)
+            .rev()
+            .find(|&k| Script::compile(&source(k)).is_ok())
+            .unwrap_or_else(|| panic!("{shape}: nothing compiles"));
+        // The bound itself refuses the next level, not some other limit:
+        // every shape spends at most four levels outside its k constructs.
+        assert!(deepest + 4 >= MAX_NESTING, "{shape}: only {deepest} levels");
+        assert!(
+            matches!(
+                Script::compile(&source(deepest + 1)),
+                Err(ApisenseError::Parse { .. })
+            ),
+            "{shape}"
+        );
+        let src = source(deepest);
+        let script = Script::compile(&src).unwrap();
+        assert_parity(&script, &mut Vm::new(), 1_000_000, &src);
+    }
 }

@@ -39,11 +39,14 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_function("session_advance_all_windows", |b| {
         let attack = PoiAttack::default();
         b.iter(|| {
-            let mut cache = SessionCache::new();
+            let mut store = WorkStore::new();
+            let mut cache = PopulationCache::new();
             for window in &windows {
-                black_box(cache.advance(&attack, window).expect("ascending windows"));
+                let delta = cache.advance(&attack, window, &mut store);
+                black_box(delta.expect("ascending windows"));
+                store.drop_released();
             }
-            black_box(cache.population().windows_ingested())
+            black_box(cache.windows_ingested())
         })
     });
 
@@ -59,7 +62,9 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_function("stream_publish_all_windows", |b| {
         b.iter(|| {
             let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
-            black_box(publisher.publish_all(&windows).ok());
+            for window in &windows {
+                black_box(publisher.publish_window(window).ok());
+            }
         })
     });
 

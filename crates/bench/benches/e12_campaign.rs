@@ -39,7 +39,9 @@ fn bench_campaigns(c: &mut Criterion) {
         b.iter(|| {
             for _ in 0..CAMPAIGNS {
                 let mut publisher = StreamingPublisher::from_privapi(PrivApi::new(config));
-                black_box(publisher.publish_all(&windows).ok());
+                for window in &windows {
+                    black_box(publisher.publish_window(window).ok());
+                }
             }
         })
     });

@@ -18,16 +18,20 @@ fn bench_e5(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     group.bench_function("select_default_pool_8u2d", |b| {
         b.iter(|| {
-            let selector = StrategySelector::new(
+            let engine = EvaluationEngine::new(
                 Objective::CrowdedPlaces {
                     cell: geo::Meters::new(250.0),
                     k: 10,
                 },
                 0.3,
                 1,
-            )
-            .with_pool(StrategyPool::default_pool());
-            black_box(selector.select(black_box(&data.dataset), &reference).ok());
+            );
+            let pool = StrategyPool::default_pool();
+            black_box(
+                engine
+                    .evaluate(&pool, black_box(&data.dataset), &reference)
+                    .ok(),
+            );
         })
     });
     group.finish();

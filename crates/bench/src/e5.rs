@@ -7,8 +7,9 @@
 use crate::data::standard_dataset;
 use crate::Scale;
 use privapi::attack::PoiAttack;
+use privapi::engine::EvaluationEngine;
 use privapi::pool::StrategyPool;
-use privapi::selection::{Objective, SelectionReport, StrategySelector};
+use privapi::selection::{Objective, SelectionReport};
 use std::fmt;
 
 /// One row of the E5 table.
@@ -73,19 +74,24 @@ pub fn run(scale: Scale) -> E5Table {
         },
         Objective::Distortion,
     ];
+    let pool = StrategyPool::default_pool();
     let mut rows = Vec::new();
     let mut reports = Vec::new();
     for floor in [0.25, 0.10] {
         for objective in objectives {
-            let selector = StrategySelector::new(objective, floor, 0xE5)
-                .with_pool(StrategyPool::default_pool());
-            match selector.select(&data.dataset, &reference) {
-                Ok((winner, report)) => {
+            let selected = EvaluationEngine::new(objective, floor, 0xE5)
+                .evaluate(&pool, &data.dataset, &reference)
+                .and_then(|report| match report.winner() {
+                    Some(_) => Ok(report),
+                    None => Err(report.no_feasible_error()),
+                });
+            match selected {
+                Ok(report) => {
                     let row = report.winner().expect("chosen row exists").clone();
                     rows.push(E5Row {
                         objective: objective.to_string(),
                         floor,
-                        winner: winner.info().to_string(),
+                        winner: row.info.to_string(),
                         utility: row.utility,
                         recall: row.poi_recall,
                     });

@@ -60,7 +60,7 @@ use privapi::federated::FederationDelta;
 use privapi::pipeline::PublishedDataset;
 use privapi::streaming::{
     BaselineDelta, IngestDelta, PopulationCache, StrategyCacheDelta, StrategySessionCache,
-    WindowDelta, WindowUpdate, WorkStore,
+    WindowDelta, WorkStore,
 };
 use privapi::PrivapiError;
 
@@ -547,25 +547,24 @@ fn evaluate_campaign(
         }
         View::Detached => unreachable!("only retired campaigns are detached"),
     };
-    let update = WindowUpdate {
-        changed_users,
-        grid_rebuilt: delta.grid_rebuilt,
-    };
-    match campaign
-        .privapi()
-        .publish_session(population, strategies, &update, store)
-    {
-        Ok((published, strategy_delta, baseline)) => {
+    match campaign.privapi().publish_session(
+        population,
+        strategies,
+        delta,
+        &changed_users,
+        store,
+    ) {
+        Ok(window) => {
             entry.windows_published += 1;
             entry.last_published_day = Some(day);
             CampaignOutcome::Published(Box::new(CampaignRelease {
                 id: entry.campaign.id(),
                 day,
-                delta,
-                strategies: strategy_delta,
-                baseline,
+                delta: window.delta,
+                strategies: window.strategies,
+                baseline: window.baseline,
                 shared,
-                published,
+                published: window.published,
             }))
         }
         Err(error) => CampaignOutcome::Failed(error),

@@ -351,7 +351,8 @@ impl EvaluationEngine {
     /// follows the `(utility, −recall, index)` ordering of
     /// [`choose_winner`], regardless of [`ExecutionMode`]. A report with no
     /// feasible candidate has `chosen == None` (turning that into an error
-    /// is the caller's policy — see [`crate::selection::StrategySelector`]).
+    /// is the caller's policy — see
+    /// [`crate::selection::SelectionReport::no_feasible_error`]).
     ///
     /// # Errors
     ///
@@ -368,39 +369,18 @@ impl EvaluationEngine {
         Ok(self.sweep(pool, &context).0)
     }
 
-    /// Like [`EvaluationEngine::evaluate`], but also returns the winner's
-    /// release artifacts: its protected dataset and full privacy report.
+    /// The batch publish path: extracts the original dataset's POI
+    /// exposure **exactly once** (inside [`EvalContext::extracting`]),
+    /// scores every candidate against it, and returns the winner's release
+    /// artifacts: its protected dataset and full privacy report.
     ///
-    /// The privacy report is the one measured during the sweep; only the
-    /// winner's `anonymize` is re-run (deterministic per `(dataset, seed)`,
-    /// so the release is bit-identical to what was scored) — this keeps
-    /// memory flat at thread-count × dataset instead of retaining every
-    /// candidate's protected copy, while sparing callers the *expensive*
-    /// duplicate, a second self-attack over the release.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PrivapiError::EmptyDataset`] when the pool or the dataset
-    /// is empty.
-    pub fn evaluate_release(
-        &self,
-        pool: &StrategyPool,
-        dataset: &Dataset,
-        reference: &ReferencePois,
-    ) -> Result<(SelectionReport, Option<WinnerRelease>), PrivapiError> {
-        Self::check_nonempty(pool, dataset)?;
-        let context = EvalContext::new(&self.attack, dataset, reference, self.objective);
-        Ok(self.release_from_context(pool, &context))
-    }
-
-    /// The publish path: extracts the original dataset's POI exposure
-    /// **exactly once** (inside [`EvalContext::extracting`]), scores every
-    /// candidate against it, and returns the winner's release artifacts.
-    ///
-    /// Unlike [`EvaluationEngine::evaluate_release`], no caller-side
-    /// reference extraction is needed — this is what keeps
+    /// No caller-side reference extraction is needed — this is what keeps
     /// [`crate::pipeline::PrivApi::publish`] at a single original-side
-    /// attack per run.
+    /// attack per run. The privacy report is the one measured during the
+    /// sweep; only the winner's `anonymize` is re-run (deterministic per
+    /// `(dataset, seed)`, so the release is bit-identical to what was
+    /// scored), which keeps memory flat at thread-count × dataset instead
+    /// of retaining every candidate's protected copy.
     ///
     /// # Errors
     ///
@@ -420,7 +400,8 @@ impl EvaluationEngine {
     /// [`EvalContext`] with **both** streaming caches warm, and returns
     /// the winner's release artifacts.
     ///
-    /// This is the streaming publish path. The context carries cached
+    /// This is the streaming publish path, driven by
+    /// [`crate::pipeline::PrivApi::publish_session`]. The context carries cached
     /// *original-side* extraction state ([`EvalContext::from_cache`]) that
     /// a session cache amends across day windows, so no original-side
     /// extraction happens here at all. `strategies` carries the
@@ -448,12 +429,12 @@ impl EvaluationEngine {
     ///
     /// Returns [`PrivapiError::EmptyDataset`] when the pool or the
     /// context's dataset is empty.
-    pub fn evaluate_release_with(
+    pub(crate) fn evaluate_release_with(
         &self,
         pool: &StrategyPool,
         context: &EvalContext<'_>,
         strategies: &mut StrategySessionCache,
-        update: &WindowUpdate,
+        update: &WindowUpdate<'_>,
         store: &mut WorkStore,
     ) -> Result<(SelectionReport, Option<WinnerRelease>), PrivapiError> {
         Self::check_nonempty(pool, context.original())?;
@@ -538,7 +519,7 @@ impl EvaluationEngine {
         strategy: &dyn crate::strategy::AnonymizationStrategy,
         state: &mut CandidateState,
         context: &EvalContext<'_>,
-        update: &WindowUpdate,
+        update: &WindowUpdate<'_>,
         all_users: &[UserId],
         store: &WorkStore,
     ) -> (CandidateResult, PoiAttackReport, CandidateDelta, Fills) {
@@ -705,7 +686,7 @@ fn record_candidate_deltas(deltas: &[CandidateDelta]) {
 }
 
 /// The winning candidate's release artifacts from
-/// [`EvaluationEngine::evaluate_release`].
+/// [`EvaluationEngine::evaluate_release_extracting`].
 #[derive(Debug, Clone)]
 pub struct WinnerRelease {
     /// Winner index into the evaluated pool (equals the report's `chosen`).
@@ -827,8 +808,9 @@ mod tests {
     #[test]
     fn extracting_release_matches_explicit_reference_release() {
         // The publish path (context extracts the reference itself) must
-        // produce the same report and release as the legacy shape where the
-        // caller extracts the reference and passes it in.
+        // produce the same report as the shape where the caller extracts
+        // the reference and passes it in, and release the winner's own
+        // anonymization of the dataset.
         let data =
             CityModel::builder()
                 .seed(23)
@@ -847,17 +829,23 @@ mod tests {
         };
         let engine = EvaluationEngine::new(objective, 0.25, 9);
         let reference = PoiAttack::default().extract(&data.dataset);
-        let (explicit_report, explicit_winner) = engine
-            .evaluate_release(&pool, &data.dataset, &reference)
-            .unwrap();
-        let (extracting_report, extracting_winner) = engine
+        let explicit_report = engine.evaluate(&pool, &data.dataset, &reference).unwrap();
+        let (extracting_report, winner) = engine
             .evaluate_release_extracting(&pool, &data.dataset)
             .unwrap();
         assert_eq!(explicit_report, extracting_report);
-        let (a, b) = (explicit_winner.unwrap(), extracting_winner.unwrap());
-        assert_eq!(a.index, b.index);
-        assert_eq!(a.privacy, b.privacy);
-        assert_eq!(a.dataset, b.dataset);
+        let winner = winner.unwrap();
+        assert_eq!(Some(winner.index), explicit_report.chosen);
+        assert_eq!(
+            winner.privacy,
+            engine
+                .attack
+                .evaluate_reference(&winner.dataset, &reference)
+        );
+        assert_eq!(
+            winner.dataset,
+            pool.get(winner.index).unwrap().anonymize(&data.dataset, 9)
+        );
     }
 
     #[test]

@@ -22,21 +22,23 @@
 //!   *measure* privacy;
 //! * [`metrics`] — spatial-distortion, crowded-places and traffic-forecast
 //!   utility metrics;
-//! * [`selection`] — the utility-driven optimal strategy search under a
-//!   privacy floor;
+//! * [`selection`] — what the utility-driven strategy search under a
+//!   privacy floor reports;
 //! * [`pool`] — the shared registry of candidate-strategy pools;
 //! * [`engine`] — the parallel, cache-aware evaluation engine behind the
 //!   search;
 //! * [`pipeline`] — the [`pipeline::PrivApi`] middleware facade a platform
-//!   (e.g. APISENSE) plugs in before releasing datasets;
+//!   (e.g. APISENSE) plugs in before releasing datasets: one batch call,
+//!   [`pipeline::PrivApi::publish`], and one streaming step,
+//!   [`pipeline::PrivApi::publish_session`];
 //! * [`federated`] — the device-local release contract: serializable
 //!   [`federated::StrategySpec`]/[`federated::StrategyConfig`] broadcast
 //!   frames, deterministic calibration-cohort selection, and the
 //!   server-side [`federated::FederatedSession`] that re-assembles
 //!   per-device protected uploads byte-identically to a central release;
-//! * [`streaming`] — day-windowed incremental publication
-//!   ([`streaming::StreamingPublisher`]): the original-side
-//!   [`streaming::SessionCache`] reuses per-user attack shards and the
+//! * [`streaming`] — day-windowed incremental publication, one session
+//!   owned by a [`streaming::StreamingPublisher`]: the original-side
+//!   [`streaming::PopulationCache`] reuses per-user attack shards and the
 //!   reference index across releases, and the per-candidate
 //!   [`streaming::StrategySessionCache`] extends the same reuse to every
 //!   pooled strategy's protected data and self-attack shards, per the
@@ -105,15 +107,14 @@ pub mod prelude {
     };
     pub use crate::pipeline::{PrivApi, PrivApiConfig, PublishedDataset};
     pub use crate::pool::StrategyPool;
-    pub use crate::selection::{Objective, SelectionReport, StrategySelector};
+    pub use crate::selection::{Objective, SelectionReport};
     pub use crate::strategies::{
         GaussianPerturbation, GeoIndistinguishability, Identity, SpatialCloaking,
         SpeedSmoothing, TemporalDownsampling,
     };
     pub use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
     pub use crate::streaming::{
-        CandidateDelta, IngestDelta, PopulationCache, PublishedWindow, SessionCache,
-        StrategyCacheDelta, StrategySessionCache, StreamingPublisher, WindowDelta,
-        WindowUpdate, WorkStore,
+        CandidateDelta, IngestDelta, PopulationCache, PublishedWindow, StrategyCacheDelta,
+        StrategySessionCache, StreamingPublisher, WindowDelta, WorkStore,
     };
 }

@@ -5,11 +5,18 @@
 //! it can use an optimal anonymization strategy on mobility data while still
 //! offering a satisfactory level of utility." (paper, §1)
 //!
-//! [`PrivApi::publish`] is the single entry point a platform calls before
-//! releasing a collected mobility dataset: it extracts the dataset's own POI
-//! exposure, searches the strategy pool for the best utility under the
-//! privacy floor, and returns the protected dataset together with a full
-//! audit report.
+//! [`PrivApi::publish`] is the gate a platform calls before releasing a
+//! collected mobility dataset: it extracts the dataset's own POI exposure,
+//! searches the strategy pool for the best utility under the privacy floor,
+//! and returns the protected dataset together with a full audit report.
+//!
+//! A deployment that releases every day instead publishes one window at a
+//! time through [`PrivApi::publish_session`], the streaming step. Its state
+//! has one owner per shape: [`crate::streaming::StreamingPublisher`] for one
+//! session, the `campaign` crate's orchestrator for N campaigns over one
+//! population. Each streaming release is byte-identical to a batch
+//! [`PrivApi::publish`] of the same prefix, which is why the batch call
+//! stays: it is the reference every streaming parity test compares against.
 
 use crate::attack::{PoiAttack, PoiAttackReport};
 use crate::engine::{EvalContext, EvaluationEngine, ExecutionMode};
@@ -18,11 +25,11 @@ use crate::pool::StrategyPool;
 use crate::selection::{Objective, SelectionReport};
 use crate::strategy::StrategyInfo;
 use crate::streaming::{
-    BaselineDelta, PopulationCache, PublishedWindow, SessionCache, StrategyCacheDelta,
-    StrategySessionCache, WindowUpdate, WorkStore,
+    PopulationCache, PublishedWindow, StrategySessionCache, WindowDelta, WindowUpdate,
+    WorkStore,
 };
 use geo::Meters;
-use mobility::{Dataset, DatasetWindow};
+use mobility::{Dataset, UserId};
 
 /// Configuration of the PRIVAPI middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,117 +170,29 @@ impl PrivApi {
         let Some(winner) = winner else {
             return Err(selection.no_feasible_error());
         };
-        self.assemble(selection, winner)
+        Ok(self.assemble(selection, winner))
     }
 
-    /// Protects and publishes one **day window** incrementally: the window
-    /// is folded into `cache` (per-user shard reuse, amended reference
-    /// index — see [`PopulationCache::advance`]) and the release is selected
-    /// over the full accumulated prefix with **zero** original-side
-    /// extraction passes; the per-candidate self-attacks then run against
-    /// the session's per-strategy protected-side caches
-    /// ([`crate::streaming::StrategySessionCache`]), anonymizing only the
-    /// trajectories the window appended and folding only those into the
-    /// changed users' shards, for every candidate whose
-    /// [`crate::strategy::UserLocality`] permits it.
+    /// The streaming step: selects and releases over an
+    /// **already-advanced** [`PopulationCache`], refreshing the caller's
+    /// per-strategy caches along the way. `delta` is what the caller's
+    /// [`PopulationCache::advance`] returned for the window, and
+    /// `changed_users` are that window's users (sorted, deduplicated —
+    /// [`mobility::DatasetWindow::users`]).
     ///
-    /// The release is byte-identical to [`PrivApi::publish`] over the same
-    /// prefix — only cheaper: the original's POI exposure is amended from
-    /// the session state instead of re-extracted, and cached candidates
-    /// skip their full protected-side extraction, so the
-    /// [`PoiAttack::extractions`] probe counts only the non-local
-    /// candidates per window (zero for the default pool) against the batch
-    /// budget of `pool + 1`, and [`PoiAttack::user_extractions`] scales
-    /// with the *changed* users instead of the population.
+    /// It has exactly two callers, which own the state it reads:
+    /// [`crate::streaming::StreamingPublisher::publish_window`] (one
+    /// session) and the multi-campaign orchestrator, which advances one
+    /// population cache per window and evaluates N campaigns against it —
+    /// so a campaign's winner equals a standalone session's by
+    /// construction, not by re-implementation.
     ///
-    /// Use [`crate::streaming::StreamingPublisher`] when one session owns
-    /// both the middleware and the cache; this lower-level entry point
-    /// exists for callers (like the APISENSE gateway) that manage session
-    /// state themselves.
-    ///
-    /// A successful ingest is permanent: if the *release* then fails
-    /// (e.g. [`PrivapiError::NoFeasibleStrategy`]), the window's records
-    /// remain part of the session prefix and are **not** rolled back —
-    /// re-sending the same window is rejected with the typed
-    /// [`PrivapiError::StreamError`] by [`PopulationCache::advance`], so a
-    /// retry loop can never silently double-ingest a day and corrupt the
-    /// batch-parity invariant.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use mobility::gen::{CityModel, PopulationConfig};
-    /// use mobility::WindowedDataset;
-    /// use privapi::prelude::*;
-    ///
-    /// let data = CityModel::builder().seed(5).build().generate_population(
-    ///     &PopulationConfig { users: 3, days: 2, ..PopulationConfig::default() },
-    /// );
-    /// let windows = WindowedDataset::partition(&data);
-    /// let privapi = PrivApi::default();
-    /// let mut session = SessionCache::new();
-    /// for window in &windows {
-    ///     let release = privapi.publish_window(&mut session, window).unwrap();
-    ///     assert_eq!(release.day, window.day());
-    /// }
-    /// // No full extraction pass ran: the original side and every pooled
-    /// // candidate's self-attack went through the per-user cache deltas.
-    /// assert_eq!(privapi.attack().extractions(), 0);
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// * [`PrivapiError::EmptyDataset`] for an empty window;
-    /// * [`PrivapiError::StreamError`] for a duplicate or out-of-order
-    ///   window day (nothing ingested);
-    /// * [`PrivapiError::NoFeasibleStrategy`] when no pooled strategy can
-    ///   meet the privacy floor on the accumulated prefix (window
-    ///   ingested).
-    pub fn publish_window(
-        &self,
-        cache: &mut SessionCache,
-        window: &DatasetWindow,
-    ) -> Result<PublishedWindow, PrivapiError> {
-        if window.record_count() == 0 {
-            return Err(PrivapiError::EmptyDataset);
-        }
-        // Window-level wall span: `streaming.advance` and `engine.sweep`
-        // record as children, giving `obs_report` its per-window
-        // breakdown.
-        let mut span = obs::span("privapi.window");
-        span.set_attr("day", window.day());
-        let (population, strategies, store) = cache.parts();
-        let delta = population.advance(&self.attack, window, store)?;
-        let update = WindowUpdate {
-            changed_users: window.users(),
-            grid_rebuilt: delta.grid_rebuilt,
-        };
-        let published = self.publish_session(population, strategies, &update, store);
-        store.drop_released();
-        let (published, strategy_delta, baseline) = published?;
-        Ok(PublishedWindow {
-            day: window.day(),
-            delta,
-            strategies: strategy_delta,
-            baseline,
-            published,
-        })
-    }
-
-    /// The evaluation-only half of a streaming step: selects and releases
-    /// over an **already-advanced** [`PopulationCache`], refreshing the
-    /// caller's per-strategy caches along the way. This is what
-    /// [`PrivApi::publish_window`] runs right after
-    /// [`PopulationCache::advance`], split out so callers that *share* one
-    /// population cache across several consumers — the multi-campaign
-    /// orchestrator, which advances the population once per window and
-    /// then evaluates N campaigns against it — can drive the exact same
-    /// code path (winner parity with a standalone session is by
-    /// construction, not by re-implementation).
-    ///
-    /// `update` must describe what the window that advanced `population`
-    /// changed (its active users, and whether the extraction grid was
-    /// rebuilt), exactly as [`PrivApi::publish_window`] would build it.
+    /// The per-candidate self-attacks run against the per-strategy
+    /// protected-side caches ([`StrategySessionCache`]), anonymizing only
+    /// the trajectories the window appended and folding only those into
+    /// the changed users' shards, for every candidate whose
+    /// [`crate::strategy::UserLocality`] permits it. The release is
+    /// byte-identical to [`PrivApi::publish`] over the same prefix.
     ///
     /// `store` is read and filled by every candidate — the session's own
     /// store, or the one the orchestrator shares across campaigns, where
@@ -291,35 +210,41 @@ impl PrivApi {
         &self,
         population: &PopulationCache,
         strategies: &mut StrategySessionCache,
-        update: &WindowUpdate,
+        delta: WindowDelta,
+        changed_users: &[UserId],
         store: &mut WorkStore,
-    ) -> Result<(PublishedDataset, StrategyCacheDelta, BaselineDelta), PrivapiError> {
+    ) -> Result<PublishedWindow, PrivapiError> {
         let Some(index) = population.reference_index() else {
             return Err(PrivapiError::EmptyDataset);
         };
-        let (baseline, baseline_delta) = population.baseline_for(self.config.objective);
+        let (baseline_cells, baseline) = population.baseline_for(self.config.objective);
         let context = EvalContext::from_cache(
             population.prefix(),
             population.reference(),
             index,
-            baseline,
+            baseline_cells,
         )
         .with_population(population.by_user(), population.bounding_box());
+        let update = WindowUpdate {
+            changed_users,
+            grid_rebuilt: delta.grid_rebuilt,
+        };
         let (selection, winner) = self
             .engine()
-            .evaluate_release_with(&self.pool, &context, strategies, update, store)?;
-        let strategy_delta = strategies.last_window();
+            .evaluate_release_with(&self.pool, &context, strategies, &update, store)?;
         let Some(winner) = winner else {
             return Err(selection.no_feasible_error());
         };
-        Ok((
-            self.assemble(selection, winner)?,
-            strategy_delta,
-            baseline_delta,
-        ))
+        Ok(PublishedWindow {
+            day: delta.day,
+            delta,
+            strategies: strategies.last_window(),
+            baseline,
+            published: self.assemble(selection, winner),
+        })
     }
 
-    /// The evaluation engine every publish entry point drives, configured
+    /// The evaluation engine both publish calls drive, configured
     /// with this middleware's objective, floor, seed, attack and schedule.
     fn engine(&self) -> EvaluationEngine {
         EvaluationEngine::new(
@@ -336,14 +261,14 @@ impl PrivApi {
         &self,
         selection: SelectionReport,
         winner: crate::engine::WinnerRelease,
-    ) -> Result<PublishedDataset, PrivapiError> {
+    ) -> PublishedDataset {
         let strategy = self.pool.get(winner.index).expect("chosen index in pool");
-        Ok(PublishedDataset {
+        PublishedDataset {
             dataset: winner.dataset,
             strategy: strategy.info(),
             privacy: winner.privacy,
             selection,
-        })
+        }
     }
 }
 

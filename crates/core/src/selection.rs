@@ -7,21 +7,19 @@
 //! fits the best to the usage that will be done with the anonymized
 //! dataset." (paper, §3)
 //!
-//! [`StrategySelector`] evaluates a pool of candidate strategies against the
-//! dataset being published: each candidate's privacy is measured with the
-//! [`crate::attack::PoiAttack`] (self-attack against POIs extracted from the
-//! raw data — the strongest adversary the platform can emulate), its utility
-//! with the metric matching the analyst's declared [`Objective`]. The
-//! selector returns the highest-utility candidate whose POI recall is at or
-//! below the privacy floor.
+//! The search itself is [`crate::engine::EvaluationEngine`]: it evaluates a
+//! pool of candidate strategies against the dataset being published. Each
+//! candidate's privacy is measured with the [`crate::attack::PoiAttack`]
+//! (self-attack against POIs extracted from the raw data — the strongest
+//! adversary the platform can emulate), its utility with the metric
+//! matching the analyst's declared [`Objective`]. This module holds what
+//! the search reports: one [`CandidateResult`] per candidate and the
+//! [`SelectionReport`] naming the highest-utility candidate whose POI
+//! recall is at or below the privacy floor.
 
-use crate::attack::{PoiAttack, ReferencePois};
-use crate::engine::{EvaluationEngine, ExecutionMode};
 use crate::error::PrivapiError;
-use crate::pool::StrategyPool;
-use crate::strategy::{AnonymizationStrategy, StrategyInfo};
+use crate::strategy::StrategyInfo;
 use geo::Meters;
-use mobility::Dataset;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -134,125 +132,13 @@ impl fmt::Display for SelectionReport {
     }
 }
 
-/// The utility-driven strategy selector.
-///
-/// A thin policy layer over [`crate::engine::EvaluationEngine`]: it owns the
-/// candidate pool, runs the engine (parallel by default), and turns a
-/// winner-less report into [`PrivapiError::NoFeasibleStrategy`].
-pub struct StrategySelector {
-    pool: StrategyPool,
-    attack: PoiAttack,
-    privacy_floor: f64,
-    objective: Objective,
-    seed: u64,
-    mode: ExecutionMode,
-}
-
-impl fmt::Debug for StrategySelector {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("StrategySelector")
-            .field("candidates", &self.pool.len())
-            .field("privacy_floor", &self.privacy_floor)
-            .field("objective", &self.objective)
-            .finish()
-    }
-}
-
-impl StrategySelector {
-    /// Creates a selector with no candidates.
-    ///
-    /// `privacy_floor` is the maximum tolerated POI recall in `[0, 1]`;
-    /// `seed` drives all randomized candidates.
-    pub fn new(objective: Objective, privacy_floor: f64, seed: u64) -> Self {
-        Self {
-            pool: StrategyPool::new(),
-            attack: PoiAttack::default(),
-            privacy_floor: privacy_floor.clamp(0.0, 1.0),
-            objective,
-            seed,
-            mode: ExecutionMode::default(),
-        }
-    }
-
-    /// Adds a candidate strategy; returns `self` for chaining.
-    pub fn candidate(mut self, strategy: Box<dyn AnonymizationStrategy>) -> Self {
-        self.pool.push(strategy);
-        self
-    }
-
-    /// Replaces the candidate pool wholesale (see [`StrategyPool`]'s named
-    /// constructors for the canonical pools).
-    pub fn with_pool(mut self, pool: StrategyPool) -> Self {
-        self.pool = pool;
-        self
-    }
-
-    /// Adds the default candidate grid covering every mechanism family at
-    /// several parameter settings (the paper's "many \[strategies\] from which
-    /// we can choose") — [`StrategyPool::default_pool`] appended to any
-    /// candidates already registered.
-    pub fn with_default_candidates(mut self) -> Self {
-        for strategy in StrategyPool::default_pool().into_candidates() {
-            self.pool.push(strategy);
-        }
-        self
-    }
-
-    /// Replaces the attack used to score privacy.
-    pub fn with_attack(mut self, attack: PoiAttack) -> Self {
-        self.attack = attack;
-        self
-    }
-
-    /// Sets the evaluation schedule (parallel by default). Reports are
-    /// identical either way; sequential mode exists for measurement and
-    /// verification.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Number of registered candidates.
-    pub fn candidate_count(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Evaluates every candidate and picks the best feasible one.
-    ///
-    /// Privacy is scored against `reference` POIs — pass the attack's own
-    /// extraction from the raw dataset (see [`PoiAttack::extract`]) or
-    /// generator ground truth. Candidates are scored by the parallel
-    /// [`EvaluationEngine`] against shared original-dataset projections;
-    /// the winner follows the deterministic `(utility, −recall, index)`
-    /// ordering of [`crate::engine::choose_winner`].
-    ///
-    /// # Errors
-    ///
-    /// * [`PrivapiError::EmptyDataset`] — no candidates registered or empty
-    ///   dataset;
-    /// * [`PrivapiError::NoFeasibleStrategy`] — every candidate leaks more
-    ///   than the privacy floor.
-    pub fn select(
-        &self,
-        dataset: &Dataset,
-        reference: &ReferencePois,
-    ) -> Result<(&dyn AnonymizationStrategy, SelectionReport), PrivapiError> {
-        let engine = EvaluationEngine::new(self.objective, self.privacy_floor, self.seed)
-            .with_attack(self.attack.clone())
-            .with_mode(self.mode);
-        let report = engine.evaluate(&self.pool, dataset, reference)?;
-        match report.chosen {
-            Some(i) => Ok((self.pool.get(i).expect("chosen index in pool"), report)),
-            None => Err(report.no_feasible_error()),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attack::reference_from_truth;
-    use crate::strategies::{Identity, SpeedSmoothing};
+    use crate::engine::EvaluationEngine;
+    use crate::pipeline::{PrivApi, PrivApiConfig};
+    use crate::pool::StrategyPool;
     use mobility::gen::{CityModel, PopulationConfig};
 
     fn data() -> mobility::gen::GeneratedData {
@@ -268,22 +154,29 @@ mod tests {
             })
     }
 
+    /// The engine over `pool` at seed 7, scored against `reference`.
+    fn evaluate(
+        objective: Objective,
+        floor: f64,
+        pool: &StrategyPool,
+        d: &mobility::gen::GeneratedData,
+    ) -> Result<SelectionReport, PrivapiError> {
+        let reference = reference_from_truth(&d.truth);
+        EvaluationEngine::new(objective, floor, 7).evaluate(pool, &d.dataset, &reference)
+    }
+
     #[test]
     fn selector_prefers_private_strategy_over_identity() {
-        let d = data();
-        let reference = reference_from_truth(&d.truth);
-        let selector = StrategySelector::new(
-            Objective::CrowdedPlaces {
-                cell: Meters::new(250.0),
-                k: 10,
-            },
-            0.25,
-            7,
-        )
-        .candidate(Box::new(Identity::new()))
-        .candidate(Box::new(SpeedSmoothing::new(Meters::new(100.0)).unwrap()));
-        let (winner, report) = selector.select(&d.dataset, &reference).unwrap();
-        assert_eq!(winner.info().name, "speed-smoothing");
+        let pool = StrategyPool::new()
+            .with_identity()
+            .with_speed_smoothing(&[100.0])
+            .unwrap();
+        let objective = Objective::CrowdedPlaces {
+            cell: Meters::new(250.0),
+            k: 10,
+        };
+        let report = evaluate(objective, 0.25, &pool, &data()).unwrap();
+        assert_eq!(report.winner().unwrap().info.name, "speed-smoothing");
         // Identity must be infeasible: it leaks everything.
         let identity_row = &report.candidates[0];
         assert!(!identity_row.feasible, "identity row: {identity_row:?}");
@@ -292,16 +185,22 @@ mod tests {
 
     #[test]
     fn impossible_floor_reports_best_recall() {
+        // Identity leaks ~everything; a negative floor clamps to 0 — still
+        // infeasible because recall on raw data is far above 0. Publishing
+        // refuses with the report's best recall.
         let d = data();
-        let reference = reference_from_truth(&d.truth);
-        let selector = StrategySelector::new(Objective::Distortion, -0.1, 7)
-            .candidate(Box::new(Identity::new()));
-        // Identity leaks ~everything; floor clamped to 0 — still infeasible
-        // because recall on raw data is far above 0.
-        let err = selector
-            .select(&d.dataset, &reference)
-            .map(|(s, _)| s.info())
-            .expect_err("identity must not satisfy a zero floor");
+        let pool = StrategyPool::new().with_identity();
+        let report = evaluate(Objective::Distortion, -0.1, &pool, &d).unwrap();
+        assert_eq!(report.privacy_floor, 0.0);
+        assert_eq!(report.chosen, None);
+        let err = PrivApi::new(PrivApiConfig {
+            privacy_floor: -0.1,
+            objective: Objective::Distortion,
+            seed: 7,
+        })
+        .with_pool(pool)
+        .publish(&d.dataset)
+        .expect_err("identity must not satisfy a zero floor");
         match err {
             PrivapiError::NoFeasibleStrategy { best_recall, .. } => {
                 assert!(best_recall > 0.5);
@@ -312,35 +211,28 @@ mod tests {
 
     #[test]
     fn empty_selector_errors() {
-        let d = data();
-        let reference = reference_from_truth(&d.truth);
-        let selector = StrategySelector::new(Objective::Distortion, 0.5, 7);
         assert!(matches!(
-            selector.select(&d.dataset, &reference),
+            evaluate(Objective::Distortion, 0.5, &StrategyPool::new(), &data()),
             Err(PrivapiError::EmptyDataset)
         ));
     }
 
     #[test]
     fn default_candidates_cover_all_families() {
-        let selector =
-            StrategySelector::new(Objective::Distortion, 0.5, 7).with_default_candidates();
-        assert_eq!(selector.candidate_count(), 11);
+        let pool = StrategyPool::default_pool();
+        assert_eq!(pool.len(), 11);
+        let families: std::collections::BTreeSet<String> =
+            pool.infos().into_iter().map(|info| info.name).collect();
+        assert_eq!(families.len(), 5, "{families:?}");
     }
 
     #[test]
     fn report_display_lists_candidates() {
-        let d = data();
-        let reference = reference_from_truth(&d.truth);
-        let selector = StrategySelector::new(
-            Objective::Traffic {
-                cell: Meters::new(500.0),
-            },
-            1.0,
-            7,
-        )
-        .candidate(Box::new(Identity::new()));
-        let (_, report) = selector.select(&d.dataset, &reference).unwrap();
+        let pool = StrategyPool::new().with_identity();
+        let objective = Objective::Traffic {
+            cell: Meters::new(500.0),
+        };
+        let report = evaluate(objective, 1.0, &pool, &data()).unwrap();
         let text = report.to_string();
         assert!(text.contains("identity"));
         assert!(text.contains("traffic"));

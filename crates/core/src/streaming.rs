@@ -14,12 +14,14 @@
 //!   [`geo::PointIndex`]; changed users are amended in place
 //!   ([`ReferenceIndex::update_user`]).
 //!
-//! [`SessionCache`] owns that cross-window state and
-//! [`SessionCache::advance`] folds one [`DatasetWindow`] into it, tracking
-//! what was reused vs. re-extracted in a [`WindowDelta`].
-//! [`StreamingPublisher`] pairs a cache with a
-//! [`crate::pipeline::PrivApi`] and publishes window after window through
-//! [`crate::pipeline::PrivApi::publish_window`].
+//! [`PopulationCache`] owns that cross-window state and
+//! [`PopulationCache::advance`] folds one [`DatasetWindow`] into it,
+//! tracking what was reused vs. re-extracted in a [`WindowDelta`].
+//! [`StreamingPublisher`] owns one session — the population cache, the
+//! per-strategy caches and the work store below — next to a
+//! [`crate::pipeline::PrivApi`], and publishes window after window
+//! through the one streaming step,
+//! [`crate::pipeline::PrivApi::publish_session`].
 //!
 //! # Invalidation rules
 //!
@@ -101,9 +103,7 @@ use crate::pool::StrategyPool;
 use crate::selection::Objective;
 use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
-use mobility::{
-    Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId, WindowedDataset,
-};
+use mobility::{Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -115,7 +115,7 @@ use std::sync::{Arc, Mutex};
 /// per-user anonymization rather than risking a pin collision.
 const BBOX_PIN_USER: UserId = UserId(u64::MAX);
 
-/// What [`SessionCache::advance`] did with one day window — the audit
+/// What [`PopulationCache::advance`] did with one day window — the audit
 /// record of the incremental path's cache behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WindowDelta {
@@ -318,8 +318,8 @@ impl std::fmt::Display for IngestDelta {
 /// own: the multi-campaign orchestrator keeps *one* `PopulationCache` per
 /// attack configuration and lets every same-configuration campaign read
 /// it, so the original-side extraction work is paid once per window
-/// instead of once per campaign. The single-campaign [`SessionCache`]
-/// pairs one `PopulationCache` with one [`StrategySessionCache`].
+/// instead of once per campaign. A [`StreamingPublisher`] pairs one
+/// `PopulationCache` with one [`StrategySessionCache`].
 ///
 /// The cache is pure state — it holds no attack of its own.
 /// [`PopulationCache::advance`] borrows the caller's [`PoiAttack`] so the
@@ -726,90 +726,23 @@ impl PopulationCache {
     }
 }
 
-/// Cross-window state of one streaming publication session: the
-/// original-side [`PopulationCache`] paired with the per-candidate
-/// protected-side [`StrategySessionCache`] and the [`WorkStore`] both
-/// read and fill — the same code path the multi-campaign orchestrator
-/// runs over its one shared store.
-#[derive(Debug, Default)]
-pub struct SessionCache {
-    population: PopulationCache,
-    /// The protected-side twin: per-candidate caches of each strategy's
-    /// protected prefix and self-attack shards.
-    strategies: StrategySessionCache,
-    store: WorkStore,
-}
-
-impl SessionCache {
-    /// Creates an empty session (no windows ingested).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The original-side half of the session: its prefix, shards,
-    /// reference POIs and index, and window count.
-    pub fn population(&self) -> &PopulationCache {
-        &self.population
-    }
-
-    /// The per-strategy protected-side caches this session maintains
-    /// alongside the original-side state.
-    pub fn strategies(&self) -> &StrategySessionCache {
-        &self.strategies
-    }
-
-    /// The session's work store.
-    pub fn store(&self) -> &WorkStore {
-        &self.store
-    }
-
-    /// Splits the session into the three parts
-    /// [`crate::pipeline::PrivApi::publish_window`] drives separately.
-    pub(crate) fn parts(
-        &mut self,
-    ) -> (
-        &mut PopulationCache,
-        &mut StrategySessionCache,
-        &mut WorkStore,
-    ) {
-        (&mut self.population, &mut self.strategies, &mut self.store)
-    }
-
-    /// Folds one day window into the session's original-side state — see
-    /// [`PopulationCache::advance`] — through the session's own store.
-    ///
-    /// # Errors
-    ///
-    /// [`PrivapiError::StreamError`] for a duplicate or out-of-order
-    /// window day (nothing ingested).
-    pub fn advance(
-        &mut self,
-        attack: &PoiAttack,
-        window: &DatasetWindow,
-    ) -> Result<WindowDelta, PrivapiError> {
-        let delta = self.population.advance(attack, window, &mut self.store);
-        self.store.drop_released();
-        delta
-    }
-}
-
 /// What one window changed about the accumulated prefix, from the
 /// perspective of the per-strategy caches: which users contributed new
 /// records, and whether the prefix bounding box (and with it every
 /// grid anchored on it) moved.
 ///
-/// Produced by [`crate::pipeline::PrivApi::publish_window`] right after
-/// [`SessionCache::advance`] and consumed by
-/// [`crate::engine::EvaluationEngine::evaluate_release_with`] to decide,
-/// per candidate strategy, which cached protected outputs survive.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowUpdate {
+/// Built by [`crate::pipeline::PrivApi::publish_session`] from the
+/// window's users and [`PopulationCache::advance`]'s delta, and consumed
+/// by the engine's cached sweep to decide, per candidate strategy, which
+/// cached protected outputs survive.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WindowUpdate<'a> {
     /// Users with records in the ingested window (sorted, deduplicated).
-    pub changed_users: Vec<UserId>,
+    pub(crate) changed_users: &'a [UserId],
     /// Whether the window widened the prefix bounding box — which
     /// invalidates every [`UserLocality::GridAnchored`] candidate's cached
     /// output wholesale.
-    pub grid_rebuilt: bool,
+    pub(crate) grid_rebuilt: bool,
 }
 
 /// Protected-side audit of one candidate strategy for one window: what its
@@ -968,10 +901,11 @@ impl StrategyCacheDelta {
 /// [`WorkStore`] entries: the state is what keeps them alive there.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateState {
-    /// Identity card of the candidate this state belongs to (`None` until
-    /// first primed). A pool edit that changes the candidate at this slot
-    /// resets the state.
-    pub(crate) info: Option<StrategyInfo>,
+    /// Fingerprint of the candidate this state belongs to — its identity
+    /// card and its exact output identity, since the card's parameter text
+    /// is rounded for display (`None` until first primed). A pool edit
+    /// that changes the candidate at this slot resets the state.
+    fingerprint: Option<Fingerprint>,
     /// Protected trajectories per user, each in the user's prefix order —
     /// shared handles, so assembling the release copies pointers, never
     /// record data.
@@ -998,6 +932,14 @@ pub(crate) struct CandidateState {
     utility: Option<UtilityFold>,
     /// Whether this state has absorbed at least one window.
     primed: bool,
+}
+
+/// What a [`CandidateState`] slot is valid for: the candidate's identity
+/// card and exact output identity.
+type Fingerprint = (StrategyInfo, Option<OutputIdentity>);
+
+fn fingerprint(strategy: &dyn AnonymizationStrategy) -> Fingerprint {
+    (strategy.info(), strategy.output_identity())
 }
 
 /// A per-user attack shard and the memo of the extraction that produced
@@ -1107,7 +1049,7 @@ impl CandidateState {
         strategy: &dyn AnonymizationStrategy,
         attack: &PoiAttack,
         context: &EvalContext<'_>,
-        update: &WindowUpdate,
+        update: &WindowUpdate<'_>,
         all_users: &[UserId],
         seed: u64,
         store: &WorkStore,
@@ -1116,7 +1058,7 @@ impl CandidateState {
         let locality = strategy.locality();
         let mut delta = CandidateDelta::empty(info.clone(), locality);
         let mut fills = Fills::default();
-        self.info = Some(info.clone());
+        self.fingerprint = Some((info.clone(), strategy.output_identity()));
         if locality == UserLocality::NonLocal {
             fills.released_all = self.primed;
             self.clear();
@@ -1132,7 +1074,7 @@ impl CandidateState {
         // shards and contributions — everyone's on a full pass, and below
         // on a protected grid or baseline grid move.
         fills.released_all = self.primed && full;
-        fills.released.clone_from(&update.changed_users);
+        fills.released = update.changed_users.to_vec();
         if full {
             self.protected.clear();
             self.sources.clear();
@@ -1141,7 +1083,7 @@ impl CandidateState {
         let to_refresh: &[UserId] = if full {
             all_users
         } else {
-            &update.changed_users
+            update.changed_users
         };
         delta.users_reused = all_users.len() - to_refresh.len();
         // A grid-anchored candidate's views are pinned to the prefix box,
@@ -2030,7 +1972,7 @@ impl WorkStore {
 /// strategy of the evaluated pool: each candidate's protected prefix
 /// (per-user trajectories) and the [`UserAttackShard`]s of its self-attack.
 ///
-/// This is the protected-side twin of [`SessionCache`]. The original-side
+/// This is the protected-side twin of [`PopulationCache`]. The original-side
 /// cache makes the *reference* extraction incremental; this one makes the
 /// per-candidate *self-attacks* — the measured dominant per-window cost —
 /// incremental too, under the determinism contract each strategy declares
@@ -2051,8 +1993,10 @@ impl WorkStore {
 /// mechanisms can widen their protected box on a window that leaves the
 /// original box alone.
 ///
-/// The cache is self-validating: it fingerprints the pool (per-slot
-/// [`StrategyInfo`]), the selection seed and the attack parameters, and
+/// The cache is self-validating: it fingerprints the pool (per slot, the
+/// [`StrategyInfo`] and the exact
+/// [`AnonymizationStrategy::output_identity`]), the selection seed and the
+/// attack parameters, and
 /// resets any entry whose fingerprint no longer matches, so a session that
 /// swaps pools, seeds or attacks mid-stream degrades to correct full
 /// recomputation instead of reusing stale state.
@@ -2103,13 +2047,11 @@ impl StrategySessionCache {
             self.seed = Some(seed);
             self.attack_config = Some(attack.config().clone());
         }
-        let infos = pool.infos();
-        dropped |= self.states.len() > infos.len();
-        self.states.truncate(infos.len());
-        self.states
-            .resize_with(infos.len(), CandidateState::default);
-        for (state, info) in self.states.iter_mut().zip(&infos) {
-            if state.info.as_ref() != Some(info) {
+        dropped |= self.states.len() > pool.len();
+        self.states.truncate(pool.len());
+        self.states.resize_with(pool.len(), CandidateState::default);
+        for (state, strategy) in self.states.iter_mut().zip(pool.iter()) {
+            if state.fingerprint.as_ref() != Some(&fingerprint(strategy)) {
                 dropped |= state.primed;
                 *state = CandidateState::default();
             }
@@ -2137,8 +2079,14 @@ pub struct PublishedWindow {
     pub published: PublishedDataset,
 }
 
-/// A [`PrivApi`] paired with a [`SessionCache`]: the streaming publication
-/// front end.
+/// One streaming publication session: a [`PrivApi`] with the
+/// cross-window state it publishes over — the original-side
+/// [`PopulationCache`], the per-candidate protected-side
+/// [`StrategySessionCache`] and the [`WorkStore`] both read and fill.
+///
+/// It owns one session; the multi-campaign orchestrator owns N campaigns
+/// over one population. Both drive the same streaming step,
+/// [`PrivApi::publish_session`].
 ///
 /// # Example
 ///
@@ -2157,12 +2105,14 @@ pub struct PublishedWindow {
 ///     let release = publisher.publish_window(window).unwrap();
 ///     assert_eq!(release.day, window.day());
 /// }
-/// assert_eq!(publisher.cache().population().windows_ingested(), windows.len());
+/// assert_eq!(publisher.population().windows_ingested(), windows.len());
 /// ```
 #[derive(Debug)]
 pub struct StreamingPublisher {
     privapi: PrivApi,
-    cache: SessionCache,
+    population: PopulationCache,
+    strategies: StrategySessionCache,
+    store: WorkStore,
 }
 
 impl StreamingPublisher {
@@ -2177,7 +2127,9 @@ impl StreamingPublisher {
     pub fn from_privapi(privapi: PrivApi) -> Self {
         Self {
             privapi,
-            cache: SessionCache::new(),
+            population: PopulationCache::new(),
+            strategies: StrategySessionCache::new(),
+            store: WorkStore::new(),
         }
     }
 
@@ -2186,38 +2138,98 @@ impl StreamingPublisher {
         &self.privapi
     }
 
-    /// The session's cross-window cache state.
-    pub fn cache(&self) -> &SessionCache {
-        &self.cache
+    /// The original-side half of the session: its prefix, shards,
+    /// reference POIs and index, and window count.
+    pub fn population(&self) -> &PopulationCache {
+        &self.population
     }
 
-    /// Publishes one day window incrementally — see
-    /// [`crate::pipeline::PrivApi::publish_window`].
+    /// The per-strategy protected-side caches the session maintains
+    /// alongside the original-side state.
+    pub fn strategies(&self) -> &StrategySessionCache {
+        &self.strategies
+    }
+
+    /// The session's work store.
+    pub fn store(&self) -> &WorkStore {
+        &self.store
+    }
+
+    /// Protects and publishes one **day window** incrementally: the window
+    /// is folded into the session's [`PopulationCache`] (per-user shard
+    /// reuse, amended reference index — see [`PopulationCache::advance`])
+    /// and the release is selected over the full accumulated prefix by
+    /// [`PrivApi::publish_session`], with **zero** original-side
+    /// extraction passes and the per-candidate self-attacks served from
+    /// the session's per-strategy caches.
+    ///
+    /// The release is byte-identical to [`PrivApi::publish`] over the same
+    /// prefix — only cheaper: the [`PoiAttack::extractions`] probe counts
+    /// only the non-local candidates per window (zero for the default
+    /// pool) against the batch budget of `pool + 1`, and
+    /// [`PoiAttack::user_extractions`] scales with the *changed* users
+    /// instead of the population.
+    ///
+    /// A successful ingest is permanent: if the *release* then fails
+    /// (e.g. [`PrivapiError::NoFeasibleStrategy`]), the window's records
+    /// remain part of the session prefix and are **not** rolled back —
+    /// re-sending the same window is rejected with the typed
+    /// [`PrivapiError::StreamError`], so a retry loop can never silently
+    /// double-ingest a day and corrupt the batch-parity invariant.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mobility::gen::{CityModel, PopulationConfig};
+    /// use mobility::WindowedDataset;
+    /// use privapi::prelude::*;
+    ///
+    /// let data = CityModel::builder().seed(5).build().generate_population(
+    ///     &PopulationConfig { users: 3, days: 2, ..PopulationConfig::default() },
+    /// );
+    /// let windows = WindowedDataset::partition(&data);
+    /// let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
+    /// for window in &windows {
+    ///     let release = publisher.publish_window(window).unwrap();
+    ///     assert_eq!(release.day, window.day());
+    /// }
+    /// // No full extraction pass ran: the original side and every pooled
+    /// // candidate's self-attack went through the per-user cache deltas.
+    /// assert_eq!(publisher.privapi().attack().extractions(), 0);
+    /// ```
     ///
     /// # Errors
     ///
     /// * [`PrivapiError::EmptyDataset`] for an empty window;
+    /// * [`PrivapiError::StreamError`] for a duplicate or out-of-order
+    ///   window day (nothing ingested);
     /// * [`PrivapiError::NoFeasibleStrategy`] when no pooled strategy can
-    ///   meet the privacy floor on the accumulated prefix.
+    ///   meet the privacy floor on the accumulated prefix (window
+    ///   ingested).
     pub fn publish_window(
         &mut self,
         window: &DatasetWindow,
     ) -> Result<PublishedWindow, PrivapiError> {
-        self.privapi.publish_window(&mut self.cache, window)
-    }
-
-    /// Replays every window of a partitioned dataset through
-    /// [`StreamingPublisher::publish_window`], oldest first, returning the
-    /// per-window releases.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and returns) the first window-publication error.
-    pub fn publish_all(
-        &mut self,
-        windows: &WindowedDataset,
-    ) -> Result<Vec<PublishedWindow>, PrivapiError> {
-        windows.iter().map(|w| self.publish_window(w)).collect()
+        if window.record_count() == 0 {
+            return Err(PrivapiError::EmptyDataset);
+        }
+        // Window-level wall span: `streaming.advance` and `engine.sweep`
+        // record as children, giving `obs_report` its per-window
+        // breakdown.
+        let mut span = obs::span("privapi.window");
+        span.set_attr("day", window.day());
+        let delta = self
+            .population
+            .advance(self.privapi.attack(), window, &mut self.store)?;
+        let published = self.privapi.publish_session(
+            &self.population,
+            &mut self.strategies,
+            delta,
+            &window.users(),
+            &mut self.store,
+        );
+        self.store.drop_released();
+        published
     }
 }
 
@@ -2226,6 +2238,7 @@ mod tests {
     use super::*;
     use crate::pipeline::PrivApi;
     use mobility::gen::{CityModel, PopulationConfig};
+    use mobility::WindowedDataset;
 
     fn dataset(seed: u64, users: usize, days: usize) -> Dataset {
         CityModel::builder()
@@ -2346,7 +2359,7 @@ mod tests {
         // Every user-local candidate re-anonymized exactly the changed
         // user and reused the inactive one's protected trajectories.
         assert!(!release.delta.grid_rebuilt);
-        for candidate in publisher.cache().strategies().last_deltas() {
+        for candidate in publisher.strategies().last_deltas() {
             assert!(!candidate.full_fallback, "{}", candidate.info);
             assert_eq!(
                 candidate.users_refreshed, 1,
@@ -2397,15 +2410,20 @@ mod tests {
         assert_eq!(windows.len(), 2);
 
         let attack = PoiAttack::default();
-        let mut cache = SessionCache::new();
-        let d0 = cache.advance(&attack, &windows.windows()[0]).unwrap();
+        let mut store = WorkStore::new();
+        let mut cache = PopulationCache::new();
+        let d0 = cache
+            .advance(&attack, &windows.windows()[0], &mut store)
+            .unwrap();
         assert_eq!(d0.users_refreshed, 2);
         assert_eq!(d0.users_reused, 0);
         assert!(!d0.grid_rebuilt, "first window never reports a rebuild");
         let user2_day0 = shard_of(&cache, UserId(2));
 
         assert_eq!(d0.shards_rebuilt, 2, "a first window has no memo");
-        let d1 = cache.advance(&attack, &windows.windows()[1]).unwrap();
+        let d1 = cache
+            .advance(&attack, &windows.windows()[1], &mut store)
+            .unwrap();
         assert!(!d1.grid_rebuilt, "day 1 stays inside the day-0 bbox");
         assert_eq!(d1.users_refreshed, 1, "only user 1 has new records");
         assert_eq!(d1.users_reused, 1);
@@ -2416,10 +2434,10 @@ mod tests {
         );
         // The reused shard is bitwise yesterday's.
         assert_eq!(shard_of(&cache, UserId(2)), user2_day0);
-        assert_eq!(cache.population().windows_ingested(), 2);
-        assert_eq!(cache.population().reference().len(), 2);
+        assert_eq!(cache.windows_ingested(), 2);
+        assert_eq!(cache.reference().len(), 2);
         assert_eq!(
-            cache.population().reference_index().unwrap().user_count(),
+            cache.reference_index().unwrap().user_count(),
             2,
             "index covers both users"
         );
@@ -2449,9 +2467,14 @@ mod tests {
         }
         let windows = WindowedDataset::partition(&Dataset::from_records(records));
         let attack = PoiAttack::default();
-        let mut cache = SessionCache::new();
-        cache.advance(&attack, &windows.windows()[0]).unwrap();
-        let d1 = cache.advance(&attack, &windows.windows()[1]).unwrap();
+        let mut store = WorkStore::new();
+        let mut cache = PopulationCache::new();
+        cache
+            .advance(&attack, &windows.windows()[0], &mut store)
+            .unwrap();
+        let d1 = cache
+            .advance(&attack, &windows.windows()[1], &mut store)
+            .unwrap();
         assert!(d1.grid_rebuilt, "widened bbox must rebuild the grid");
         assert_eq!(d1.users_refreshed, 2, "a grid rebuild touches everyone");
         assert_eq!(d1.users_reused, 0);
@@ -2493,7 +2516,7 @@ mod tests {
         publisher.publish_window(&windows.windows()[0]).unwrap();
         let release = publisher.publish_window(&windows.windows()[1]).unwrap();
         assert!(release.delta.grid_rebuilt, "day 1 widens the prefix box");
-        let deltas = publisher.cache().strategies().last_deltas();
+        let deltas = publisher.strategies().last_deltas();
         assert!(!deltas.is_empty());
         for candidate in deltas {
             match candidate.locality {
@@ -2585,12 +2608,11 @@ mod tests {
                     .with(Box::new(OpaqueShift)),
             )
         };
-        let privapi = make();
-        let probe = privapi.attack().clone();
-        let mut cache = SessionCache::new();
+        let mut publisher = StreamingPublisher::from_privapi(make());
+        let probe = publisher.privapi().attack().clone();
         for (i, window) in windows.iter().enumerate() {
             let before = probe.extractions();
-            let release = privapi.publish_window(&mut cache, window).unwrap();
+            let release = publisher.publish_window(window).unwrap();
             // Exactly one full protected-side extraction per window: the
             // non-local candidate. The local candidate stays cached.
             assert_eq!(
@@ -2599,7 +2621,7 @@ mod tests {
                 "window {i}: only the non-local candidate pays a full pass"
             );
             assert_eq!(release.strategies.full_fallbacks, 1, "window {i}");
-            let deltas = cache.strategies().last_deltas();
+            let deltas = publisher.strategies().last_deltas();
             assert!(deltas[1].full_fallback, "window {i}");
             assert!(!deltas[0].full_fallback, "window {i}");
             // And the cached sweep still matches a batch publish.
@@ -2618,18 +2640,18 @@ mod tests {
         // Parity with a batch publish under the new attack is the proof.
         let ds = dataset(31, 3, 2);
         let windows = WindowedDataset::partition(&ds);
-        let mut cache = SessionCache::new();
-        PrivApi::default()
-            .publish_window(&mut cache, &windows.windows()[0])
-            .unwrap();
+        let mut session = Session::default();
+        step(&PrivApi::default(), &mut session, &windows.windows()[0]).unwrap();
         let custom = PoiAttack::new(PoiAttackConfig {
             match_distance: geo::Meters::new(500.0),
             ..PoiAttackConfig::default()
         });
-        let release = PrivApi::default()
-            .with_attack(custom.clone())
-            .publish_window(&mut cache, &windows.windows()[1])
-            .unwrap();
+        let release = step(
+            &PrivApi::default().with_attack(custom.clone()),
+            &mut session,
+            &windows.windows()[1],
+        )
+        .unwrap();
         let batch = PrivApi::default()
             .with_attack(custom)
             .publish(&windows.prefix(1))
@@ -2652,21 +2674,17 @@ mod tests {
         // batch publish at the *new* seed is the proof.
         let ds = dataset(47, 3, 2);
         let windows = WindowedDataset::partition(&ds);
-        let mut cache = SessionCache::new();
+        let mut session = Session::default();
         let first = PrivApi::new(PrivApiConfig {
             seed: 1,
             ..PrivApiConfig::default()
         });
-        first
-            .publish_window(&mut cache, &windows.windows()[0])
-            .unwrap();
+        step(&first, &mut session, &windows.windows()[0]).unwrap();
         let second = PrivApi::new(PrivApiConfig {
             seed: 2,
             ..PrivApiConfig::default()
         });
-        let release = second
-            .publish_window(&mut cache, &windows.windows()[1])
-            .unwrap();
+        let release = step(&second, &mut session, &windows.windows()[1]).unwrap();
         let batch = PrivApi::new(PrivApiConfig {
             seed: 2,
             ..PrivApiConfig::default()
@@ -2685,8 +2703,8 @@ mod tests {
         let windows = WindowedDataset::partition(&ds);
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
         publisher.publish_window(&windows.windows()[1]).unwrap();
-        let records_before = publisher.cache().population().prefix().record_count();
-        let strategy_deltas_before = publisher.cache().strategies().last_deltas().to_vec();
+        let records_before = publisher.population().prefix().record_count();
+        let strategy_deltas_before = publisher.strategies().last_deltas().to_vec();
         assert!(!strategy_deltas_before.is_empty());
         // Re-sending the same window (a retry after a failed release, or a
         // bug) must fail loudly and leave the session untouched — the
@@ -2704,18 +2722,18 @@ mod tests {
                 "got {err}"
             );
             assert_eq!(
-                publisher.cache().population().prefix().record_count(),
+                publisher.population().prefix().record_count(),
                 records_before
             );
-            assert_eq!(publisher.cache().population().windows_ingested(), 1);
+            assert_eq!(publisher.population().windows_ingested(), 1);
             assert_eq!(
-                publisher.cache().strategies().last_deltas(),
+                publisher.strategies().last_deltas(),
                 strategy_deltas_before.as_slice(),
                 "a rejected window must not touch the strategy caches"
             );
         }
         assert_eq!(
-            publisher.cache().population().last_day(),
+            publisher.population().last_day(),
             Some(windows.windows()[1].day())
         );
     }
@@ -2842,12 +2860,14 @@ mod tests {
             let delta = population
                 .advance(privapi.attack(), window, &mut store)
                 .unwrap();
-            let update = WindowUpdate {
-                changed_users: window.users(),
-                grid_rebuilt: delta.grid_rebuilt,
-            };
             privapi
-                .publish_session(&population, &mut strategies, &update, &mut store)
+                .publish_session(
+                    &population,
+                    &mut strategies,
+                    delta,
+                    &window.users(),
+                    &mut store,
+                )
                 .unwrap();
             let candidate = &strategies.last_deltas()[0];
             assert!(!candidate.full_fallback, "window {i}");
@@ -2921,50 +2941,102 @@ mod tests {
     }
 
     /// A copy of `user`'s cached shard.
-    fn shard_of(cache: &SessionCache, user: UserId) -> UserAttackShard {
-        let mut shards = cache.population().shards();
+    fn shard_of(cache: &PopulationCache, user: UserId) -> UserAttackShard {
+        let mut shards = cache.shards();
         shards.find(|s| s.user == user).unwrap().clone()
+    }
+
+    /// Session state owned by the caller, for tests that switch
+    /// middlewares (attack, seed, pool) mid-session.
+    type Session = (PopulationCache, StrategySessionCache, WorkStore);
+
+    /// One streaming step over `session`, exactly as
+    /// [`StreamingPublisher::publish_window`] runs it.
+    fn step(
+        privapi: &PrivApi,
+        session: &mut Session,
+        window: &DatasetWindow,
+    ) -> Result<PublishedWindow, PrivapiError> {
+        let (population, strategies, store) = session;
+        let delta = population.advance(privapi.attack(), window, store)?;
+        let published =
+            privapi.publish_session(population, strategies, delta, &window.users(), store);
+        store.drop_released();
+        published
+    }
+
+    #[test]
+    fn sub_display_pool_swap_mid_session_resets_the_slot() {
+        // 100 m and 100.3 m Gaussians share one display card
+        // (`sigma=100m`), so a slot fingerprinted by the card alone would
+        // keep the 100 m outputs of day 0 after the swap. The exact output
+        // identity tells them apart: the swapped slot re-primes, and the
+        // release equals a fresh session's under the new pool.
+        use crate::pool::StrategyPool;
+        let windows = WindowedDataset::partition(&dataset(19, 3, 2));
+        let make = |sigma: f64| {
+            PrivApi::new(PrivApiConfig {
+                privacy_floor: 1.0, // keep the candidate feasible
+                ..PrivApiConfig::default()
+            })
+            .with_pool(
+                StrategyPool::new()
+                    .with_gaussian_perturbation(&[sigma])
+                    .unwrap(),
+            )
+        };
+        let (first, second) = (make(100.0), make(100.3));
+        assert_eq!(first.pool().infos(), second.pool().infos());
+        let mut session = Session::default();
+        step(&first, &mut session, &windows.windows()[0]).unwrap();
+        let release = step(&second, &mut session, &windows.windows()[1]).unwrap();
+        let mut fresh = StreamingPublisher::from_privapi(make(100.3));
+        fresh.publish_window(&windows.windows()[0]).unwrap();
+        let expected = fresh.publish_window(&windows.windows()[1]).unwrap();
+        assert_eq!(release.published.selection, expected.published.selection);
+        assert_eq!(release.published.dataset, expected.published.dataset);
+        assert_eq!(release.strategies.users_reused, 0, "the slot re-primed");
     }
 
     #[test]
     fn fresh_session_is_empty() {
-        let cache = SessionCache::new();
-        let population = cache.population();
+        let publisher = StreamingPublisher::new(PrivApiConfig::default());
+        let population = publisher.population();
         assert_eq!(population.windows_ingested(), 0);
         assert!(population.reference_index().is_none());
         assert_eq!(population.prefix().record_count(), 0);
         assert!(population.shards().next().is_none());
-        assert!(cache.store().is_empty());
+        assert!(publisher.store().is_empty());
         assert!(population.reference().is_empty());
-        assert!(cache.strategies().is_empty());
-        assert_eq!(cache.strategies().candidates(), 0);
-        assert!(cache.strategies().last_deltas().is_empty());
+        assert!(publisher.strategies().is_empty());
+        assert_eq!(publisher.strategies().candidates(), 0);
+        assert!(publisher.strategies().last_deltas().is_empty());
         assert_eq!(
-            cache.strategies().last_window(),
+            publisher.strategies().last_window(),
             StrategyCacheDelta::default()
         );
         assert!(WindowedDataset::partition(&Dataset::new()).is_empty());
     }
 
     #[test]
-    fn publish_all_replays_every_window() {
+    fn publisher_replays_every_window() {
         let ds = dataset(17, 3, 2);
         let windows = WindowedDataset::partition(&ds);
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
-        let releases = publisher.publish_all(&windows).unwrap();
+        let releases: Vec<PublishedWindow> = windows
+            .iter()
+            .map(|w| publisher.publish_window(w).unwrap())
+            .collect();
         assert_eq!(releases.len(), windows.len());
         assert_eq!(
             releases.iter().map(|r| r.day).collect::<Vec<_>>(),
             windows.days()
         );
-        assert_eq!(
-            publisher.cache().population().windows_ingested(),
-            windows.len()
-        );
+        assert_eq!(publisher.population().windows_ingested(), windows.len());
         // The final release covers the whole dataset's record count.
         let last = releases.last().unwrap();
         assert_eq!(
-            publisher.cache().population().prefix().record_count(),
+            publisher.population().prefix().record_count(),
             ds.record_count()
         );
         assert!(last.published.selection.winner().is_some());

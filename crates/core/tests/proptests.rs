@@ -331,7 +331,7 @@ proptest! {
                 "window {}: widening must stay on the incremental paths",
                 i
             );
-            prop_assert_eq!(publisher.cache().store().unreferenced(), 0, "window {}", i);
+            prop_assert_eq!(publisher.store().unreferenced(), 0, "window {}", i);
             let batch = PrivApi::default().publish(&windows.prefix(i));
             match (incremental, batch) {
                 (Ok(inc), Ok(batch)) => {
@@ -407,7 +407,7 @@ proptest! {
                 let before = probe.extractions();
                 let incremental = publisher.publish_window(window);
                 let extractions = probe.extractions() - before;
-                prop_assert_eq!(publisher.cache().store().unreferenced(), 0, "window {}", i);
+                prop_assert_eq!(publisher.store().unreferenced(), 0, "window {}", i);
                 prop_assert!(
                     extractions < pool + 1,
                     "window {}: {} extractions breaks the streaming budget",
@@ -709,7 +709,7 @@ proptest! {
             let before = probe.extractions();
             let incremental = publisher.publish_window(window);
             prop_assert_eq!(probe.extractions() - before, 0, "window {}", i);
-            prop_assert_eq!(publisher.cache().store().unreferenced(), 0, "window {}", i);
+            prop_assert_eq!(publisher.store().unreferenced(), 0, "window {}", i);
             let batch = PrivApi::default().publish(&prefix);
             match (incremental, batch) {
                 (Ok(inc), Ok(batch)) => {

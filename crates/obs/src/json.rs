@@ -3,7 +3,13 @@
 //! JSON), with no external dependency.
 //!
 //! Numbers are held as `f64`; the exported counters fit well inside the
-//! 2^53 exact-integer range.
+//! 2^53 exact-integer range. Arrays and objects nest at most
+//! [`MAX_DEPTH`] deep, so a hostile document is an error, not a stack
+//! overflow.
+
+/// How deep arrays and objects may nest — far past anything this crate
+/// exports or the bench JSON holds.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,11 +75,13 @@ impl JsonValue {
     }
 }
 
-/// Parse one complete JSON document; trailing non-whitespace is an error.
+/// Parse one complete JSON document; trailing non-whitespace, and nesting
+/// deeper than [`MAX_DEPTH`], are errors.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -87,6 +95,8 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -120,8 +130,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -133,6 +143,24 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses one array or object one level deeper, bounded by
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -208,10 +236,15 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone would also take a sign.
                             let hex = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
+                                .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                                .ok_or_else(|| {
+                                    format!("bad \\u escape at byte {}", self.pos)
+                                })?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
@@ -279,6 +312,26 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // Far past the bound, unclosed, and through objects.
+        assert!(parse(&nested(100_000)).is_err());
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+        assert!(parse(r#""\u+041""#).is_err());
+        assert!(parse(r#""\u00g1""#).is_err());
+        assert!(parse(r#""\u00""#).is_err());
     }
 
     #[test]

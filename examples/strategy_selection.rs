@@ -34,13 +34,18 @@ fn main() {
 
     // One shared pool definition drives middleware, experiments and
     // examples alike; the engine evaluates it in parallel.
+    let pool = StrategyPool::default_pool();
     for objective in objectives {
-        let selector =
-            StrategySelector::new(objective, 0.25, 7).with_pool(StrategyPool::default_pool());
-        match selector.select(&data.dataset, &reference) {
-            Ok((winner, report)) => {
+        let engine = EvaluationEngine::new(objective, 0.25, 7);
+        match engine.evaluate(&pool, &data.dataset, &reference) {
+            Ok(report) => {
                 println!("{report}");
-                println!("→ for {objective}, PRIVAPI deploys: {}\n", winner.info());
+                match report.winner() {
+                    Some(winner) => {
+                        println!("→ for {objective}, PRIVAPI deploys: {}\n", winner.info)
+                    }
+                    None => println!("objective {objective}: {}\n", report.no_feasible_error()),
+                }
             }
             Err(e) => println!("objective {objective}: {e}\n"),
         }

@@ -183,7 +183,7 @@ fn io_roundtrip_preserves_analysis() {
     assert_eq!(csv_back.record_count(), data.dataset.record_count());
 }
 
-/// The selector's choice is stable across runs (determinism end to end).
+/// The engine's choice is stable across runs (determinism end to end).
 #[test]
 fn selection_is_deterministic() {
     let data = CityModel::builder()
@@ -198,17 +198,18 @@ fn selection_is_deterministic() {
     let attack = PoiAttack::default();
     let reference = attack.extract(&data.dataset);
     let run = || {
-        let selector = StrategySelector::new(
+        let engine = EvaluationEngine::new(
             Objective::CrowdedPlaces {
                 cell: geo::Meters::new(250.0),
                 k: 10,
             },
             0.3,
             42,
-        )
-        .with_default_candidates();
-        let (winner, report) = selector.select(&data.dataset, &reference).unwrap();
-        (winner.info(), report)
+        );
+        let report = engine
+            .evaluate(&StrategyPool::default_pool(), &data.dataset, &reference)
+            .unwrap();
+        (report.winner().unwrap().info.clone(), report)
     };
     let (a_info, a_report) = run();
     let (b_info, b_report) = run();
@@ -281,11 +282,11 @@ fn publish_through_engine_is_schedule_independent_and_meets_floor() {
     assert_eq!(a.selection.objective, parallel.config().objective);
 }
 
-/// The APISENSE publication gateway releases a campaign's data through the
-/// shared strategy pool and the privacy floor holds on the release.
+/// The platform-side release gate — PRIVAPI over a pool assembled from the
+/// shared registry — releases a campaign's data and the privacy floor holds
+/// on the release.
 #[test]
 fn gateway_publishes_campaign_data_under_floor() {
-    use crowdsense::apisense::privacy::PublicationGateway;
     use crowdsense::privapi::pool::StrategyPool;
 
     let data = CityModel::builder()
@@ -305,9 +306,9 @@ fn gateway_publishes_campaign_data_under_floor() {
         .unwrap()
         .with_temporal_downsampling(&[600])
         .unwrap();
-    let gateway = PublicationGateway::default().with_pool(pool);
-    let published = gateway.publish_dataset(&data.dataset).expect("publishable");
-    let floor = gateway.privapi().config().privacy_floor;
+    let gateway = PrivApi::default().with_pool(pool);
+    let published = gateway.publish(&data.dataset).expect("publishable");
+    let floor = gateway.config().privacy_floor;
     assert!(
         published.privacy.recall <= floor + 1e-9,
         "gateway leaked {}",

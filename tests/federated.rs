@@ -418,3 +418,41 @@ proptest! {
         prop_assert!(outcome.raw_bytes_uplinked <= outcome.central_raw_bytes);
     }
 }
+
+/// Server-side selection on the calibration cohort: every close runs the
+/// cohort's raw window through one streaming session, and each recorded
+/// winner is what a standalone [`StreamingPublisher`] fed the same cohort
+/// windows selects. Whenever the winner's mechanism differs from the
+/// broadcast one, the Hive rebroadcasts it under a new config version.
+#[test]
+fn cohort_selection_matches_a_standalone_publisher_and_bumps_the_version() {
+    use crowdsense::privapi::streaming::StreamingPublisher;
+
+    let mut config = FederatedFleetConfig::small(7);
+    config.select = true;
+    config.cohort_size = 4;
+    config.fleet.days = 3;
+    let outcome = run_federated_fleet(&config);
+
+    let mut standalone = StreamingPublisher::new(PrivApiConfig::default());
+    let mut expected = Vec::new();
+    let mut spec = config.spec;
+    let mut version = 1;
+    for window in &outcome.cohort_windows {
+        let Ok(release) = standalone.publish_window(window) else {
+            continue;
+        };
+        expected.push((window.day(), release.published.strategy.to_string()));
+        let winner = release.published.selection.chosen.unwrap();
+        let winner_spec = standalone.privapi().pool().get(winner).unwrap().spec();
+        if let Some(next) = winner_spec.filter(|&s| s != spec) {
+            spec = next;
+            version += 1;
+        }
+    }
+    assert!(!expected.is_empty(), "the cohort released at least once");
+    assert_eq!(outcome.selections, expected);
+    assert!(version > 1, "the winner changed the broadcast mechanism");
+    assert_eq!(outcome.final_config.version, version);
+    assert_eq!(outcome.final_config.spec, spec);
+}
