@@ -492,17 +492,9 @@ impl LanePayload for DayBuckets {
                     .push(rec);
             }
         }
-        if quarantined_here > 0 && obs::enabled() {
-            // One aggregated event per offending batch, carrying the
-            // quarantine reason for the trace.
-            obs::event(
-                "ingest.quarantine",
-                &[
-                    ("device", obs::AttrValue::U64(device)),
-                    ("records", obs::AttrValue::U64(quarantined_here)),
-                    ("reason", obs::AttrValue::Str("day_already_closed".into())),
-                ],
-            );
+        if quarantined_here > 0 {
+            let reason = "day_already_closed";
+            trace_quarantine("ingest.quarantine", device, quarantined_here, reason);
         }
         Ok(batch.end_of_day.then_some(batch.day))
     }
@@ -550,6 +542,20 @@ impl LanePayload for DayBuckets {
             .collect();
         record_ingest_delta(&delta);
         (DatasetWindow::from_parts(day, dataset), delta)
+    }
+}
+
+/// Traces one quarantined batch: its device, record count and reason.
+pub(crate) fn trace_quarantine(event: &'static str, device: u64, records: u64, reason: &str) {
+    if obs::enabled() {
+        obs::event(
+            event,
+            &[
+                ("device", obs::AttrValue::U64(device)),
+                ("records", obs::AttrValue::U64(records)),
+                ("reason", obs::AttrValue::Str(reason.into())),
+            ],
+        );
     }
 }
 

@@ -33,6 +33,8 @@ mod kind {
     pub const RECORDS: u16 = 4;
     /// Hive → Honeycomb: forwarded records.
     pub const RECORDS_FORWARD: u16 = 5;
+    /// Device → Hive: deployment refusal, the payload being the reason.
+    pub const DEPLOY_REFUSED: u16 = 6;
 }
 
 /// Wire form of a record batch entry.
@@ -123,6 +125,8 @@ pub struct HiveActor {
     next_task: u64,
     /// Deployment acknowledgement times per task, in sim milliseconds.
     pub ack_times_ms: BTreeMap<u64, Vec<u64>>,
+    /// Refused deployments per task: each refusing device and its reason.
+    pub refusals: BTreeMap<u64, Vec<(NodeId, String)>>,
     /// When each task was offloaded, in sim milliseconds.
     pub deploy_start_ms: BTreeMap<u64, u64>,
     /// Records routed through the Hive.
@@ -137,6 +141,7 @@ impl HiveActor {
             honeycomb_of: BTreeMap::new(),
             next_task: 0,
             ack_times_ms: BTreeMap::new(),
+            refusals: BTreeMap::new(),
             deploy_start_ms: BTreeMap::new(),
             routed_records: 0,
         }
@@ -169,6 +174,13 @@ impl Actor for HiveActor {
                     .entry(msg.request_id)
                     .or_default()
                     .push(ctx.now().as_millis());
+            }
+            kind::DEPLOY_REFUSED => {
+                let reason = String::decode_from_slice(&msg.payload).unwrap_or_default();
+                self.refusals
+                    .entry(msg.request_id)
+                    .or_default()
+                    .push((from, reason));
             }
             kind::RECORDS => {
                 let task_id = msg.request_id;
@@ -223,13 +235,22 @@ impl Actor for DeviceActor {
         if msg.kind != kind::TASK_DEPLOY {
             return;
         }
-        let Ok((_name, (source, (interval_s, min_battery)))) =
-            <(String, (String, (i64, f64)))>::decode_from_slice(&msg.payload)
-        else {
-            return;
-        };
-        let Ok(script) = Script::compile(&source) else {
-            return;
+        let compiled = <(String, (String, (i64, f64)))>::decode_from_slice(&msg.payload)
+            .map_err(|e| format!("malformed deployment: {e}"))
+            .and_then(|(_name, (source, schedule))| {
+                Script::compile(&source)
+                    .map(|script| (script, schedule))
+                    .map_err(|e| e.to_string())
+            });
+        let (script, (interval_s, min_battery)) = match compiled {
+            Ok(deployment) => deployment,
+            Err(reason) => {
+                // Refuse out loud, so the Hive can tell a refused script
+                // from a lost frame; a running task keeps running.
+                let refusal = reason.encode_to_vec();
+                let answer = Message::response_to(&msg, kind::DEPLOY_REFUSED, refusal);
+                return ctx.send(self.hive, answer);
+            }
         };
         let task_id = msg.request_id;
         let now = self.device_time(ctx.now());
@@ -238,11 +259,7 @@ impl Actor for DeviceActor {
         self.task = Some((task_id, interval_s));
         ctx.send(
             self.hive,
-            Message {
-                kind: kind::DEPLOY_ACK,
-                request_id: task_id,
-                payload: Vec::new().into(),
-            },
+            Message::response_to(&msg, kind::DEPLOY_ACK, Vec::new()),
         );
         // Start the sampling loop.
         ctx.set_timer(0, task_id);
@@ -502,8 +519,9 @@ mod tests {
     #[test]
     fn device_ignores_a_hostile_deployment_and_keeps_running() {
         // A deployment nested far past the parser's bound is refused like
-        // any malformed script: no install, no ack. The device then
-        // installs the next, well-formed deployment and senses.
+        // any malformed script: no install, no ack, but a refusal the Hive
+        // records. The device then installs the next, well-formed
+        // deployment and senses.
         let user = UserId(0);
         let data =
             CityModel::builder()
@@ -541,6 +559,10 @@ mod tests {
         assert_eq!(actor.task, None, "the hostile script was not installed");
         let hive = sim.actor_as::<HiveActor>(hive_node).unwrap();
         assert!(hive.ack_times_ms.is_empty(), "and not acknowledged");
+        let refusals = &hive.refusals[&1];
+        assert_eq!(refusals.len(), 1, "but refused out loud");
+        assert_eq!(refusals[0].0, device_node);
+        assert!(refusals[0].1.contains("nest"), "{}", refusals[0].1);
 
         let gps = "let fix = sensor.gps(); emit({ \"lat\": fix.lat, \"lon\": fix.lon });";
         sim.post(hive_node, device_node, deploy(2, gps.to_string()));
@@ -552,6 +574,11 @@ mod tests {
         assert_eq!(
             hive.ack_times_ms.keys().copied().collect::<Vec<_>>(),
             vec![2]
+        );
+        assert_eq!(
+            hive.refusals.keys().copied().collect::<Vec<_>>(),
+            vec![1],
+            "the good deployment is not refused"
         );
     }
 }

@@ -12,10 +12,10 @@
 //!   device);
 //! * every device anonymizes its own day slices locally
 //!   ([`FederatedOutbox`], running
-//!   [`privapi::strategy::AnonymizationStrategy::anonymize_user`] over the
-//!   same durable schedule the raw outbox walks) and uploads only
-//!   protected records as [`ProtectedBatch`] chunks on a dedicated
-//!   *protected lane*;
+//!   [`privapi::strategy::AnonymizationStrategy::protect`] on each day's
+//!   trajectory over the same durable schedule the raw outbox walks) and
+//!   uploads only protected records as [`ProtectedBatch`] chunks on a
+//!   dedicated *protected lane*;
 //! * the Hive-side [`FederatedCollector`] — the [`crate::collect`] lane
 //!   core with a [`ProtectedDays`] payload — admits uploads into a
 //!   [`privapi::federated::FederatedSession`]: version-checking first
@@ -47,8 +47,8 @@
 //! keyed by the trajectory start).
 
 use crate::collect::{
-    decode_records, encode_records, CollectError, DayBatch, DeviceLanes, LaneCollector,
-    LanePayload, Schedule,
+    decode_records, encode_records, trace_quarantine, CollectError, DayBatch, DeviceLanes,
+    LaneCollector, LanePayload, Schedule,
 };
 use crate::fleet::TICK_RETRY;
 use bytes::{Bytes, BytesMut};
@@ -62,6 +62,7 @@ use privapi::federated::{
     SessionTotals, StrategyConfig, StrategySpec,
 };
 use privapi::pipeline::PrivApiConfig;
+use privapi::strategy::AnonymizationStrategy;
 use privapi::streaming::{IngestDelta, StreamingPublisher};
 use privapi::PrivapiError;
 use simnet::reliable::{
@@ -71,6 +72,7 @@ use simnet::wire::{Decode, Encode, WireError};
 use simnet::{Context, NetworkStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Transport-endpoint id bit marking a device's *protected* upload lane.
 pub const PROTECTED_LANE_BIT: u64 = 1 << 48;
@@ -259,8 +261,7 @@ impl Decode for ProtectedBatch {
 #[derive(Debug)]
 pub struct FederatedOutbox {
     schedule: Schedule,
-    config: Option<StrategyConfig>,
-    strategy: Option<Box<dyn privapi::strategy::AnonymizationStrategy>>,
+    installed: Option<(StrategyConfig, Box<dyn AnonymizationStrategy>)>,
     poisoned: bool,
     bytes_enqueued: u64,
 }
@@ -278,8 +279,7 @@ impl FederatedOutbox {
     ) -> Self {
         Self {
             schedule: Schedule::new(device, PROTECTED_LANE_BIT, user, config, records),
-            config: None,
-            strategy: None,
+            installed: None,
             poisoned,
             bytes_enqueued: 0,
         }
@@ -287,7 +287,7 @@ impl FederatedOutbox {
 
     /// The currently installed config, if any arrived yet.
     pub fn config(&self) -> Option<&StrategyConfig> {
-        self.config.as_ref()
+        self.installed.as_ref().map(|(config, _)| config)
     }
 
     /// Total protected payload bytes enqueued (first uploads plus
@@ -311,12 +311,10 @@ impl FederatedOutbox {
     /// [`PrivapiError`] when the config does not instantiate (corrupt or
     /// hostile broadcast); the previously installed config stays active.
     pub fn install(&mut self, config: StrategyConfig) -> Result<bool, PrivapiError> {
-        if self.config.is_some_and(|c| config.version <= c.version) {
+        if self.config().is_some_and(|c| config.version <= c.version) {
             return Ok(false);
         }
-        let strategy = config.instantiate()?;
-        self.config = Some(config);
-        self.strategy = Some(strategy);
+        self.installed = Some((config, config.instantiate()?));
         self.schedule.finalize_next = self.schedule.first_day;
         Ok(true)
     }
@@ -325,14 +323,14 @@ impl FederatedOutbox {
     /// config and every upload acknowledged. A device with no config yet
     /// is *not* drained (it has not reported anything).
     pub fn drained(&self, last_day: i64) -> bool {
-        self.config.is_some() && self.schedule.settled(last_day)
+        self.installed.is_some() && self.schedule.settled(last_day)
     }
 
     /// Anonymizes and enqueues every fully elapsed, not-yet-finalized day.
     /// Returns the number of batches enqueued. Without an installed config
     /// nothing is staged — raw data never leaves the device.
     pub fn stage(&mut self, now_s: i64) -> usize {
-        let Some(config) = self.config else {
+        let Some((config, strategy)) = &self.installed else {
             return 0;
         };
         let user = self.schedule.user;
@@ -341,17 +339,9 @@ impl FederatedOutbox {
             let day_records = self.schedule.day_slice(day);
             let mut had_data = !day_records.is_empty();
             let mut protected = if had_data {
-                let local = Dataset::from_trajectories(vec![Trajectory::new(
-                    user,
-                    day_records.to_vec(),
-                )]);
-                self.strategy
-                    .as_ref()
-                    .expect("strategy instantiated with config")
-                    .anonymize_user(&local, user, config.seed)
-                    .first()
-                    .map(|t| t.records().to_vec())
-                    .unwrap_or_default()
+                let day_trajectory = Arc::new(Trajectory::new(user, day_records.to_vec()));
+                let output = strategy.protect(&day_trajectory, config.seed, None);
+                output.records().to_vec()
             } else {
                 Vec::new()
             };
@@ -605,21 +595,14 @@ impl LanePayload for ProtectedDays {
             // Stale (or pre-config) upload: quarantine whole, count at the
             // collect layer (batches, devices) and the session layer
             // (records, users). Never mixed into the store.
+            let records = batch.records.len() as u64;
             self.window_stale_batches += 1;
-            self.window_stale_records += batch.records.len() as u64;
+            self.window_stale_records += records;
             self.window_stale_devices.insert(device);
             obs::count("federated.stale_batches", 1);
-            obs::count("federated.stale_records", batch.records.len() as u64);
-            if obs::enabled() {
-                obs::event(
-                    "federated.quarantine",
-                    &[
-                        ("device", obs::AttrValue::U64(device)),
-                        ("records", obs::AttrValue::U64(batch.records.len() as u64)),
-                        ("reason", obs::AttrValue::Str("stale_config_version".into())),
-                    ],
-                );
-            }
+            obs::count("federated.stale_records", records);
+            let reason = "stale_config_version";
+            trace_quarantine("federated.quarantine", device, records, reason);
             let admission = self.session.accept(
                 batch.version,
                 batch.day,
@@ -642,16 +625,8 @@ impl LanePayload for ProtectedDays {
                 obs::count("federated.poisoned_devices", 1);
             }
             obs::count("federated.implausible_records", rejected);
-            if obs::enabled() {
-                obs::event(
-                    "federated.quarantine",
-                    &[
-                        ("device", obs::AttrValue::U64(device)),
-                        ("records", obs::AttrValue::U64(rejected)),
-                        ("reason", obs::AttrValue::Str("implausible_region".into())),
-                    ],
-                );
-            }
+            let reason = "implausible_region";
+            trace_quarantine("federated.quarantine", device, rejected, reason);
             return Ok(None);
         }
         if last_closed.is_some_and(|closed| batch.day <= closed) {
@@ -1023,12 +998,7 @@ impl HiveFederation {
                     .filter(|&s| s != self.current.spec);
             }
         }
-        let (window, delta) = self
-            .collector
-            .close_day(day)
-            .expect("federated days close in order");
-        self.windows.push(window);
-        self.deltas.push(delta);
+        self.close(day);
         if let Some((at, spec)) = self.upgrade_at_close {
             if at == day && spec != self.current.spec {
                 next_spec = Some(spec);
@@ -1047,13 +1017,16 @@ impl HiveFederation {
     /// backlog remains.
     pub(crate) fn drain(&mut self, days: i64) {
         if self.collector.has_backlog() {
-            let (window, delta) = self
-                .collector
-                .close_day(days)
-                .expect("trailing federated close follows the last day");
-            self.windows.push(window);
-            self.deltas.push(delta);
+            self.close(days);
         }
+    }
+
+    /// Closes protected day `day` into the run's windows and deltas.
+    fn close(&mut self, day: i64) {
+        let closed = self.collector.close_day(day);
+        let (window, delta) = closed.expect("federated days close in order");
+        self.windows.push(window);
+        self.deltas.push(delta);
     }
 }
 

@@ -6,9 +6,10 @@
 //! * `context_reuse_*` — utility scoring through a shared
 //!   `CrowdedBaseline`/`TrafficBaseline` vs. recomputing the original
 //!   dataset's projection per candidate (the legacy `utility_of` shape);
-//! * `engine_sequential` vs `engine_parallel` — identical reports, with the
-//!   parallel run fanning candidates over the available cores (equal on a
-//!   single-core host, faster as cores are added).
+//! * `engine_sequential` vs `engine_parallel` — identical reports, the
+//!   first inside a one-thread rayon pool, the second fanning candidates
+//!   over the available cores (equal on a single-core host, faster as
+//!   cores are added).
 
 use bench::data::dataset;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -71,21 +72,24 @@ fn bench_engine(c: &mut Criterion) {
         })
     });
 
-    // Full engine runs: sequential vs parallel schedule (same report).
+    // Full engine runs: one worker thread vs every core (same report).
+    let engine = EvaluationEngine::new(objective, 0.3, 1);
     group.bench_function("engine_sequential", |b| {
-        let engine =
-            EvaluationEngine::new(objective, 0.3, 1).with_mode(ExecutionMode::Sequential);
+        let one_thread = rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .unwrap();
         b.iter(|| {
-            black_box(
-                engine
-                    .evaluate(&pool, black_box(&data.dataset), &reference)
-                    .ok(),
-            )
+            one_thread.install(|| {
+                black_box(
+                    engine
+                        .evaluate(&pool, black_box(&data.dataset), &reference)
+                        .ok(),
+                )
+            })
         })
     });
     group.bench_function("engine_parallel", |b| {
-        let engine =
-            EvaluationEngine::new(objective, 0.3, 1).with_mode(ExecutionMode::Parallel);
         b.iter(|| {
             black_box(
                 engine

@@ -147,8 +147,8 @@ pub struct E11Report {
     /// Sum over windows and candidates of users whose cached *protected*
     /// trajectories were reused instead of re-anonymized.
     pub strategy_users_reused: usize,
-    /// Sum over windows and candidates of users re-anonymized via
-    /// `anonymize_user`.
+    /// Sum over windows and candidates of users whose new trajectories were
+    /// re-anonymized via `protect`.
     pub strategy_users_refreshed: usize,
     /// Sum over windows and candidates of protected-side shards reused.
     pub strategy_shard_reuses: usize,

@@ -9,7 +9,6 @@
 //! [`crate::Orchestrator`] runs any number of them over one window stream.
 
 use mobility::ParticipantFilter;
-use privapi::engine::ExecutionMode;
 use privapi::federated::FederationPolicy;
 use privapi::pipeline::{PrivApi, PrivApiConfig};
 use privapi::pool::StrategyPool;
@@ -142,8 +141,8 @@ impl Campaign {
         Self::from_privapi(id, name, PrivApi::new(config))
     }
 
-    /// Wraps an already-configured PRIVAPI middleware (custom pool, attack
-    /// or execution mode).
+    /// Wraps an already-configured PRIVAPI middleware (custom pool or
+    /// attack).
     pub fn from_privapi(id: u64, name: impl Into<String>, privapi: PrivApi) -> Self {
         Self {
             id: CampaignId(id),
@@ -169,12 +168,6 @@ impl Campaign {
     /// exactly its own pass.
     pub fn with_attack(mut self, attack: PoiAttack) -> Self {
         self.privapi = self.privapi.with_attack(attack);
-        self
-    }
-
-    /// Sets the candidate-evaluation schedule (parallel by default).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.privapi = self.privapi.with_mode(mode);
         self
     }
 

@@ -17,8 +17,9 @@
 //!    the shared context, so [`EvaluationEngine`] scores them with rayon's
 //!    data parallelism. Results are collected in pool order and the winner
 //!    is chosen by the total, deterministic `(utility, −recall, index)`
-//!    ordering, so the parallel report is **identical** to the sequential
-//!    one — verified by a property test over seeds.
+//!    ordering, so the report is **identical** at any thread count —
+//!    verified by a property test over seeds in one- and two-thread rayon
+//!    pools.
 //! 3. **Per-candidate original-side attack work.** The reference POIs and
 //!    their spatial index depend only on the original dataset, yet the
 //!    legacy publish path extracted them outside the engine and every
@@ -35,24 +36,12 @@ use crate::metrics::{spatial_distortion, CrowdedBaseline, TrafficBaseline};
 use crate::pool::StrategyPool;
 use crate::selection::{CandidateResult, Objective, SelectionReport};
 use crate::streaming::{
-    CandidateDelta, CandidateState, Fills, StrategySessionCache, WindowUpdate, WorkStore,
+    CandidateDelta, CandidateState, Fills, PopulationCache, StrategySessionCache, WindowUpdate,
+    WorkStore,
 };
-use geo::BoundingBox;
-use mobility::{Dataset, Trajectory, UserId};
+use mobility::{Dataset, UserId};
 use rayon::prelude::*;
 use std::borrow::Cow;
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// How the engine schedules candidate evaluations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// One candidate at a time, in pool order.
-    Sequential,
-    /// All candidates fanned out over the available cores (the default).
-    #[default]
-    Parallel,
-}
 
 /// Shared, read-only original-dataset state, computed once per selection
 /// run and reused by every candidate:
@@ -71,14 +60,6 @@ pub struct EvalContext<'a> {
     shards: Option<Vec<UserAttackShard>>,
     reference_index: Cow<'a, ReferenceIndex>,
     baseline: ObjectiveBaseline,
-    /// The caller's per-user decomposition of `original` (shared trajectory
-    /// handles, prefix order) — set on the streaming path so candidate
-    /// refreshes can re-anonymize one user against a minimal view instead
-    /// of scanning the whole prefix. `None` on the batch paths.
-    by_user: Option<&'a BTreeMap<UserId, Vec<Arc<Trajectory>>>>,
-    /// `original`'s bounding box, when the caller already tracks it — the
-    /// pin for grid-anchored per-user mini-views.
-    original_bbox: Option<BoundingBox>,
 }
 
 /// The objective-specific precomputation over the original dataset: what
@@ -137,8 +118,6 @@ impl<'a> EvalContext<'a> {
             shards: None,
             reference_index: Cow::Owned(reference_index),
             baseline: ObjectiveBaseline::build(original, objective),
-            by_user: None,
-            original_bbox: None,
         }
     }
 
@@ -166,24 +145,7 @@ impl<'a> EvalContext<'a> {
             shards: None,
             reference_index: Cow::Borrowed(reference_index),
             baseline,
-            by_user: None,
-            original_bbox: None,
         }
-    }
-
-    /// Attaches the caller's per-user decomposition of the original prefix
-    /// (and its tracked bounding box) so candidate refreshes can anonymize
-    /// a user's appended trajectories against minimal views — the streaming
-    /// publish path's lever for paying per new trajectory, not per
-    /// history.
-    pub(crate) fn with_population(
-        mut self,
-        by_user: &'a BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-        bbox: Option<BoundingBox>,
-    ) -> Self {
-        self.by_user = Some(by_user);
-        self.original_bbox = bbox;
-        self
     }
 
     /// Like [`EvalContext::new`], but the context *owns* the reference:
@@ -210,8 +172,6 @@ impl<'a> EvalContext<'a> {
             shards: Some(shards),
             reference_index: Cow::Owned(reference_index),
             baseline: ObjectiveBaseline::build(original, objective),
-            by_user: None,
-            original_bbox: None,
         }
     }
 
@@ -240,17 +200,6 @@ impl<'a> EvalContext<'a> {
     /// The objective baseline candidates are scored against.
     pub(crate) fn baseline(&self) -> &ObjectiveBaseline {
         &self.baseline
-    }
-
-    /// The caller's per-user decomposition of the original prefix, when
-    /// attached ([`EvalContext::with_population`]).
-    pub(crate) fn original_by_user(&self) -> Option<&BTreeMap<UserId, Vec<Arc<Trajectory>>>> {
-        self.by_user
-    }
-
-    /// The original prefix's tracked bounding box, when attached.
-    pub(crate) fn original_bbox(&self) -> Option<BoundingBox> {
-        self.original_bbox
     }
 
     /// Scores the utility of one protected candidate (in `[0, 1]`) against
@@ -305,32 +254,26 @@ pub struct EvaluationEngine {
     objective: Objective,
     privacy_floor: f64,
     seed: u64,
-    mode: ExecutionMode,
 }
 
 impl EvaluationEngine {
     /// Creates an engine evaluating `objective` under `privacy_floor`
     /// (maximum tolerated POI recall, clamped to `[0, 1]`); `seed` drives
-    /// all randomized candidates. Parallel by default.
+    /// all randomized candidates. Candidates are evaluated in parallel on
+    /// the current rayon pool; run it inside a one-thread pool for a
+    /// sequential schedule — the report is the same.
     pub fn new(objective: Objective, privacy_floor: f64, seed: u64) -> Self {
         Self {
             attack: PoiAttack::default(),
             objective,
             privacy_floor: privacy_floor.clamp(0.0, 1.0),
             seed,
-            mode: ExecutionMode::default(),
         }
     }
 
     /// Replaces the attack used to score privacy.
     pub fn with_attack(mut self, attack: PoiAttack) -> Self {
         self.attack = attack;
-        self
-    }
-
-    /// Sets the execution mode (parallel by default).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -349,7 +292,7 @@ impl EvaluationEngine {
     ///
     /// The report's `candidates` are in pool order and its `chosen` index
     /// follows the `(utility, −recall, index)` ordering of
-    /// [`choose_winner`], regardless of [`ExecutionMode`]. A report with no
+    /// [`choose_winner`], regardless of the thread count. A report with no
     /// feasible candidate has `chosen == None` (turning that into an error
     /// is the caller's policy — see
     /// [`crate::selection::SelectionReport::no_feasible_error`]).
@@ -433,6 +376,7 @@ impl EvaluationEngine {
         &self,
         pool: &StrategyPool,
         context: &EvalContext<'_>,
+        population: &PopulationCache,
         strategies: &mut StrategySessionCache,
         update: &WindowUpdate<'_>,
         store: &mut WorkStore,
@@ -445,10 +389,7 @@ impl EvaluationEngine {
         }
         // Hoisted once per sweep: every candidate reuses the same user
         // list instead of re-deriving it from the prefix.
-        let all_users: Vec<UserId> = match context.original_by_user() {
-            Some(by_user) => by_user.keys().copied().collect(),
-            None => context.original().users(),
-        };
+        let all_users: Vec<UserId> = population.by_user().keys().copied().collect();
         let candidates: Vec<&dyn crate::strategy::AnonymizationStrategy> =
             pool.iter().collect();
         let mut work: Vec<(usize, &mut CandidateState)> =
@@ -461,16 +402,14 @@ impl EvaluationEngine {
                 candidates[*index],
                 state,
                 context,
+                population,
                 update,
                 &all_users,
                 read_only,
             )
         };
         let scored: Vec<(CandidateResult, PoiAttackReport, CandidateDelta, Fills)> =
-            match self.mode {
-                ExecutionMode::Sequential => work.iter_mut().map(eval).collect(),
-                ExecutionMode::Parallel => work.par_iter_mut().map(eval).collect(),
-            };
+            work.par_iter_mut().map(eval).collect();
         let mut results = Vec::with_capacity(scored.len());
         let mut privacy_reports = Vec::with_capacity(scored.len());
         let mut deltas = Vec::with_capacity(scored.len());
@@ -492,8 +431,8 @@ impl EvaluationEngine {
         let winner = report.chosen.map(|index| WinnerRelease {
             index,
             // Cached candidates re-materialize the release by cloning their
-            // per-user protected trajectories; only an uncached (non-local
-            // or fallback) winner re-runs its strategy over the prefix.
+            // per-user protected trajectories; only an uncached (non-local)
+            // winner re-runs its strategy over the prefix.
             dataset: strategies.states[index]
                 .assembled_release(context.original())
                 .unwrap_or_else(|| {
@@ -519,6 +458,7 @@ impl EvaluationEngine {
         strategy: &dyn crate::strategy::AnonymizationStrategy,
         state: &mut CandidateState,
         context: &EvalContext<'_>,
+        population: &PopulationCache,
         update: &WindowUpdate<'_>,
         all_users: &[UserId],
         store: &WorkStore,
@@ -535,6 +475,7 @@ impl EvaluationEngine {
             strategy,
             &self.attack,
             context,
+            population,
             update,
             all_users,
             self.seed,
@@ -600,16 +541,10 @@ impl EvaluationEngine {
     ) -> (SelectionReport, Vec<PoiAttackReport>) {
         let candidates: Vec<&dyn crate::strategy::AnonymizationStrategy> =
             pool.iter().collect();
-        let scored: Vec<(CandidateResult, PoiAttackReport)> = match self.mode {
-            ExecutionMode::Sequential => candidates
-                .iter()
-                .map(|s| self.evaluate_candidate(*s, context))
-                .collect(),
-            ExecutionMode::Parallel => candidates
-                .par_iter()
-                .map(|s| self.evaluate_candidate(*s, context))
-                .collect(),
-        };
+        let scored: Vec<(CandidateResult, PoiAttackReport)> = candidates
+            .par_iter()
+            .map(|s| self.evaluate_candidate(*s, context))
+            .collect();
         let (results, privacy_reports): (Vec<_>, Vec<_>) = scored.into_iter().unzip();
         let chosen = choose_winner(&results);
         let report = SelectionReport {
@@ -794,15 +729,15 @@ mod tests {
             cell: Meters::new(250.0),
             k: 10,
         };
-        let sequential = EvaluationEngine::new(objective, 0.25, 7)
-            .with_mode(ExecutionMode::Sequential)
-            .evaluate(&pool, &data.dataset, &reference)
-            .unwrap();
-        let parallel = EvaluationEngine::new(objective, 0.25, 7)
-            .with_mode(ExecutionMode::Parallel)
-            .evaluate(&pool, &data.dataset, &reference)
-            .unwrap();
-        assert_eq!(sequential, parallel);
+        let engine = EvaluationEngine::new(objective, 0.25, 7);
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| engine.evaluate(&pool, &data.dataset, &reference).unwrap())
+        };
+        assert_eq!(in_pool(1), in_pool(2));
     }
 
     #[test]

@@ -4,19 +4,20 @@
 //! trajectories. The federated mode inverts the threat model: the gateway
 //! broadcasts the *winning strategy* as a versioned, serializable
 //! [`StrategyConfig`]; every device runs
-//! [`crate::strategy::AnonymizationStrategy::anonymize_user`] locally and
-//! uploads only protected records; the server assembles the release from
+//! [`crate::strategy::AnonymizationStrategy::protect`] on each of its day
+//! trajectories and uploads only protected records; the server assembles
+//! the release from
 //! those per-(day, user) protected trajectories without ever seeing raw
 //! data. Server-side *selection* still needs ground truth, so a small
 //! opt-in **calibration cohort** ([`calibration_cohort`]) keeps uploading
 //! raw through the ordinary collect lane.
 //!
-//! The contract that makes this sound is exactly the
-//! [`crate::strategy::UserLocality`] ladder plus the per-trajectory seed
-//! derivation (`trajectory_rng`): a `UserLocal` strategy's output for one
-//! trajectory depends only on (that trajectory, the run seed), so a device
-//! anonymizing its own day slice produces byte-for-byte the trajectory the
-//! server would have produced inside a full central run — and
+//! The contract that makes this sound is `protect` itself: a `UserLocal`
+//! strategy's output for one trajectory is a function of (that
+//! trajectory, the run seed) — the randomized ones derive their noise per
+//! trajectory (`trajectory_rng`) — so a device protecting its own day
+//! slice produces byte-for-byte the trajectory the server would have
+//! produced inside a full central run — and
 //! [`FederatedSession::release`] re-interleaves the uploads in the central
 //! (day, user) order. `GridAnchored` strategies additionally need the
 //! dataset-wide grid anchor, which therefore travels *inside* the
@@ -608,8 +609,8 @@ mod tests {
         }
     }
 
-    /// The tentpole in miniature: device-by-device `anonymize_user` over
-    /// day slices, re-interleaved by the session, equals the one-shot
+    /// The federated contract in miniature: device-by-device `protect` of
+    /// each day slice, re-interleaved by the session, equals the one-shot
     /// central release for every spec.
     #[test]
     fn session_reassembles_central_release_for_every_spec() {
@@ -621,19 +622,12 @@ mod tests {
             let mut session = FederatedSession::new();
             assert!(session.install(config));
             for window in &windows {
-                for &user in &window.users() {
-                    // Each "device" sees only its own day slice.
-                    let local = Dataset::from_trajectories(
-                        window
-                            .dataset()
-                            .trajectories_of(user)
-                            .into_iter()
-                            .cloned()
-                            .collect(),
-                    );
-                    let protected = strategy.anonymize_user(&local, user, config.seed);
-                    assert_eq!(protected.len(), 1, "one trajectory per (user, day)");
-                    session.accept(config.version, window.day(), user, (*protected[0]).clone());
+                // Each "device" sees only its own day slice: one trajectory
+                // per (user, day).
+                for slice in window.dataset().trajectories() {
+                    let protected = strategy.protect(slice, config.seed, None);
+                    let (day, user) = (window.day(), slice.user());
+                    session.accept(config.version, day, user, (*protected).clone());
                 }
             }
             let prefix = windows.prefix(windows.len() - 1);

@@ -94,9 +94,7 @@ pub mod prelude {
         BackgroundProfiles, ExtractionMemo, ExtractionPath, PoiAttack, PoiAttackConfig,
         PoiAttackReport, ReferenceIndex, ReidentificationAttack, UserAttackShard,
     };
-    pub use crate::engine::{
-        choose_winner, EvalContext, EvaluationEngine, ExecutionMode, WinnerRelease,
-    };
+    pub use crate::engine::{choose_winner, EvalContext, EvaluationEngine, WinnerRelease};
     pub use crate::federated::{
         calibration_cohort, central_release, FederatedSession, FederationDelta,
         FederationPolicy, StrategyConfig, StrategySpec,

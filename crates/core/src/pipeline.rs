@@ -19,7 +19,7 @@
 //! stays: it is the reference every streaming parity test compares against.
 
 use crate::attack::{PoiAttack, PoiAttackReport};
-use crate::engine::{EvalContext, EvaluationEngine, ExecutionMode};
+use crate::engine::{EvalContext, EvaluationEngine};
 use crate::error::PrivapiError;
 use crate::pool::StrategyPool;
 use crate::selection::{Objective, SelectionReport};
@@ -77,7 +77,6 @@ pub struct PrivApi {
     config: PrivApiConfig,
     attack: PoiAttack,
     pool: StrategyPool,
-    mode: ExecutionMode,
 }
 
 impl PrivApi {
@@ -88,7 +87,6 @@ impl PrivApi {
             config,
             attack: PoiAttack::default(),
             pool: StrategyPool::default_pool(),
-            mode: ExecutionMode::default(),
         }
     }
 
@@ -102,12 +100,6 @@ impl PrivApi {
     /// parameters, or an instrumented probe for extraction accounting).
     pub fn with_attack(mut self, attack: PoiAttack) -> Self {
         self.attack = attack;
-        self
-    }
-
-    /// Sets the evaluation schedule (parallel by default).
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -223,15 +215,14 @@ impl PrivApi {
             population.reference(),
             index,
             baseline_cells,
-        )
-        .with_population(population.by_user(), population.bounding_box());
+        );
         let update = WindowUpdate {
             changed_users,
             grid_rebuilt: delta.grid_rebuilt,
         };
-        let (selection, winner) = self
-            .engine()
-            .evaluate_release_with(&self.pool, &context, strategies, &update, store)?;
+        let (selection, winner) = self.engine().evaluate_release_with(
+            &self.pool, &context, population, strategies, &update, store,
+        )?;
         let Some(winner) = winner else {
             return Err(selection.no_feasible_error());
         };
@@ -245,7 +236,7 @@ impl PrivApi {
     }
 
     /// The evaluation engine both publish calls drive, configured
-    /// with this middleware's objective, floor, seed, attack and schedule.
+    /// with this middleware's objective, floor, seed and attack.
     fn engine(&self) -> EvaluationEngine {
         EvaluationEngine::new(
             self.config.objective,
@@ -253,7 +244,6 @@ impl PrivApi {
             self.config.seed,
         )
         .with_attack(self.attack.clone())
-        .with_mode(self.mode)
     }
 
     /// Folds a winning release into the published audit record.

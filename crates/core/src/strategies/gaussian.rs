@@ -2,10 +2,12 @@
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::{map_user_trajectories, perturb_trajectory};
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
-use geo::{GeoPoint, Meters};
-use mobility::{Dataset, Trajectory, UserId};
+use crate::strategies::perturb_trajectory;
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
+use geo::{BoundingBox, GeoPoint, Meters};
+use mobility::{Dataset, Trajectory};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -67,7 +69,18 @@ impl AnonymizationStrategy for GaussianPerturbation {
     }
 
     fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
-        dataset.map_trajectories(|t| perturb_trajectory(t, seed, |p, rng| self.perturb(p, rng)))
+        protect_each(self, dataset, seed)
+    }
+
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        Arc::new(perturb_trajectory(trajectory, seed, |p, rng| {
+            self.perturb(p, rng)
+        }))
     }
 
     /// Noise is drawn from a per-trajectory RNG keyed by `(seed, user,
@@ -85,17 +98,6 @@ impl AnonymizationStrategy for GaussianPerturbation {
 
     fn output_identity(&self) -> Option<OutputIdentity> {
         self.spec().map(|spec| spec.identity([]))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        map_user_trajectories(dataset, user, |t| {
-            perturb_trajectory(t, seed, |p, rng| self.perturb(p, rng))
-        })
     }
 }
 

@@ -11,10 +11,12 @@
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::{map_user_trajectories, perturb_trajectory};
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
-use geo::{Degrees, GeoPoint, Meters};
-use mobility::{Dataset, Trajectory, UserId};
+use crate::strategies::perturb_trajectory;
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
+use geo::{BoundingBox, Degrees, GeoPoint, Meters};
+use mobility::{Dataset, Trajectory};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -125,7 +127,18 @@ impl AnonymizationStrategy for GeoIndistinguishability {
     }
 
     fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
-        dataset.map_trajectories(|t| perturb_trajectory(t, seed, |p, rng| self.perturb(p, rng)))
+        protect_each(self, dataset, seed)
+    }
+
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        Arc::new(perturb_trajectory(trajectory, seed, |p, rng| {
+            self.perturb(p, rng)
+        }))
     }
 
     /// The planar Laplace noise is drawn from a per-trajectory RNG keyed
@@ -145,17 +158,6 @@ impl AnonymizationStrategy for GeoIndistinguishability {
 
     fn output_identity(&self) -> Option<OutputIdentity> {
         self.spec().map(|spec| spec.identity([]))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        map_user_trajectories(dataset, user, |t| {
-            perturb_trajectory(t, seed, |p, rng| self.perturb(p, rng))
-        })
     }
 }
 

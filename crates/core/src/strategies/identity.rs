@@ -1,9 +1,11 @@
 //! The identity (no protection) control strategy.
 
 use crate::federated::StrategySpec;
-use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
-use mobility::{Dataset, Trajectory, UserId};
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
+use geo::BoundingBox;
+use mobility::{Dataset, Trajectory};
 use std::sync::Arc;
 
 /// Publishes the dataset unchanged. Used as the utility upper bound and the
@@ -26,8 +28,19 @@ impl AnonymizationStrategy for Identity {
         }
     }
 
-    fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
-        dataset.clone()
+    fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
+        protect_each(self, dataset, seed)
+    }
+
+    /// The input itself: no copy, and nothing for the streaming store to
+    /// keep.
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        _seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        Arc::clone(trajectory)
     }
 
     /// The no-op trivially depends on nothing but the user's own records.
@@ -41,15 +54,6 @@ impl AnonymizationStrategy for Identity {
 
     fn output_identity(&self) -> Option<OutputIdentity> {
         self.spec().map(|spec| spec.identity([]))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        _seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        map_user_trajectories(dataset, user, Trajectory::clone)
     }
 }
 

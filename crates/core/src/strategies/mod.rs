@@ -25,10 +25,9 @@ pub use spatial_cloaking::SpatialCloaking;
 pub use temporal::TemporalDownsampling;
 
 use geo::GeoPoint;
-use mobility::{Dataset, LocationRecord, Trajectory, UserId};
+use mobility::{LocationRecord, Trajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
 
 /// Derives a per-trajectory RNG from the run seed, the user id and the
 /// trajectory's start time, so each trajectory's randomness is independent
@@ -38,7 +37,7 @@ use std::sync::Arc;
 /// [`crate::strategy::UserLocality::UserLocal`]: user `u`'s noise depends
 /// only on `u`'s own trajectories and the seed, never on how many other
 /// users (or records) the dataset holds — so the streaming per-strategy
-/// cache can re-anonymize one user without touching the rest.
+/// cache can protect one new trajectory without touching the rest.
 pub(crate) fn trajectory_rng(seed: u64, user: u64, start_s: i64) -> StdRng {
     let mix = seed
         ^ user.wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -46,31 +45,10 @@ pub(crate) fn trajectory_rng(seed: u64, user: u64, start_s: i64) -> StdRng {
     StdRng::seed_from_u64(mix)
 }
 
-/// Maps `user`'s trajectories (in dataset order) through `f` — the shared
-/// body of the per-trajectory strategies' `anonymize_user` overrides, kept
-/// in one place so the filter semantics the locality contract depends on
-/// cannot drift between mechanisms.
-pub(crate) fn map_user_trajectories<F>(
-    dataset: &Dataset,
-    user: UserId,
-    mut f: F,
-) -> Vec<Arc<Trajectory>>
-where
-    F: FnMut(&Trajectory) -> Trajectory,
-{
-    dataset
-        .trajectories()
-        .iter()
-        .filter(|t| t.user() == user)
-        .map(|t| Arc::new(f(t)))
-        .collect()
-}
-
 /// Rewrites one trajectory's points through `perturb`, drawing randomness
 /// from the per-trajectory [`trajectory_rng`] stream — the unit both noise
-/// mechanisms (gaussian, geo-I) build their full and per-user paths from,
-/// and the reason they can declare
-/// [`crate::strategy::UserLocality::UserLocal`].
+/// mechanisms (gaussian, geo-I) build their `protect` from, and the reason
+/// they can declare [`crate::strategy::UserLocality::UserLocal`].
 pub(crate) fn perturb_trajectory<F>(t: &Trajectory, seed: u64, mut perturb: F) -> Trajectory
 where
     F: FnMut(&GeoPoint, &mut StdRng) -> GeoPoint,

@@ -32,10 +32,11 @@
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
-use geo::Meters;
-use mobility::{Dataset, LocationRecord, Timestamp, Trajectory, UserId};
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
+use geo::{BoundingBox, Meters};
+use mobility::{Dataset, LocationRecord, Timestamp, Trajectory};
 use std::sync::Arc;
 
 /// The speed-smoothing (Promesse) strategy.
@@ -188,9 +189,17 @@ impl AnonymizationStrategy for SpeedSmoothing {
         }
     }
 
-    fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
-        // Deterministic: no randomness involved.
-        dataset.map_trajectories(|t| self.smooth_trajectory(t))
+    fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
+        protect_each(self, dataset, seed)
+    }
+
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        _seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        Arc::new(self.smooth_trajectory(trajectory))
     }
 
     /// Smoothing is deterministic per trajectory (no randomness, no grid):
@@ -209,15 +218,6 @@ impl AnonymizationStrategy for SpeedSmoothing {
     fn output_identity(&self) -> Option<OutputIdentity> {
         let trim = self.endpoint_trim.get().to_bits();
         self.spec().map(|spec| spec.identity([trim]))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        _seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        map_user_trajectories(dataset, user, |t| self.smooth_trajectory(t))
     }
 }
 

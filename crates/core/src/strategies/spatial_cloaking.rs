@@ -6,10 +6,11 @@
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
 use geo::{BoundingBox, Meters, UniformGrid};
-use mobility::{Dataset, LocationRecord, Trajectory, UserId};
+use mobility::{Dataset, LocationRecord, Trajectory};
 use std::sync::Arc;
 
 /// Grid-cloaking strategy with a configurable cell size.
@@ -69,37 +70,6 @@ impl SpatialCloaking {
     pub fn cell_size(&self) -> Meters {
         self.cell_size
     }
-
-    /// The dataset-wide tessellation every trajectory is snapped to, or
-    /// `None` when the dataset is empty — in which case cloaking is a
-    /// no-op. The grid is anchored on the quantized padded box
-    /// ([`BoundingBox::grid_anchor`]) so that, in a streaming session,
-    /// bounding-box drift inside the 0.05° lattice leaves the tessellation
-    /// (and every cached per-user cloaking) untouched; the quantized span
-    /// is never degenerate, so single-point datasets need no special case.
-    /// A pinned anchor ([`SpatialCloaking::with_anchor`]) takes precedence
-    /// and never consults the dataset.
-    fn cloaking_grid(&self, dataset: &Dataset) -> Option<UniformGrid> {
-        let bbox: BoundingBox = match self.anchor {
-            Some(anchor) => anchor,
-            None => dataset.bounding_box()?.grid_anchor(),
-        };
-        UniformGrid::new(bbox, self.cell_size).ok()
-    }
-
-    /// Snaps one trajectory to the shared grid — the unit both the full
-    /// and the per-user anonymization paths are built from.
-    fn cloak_trajectory(&self, t: &Trajectory, grid: &UniformGrid) -> Trajectory {
-        let records: Vec<LocationRecord> = t
-            .records()
-            .iter()
-            .map(|r| {
-                let cell = grid.cell_of(&r.point);
-                LocationRecord::new(r.user, r.time, grid.cell_center(&cell))
-            })
-            .collect();
-        Trajectory::new(t.user(), records)
-    }
 }
 
 impl AnonymizationStrategy for SpatialCloaking {
@@ -122,13 +92,37 @@ impl AnonymizationStrategy for SpatialCloaking {
         }
     }
 
-    fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
-        // Global knowledge: the grid is anchored on the dataset's own
-        // bounding box so the whole release shares one tessellation.
-        let Some(grid) = self.cloaking_grid(dataset) else {
-            return dataset.clone();
+    fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
+        protect_each(self, dataset, seed)
+    }
+
+    /// Snaps every fix to the centre of its cell on the grid anchored on
+    /// the pinned anchor ([`SpatialCloaking::with_anchor`]), else on
+    /// `anchor` — the dataset's quantized box, so in a streaming session
+    /// bounding-box drift inside the 0.05° lattice leaves the tessellation
+    /// (and every cached output) untouched; the quantized span is never
+    /// degenerate, so single-point datasets need no special case. Without
+    /// either anchor (a record-less dataset) the trajectory is released as
+    /// is.
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        _seed: u64,
+        anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        let grid = self.anchor.as_ref().or(anchor);
+        let Some(grid) = grid.and_then(|b| UniformGrid::new(*b, self.cell_size).ok()) else {
+            return Arc::clone(trajectory);
         };
-        dataset.map_trajectories(|t| self.cloak_trajectory(t, &grid))
+        let records: Vec<LocationRecord> = trajectory
+            .records()
+            .iter()
+            .map(|r| {
+                let cell = grid.cell_of(&r.point);
+                LocationRecord::new(r.user, r.time, grid.cell_center(&cell))
+            })
+            .collect();
+        Arc::new(Trajectory::new(trajectory.user(), records))
     }
 
     /// Snapping is per record, but the grid it snaps to is anchored on the
@@ -155,19 +149,6 @@ impl AnonymizationStrategy for SpatialCloaking {
         let corners = self.anchor.iter().flat_map(|a| [a.min(), a.max()]);
         let anchor = corners.flat_map(|p| [p.latitude().to_bits(), p.longitude().to_bits()]);
         self.spec().map(|spec| spec.identity(anchor))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        _seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        let grid = self.cloaking_grid(dataset);
-        map_user_trajectories(dataset, user, |t| match &grid {
-            Some(grid) => self.cloak_trajectory(t, grid),
-            None => t.clone(),
-        })
     }
 }
 
@@ -273,11 +254,11 @@ mod tests {
         assert!(anchored.anchor().is_some());
     }
 
-    /// Satellite regression for the federated fix: a device cloaking its
-    /// own partial data — whose *local* bounding box has drifted well away
+    /// Regression for the federated fix: a device cloaking its own
+    /// trajectories — whose *local* bounding box has drifted well away
     /// from the population's — still lands byte-identically on the central
     /// grid, because the anchor is pinned from the broadcast config
-    /// instead of derived from whatever dataset the device happens to see.
+    /// instead of derived from whatever data the device happens to see.
     #[test]
     fn pinned_anchor_matches_central_under_drifted_local_bbox() {
         let population = sample();
@@ -289,48 +270,30 @@ mod tests {
         let device = SpatialCloaking::new(Meters::new(250.0))
             .unwrap()
             .with_anchor(central_anchor);
+        let unpinned = SpatialCloaking::new(Meters::new(250.0)).unwrap();
+        let mut sheared = false;
         for &user in &population.users() {
-            // The device-local dataset: only this user's records, so its
+            // The device-local data: only this user's records, so its
             // bounding box is a strict (drifted) sub-box of the
             // population's.
-            let local = Dataset::from_trajectories(
-                population
-                    .trajectories_of(user)
-                    .into_iter()
-                    .cloned()
-                    .collect(),
-            );
+            let local = Dataset::from_shared(population.shared_of(user));
+            let local_box = local.bounding_box().unwrap();
             assert_ne!(
-                local.bounding_box().unwrap(),
+                local_box,
                 population.bounding_box().unwrap(),
                 "the premise: local bbox must actually drift"
             );
-            let local_out = device.anonymize_user(&local, user, 0);
-            let central_of_user = central.shared_of(user);
-            assert_eq!(local_out.len(), central_of_user.len());
-            for (got, want) in local_out.iter().zip(&central_of_user) {
+            for (input, want) in local.trajectories().iter().zip(&central.shared_of(user)) {
+                let got = device.protect(input, 0, None);
                 assert_eq!(got.records(), want.records(), "user {user:?} must match");
+                // Negative control: anchoring on the drifted local box
+                // instead shears the tessellation for at least one user.
+                let drifted = unpinned.protect(input, 0, Some(&local_box.grid_anchor()));
+                sheared |= drifted.records() != want.records();
             }
-            // Negative control: deriving the grid from the drifted local
-            // bbox (no pinned anchor) shears the tessellation for at
-            // least one user.
         }
-        let unpinned = SpatialCloaking::new(Meters::new(250.0)).unwrap();
-        let mismatch = population.users().iter().any(|&user| {
-            let local = Dataset::from_trajectories(
-                population
-                    .trajectories_of(user)
-                    .into_iter()
-                    .cloned()
-                    .collect(),
-            );
-            let got = unpinned.anonymize_user(&local, user, 0);
-            got.iter()
-                .zip(&central.shared_of(user))
-                .any(|(a, b)| a.records() != b.records())
-        });
         assert!(
-            mismatch,
+            sheared,
             "negative control: local-bbox grids must actually drift for some user"
         );
     }

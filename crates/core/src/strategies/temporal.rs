@@ -2,9 +2,11 @@
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::map_user_trajectories;
-use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
-use mobility::{Dataset, LocationRecord, Trajectory, UserId};
+use crate::strategy::{
+    protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
+};
+use geo::BoundingBox;
+use mobility::{Dataset, LocationRecord, Trajectory};
 use std::sync::Arc;
 
 /// Keeps at most one record per `window_s`-second window per trajectory.
@@ -36,19 +38,6 @@ impl TemporalDownsampling {
     pub fn window_s(&self) -> i64 {
         self.window_s
     }
-
-    /// Thins one trajectory — the unit both the full and the per-user
-    /// anonymization paths are built from.
-    fn thin_trajectory(&self, t: &Trajectory) -> Trajectory {
-        let mut kept: Vec<LocationRecord> = Vec::new();
-        for r in t.records() {
-            match kept.last() {
-                Some(last) if r.time - last.time < self.window_s => {}
-                _ => kept.push(*r),
-            }
-        }
-        Trajectory::new(t.user(), kept)
-    }
 }
 
 impl AnonymizationStrategy for TemporalDownsampling {
@@ -59,8 +48,24 @@ impl AnonymizationStrategy for TemporalDownsampling {
         }
     }
 
-    fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
-        dataset.map_trajectories(|t| self.thin_trajectory(t))
+    fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
+        protect_each(self, dataset, seed)
+    }
+
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        _seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        let mut kept: Vec<LocationRecord> = Vec::new();
+        for r in trajectory.records() {
+            match kept.last() {
+                Some(last) if r.time - last.time < self.window_s => {}
+                _ => kept.push(*r),
+            }
+        }
+        Arc::new(Trajectory::new(trajectory.user(), kept))
     }
 
     /// Thinning is deterministic per trajectory: user `u`'s output depends
@@ -77,15 +82,6 @@ impl AnonymizationStrategy for TemporalDownsampling {
 
     fn output_identity(&self) -> Option<OutputIdentity> {
         self.spec().map(|spec| spec.identity([]))
-    }
-
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        _seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        map_user_trajectories(dataset, user, |t| self.thin_trajectory(t))
     }
 }
 

@@ -7,7 +7,8 @@
 //! [`crate::selection`] module searches over boxed strategies.
 
 use crate::federated::StrategySpec;
-use mobility::{Dataset, Trajectory, UserId};
+use geo::BoundingBox;
+use mobility::{Dataset, Trajectory};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -17,17 +18,17 @@ use std::sync::Arc;
 ///
 /// A streaming deployment re-publishes a growing prefix every day. Whether
 /// yesterday's protected output (and the self-attack shards derived from
-/// it) can be reused depends on what [`AnonymizationStrategy::anonymize`]
-/// actually reads, so every strategy *declares* it here and the
-/// per-strategy session cache ([`crate::streaming::StrategySessionCache`])
-/// turns the declaration into an invalidation rule. The promise is made
-/// per **trajectory**: each output trajectory is a function of its own
-/// input trajectory, the run seed and — for grid-anchored strategies — the
-/// quantized anchor of the dataset bounding box. Anonymizing a whole
-/// dataset therefore equals anonymizing each trajectory on its own (with
-/// two corner pins holding the bounding box in place, for grid-anchored
-/// strategies), which is what lets the cache keep every output whose input
-/// is unchanged and anonymize only the trajectories a window appended.
+/// it) can be reused depends on what the strategy actually reads, so every
+/// strategy *declares* it here and the per-strategy session cache
+/// ([`crate::streaming::StrategySessionCache`]) turns the declaration into
+/// an invalidation rule. A local strategy states the promise as a method:
+/// [`AnonymizationStrategy::protect`] maps one input trajectory, the run
+/// seed and — for grid-anchored strategies — the quantized anchor of the
+/// dataset bounding box to its output trajectory, and
+/// [`AnonymizationStrategy::anonymize`] is that map over the dataset
+/// ([`protect_each`]). The
+/// cache can therefore keep every output whose input is unchanged and
+/// protect only the trajectories a window appended.
 ///
 /// * [`UserLocality::UserLocal`] — output trajectory `t'` depends only on
 ///   input trajectory `t` and the run seed. Randomized mechanisms qualify
@@ -91,6 +92,13 @@ impl fmt::Display for StrategyInfo {
 /// Strategies are deterministic given `(dataset, seed)` so experiments are
 /// replayable; randomized mechanisms derive their randomness from the seed.
 ///
+/// A mechanism that rewrites each trajectory on its own declares
+/// [`UserLocality::UserLocal`] or [`UserLocality::GridAnchored`],
+/// implements [`AnonymizationStrategy::protect`] and makes
+/// [`AnonymizationStrategy::anonymize`] the mapping [`protect_each`]. A
+/// mechanism that reads the whole dataset keeps the
+/// [`UserLocality::NonLocal`] default and implements `anonymize` only.
+///
 /// Implementations must be `Send + Sync` so the selector can evaluate
 /// candidates from worker threads.
 pub trait AnonymizationStrategy: Send + Sync {
@@ -101,12 +109,45 @@ pub trait AnonymizationStrategy: Send + Sync {
     ///
     /// The whole dataset is available — PRIVAPI "leverages the global
     /// knowledge of the whole system" (paper, §3) — though most mechanisms
-    /// rewrite trajectories independently.
+    /// rewrite trajectories independently: theirs is [`protect_each`].
     fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset;
 
-    /// The declared determinism scope of per-user output — see
+    /// Protects one trajectory on its own: the whole mechanism of a
+    /// [`UserLocality::UserLocal`] or [`UserLocality::GridAnchored`]
+    /// strategy, and the per-trajectory contract the streaming cache and
+    /// federated devices rely on.
+    ///
+    /// The output must be a function of `trajectory`, `seed` and `anchor`
+    /// alone. `anchor` is the quantized anchor of the dataset bounding box
+    /// ([`geo::BoundingBox::grid_anchor`]) for a grid-anchored strategy and
+    /// `None` for a user-local one. Returning `trajectory` itself is
+    /// allowed for an input released unchanged.
+    ///
+    /// The default anonymizes a dataset holding only `trajectory` and
+    /// returns its one output trajectory (the records of all of them, in
+    /// one trajectory of the same user, should there be several): right
+    /// for a user-local mechanism written against `anonymize` alone. A
+    /// grid-anchored strategy must implement it, since only `protect` is
+    /// handed the anchor; a [`UserLocality::NonLocal`] strategy is never
+    /// asked for it.
+    fn protect(
+        &self,
+        trajectory: &Arc<Trajectory>,
+        seed: u64,
+        _anchor: Option<&BoundingBox>,
+    ) -> Arc<Trajectory> {
+        let alone = Dataset::from_shared(vec![Arc::clone(trajectory)]);
+        let mut outputs = self.anonymize(&alone, seed).into_shared();
+        if outputs.len() == 1 {
+            return outputs.remove(0);
+        }
+        let records = outputs.iter().flat_map(|t| t.records().iter().copied());
+        Arc::new(Trajectory::new(trajectory.user(), records.collect()))
+    }
+
+    /// The declared determinism scope of per-trajectory output — see
     /// [`UserLocality`]. Defaults to the conservative
-    /// [`UserLocality::NonLocal`] (no per-user reuse).
+    /// [`UserLocality::NonLocal`] (no reuse).
     fn locality(&self) -> UserLocality {
         UserLocality::NonLocal
     }
@@ -131,45 +172,27 @@ pub trait AnonymizationStrategy: Send + Sync {
     fn output_identity(&self) -> Option<OutputIdentity> {
         None
     }
+}
 
-    /// The per-user incremental surface: protected trajectories of `user`,
-    /// equal to filtering [`AnonymizationStrategy::anonymize`]'s output to
-    /// that user.
-    ///
-    /// # Contract
-    ///
-    /// For *any* strategy, `anonymize_user(d, u, s)` must equal the
-    /// trajectories of user `u` in `anonymize(d, s)`, in the same relative
-    /// order. Strategies declaring [`UserLocality::UserLocal`] or
-    /// [`UserLocality::GridAnchored`] additionally promise:
-    ///
-    /// * **locality** — each output trajectory depends only on its own
-    ///   input trajectory, the seed and (for `GridAnchored`) the dataset
-    ///   bounding box, so a cached output stays valid as the dataset grows
-    ///   and `anonymize_user` over a dataset holding only some of `u`'s
-    ///   trajectories returns exactly their outputs;
-    /// * **shape preservation** — `anonymize` maps each input trajectory
-    ///   to exactly one output trajectory (possibly emptied), preserving
-    ///   dataset order, so per-user outputs can be re-interleaved into the
-    ///   full protected dataset byte-identically.
-    ///
-    /// The default implementation anonymizes the whole dataset and filters
-    /// — always correct, never cheaper; local strategies override it to
-    /// touch only `user`'s trajectories. Outputs are shared handles so the
-    /// streaming cache can store and re-interleave them without copying
-    /// record data.
-    fn anonymize_user(
-        &self,
-        dataset: &Dataset,
-        user: UserId,
-        seed: u64,
-    ) -> Vec<Arc<Trajectory>> {
-        self.anonymize(dataset, seed)
-            .into_shared()
-            .into_iter()
-            .filter(|t| t.user() == user)
-            .collect()
-    }
+/// The batch form of a local strategy: one
+/// [`AnonymizationStrategy::protect`] per input trajectory, in dataset
+/// order, with the dataset's quantized anchor
+/// ([`geo::BoundingBox::grid_anchor`]) computed once for a
+/// [`UserLocality::GridAnchored`] strategy and `None` otherwise — so a
+/// user-local strategy pays no bounding-box scan.
+pub fn protect_each<S>(strategy: &S, dataset: &Dataset, seed: u64) -> Dataset
+where
+    S: AnonymizationStrategy + ?Sized,
+{
+    let anchor = match strategy.locality() {
+        UserLocality::GridAnchored => dataset.bounding_box().map(|b| b.grid_anchor()),
+        _ => None,
+    };
+    dataset
+        .trajectories()
+        .iter()
+        .map(|t| strategy.protect(t, seed, anchor.as_ref()))
+        .collect()
 }
 
 impl fmt::Debug for dyn AnonymizationStrategy {
@@ -219,37 +242,40 @@ mod tests {
     }
 
     #[test]
-    fn default_anonymize_user_filters_the_full_output() {
+    fn protect_defaults_to_anonymizing_the_trajectory_alone() {
         use geo::GeoPoint;
-        use mobility::{LocationRecord, Timestamp};
-        struct Noop;
-        impl AnonymizationStrategy for Noop {
+        use mobility::{LocationRecord, Timestamp, UserId};
+        /// Keeps every other record of a trajectory: written against
+        /// `anonymize` alone.
+        struct EveryOther;
+        impl AnonymizationStrategy for EveryOther {
             fn info(&self) -> StrategyInfo {
                 StrategyInfo {
-                    name: "noop".into(),
+                    name: "every-other".into(),
                     params: String::new(),
                 }
             }
             fn anonymize(&self, dataset: &Dataset, _seed: u64) -> Dataset {
-                dataset.clone()
+                dataset.map_trajectories(|t| {
+                    let kept = t.records().iter().step_by(2).copied().collect();
+                    Trajectory::new(t.user(), kept)
+                })
+            }
+            fn locality(&self) -> UserLocality {
+                UserLocality::UserLocal
             }
         }
-        let rec = |u: u64, t: i64| {
+        let rec = |t: i64| {
             LocationRecord::new(
-                UserId(u),
+                UserId(1),
                 Timestamp::new(t),
                 GeoPoint::new(45.0, 4.0).unwrap(),
             )
         };
-        let ds = Dataset::from_trajectories(vec![
-            Trajectory::new(UserId(1), vec![rec(1, 0)]),
-            Trajectory::new(UserId(2), vec![rec(2, 0)]),
-            Trajectory::new(UserId(1), vec![rec(1, 86_400)]),
-        ]);
-        let out = Noop.anonymize_user(&ds, UserId(1), 0);
-        assert_eq!(out.len(), 2, "both of user 1's trajectories, in order");
-        assert_eq!(out[0].records()[0].time, Timestamp::new(0));
-        assert_eq!(out[1].records()[0].time, Timestamp::new(86_400));
-        assert!(Noop.anonymize_user(&ds, UserId(9), 0).is_empty());
+        let input = Arc::new(Trajectory::new(UserId(1), (0..5).map(rec).collect()));
+        let whole = EveryOther.anonymize(&Dataset::from_shared(vec![Arc::clone(&input)]), 0);
+        let own = EveryOther.protect(&input, 0, None);
+        assert_eq!(own.records(), whole.trajectories()[0].records());
+        assert_eq!(own.len(), 3);
     }
 }

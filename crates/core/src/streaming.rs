@@ -52,9 +52,10 @@
 //! [`StrategySessionCache`] extends the same per-user reuse to each
 //! candidate's *protected* data, keyed on the determinism contract the
 //! strategy declares through
-//! [`crate::strategy::AnonymizationStrategy::locality`]:
+//! [`crate::strategy::AnonymizationStrategy::locality`] and states as
+//! [`crate::strategy::AnonymizationStrategy::protect`]:
 //!
-//! * a [`UserLocality::UserLocal`] candidate anonymizes only the
+//! * a [`UserLocality::UserLocal`] candidate protects only the
 //!   trajectories the window appended: every cached output whose source
 //!   trajectory is still the same `Arc` in the prefix carries over, and —
 //!   while the candidate's protected bounding box holds still — so do the
@@ -103,17 +104,11 @@ use crate::pool::StrategyPool;
 use crate::selection::Objective;
 use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
-use mobility::{Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId};
+use mobility::{Dataset, DatasetWindow, Trajectory, UserId};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
-
-/// Reserved synthetic user id used to pin a per-user mini-dataset's
-/// bounding box to the full prefix box (see `pinned_view`); never a real
-/// participant — a dataset that does contain it falls back to full-prefix
-/// per-user anonymization rather than risking a pin collision.
-const BBOX_PIN_USER: UserId = UserId(u64::MAX);
 
 /// What [`PopulationCache::advance`] did with one day window — the audit
 /// record of the incremental path's cache behaviour.
@@ -333,7 +328,7 @@ pub struct PopulationCache {
     /// order, as shared handles into the same allocations `prefix` holds.
     /// This is what makes every per-user path — shard re-extraction,
     /// per-user re-anonymization, protected-prefix assembly — O(that
-    /// user's history) instead of O(prefix): a mini-dataset view is a
+    /// user's history) instead of O(prefix): a user's history is a
     /// `Vec<Arc>` clone, never a record copy or a full-prefix filter scan.
     by_user: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
     /// The prefix's bounding box, maintained incrementally
@@ -780,9 +775,9 @@ pub struct CandidateDelta {
     /// of the original-side grid: noise can widen a protected box on a
     /// window that left the original box alone).
     pub protected_grid_rebuilt: bool,
-    /// Whether the candidate fell back to the uncached path (declared
-    /// [`UserLocality::NonLocal`], or violated the shape contract): a full
-    /// re-anonymization plus a full protected-side extraction.
+    /// Whether the candidate took the uncached path (declared
+    /// [`UserLocality::NonLocal`]): a full re-anonymization plus a full
+    /// protected-side extraction.
     pub full_fallback: bool,
     /// Input trajectories anonymized this window: the appended tail of
     /// each refreshed user, or the whole prefix on a full pass.
@@ -979,30 +974,19 @@ impl CandidateState {
     /// Re-interleaves the cached per-user protected trajectories into the
     /// full protected dataset, in `original`'s trajectory order — the
     /// inverse of the per-user decomposition, byte-identical to
-    /// [`AnonymizationStrategy::anonymize`] under the shape-preservation
-    /// contract.
-    ///
-    /// Returns `None` when the cached shape cannot be aligned with
-    /// `original` (a strategy violating the one-output-per-input-trajectory
-    /// contract, or a stale cache) — the caller must fall back to a full
-    /// re-anonymization.
-    fn assemble(&self, original: &Dataset) -> Option<Dataset> {
-        let mut cursors: BTreeMap<UserId, usize> =
-            self.protected.keys().map(|u| (*u, 0usize)).collect();
-        let mut trajectories = Vec::with_capacity(original.trajectory_count());
-        for t in original.trajectories() {
-            let cursor = cursors.get_mut(&t.user())?;
-            trajectories.push(Arc::clone(self.protected.get(&t.user())?.get(*cursor)?));
-            *cursor += 1;
-        }
-        // Every cached trajectory must have been consumed: leftovers mean
-        // the cache holds users or trajectories the prefix no longer has.
-        for (user, cursor) in &cursors {
-            if self.protected[user].len() != *cursor {
-                return None;
-            }
-        }
-        Some(Dataset::from_shared(trajectories))
+    /// [`AnonymizationStrategy::anonymize`] because a local strategy maps
+    /// each input trajectory to exactly one output.
+    fn assemble(&self, original: &Dataset) -> Dataset {
+        let mut cursors: BTreeMap<UserId, usize> = BTreeMap::new();
+        original
+            .trajectories()
+            .iter()
+            .map(|t| {
+                let cursor = cursors.entry(t.user()).or_default();
+                *cursor += 1;
+                Arc::clone(&self.protected[&t.user()][*cursor - 1])
+            })
+            .collect()
     }
 
     /// The assembled protected prefix of a *primed* state — what the last
@@ -1010,10 +994,7 @@ impl CandidateState {
     /// by pure clones. This is how the winner's release dataset is
     /// produced without re-running its strategy over the whole prefix.
     pub(crate) fn assembled_release(&self, original: &Dataset) -> Option<Dataset> {
-        if !self.primed {
-            return None;
-        }
-        self.assemble(original)
+        self.primed.then(|| self.assemble(original))
     }
 
     /// The candidate's extracted protected-side POIs, re-keyed from the
@@ -1041,14 +1022,15 @@ impl CandidateState {
     /// swept in parallel only ever read the store.
     ///
     /// Returns `(None, delta, _)` when the candidate cannot be cached
-    /// ([`UserLocality::NonLocal`], or a shape-contract violation): the
-    /// caller must evaluate it through the full uncached path.
+    /// ([`UserLocality::NonLocal`]): the caller must evaluate it through
+    /// the full uncached path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn refresh(
         &mut self,
         strategy: &dyn AnonymizationStrategy,
         attack: &PoiAttack,
         context: &EvalContext<'_>,
+        population: &PopulationCache,
         update: &WindowUpdate<'_>,
         all_users: &[UserId],
         seed: u64,
@@ -1086,28 +1068,26 @@ impl CandidateState {
             update.changed_users
         };
         delta.users_reused = all_users.len() - to_refresh.len();
-        // A grid-anchored candidate's views are pinned to the prefix box,
-        // and its quantized anchor is part of every output's key.
-        let pin = match locality {
-            UserLocality::GridAnchored => context
-                .original_bbox()
-                .or_else(|| context.original().bounding_box()),
+        // A grid-anchored candidate protects against the quantized anchor
+        // of the prefix box, which is part of every output's key.
+        let anchor = match locality {
+            UserLocality::GridAnchored => population.grid_box(),
             _ => None,
         };
         let family = OutputFamily {
             identity: strategy.output_identity().map(Arc::new),
             seed,
-            anchor: pin.map(|b| box_bits(&b.grid_anchor())),
+            anchor: anchor.as_ref().map(box_bits),
         };
-        let refreshed: Vec<Option<Reanonymized>> = {
+        let refreshed: Vec<Reanonymized> = {
             let _span = obs::span("candidate.anonymize");
             to_refresh
                 .par_iter()
-                .map(|&user| self.reanonymize(strategy, context, &family, pin, user, store))
+                .map(|&user| {
+                    let sources = population.by_user().get(&user).cloned().unwrap_or_default();
+                    self.reanonymize(strategy, &family, anchor.as_ref(), user, sources, store)
+                })
                 .collect()
-        };
-        let Some(refreshed) = refreshed.into_iter().collect::<Option<Vec<_>>>() else {
-            return self.shape_violation(delta.info, locality);
         };
         // Per refreshed user, how many of its outputs survived from the
         // last window — the utility fold adds only the ones after them.
@@ -1145,12 +1125,6 @@ impl CandidateState {
             self.sources.insert(user, sources);
             kept_outputs.push((user, kept));
             fills.outputs.extend(anonymized);
-        }
-        // Each refreshed user holds one output per source; the cached
-        // decomposition re-interleaves into the prefix iff it also covers
-        // exactly the prefix's users.
-        if self.protected.len() != all_users.len() {
-            return self.shape_violation(delta.info, locality);
         }
         // The protected-side extraction grid is anchored on the *protected*
         // bounding box — through its quantized padded form, so drift inside
@@ -1217,122 +1191,57 @@ impl CandidateState {
         (Some((self.extracted_pois(), utility)), delta, fills)
     }
 
-    /// Drops everything after a shape-contract violation, for the caller
-    /// to take the always-correct full path.
-    fn shape_violation(
-        &mut self,
-        info: StrategyInfo,
-        locality: UserLocality,
-    ) -> (Option<(ReferencePois, f64)>, CandidateDelta, Fills) {
-        self.clear();
-        let delta = CandidateDelta {
-            full_fallback: true,
-            ..CandidateDelta::empty(info, locality)
-        };
-        let fills = Fills {
-            released_all: true,
-            ..Fills::default()
-        };
-        (None, delta, fills)
-    }
-
-    /// Re-anonymizes `user` for a window: keeps every cached output whose
-    /// source is still the same `Arc` at the same position of the user's
-    /// history, serves the outputs of the sources after them from `store`
-    /// where it holds them, and anonymizes only the rest — against a view
-    /// of just those trajectories ([`UserLocality::UserLocal`]) or those
-    /// trajectories plus two pins at the corners of `pin`, the prefix
-    /// bounding box ([`UserLocality::GridAnchored`], see [`pinned_view`]). The
-    /// per-trajectory locality contract makes the outputs byte-identical to
-    /// a full-prefix `anonymize_user`. Falls back to that full-prefix call
-    /// (keeping and storing nothing) when the context carries no per-user
-    /// decomposition or the pin id collides with a real participant.
-    ///
-    /// `None` when the strategy broke the one-output-per-input contract.
+    /// Re-anonymizes `user`, whose history is now `sources`, for a window:
+    /// keeps every cached output whose source is still the same `Arc` at
+    /// the same position of the user's history, serves the outputs of the
+    /// sources after them from `store` where it holds them, and protects
+    /// only the rest ([`AnonymizationStrategy::protect`] against `anchor`,
+    /// the quantized prefix anchor of a grid-anchored strategy).
     fn reanonymize(
         &self,
         strategy: &dyn AnonymizationStrategy,
-        context: &EvalContext<'_>,
         family: &OutputFamily,
-        pin: Option<BoundingBox>,
+        anchor: Option<&BoundingBox>,
         user: UserId,
+        sources: Vec<Arc<Trajectory>>,
         store: &WorkStore,
-    ) -> Option<Reanonymized> {
-        let original = context.original();
-        let by_user = context
-            .original_by_user()
-            .filter(|by_user| !by_user.contains_key(&BBOX_PIN_USER));
-        let Some(by_user) = by_user else {
-            let sources = original.shared_of(user);
-            let tail = strategy.anonymize_user(original, user, family.seed);
-            return (tail.len() == sources.len()).then_some(Reanonymized {
-                user,
-                kept: 0,
-                sources,
-                tail,
-                served: 0,
-                lookups: 0,
-                fills: Vec::new(),
-            });
-        };
-        let sources = by_user.get(&user).cloned().unwrap_or_default();
+    ) -> Reanonymized {
         let cached = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
         let kept = sources
             .iter()
             .zip(cached)
             .take_while(|(a, b)| Arc::ptr_eq(a, b))
             .count();
-        let keys: Vec<OutputKey> = sources[kept..]
-            .iter()
-            .map(|source| (family.clone(), ById(Arc::clone(source))))
-            .collect();
         // Outputs are shared only under an exact identity of the strategy.
         let shared = family.identity.is_some();
-        let mut tail: Vec<Option<Arc<Trajectory>>> = keys
+        let mut served = 0;
+        let mut fills = Vec::new();
+        let tail = sources[kept..]
             .iter()
-            .map(|key| store.output(key).filter(|_| shared).cloned())
-            .collect();
-        let missed: Vec<Arc<Trajectory>> = keys
-            .iter()
-            .zip(&tail)
-            .filter(|(_, output)| output.is_none())
-            .map(|(key, _)| Arc::clone(&key.1 .0))
-            .collect();
-        let served = tail.len() - missed.len();
-        let lookups = if shared { keys.len() } else { 0 };
-        let mut fills = Vec::with_capacity(missed.len());
-        if !missed.is_empty() {
-            let count = missed.len();
-            let view = match pin {
-                Some(bbox) => pinned_view(missed, bbox),
-                None => Dataset::from_shared(missed),
-            };
-            let anonymized = strategy.anonymize_user(&view, user, family.seed);
-            if anonymized.len() != count {
-                return None;
-            }
-            let mut anonymized = anonymized.into_iter();
-            for (key, slot) in keys.into_iter().zip(&mut tail) {
-                if slot.is_none() {
-                    let output = anonymized.next().expect("one output per missed source");
-                    *slot = Some(Arc::clone(&output));
-                    // An output that is its own source would keep itself
-                    // alive through its key: nothing to share anyway.
-                    if shared && !Arc::ptr_eq(&key.1 .0, &output) {
-                        fills.push((key, output));
-                    }
+            .map(|source| {
+                let key = (family.clone(), ById(Arc::clone(source)));
+                if let Some(output) = store.output(&key).filter(|_| shared) {
+                    served += 1;
+                    return Arc::clone(output);
                 }
-            }
-        }
-        Some(Reanonymized {
+                let output = strategy.protect(source, family.seed, anchor);
+                // An output that is its own source would keep itself alive
+                // through its key: nothing to share anyway.
+                if shared && !Arc::ptr_eq(source, &output) {
+                    fills.push((key, Arc::clone(&output)));
+                }
+                output
+            })
+            .collect();
+        Reanonymized {
             user,
             kept,
+            lookups: if shared { sources.len() - kept } else { 0 },
             sources,
-            tail: tail.into_iter().flatten().collect(),
+            tail,
             served,
-            lookups,
             fills,
-        })
+        }
     }
 
     /// Folds the refreshed users' outputs into the incremental utility
@@ -1360,10 +1269,7 @@ impl CandidateState {
                 // there is no histogram to maintain. Assembling is pointer
                 // clones, so the candidate still avoids re-anonymization.
                 fills.released_all |= self.utility.take().is_some();
-                let assembled = self
-                    .assemble(context.original())
-                    .expect("shape checked before scoring");
-                return context.utility_of(&assembled);
+                return context.utility_of(&self.assemble(context.original()));
             }
             ObjectiveBaseline::Unavailable => {
                 fills.released_all |= self.utility.take().is_some();
@@ -1585,22 +1491,6 @@ fn add_pruned(map: &mut HashMap<(CellId, i64), f64>, key: (CellId, i64), v: f64)
     if *entry == 0.0 {
         map.remove(&key);
     }
-}
-
-/// A mini-dataset whose bounding box is pinned to `bbox`: the user's shared
-/// trajectories plus two single-record [`BBOX_PIN_USER`] trajectories at the
-/// box corners. The pin user's protected output is discarded by the
-/// `anonymize_user` filter.
-fn pinned_view(mut mine: Vec<Arc<Trajectory>>, bbox: BoundingBox) -> Dataset {
-    let pin = |point| {
-        Arc::new(Trajectory::new(
-            BBOX_PIN_USER,
-            vec![LocationRecord::new(BBOX_PIN_USER, Timestamp::new(0), point)],
-        ))
-    };
-    mine.push(pin(bbox.min()));
-    mine.push(pin(bbox.max()));
-    Dataset::from_shared(mine)
 }
 
 /// Bounding box of one user's protected trajectories (`None` when they hold
@@ -2122,8 +2012,8 @@ impl StreamingPublisher {
         Self::from_privapi(PrivApi::new(config))
     }
 
-    /// Wraps an already-configured middleware (custom pool, attack or
-    /// execution mode), starting an empty session.
+    /// Wraps an already-configured middleware (custom pool or attack),
+    /// starting an empty session.
     pub fn from_privapi(privapi: PrivApi) -> Self {
         Self {
             privapi,
@@ -2272,6 +2162,45 @@ mod tests {
             );
             assert_eq!(incremental.published.strategy, batch.strategy, "window {i}");
             assert_eq!(incremental.published.privacy, batch.privacy, "window {i}");
+            assert_eq!(incremental.published.dataset, batch.dataset, "window {i}");
+        }
+    }
+
+    #[test]
+    fn a_participant_with_the_largest_user_id_takes_the_cached_path() {
+        // `UserId(u64::MAX)` is an ordinary participant id. With an
+        // unpinned (grid-anchored) cloaking in the pool, every window must
+        // still reuse the cached outputs and stay byte-identical to batch.
+        let ds = dataset(61, 3, 3);
+        let last = *ds.users().last().unwrap();
+        let relabel = |u: UserId| if u == last { UserId(u64::MAX) } else { u };
+        let ds = Dataset::from_records(
+            ds.iter_records()
+                .map(|r| mobility::LocationRecord::new(relabel(r.user), r.time, r.point))
+                .collect(),
+        );
+        let privapi = PrivApi::default();
+        assert!(privapi
+            .pool()
+            .iter()
+            .any(|s| s.locality() == UserLocality::GridAnchored));
+        let windows = WindowedDataset::partition(&ds);
+        let mut publisher = StreamingPublisher::from_privapi(privapi);
+        let probe = publisher.privapi().attack().clone();
+        for (i, window) in windows.iter().enumerate() {
+            assert!(window.users().contains(&UserId(u64::MAX)), "window {i}");
+            let before = probe.extractions();
+            let incremental = publisher.publish_window(window).unwrap();
+            assert_eq!(probe.extractions(), before, "window {i}");
+            assert_eq!(incremental.strategies.full_fallbacks, 0, "window {i}");
+            if i > 0 {
+                assert!(incremental.strategies.trajectories_reused > 0, "window {i}");
+            }
+            let batch = PrivApi::default().publish(&windows.prefix(i)).unwrap();
+            assert_eq!(
+                incremental.published.selection, batch.selection,
+                "window {i}"
+            );
             assert_eq!(incremental.published.dataset, batch.dataset, "window {i}");
         }
     }

@@ -220,7 +220,7 @@ proptest! {
         floor in 0.05..0.9f64,
         objective_pick in 0u8..3,
     ) {
-        use privapi::engine::{EvaluationEngine, ExecutionMode};
+        use privapi::engine::EvaluationEngine;
         use privapi::pool::StrategyPool;
         use privapi::selection::Objective;
 
@@ -242,14 +242,15 @@ proptest! {
             _ => Objective::Distortion,
         };
         let pool = StrategyPool::default_pool();
-        let sequential = EvaluationEngine::new(objective, floor, seed)
-            .with_mode(ExecutionMode::Sequential)
-            .evaluate(&pool, &data.dataset, &reference)
-            .unwrap();
-        let parallel = EvaluationEngine::new(objective, floor, seed)
-            .with_mode(ExecutionMode::Parallel)
-            .evaluate(&pool, &data.dataset, &reference)
-            .unwrap();
+        let engine = EvaluationEngine::new(objective, floor, seed);
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| engine.evaluate(&pool, &data.dataset, &reference).unwrap())
+        };
+        let (sequential, parallel) = (in_pool(1), in_pool(2));
         prop_assert_eq!(&sequential, &parallel);
     }
 }
@@ -450,17 +451,15 @@ proptest! {
 
     /// The per-trajectory locality contract that streaming output reuse
     /// rests on: for every built-in strategy that declares a cacheable
-    /// locality, anonymizing the whole multi-day dataset equals
-    /// anonymizing each trajectory on its own — through both `anonymize`
-    /// and `anonymize_user` — where "on its own" adds the two
-    /// bounding-box corner pins for grid-anchored strategies.
+    /// locality, anonymizing the whole multi-day dataset equals protecting
+    /// each trajectory on its own with the dataset's quantized anchor (for
+    /// grid-anchored strategies) or no anchor (for user-local ones).
     #[test]
     fn local_strategies_anonymize_each_trajectory_on_its_own(
         seed in any::<u64>(),
         run_seed in any::<u64>(),
     ) {
         use privapi::pool::StrategyPool;
-        use std::sync::Arc;
 
         let data = mobility::gen::CityModel::builder()
             .seed(seed ^ 0x70CA1)
@@ -472,20 +471,10 @@ proptest! {
                 gps_noise_m: 5.0,
                 leisure_probability: 0.4,
             });
-        let bbox = data.bounding_box().unwrap();
-        let pin_user = UserId(u64::MAX);
-        let pins: Vec<Arc<Trajectory>> = [bbox.min(), bbox.max()]
-            .into_iter()
-            .map(|p| {
-                Arc::new(Trajectory::new(
-                    pin_user,
-                    vec![LocationRecord::new(pin_user, Timestamp::new(0), p)],
-                ))
-            })
-            .collect();
+        let grid_anchor = data.bounding_box().unwrap().grid_anchor();
         let anchored = SpatialCloaking::new(geo::Meters::new(300.0))
             .unwrap()
-            .with_anchor(bbox.grid_anchor());
+            .with_anchor(grid_anchor);
         let pools = [StrategyPool::default_pool(), StrategyPool::evaluation_grid()];
         let strategies = pools
             .iter()
@@ -494,19 +483,12 @@ proptest! {
         for strategy in strategies {
             let locality = strategy.locality();
             prop_assert!(locality != UserLocality::NonLocal, "{}", strategy.info());
+            let anchor = (locality == UserLocality::GridAnchored).then_some(&grid_anchor);
             let whole = strategy.anonymize(&data, run_seed);
             prop_assert_eq!(whole.trajectory_count(), data.trajectory_count());
             for (input, output) in data.trajectories().iter().zip(whole.trajectories()) {
-                let mut alone = vec![Arc::clone(input)];
-                if locality == UserLocality::GridAnchored {
-                    alone.extend(pins.iter().cloned());
-                }
-                let view = Dataset::from_shared(alone);
-                let own = strategy.anonymize(&view, run_seed);
-                prop_assert_eq!(&own.trajectories()[0], output, "{}", strategy.info());
-                let own = strategy.anonymize_user(&view, input.user(), run_seed);
-                prop_assert_eq!(own.len(), 1, "{}", strategy.info());
-                prop_assert_eq!(&own[0], output, "{}", strategy.info());
+                let own = strategy.protect(input, run_seed, anchor);
+                prop_assert_eq!(&own, output, "{}", strategy.info());
             }
         }
     }

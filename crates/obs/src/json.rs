@@ -272,21 +272,54 @@ impl Parser<'_> {
         }
     }
 
+    /// One number under the RFC 8259 grammar:
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let bad = |what: &str| format!("bad number at byte {start}: {what}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(b'0'..=b'9')) {
+                    return Err(bad("leading zero"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad("missing integer digits")),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad("missing fraction digits"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad("missing exponent digits"));
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII digits");
         text.parse::<f64>()
             .map(JsonValue::Num)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+            .map_err(|_| bad(text))
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let from = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - from
     }
 }
 
@@ -312,6 +345,41 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for text in [
+            "01", "1.", "-.5", ".5", "+1", "1e", "--1", "-", "1e+", "[01]", "-01",
+        ] {
+            assert!(parse(text).is_err(), "{text} must be rejected");
+        }
+        for (text, value) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("1.5e-3", 1.5e-3),
+            ("1E+2", 100.0),
+        ] {
+            let parsed = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), f64::to_bits(value), "{text}");
+        }
+        assert_eq!(parse("[0,-12.25e1]").unwrap().as_array().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn committed_bench_summaries_parse() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let mut parsed = 0;
+        for entry in std::fs::read_dir(root).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name.starts_with("BENCH_") && name.ends_with(".json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+                parsed += 1;
+            }
+        }
+        assert!(parsed > 0, "no BENCH_*.json next to the workspace manifest");
     }
 
     #[test]

@@ -16,8 +16,9 @@ use std::collections::BTreeSet;
 fn main() {
     // 1. A fault-free federated fleet: the Hive broadcasts the winning
     //    strategy as a versioned config frame, each device runs
-    //    `anonymize_user` locally and uploads only protected whole-day
-    //    batches; raw data is uplinked by the calibration cohort alone.
+    //    `protect` on each of its day trajectories locally and uploads
+    //    only protected whole-day batches; raw data is uplinked by the
+    //    calibration cohort alone.
     let config = FederatedFleetConfig::small(42);
     let outcome = run_federated_fleet(&config);
     println!(

@@ -241,13 +241,11 @@ fn speed_smoothing_invariant_population_wide() {
     assert!(checked > 0, "no trajectory had measurable speed");
 }
 
-/// The new engine end to end: `PrivApi::publish` (parallel by default)
-/// still meets the privacy floor, and forcing the sequential schedule
-/// produces the byte-identical selection report and release.
+/// The engine end to end: `PrivApi::publish` meets the privacy floor, and
+/// running it on one worker thread produces the byte-identical selection
+/// report and release as on two.
 #[test]
 fn publish_through_engine_is_schedule_independent_and_meets_floor() {
-    use crowdsense::privapi::engine::ExecutionMode;
-
     let data = CityModel::builder()
         .seed(57)
         .build()
@@ -257,20 +255,25 @@ fn publish_through_engine_is_schedule_independent_and_meets_floor() {
             sampling_interval_s: 120,
             ..PopulationConfig::default()
         });
-    let parallel = PrivApi::default();
-    let sequential = PrivApi::default().with_mode(ExecutionMode::Sequential);
-    let a = parallel.publish(&data.dataset).expect("publishable");
-    let b = sequential.publish(&data.dataset).expect("publishable");
+    let privapi = PrivApi::default();
+    let in_pool = |threads: usize| {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(|| privapi.publish(&data.dataset).expect("publishable"))
+    };
+    let (a, b) = (in_pool(2), in_pool(1));
 
     // Floor holds on the actual release.
-    let floor = parallel.config().privacy_floor;
+    let floor = privapi.config().privacy_floor;
     assert!(
         a.privacy.recall <= floor + 1e-9,
         "leaked {}",
         a.privacy.recall
     );
 
-    // Parallel and sequential middleware runs agree exactly.
+    // Two-thread and one-thread middleware runs agree exactly.
     assert_eq!(a.selection, b.selection);
     assert_eq!(a.strategy, b.strategy);
     assert_eq!(a.dataset, b.dataset);
@@ -279,7 +282,7 @@ fn publish_through_engine_is_schedule_independent_and_meets_floor() {
     // the typed objective survived into the report.
     let winner = a.selection.winner().expect("winner row");
     assert_eq!(winner.info, a.strategy);
-    assert_eq!(a.selection.objective, parallel.config().objective);
+    assert_eq!(a.selection.objective, privapi.config().objective);
 }
 
 /// The platform-side release gate — PRIVAPI over a pool assembled from the
