@@ -540,7 +540,22 @@ impl LanePayload for DayBuckets {
             .into_iter()
             .map(|(user, recs)| Trajectory::new(user, recs))
             .collect();
-        record_ingest_delta(&delta);
+        obs::record(&delta);
+        obs::count("ingest.windows_closed", 1);
+        obs::event(
+            "ingest.window_closed",
+            &[
+                ("day", obs::AttrValue::I64(delta.day)),
+                ("records", obs::AttrValue::U64(delta.records)),
+                (
+                    "quarantined",
+                    obs::AttrValue::U64(delta.records_quarantined),
+                ),
+                ("deferred", obs::AttrValue::U64(delta.records_deferred)),
+                ("stragglers", obs::AttrValue::U64(delta.straggler_devices)),
+                ("clean", obs::AttrValue::Bool(delta.is_clean())),
+            ],
+        );
         (DatasetWindow::from_parts(day, dataset), delta)
     }
 }
@@ -557,37 +572,6 @@ pub(crate) fn trace_quarantine(event: &'static str, device: u64, records: u64, r
             ],
         );
     }
-}
-
-/// Re-plumb one window's [`IngestDelta`] into the `ingest.*` obs
-/// instruments (the struct itself stays the public audit API). Emits a
-/// window-closed trace event alongside the counters. No-op while
-/// recording is off.
-fn record_ingest_delta(delta: &IngestDelta) {
-    if !obs::enabled() {
-        return;
-    }
-    obs::count("ingest.batches_applied", delta.batches_applied);
-    obs::count("ingest.batches_duplicate", delta.batches_duplicate);
-    obs::count("ingest.records", delta.records);
-    obs::count("ingest.quarantined", delta.records_quarantined);
-    obs::count("ingest.deferred", delta.records_deferred);
-    obs::count("ingest.stragglers", delta.straggler_devices);
-    obs::count("ingest.windows_closed", 1);
-    obs::event(
-        "ingest.window_closed",
-        &[
-            ("day", obs::AttrValue::I64(delta.day)),
-            ("records", obs::AttrValue::U64(delta.records)),
-            (
-                "quarantined",
-                obs::AttrValue::U64(delta.records_quarantined),
-            ),
-            ("deferred", obs::AttrValue::U64(delta.records_deferred)),
-            ("stragglers", obs::AttrValue::U64(delta.straggler_devices)),
-            ("clean", obs::AttrValue::Bool(delta.is_clean())),
-        ],
-    );
 }
 
 /// A device's durable upload schedule, shared by the raw and protected

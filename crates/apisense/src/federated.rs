@@ -1173,6 +1173,61 @@ mod tests {
         ));
     }
 
+    /// A corrupt or hostile broadcast can carry any finite parameter. Each
+    /// extreme either fails to install with a typed error, or installs,
+    /// stages a day of data and yields a plausibility region — nothing
+    /// panics and nothing grows without bound.
+    #[test]
+    fn extreme_broadcast_parameters_install_or_fail_typed() {
+        let region = sample_region();
+        let specs = [
+            StrategySpec::SpeedSmoothing { epsilon_m: 1e-9 },
+            StrategySpec::SpeedSmoothing {
+                epsilon_m: f64::MAX,
+            },
+            StrategySpec::GeoIndistinguishability { epsilon: 1e-320 },
+            StrategySpec::GeoIndistinguishability { epsilon: f64::MAX },
+            StrategySpec::SpatialCloaking { cell_m: 1e-300 },
+            StrategySpec::SpatialCloaking { cell_m: f64::MAX },
+            StrategySpec::GaussianPerturbation { sigma_m: 1e-300 },
+            StrategySpec::GaussianPerturbation { sigma_m: f64::MAX },
+            StrategySpec::TemporalDownsampling { window_s: 1 },
+            StrategySpec::TemporalDownsampling { window_s: i64::MAX },
+        ];
+        let day: Vec<LocationRecord> = (0..48)
+            .map(|i| rec(1, i * 1_800, 45.5 + i as f64 * 1e-3, 4.5))
+            .collect();
+        for spec in specs {
+            let config = StrategyConfig {
+                version: 1,
+                spec,
+                seed: 7,
+                grid_anchor: spec.requires_anchor().then_some(region.grid_anchor()),
+            };
+            let wire = ConfigFrame(config).encode_to_vec();
+            let ConfigFrame(received) = ConfigFrame::decode_from_slice(&wire).unwrap();
+            let mut outbox = FederatedOutbox::new(
+                1,
+                UserId(1),
+                ReliableConfig::default(),
+                day.clone(),
+                false,
+            );
+            match outbox.install(received) {
+                Ok(installed) => {
+                    assert!(installed, "{spec}");
+                    assert_eq!(outbox.stage(DAY_SECONDS), 1, "{spec}");
+                    let gate = received.spec.plausible_region(&region);
+                    assert!(gate.contains(&region.min()), "{spec}");
+                }
+                Err(error) => assert!(
+                    matches!(error, PrivapiError::InvalidParameter { .. }),
+                    "{spec}: {error}"
+                ),
+            }
+        }
+    }
+
     #[test]
     fn protected_batch_roundtrips_on_the_wire() {
         let b = ProtectedBatch {

@@ -9,7 +9,8 @@
 //! deltas ([`privapi::streaming::IngestDelta`],
 //! [`privapi::streaming::StrategyCacheDelta`]). The counters themselves
 //! must also say what happened: `vm.fuel_spent` is checked against the fuel
-//! each run consumed.
+//! each run consumed, and every audit instrument must equal the sum of its
+//! field over the audit records the run returned.
 //!
 //! The obs recorder is process-global, so every test here serializes on
 //! one lock; each `tests/*.rs` file is its own process, so nothing else
@@ -21,8 +22,9 @@ use apisense::script::{Host, Script, Value, Vm};
 use apisense::ApisenseError;
 use mobility::gen::{CityModel, PopulationConfig};
 use mobility::WindowedDataset;
+use obs::{Audit, Tally};
 use privapi::prelude::*;
-use privapi::streaming::{IngestDelta, StrategyCacheDelta};
+use privapi::streaming::{BaselineDelta, IngestDelta, StrategyCacheDelta, WindowDelta};
 use proptest::prelude::*;
 use simnet::FaultPlan;
 
@@ -65,12 +67,7 @@ fn stream(
     let mut releases = Vec::new();
     for window in &WindowedDataset::partition(&data) {
         let release = publisher.publish_window(window).expect("publish succeeds");
-        totals.users_reused += release.strategies.users_reused;
-        totals.users_refreshed += release.strategies.users_refreshed;
-        totals.shards_reused += release.strategies.shards_reused;
-        totals.shards_refreshed += release.strategies.shards_refreshed;
-        totals.protected_grid_rebuilds += release.strategies.protected_grid_rebuilds;
-        totals.full_fallbacks += release.strategies.full_fallbacks;
+        totals += release.strategies;
         releases.push((release.published.selection, release.published.dataset));
     }
     (releases, totals)
@@ -150,7 +147,7 @@ fn recording_accumulates_the_instrumented_families() {
         "net.",
         "streaming.",
         "strategy.",
-        "engine.",
+        "baseline.",
     ] {
         assert!(
             snapshot
@@ -199,7 +196,7 @@ fn candidate_phases_record_as_child_spans() {
         );
     }
     let store = obs::metrics::snapshot();
-    for counter in ["store.lookups", "store.fills"] {
+    for counter in ["strategy.store_lookups", "strategy.store_fills"] {
         assert!(
             store
                 .counters
@@ -208,6 +205,66 @@ fn candidate_phases_record_as_child_spans() {
             "{counter} never counted"
         );
     }
+}
+
+/// Asserts that each `<family>.<field>` counter in `counters` equals the
+/// sum of that field over the audit records in `tally`, and that the
+/// records counted something.
+fn assert_instruments_match<A: Audit>(counters: &[(String, u64)], tally: &Tally<A>) {
+    assert!(
+        tally.values().any(|v| v > 0),
+        "{} recorded nothing",
+        A::FAMILY
+    );
+    for (field, sum) in tally.counters() {
+        let name = format!("{}.{field}", A::FAMILY);
+        let recorded = counters.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+        assert_eq!(recorded, Some(sum), "{name}");
+    }
+}
+
+/// The instruments equal the audit: every `<family>.<field>` counter of a
+/// recorded streaming run and a raw fleet run equals the sum of that field
+/// over the `PublishedWindow` and `IngestDelta` records the same runs
+/// returned.
+#[test]
+fn instruments_equal_the_returned_audit() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let was_enabled = obs::enabled();
+    obs::reset();
+    obs::enable();
+    let data = CityModel::builder()
+        .seed(23)
+        .build()
+        .generate_population(&PopulationConfig {
+            users: 5,
+            days: 3,
+            sampling_interval_s: 1_800,
+            ..PopulationConfig::default()
+        });
+    let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
+    let mut windows = Tally::<WindowDelta>::default();
+    let mut baselines = Tally::<BaselineDelta>::default();
+    let mut strategies = Tally::<StrategyCacheDelta>::default();
+    for window in &WindowedDataset::partition(&data) {
+        let release = publisher.publish_window(window).expect("publish succeeds");
+        windows.add(&release.delta);
+        baselines.add(&release.baseline);
+        strategies.add(&release.strategies);
+    }
+    let (_, deltas) = chaos_fleet(29, 4, 2);
+    let mut ingest = Tally::<IngestDelta>::default();
+    for delta in &deltas {
+        ingest.add(delta);
+    }
+    if !was_enabled {
+        obs::disable();
+    }
+    let counters = obs::metrics::snapshot().counters;
+    assert_instruments_match(&counters, &windows);
+    assert_instruments_match(&counters, &baselines);
+    assert_instruments_match(&counters, &strategies);
+    assert_instruments_match(&counters, &ingest);
 }
 
 /// Host for the fuel-counter test: every call returns `null`.

@@ -13,7 +13,10 @@
 //!   budgets on both tiers;
 //! - targeted fuel sweeps pin the boundary behaviour: at every budget the
 //!   two tiers must flip from `FuelExhausted` to success (or to the same
-//!   runtime error) at exactly the same point.
+//!   runtime error) at exactly the same point;
+//! - mutants of generated programs (flipped bytes, truncations, spliced
+//!   tokens) must compile or fail with a typed error, and keep parity when
+//!   they compile.
 //!
 //! Numeric comparison is NaN-aware (`0 / 0` must be "equal" across tiers
 //! even though `NaN != NaN`).
@@ -427,6 +430,78 @@ proptest! {
     fn vm_matches_interpreter_on_generated_programs(seed in any::<u64>()) {
         let src = ProgramGen::generate(seed);
         assert_parity_across_budgets(&src);
+    }
+}
+
+/// Applies one mutation to a generated program: flips one bit of one
+/// byte, truncates the source, or splices in a whitespace-separated token
+/// of `donor` (another generated program). Invalid UTF-8 from a flipped
+/// high bit becomes U+FFFD, which the lexer must reject like any other
+/// stray character.
+fn mutate(src: &str, donor: &str, rng: &mut StdRng) -> String {
+    let mut bytes = src.as_bytes().to_vec();
+    // An earlier truncation may have left nothing to flip or cut.
+    let kind = if bytes.is_empty() {
+        2
+    } else {
+        rng.gen_range(0..3)
+    };
+    match kind {
+        0 => {
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1 << rng.gen_range(0..8);
+        }
+        1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        _ => {
+            let tokens: Vec<&str> = donor.split_whitespace().collect();
+            let token = tokens[rng.gen_range(0..tokens.len())];
+            let at = rng.gen_range(0..=bytes.len());
+            bytes.splice(at..at, token.bytes());
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Fuel budgets a compiling mutant runs under: bounded, since a mutation
+/// can turn a loop's exit condition into one that never holds.
+const MUTANT_FUEL: [u64; 4] = [0, 21, 1_000, 20_000];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// Mutants of generated programs — one to three flipped bytes,
+    /// truncations or spliced tokens — either compile or fail with a
+    /// lex, parse or capacity error; none panics. A mutant that compiles
+    /// behaves identically on both tiers under bounded fuel.
+    #[test]
+    fn mutated_programs_fail_typed_or_keep_parity(
+        seed in any::<u64>(),
+        donor_seed in any::<u64>(),
+        mutation_seed in any::<u64>(),
+    ) {
+        let donor = ProgramGen::generate(donor_seed);
+        let mut rng = StdRng::seed_from_u64(mutation_seed);
+        let mut mutant = ProgramGen::generate(seed);
+        for _ in 0..rng.gen_range(1..=3) {
+            mutant = mutate(&mutant, &donor, &mut rng);
+        }
+        match Script::compile(&mutant) {
+            Ok(script) => {
+                let mut vm = Vm::new();
+                for fuel in MUTANT_FUEL {
+                    assert_parity(&script, &mut vm, fuel, &mutant);
+                }
+            }
+            Err(error) => prop_assert!(
+                matches!(
+                    error,
+                    ApisenseError::Lex { .. }
+                        | ApisenseError::Parse { .. }
+                        | ApisenseError::ScriptCompile { .. }
+                ),
+                "{error:?} compiling:\n{mutant}"
+            ),
+        }
     }
 }
 

@@ -19,6 +19,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mobility::WindowedDataset;
 use privapi::attack::PoiAttack;
 use privapi::prelude::*;
+use privapi::streaming::BaselineDelta;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -73,14 +74,12 @@ fn bench_streaming(c: &mut Criterion) {
     group.bench_function("stream_publish_fold_baselines", |b| {
         b.iter(|| {
             let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
-            let mut cells_updated = 0usize;
-            let mut rebuilds = 0usize;
+            let mut baselines = obs::Tally::<BaselineDelta>::default();
             for window in &windows {
                 let release = publisher.publish_window(window).expect("ascending windows");
-                cells_updated += release.baseline.cells_updated;
-                rebuilds += usize::from(release.baseline.rebuilt);
+                baselines.add(&release.baseline);
             }
-            black_box((cells_updated, rebuilds))
+            black_box((baselines.get("cells_updated"), baselines.get("rebuilt")))
         })
     });
 

@@ -8,8 +8,8 @@
 //! * `orchestrated_campaigns` — the same K campaigns through one
 //!   `campaign::Orchestrator` sharing the original-side session;
 //! * `orchestrated_store_sharing` — the same orchestrated shape with the
-//!   §3.11 work-store counters (`users_donated`/`shards_donated`) summed
-//!   into the measurement;
+//!   §3.11 work-store counters (the `strategy` audit) summed into the
+//!   measurement;
 //! * `orchestrator_register` — registry overhead (register + duplicate
 //!   rejection + retire), separate from the per-window work.
 
@@ -18,7 +18,7 @@ use campaign::{Campaign, CampaignId, Orchestrator};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mobility::WindowedDataset;
 use privapi::pipeline::{PrivApi, PrivApiConfig};
-use privapi::streaming::StreamingPublisher;
+use privapi::streaming::{StrategyCacheDelta, StreamingPublisher};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -61,9 +61,9 @@ fn bench_campaigns(c: &mut Criterion) {
     });
 
     // The §3.11 work store: K fingerprint-identical campaigns, all but
-    // the first served its protected side — the summed
-    // `users_donated`/`shards_donated` counters are black-boxed so the
-    // store bookkeeping itself is inside the measurement.
+    // the first served its protected side — the summed protected-side
+    // audit is black-boxed so the store bookkeeping itself is inside the
+    // measurement.
     group.bench_function("orchestrated_store_sharing", |b| {
         b.iter(|| {
             let mut orchestrator = Orchestrator::new();
@@ -72,18 +72,16 @@ fn bench_campaigns(c: &mut Criterion) {
                     .register(Campaign::new(id, format!("c{id}"), config))
                     .expect("distinct ids");
             }
-            let mut users_donated = 0usize;
-            let mut shards_donated = 0usize;
+            let mut totals = StrategyCacheDelta::default();
             for window in &windows {
                 let report = orchestrator.advance_day(window).expect("ascending days");
                 for id in 0..CAMPAIGNS {
                     if let Some(release) = report.release_of(CampaignId(id)) {
-                        users_donated += release.strategies.users_donated;
-                        shards_donated += release.strategies.shards_donated;
+                        totals += release.strategies;
                     }
                 }
             }
-            black_box((users_donated, shards_donated))
+            black_box((totals.users_donated, totals.shards_donated))
         })
     });
 

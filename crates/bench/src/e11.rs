@@ -19,7 +19,9 @@
 
 use crate::Scale;
 use mobility::WindowedDataset;
+use obs::Tally;
 use privapi::prelude::*;
+use privapi::streaming::BaselineDelta;
 use std::fmt;
 use std::time::Instant;
 
@@ -138,62 +140,15 @@ pub struct E11Report {
     pub incremental_user_extractions: usize,
     /// Candidates in the strategy pool.
     pub pool_size: usize,
-    /// Sum over windows of users whose cached shard was reused untouched.
-    pub shard_reuses: usize,
-    /// Sum over windows of users re-extracted via the per-user delta path.
-    pub shard_refreshes: usize,
-    /// Windows that widened the bounding box and forced a grid rebuild.
-    pub grid_rebuilds: usize,
-    /// Sum over windows and candidates of users whose cached *protected*
-    /// trajectories were reused instead of re-anonymized.
-    pub strategy_users_reused: usize,
-    /// Sum over windows and candidates of users whose new trajectories were
-    /// re-anonymized via `protect`.
-    pub strategy_users_refreshed: usize,
-    /// Sum over windows and candidates of protected-side shards reused.
-    pub strategy_shard_reuses: usize,
-    /// Sum over windows and candidates of protected-side shards
-    /// re-extracted via the per-user delta path.
-    pub strategy_shard_refreshes: usize,
-    /// Sum over windows of candidates whose protected bounding box moved
-    /// (full per-user shard refresh for that candidate).
-    pub strategy_grid_rebuilds: usize,
-    /// Sum over windows of candidates that fell back to the full uncached
-    /// path (non-local strategies; zero for the default pool).
-    pub strategy_full_fallbacks: usize,
-    /// Original-side shard refreshes that folded in only the appended
-    /// trajectories through the extraction memo.
-    pub shards_appended: usize,
-    /// Original-side shard refreshes from scratch without a usable memo
-    /// (first window, grid rebuild).
-    pub shards_rebuilt: usize,
-    /// Original-side shard refreshes from scratch after a rejected memo
-    /// (late records, non-append history); zero on a clean stream.
-    pub shards_fallback: usize,
-    /// Sum over windows and candidates of input trajectories anonymized.
-    pub strategy_trajectories_anonymized: usize,
-    /// Sum over windows and candidates of protected trajectories reused
-    /// because their source trajectory was unchanged.
-    pub strategy_trajectories_reused: usize,
-    /// Protected-side shard refreshes through the extraction memo.
-    pub strategy_shards_appended: usize,
-    /// Protected-side shard refreshes from scratch without a usable memo.
-    pub strategy_shards_rebuilt: usize,
-    /// Protected-side shard refreshes from scratch after a rejected memo.
-    pub strategy_shards_fallback: usize,
     /// Windows whose streaming release was parity-checked against a batch
     /// publish of the same prefix.
     pub parity_windows: usize,
-    /// Windows whose utility baseline was extended in place by folding
-    /// only the new window's trajectories.
-    pub baseline_reuses: usize,
-    /// Windows where a stale utility-baseline fold was discarded and
-    /// rebuilt over the whole prefix (a quantized-grid move; the
-    /// session's first build is not counted as a rebuild).
-    pub baseline_rebuilds: usize,
-    /// Distinct baseline cells (crowded) or `(cell, hour)` day-histogram
-    /// entries (traffic) touched across all window folds.
-    pub baseline_cells_updated: usize,
+    /// Original-side session audit ([`WindowDelta`]) summed over windows.
+    pub streaming: Tally<WindowDelta>,
+    /// Utility-baseline fold audit ([`BaselineDelta`]) summed over windows.
+    pub baseline: Tally<BaselineDelta>,
+    /// Protected-side audit summed over windows and candidates.
+    pub strategy: StrategyCacheDelta,
 }
 
 impl E11Report {
@@ -213,7 +168,8 @@ impl E11Report {
     }
 
     /// Renders the report as a JSON object (hand-rolled: the workspace has
-    /// no JSON serializer dependency).
+    /// no JSON serializer dependency); the audit counters are nested under
+    /// their instrument family.
     pub fn to_json(&self) -> String {
         format!(
             "{{\n  \"experiment\": \"e11_streaming_publication\",\n{}  \"scale\": \"{}\",\n  \
@@ -227,17 +183,7 @@ impl E11Report {
              \"last_first_ratio\": {:.3},\n  \"batch_extractions\": {},\n  \
              \"incremental_extractions\": {},\n  \"batch_user_extractions\": {},\n  \
              \"incremental_user_extractions\": {},\n  \"pool_size\": {},\n  \
-             \"shard_reuses\": {},\n  \"shard_refreshes\": {},\n  \"grid_rebuilds\": {},\n  \
-             \"strategy_users_reused\": {},\n  \"strategy_users_refreshed\": {},\n  \
-             \"strategy_shard_reuses\": {},\n  \"strategy_shard_refreshes\": {},\n  \
-             \"strategy_grid_rebuilds\": {},\n  \"strategy_full_fallbacks\": {},\n  \
-             \"baseline_reuses\": {},\n  \"baseline_rebuilds\": {},\n  \
-             \"baseline_cells_updated\": {},\n  \"shards_appended\": {},\n  \
-             \"shards_rebuilt\": {},\n  \"shards_fallback\": {},\n  \
-             \"strategy_trajectories_anonymized\": {},\n  \
-             \"strategy_trajectories_reused\": {},\n  \
-             \"strategy_shards_appended\": {},\n  \"strategy_shards_rebuilt\": {},\n  \
-             \"strategy_shards_fallback\": {},\n  \"parity_windows\": {}\n}}\n",
+             \"parity_windows\": {},\n{},\n{},\n{}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -258,27 +204,10 @@ impl E11Report {
             self.batch_user_extractions,
             self.incremental_user_extractions,
             self.pool_size,
-            self.shard_reuses,
-            self.shard_refreshes,
-            self.grid_rebuilds,
-            self.strategy_users_reused,
-            self.strategy_users_refreshed,
-            self.strategy_shard_reuses,
-            self.strategy_shard_refreshes,
-            self.strategy_grid_rebuilds,
-            self.strategy_full_fallbacks,
-            self.baseline_reuses,
-            self.baseline_rebuilds,
-            self.baseline_cells_updated,
-            self.shards_appended,
-            self.shards_rebuilt,
-            self.shards_fallback,
-            self.strategy_trajectories_anonymized,
-            self.strategy_trajectories_reused,
-            self.strategy_shards_appended,
-            self.strategy_shards_rebuilt,
-            self.strategy_shards_fallback,
             self.parity_windows,
+            crate::audit_json(&self.streaming, 1),
+            crate::audit_json(&self.baseline, 1),
+            crate::audit_json(&self.strategy, 1),
         )
     }
 }
@@ -351,47 +280,17 @@ impl fmt::Display for E11Report {
         writeln!(
             f,
             "extractions: {} batch vs {} incremental full passes, {} vs {} per-user \
-             (pool {}); original shards: {} reused, {} refreshed, {} grid rebuilds",
+             (pool {}); parity checked on {} windows",
             self.batch_extractions,
             self.incremental_extractions,
             self.batch_user_extractions,
             self.incremental_user_extractions,
             self.pool_size,
-            self.shard_reuses,
-            self.shard_refreshes,
-            self.grid_rebuilds
-        )?;
-        writeln!(
-            f,
-            "protected side: {} anonymizations reused / {} refreshed, {} shards reused / \
-             {} refreshed, {} protected-grid rebuilds, {} full fallbacks",
-            self.strategy_users_reused,
-            self.strategy_users_refreshed,
-            self.strategy_shard_reuses,
-            self.strategy_shard_refreshes,
-            self.strategy_grid_rebuilds,
-            self.strategy_full_fallbacks
-        )?;
-        writeln!(
-            f,
-            "trajectory reuse: {} trajectories anonymized / {} reused; shards appended / \
-             rebuilt / fallback: original {} / {} / {}, protected {} / {} / {}; \
-             parity checked on {} windows",
-            self.strategy_trajectories_anonymized,
-            self.strategy_trajectories_reused,
-            self.shards_appended,
-            self.shards_rebuilt,
-            self.shards_fallback,
-            self.strategy_shards_appended,
-            self.strategy_shards_rebuilt,
-            self.strategy_shards_fallback,
             self.parity_windows
         )?;
-        write!(
-            f,
-            "baselines: {} folded in place ({} cells touched), {} full rebuilds",
-            self.baseline_reuses, self.baseline_cells_updated, self.baseline_rebuilds
-        )
+        writeln!(f, "{}", crate::audit_line(&self.streaming))?;
+        writeln!(f, "{}", crate::audit_line(&self.baseline))?;
+        write!(f, "{}", crate::audit_line(&self.strategy))
     }
 }
 
@@ -438,14 +337,9 @@ pub fn run(config: &E11Config) -> E11Report {
     let mut incremental_first_window_ms = 0.0;
     let mut incremental_first_steady_ms = 0.0;
     let mut incremental_last_window_ms = 0.0;
-    let mut shard_reuses = 0;
-    let mut shard_refreshes = 0;
-    let mut grid_rebuilds = 0;
-    let mut baseline_reuses = 0;
-    let mut baseline_rebuilds = 0;
-    let mut baseline_cells_updated = 0;
-    let mut strategy_totals = privapi::streaming::StrategyCacheDelta::default();
-    let mut original_paths = [0usize; 3];
+    let mut streaming = Tally::default();
+    let mut baseline = Tally::default();
+    let mut strategy = StrategyCacheDelta::default();
     let mut parity_windows = 0;
     for (i, window) in windows.iter().enumerate() {
         let before = probe.extractions();
@@ -478,26 +372,9 @@ pub fn run(config: &E11Config) -> E11Report {
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
             parity_windows += 1;
         }
-        shard_reuses += release.delta.users_reused;
-        shard_refreshes += release.delta.users_refreshed;
-        grid_rebuilds += usize::from(release.delta.grid_rebuilt);
-        baseline_reuses += usize::from(release.baseline.reused);
-        baseline_rebuilds += usize::from(release.baseline.rebuilt);
-        baseline_cells_updated += release.baseline.cells_updated;
-        strategy_totals.users_reused += release.strategies.users_reused;
-        strategy_totals.users_refreshed += release.strategies.users_refreshed;
-        strategy_totals.shards_reused += release.strategies.shards_reused;
-        strategy_totals.shards_refreshed += release.strategies.shards_refreshed;
-        strategy_totals.protected_grid_rebuilds += release.strategies.protected_grid_rebuilds;
-        strategy_totals.full_fallbacks += release.strategies.full_fallbacks;
-        strategy_totals.trajectories_anonymized += release.strategies.trajectories_anonymized;
-        strategy_totals.trajectories_reused += release.strategies.trajectories_reused;
-        strategy_totals.shards_appended += release.strategies.shards_appended;
-        strategy_totals.shards_rebuilt += release.strategies.shards_rebuilt;
-        strategy_totals.shards_fallback += release.strategies.shards_fallback;
-        original_paths[0] += release.delta.shards_appended;
-        original_paths[1] += release.delta.shards_rebuilt;
-        original_paths[2] += release.delta.shards_fallback;
+        streaming.add(&release.delta);
+        baseline.add(&release.baseline);
+        strategy += release.strategies;
     }
     let incremental_extractions = probe.extractions();
     let incremental_user_extractions = probe.user_extractions();
@@ -522,27 +399,10 @@ pub fn run(config: &E11Config) -> E11Report {
         batch_user_extractions,
         incremental_user_extractions,
         pool_size,
-        shard_reuses,
-        shard_refreshes,
-        grid_rebuilds,
-        strategy_users_reused: strategy_totals.users_reused,
-        strategy_users_refreshed: strategy_totals.users_refreshed,
-        strategy_shard_reuses: strategy_totals.shards_reused,
-        strategy_shard_refreshes: strategy_totals.shards_refreshed,
-        strategy_grid_rebuilds: strategy_totals.protected_grid_rebuilds,
-        strategy_full_fallbacks: strategy_totals.full_fallbacks,
-        baseline_reuses,
-        baseline_rebuilds,
-        baseline_cells_updated,
-        shards_appended: original_paths[0],
-        shards_rebuilt: original_paths[1],
-        shards_fallback: original_paths[2],
-        strategy_trajectories_anonymized: strategy_totals.trajectories_anonymized,
-        strategy_trajectories_reused: strategy_totals.trajectories_reused,
-        strategy_shards_appended: strategy_totals.shards_appended,
-        strategy_shards_rebuilt: strategy_totals.shards_rebuilt,
-        strategy_shards_fallback: strategy_totals.shards_fallback,
         parity_windows,
+        streaming,
+        baseline,
+        strategy,
     }
 }
 
@@ -563,11 +423,11 @@ mod tests {
             report.windows * (report.pool_size + 1)
         );
         assert_eq!(report.incremental_extractions, 0);
-        assert_eq!(report.strategy_full_fallbacks, 0);
+        assert_eq!(report.strategy.full_fallbacks, 0);
         // Sparse participation means inactive users: both the protected
         // anonymizations and the per-user extraction totals must come in
         // under batch.
-        assert!(report.strategy_users_reused > 0, "{report:?}");
+        assert!(report.strategy.users_reused > 0, "{report:?}");
         assert!(
             report.incremental_user_extractions < report.batch_user_extractions,
             "per-user work {} must undercut batch {}",
@@ -575,64 +435,63 @@ mod tests {
             report.batch_user_extractions
         );
         assert_eq!(
-            report.strategy_users_reused + report.strategy_users_refreshed,
+            report.strategy.users_reused + report.strategy.users_refreshed,
             report.windows * report.pool_size * report.users
         );
         // The utility baseline is built once (not counted as a rebuild)
         // and folded in place on every later window, touching real cells;
         // the quantized anchors keep the grid still, so no fold is ever
         // discarded.
-        assert_eq!(report.baseline_rebuilds, 0, "{report:?}");
-        assert_eq!(report.baseline_reuses, report.windows - 1, "{report:?}");
-        assert!(report.baseline_cells_updated > 0, "{report:?}");
+        let windows = report.windows as u64;
+        assert_eq!(report.baseline.get("rebuilt"), 0, "{report:?}");
+        assert_eq!(report.baseline.get("reused"), windows - 1, "{report:?}");
+        assert!(report.baseline.get("cells_updated") > 0, "{report:?}");
         // Refreshes after the first window fold in only what each user
         // appended: every later shard refresh goes through the memo on
         // both sides, and a clean stream never falls back.
-        assert_eq!(report.shards_rebuilt, report.users, "{report:?}");
-        assert!(report.shards_appended > 0, "{report:?}");
-        assert_eq!(report.shards_fallback, 0, "{report:?}");
-        assert!(report.strategy_shards_appended > 0, "{report:?}");
-        assert_eq!(report.strategy_shards_fallback, 0, "{report:?}");
-        assert!(report.strategy_trajectories_reused > 0, "{report:?}");
+        let original = &report.streaming;
+        assert_eq!(
+            original.get("shards_rebuilt"),
+            report.users as u64,
+            "{report:?}"
+        );
+        assert!(original.get("shards_appended") > 0, "{report:?}");
+        assert_eq!(original.get("shards_fallback"), 0, "{report:?}");
+        assert!(report.strategy.shards_appended > 0, "{report:?}");
+        assert_eq!(report.strategy.shards_fallback, 0, "{report:?}");
+        assert!(report.strategy.trajectories_reused > 0, "{report:?}");
         assert_eq!(report.parity_windows, report.windows);
         assert!(report.batch_total_ms > 0.0);
         assert!(report.incremental_total_ms > 0.0);
         assert!(report.incremental_first_window_ms > 0.0);
         assert!(report.incremental_first_steady_ms > 0.0);
         assert!(report.last_first_ratio() > 0.0);
-        let json = report.to_json();
+        let json = obs::json::parse(&report.to_json()).expect("the report is JSON");
+        assert_eq!(
+            json.get("experiment").and_then(|v| v.as_str()),
+            Some("e11_streaming_publication")
+        );
         for key in [
-            "\"experiment\": \"e11_streaming_publication\"",
-            "\"batch_total_ms\"",
-            "\"incremental_total_ms\"",
-            "\"shard_reuses\"",
-            "\"grid_rebuilds\"",
-            "\"batch_user_extractions\"",
-            "\"incremental_user_extractions\"",
-            "\"strategy_users_reused\"",
-            "\"strategy_shard_reuses\"",
-            "\"strategy_full_fallbacks\"",
-            "\"incremental_first_window_ms\"",
-            "\"incremental_first_steady_ms\"",
-            "\"last_first_ratio\"",
-            "\"baseline_reuses\"",
-            "\"baseline_rebuilds\"",
-            "\"baseline_cells_updated\"",
-            "\"shards_appended\"",
-            "\"shards_fallback\"",
-            "\"strategy_trajectories_reused\"",
-            "\"strategy_shards_appended\"",
-            "\"strategy_shards_fallback\"",
-            "\"parity_windows\"",
+            "batch_total_ms",
+            "incremental_total_ms",
+            "batch_user_extractions",
+            "incremental_user_extractions",
+            "incremental_first_window_ms",
+            "incremental_first_steady_ms",
+            "last_first_ratio",
+            "parity_windows",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(json.get(key).is_some(), "missing {key} in {json:?}");
         }
+        crate::assert_reported(&json, &report.streaming);
+        crate::assert_reported(&json, &report.baseline);
+        crate::assert_reported(&json, &report.strategy);
         let text = report.to_string();
         assert!(text.contains("all windows"));
         assert!(text.contains("extractions:"));
-        assert!(text.contains("protected side:"));
-        assert!(text.contains("baselines:"));
-        assert!(text.contains("trajectory reuse:"));
+        assert!(text.contains("streaming: users_refreshed="));
+        assert!(text.contains("baseline: rebuilt="));
+        assert!(text.contains("strategy: candidates="));
         assert!(text.contains("last/first-steady ratio"));
     }
 
@@ -650,8 +509,8 @@ mod tests {
         // Only the sampled prefixes are batch-replayed and parity-checked.
         assert_eq!(report.batch_extractions, 4 * (report.pool_size + 1));
         assert_eq!(report.incremental_extractions, 0);
-        assert_eq!(report.baseline_rebuilds, 0);
-        assert_eq!(report.baseline_reuses, report.windows - 1);
+        assert_eq!(report.baseline.get("rebuilt"), 0);
+        assert_eq!(report.baseline.get("reused"), report.windows as u64 - 1);
         assert_eq!(report.parity_windows, 4);
     }
 

@@ -24,9 +24,13 @@ use crate::Scale;
 use campaign::{Campaign, CampaignId, Orchestrator};
 use mobility::gen::ScenarioPreset;
 use mobility::{Dataset, LocationRecord, ParticipantFilter, UserId, WindowedDataset};
+use obs::Tally;
 use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
-use privapi::streaming::{PopulationCache, StreamingPublisher, WorkStore};
+use privapi::streaming::{
+    BaselineDelta, PopulationCache, StrategyCacheDelta, StreamingPublisher, WindowDelta,
+    WorkStore,
+};
 use std::fmt;
 use std::time::Instant;
 
@@ -175,47 +179,16 @@ pub struct E12Report {
     pub independent_extractions: usize,
     /// Full-dataset extraction passes, orchestrated run.
     pub orchestrated_extractions: usize,
-    /// Original-side shards served from the work store (subset and
-    /// custom-attack views), summed per release.
-    pub shards_derived: usize,
-    /// Protected-side users whose new outputs were all served from the
-    /// work store instead of re-anonymized.
-    pub users_donated: usize,
-    /// Protected-side shards served from the work store.
-    pub shards_donated: usize,
-    /// Work-store lookups of the orchestrated run (shared sessions once
-    /// per window, private views and candidate sweeps per campaign).
-    pub store_lookups: usize,
-    /// Work-store entries the orchestrated run computed and filled.
-    pub store_fills: usize,
-    /// Orchestrated releases where a stale utility-baseline fold was
-    /// discarded and rebuilt (a quantized-grid move; a session's first
-    /// build is not counted, and windows fold in place otherwise).
-    pub baseline_rebuilds: usize,
-    /// Baseline cells / day-histogram entries touched by in-place folds
-    /// across all orchestrated releases.
-    pub baseline_cells_updated: usize,
-    /// Original-side shard refreshes of the orchestrated run (shared
-    /// sessions once per window, private subset views per campaign) that
-    /// folded in only the appended trajectories through the memo.
-    pub shards_appended: usize,
-    /// Original-side shard refreshes from scratch without a usable memo
-    /// (first window, grid rebuild).
-    pub shards_rebuilt: usize,
-    /// Original-side shard refreshes from scratch after a rejected memo;
-    /// zero on a clean stream.
-    pub shards_fallback: usize,
-    /// Input trajectories the orchestrated campaigns anonymized.
-    pub strategy_trajectories_anonymized: usize,
-    /// Protected trajectories the orchestrated campaigns reused because
-    /// their source trajectory was unchanged.
-    pub strategy_trajectories_reused: usize,
-    /// Protected-side shard refreshes through the extraction memo.
-    pub strategy_shards_appended: usize,
-    /// Protected-side shard refreshes from scratch without a usable memo.
-    pub strategy_shards_rebuilt: usize,
-    /// Protected-side shard refreshes from scratch after a rejected memo.
-    pub strategy_shards_fallback: usize,
+    /// Original-side audit of the session advances: shared sessions once
+    /// per window, private subset views once per campaign.
+    pub sessions: Tally<WindowDelta>,
+    /// Original-side audit summed per release (a shared session's delta
+    /// counts once for every campaign reading it).
+    pub streaming: Tally<WindowDelta>,
+    /// Utility-baseline fold audit summed per release.
+    pub baseline: Tally<BaselineDelta>,
+    /// Protected-side audit summed per release.
+    pub strategy: StrategyCacheDelta,
 }
 
 impl E12Report {
@@ -232,9 +205,22 @@ impl E12Report {
             / self.original_side_user_extractions.max(1) as f64
     }
 
+    /// Work-store traffic of the orchestrated run, `(lookups, fills)`: the
+    /// session advances' shard lookups plus the releases' protected-side
+    /// lookups.
+    pub fn store(&self) -> (u64, u64) {
+        let total = |field: &str, protected: usize| self.sessions.get(field) + protected as u64;
+        (
+            total("store_lookups", self.strategy.store_lookups),
+            total("store_fills", self.strategy.store_fills),
+        )
+    }
+
     /// Renders the report as a JSON object (hand-rolled: the workspace
-    /// has no JSON serializer dependency).
+    /// has no JSON serializer dependency); the audit counters are nested
+    /// under their instrument family.
     pub fn to_json(&self) -> String {
+        let (lookups, fills) = self.store();
         format!(
             "{{\n  \"experiment\": \"e12_multi_campaign\",\n{}  \"scale\": \"{}\",\n  \
              \"threads\": {},\n  \"users\": {},\n  \"records\": {},\n  \"windows\": {},\n  \
@@ -246,14 +232,8 @@ impl E12Report {
              \"original_side_user_extractions\": {},\n  \
              \"independent_original_user_extractions\": {},\n  \
              \"original_side_ratio\": {:.3},\n  \"independent_extractions\": {},\n  \
-             \"orchestrated_extractions\": {},\n  \"shards_derived\": {},\n  \
-             \"users_donated\": {},\n  \"shards_donated\": {},\n  \
-             \"store_lookups\": {},\n  \"store_fills\": {},\n  \
-             \"baseline_rebuilds\": {},\n  \"baseline_cells_updated\": {},\n  \
-             \"shards_appended\": {},\n  \"shards_rebuilt\": {},\n  \
-             \"shards_fallback\": {},\n  \"strategy_trajectories_anonymized\": {},\n  \
-             \"strategy_trajectories_reused\": {},\n  \"strategy_shards_appended\": {},\n  \
-             \"strategy_shards_rebuilt\": {},\n  \"strategy_shards_fallback\": {}\n}}\n",
+             \"orchestrated_extractions\": {},\n  \"sessions\": {{\n{}\n  }},\n{},\n{},\n{},\n  \
+             \"store\": {{\n    \"lookups\": {lookups},\n    \"fills\": {fills}\n  }}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -274,21 +254,10 @@ impl E12Report {
             self.original_side_ratio(),
             self.independent_extractions,
             self.orchestrated_extractions,
-            self.shards_derived,
-            self.users_donated,
-            self.shards_donated,
-            self.store_lookups,
-            self.store_fills,
-            self.baseline_rebuilds,
-            self.baseline_cells_updated,
-            self.shards_appended,
-            self.shards_rebuilt,
-            self.shards_fallback,
-            self.strategy_trajectories_anonymized,
-            self.strategy_trajectories_reused,
-            self.strategy_shards_appended,
-            self.strategy_shards_rebuilt,
-            self.strategy_shards_fallback,
+            crate::audit_json(&self.sessions, 2),
+            crate::audit_json(&self.streaming, 1),
+            crate::audit_json(&self.baseline, 1),
+            crate::audit_json(&self.strategy, 1),
         )
     }
 }
@@ -344,40 +313,22 @@ impl fmt::Display for E12Report {
             self.original_side_user_extractions,
             self.original_side_ratio()
         )?;
+        let (lookups, fills) = self.store();
         writeln!(
             f,
             "full passes: {} independent vs {} orchestrated; {} shared sessions, \
-             {} releases, {} shards served to other views",
+             {} releases; work store {} lookups / {} fills",
             self.independent_extractions,
             self.orchestrated_extractions,
             self.shared_sessions,
             self.releases,
-            self.shards_derived
+            lookups,
+            fills
         )?;
-        writeln!(
-            f,
-            "store sharing: {} users / {} shards served across campaigns, {} lookups / \
-             {} fills; baselines: {} rebuilds, {} cells folded",
-            self.users_donated,
-            self.shards_donated,
-            self.store_lookups,
-            self.store_fills,
-            self.baseline_rebuilds,
-            self.baseline_cells_updated
-        )?;
-        write!(
-            f,
-            "trajectory reuse: {} trajectories anonymized / {} reused; shards appended / \
-             rebuilt / fallback: original {} / {} / {}, protected {} / {} / {}",
-            self.strategy_trajectories_anonymized,
-            self.strategy_trajectories_reused,
-            self.shards_appended,
-            self.shards_rebuilt,
-            self.shards_fallback,
-            self.strategy_shards_appended,
-            self.strategy_shards_rebuilt,
-            self.strategy_shards_fallback
-        )
+        writeln!(f, "sessions {}", crate::audit_line(&self.sessions))?;
+        writeln!(f, "{}", crate::audit_line(&self.streaming))?;
+        writeln!(f, "{}", crate::audit_line(&self.baseline))?;
+        write!(f, "{}", crate::audit_line(&self.strategy))
     }
 }
 
@@ -493,15 +444,10 @@ pub fn run(config: &E12Config) -> E12Report {
     }
     let mut orchestrated_total_ms = 0.0;
     let mut releases = 0;
-    let mut shards_derived = 0;
-    let mut users_donated = 0;
-    let mut shards_donated = 0;
-    let mut store_lookups = 0;
-    let mut store_fills = 0;
-    let mut baseline_rebuilds = 0;
-    let mut baseline_cells_updated = 0;
-    let mut original_paths = [0usize; 3];
-    let mut strategy_totals = privapi::streaming::StrategyCacheDelta::default();
+    let mut sessions = Tally::default();
+    let mut streaming = Tally::default();
+    let mut baseline = Tally::default();
+    let mut strategy = StrategyCacheDelta::default();
     for (w, window) in windows.iter().enumerate() {
         let start = Instant::now();
         let report = orchestrator.advance_day(window).expect("ascending days");
@@ -515,11 +461,7 @@ pub fn run(config: &E12Config) -> E12Report {
             .filter(|release| !release.shared)
             .map(|release| &release.delta);
         for delta in report.sessions.iter().chain(private) {
-            original_paths[0] += delta.shards_appended;
-            original_paths[1] += delta.shards_rebuilt;
-            original_paths[2] += delta.shards_fallback;
-            store_lookups += delta.store_lookups;
-            store_fills += delta.store_fills;
+            sessions.add(delta);
         }
         for (c, (id, _, _)) in mix.iter().enumerate() {
             let orchestrated = report.release_of(CampaignId(*id));
@@ -532,19 +474,9 @@ pub fn run(config: &E12Config) -> E12Report {
                     );
                     assert_eq!(a.published.dataset, b.published.dataset);
                     releases += 1;
-                    shards_derived += a.delta.users_derived;
-                    users_donated += a.strategies.users_donated;
-                    shards_donated += a.strategies.shards_donated;
-                    store_lookups += a.strategies.store_lookups;
-                    store_fills += a.strategies.store_fills;
-                    baseline_rebuilds += usize::from(a.baseline.rebuilt);
-                    baseline_cells_updated += a.baseline.cells_updated;
-                    let s = &a.strategies;
-                    strategy_totals.trajectories_anonymized += s.trajectories_anonymized;
-                    strategy_totals.trajectories_reused += s.trajectories_reused;
-                    strategy_totals.shards_appended += s.shards_appended;
-                    strategy_totals.shards_rebuilt += s.shards_rebuilt;
-                    strategy_totals.shards_fallback += s.shards_fallback;
+                    streaming.add(&a.delta);
+                    baseline.add(&a.baseline);
+                    strategy += a.strategies;
                 }
                 (None, None) => {}
                 (a, b) => panic!(
@@ -581,21 +513,10 @@ pub fn run(config: &E12Config) -> E12Report {
             * original_side_user_extractions,
         independent_extractions,
         orchestrated_extractions,
-        shards_derived,
-        users_donated,
-        shards_donated,
-        store_lookups,
-        store_fills,
-        baseline_rebuilds,
-        baseline_cells_updated,
-        shards_appended: original_paths[0],
-        shards_rebuilt: original_paths[1],
-        shards_fallback: original_paths[2],
-        strategy_trajectories_anonymized: strategy_totals.trajectories_anonymized,
-        strategy_trajectories_reused: strategy_totals.trajectories_reused,
-        strategy_shards_appended: strategy_totals.shards_appended,
-        strategy_shards_rebuilt: strategy_totals.shards_rebuilt,
-        strategy_shards_fallback: strategy_totals.shards_fallback,
+        sessions,
+        streaming,
+        baseline,
+        strategy,
     }
 }
 
@@ -632,7 +553,7 @@ mod tests {
         // The beacon-pinned subset actually exercises serving: its
         // shards come from the work store, never re-extracted.
         assert!(
-            report.shards_derived > 0,
+            report.streaming.get("users_derived") > 0,
             "the subset campaign must be served shards from the store"
         );
         // No full passes anywhere: every campaign stays on the delta
@@ -641,51 +562,50 @@ mod tests {
         assert_eq!(report.orchestrated_extractions, 0);
         // K = 3 same-config campaigns means two replicas per window, and
         // the store serves them the first campaign's protected side.
-        assert!(report.users_donated > 0, "{report:?}");
-        assert!(report.shards_donated > 0, "{report:?}");
+        assert!(report.strategy.users_donated > 0, "{report:?}");
+        assert!(report.strategy.shards_donated > 0, "{report:?}");
         // Every fill answers a miss; the rest of the lookups were served.
-        assert!(
-            0 < report.store_fills && report.store_fills < report.store_lookups,
-            "{report:?}"
-        );
+        let (lookups, fills) = report.store();
+        assert!(0 < fills && fills < lookups, "{report:?}");
         // The beacon-pinned bounding box never moves, so no baseline fold
         // is ever discarded — every window folds in place.
-        assert_eq!(report.baseline_rebuilds, 0, "{report:?}");
-        assert!(report.baseline_cells_updated > 0, "{report:?}");
+        assert_eq!(report.baseline.get("rebuilt"), 0, "{report:?}");
+        assert!(report.baseline.get("cells_updated") > 0, "{report:?}");
         // Later windows fold only what each user appended, on both sides;
         // the clean stream never rejects a memo.
-        assert!(report.shards_appended > 0, "{report:?}");
-        assert_eq!(report.shards_fallback, 0, "{report:?}");
-        assert!(report.strategy_shards_appended > 0, "{report:?}");
-        assert!(report.strategy_trajectories_reused > 0, "{report:?}");
-        assert_eq!(report.strategy_shards_fallback, 0, "{report:?}");
-        let json = report.to_json();
+        assert!(report.sessions.get("shards_appended") > 0, "{report:?}");
+        assert_eq!(report.sessions.get("shards_fallback"), 0, "{report:?}");
+        assert!(report.strategy.shards_appended > 0, "{report:?}");
+        assert!(report.strategy.trajectories_reused > 0, "{report:?}");
+        assert_eq!(report.strategy.shards_fallback, 0, "{report:?}");
+        let json = obs::json::parse(&report.to_json()).expect("the report is JSON");
+        assert_eq!(
+            json.get("experiment").and_then(|v| v.as_str()),
+            Some("e12_multi_campaign")
+        );
         for key in [
-            "\"experiment\": \"e12_multi_campaign\"",
-            "\"independent_total_ms\"",
-            "\"orchestrated_total_ms\"",
-            "\"original_side_ratio\"",
-            "\"independent_original_user_extractions\"",
-            "\"shards_derived\"",
-            "\"users_donated\"",
-            "\"shards_donated\"",
-            "\"store_lookups\"",
-            "\"store_fills\"",
-            "\"baseline_rebuilds\"",
-            "\"baseline_cells_updated\"",
-            "\"shards_appended\"",
-            "\"shards_fallback\"",
-            "\"strategy_trajectories_reused\"",
-            "\"strategy_shards_appended\"",
-            "\"strategy_shards_fallback\"",
+            "independent_total_ms",
+            "orchestrated_total_ms",
+            "original_side_ratio",
+            "independent_original_user_extractions",
         ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+            assert!(json.get(key).is_some(), "missing {key} in {json:?}");
         }
+        crate::assert_reported(json.get("sessions").expect("sessions"), &report.sessions);
+        crate::assert_reported(&json, &report.streaming);
+        crate::assert_reported(&json, &report.baseline);
+        crate::assert_reported(&json, &report.strategy);
+        let store = json.get("store").expect("store rollup");
+        let read = |key: &str| store.get(key).and_then(|v| v.as_u64());
+        assert_eq!(
+            (read("lookups"), read("fills")),
+            (Some(lookups), Some(fills))
+        );
         let text = report.to_string();
         assert!(text.contains("all campaigns"));
         assert!(text.contains("per-user extractions:"));
-        assert!(text.contains("store sharing:"));
-        assert!(text.contains("trajectory reuse:"));
+        assert!(text.contains("sessions streaming: users_refreshed="));
+        assert!(text.contains("strategy: candidates="));
     }
 
     #[test]

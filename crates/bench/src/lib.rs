@@ -96,6 +96,46 @@ pub fn host_json() -> String {
     )
 }
 
+/// Renders an audit record's counters as the JSON member
+/// `"<family>": {"<field>": value, ...}`, indented `depth` levels deep —
+/// the report key of each counter is its instrument name.
+pub fn audit_json<A: obs::Audit>(audit: &A, depth: usize) -> String {
+    let pad = "  ".repeat(depth);
+    let members: Vec<String> = audit
+        .counters()
+        .map(|(field, value)| format!("{pad}  \"{field}\": {value}"))
+        .collect();
+    format!(
+        "{pad}\"{}\": {{\n{}\n{pad}}}",
+        A::FAMILY,
+        members.join(",\n")
+    )
+}
+
+/// Renders an audit record's counters as `<family>: field=value ...`.
+pub fn audit_line<A: obs::Audit>(audit: &A) -> String {
+    let members: Vec<String> = audit
+        .counters()
+        .map(|(field, value)| format!("{field}={value}"))
+        .collect();
+    format!("{}: {}", A::FAMILY, members.join(" "))
+}
+
+/// Asserts that `json` reports every counter of `audit` under its
+/// instrument name: `json["<family>"]["<field>"]`.
+#[cfg(test)]
+pub(crate) fn assert_reported<A: obs::Audit>(json: &obs::json::JsonValue, audit: &A) {
+    for (field, value) in audit.counters() {
+        let reported = json.get(A::FAMILY).and_then(|f| f.get(field));
+        assert_eq!(
+            reported.and_then(|v| v.as_u64()),
+            Some(value),
+            "{}.{field}",
+            A::FAMILY
+        );
+    }
+}
+
 /// Renders a markdown-style table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     let mut out = String::from("|");

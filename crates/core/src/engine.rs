@@ -27,6 +27,10 @@
 //!    the original extraction (per-user [`UserAttackShard`]s, built at most
 //!    once per run via [`EvalContext::extracting`]) and a shared
 //!    [`ReferenceIndex`] every candidate probes.
+//!
+//! The cached sweep audits each candidate in a [`CandidateDelta`] and
+//! records the window's sum ([`StrategySessionCache::last_window`]) into
+//! the `strategy.*` instruments with one [`obs::record`] call.
 
 use crate::attack::{
     PoiAttack, PoiAttackReport, ReferenceIndex, ReferencePois, UserAttackShard,
@@ -420,7 +424,7 @@ impl EvaluationEngine {
             store.insert(fills);
         }
         strategies.last_deltas = deltas;
-        record_candidate_deltas(&strategies.last_deltas);
+        obs::record(&strategies.last_window());
         let chosen = choose_winner(&results);
         let report = SelectionReport {
             candidates: results,
@@ -575,49 +579,6 @@ impl EvaluationEngine {
         };
         (result, privacy)
     }
-}
-
-/// Re-plumb one sweep's [`CandidateDelta`]s into the `strategy.*` /
-/// `engine.*` obs instruments. The delta structs stay the public audit
-/// API; the instruments are the machine-readable mirror. A candidate
-/// that avoided the full fallback counts as a cache hit.
-fn record_candidate_deltas(deltas: &[CandidateDelta]) {
-    if !obs::enabled() {
-        return;
-    }
-    for delta in deltas {
-        obs::count("strategy.users_refreshed", delta.users_refreshed as u64);
-        obs::count("strategy.users_reused", delta.users_reused as u64);
-        obs::count("strategy.users_donated", delta.users_donated as u64);
-        obs::count("strategy.shards_refreshed", delta.shards_refreshed as u64);
-        obs::count("strategy.shards_reused", delta.shards_reused as u64);
-        obs::count("strategy.shards_donated", delta.shards_donated as u64);
-        obs::count(
-            "strategy.grid_rebuilds",
-            delta.protected_grid_rebuilt as u64,
-        );
-        obs::count("strategy.full_fallbacks", delta.full_fallback as u64);
-        obs::count(
-            "strategy.trajectories_anonymized",
-            delta.trajectories_anonymized as u64,
-        );
-        obs::count(
-            "strategy.trajectories_reused",
-            delta.trajectories_reused as u64,
-        );
-        obs::count("strategy.shards_appended", delta.shards_appended as u64);
-        obs::count("strategy.shards_rebuilt", delta.shards_rebuilt as u64);
-        obs::count("strategy.shards_fallback", delta.shards_fallback as u64);
-        obs::count("store.lookups", delta.store_lookups as u64);
-        obs::count("store.fills", delta.store_fills as u64);
-        let hit_or_miss = if delta.full_fallback {
-            "engine.cache_misses"
-        } else {
-            "engine.cache_hits"
-        };
-        obs::count(hit_or_miss, 1);
-    }
-    obs::count("engine.candidates_evaluated", deltas.len() as u64);
 }
 
 /// The winning candidate's release artifacts from

@@ -23,16 +23,12 @@ impl GaussianPerturbation {
     ///
     /// # Errors
     ///
-    /// Returns [`PrivapiError::InvalidParameter`] for negative or non-finite
-    /// `sigma`. A zero `sigma` is allowed (degenerates to identity), which
-    /// the selector uses as a grid anchor.
+    /// Returns [`PrivapiError::InvalidParameter`] for a `sigma` that is
+    /// negative, NaN or above [`super::MAX_SCALE_M`]. A zero `sigma` is
+    /// allowed (degenerates to identity), which the selector uses as a grid
+    /// anchor.
     pub fn new(sigma: Meters) -> Result<Self, PrivapiError> {
-        if sigma.get() < 0.0 || !sigma.get().is_finite() {
-            return Err(PrivapiError::InvalidParameter {
-                name: "sigma",
-                value: format!("{}", sigma.get()),
-            });
-        }
+        super::in_range("sigma", sigma.get(), 0.0..=super::MAX_SCALE_M)?;
         Ok(Self { sigma })
     }
 
@@ -111,6 +107,8 @@ mod tests {
     fn rejects_negative_sigma() {
         assert!(GaussianPerturbation::new(Meters::new(-1.0)).is_err());
         assert!(GaussianPerturbation::new(Meters::new(f64::NAN)).is_err());
+        assert!(GaussianPerturbation::new(Meters::new(f64::MAX)).is_err());
+        assert!(GaussianPerturbation::new(Meters::new(crate::strategies::MAX_SCALE_M)).is_ok());
         assert!(GaussianPerturbation::new(Meters::new(0.0)).is_ok());
     }
 

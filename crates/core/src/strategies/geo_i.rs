@@ -36,15 +36,11 @@ impl GeoIndistinguishability {
     ///
     /// # Errors
     ///
-    /// Returns [`PrivapiError::InvalidParameter`] for non-positive or
-    /// non-finite `epsilon`.
+    /// Returns [`PrivapiError::InvalidParameter`] for a non-finite
+    /// `epsilon`, or one so small that the expected displacement `2 /
+    /// epsilon` exceeds [`super::MAX_SCALE_M`].
     pub fn new(epsilon: f64) -> Result<Self, PrivapiError> {
-        if epsilon <= 0.0 || !epsilon.is_finite() {
-            return Err(PrivapiError::InvalidParameter {
-                name: "epsilon",
-                value: format!("{epsilon}"),
-            });
-        }
+        let epsilon = super::in_range("epsilon", epsilon, 2.0 / super::MAX_SCALE_M..=f64::MAX)?;
         Ok(Self { epsilon })
     }
 
@@ -176,6 +172,8 @@ mod tests {
         assert!(GeoIndistinguishability::new(0.0).is_err());
         assert!(GeoIndistinguishability::new(-1.0).is_err());
         assert!(GeoIndistinguishability::new(f64::INFINITY).is_err());
+        assert!(GeoIndistinguishability::new(1e-320).is_err());
+        assert!(GeoIndistinguishability::new(f64::MAX).is_ok());
         assert!(GeoIndistinguishability::new(0.01).is_ok());
         assert!(GeoIndistinguishability::for_radius(Meters::new(-5.0)).is_err());
     }

@@ -24,10 +24,41 @@ pub use smoothing::SpeedSmoothing;
 pub use spatial_cloaking::SpatialCloaking;
 pub use temporal::TemporalDownsampling;
 
+use crate::error::PrivapiError;
 use geo::GeoPoint;
 use mobility::{LocationRecord, Trajectory};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::RangeBounds;
+
+/// The largest distance scale a strategy accepts, in metres — a noise
+/// deviation, an expected geo-indistinguishability displacement, a
+/// cloaking cell or a resampling interval: half the Earth's circumference.
+/// A larger scale protects nothing more, and the bound keeps every noise
+/// draw, plausibility margin and grid finite whatever a broadcast config
+/// carries.
+pub const MAX_SCALE_M: f64 = 2.0e7;
+
+/// The smallest resampling interval [`SpeedSmoothing`] accepts, in metres:
+/// a resampled trajectory holds about one point per interval of its path.
+pub const MIN_RESAMPLING_M: f64 = 1.0;
+
+/// `Ok(value)` when `value` lies in `range` (never for NaN), else
+/// [`PrivapiError::InvalidParameter`] naming the parameter.
+fn in_range(
+    name: &'static str,
+    value: f64,
+    range: impl RangeBounds<f64>,
+) -> Result<f64, PrivapiError> {
+    if range.contains(&value) {
+        Ok(value)
+    } else {
+        Err(PrivapiError::InvalidParameter {
+            name,
+            value: format!("{value}"),
+        })
+    }
+}
 
 /// Derives a per-trajectory RNG from the run seed, the user id and the
 /// trajectory's start time, so each trajectory's randomness is independent

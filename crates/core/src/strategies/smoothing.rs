@@ -55,15 +55,11 @@ impl SpeedSmoothing {
     ///
     /// # Errors
     ///
-    /// Returns [`PrivapiError::InvalidParameter`] when `epsilon` is not
-    /// strictly positive and finite.
+    /// Returns [`PrivapiError::InvalidParameter`] when `epsilon` lies
+    /// outside [`super::MIN_RESAMPLING_M`]..=[`super::MAX_SCALE_M`].
     pub fn new(epsilon: Meters) -> Result<Self, PrivapiError> {
-        if epsilon.get() <= 0.0 || !epsilon.get().is_finite() {
-            return Err(PrivapiError::InvalidParameter {
-                name: "epsilon",
-                value: format!("{}", epsilon.get()),
-            });
-        }
+        let range = super::MIN_RESAMPLING_M..=super::MAX_SCALE_M;
+        super::in_range("epsilon", epsilon.get(), range)?;
         Ok(Self {
             epsilon,
             endpoint_trim: Meters::new((2.0 * epsilon.get()).max(400.0)),
@@ -258,6 +254,9 @@ mod tests {
         assert!(SpeedSmoothing::new(Meters::new(0.0)).is_err());
         assert!(SpeedSmoothing::new(Meters::new(-5.0)).is_err());
         assert!(SpeedSmoothing::new(Meters::new(f64::NAN)).is_err());
+        assert!(SpeedSmoothing::new(Meters::new(1e-9)).is_err());
+        assert!(SpeedSmoothing::new(Meters::new(f64::MAX)).is_err());
+        assert!(SpeedSmoothing::new(Meters::new(crate::strategies::MIN_RESAMPLING_M)).is_ok());
         assert!(SpeedSmoothing::new(Meters::new(100.0)).is_ok());
     }
 

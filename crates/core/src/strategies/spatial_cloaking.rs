@@ -11,6 +11,7 @@ use crate::strategy::{
 };
 use geo::{BoundingBox, Meters, UniformGrid};
 use mobility::{Dataset, LocationRecord, Trajectory};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Grid-cloaking strategy with a configurable cell size.
@@ -31,14 +32,11 @@ impl SpatialCloaking {
     ///
     /// # Errors
     ///
-    /// Returns [`PrivapiError::InvalidParameter`] for non-positive sizes.
+    /// Returns [`PrivapiError::InvalidParameter`] for a non-positive size or
+    /// one above [`super::MAX_SCALE_M`].
     pub fn new(cell_size: Meters) -> Result<Self, PrivapiError> {
-        if cell_size.get() <= 0.0 || !cell_size.get().is_finite() {
-            return Err(PrivapiError::InvalidParameter {
-                name: "cell_size",
-                value: format!("{}", cell_size.get()),
-            });
-        }
+        let range = (Bound::Excluded(0.0), Bound::Included(super::MAX_SCALE_M));
+        super::in_range("cell_size", cell_size.get(), range)?;
         Ok(Self {
             cell_size,
             anchor: None,
@@ -179,6 +177,7 @@ mod tests {
     fn rejects_bad_cell_size() {
         assert!(SpatialCloaking::new(Meters::new(0.0)).is_err());
         assert!(SpatialCloaking::new(Meters::new(-2.0)).is_err());
+        assert!(SpatialCloaking::new(Meters::new(f64::MAX)).is_err());
         assert!(SpatialCloaking::new(Meters::new(250.0)).is_ok());
     }
 

@@ -91,6 +91,15 @@
 //! prefix (cross-midnight dwell included), and amended per-user indexes
 //! are structurally identical to freshly built ones. Property tests across
 //! generator seeds enforce this.
+//!
+//! # Audit records
+//!
+//! [`WindowDelta`], [`BaselineDelta`], [`StrategyCacheDelta`] and
+//! [`IngestDelta`] are each declared once through [`obs::audit!`]: the
+//! declaration gives their counter fields, the sum of two records
+//! (`AddAssign`) and the [`obs::Audit`] impl, and [`obs::record`] adds
+//! every counter to its `<family>.<field>` instrument (`streaming`,
+//! `baseline`, `strategy`, `ingest`) where the record is returned.
 
 use crate::attack::{
     ExtractionMemo, ExtractionPath, PoiAttack, PoiAttackConfig, ReferenceIndex, ReferencePois,
@@ -110,51 +119,59 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex};
 
-/// What [`PopulationCache::advance`] did with one day window — the audit
-/// record of the incremental path's cache behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowDelta {
-    /// Day index of the ingested window.
-    pub day: i64,
-    /// Users re-extracted here over the grown prefix (new records, or a
-    /// grid rebuild touched everyone): `shards_appended + shards_rebuilt +
-    /// shards_fallback`.
-    pub users_refreshed: usize,
-    /// Users whose cached shard (and per-user index) was reused untouched.
-    pub users_reused: usize,
-    /// Refreshed users whose per-user [`geo::PointIndex`] was extended in
-    /// place (new POIs appended) instead of rebuilt.
-    pub indexes_extended: usize,
-    /// Whether the window widened the prefix bounding box, forcing a new
-    /// extraction grid and a full per-user refresh.
-    pub grid_rebuilt: bool,
-    /// Users whose refreshed shard was **served from the [`WorkStore`]**,
-    /// filled by another session (a user subset or a campaign with another
-    /// matching distance reading what the full population extracted),
-    /// instead of re-extracted. Always zero for a session with a store of
-    /// its own.
-    pub users_derived: usize,
-    /// Lattice pitch of the padded extraction-grid anchor, in millidegrees
-    /// ([`geo::GRID_ANCHOR_QUANTUM_DEG`]): the documented tolerance within
-    /// which bounding-box growth does **not** move the grid. Recorded in
-    /// every delta so downstream audit rows carry the padding factor the
-    /// `grid_rebuilt` flag was judged under.
-    pub grid_quantum_millideg: u32,
-    /// Refreshed shards that folded in only the user's appended
-    /// trajectories ([`ExtractionPath::Appended`]).
-    pub shards_appended: usize,
-    /// Refreshed shards extracted from scratch without a usable memo: the
-    /// user's first window or a grid rebuild ([`ExtractionPath::Rebuilt`]).
-    pub shards_rebuilt: usize,
-    /// Refreshed shards extracted from scratch because their memo was
-    /// rejected — late records older than the memo's last one, or history
-    /// that is not a pointer extension ([`ExtractionPath::Fallback`]).
-    pub shards_fallback: usize,
-    /// Shard lookups in the [`WorkStore`]: one per refreshed user.
-    pub store_lookups: usize,
-    /// Shards this window extracted and filled into the store (as many
-    /// as `users_refreshed`).
-    pub store_fills: usize,
+obs::audit! {
+    /// What [`PopulationCache::advance`] did with one day window — the audit
+    /// record of the incremental path's cache behaviour, recorded into the
+    /// `streaming.*` instruments.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct WindowDelta {
+        /// Day index of the ingested window.
+        pub day: i64,
+        /// Lattice pitch of the padded extraction-grid anchor, in
+        /// millidegrees ([`geo::GRID_ANCHOR_QUANTUM_DEG`]): the documented
+        /// tolerance within which bounding-box growth does **not** move the
+        /// grid. Recorded in every delta so downstream audit rows carry the
+        /// padding factor the `grid_rebuilt` flag was judged under.
+        pub grid_quantum_millideg: u32,
+    }
+    counters "streaming" {
+        /// Users re-extracted here over the grown prefix (new records, or a
+        /// grid rebuild touched everyone): `shards_appended + shards_rebuilt
+        /// + shards_fallback`.
+        pub users_refreshed: usize,
+        /// Users whose cached shard (and per-user index) was reused
+        /// untouched.
+        pub users_reused: usize,
+        /// Refreshed users whose per-user [`geo::PointIndex`] was extended
+        /// in place (new POIs appended) instead of rebuilt.
+        pub indexes_extended: usize,
+        /// Whether the window widened the prefix bounding box, forcing a new
+        /// extraction grid and a full per-user refresh.
+        pub grid_rebuilt: bool,
+        /// Users whose refreshed shard was **served from the [`WorkStore`]**,
+        /// filled by another session (a user subset or a campaign with
+        /// another matching distance reading what the full population
+        /// extracted), instead of re-extracted. Always zero for a session
+        /// with a store of its own.
+        pub users_derived: usize,
+        /// Refreshed shards that folded in only the user's appended
+        /// trajectories ([`ExtractionPath::Appended`]).
+        pub shards_appended: usize,
+        /// Refreshed shards extracted from scratch without a usable memo:
+        /// the user's first window or a grid rebuild
+        /// ([`ExtractionPath::Rebuilt`]).
+        pub shards_rebuilt: usize,
+        /// Refreshed shards extracted from scratch because their memo was
+        /// rejected — late records older than the memo's last one, or
+        /// history that is not a pointer extension
+        /// ([`ExtractionPath::Fallback`]).
+        pub shards_fallback: usize,
+        /// Shard lookups in the [`WorkStore`]: one per refreshed user.
+        pub store_lookups: usize,
+        /// Shards this window extracted and filled into the store (as many
+        /// as `users_refreshed`).
+        pub store_fills: usize,
+    }
 }
 
 /// How a batch of per-user extractions split over the
@@ -181,92 +198,68 @@ fn grid_quantum_millideg() -> u32 {
     (geo::GRID_ANCHOR_QUANTUM_DEG * 1000.0).round() as u32
 }
 
-/// Feed a window delta into the `streaming.*` obs instruments. The delta
-/// type is unchanged — observability rides alongside the audit structs,
-/// and is a no-op while recording is off.
-fn record_window_delta(delta: &WindowDelta) {
-    if !obs::enabled() {
-        return;
+obs::audit! {
+    /// Original-side audit of the incremental utility-baseline fold for one
+    /// published window: whether the per-objective projection (crowded
+    /// top-k / traffic day histograms) was folded forward from the cached
+    /// counts or rebuilt from scratch, and how much it touched. Recorded
+    /// into the `baseline.*` instruments.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct BaselineDelta {}
+    counters "baseline" {
+        /// The cached fold was discarded and rebuilt over the whole prefix
+        /// (first window for this objective, an objective change, or a
+        /// quantized-grid move).
+        pub rebuilt: bool,
+        /// The cached fold was reused and extended by only the new window's
+        /// trajectories.
+        pub reused: bool,
+        /// Distinct baseline cells (crowded) or `(cell, hour)` day-histogram
+        /// entries (traffic) touched while folding this window.
+        pub cells_updated: usize,
     }
-    obs::count("streaming.users_refreshed", delta.users_refreshed as u64);
-    obs::count("streaming.users_reused", delta.users_reused as u64);
-    obs::count("streaming.users_derived", delta.users_derived as u64);
-    obs::count("streaming.indexes_extended", delta.indexes_extended as u64);
-    obs::count("streaming.grid_rebuilds", delta.grid_rebuilt as u64);
-    obs::count("streaming.shards_appended", delta.shards_appended as u64);
-    obs::count("streaming.shards_rebuilt", delta.shards_rebuilt as u64);
-    obs::count("streaming.shards_fallback", delta.shards_fallback as u64);
-    obs::count("streaming.windows_ingested", 1);
-    obs::count("store.lookups", delta.store_lookups as u64);
-    obs::count("store.fills", delta.store_fills as u64);
 }
 
-/// Feed a baseline-fold delta into the `streaming.baseline_*` obs
-/// instruments (no-op while recording is off).
-fn record_baseline_delta(delta: &BaselineDelta) {
-    if !obs::enabled() {
-        return;
+obs::audit! {
+    /// Per-window audit of what the reliable ingestion layer fed the
+    /// stream — the degraded-mode record of a window assembled under
+    /// network faults, recorded into the `ingest.*` instruments.
+    ///
+    /// The ingestion protocol (the platform's `collect` endpoint)
+    /// guarantees the strictly-ascending-day contract of
+    /// [`PopulationCache::advance`] by construction: a day window is closed
+    /// exactly once, in order, after a delivery deadline. Data that misses
+    /// its deadline — e.g. a partitioned region's stragglers — is
+    /// **quarantined into the next window** instead of poisoning the stream
+    /// with a stale day, and this struct counts exactly what happened so
+    /// every published window carries its provenance.
+    ///
+    /// A fault-free run has [`IngestDelta::is_clean`] deltas everywhere; the
+    /// chaos tests assert that such runs publish byte-identical windows.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IngestDelta {
+        /// Day index of the closed window.
+        pub day: i64,
     }
-    obs::count("streaming.baseline_reuses", delta.reused as u64);
-    obs::count("streaming.baseline_rebuilds", delta.rebuilt as u64);
-    obs::count(
-        "streaming.baseline_cells_updated",
-        delta.cells_updated as u64,
-    );
-}
-
-/// Original-side audit of the incremental utility-baseline fold for one
-/// published window: whether the per-objective projection (crowded top-k /
-/// traffic day histograms) was folded forward from the cached counts or
-/// rebuilt from scratch, and how much it touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BaselineDelta {
-    /// The cached fold was discarded and rebuilt over the whole prefix
-    /// (first window for this objective, an objective change, or a
-    /// quantized-grid move).
-    pub rebuilt: bool,
-    /// The cached fold was reused and extended by only the new window's
-    /// trajectories.
-    pub reused: bool,
-    /// Distinct baseline cells (crowded) or `(cell, hour)` day-histogram
-    /// entries (traffic) touched while folding this window.
-    pub cells_updated: usize,
-}
-
-/// Per-window audit of what the reliable ingestion layer fed the stream —
-/// the degraded-mode record of a window assembled under network faults.
-///
-/// The ingestion protocol (the platform's `collect` endpoint) guarantees
-/// the strictly-ascending-day contract of [`PopulationCache::advance`] by
-/// construction: a day window is closed exactly once, in order, after a
-/// delivery deadline. Data that misses its deadline — e.g. a partitioned
-/// region's stragglers — is **quarantined into the next window** instead of
-/// poisoning the stream with a stale day, and this struct counts exactly
-/// what happened so every published window carries its provenance.
-///
-/// A fault-free run has [`IngestDelta::is_clean`] deltas everywhere; the
-/// chaos tests assert that such runs publish byte-identical windows.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestDelta {
-    /// Day index of the closed window.
-    pub day: i64,
-    /// Day batches folded into this window (deduplicated, in order).
-    pub batches_applied: u64,
-    /// Duplicate batch deliveries absorbed by the (device, sequence)
-    /// watermark — retransmissions and fault-injected copies.
-    pub batches_duplicate: u64,
-    /// Records published in this window for its own day.
-    pub records: u64,
-    /// Records for earlier, already-closed days quarantined into this
-    /// window (stragglers that eventually arrived).
-    pub records_quarantined: u64,
-    /// Devices that had not completed this window's day when it closed.
-    pub straggler_devices: u64,
-    /// Records for this day (or earlier) already delivered to the endpoint
-    /// but still stuck behind a sequence gap in a device's reorder buffer
-    /// at close time — once the gap fills they are released and quarantined
-    /// into a later window.
-    pub records_deferred: u64,
+    counters "ingest" {
+        /// Day batches folded into this window (deduplicated, in order).
+        pub batches_applied: u64,
+        /// Duplicate batch deliveries absorbed by the (device, sequence)
+        /// watermark — retransmissions and fault-injected copies.
+        pub batches_duplicate: u64,
+        /// Records published in this window for its own day.
+        pub records: u64,
+        /// Records for earlier, already-closed days quarantined into this
+        /// window (stragglers that eventually arrived).
+        pub records_quarantined: u64,
+        /// Devices that had not completed this window's day when it closed.
+        pub straggler_devices: u64,
+        /// Records for this day (or earlier) already delivered to the
+        /// endpoint but still stuck behind a sequence gap in a device's
+        /// reorder buffer at close time — once the gap fills they are
+        /// released and quarantined into a later window.
+        pub records_deferred: u64,
+    }
 }
 
 impl IngestDelta {
@@ -558,7 +551,7 @@ impl PopulationCache {
             }
         };
         delta.cells_updated = slot.fold(self.prefix.trajectories());
-        record_baseline_delta(&delta);
+        obs::record(&delta);
         (slot.project(), delta)
     }
 
@@ -716,7 +709,8 @@ impl PopulationCache {
         };
         store.released.extend(&to_refresh);
         store.insert(fills);
-        record_window_delta(&delta);
+        obs::record(&delta);
+        obs::count("streaming.windows_ingested", 1);
         Ok(delta)
     }
 }
@@ -748,141 +742,87 @@ pub struct CandidateDelta {
     pub info: StrategyInfo,
     /// The locality contract the candidate declared.
     pub locality: UserLocality,
-    /// Users refreshed this window — the users with new records, or every
-    /// user on a full pass — whose new trajectories were not all served
-    /// from the [`WorkStore`]; how many trajectories were anonymized here
-    /// is `trajectories_anonymized`.
-    pub users_refreshed: usize,
-    /// Users whose cached protected trajectories were reused untouched.
-    pub users_reused: usize,
-    /// Refreshed users whose every new protected trajectory was **served
-    /// from the [`WorkStore`]**, filled by another session (a campaign
-    /// with the same candidate, seed and — for grid-anchored candidates —
-    /// anchor) — zero anonymization work here.
-    pub users_donated: usize,
-    /// Users whose protected-side [`UserAttackShard`] was extracted here
-    /// via the per-user delta path: `shards_appended + shards_rebuilt +
-    /// shards_fallback`.
-    pub shards_refreshed: usize,
-    /// Users whose cached protected-side shard was reused untouched.
-    pub shards_reused: usize,
-    /// Protected-side shard refreshes served from the [`WorkStore`],
-    /// filled by another session — the cross-session twin of
-    /// `shards_reused`.
-    pub shards_donated: usize,
-    /// Whether the candidate's **protected** bounding box moved, forcing a
-    /// new extraction grid and a full per-user shard refresh (independent
-    /// of the original-side grid: noise can widen a protected box on a
-    /// window that left the original box alone).
-    pub protected_grid_rebuilt: bool,
-    /// Whether the candidate took the uncached path (declared
-    /// [`UserLocality::NonLocal`]): a full re-anonymization plus a full
-    /// protected-side extraction.
-    pub full_fallback: bool,
-    /// Input trajectories anonymized this window: the appended tail of
-    /// each refreshed user, or the whole prefix on a full pass.
-    pub trajectories_anonymized: usize,
-    /// Refreshed users' trajectories whose cached protected output was
-    /// reused because its source is the same trajectory as before.
-    pub trajectories_reused: usize,
-    /// Protected-side shard refreshes that folded in only the appended
-    /// outputs ([`ExtractionPath::Appended`]).
-    pub shards_appended: usize,
-    /// Protected-side shard refreshes from scratch without a usable memo:
-    /// first window, a full re-anonymization, or a protected-grid move
-    /// ([`ExtractionPath::Rebuilt`]).
-    pub shards_rebuilt: usize,
-    /// Protected-side shard refreshes from scratch because the memo was
-    /// rejected ([`ExtractionPath::Fallback`]).
-    pub shards_fallback: usize,
-    /// [`WorkStore`] lookups: one per new source trajectory, refreshed
-    /// shard and new output's utility contribution.
-    pub store_lookups: usize,
-    /// Entries this candidate computed on a lookup miss and filled into
-    /// the store.
-    pub store_fills: usize,
+    /// The candidate's counters: `candidates` is 1, and
+    /// `protected_grid_rebuilds` and `full_fallbacks` are each 0 or 1.
+    pub counts: StrategyCacheDelta,
 }
 
 impl CandidateDelta {
-    /// A delta for `info` with every counter at zero.
+    /// A delta for `info` counting one candidate and nothing else.
     pub(crate) fn empty(info: StrategyInfo, locality: UserLocality) -> Self {
         Self {
             info,
             locality,
-            ..Self::default()
+            counts: StrategyCacheDelta {
+                candidates: 1,
+                ..StrategyCacheDelta::default()
+            },
         }
     }
 }
 
-/// Pool-wide aggregate of [`CandidateDelta`]s for one window — the
-/// protected-side counterpart of [`WindowDelta`], reported in
-/// [`PublishedWindow::strategies`] and summed by the e11 bench.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StrategyCacheDelta {
-    /// Candidates evaluated.
-    pub candidates: usize,
-    /// Total per-candidate users re-anonymized.
-    pub users_refreshed: usize,
-    /// Total per-candidate users whose protected trajectories were reused.
-    pub users_reused: usize,
-    /// Total per-candidate users served from another session's store
-    /// entries.
-    pub users_donated: usize,
-    /// Total per-candidate protected-side shard re-extractions.
-    pub shards_refreshed: usize,
-    /// Total per-candidate protected-side shards reused untouched.
-    pub shards_reused: usize,
-    /// Total protected-side shards served from another session's store
-    /// entries.
-    pub shards_donated: usize,
-    /// Candidates whose protected extraction grid moved this window.
-    pub protected_grid_rebuilds: usize,
-    /// Candidates that took the full uncached path.
-    pub full_fallbacks: usize,
-    /// Total per-candidate input trajectories anonymized.
-    pub trajectories_anonymized: usize,
-    /// Total per-candidate protected trajectories reused by source.
-    pub trajectories_reused: usize,
-    /// Total per-candidate shard refreshes that folded in only appended
-    /// outputs.
-    pub shards_appended: usize,
-    /// Total per-candidate shard refreshes from scratch without a usable
-    /// memo.
-    pub shards_rebuilt: usize,
-    /// Total per-candidate shard refreshes from scratch after a rejected
-    /// memo.
-    pub shards_fallback: usize,
-    /// Total per-candidate [`WorkStore`] lookups.
-    pub store_lookups: usize,
-    /// Total per-candidate [`WorkStore`] fills.
-    pub store_fills: usize,
-}
-
-impl StrategyCacheDelta {
-    /// Sums per-candidate deltas into the pool-wide aggregate.
-    pub fn aggregate(deltas: &[CandidateDelta]) -> Self {
-        let mut total = Self {
-            candidates: deltas.len(),
-            ..Self::default()
-        };
-        for d in deltas {
-            total.users_refreshed += d.users_refreshed;
-            total.users_reused += d.users_reused;
-            total.users_donated += d.users_donated;
-            total.shards_refreshed += d.shards_refreshed;
-            total.shards_reused += d.shards_reused;
-            total.shards_donated += d.shards_donated;
-            total.protected_grid_rebuilds += usize::from(d.protected_grid_rebuilt);
-            total.full_fallbacks += usize::from(d.full_fallback);
-            total.trajectories_anonymized += d.trajectories_anonymized;
-            total.trajectories_reused += d.trajectories_reused;
-            total.shards_appended += d.shards_appended;
-            total.shards_rebuilt += d.shards_rebuilt;
-            total.shards_fallback += d.shards_fallback;
-            total.store_lookups += d.store_lookups;
-            total.store_fills += d.store_fills;
-        }
-        total
+obs::audit! {
+    /// Protected-side counters of candidate strategies for one window — one
+    /// candidate's in a [`CandidateDelta`], the pool's sum in
+    /// [`PublishedWindow::strategies`]. Recorded into the `strategy.*`
+    /// instruments.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+    pub struct StrategyCacheDelta {}
+    counters "strategy" {
+        /// Candidates evaluated.
+        pub candidates: usize,
+        /// Users refreshed this window — the users with new records, or
+        /// every user on a full pass — whose new trajectories were not all
+        /// served from the [`WorkStore`] (their anonymized trajectories
+        /// are counted below).
+        pub users_refreshed: usize,
+        /// Users whose cached protected trajectories were reused untouched.
+        pub users_reused: usize,
+        /// Refreshed users whose every new protected trajectory was
+        /// **served from the [`WorkStore`]**, filled by another session (a
+        /// campaign with the same candidate, seed and — for grid-anchored
+        /// candidates — anchor) — zero anonymization work here.
+        pub users_donated: usize,
+        /// Users whose protected-side [`UserAttackShard`] was extracted here
+        /// via the per-user delta path: `shards_appended + shards_rebuilt +
+        /// shards_fallback`.
+        pub shards_refreshed: usize,
+        /// Users whose cached protected-side shard was reused untouched.
+        pub shards_reused: usize,
+        /// Protected-side shard refreshes served from the [`WorkStore`],
+        /// filled by another session — the cross-session twin of
+        /// `shards_reused`.
+        pub shards_donated: usize,
+        /// Candidates whose **protected** bounding box moved, forcing a new
+        /// extraction grid and a full per-user shard refresh (independent
+        /// of the original-side grid: noise can widen a protected box on a
+        /// window that left the original box alone).
+        pub protected_grid_rebuilds: usize,
+        /// Candidates that took the uncached path (declared
+        /// [`UserLocality::NonLocal`]): a full re-anonymization plus a full
+        /// protected-side extraction.
+        pub full_fallbacks: usize,
+        /// Input trajectories anonymized: the appended tail of each
+        /// refreshed user, or the whole prefix on a full pass.
+        pub trajectories_anonymized: usize,
+        /// Refreshed users' trajectories whose cached protected output was
+        /// reused because its source is the same trajectory as before.
+        pub trajectories_reused: usize,
+        /// Protected-side shard refreshes that folded in only the appended
+        /// outputs ([`ExtractionPath::Appended`]).
+        pub shards_appended: usize,
+        /// Protected-side shard refreshes from scratch without a usable
+        /// memo: first window, a full re-anonymization, or a protected-grid
+        /// move ([`ExtractionPath::Rebuilt`]).
+        pub shards_rebuilt: usize,
+        /// Protected-side shard refreshes from scratch because the memo was
+        /// rejected ([`ExtractionPath::Fallback`]).
+        pub shards_fallback: usize,
+        /// [`WorkStore`] lookups: one per new source trajectory, refreshed
+        /// shard and new output's utility contribution.
+        pub store_lookups: usize,
+        /// Entries computed on a lookup miss and filled into the store.
+        pub store_fills: usize,
     }
 }
 
@@ -1039,12 +979,13 @@ impl CandidateState {
         let info = strategy.info();
         let locality = strategy.locality();
         let mut delta = CandidateDelta::empty(info.clone(), locality);
+        let counts = &mut delta.counts;
         let mut fills = Fills::default();
         self.fingerprint = Some((info.clone(), strategy.output_identity()));
         if locality == UserLocality::NonLocal {
             fills.released_all = self.primed;
             self.clear();
-            delta.full_fallback = true;
+            counts.full_fallbacks = 1;
             return (None, delta, fills);
         }
         // A full pass runs on the first window and when a grid-anchored
@@ -1067,7 +1008,7 @@ impl CandidateState {
         } else {
             update.changed_users
         };
-        delta.users_reused = all_users.len() - to_refresh.len();
+        counts.users_reused = all_users.len() - to_refresh.len();
         // A grid-anchored candidate protects against the quantized anchor
         // of the prefix box, which is part of every output's key.
         let anchor = match locality {
@@ -1102,13 +1043,13 @@ impl CandidateState {
             fills: anonymized,
         } in refreshed
         {
-            delta.trajectories_reused += kept;
-            delta.trajectories_anonymized += tail.len() - served;
-            delta.store_lookups += lookups;
+            counts.trajectories_reused += kept;
+            counts.trajectories_anonymized += tail.len() - served;
+            counts.store_lookups += lookups;
             if served > 0 && served == tail.len() {
-                delta.users_donated += 1;
+                counts.users_donated += 1;
             } else {
-                delta.users_refreshed += 1;
+                counts.users_refreshed += 1;
             }
             let protected = self.protected.entry(user).or_default();
             let pure_append = kept == protected.len();
@@ -1132,14 +1073,15 @@ impl CandidateState {
         // them all, no matter whose records changed.
         let bbox = union_of(&self.boxes);
         let grid_box = bbox.map(|b| b.grid_anchor());
-        delta.protected_grid_rebuilt = self.primed && grid_box != self.grid_box;
-        fills.released_all |= delta.protected_grid_rebuilt || (bbox.is_none() && self.primed);
-        let shard_refresh: &[UserId] = if !self.primed || delta.protected_grid_rebuilt {
+        let protected_grid_rebuilt = self.primed && grid_box != self.grid_box;
+        counts.protected_grid_rebuilds = usize::from(protected_grid_rebuilt);
+        fills.released_all |= protected_grid_rebuilt || (bbox.is_none() && self.primed);
+        let shard_refresh: &[UserId] = if !self.primed || protected_grid_rebuilt {
             all_users
         } else {
             to_refresh
         };
-        delta.shards_reused = all_users.len() - shard_refresh.len();
+        counts.shards_reused = all_users.len() - shard_refresh.len();
         match bbox {
             Some(bbox) => {
                 let _span = obs::span("candidate.extract");
@@ -1161,23 +1103,23 @@ impl CandidateState {
                     })
                     .collect();
                 let mut paths = PathCounts::default();
-                delta.shards_donated = file_shards(
+                counts.shards_donated = file_shards(
                     shard_refresh,
                     found,
                     &mut self.shards,
                     &mut fills,
                     &mut paths,
                 );
-                delta.shards_refreshed = shard_refresh.len() - delta.shards_donated;
-                delta.store_lookups += shard_refresh.len();
-                delta.shards_appended = paths.appended;
-                delta.shards_rebuilt = paths.rebuilt;
-                delta.shards_fallback = paths.fallback;
+                counts.shards_refreshed = shard_refresh.len() - counts.shards_donated;
+                counts.store_lookups += shard_refresh.len();
+                counts.shards_appended = paths.appended;
+                counts.shards_rebuilt = paths.rebuilt;
+                counts.shards_fallback = paths.fallback;
             }
             None => {
                 // An entirely emptied protected prefix extracts nothing —
                 // mirror `PoiAttack::extract` on a record-less dataset.
-                delta.shards_reused = 0;
+                counts.shards_reused = 0;
                 self.shards.clear();
             }
         }
@@ -1185,9 +1127,16 @@ impl CandidateState {
         self.primed = true;
         let utility = {
             let _span = obs::span("candidate.utility");
-            self.refresh_utility(context, &kept_outputs, full, store, &mut fills, &mut delta)
+            self.refresh_utility(
+                context,
+                &kept_outputs,
+                full,
+                store,
+                &mut fills,
+                &mut counts.store_lookups,
+            )
         };
-        delta.store_fills = fills.len();
+        counts.store_fills = fills.len();
         (Some((self.extracted_pois(), utility)), delta, fills)
     }
 
@@ -1259,7 +1208,7 @@ impl CandidateState {
         full: bool,
         store: &WorkStore,
         fills: &mut Fills,
-        delta: &mut CandidateDelta,
+        lookups: &mut usize,
     ) -> f64 {
         let (kind, grid) = match context.baseline() {
             ObjectiveBaseline::Crowded(b) => (FoldKind::Crowded, b.grid()),
@@ -1289,7 +1238,7 @@ impl CandidateState {
         let fold = self.utility.as_mut().expect("set on rebuild");
         for (user, kept) in users {
             let outputs = self.protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
-            fold.update(user, kept, outputs, grid, store, fills, delta);
+            fold.update(user, kept, outputs, grid, store, fills, lookups);
         }
         match context.baseline() {
             ObjectiveBaseline::Crowded(b) => b.score_counts(&fold.counts).precision_at_k,
@@ -1413,7 +1362,7 @@ impl UtilityFold {
         grid: &UniformGrid,
         store: &WorkStore,
         fills: &mut Fills,
-        delta: &mut CandidateDelta,
+        lookups: &mut usize,
     ) {
         let mut mine = self.by_user.remove(&user).unwrap_or_default();
         let retracted = mine.split_off(kept.min(mine.len()));
@@ -1422,7 +1371,7 @@ impl UtilityFold {
         }
         for output in &outputs[mine.len()..] {
             let key = (self.key.0, self.key.1, ById(Arc::clone(output)));
-            delta.store_lookups += 1;
+            *lookups += 1;
             let contribution = match store.contribution(user, &key) {
                 Some(stored) => Arc::clone(stored),
                 None => {
@@ -1910,9 +1859,13 @@ impl StrategySessionCache {
         &self.last_deltas
     }
 
-    /// Pool-wide aggregate of [`StrategySessionCache::last_deltas`].
+    /// Pool-wide sum of [`StrategySessionCache::last_deltas`].
     pub fn last_window(&self) -> StrategyCacheDelta {
-        StrategyCacheDelta::aggregate(&self.last_deltas)
+        let mut total = StrategyCacheDelta::default();
+        for delta in &self.last_deltas {
+            total += delta.counts;
+        }
+        total
     }
 
     /// Number of candidate slots currently tracked.
@@ -2289,18 +2242,26 @@ mod tests {
         // user and reused the inactive one's protected trajectories.
         assert!(!release.delta.grid_rebuilt);
         for candidate in publisher.strategies().last_deltas() {
-            assert!(!candidate.full_fallback, "{}", candidate.info);
+            assert_eq!(candidate.counts.full_fallbacks, 0, "{}", candidate.info);
             assert_eq!(
-                candidate.users_refreshed, 1,
+                candidate.counts.users_refreshed, 1,
                 "{}: only user 1 changed",
                 candidate.info
             );
-            assert_eq!(candidate.users_reused, 1, "{}", candidate.info);
+            assert_eq!(candidate.counts.users_reused, 1, "{}", candidate.info);
             // Of user 1's two trajectories only day 1's is new: day 0's
             // output is reused by source, day 1's alone is anonymized.
-            assert_eq!(candidate.trajectories_reused, 1, "{}", candidate.info);
-            assert_eq!(candidate.trajectories_anonymized, 1, "{}", candidate.info);
-            assert_eq!(candidate.shards_fallback, 0, "{}", candidate.info);
+            assert_eq!(
+                candidate.counts.trajectories_reused, 1,
+                "{}",
+                candidate.info
+            );
+            assert_eq!(
+                candidate.counts.trajectories_anonymized, 1,
+                "{}",
+                candidate.info
+            );
+            assert_eq!(candidate.counts.shards_fallback, 0, "{}", candidate.info);
         }
         assert_eq!(release.strategies.users_refreshed, pool);
         assert_eq!(release.strategies.users_reused, pool);
@@ -2451,19 +2412,19 @@ mod tests {
             match candidate.locality {
                 UserLocality::GridAnchored => {
                     assert_eq!(
-                        candidate.users_refreshed, 2,
+                        candidate.counts.users_refreshed, 2,
                         "{}: a widened box shifts every cloaking cell",
                         candidate.info
                     );
-                    assert_eq!(candidate.users_reused, 0, "{}", candidate.info);
+                    assert_eq!(candidate.counts.users_reused, 0, "{}", candidate.info);
                 }
                 UserLocality::UserLocal => {
                     assert_eq!(
-                        candidate.users_refreshed, 1,
+                        candidate.counts.users_refreshed, 1,
                         "{}: only user 1 moved",
                         candidate.info
                     );
-                    assert_eq!(candidate.users_reused, 1, "{}", candidate.info);
+                    assert_eq!(candidate.counts.users_reused, 1, "{}", candidate.info);
                 }
                 UserLocality::NonLocal => {
                     panic!(
@@ -2551,8 +2512,8 @@ mod tests {
             );
             assert_eq!(release.strategies.full_fallbacks, 1, "window {i}");
             let deltas = publisher.strategies().last_deltas();
-            assert!(deltas[1].full_fallback, "window {i}");
-            assert!(!deltas[0].full_fallback, "window {i}");
+            assert_eq!(deltas[1].counts.full_fallbacks, 1, "window {i}");
+            assert_eq!(deltas[0].counts.full_fallbacks, 0, "window {i}");
             // And the cached sweep still matches a batch publish.
             let batch = make().publish(&windows.prefix(i)).unwrap();
             assert_eq!(release.published.selection, batch.selection, "window {i}");
@@ -2799,8 +2760,8 @@ mod tests {
                 )
                 .unwrap();
             let candidate = &strategies.last_deltas()[0];
-            assert!(!candidate.full_fallback, "window {i}");
-            assert!(candidate.store_lookups > 0, "window {i}");
+            assert_eq!(candidate.counts.full_fallbacks, 0, "window {i}");
+            assert!(candidate.counts.store_lookups > 0, "window {i}");
             store.drop_released();
             assert_eq!(store.unreferenced(), 0, "window {i}");
         }

@@ -30,7 +30,13 @@
 //! assert!(trace.contains("demo.widgets"));
 //! assert!(trace.contains("demo.frobnicate"));
 //! ```
+//!
+//! The pipeline's audit structs are declared once through [`audit!`]:
+//! [`record`] adds each counter of one to its `<family>.<field>`
+//! instrument, so instrument names are derived from the struct fields,
+//! never spelled by hand.
 
+pub mod audit;
 pub mod clock;
 pub mod export;
 pub mod json;
@@ -40,6 +46,7 @@ pub mod trace;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+pub use audit::{Audit, Count, Tally};
 pub use clock::{Clock, Domain, SimClock, Stamp, WallClock};
 pub use metrics::{Buckets, Counter, Gauge, Histogram};
 pub use trace::{AttrValue, Span};
@@ -79,6 +86,18 @@ pub fn count(name: &'static str, by: u64) {
         return;
     }
     metrics::counter(name).add(by);
+}
+
+/// Add each counter of an audit record to its `<family>.<field>`
+/// instrument. No-op while recording is off.
+#[inline]
+pub fn record<A: Audit>(audit: &A) {
+    if !enabled() {
+        return;
+    }
+    for (name, value) in A::INSTRUMENTS.iter().zip(audit.values()) {
+        metrics::counter(name).add(value);
+    }
 }
 
 /// Set the named gauge. No-op while recording is off.

@@ -1,8 +1,8 @@
 //! Trace summarization backing the `obs_report` bin: parses a JSON-lines
 //! trace back into memory and renders per-window wall breakdowns,
 //! per-campaign cost, transport latency percentiles, and cache hit
-//! rates — all sourced from the same instruments the pipeline's delta
-//! structs feed.
+//! rates — all sourced from the `<family>.<field>` instruments the
+//! pipeline's audit structs feed ([`mod@crate::audit`]).
 
 use crate::json::{self, JsonValue};
 use std::collections::{BTreeMap, BTreeSet};
@@ -464,34 +464,34 @@ pub fn render(summary: &TraceSummary) -> String {
         }
     }
 
-    // Cache hit rates, straight from the instruments the delta structs
-    // feed.
+    // Cache hit rates, straight from the instruments the audit structs
+    // feed: a candidate that avoided the full fallback is a cache hit, and
+    // the work store's traffic is summed over every family that reads it.
     let mut cache_lines: Vec<String> = Vec::new();
-    let pairs: [(&str, &str, &str); 4] = [
+    let fallbacks = counter("strategy.full_fallbacks");
+    let pairs = [
         (
             "streaming session reuse",
-            "streaming.users_reused",
-            "streaming.users_refreshed",
+            counter("streaming.users_reused"),
+            counter("streaming.users_refreshed"),
         ),
         (
             "strategy user reuse",
-            "strategy.users_reused",
-            "strategy.users_refreshed",
+            counter("strategy.users_reused"),
+            counter("strategy.users_refreshed"),
         ),
         (
             "strategy shard reuse",
-            "strategy.shards_reused",
-            "strategy.shards_refreshed",
+            counter("strategy.shards_reused"),
+            counter("strategy.shards_refreshed"),
         ),
         (
             "engine candidate cache",
-            "engine.cache_hits",
-            "engine.cache_misses",
+            counter("strategy.candidates").saturating_sub(fallbacks),
+            fallbacks,
         ),
     ];
-    for (label, hit_name, miss_name) in pairs {
-        let hits = counter(hit_name);
-        let misses = counter(miss_name);
+    for (label, hits, misses) in pairs {
         if hits + misses > 0 {
             cache_lines.push(format!(
                 "  {label:<26} {:>6.2}% ({hits} hit / {misses} miss)",
@@ -499,8 +499,8 @@ pub fn render(summary: &TraceSummary) -> String {
             ));
         }
     }
-    let baseline_reuses = counter("streaming.baseline_reuses");
-    let baseline_rebuilds = counter("streaming.baseline_rebuilds");
+    let baseline_reuses = counter("baseline.reused");
+    let baseline_rebuilds = counter("baseline.rebuilt");
     if baseline_reuses + baseline_rebuilds > 0 {
         cache_lines.push(format!(
             "  {:<26} {:>6.2}% ({baseline_reuses} reused / {baseline_rebuilds} rebuilt)",
@@ -508,9 +508,17 @@ pub fn render(summary: &TraceSummary) -> String {
             ratio_pct(baseline_reuses, baseline_reuses + baseline_rebuilds)
         ));
     }
-    let lookups = counter("store.lookups");
+    let store_total = |field: &str| -> u64 {
+        summary
+            .counters
+            .iter()
+            .filter(|(name, _)| name.split_once('.').map(|(_, f)| f) == Some(field))
+            .map(|(_, value)| value)
+            .sum()
+    };
+    let lookups = store_total("store_lookups");
     if lookups > 0 {
-        let served = lookups.saturating_sub(counter("store.fills"));
+        let served = lookups.saturating_sub(store_total("store_fills"));
         cache_lines.push(format!(
             "  {:<26} {:>6.2}% ({served} served / {lookups} lookups)",
             "work store",
@@ -574,8 +582,12 @@ mod tests {
             "{\"t\":\"counter\",\"name\":\"ingest.records\",\"value\":12}\n",
             "{\"t\":\"counter\",\"name\":\"streaming.users_reused\",\"value\":9}\n",
             "{\"t\":\"counter\",\"name\":\"streaming.users_refreshed\",\"value\":3}\n",
-            "{\"t\":\"counter\",\"name\":\"store.lookups\",\"value\":4}\n",
-            "{\"t\":\"counter\",\"name\":\"store.fills\",\"value\":1}\n",
+            "{\"t\":\"counter\",\"name\":\"streaming.store_lookups\",\"value\":1}\n",
+            "{\"t\":\"counter\",\"name\":\"strategy.store_lookups\",\"value\":3}\n",
+            "{\"t\":\"counter\",\"name\":\"strategy.store_fills\",\"value\":1}\n",
+            "{\"t\":\"counter\",\"name\":\"strategy.candidates\",\"value\":5}\n",
+            "{\"t\":\"counter\",\"name\":\"strategy.full_fallbacks\",\"value\":1}\n",
+            "{\"t\":\"counter\",\"name\":\"baseline.reused\",\"value\":2}\n",
             "{\"t\":\"span\",\"id\":1,\"parent\":0,\"name\":\"privapi.window\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":5000000,\"attrs\":{\"day\":2}}\n",
             "{\"t\":\"span\",\"id\":2,\"parent\":0,\"name\":\"engine.candidate\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":4000000,\"attrs\":{\"candidate\":0}}\n",
             "{\"t\":\"span\",\"id\":3,\"parent\":2,\"name\":\"candidate.extract\",\"domain\":\"wall\",\"start_ns\":0,\"end_ns\":1000000,\"attrs\":{}}\n",
@@ -607,5 +619,7 @@ mod tests {
         assert!(rendered.contains("protected-side phases (1 candidate evaluations, 4.000 ms)"));
         assert!(rendered.contains("candidate.extract           1.000 ms   25.0%"));
         assert!(rendered.contains("work store                  75.00% (3 served / 4 lookups)"));
+        assert!(rendered.contains("engine candidate cache      80.00% (4 hit / 1 miss)"));
+        assert!(rendered.contains("baseline fold reuse        100.00% (2 reused / 0 rebuilt)"));
     }
 }
