@@ -174,6 +174,38 @@ fn candidate_phases_record_as_child_spans() {
     }
     let (spans, _, _) = obs::trace::snapshot();
     let name_of = |id: u64| spans.iter().find(|s| s.id == id).map(|s| s.name);
+    // Candidates run on rayon workers, yet each opens under its sweep.
+    let candidates: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "engine.candidate")
+        .collect();
+    assert!(!candidates.is_empty(), "no engine.candidate span recorded");
+    for span in candidates {
+        assert_eq!(
+            name_of(span.parent),
+            Some("engine.sweep"),
+            "engine.candidate"
+        );
+    }
+    // So do the per-user spans of the fan-outs inside a candidate's
+    // phases and the original side's advance.
+    for (user_span, parents) in [
+        ("user.anonymize", &["candidate.anonymize"][..]),
+        (
+            "user.extract",
+            &["candidate.extract", "streaming.advance"][..],
+        ),
+    ] {
+        let recorded: Vec<_> = spans.iter().filter(|s| s.name == user_span).collect();
+        assert!(!recorded.is_empty(), "no {user_span} span recorded");
+        for span in recorded {
+            let parent = name_of(span.parent);
+            assert!(
+                parent.is_some_and(|p| parents.contains(&p)),
+                "{user_span} under {parent:?}"
+            );
+        }
+    }
     for phase in [
         "candidate.anonymize",
         "candidate.extract",

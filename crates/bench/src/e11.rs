@@ -17,7 +17,7 @@
 //! drives [`run`] and emits the numbers as `BENCH_e11.json` next to
 //! `BENCH_e10.json`.
 
-use crate::Scale;
+use crate::{Retained, Scale};
 use mobility::WindowedDataset;
 use obs::Tally;
 use privapi::prelude::*;
@@ -149,6 +149,8 @@ pub struct E11Report {
     pub baseline: Tally<BaselineDelta>,
     /// Protected-side audit summed over windows and candidates.
     pub strategy: StrategyCacheDelta,
+    /// What the session's work store held after the last window.
+    pub retained: Retained,
 }
 
 impl E11Report {
@@ -183,7 +185,7 @@ impl E11Report {
              \"last_first_ratio\": {:.3},\n  \"batch_extractions\": {},\n  \
              \"incremental_extractions\": {},\n  \"batch_user_extractions\": {},\n  \
              \"incremental_user_extractions\": {},\n  \"pool_size\": {},\n  \
-             \"parity_windows\": {},\n{},\n{},\n{}\n}}\n",
+             \"parity_windows\": {},\n{},\n{},\n{},\n{}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -208,6 +210,7 @@ impl E11Report {
             crate::audit_json(&self.streaming, 1),
             crate::audit_json(&self.baseline, 1),
             crate::audit_json(&self.strategy, 1),
+            self.retained.json(),
         )
     }
 }
@@ -290,7 +293,8 @@ impl fmt::Display for E11Report {
         )?;
         writeln!(f, "{}", crate::audit_line(&self.streaming))?;
         writeln!(f, "{}", crate::audit_line(&self.baseline))?;
-        write!(f, "{}", crate::audit_line(&self.strategy))
+        writeln!(f, "{}", crate::audit_line(&self.strategy))?;
+        write!(f, "{}", self.retained)
     }
 }
 
@@ -341,6 +345,7 @@ pub fn run(config: &E11Config) -> E11Report {
     let mut baseline = Tally::default();
     let mut strategy = StrategyCacheDelta::default();
     let mut parity_windows = 0;
+    let mut retained = Retained::default();
     for (i, window) in windows.iter().enumerate() {
         let before = probe.extractions();
         let start = Instant::now();
@@ -375,6 +380,12 @@ pub fn run(config: &E11Config) -> E11Report {
         streaming.add(&release.delta);
         baseline.add(&release.baseline);
         strategy += release.strategies;
+        retained = Retained::of(
+            publisher.store(),
+            &release.published.selection.candidates,
+            publisher.population().prefix().trajectories().len(),
+            pool_size,
+        );
     }
     let incremental_extractions = probe.extractions();
     let incremental_user_extractions = probe.user_extractions();
@@ -403,6 +414,7 @@ pub fn run(config: &E11Config) -> E11Report {
         streaming,
         baseline,
         strategy,
+        retained,
     }
 }
 
@@ -486,12 +498,14 @@ mod tests {
         crate::assert_reported(&json, &report.streaming);
         crate::assert_reported(&json, &report.baseline);
         crate::assert_reported(&json, &report.strategy);
+        crate::assert_retained(&json, &report.retained);
         let text = report.to_string();
         assert!(text.contains("all windows"));
         assert!(text.contains("extractions:"));
         assert!(text.contains("streaming: users_refreshed="));
         assert!(text.contains("baseline: rebuilt="));
         assert!(text.contains("strategy: candidates="));
+        assert!(text.contains("retained: entries="));
         assert!(text.contains("last/first-steady ratio"));
     }
 

@@ -20,7 +20,7 @@
 //! for every release before any number is reported. The `bench_summary`
 //! binary drives [`run`] and emits `BENCH_e12.json` next to e10/e11.
 
-use crate::Scale;
+use crate::{Retained, Scale};
 use campaign::{Campaign, CampaignId, Orchestrator};
 use mobility::gen::ScenarioPreset;
 use mobility::{Dataset, LocationRecord, ParticipantFilter, UserId, WindowedDataset};
@@ -189,6 +189,8 @@ pub struct E12Report {
     pub baseline: Tally<BaselineDelta>,
     /// Protected-side audit summed per release.
     pub strategy: StrategyCacheDelta,
+    /// What the orchestrator's work store held after the last window.
+    pub retained: Retained,
 }
 
 impl E12Report {
@@ -233,7 +235,7 @@ impl E12Report {
              \"independent_original_user_extractions\": {},\n  \
              \"original_side_ratio\": {:.3},\n  \"independent_extractions\": {},\n  \
              \"orchestrated_extractions\": {},\n  \"sessions\": {{\n{}\n  }},\n{},\n{},\n{},\n  \
-             \"store\": {{\n    \"lookups\": {lookups},\n    \"fills\": {fills}\n  }}\n}}\n",
+             \"store\": {{\n    \"lookups\": {lookups},\n    \"fills\": {fills}\n  }},\n{}\n}}\n",
             crate::host_json(),
             self.label,
             self.threads,
@@ -258,6 +260,7 @@ impl E12Report {
             crate::audit_json(&self.streaming, 1),
             crate::audit_json(&self.baseline, 1),
             crate::audit_json(&self.strategy, 1),
+            self.retained.json(),
         )
     }
 }
@@ -328,7 +331,8 @@ impl fmt::Display for E12Report {
         writeln!(f, "sessions {}", crate::audit_line(&self.sessions))?;
         writeln!(f, "{}", crate::audit_line(&self.streaming))?;
         writeln!(f, "{}", crate::audit_line(&self.baseline))?;
-        write!(f, "{}", crate::audit_line(&self.strategy))
+        writeln!(f, "{}", crate::audit_line(&self.strategy))?;
+        write!(f, "{}", self.retained)
     }
 }
 
@@ -448,6 +452,9 @@ pub fn run(config: &E12Config) -> E12Report {
     let mut streaming = Tally::default();
     let mut baseline = Tally::default();
     let mut strategy = StrategyCacheDelta::default();
+    let mut retained = Retained::default();
+    let pool = PrivApi::new(privacy).pool().len();
+    let mut prefix_trajectories = 0;
     for (w, window) in windows.iter().enumerate() {
         let start = Instant::now();
         let report = orchestrator.advance_day(window).expect("ascending days");
@@ -486,6 +493,13 @@ pub fn run(config: &E12Config) -> E12Report {
                 ),
             }
         }
+        prefix_trajectories += window.dataset().trajectories().len();
+        let candidates = report
+            .outcomes
+            .iter()
+            .filter_map(|(id, _)| report.release_of(*id))
+            .flat_map(|release| &release.published.selection.candidates);
+        retained = Retained::of(orchestrator.store(), candidates, prefix_trajectories, pool);
     }
     let orchestrated_user_extractions = orchestrated_default_probe.user_extractions()
         + orchestrated_custom_probe.user_extractions();
@@ -517,6 +531,7 @@ pub fn run(config: &E12Config) -> E12Report {
         streaming,
         baseline,
         strategy,
+        retained,
     }
 }
 
@@ -595,6 +610,7 @@ mod tests {
         crate::assert_reported(&json, &report.streaming);
         crate::assert_reported(&json, &report.baseline);
         crate::assert_reported(&json, &report.strategy);
+        crate::assert_retained(&json, &report.retained);
         let store = json.get("store").expect("store rollup");
         let read = |key: &str| store.get(key).and_then(|v| v.as_u64());
         assert_eq!(
@@ -606,6 +622,7 @@ mod tests {
         assert!(text.contains("per-user extractions:"));
         assert!(text.contains("sessions streaming: users_refreshed="));
         assert!(text.contains("strategy: candidates="));
+        assert!(text.contains("retained: entries="));
     }
 
     #[test]

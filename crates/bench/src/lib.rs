@@ -136,6 +136,107 @@ pub(crate) fn assert_reported<A: obs::Audit>(json: &obs::json::JsonValue, audit:
     }
 }
 
+/// What a session's work store held after the last window, next to the
+/// bound the retention rule puts on it: only a feasible candidate keeps its
+/// protected outputs, so the store holds at most one output per feasible
+/// output family and prefix trajectory.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retained {
+    /// Store entries: outputs, shards and utility contributions.
+    pub entries: usize,
+    /// Protected outputs held.
+    pub outputs: usize,
+    /// Records across those outputs.
+    pub output_records: usize,
+    /// Distinct strategies among the last window's feasible candidates.
+    pub feasible_families: usize,
+    /// Trajectories in the accumulated prefix.
+    pub prefix_trajectories: usize,
+    /// Candidates in the pool.
+    pub pool: usize,
+}
+
+impl Retained {
+    /// Reads `store` after the last window. `feasible` lists the feasible
+    /// candidates of every release of that window.
+    pub fn of<'a>(
+        store: &privapi::streaming::WorkStore,
+        feasible: impl IntoIterator<Item = &'a privapi::selection::CandidateResult>,
+        prefix_trajectories: usize,
+        pool: usize,
+    ) -> Self {
+        let families: std::collections::BTreeSet<String> = feasible
+            .into_iter()
+            .filter(|c| c.feasible)
+            .map(|c| c.info.to_string())
+            .collect();
+        Self {
+            entries: store.len(),
+            outputs: store.outputs(),
+            output_records: store.output_records(),
+            feasible_families: families.len(),
+            prefix_trajectories,
+            pool,
+        }
+    }
+
+    /// The `"retained": {...}` member, indented one level.
+    pub fn json(&self) -> String {
+        format!(
+            "  \"retained\": {{\n    \"entries\": {},\n    \"outputs\": {},\n    \
+             \"output_records\": {},\n    \"feasible_families\": {},\n    \
+             \"prefix_trajectories\": {},\n    \"pool\": {}\n  }}",
+            self.entries,
+            self.outputs,
+            self.output_records,
+            self.feasible_families,
+            self.prefix_trajectories,
+            self.pool
+        )
+    }
+}
+
+impl std::fmt::Display for Retained {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "retained: entries={} outputs={} output_records={} feasible_families={} \
+             prefix_trajectories={} pool={}",
+            self.entries,
+            self.outputs,
+            self.output_records,
+            self.feasible_families,
+            self.prefix_trajectories,
+            self.pool
+        )
+    }
+}
+
+/// Asserts the retention bounds — at most one output per feasible family
+/// and prefix trajectory, fewer than one per candidate — and that `json`
+/// reports `retained` in its `retained` block.
+#[cfg(test)]
+pub(crate) fn assert_retained(json: &obs::json::JsonValue, retained: &Retained) {
+    let r = retained;
+    assert!(
+        r.outputs <= r.feasible_families * r.prefix_trajectories,
+        "{r:?}"
+    );
+    assert!(r.outputs < r.pool * r.prefix_trajectories, "{r:?}");
+    let block = json.get("retained").expect("retained block");
+    for (key, value) in [
+        ("entries", r.entries),
+        ("outputs", r.outputs),
+        ("output_records", r.output_records),
+        ("feasible_families", r.feasible_families),
+        ("prefix_trajectories", r.prefix_trajectories),
+        ("pool", r.pool),
+    ] {
+        let reported = block.get(key).and_then(|v| v.as_u64());
+        assert_eq!(reported, Some(value as u64), "retained.{key}");
+    }
+}
+
 /// Renders a markdown-style table row.
 pub fn row(cells: &[String], widths: &[usize]) -> String {
     let mut out = String::from("|");

@@ -180,11 +180,16 @@ pub struct UserAttackShard {
 /// one user so the second can fold in only the appended trajectories.
 ///
 /// It holds pointers and stay points, never record copies: the source
-/// handles the shard was extracted from, the last record of their
-/// time-sorted merge, and the user's stay points sorted by arrival. The
-/// dwell running sum is the shard's own [`DwellField`]. A memo is only
-/// meaningful for the attack configuration that produced it; the
-/// streaming caches drop theirs when the configuration changes.
+/// handles that identify the history the shard was extracted from, the
+/// last record of the time-sorted merge of the trajectories read for
+/// them, and the user's stay points sorted by arrival. The sources are
+/// what the trajectories were derived from — the trajectories themselves
+/// on the original side, the inputs of a candidate's protected outputs on
+/// the protected side — so a memo never keeps an output alive. The dwell
+/// running sum is the shard's own [`DwellField`]. A memo is only
+/// meaningful for the attack configuration (and, on the protected side,
+/// the output family) that produced it; the streaming caches drop theirs
+/// when either changes.
 #[derive(Debug, Clone)]
 pub struct ExtractionMemo {
     sources: Vec<Arc<Trajectory>>,
@@ -376,14 +381,23 @@ impl PoiAttack {
         user: UserId,
         grid: &UniformGrid,
     ) -> UserAttackShard {
-        self.extract_user_from(dataset.shared_of(user), user, grid, None)
+        let sources = dataset.shared_of(user);
+        let read = &mut |from: usize| sources[from..].to_vec();
+        self.extract_user_from(sources.clone(), read, user, grid, None)
             .0
     }
 
-    /// Extracts `user`'s shard from their trajectories `sources` (in
-    /// dataset order), amending `prior` — the shard and memo of an earlier
-    /// extraction — when it can, and returns the memo the next call
-    /// amends.
+    /// Extracts `user`'s shard from the trajectories derived from
+    /// `sources` (in dataset order), amending `prior` — the shard and memo
+    /// of an earlier extraction — when it can, and returns the memo the
+    /// next call amends.
+    ///
+    /// `sources` only identifies the history; `read(from)` returns the
+    /// trajectories to extract from for `sources[from..]`, one per source
+    /// — the sources themselves on the original side, their protected
+    /// outputs on a candidate's. The amending path reads only the appended
+    /// ones, so a caller that no longer holds the older trajectories pays
+    /// for them only when the memo cannot be amended.
     ///
     /// The amending path runs only when the memo was taken on `grid`, the
     /// memo's sources are a pointer prefix of `sources`, and no appended
@@ -394,15 +408,15 @@ impl PoiAttack {
     /// equals a from-scratch extraction: dwell masses are whole seconds,
     /// so their sums are exact in any order, and the stable time sort of
     /// old ++ new records (or stays) is the old sort followed by the new
-    /// one. In
-    /// every other case the shard is extracted from scratch, which is
-    /// also what a call without `prior` does.
+    /// one. In every other case the shard is extracted from scratch over
+    /// `read(0)`, which is also what a call without `prior` does.
     ///
     /// Every call counts one [`PoiAttack::user_extractions`] pass,
     /// whichever path it takes.
     pub fn extract_user_from(
         &self,
         sources: Vec<Arc<Trajectory>>,
+        read: &mut dyn FnMut(usize) -> Vec<Arc<Trajectory>>,
         user: UserId,
         grid: &UniformGrid,
         prior: Option<(&UserAttackShard, &ExtractionMemo)>,
@@ -418,7 +432,8 @@ impl PoiAttack {
                     .zip(&memo.sources)
                     .all(|(a, b)| Arc::ptr_eq(a, b));
             if extends {
-                let fresh = time_sorted(&sources[kept..]);
+                let appended = read(kept);
+                let fresh = time_sorted(&appended);
                 let in_order = match (memo.last, fresh.first()) {
                     (Some(last), Some(first)) => first.time >= last.time,
                     _ => true,
@@ -430,7 +445,7 @@ impl PoiAttack {
                     // a new stay: old ++ new is already the stable arrival
                     // sort a from-scratch extraction computes.
                     let mut stays = memo.stays.clone();
-                    stays.extend(self.detect_stays(&sources[kept..]));
+                    stays.extend(self.detect_stays(&appended));
                     let shard = self.finish_user(user, mass, &stays, grid);
                     let memo = ExtractionMemo {
                         sources,
@@ -443,9 +458,10 @@ impl PoiAttack {
             }
             path = ExtractionPath::Fallback;
         }
+        let trajectories = read(0);
         let mut mass = HashMap::new();
-        let last = self.fold_dwell(&mut mass, None, &time_sorted(&sources), grid);
-        let stays = self.detect_stays(&sources);
+        let last = self.fold_dwell(&mut mass, None, &time_sorted(&trajectories), grid);
+        let stays = self.detect_stays(&trajectories);
         let shard = self.finish_user(user, mass, &stays, grid);
         let memo = ExtractionMemo {
             sources,

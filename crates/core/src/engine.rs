@@ -399,10 +399,14 @@ impl EvaluationEngine {
         let mut work: Vec<(usize, &mut CandidateState)> =
             strategies.states.iter_mut().enumerate().collect();
         let read_only: &WorkStore = store;
+        // Candidates run on rayon workers: each opens its span under the
+        // sweep's, so the trace keeps the fan-out under `engine.sweep`.
+        let parent = obs::current_span();
         let eval = |slot: &mut (usize, &mut CandidateState)| {
             let (index, state) = slot;
-            self.evaluate_candidate_cached(
-                *index,
+            let mut span = parent.child("engine.candidate");
+            span.set_attr("candidate", *index);
+            let scored = self.evaluate_candidate_cached(
                 candidates[*index],
                 state,
                 context,
@@ -410,7 +414,10 @@ impl EvaluationEngine {
                 update,
                 &all_users,
                 read_only,
-            )
+            );
+            let full = scored.2.counts.full_fallbacks > 0;
+            span.set_attr("path", if full { "full" } else { "cached" });
+            scored
         };
         let scored: Vec<(CandidateResult, PoiAttackReport, CandidateDelta, Fills)> =
             work.par_iter_mut().map(eval).collect();
@@ -454,11 +461,18 @@ impl EvaluationEngine {
     /// returning what it computed as [`Fills`] — and scores privacy from
     /// the cached shards and utility from the incremental counts, or falls
     /// back to [`EvaluationEngine::evaluate_candidate`] when the candidate
-    /// cannot be cached.
+    /// cannot be cached. The refresh's phases (`candidate.anonymize`,
+    /// `.extract`, `.utility`, `.match`) record as child spans of the
+    /// caller's `engine.candidate` span.
+    ///
+    /// Once its feasibility is known, a cached candidate keeps its
+    /// protected outputs only if something reads them next window: a
+    /// feasible candidate may win and release them, and the Distortion
+    /// objective pairs records every window. Every other candidate lets
+    /// them go ([`CandidateState::settle`]).
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidate_cached(
         &self,
-        index: usize,
         strategy: &dyn crate::strategy::AnonymizationStrategy,
         state: &mut CandidateState,
         context: &EvalContext<'_>,
@@ -467,46 +481,38 @@ impl EvaluationEngine {
         all_users: &[UserId],
         store: &WorkStore,
     ) -> (CandidateResult, PoiAttackReport, CandidateDelta, Fills) {
-        // Per-candidate evaluation span, with the refresh's phases
-        // (`candidate.anonymize`, `.extract`, `.utility`, `.match`) as
-        // children. In parallel mode these run on rayon workers, so they
-        // root at the worker's (empty) span stack rather than under
-        // `engine.sweep` — the `candidate` attr keys them back to pool
-        // order.
-        let mut span = obs::span("engine.candidate");
-        span.set_attr("candidate", index);
-        let (cached, delta, fills) = state.refresh(
-            strategy,
+        let protector = state.protector(strategy, population, self.seed, store);
+        let (cached, mut delta, mut fills) = state.refresh(
+            &protector,
             &self.attack,
             context,
             population,
             update,
             all_users,
-            self.seed,
-            store,
         );
-        match cached {
+        let (result, privacy) = match cached {
             Some((extracted, utility)) => {
                 let privacy = {
                     let _span = obs::span("candidate.match");
                     self.attack
                         .match_extracted(&extracted, context.reference_index())
                 };
+                let feasible = privacy.recall <= self.privacy_floor;
+                let retain =
+                    feasible || matches!(context.baseline(), ObjectiveBaseline::Distortion);
+                state.settle(retain, &protector, &mut delta.counts, &mut fills);
                 let result = CandidateResult {
                     info: strategy.info(),
                     poi_recall: privacy.recall,
                     utility,
-                    feasible: privacy.recall <= self.privacy_floor,
+                    feasible,
                 };
-                span.set_attr("path", "cached");
-                (result, privacy, delta, fills)
+                (result, privacy)
             }
-            None => {
-                let (result, privacy) = self.evaluate_candidate(strategy, context);
-                span.set_attr("path", "full");
-                (result, privacy, delta, fills)
-            }
-        }
+            None => self.evaluate_candidate(strategy, context),
+        };
+        delta.counts.store_fills = fills.len();
+        (result, privacy, delta, fills)
     }
 
     /// Shared guard for the public entry points.

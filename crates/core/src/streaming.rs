@@ -56,16 +56,32 @@
 //! [`crate::strategy::AnonymizationStrategy::protect`]:
 //!
 //! * a [`UserLocality::UserLocal`] candidate protects only the
-//!   trajectories the window appended: every cached output whose source
-//!   trajectory is still the same `Arc` in the prefix carries over, and —
-//!   while the candidate's protected bounding box holds still — so do the
-//!   protected-side [`UserAttackShard`]s of inactive users, while active
-//!   users' shards fold in only their appended outputs;
+//!   trajectories the window appended: everything derived from an output
+//!   whose source trajectory is still the same `Arc` in the prefix carries
+//!   over, and — while the candidate's protected bounding box holds still
+//!   — so do the protected-side [`UserAttackShard`]s of inactive users,
+//!   while active users' shards fold in only their appended outputs;
 //! * a [`UserLocality::GridAnchored`] candidate additionally re-anonymizes
 //!   the whole prefix when the bounding box's quantized anchor moves (its
 //!   tessellation moved);
 //! * a [`UserLocality::NonLocal`] candidate is never cached and re-runs
 //!   the full anonymize + self-attack, exactly as batch publish would.
+//!
+//! Since [`AnonymizationStrategy::protect`] is a deterministic function of
+//! (source, seed, anchor), the protected side is keyed by output family
+//! and **source** trajectory, never by the output itself: a shard's memo
+//! and store key hold the source list, a utility contribution is keyed by
+//! its output's family and source. An output is therefore transient. It
+//! is protected for the appended tail, folded into the per-user box, the
+//! shard and the contributions, offered to the store for the rest of the
+//! window, and dropped — unless its candidate is **feasible** (only a
+//! feasible candidate can win, so a winner's release is always pointer
+//! clones) or the objective is Distortion (whose utility pairs records
+//! every window). A path that needs an output its candidate let go of — a
+//! protected-grid move, a memo fallback, a non-append history change, a
+//! baseline-grid rebuild, a candidate turning feasible — protects it
+//! again, served from the store where another session holds it, and
+//! counts it in [`StrategyCacheDelta::trajectories_reprotected`].
 //!
 //! Together the two layers make the [`PoiAttack::extractions`] probe read
 //! **zero** full passes per window for a fully-local pool (batch pays
@@ -76,10 +92,14 @@
 //!
 //! Both layers read and fill one [`WorkStore`]: every protected output,
 //! per-user attack shard and per-output utility contribution is keyed by
-//! exactly the inputs it depends on, so sessions that share an input —
-//! several campaigns over one population, a user subset, a campaign that
-//! differs only in its matching distance — compute it once. A session
-//! owns its own store; the multi-campaign orchestrator owns one for all.
+//! exactly the inputs it depends on — source trajectories and output
+//! families, never outputs — so sessions that share an input — several
+//! campaigns over one population, a user subset, a campaign that differs
+//! only in its matching distance — compute it once. A session owns its
+//! own store; the multi-campaign orchestrator owns one for all. Shards and
+//! contributions live as long as a candidate state holds them; outputs
+//! only as long as a retaining (feasible or Distortion) state does, or for
+//! the window that protected them.
 //!
 //! # The winners-parity invariant
 //!
@@ -117,6 +137,7 @@ use mobility::{Dataset, DatasetWindow, Trajectory, UserId};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 obs::audit! {
@@ -668,12 +689,22 @@ impl PopulationCache {
         // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan —
         // and, through the user's memo, re-reads only the trajectories
         // appended since the last refresh.
+        let parent = obs::current_span();
         let found: Vec<ShardLookup> = to_refresh
             .par_iter()
             .map(|&user| {
+                let _span = parent.child("user.extract");
                 let sources = self.by_user.get(&user).cloned().unwrap_or_default();
                 let prior = self.shards.get(&user).map(|cached| &**cached);
-                store.shard(attack, &config, &grid, user, sources, prior)
+                let key = ShardKey {
+                    config: config.clone(),
+                    grid: grid_key(&grid),
+                    user,
+                    family: None,
+                    sources: sources.clone(),
+                };
+                let read = &mut |from: usize| sources[from..].to_vec();
+                store.shard(attack, key, &grid, read, prior)
             })
             .collect();
         let mut fills = Fills::default();
@@ -776,7 +807,7 @@ obs::audit! {
         /// served from the [`WorkStore`] (their anonymized trajectories
         /// are counted below).
         pub users_refreshed: usize,
-        /// Users whose cached protected trajectories were reused untouched.
+        /// Users whose cached protected side was reused untouched.
         pub users_reused: usize,
         /// Refreshed users whose every new protected trajectory was
         /// **served from the [`WorkStore`]**, filled by another session (a
@@ -808,6 +839,12 @@ obs::audit! {
         /// Refreshed users' trajectories whose cached protected output was
         /// reused because its source is the same trajectory as before.
         pub trajectories_reused: usize,
+        /// Input trajectories protected again because the candidate no
+        /// longer held their output: a protected-grid move, a memo
+        /// fallback, a non-append history change or a baseline-grid
+        /// rebuild of a candidate that let its outputs go, or a candidate
+        /// turning feasible. Outputs the store served are not counted.
+        pub trajectories_reprotected: usize,
         /// Protected-side shard refreshes that folded in only the appended
         /// outputs ([`ExtractionPath::Appended`]).
         pub shards_appended: usize,
@@ -826,14 +863,26 @@ obs::audit! {
     }
 }
 
-/// One candidate strategy's cross-window protected-side state: the
-/// per-user protected trajectories of the accumulated prefix together with
-/// the input trajectory each was produced from, the protected bounding box
-/// the extraction grid is anchored on, and the per-user self-attack shards
-/// extracted from the protected data.
+/// One candidate strategy's cross-window protected-side state: the input
+/// trajectories of each user's protected outputs, the protected bounding
+/// box the extraction grid is anchored on, the per-user self-attack
+/// shards extracted from the protected data and the folded utility
+/// counts.
 ///
-/// Outputs, shards and utility contributions are shared handles into
-/// [`WorkStore`] entries: the state is what keeps them alive there.
+/// Shards and utility contributions are keyed by the output family and
+/// the *source* trajectories, whose handles the population already owns,
+/// so they never keep an output alive. The outputs themselves are kept
+/// only while something reads them next window: by a **feasible**
+/// candidate, the only kind that can win, so a winner's release is always
+/// pointer clones; and under the Distortion objective, whose utility
+/// pairs records every window. Any other candidate holds its outputs for
+/// one window only. A path that later needs an output it let go of — a
+/// protected-grid move, a memo fallback, a non-append history change, a
+/// baseline-grid rebuild, the candidate turning feasible — protects it
+/// again, served from the [`WorkStore`] where another session holds it,
+/// and counts it in [`StrategyCacheDelta::trajectories_reprotected`].
+/// `protect` is a deterministic function of source, seed and anchor, so
+/// the second output equals the first.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateState {
     /// Fingerprint of the candidate this state belongs to — its identity
@@ -841,15 +890,19 @@ pub(crate) struct CandidateState {
     /// is rounded for display (`None` until first primed). A pool edit
     /// that changes the candidate at this slot resets the state.
     fingerprint: Option<Fingerprint>,
-    /// Protected trajectories per user, each in the user's prefix order —
-    /// shared handles, so assembling the release copies pointers, never
-    /// record data.
-    protected: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-    /// The original trajectory each entry of `protected` was anonymized
-    /// from, index for index. An output stays valid while its source is
-    /// the same `Arc` in the prefix (the per-trajectory locality
-    /// contract), so a window re-anonymizes only the appended tail.
+    /// The key a strategy without an exact output identity stores its
+    /// outputs under: unique to this state, so nothing is shared.
+    token: Option<u64>,
+    /// Each user's input trajectories as of the last window, in the user's
+    /// prefix order. An output stays valid while its source is the same
+    /// `Arc` in the prefix (the per-trajectory locality contract), so a
+    /// window re-anonymizes only the appended tail.
     sources: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
+    /// Protected trajectories per user, index for index with `sources`
+    /// (`None`: not held). Between windows this holds every output of a
+    /// retaining state and nothing otherwise; during a window it also
+    /// holds what the window protected or was served.
+    protected: BTreeMap<UserId, Vec<Option<Arc<Trajectory>>>>,
     /// Per-user bounding boxes of the protected trajectories, so the
     /// protected prefix box is a union fold over users — O(users) —
     /// instead of a record scan over the assembled dataset.
@@ -877,6 +930,12 @@ fn fingerprint(strategy: &dyn AnonymizationStrategy) -> Fingerprint {
     (strategy.info(), strategy.output_identity())
 }
 
+/// A fresh [`Sharing::Private`] token.
+fn private_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A per-user attack shard and the memo of the extraction that produced
 /// it — the value of a [`WorkStore`] shard entry.
 #[derive(Debug)]
@@ -885,18 +944,101 @@ pub(crate) struct CachedShard {
     memo: ExtractionMemo,
 }
 
+/// How one window produces a candidate's outputs: the strategy, the
+/// family its outputs are keyed under, the anchor a grid-anchored strategy
+/// protects against, and the store to be served from.
+pub(crate) struct Protector<'a> {
+    strategy: &'a dyn AnonymizationStrategy,
+    family: OutputFamily,
+    anchor: Option<BoundingBox>,
+    store: &'a WorkStore,
+}
+
+/// What producing outputs cost: store lookups, outputs served, outputs
+/// protected here, and the protected ones to fill into the store.
+#[derive(Default)]
+struct Produced {
+    lookups: usize,
+    served: usize,
+    protected: usize,
+    fills: Vec<(OutputKey, Arc<Trajectory>)>,
+}
+
+impl Produced {
+    fn add(&mut self, other: Produced) {
+        self.lookups += other.lookups;
+        self.served += other.served;
+        self.protected += other.protected;
+        self.fills.extend(other.fills);
+    }
+
+    /// Adds the store traffic to `counts` and queues the fills.
+    fn file(self, counts: &mut StrategyCacheDelta, fills: &mut Fills) {
+        counts.store_lookups += self.lookups;
+        fills.outputs.extend(self.fills);
+    }
+}
+
+impl Protector<'_> {
+    /// The output of `sources[at]`, held in `known` (index for index with
+    /// `sources`): the one already there, else one served from the store
+    /// or protected here.
+    fn output_at(
+        &self,
+        sources: &[Arc<Trajectory>],
+        known: &mut Vec<Option<Arc<Trajectory>>>,
+        at: usize,
+        produced: &mut Produced,
+    ) -> Arc<Trajectory> {
+        known.resize(sources.len(), None);
+        let source = &sources[at];
+        let output = known[at].get_or_insert_with(|| {
+            let key = (self.family.clone(), ById(Arc::clone(source)));
+            produced.lookups += 1;
+            if let Some(output) = self.store.output(&key) {
+                produced.served += 1;
+                return Arc::clone(output);
+            }
+            produced.protected += 1;
+            let output = self
+                .strategy
+                .protect(source, self.family.seed, self.anchor.as_ref());
+            // An output that is its own source would keep itself alive
+            // through its key: nothing to share anyway.
+            if !Arc::ptr_eq(source, &output) {
+                produced.fills.push((key, Arc::clone(&output)));
+            }
+            output
+        });
+        Arc::clone(output)
+    }
+
+    /// The outputs of `sources[from..]`, as [`Protector::output_at`].
+    fn outputs_from(
+        &self,
+        sources: &[Arc<Trajectory>],
+        known: &mut Vec<Option<Arc<Trajectory>>>,
+        from: usize,
+        produced: &mut Produced,
+    ) -> Vec<Arc<Trajectory>> {
+        (from..sources.len())
+            .map(|at| self.output_at(sources, known, at, produced))
+            .collect()
+    }
+}
+
 /// One user's re-anonymization for a window: how many cached outputs
-/// survive, the user's current source trajectories, the outputs of the
-/// sources past the survivors, how many of those the store was asked for
-/// and served, and the ones anonymized here as store fills.
+/// survive, whether the history only grew, the user's current source
+/// trajectories and known outputs, the bounding box of the new outputs,
+/// and what producing them cost.
 struct Reanonymized {
     user: UserId,
     kept: usize,
+    appended: bool,
     sources: Vec<Arc<Trajectory>>,
-    tail: Vec<Arc<Trajectory>>,
-    served: usize,
-    lookups: usize,
-    fills: Vec<(OutputKey, Arc<Trajectory>)>,
+    known: Vec<Option<Arc<Trajectory>>>,
+    tail_box: Option<BoundingBox>,
+    produced: Produced,
 }
 
 impl CandidateState {
@@ -911,11 +1053,91 @@ impl CandidateState {
         self.primed = false;
     }
 
-    /// Re-interleaves the cached per-user protected trajectories into the
-    /// full protected dataset, in `original`'s trajectory order — the
-    /// inverse of the per-user decomposition, byte-identical to
+    /// How this window produces `strategy`'s outputs: keyed by its exact
+    /// identity (or this state's token), `seed` and — for a grid-anchored
+    /// strategy — the quantized anchor of the population's prefix box.
+    pub(crate) fn protector<'a>(
+        &mut self,
+        strategy: &'a dyn AnonymizationStrategy,
+        population: &PopulationCache,
+        seed: u64,
+        store: &'a WorkStore,
+    ) -> Protector<'a> {
+        let anchor = match strategy.locality() {
+            UserLocality::GridAnchored => population.grid_box(),
+            _ => None,
+        };
+        let sharing = match strategy.output_identity() {
+            Some(identity) => Sharing::Exact(Arc::new(identity)),
+            None => Sharing::Private(*self.token.get_or_insert_with(private_token)),
+        };
+        Protector {
+            strategy,
+            family: OutputFamily {
+                sharing,
+                seed,
+                anchor: anchor.as_ref().map(box_bits),
+            },
+            anchor,
+            store,
+        }
+    }
+
+    /// Takes `users`' held outputs out of the state, so per-user work can
+    /// extend them in parallel and [`CandidateState::put_back`] them.
+    fn take(&mut self, users: &[UserId]) -> Vec<(UserId, Vec<Option<Arc<Trajectory>>>)> {
+        users
+            .iter()
+            .map(|user| (*user, self.protected.remove(user).unwrap_or_default()))
+            .collect()
+    }
+
+    fn put_back(&mut self, taken: Vec<(UserId, Vec<Option<Arc<Trajectory>>>)>) {
+        self.protected
+            .extend(taken.into_iter().filter(|(_, known)| !known.is_empty()));
+    }
+
+    /// Every user's outputs, produced where the state does not hold them.
+    fn materialize(&mut self, protector: &Protector<'_>, produced: &mut Produced) {
+        let holds = |user: &UserId, sources: &Vec<Arc<Trajectory>>| {
+            self.protected.get(user).is_some_and(|known| {
+                known.len() == sources.len() && known.iter().all(Option::is_some)
+            })
+        };
+        let users: Vec<UserId> = self
+            .sources
+            .iter()
+            .filter(|(user, sources)| !holds(user, sources))
+            .map(|(user, _)| *user)
+            .collect();
+        if users.is_empty() {
+            return;
+        }
+        let _span = obs::span("candidate.materialize");
+        let parent = obs::current_span();
+        let mut taken = self.take(&users);
+        let sources = &self.sources;
+        let work: Vec<Produced> = taken
+            .par_iter_mut()
+            .map(|(user, known)| {
+                let _span = parent.child("user.materialize");
+                let mut mine = Produced::default();
+                protector.outputs_from(&sources[user], known, 0, &mut mine);
+                mine
+            })
+            .collect();
+        self.put_back(taken);
+        for mine in work {
+            produced.add(mine);
+        }
+    }
+
+    /// Re-interleaves the per-user protected trajectories into the full
+    /// protected dataset, in `original`'s trajectory order — the inverse
+    /// of the per-user decomposition, byte-identical to
     /// [`AnonymizationStrategy::anonymize`] because a local strategy maps
-    /// each input trajectory to exactly one output.
+    /// each input trajectory to exactly one output. Every output must be
+    /// held.
     fn assemble(&self, original: &Dataset) -> Dataset {
         let mut cursors: BTreeMap<UserId, usize> = BTreeMap::new();
         original
@@ -924,15 +1146,21 @@ impl CandidateState {
             .map(|t| {
                 let cursor = cursors.entry(t.user()).or_default();
                 *cursor += 1;
-                Arc::clone(&self.protected[&t.user()][*cursor - 1])
+                let output = &self.protected[&t.user()][*cursor - 1];
+                Arc::clone(
+                    output
+                        .as_ref()
+                        .expect("a retaining state holds every output"),
+                )
             })
             .collect()
     }
 
     /// The assembled protected prefix of a *primed* state — what the last
-    /// [`CandidateState::refresh`] scored, re-materialized from the cache
-    /// by pure clones. This is how the winner's release dataset is
-    /// produced without re-running its strategy over the whole prefix.
+    /// [`CandidateState::refresh`] scored, re-materialized from the held
+    /// outputs by pure clones. This is how the winner's release dataset
+    /// is produced without re-running its strategy over the whole prefix;
+    /// a winner is feasible, so it holds every output.
     pub(crate) fn assembled_release(&self, original: &Dataset) -> Option<Dataset> {
         self.primed.then(|| self.assemble(original))
     }
@@ -957,25 +1185,25 @@ impl CandidateState {
     /// a fresh [`AnonymizationStrategy::anonymize`] would produce.
     ///
     /// Every output, shard and utility contribution is first looked up in
-    /// `store`; what is computed here on a miss comes back as [`Fills`]
-    /// for the caller to insert once the sweep is over, so candidates
-    /// swept in parallel only ever read the store.
+    /// the protector's store; what is computed here on a miss comes back
+    /// as [`Fills`] for the caller to insert once the sweep is over, so
+    /// candidates swept in parallel only ever read the store. The caller
+    /// then tells the state whether to keep its outputs
+    /// ([`CandidateState::settle`]).
     ///
     /// Returns `(None, delta, _)` when the candidate cannot be cached
     /// ([`UserLocality::NonLocal`]): the caller must evaluate it through
     /// the full uncached path.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn refresh(
         &mut self,
-        strategy: &dyn AnonymizationStrategy,
+        protector: &Protector<'_>,
         attack: &PoiAttack,
         context: &EvalContext<'_>,
         population: &PopulationCache,
         update: &WindowUpdate<'_>,
         all_users: &[UserId],
-        seed: u64,
-        store: &WorkStore,
     ) -> (Option<(ReferencePois, f64)>, CandidateDelta, Fills) {
+        let strategy = protector.strategy;
         let info = strategy.info();
         let locality = strategy.locality();
         let mut delta = CandidateDelta::empty(info.clone(), locality);
@@ -1009,24 +1237,17 @@ impl CandidateState {
             update.changed_users
         };
         counts.users_reused = all_users.len() - to_refresh.len();
-        // A grid-anchored candidate protects against the quantized anchor
-        // of the prefix box, which is part of every output's key.
-        let anchor = match locality {
-            UserLocality::GridAnchored => population.grid_box(),
-            _ => None,
-        };
-        let family = OutputFamily {
-            identity: strategy.output_identity().map(Arc::new),
-            seed,
-            anchor: anchor.as_ref().map(box_bits),
-        };
+        let mut redo = Produced::default();
         let refreshed: Vec<Reanonymized> = {
             let _span = obs::span("candidate.anonymize");
-            to_refresh
-                .par_iter()
-                .map(|&user| {
-                    let sources = population.by_user().get(&user).cloned().unwrap_or_default();
-                    self.reanonymize(strategy, &family, anchor.as_ref(), user, sources, store)
+            let parent = obs::current_span();
+            let mut taken = self.take(to_refresh);
+            taken
+                .par_iter_mut()
+                .map(|(user, known)| {
+                    let _span = parent.child("user.anonymize");
+                    let sources = population.by_user().get(user).cloned().unwrap_or_default();
+                    self.reanonymize(protector, *user, sources, std::mem::take(known))
                 })
                 .collect()
         };
@@ -1036,36 +1257,33 @@ impl CandidateState {
         for Reanonymized {
             user,
             kept,
+            appended,
             sources,
-            tail,
-            served,
-            lookups,
-            fills: anonymized,
+            mut known,
+            tail_box,
+            produced,
         } in refreshed
         {
             counts.trajectories_reused += kept;
-            counts.trajectories_anonymized += tail.len() - served;
-            counts.store_lookups += lookups;
-            if served > 0 && served == tail.len() {
+            counts.trajectories_anonymized += produced.protected;
+            if produced.served > 0 && produced.served == sources.len() - kept {
                 counts.users_donated += 1;
             } else {
                 counts.users_refreshed += 1;
             }
-            let protected = self.protected.entry(user).or_default();
-            let pure_append = kept == protected.len();
-            let tail_box = user_bounding_box(&tail);
-            protected.truncate(kept);
-            protected.extend(tail);
-            let bbox = if pure_append {
+            produced.file(counts, &mut fills);
+            let bbox = if appended {
                 let old = self.boxes.get(&user).copied().flatten();
                 old.into_iter().chain(tail_box).reduce(|a, b| a.union(&b))
             } else {
-                user_bounding_box(protected)
+                // The history changed other than by appending: its box is
+                // taken over every output again.
+                user_bounding_box(&protector.outputs_from(&sources, &mut known, 0, &mut redo))
             };
             self.boxes.insert(user, bbox);
+            self.protected.insert(user, known);
             self.sources.insert(user, sources);
             kept_outputs.push((user, kept));
-            fills.outputs.extend(anonymized);
         }
         // The protected-side extraction grid is anchored on the *protected*
         // bounding box — through its quantized padded form, so drift inside
@@ -1085,27 +1303,45 @@ impl CandidateState {
         match bbox {
             Some(bbox) => {
                 let _span = obs::span("candidate.extract");
+                let parent = obs::current_span();
                 let grid = attack.grid_for(bbox);
                 let config = extraction_config(attack.config());
-                let found: Vec<ShardLookup> = shard_refresh
-                    .par_iter()
-                    .map(|&user| {
-                        // The shard depends only on the user's own records
+                let mut taken = self.take(shard_refresh);
+                let (sources, shards) = (&self.sources, &self.shards);
+                let found: Vec<(ShardLookup, Produced)> = taken
+                    .par_iter_mut()
+                    .map(|(user, known)| {
+                        let _span = parent.child("user.extract");
+                        // The shard depends only on the user's own outputs
                         // and the grid; after a full pass every output is
                         // new, so no memo applies.
-                        let sources = self.protected.get(&user).cloned().unwrap_or_default();
-                        let prior = self
-                            .shards
-                            .get(&user)
-                            .filter(|_| !full)
-                            .map(|cached| &**cached);
-                        store.shard(attack, &config, &grid, user, sources, prior)
+                        let sources = sources.get(user).cloned().unwrap_or_default();
+                        let prior = shards.get(user).filter(|_| !full).map(|cached| &**cached);
+                        let key = ShardKey {
+                            config: config.clone(),
+                            grid: grid_key(&grid),
+                            user: *user,
+                            family: Some(protector.family.clone()),
+                            sources: sources.clone(),
+                        };
+                        let mut produced = Produced::default();
+                        let read = &mut |from: usize| {
+                            protector.outputs_from(&sources, known, from, &mut produced)
+                        };
+                        let found = protector.store.shard(attack, key, &grid, read, prior);
+                        (found, produced)
                     })
                     .collect();
+                self.put_back(taken);
+                let mut lookups = Vec::with_capacity(found.len());
+                for (found, produced) in found {
+                    redo.add(produced);
+                    lookups.push(found);
+                }
                 let mut paths = PathCounts::default();
                 counts.shards_donated = file_shards(
                     shard_refresh,
-                    found,
+                    lookups,
                     &mut self.shards,
                     &mut fills,
                     &mut paths,
@@ -1128,32 +1364,53 @@ impl CandidateState {
         let utility = {
             let _span = obs::span("candidate.utility");
             self.refresh_utility(
+                protector,
                 context,
                 &kept_outputs,
                 full,
-                store,
                 &mut fills,
-                &mut counts.store_lookups,
+                &mut redo,
             )
         };
-        counts.store_fills = fills.len();
+        counts.trajectories_reprotected += redo.protected;
+        redo.file(counts, &mut fills);
         (Some((self.extracted_pois(), utility)), delta, fills)
+    }
+
+    /// Keeps or lets go of the candidate's outputs once the sweep knows
+    /// whether anything reads them next window (`retain`: the candidate is
+    /// feasible, or the objective pairs records). A state that starts
+    /// retaining produces the outputs it let go of; one that stops
+    /// releases every user's.
+    pub(crate) fn settle(
+        &mut self,
+        retain: bool,
+        protector: &Protector<'_>,
+        counts: &mut StrategyCacheDelta,
+        fills: &mut Fills,
+    ) {
+        if !retain {
+            fills.released.extend(self.protected.keys().copied());
+            self.protected.clear();
+            return;
+        }
+        let mut produced = Produced::default();
+        self.materialize(protector, &mut produced);
+        counts.trajectories_reprotected += produced.protected;
+        produced.file(counts, fills);
     }
 
     /// Re-anonymizes `user`, whose history is now `sources`, for a window:
     /// keeps every cached output whose source is still the same `Arc` at
-    /// the same position of the user's history, serves the outputs of the
-    /// sources after them from `store` where it holds them, and protects
-    /// only the rest ([`AnonymizationStrategy::protect`] against `anchor`,
-    /// the quantized prefix anchor of a grid-anchored strategy).
+    /// the same position of the user's history, and produces the outputs
+    /// of the sources after them (served from the store where it holds
+    /// them, else [`AnonymizationStrategy::protect`]ed).
     fn reanonymize(
         &self,
-        strategy: &dyn AnonymizationStrategy,
-        family: &OutputFamily,
-        anchor: Option<&BoundingBox>,
+        protector: &Protector<'_>,
         user: UserId,
         sources: Vec<Arc<Trajectory>>,
-        store: &WorkStore,
+        mut known: Vec<Option<Arc<Trajectory>>>,
     ) -> Reanonymized {
         let cached = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
         let kept = sources
@@ -1161,35 +1418,17 @@ impl CandidateState {
             .zip(cached)
             .take_while(|(a, b)| Arc::ptr_eq(a, b))
             .count();
-        // Outputs are shared only under an exact identity of the strategy.
-        let shared = family.identity.is_some();
-        let mut served = 0;
-        let mut fills = Vec::new();
-        let tail = sources[kept..]
-            .iter()
-            .map(|source| {
-                let key = (family.clone(), ById(Arc::clone(source)));
-                if let Some(output) = store.output(&key).filter(|_| shared) {
-                    served += 1;
-                    return Arc::clone(output);
-                }
-                let output = strategy.protect(source, family.seed, anchor);
-                // An output that is its own source would keep itself alive
-                // through its key: nothing to share anyway.
-                if shared && !Arc::ptr_eq(source, &output) {
-                    fills.push((key, Arc::clone(&output)));
-                }
-                output
-            })
-            .collect();
+        known.truncate(kept);
+        let mut produced = Produced::default();
+        let tail = protector.outputs_from(&sources, &mut known, kept, &mut produced);
         Reanonymized {
             user,
             kept,
-            lookups: if shared { sources.len() - kept } else { 0 },
+            appended: kept == cached.len(),
+            tail_box: user_bounding_box(&tail),
             sources,
-            tail,
-            served,
-            fills,
+            known,
+            produced,
         }
     }
 
@@ -1200,24 +1439,26 @@ impl CandidateState {
     /// [`TrafficBaseline::score_train`] are fed histograms equal to what
     /// the full per-record scan would produce. Each `(user, kept)` pair
     /// retracts the user's contributions past `kept` and adds those of the
-    /// outputs after it, served from `store` where it holds them.
+    /// outputs after it, served from the store where it holds them.
     fn refresh_utility(
         &mut self,
+        protector: &Protector<'_>,
         context: &EvalContext<'_>,
         refreshed: &[(UserId, usize)],
         full: bool,
-        store: &WorkStore,
         fills: &mut Fills,
-        lookups: &mut usize,
+        redo: &mut Produced,
     ) -> f64 {
         let (kind, grid) = match context.baseline() {
             ObjectiveBaseline::Crowded(b) => (FoldKind::Crowded, b.grid()),
             ObjectiveBaseline::Traffic(b) => (FoldKind::Traffic, b.grid()),
             ObjectiveBaseline::Distortion => {
                 // Distortion pairs original and protected records directly;
-                // there is no histogram to maintain. Assembling is pointer
-                // clones, so the candidate still avoids re-anonymization.
+                // there is no histogram to maintain. The state holds every
+                // output, so assembling is pointer clones and the candidate
+                // still avoids re-anonymization.
                 fills.released_all |= self.utility.take().is_some();
+                self.materialize(protector, redo);
                 return context.utility_of(&self.assemble(context.original()));
             }
             ObjectiveBaseline::Unavailable => {
@@ -1228,7 +1469,7 @@ impl CandidateState {
         let key = (kind, grid_key(grid));
         let rebuild = full || self.utility.as_ref().map(|f| f.key) != Some(key);
         let users: Vec<(UserId, usize)> = if rebuild {
-            self.protected.keys().map(|user| (*user, 0)).collect()
+            self.sources.keys().map(|user| (*user, 0)).collect()
         } else {
             refreshed.to_vec()
         };
@@ -1237,8 +1478,9 @@ impl CandidateState {
         }
         let fold = self.utility.as_mut().expect("set on rebuild");
         for (user, kept) in users {
-            let outputs = self.protected.get(&user).map(Vec::as_slice).unwrap_or(&[]);
-            fold.update(user, kept, outputs, grid, store, fills, lookups);
+            let sources = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+            let known = self.protected.entry(user).or_default();
+            fold.update(user, kept, sources, known, protector, grid, fills, redo);
         }
         match context.baseline() {
             ObjectiveBaseline::Crowded(b) => b.score_counts(&fold.counts).precision_at_k,
@@ -1318,8 +1560,8 @@ impl Contribution {
 #[derive(Debug)]
 struct UtilityFold {
     key: (FoldKind, GridKey),
-    /// Each user's contributions, index for index with the user's
-    /// protected outputs.
+    /// Each user's contributions, index for index with the user's source
+    /// trajectories.
     by_user: BTreeMap<UserId, Vec<Arc<Contribution>>>,
     /// Crowded places: how many outputs carry each `(cell, record-user)`
     /// pair. Distinct-visitor semantics need the refcount: a pair counts
@@ -1351,31 +1593,36 @@ impl UtilityFold {
         }
     }
 
-    /// Retracts `user`'s contributions past `kept` and adds those of
-    /// `outputs` after them, looking each up in `store` first.
+    /// Retracts `user`'s contributions past `kept` and adds those of the
+    /// outputs of `sources` after them (`known`: the outputs held), looking
+    /// each up in the store first: an output is read — produced, if not
+    /// held — only on a miss.
     #[allow(clippy::too_many_arguments)]
     fn update(
         &mut self,
         user: UserId,
         kept: usize,
-        outputs: &[Arc<Trajectory>],
+        sources: &[Arc<Trajectory>],
+        known: &mut Vec<Option<Arc<Trajectory>>>,
+        protector: &Protector<'_>,
         grid: &UniformGrid,
-        store: &WorkStore,
         fills: &mut Fills,
-        lookups: &mut usize,
+        produced: &mut Produced,
     ) {
         let mut mine = self.by_user.remove(&user).unwrap_or_default();
         let retracted = mine.split_off(kept.min(mine.len()));
         for gone in &retracted {
             self.apply(gone, -1.0);
         }
-        for output in &outputs[mine.len()..] {
-            let key = (self.key.0, self.key.1, ById(Arc::clone(output)));
-            *lookups += 1;
-            let contribution = match store.contribution(user, &key) {
+        for at in mine.len()..sources.len() {
+            let output_key = (protector.family.clone(), ById(Arc::clone(&sources[at])));
+            let key = (self.key.0, self.key.1, output_key);
+            produced.lookups += 1;
+            let contribution = match protector.store.contribution(user, &key) {
                 Some(stored) => Arc::clone(stored),
                 None => {
-                    let computed = Arc::new(Contribution::of(self.key.0, grid, output));
+                    let output = protector.output_at(sources, known, at, produced);
+                    let computed = Arc::new(Contribution::of(self.key.0, grid, &output));
                     fills.utility.push((user, key, Arc::clone(&computed)));
                     computed
                 }
@@ -1496,14 +1743,22 @@ fn box_bits(b: &BoundingBox) -> [u64; 4] {
     ]
 }
 
+/// Who may be served a candidate's outputs: every candidate declaring the
+/// same exact identity ([`AnonymizationStrategy::output_identity`]), or —
+/// for a strategy without one — only the candidate state holding the
+/// token, so nothing is shared.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Sharing {
+    Exact(Arc<OutputIdentity>),
+    Private(u64),
+}
+
 /// What a candidate's protected outputs depend on besides their source:
-/// the strategy's exact identity
-/// ([`AnonymizationStrategy::output_identity`]; `None` shares nothing),
-/// the seed and, for a grid-anchored strategy, the quantized anchor of the
-/// prefix bounding box.
+/// who shares them, the seed and, for a grid-anchored strategy, the
+/// quantized anchor of the prefix bounding box.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct OutputFamily {
-    identity: Option<Arc<OutputIdentity>>,
+    sharing: Sharing,
     seed: u64,
     anchor: Option<[u64; 4]>,
 }
@@ -1512,17 +1767,20 @@ struct OutputFamily {
 type OutputKey = (OutputFamily, ById);
 
 /// The key of a per-output utility contribution: the histogram kind, the
-/// baseline grid and the output.
-type UtilityKey = (FoldKind, GridKey, ById);
+/// baseline grid and the output's key.
+type UtilityKey = (FoldKind, GridKey, OutputKey);
 
 /// The key of a per-user attack shard: the extraction parameters
-/// ([`extraction_config`]), the grid, the user and the user's trajectory
-/// list, by identity. Original-side and protected-side shards share it.
+/// ([`extraction_config`]), the grid, the user, and the user's
+/// trajectories — the source list by identity, and on the protected side
+/// the output family its outputs were produced under. Original-side and
+/// protected-side shards share it.
 #[derive(Debug)]
 struct ShardKey {
     config: PoiAttackConfig,
     grid: GridKey,
     user: UserId,
+    family: Option<OutputFamily>,
     sources: Vec<Arc<Trajectory>>,
 }
 
@@ -1536,6 +1794,7 @@ impl PartialEq for ShardKey {
                 .iter()
                 .zip(&other.sources)
                 .all(|(a, b)| Arc::ptr_eq(a, b))
+            && self.family == other.family
             && self.config == other.config
     }
 }
@@ -1548,6 +1807,7 @@ impl Hash for ShardKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         self.grid.hash(state);
         self.user.hash(state);
+        self.family.hash(state);
         for source in &self.sources {
             Arc::as_ptr(source).hash(state);
         }
@@ -1618,27 +1878,33 @@ impl Fills {
 /// per-output utility contribution computed by any session it serves,
 /// keyed by exactly the inputs the value depends on.
 ///
-/// * A **protected output** is keyed by the strategy's exact
-///   [`AnonymizationStrategy::output_identity`] (a strategy without one
-///   shares none), the seed, the quantized prefix anchor for a
+/// * A **protected output** is keyed by its *output family* — the
+///   strategy's exact [`AnonymizationStrategy::output_identity`] (a
+///   strategy without one gets a key of its candidate state's own, so it
+///   shares none), the seed and the quantized prefix anchor for a
 ///   [`UserLocality::GridAnchored`] strategy (nothing for a
-///   [`UserLocality::UserLocal`] one) and the source trajectory.
+///   [`UserLocality::UserLocal`] one) — and the source trajectory.
 ///   [`UserLocality::NonLocal`] outputs are never stored, nor is an output
 ///   that is its own source.
 /// * A **per-user attack shard** — original-side and protected-side alike
 ///   — is keyed by the extraction parameters ([`PoiAttackConfig`] without
-///   `match_distance`), the grid, the user and the user's trajectory list.
-///   A requester whose list extends its own previous one pointer by
-///   pointer amends that shard through [`PoiAttack::extract_user_from`].
-/// * A **utility contribution** is keyed by the baseline grid and the
-///   protected output.
+///   `match_distance`), the grid, the user, the user's source trajectory
+///   list and, on the protected side, the output family. A requester whose
+///   list extends its own previous one pointer by pointer amends that
+///   shard through [`PoiAttack::extract_user_from`], reading only the
+///   appended outputs.
+/// * A **utility contribution** is keyed by the baseline grid and its
+///   output's family and source.
 ///
-/// Keys hold their input trajectories by strong `Arc` and compare them by
-/// address, so a freed address can never alias another entry. Sessions
-/// and candidate states hold the values they use; at the end of each
-/// published window the owner drops the entries nobody else holds
-/// ([`WorkStore::drop_released`]), so the store never outgrows what the
-/// sessions reference — there is no eviction policy. Entries are bucketed
+/// Keys hold their source trajectories — never outputs — by strong `Arc`
+/// and compare them by address, so a freed address can never alias
+/// another entry. Sessions and candidate states hold the values they use:
+/// shards and contributions for as long as the state lives, outputs only
+/// while the state is feasible (or its objective is Distortion). At the
+/// end of each published window the owner drops the entries nobody else
+/// holds ([`WorkStore::drop_released`]) — among them every output of the
+/// window that no state kept — so the store never outgrows what the
+/// sessions reference; there is no eviction policy. Entries are bucketed
 /// by user, and a holder only ever lets go of the entries of users it
 /// refreshed (or of everyone, on a reset or a grid move), so that pass
 /// visits only those users' buckets: its cost follows what the window
@@ -1677,9 +1943,7 @@ impl Entries {
         only_stored(&self.outputs) + only_stored(&self.shards) + only_stored(&self.utility)
     }
 
-    /// Drops every entry nothing but the store references. Shards and
-    /// contributions go first: their keys hold outputs, which can then go
-    /// in the same pass.
+    /// Drops every entry nothing but the store references.
     fn drop_unreferenced(&mut self) {
         self.shards.retain(|_, v| Arc::strong_count(v) > 1);
         self.utility.retain(|_, v| Arc::strong_count(v) > 1);
@@ -1703,6 +1967,17 @@ impl WorkStore {
         self.users.is_empty()
     }
 
+    /// Number of protected outputs held.
+    pub fn outputs(&self) -> usize {
+        self.users.values().map(|e| e.outputs.len()).sum()
+    }
+
+    /// Number of records across the protected outputs held.
+    pub fn output_records(&self) -> usize {
+        let outputs = self.users.values().flat_map(|e| e.outputs.values());
+        outputs.map(|output| output.len()).sum()
+    }
+
     /// Number of entries nothing but the store references — what a full
     /// [`WorkStore::drop_unreferenced`] would drop.
     pub fn unreferenced(&self) -> usize {
@@ -1723,10 +1998,12 @@ impl WorkStore {
     /// Drops the entries nothing but the store references among those of
     /// the users whose holders let go of any since the last collection —
     /// the same entries [`WorkStore::drop_unreferenced`] would drop, at a
-    /// cost proportional to what was replaced.
+    /// cost proportional to what was replaced — and sets the
+    /// `store.entries`, `store.outputs` and `store.output_records` gauges
+    /// to what is left. The session owners call it once per window.
     pub fn drop_released(&mut self) {
         if self.released_all {
-            return self.drop_unreferenced();
+            self.drop_unreferenced();
         }
         for user in std::mem::take(&mut self.released) {
             if let Some(entries) = self.users.get_mut(&user) {
@@ -1735,6 +2012,11 @@ impl WorkStore {
                     self.users.remove(&user);
                 }
             }
+        }
+        if obs::enabled() {
+            obs::gauge_set("store.entries", self.len() as i64);
+            obs::gauge_set("store.outputs", self.outputs() as i64);
+            obs::gauge_set("store.output_records", self.output_records() as i64);
         }
     }
 
@@ -1751,25 +2033,19 @@ impl WorkStore {
         self.users.get(&user)?.utility.get(key)
     }
 
-    /// `user`'s shard over `sources` on `grid`: the stored entry when one
-    /// matches, else extracted here — amending `prior` when its memo
-    /// applies — with the key to fill it under.
+    /// The shard `key` names on `grid`: the stored entry when one
+    /// matches, else extracted here from the trajectories `read` returns
+    /// (see [`PoiAttack::extract_user_from`]) — amending `prior` when its
+    /// memo applies — with the key to fill it under.
     fn shard(
         &self,
         attack: &PoiAttack,
-        config: &PoiAttackConfig,
+        key: ShardKey,
         grid: &UniformGrid,
-        user: UserId,
-        sources: Vec<Arc<Trajectory>>,
+        read: &mut dyn FnMut(usize) -> Vec<Arc<Trajectory>>,
         prior: Option<&CachedShard>,
     ) -> ShardLookup {
-        let key = ShardKey {
-            config: config.clone(),
-            grid: grid_key(grid),
-            user,
-            sources,
-        };
-        if let Some(stored) = self.users.get(&user).and_then(|e| e.shards.get(&key)) {
+        if let Some(stored) = self.users.get(&key.user).and_then(|e| e.shards.get(&key)) {
             return ShardLookup {
                 shard: Arc::clone(stored),
                 fill: None,
@@ -1777,7 +2053,8 @@ impl WorkStore {
         }
         let (shard, memo, path) = attack.extract_user_from(
             key.sources.clone(),
-            user,
+            read,
+            key.user,
             grid,
             prior.map(|cached| (&cached.shard, &cached.memo)),
         );
@@ -1808,8 +2085,9 @@ impl WorkStore {
 }
 
 /// Cross-window **protected-side** attack state, one entry per candidate
-/// strategy of the evaluated pool: each candidate's protected prefix
-/// (per-user trajectories) and the [`UserAttackShard`]s of its self-attack.
+/// strategy of the evaluated pool: each candidate's per-user source lists
+/// and the [`UserAttackShard`]s of its self-attack — and its protected
+/// prefix while the candidate is feasible.
 ///
 /// This is the protected-side twin of [`PopulationCache`]. The original-side
 /// cache makes the *reference* extraction incremental; this one makes the
@@ -2886,6 +3164,37 @@ mod tests {
         assert_eq!(release.published.selection, expected.published.selection);
         assert_eq!(release.published.dataset, expected.published.dataset);
         assert_eq!(release.strategies.users_reused, 0, "the slot re-primed");
+    }
+
+    #[test]
+    fn only_feasible_candidates_keep_their_outputs() {
+        // The default pool at the default floor has infeasible candidates.
+        // After every window each infeasible candidate holds no output and
+        // each feasible one holds all of its own, so the store holds at
+        // most one output per feasible candidate and prefix trajectory.
+        let windows = WindowedDataset::partition(&dataset(61, 4, 3));
+        let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
+        let pool = publisher.privapi().pool().len();
+        let mut infeasible = 0;
+        for (i, window) in windows.iter().enumerate() {
+            let release = publisher.publish_window(window).unwrap();
+            let candidates = &release.published.selection.candidates;
+            let feasible = candidates.iter().filter(|c| c.feasible).count();
+            infeasible += pool - feasible;
+            let prefix = publisher.population().prefix().trajectories().len();
+            let outputs = publisher.store().outputs();
+            assert!(
+                outputs <= feasible * prefix,
+                "window {i}: {outputs} outputs for {feasible} feasible candidates \
+                 over {prefix} trajectories"
+            );
+            for (state, candidate) in publisher.strategies().states.iter().zip(candidates) {
+                let held: usize = state.protected.values().flatten().flatten().count();
+                let expected = if candidate.feasible { prefix } else { 0 };
+                assert_eq!(held, expected, "window {i}: {}", candidate.info);
+            }
+        }
+        assert!(infeasible > 0, "the pool must hold infeasible candidates");
     }
 
     #[test]

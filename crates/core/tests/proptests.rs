@@ -545,7 +545,7 @@ proptest! {
         };
         let mut sources = vec![pieces.pop_front().unwrap()];
         let (mut shard, mut memo, path) =
-            attack.extract_user_from(sources.clone(), user, &grid, None);
+            attack.extract_user_from(sources.clone(), &mut |from| sources[from..].to_vec(), user, &grid, None);
         prop_assert_eq!(path, ExtractionPath::Rebuilt);
         prop_assert_eq!(&shard, &scratch(&sources, &grid));
         for step in steps {
@@ -611,7 +611,13 @@ proptest! {
                 }
             };
             let (next, next_memo, path) =
-                attack.extract_user_from(sources.clone(), user, &grid, Some((&shard, &memo)));
+                attack.extract_user_from(
+                    sources.clone(),
+                    &mut |from| sources[from..].to_vec(),
+                    user,
+                    &grid,
+                    Some((&shard, &memo)),
+                );
             prop_assert_eq!(path, expected, "step {}", step);
             prop_assert_eq!(&next, &scratch(&sources, &grid), "step {}", step);
             shard = next;
@@ -621,7 +627,13 @@ proptest! {
         let moved = attack.grid_for(grid.bbox().expanded(0.2));
         sources.extend(pieces.pop_front());
         let (next, _, path) =
-            attack.extract_user_from(sources.clone(), user, &moved, Some((&shard, &memo)));
+            attack.extract_user_from(
+                sources.clone(),
+                &mut |from| sources[from..].to_vec(),
+                user,
+                &moved,
+                Some((&shard, &memo)),
+            );
         prop_assert_eq!(path, ExtractionPath::Rebuilt);
         prop_assert_eq!(&next, &scratch(&sources, &moved));
     }
@@ -641,48 +653,9 @@ proptest! {
         seed in any::<u64>(),
         users in 2usize..4,
     ) {
-        use mobility::{DatasetWindow, WindowedDataset};
         use privapi::streaming::StreamingPublisher;
-        use std::collections::BTreeMap;
 
-        let data = mobility::gen::CityModel::builder()
-            .seed(seed ^ 0x1A7E)
-            .build()
-            .generate_population(&mobility::gen::PopulationConfig {
-                users,
-                days: 3,
-                sampling_interval_s: 600,
-                gps_noise_m: 5.0,
-                leisure_probability: 0.3,
-            });
-        let partition = WindowedDataset::partition(&data);
-        let mut per_day: Vec<BTreeMap<UserId, Vec<LocationRecord>>> = partition
-            .iter()
-            .map(|w| {
-                w.dataset()
-                    .trajectories()
-                    .iter()
-                    .map(|t| (t.user(), t.records().to_vec()))
-                    .collect()
-            })
-            .collect();
-        for d in 0..per_day.len() - 1 {
-            let Some(records) = per_day[d].get_mut(&UserId(0)) else { continue };
-            let n = records.len();
-            let late: Vec<LocationRecord> = records.drain(n / 3..n / 2).collect();
-            per_day[d + 1].entry(UserId(0)).or_default().extend(late);
-        }
-        let windows: Vec<DatasetWindow> = per_day
-            .into_iter()
-            .zip(partition.days())
-            .map(|(by_user, day)| {
-                let dataset: Dataset = by_user
-                    .into_iter()
-                    .map(|(user, records)| Trajectory::new(user, records))
-                    .collect();
-                DatasetWindow::from_parts(day, dataset)
-            })
-            .collect();
+        let windows = late_windows(seed, users, None);
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
         let probe = publisher.privapi().attack().clone();
         let mut prefix = Dataset::new();
@@ -718,6 +691,317 @@ proptest! {
                         "window {i}: streaming {inc:?} vs batch {batch:?} disagree"
                     )));
                 }
+            }
+        }
+    }
+}
+
+/// A user-local strategy that releases a copy of each trajectory or —
+/// `blank` — an empty one: recall 1 and full utility, or recall 0 and no
+/// utility, so the privacy floor alone decides which is feasible and wins.
+struct CopyOrBlank {
+    blank: bool,
+}
+
+impl AnonymizationStrategy for CopyOrBlank {
+    fn info(&self) -> StrategyInfo {
+        StrategyInfo {
+            name: if self.blank { "blank" } else { "copy" }.into(),
+            params: String::new(),
+        }
+    }
+
+    fn anonymize(&self, dataset: &Dataset, seed: u64) -> Dataset {
+        privapi::strategy::protect_each(self, dataset, seed)
+    }
+
+    fn protect(
+        &self,
+        trajectory: &std::sync::Arc<Trajectory>,
+        _seed: u64,
+        _anchor: Option<&geo::BoundingBox>,
+    ) -> std::sync::Arc<Trajectory> {
+        let records = if self.blank {
+            Vec::new()
+        } else {
+            trajectory.records().to_vec()
+        };
+        std::sync::Arc::new(Trajectory::new(trajectory.user(), records))
+    }
+
+    fn locality(&self) -> UserLocality {
+        UserLocality::UserLocal
+    }
+
+    fn output_identity(&self) -> Option<privapi::strategy::OutputIdentity> {
+        Some((if self.blank { "blank" } else { "copy" }, Vec::new()))
+    }
+}
+
+/// A middleware over the copy and blank candidates at `floor`.
+fn copy_or_blank(floor: f64) -> PrivApi {
+    PrivApi::new(PrivApiConfig {
+        privacy_floor: floor,
+        ..PrivApiConfig::default()
+    })
+    .with_pool(
+        StrategyPool::new()
+            .with(Box::new(CopyOrBlank { blank: false }))
+            .with(Box::new(CopyOrBlank { blank: true })),
+    )
+}
+
+/// A generated population's day windows: every user dwells at home and at
+/// work every day, so the attack finds POIs from the first window on.
+fn population_windows(seed: u64, users: usize, days: usize) -> Vec<mobility::DatasetWindow> {
+    let data = mobility::gen::CityModel::builder()
+        .seed(seed ^ 0x5E17)
+        .build()
+        .generate_population(&mobility::gen::PopulationConfig {
+            users,
+            days,
+            sampling_interval_s: 300,
+            gps_noise_m: 5.0,
+            leisure_probability: 0.3,
+        });
+    mobility::WindowedDataset::partition(&data)
+        .windows()
+        .to_vec()
+}
+
+/// A generated population's day windows in which every window after the
+/// first carries part of user 0's previous day — late records, older than
+/// that day's last one, as a straggler quarantined into the next window
+/// would be — and, with `widen_deg`, the last day adds a fix that far
+/// north-east of the city, which moves the noise candidates' protected
+/// boxes.
+fn late_windows(
+    seed: u64,
+    users: usize,
+    widen_deg: Option<f64>,
+) -> Vec<mobility::DatasetWindow> {
+    use std::collections::BTreeMap;
+    let data = mobility::gen::CityModel::builder()
+        .seed(seed ^ 0x1A7E)
+        .build()
+        .generate_population(&mobility::gen::PopulationConfig {
+            users,
+            days: 3,
+            sampling_interval_s: 600,
+            gps_noise_m: 5.0,
+            leisure_probability: 0.3,
+        });
+    let bbox = data.bounding_box().unwrap();
+    let partition = mobility::WindowedDataset::partition(&data);
+    let mut per_day: Vec<BTreeMap<UserId, Vec<LocationRecord>>> = partition
+        .iter()
+        .map(|w| {
+            w.dataset()
+                .trajectories()
+                .iter()
+                .map(|t| (t.user(), t.records().to_vec()))
+                .collect()
+        })
+        .collect();
+    for d in 0..per_day.len() - 1 {
+        let Some(records) = per_day[d].get_mut(&UserId(0)) else {
+            continue;
+        };
+        let n = records.len();
+        let late: Vec<LocationRecord> = records.drain(n / 3..n / 2).collect();
+        per_day[d + 1].entry(UserId(0)).or_default().extend(late);
+    }
+    let days = partition.days();
+    if let Some(widen_deg) = widen_deg {
+        let last = per_day.len() - 1;
+        let outlier = GeoPoint::new(
+            bbox.max().latitude() + widen_deg,
+            bbox.max().longitude() + widen_deg,
+        )
+        .unwrap();
+        let at = Timestamp::new(days[last] * mobility::DAY_SECONDS + 3_600);
+        per_day[last]
+            .entry(UserId(1))
+            .or_default()
+            .push(LocationRecord::new(UserId(1), at, outlier));
+    }
+    per_day
+        .into_iter()
+        .zip(days)
+        .map(|(by_user, day)| {
+            let dataset: Dataset = by_user
+                .into_iter()
+                .map(|(user, records)| Trajectory::new(user, records))
+                .collect();
+            mobility::DatasetWindow::from_parts(day, dataset)
+        })
+        .collect()
+}
+
+/// Streams `windows` through sessions that share one population cache and
+/// one work store, as the campaign orchestrator runs them: each window the
+/// population advances once, then every session publishes under its
+/// middleware for that window (`sessions[s](i)`). Every release must equal
+/// a batch `publish` of the window's prefix under the same middleware
+/// byte for byte — or fail the same way — with no full extraction pass and
+/// no entry left that nothing references. Returns each session's releases.
+#[allow(clippy::type_complexity)]
+fn streaming_matches_batch(
+    sessions: &[&dyn Fn(usize) -> PrivApi],
+    windows: &[mobility::DatasetWindow],
+) -> Result<Vec<Vec<Option<privapi::streaming::PublishedWindow>>>, TestCaseError> {
+    use privapi::streaming::{PopulationCache, StrategySessionCache, WorkStore};
+    let mut population = PopulationCache::new();
+    let mut store = WorkStore::new();
+    let mut caches: Vec<StrategySessionCache> = sessions
+        .iter()
+        .map(|_| StrategySessionCache::new())
+        .collect();
+    let mut releases: Vec<Vec<_>> = sessions.iter().map(|_| Vec::new()).collect();
+    let mut prefix = Dataset::new();
+    for (i, window) in windows.iter().enumerate() {
+        prefix.extend(window.dataset().trajectories().iter().cloned());
+        let attack = sessions[0](i).attack().clone();
+        let delta = population
+            .advance(&attack, window, &mut store)
+            .map_err(|e| TestCaseError::fail(format!("window {i}: {e}")))?;
+        for (s, session) in sessions.iter().enumerate() {
+            let privapi = session(i);
+            let incremental = privapi.publish_session(
+                &population,
+                &mut caches[s],
+                delta,
+                &window.users(),
+                &mut store,
+            );
+            prop_assert_eq!(attack.extractions() + privapi.attack().extractions(), 0);
+            match (incremental, session(i).publish(&prefix)) {
+                (Ok(inc), Ok(batch)) => {
+                    let at = format!("session {s} window {i}");
+                    prop_assert_eq!(&inc.published.selection, &batch.selection, "{}", at);
+                    prop_assert_eq!(&inc.published.strategy, &batch.strategy, "{}", at);
+                    prop_assert_eq!(&inc.published.privacy, &batch.privacy, "{}", at);
+                    prop_assert_eq!(&inc.published.dataset, &batch.dataset, "{}", at);
+                    releases[s].push(Some(inc));
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert_eq!(
+                        format!("{a}"),
+                        format!("{b}"),
+                        "session {} window {}",
+                        s,
+                        i
+                    );
+                    releases[s].push(None);
+                }
+                (inc, batch) => {
+                    return Err(TestCaseError::fail(format!(
+                        "session {s} window {i}: streaming {inc:?} vs batch {batch:?} disagree"
+                    )));
+                }
+            }
+        }
+        store.drop_released();
+        prop_assert_eq!(store.unreferenced(), 0, "window {}", i);
+    }
+    Ok(releases)
+}
+
+/// The released strategy's name, or `-` for a window without a release.
+fn winner_name(release: &Option<privapi::streaming::PublishedWindow>) -> String {
+    release
+        .as_ref()
+        .map_or("-".into(), |r| r.published.strategy.name.clone())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The winner switches every window — the privacy floor alternates
+    /// between admitting the copy and only the blank candidate — and each
+    /// release still equals batch: a candidate that let its outputs go
+    /// while infeasible protects them again when it wins back.
+    #[test]
+    fn winner_switches_keep_streaming_parity(seed in any::<u64>(), users in 2usize..4) {
+        let windows = population_windows(seed, users, 4);
+        let floor = |i: usize| if i.is_multiple_of(2) { 1.0 } else { 0.5 };
+        let session = |i: usize| copy_or_blank(floor(i));
+        let releases = streaming_matches_batch(&[&session], &windows)?;
+        let winners: Vec<String> = releases[0].iter().map(winner_name).collect();
+        let expected: Vec<String> = (0..windows.len())
+            .map(|i| if floor(i) == 1.0 { "copy" } else { "blank" }.to_string())
+            .collect();
+        prop_assert_eq!(&winners, &expected);
+        let reprotected: Vec<usize> = releases[0]
+            .iter()
+            .map(|r| r.as_ref().map_or(0, |r| r.strategies.trajectories_reprotected))
+            .collect();
+        prop_assert!(reprotected[2] > 0, "the copy wins back by protecting again: {:?}", reprotected);
+    }
+
+    /// A candidate infeasible on the first windows is first feasible on a
+    /// later one and wins there. Standalone, it protects the prefix it let
+    /// go of once; next to a session that kept the same candidate's
+    /// outputs, it is served them from the shared store instead.
+    #[test]
+    fn late_feasible_winner_keeps_streaming_parity(seed in any::<u64>(), users in 2usize..4) {
+        let windows = population_windows(seed, users, 3);
+        let late = |i: usize| copy_or_blank(if i < 2 { 0.5 } else { 1.0 });
+        let keeper = |_: usize| copy_or_blank(1.0);
+        let alone = streaming_matches_batch(&[&late], &windows)?;
+        let shared = streaming_matches_batch(&[&keeper, &late], &windows)?;
+        for releases in [&alone[0], &shared[1]] {
+            let winners: Vec<String> = releases.iter().map(winner_name).collect();
+            prop_assert_eq!(&winners, &["blank", "blank", "copy"].map(String::from).to_vec());
+        }
+        let reprotected = |release: &Option<privapi::streaming::PublishedWindow>| {
+            release.as_ref().unwrap().strategies.trajectories_reprotected
+        };
+        prop_assert!(reprotected(&alone[0][2]) > 0);
+        prop_assert_eq!(reprotected(&shared[1][2]), 0, "served from the keeper's outputs");
+    }
+
+    /// Late records make the infeasible candidates' protected shards take
+    /// the memo fallback, and a far fix on the last day moves their
+    /// protected grids: both read outputs those candidates let go of, and
+    /// protect them again. Every release still equals batch.
+    #[test]
+    fn infeasible_fallbacks_and_grid_moves_keep_streaming_parity(
+        seed in any::<u64>(),
+        users in 2usize..4,
+        widen_deg in 0.05..0.25f64,
+    ) {
+        let windows = late_windows(seed, users, Some(widen_deg));
+        let session = |_: usize| PrivApi::default();
+        let releases = streaming_matches_batch(&[&session], &windows)?;
+        let sum = |field: fn(&privapi::streaming::StrategyCacheDelta) -> usize| -> usize {
+            releases[0].iter().flatten().map(|r| field(&r.strategies)).sum()
+        };
+        prop_assert!(sum(|d| d.shards_fallback) > 0, "no memo fallback");
+        prop_assert!(sum(|d| d.protected_grid_rebuilds) > 0, "no protected-grid move");
+        prop_assert!(sum(|d| d.trajectories_reprotected) > 0, "nothing protected again");
+    }
+
+    /// Under the Distortion objective every candidate keeps its outputs —
+    /// its utility pairs records every window — so the same late records
+    /// and grid moves protect nothing again. Every release equals batch.
+    #[test]
+    fn distortion_retains_every_candidate_and_keeps_streaming_parity(
+        seed in any::<u64>(),
+        users in 2usize..4,
+        widen_deg in 0.05..0.25f64,
+    ) {
+        let windows = late_windows(seed, users, Some(widen_deg));
+        let session = |_: usize| {
+            PrivApi::new(PrivApiConfig {
+                objective: Objective::Distortion,
+                ..PrivApiConfig::default()
+            })
+        };
+        let releases = streaming_matches_batch(&[&session], &windows)?;
+        for (i, release) in releases[0].iter().enumerate() {
+            if let Some(release) = release {
+                prop_assert_eq!(release.strategies.trajectories_reprotected, 0, "window {}", i);
             }
         }
     }

@@ -49,7 +49,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub use audit::{Audit, Count, Tally};
 pub use clock::{Clock, Domain, SimClock, Stamp, WallClock};
 pub use metrics::{Buckets, Counter, Gauge, Histogram};
-pub use trace::{AttrValue, Span};
+pub use trace::{AttrValue, Span, SpanParent};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -125,7 +125,19 @@ pub fn observe(name: &'static str, scale: Buckets, value: u64) {
 /// off.
 #[inline]
 pub fn span(name: &'static str) -> Span<'static> {
-    Span::start_wall(name)
+    Span::start_wall(name, None)
+}
+
+/// The span open on the calling thread, captured before a parallel
+/// fan-out so each worker opens its spans under it
+/// ([`SpanParent::child`]) instead of rooting them at its own empty
+/// stack. A no-op while recording is off.
+#[inline]
+pub fn current_span() -> SpanParent {
+    if !enabled() {
+        return SpanParent::default();
+    }
+    trace::current()
 }
 
 /// Start a span stamped by an injected clock (sim components pass their
@@ -275,6 +287,31 @@ mod tests {
         assert_eq!(tick.domain, Domain::Sim);
         assert_eq!(tick.at_ns, 42_000_000);
         assert!(outer.end_ns >= outer.start_ns);
+    }
+
+    #[test]
+    fn child_spans_open_under_a_parent_captured_on_another_thread() {
+        let _guard = TEST_LOCK.lock();
+        reset();
+        disable();
+        assert_eq!(current_span(), SpanParent::default(), "inert while off");
+        enable();
+        let outer = span("test.fanout");
+        let parent = current_span();
+        assert_eq!(parent.id(), outer.id());
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let _worker = parent.child("test.worker");
+                let _nested = span("test.nested");
+            });
+        });
+        drop(outer);
+        disable();
+        let (spans, _, _) = trace::snapshot();
+        let find = |name: &str| spans.iter().find(|s| s.name == name).unwrap();
+        let (outer, worker) = (find("test.fanout"), find("test.worker"));
+        assert_eq!(worker.parent, outer.id);
+        assert_eq!(find("test.nested").parent, worker.id);
     }
 
     #[test]

@@ -352,6 +352,7 @@ pub fn render(summary: &TraceSummary) -> String {
             "candidate.extract",
             "candidate.utility",
             "candidate.match",
+            "candidate.materialize",
             "store.fill",
         ] {
             let ns: u64 = summary

@@ -2,11 +2,13 @@
 //! process-global buffer drained by the exporter.
 //!
 //! Span parentage is tracked per thread (a thread-local stack of open
-//! span ids), so spans opened inside rayon workers simply root at the
-//! worker's own stack — cheap, lock-free on the hot path, and correct
-//! for the strictly scoped guards this codebase uses. Records are pushed
-//! under one short critical section on close; while recording is off the
-//! guard is inert and never touches the lock.
+//! span ids) — cheap, lock-free on the hot path, and correct for the
+//! strictly scoped guards this codebase uses. A parallel fan-out carries
+//! its parent across threads explicitly: [`crate::current_span`]
+//! captures the open span before the fan-out, and [`SpanParent::child`]
+//! opens a span under it on the worker, whose own stack is empty. Records are pushed under
+//! one short critical section on close; while recording is off the guard
+//! is inert and never touches the lock.
 
 use crate::clock::{wall_nanos, Clock, Domain, Stamp};
 use parking_lot::Mutex;
@@ -68,7 +70,8 @@ impl From<String> for AttrValue {
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     pub id: u64,
-    /// Id of the enclosing span on the same thread, or 0 for a root.
+    /// Id of the enclosing span — on the same thread, or the
+    /// [`SpanParent`] it was opened under — or 0 for a root.
     pub parent: u64,
     pub name: &'static str,
     pub domain: Domain,
@@ -134,7 +137,7 @@ pub struct Span<'a> {
 
 impl Span<'static> {
     #[inline]
-    pub(crate) fn start_wall(name: &'static str) -> Span<'static> {
+    pub(crate) fn start_wall(name: &'static str, parent: Option<u64>) -> Span<'static> {
         if !crate::enabled() {
             return Span { inner: None };
         }
@@ -146,9 +149,36 @@ impl Span<'static> {
                     domain: Domain::Wall,
                     nanos: wall_nanos(),
                 },
+                parent,
             )),
         }
     }
+}
+
+/// The span that was open on a thread when [`crate::current_span`]
+/// captured it: the parent of the spans a parallel fan-out opens on its
+/// workers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SpanParent(u64);
+
+impl SpanParent {
+    /// The parent's span id (0: no span was open, or recording was off).
+    pub fn id(self) -> u64 {
+        self.0
+    }
+
+    /// Start a wall-clock span under this parent, on whichever thread
+    /// calls it; spans opened inside it on that thread nest under it as
+    /// usual. Returns an inert guard while recording is off.
+    #[inline]
+    pub fn child(self, name: &'static str) -> Span<'static> {
+        Span::start_wall(name, Some(self.0))
+    }
+}
+
+/// The span open on the calling thread (id 0 when none is).
+pub(crate) fn current() -> SpanParent {
+    SpanParent(OPEN_STACK.with(|stack| stack.borrow().last().copied().unwrap_or(0)))
 }
 
 impl<'a> Span<'a> {
@@ -159,7 +189,7 @@ impl<'a> Span<'a> {
         }
         let start = clock.stamp();
         Span {
-            inner: Some(open(name, ClockRef::Injected(clock), start)),
+            inner: Some(open(name, ClockRef::Injected(clock), start, None)),
         }
     }
 
@@ -178,11 +208,18 @@ impl<'a> Span<'a> {
     }
 }
 
-fn open<'a>(name: &'static str, clock: ClockRef<'a>, start: Stamp) -> ActiveSpan<'a> {
+/// Opens a span under `parent`, or under the thread's innermost open span
+/// when `None`.
+fn open<'a>(
+    name: &'static str,
+    clock: ClockRef<'a>,
+    start: Stamp,
+    parent: Option<u64>,
+) -> ActiveSpan<'a> {
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
     let parent = OPEN_STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
-        let parent = stack.last().copied().unwrap_or(0);
+        let parent = parent.unwrap_or_else(|| stack.last().copied().unwrap_or(0));
         stack.push(id);
         parent
     });
