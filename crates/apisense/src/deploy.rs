@@ -495,16 +495,14 @@ mod tests {
 
     #[test]
     fn record_batch_roundtrip() {
-        use std::collections::BTreeMap;
-        let mut payload = BTreeMap::new();
-        payload.insert("lat".to_string(), Value::Num(45.0));
-        payload.insert("lon".to_string(), Value::Num(4.0));
+        use crate::script::Record;
+        let payload = Record::new([("lat", Value::Num(45.0)), ("lon", Value::Num(4.0))]);
         let records = vec![SensedRecord {
             task: TaskId(3),
             user: UserId(7),
             device: DeviceId(9),
             time: Timestamp::new(1234),
-            payload: Value::Map(payload),
+            payload: Value::Record(payload),
         }];
         let encoded = encode_records(&records);
         let decoded = decode_records(TaskId(3), &encoded);

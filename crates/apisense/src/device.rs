@@ -11,12 +11,13 @@
 use crate::error::ApisenseError;
 use crate::hive::TaskId;
 use crate::privacy::PrivacyPreferences;
-use crate::script::{CompiledProgram, Host, Script, Value, Vm};
+use crate::script::{CompiledProgram, Host, Script, Shape, Value, Vm};
 use geo::GeoPoint;
 use mobility::{Timestamp, Trajectory, UserId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::LazyLock;
 
 /// Identifier of a device in the fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -159,9 +160,8 @@ pub struct SensedRecord {
 impl SensedRecord {
     /// Extracts a location from the payload's `lat`/`lon` fields, if any.
     pub fn location(&self) -> Option<GeoPoint> {
-        let m = self.payload.as_map()?;
-        let lat = m.get("lat")?.as_num()?;
-        let lon = m.get("lon")?.as_num()?;
+        let lat = self.payload.field("lat")?.as_num()?;
+        let lon = self.payload.field("lon")?.as_num()?;
         GeoPoint::new(lat, lon).ok()
     }
 
@@ -525,6 +525,10 @@ const EP_BATTERY: u32 = 5;
 const EP_ACCELEROMETER: u32 = 6;
 const EP_NETWORK: u32 = 7;
 
+/// The shape of every GPS fix `sensor.gps` returns, made once: a fix
+/// costs one slot allocation, not a key set.
+static FIX_SHAPE: LazyLock<Shape> = LazyLock::new(|| Shape::new(["accuracy", "lat", "lon"]));
+
 /// Maps a host path to its endpoint id.
 fn endpoint_of(path: &str) -> Option<u32> {
     match path {
@@ -578,14 +582,12 @@ impl Host for DeviceHost<'_> {
                 self.sensor_costs += SensorKind::Gps.sample_cost();
                 match self.position() {
                     Some(p) => {
-                        let mut m = std::collections::BTreeMap::new();
-                        m.insert("lat".to_string(), Value::Num(p.latitude()));
-                        m.insert("lon".to_string(), Value::Num(p.longitude()));
-                        m.insert(
-                            "accuracy".to_string(),
-                            Value::Num(5.0 + 10.0 * self.noise(1)),
-                        );
-                        Ok(Value::Map(m))
+                        let accuracy = 5.0 + 10.0 * self.noise(1);
+                        Ok(Value::Record(FIX_SHAPE.record(Box::new([
+                            Value::Num(accuracy),
+                            Value::Num(p.latitude()),
+                            Value::Num(p.longitude()),
+                        ]))))
                     }
                     None => Ok(Value::Null),
                 }
@@ -626,6 +628,7 @@ impl Host for DeviceHost<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::Record;
     use mobility::LocationRecord;
 
     fn trajectory() -> Trajectory {
@@ -761,10 +764,10 @@ mod tests {
         device.tick(start() + 3_600); // mid-trajectory: device is moving
         let records = device.drain_outbox();
         assert_eq!(records.len(), 1);
-        let m = records[0].payload.as_map().unwrap();
-        let acc = m["acc"].as_num().unwrap();
+        let m = &records[0].payload;
+        let acc = m.field("acc").and_then(Value::as_num).unwrap();
         assert!((9.81..15.0).contains(&acc), "acc {acc}");
-        let rssi = m["rssi"].as_num().unwrap();
+        let rssi = m.field("rssi").and_then(Value::as_num).unwrap();
         assert!((-110.0..=-50.0).contains(&rssi), "rssi {rssi}");
     }
 
@@ -994,15 +997,13 @@ mod tests {
 
     #[test]
     fn sensed_record_location_extraction() {
-        let mut payload = std::collections::BTreeMap::new();
-        payload.insert("lat".to_string(), Value::Num(45.0));
-        payload.insert("lon".to_string(), Value::Num(4.0));
+        let payload = Record::new([("lat", Value::Num(45.0)), ("lon", Value::Num(4.0))]);
         let r = SensedRecord {
             task: TaskId(1),
             user: UserId(1),
             device: DeviceId(1),
             time: Timestamp::new(0),
-            payload: Value::Map(payload),
+            payload: Value::Record(payload),
         };
         assert_eq!(r.location().unwrap(), GeoPoint::new(45.0, 4.0).unwrap());
         assert!(r.to_location_record().is_some());

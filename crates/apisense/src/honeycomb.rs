@@ -251,20 +251,17 @@ impl Honeycomb {
 mod tests {
     use super::*;
     use crate::device::DeviceId;
-    use crate::script::Value;
+    use crate::script::{Record, Value};
     use mobility::Timestamp;
-    use std::collections::BTreeMap as Map;
 
     fn record(task: TaskId, user: u64, lat: f64) -> SensedRecord {
-        let mut payload = Map::new();
-        payload.insert("lat".to_string(), Value::Num(lat));
-        payload.insert("lon".to_string(), Value::Num(4.0));
+        let payload = Record::new([("lat", Value::Num(lat)), ("lon", Value::Num(4.0))]);
         SensedRecord {
             task,
             user: UserId(user),
             device: DeviceId(user),
             time: Timestamp::new(0),
-            payload: Value::Map(payload),
+            payload: Value::Record(payload),
         }
     }
 

@@ -184,9 +184,9 @@ impl PrivacyPreferences {
             // Blur.
             if blur {
                 let blurred = self.blur_point(&location, record.time.seconds());
-                if let Value::Map(m) = &mut record.payload {
-                    m.insert("lat".to_string(), Value::Num(blurred.latitude()));
-                    m.insert("lon".to_string(), Value::Num(blurred.longitude()));
+                if let Value::Record(r) = &mut record.payload {
+                    r.insert("lat", Value::Num(blurred.latitude()));
+                    r.insert("lon", Value::Num(blurred.longitude()));
                 }
             }
         }
@@ -243,21 +243,21 @@ fn hash_unit(salt: u64, point: &GeoPoint, time_s: i64) -> f64 {
 mod tests {
     use super::*;
     use crate::hive::TaskId;
+    use crate::script::Record;
     use mobility::{Timestamp, UserId};
     use privapi::pipeline::{PrivApi, PrivApiConfig};
     use privapi::streaming::StreamingPublisher;
-    use std::collections::BTreeMap;
 
     fn located_record(lat: f64, lon: f64, time: Timestamp) -> SensedRecord {
-        let mut payload = BTreeMap::new();
-        payload.insert("lat".to_string(), Value::Num(lat));
-        payload.insert("lon".to_string(), Value::Num(lon));
         SensedRecord {
             task: TaskId(1),
             user: UserId(1),
             device: crate::device::DeviceId(1),
             time,
-            payload: Value::Map(payload),
+            payload: Value::Record(Record::new([
+                ("lat", Value::Num(lat)),
+                ("lon", Value::Num(lon)),
+            ])),
         }
     }
 
@@ -433,17 +433,15 @@ mod tests {
         let mut honeycomb = Honeycomb::new("gateway-test");
         let sensed: Vec<SensedRecord> = data
             .iter_records()
-            .map(|r| {
-                let mut payload = BTreeMap::new();
-                payload.insert("lat".to_string(), Value::Num(r.point.latitude()));
-                payload.insert("lon".to_string(), Value::Num(r.point.longitude()));
-                SensedRecord {
-                    task,
-                    user: r.user,
-                    device: crate::device::DeviceId(r.user.0),
-                    time: r.time,
-                    payload: Value::Map(payload),
-                }
+            .map(|r| SensedRecord {
+                task,
+                user: r.user,
+                device: crate::device::DeviceId(r.user.0),
+                time: r.time,
+                payload: Value::Record(Record::new([
+                    ("lat", Value::Num(r.point.latitude())),
+                    ("lon", Value::Num(r.point.longitude())),
+                ])),
             })
             .collect();
         honeycomb.receive(sensed);

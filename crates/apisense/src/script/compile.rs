@@ -32,7 +32,8 @@ use std::collections::HashMap;
 
 use crate::error::ApisenseError;
 use crate::script::parser::{BinaryOp, Expr, Program, Stmt, UnaryOp};
-use crate::script::Value;
+use crate::script::{Shape, Value};
+use std::sync::Arc;
 
 /// Maximum interned names / constants / functions / call sites / map shapes.
 const MAX_TABLE: usize = 65_536;
@@ -70,7 +71,8 @@ pub(crate) enum Op {
     False,
     /// Pop `n` values, push a list of them (in push order).
     MakeList(u32),
-    /// Pop `map_shapes[i].len()` values, push a map keyed by the shape.
+    /// Pop `map_shapes[i]`'s source-order values, push a record of its
+    /// shape.
     MakeMap(u32),
     /// Push a clone of frame slot `i`.
     LoadSlot(u32),
@@ -359,6 +361,17 @@ pub(crate) struct CallSite {
     pub(crate) name: u32,
 }
 
+/// A map literal's interned record shape. The literal's `values` arrive on
+/// the stack in source order; slot `s` takes the `value_of[s]`-th of them,
+/// the last one written under its key (so a repeated key's last value
+/// wins, and the earlier ones are dropped).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MapShape {
+    pub(crate) shape: Shape,
+    pub(crate) values: u32,
+    pub(crate) value_of: Box<[u32]>,
+}
+
 /// A [`Program`] lowered to bytecode: the op stream plus the side tables it
 /// indexes. Compile once per deployed script, execute per reading with
 /// [`super::Vm`].
@@ -366,10 +379,10 @@ pub(crate) struct CallSite {
 pub struct CompiledProgram {
     pub(crate) code: Vec<Op>,
     pub(crate) consts: Vec<Value>,
-    pub(crate) names: Vec<String>,
+    pub(crate) names: Vec<Arc<str>>,
     pub(crate) fns: Vec<CompiledFn>,
     pub(crate) sites: Vec<CallSite>,
-    pub(crate) map_shapes: Vec<Vec<String>>,
+    pub(crate) map_shapes: Vec<MapShape>,
 }
 
 impl CompiledProgram {
@@ -432,12 +445,12 @@ struct Compiler<'p> {
     code: Vec<Op>,
     consts: Vec<Value>,
     const_index: HashMap<ConstKey, u32>,
-    names: Vec<String>,
-    name_index: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    name_index: HashMap<Arc<str>, u32>,
     fns: Vec<CompiledFn>,
     sites: Vec<CallSite>,
-    map_shapes: Vec<Vec<String>>,
-    shape_index: HashMap<Vec<String>, u32>,
+    map_shapes: Vec<MapShape>,
+    shape_index: HashMap<Vec<u32>, u32>,
     /// Compile-time scope stack for the function currently being lowered;
     /// each scope holds the interned names of its locals in push order.
     scopes: Vec<Vec<u32>>,
@@ -604,8 +617,9 @@ impl<'p> Compiler<'p> {
             ));
         }
         let id = self.names.len() as u32;
-        self.names.push(name.to_string());
-        self.name_index.insert(name.to_string(), id);
+        let name: Arc<str> = name.into();
+        self.names.push(name.clone());
+        self.name_index.insert(name, id);
         Ok(id)
     }
 
@@ -639,8 +653,15 @@ impl<'p> Compiler<'p> {
         Ok(id)
     }
 
-    fn shape_id(&mut self, shape: Vec<String>) -> Result<u32, ApisenseError> {
-        if let Some(&id) = self.shape_index.get(&shape) {
+    /// Interns the record shape of a map literal. The keys are interned as
+    /// names, so field reads of the literal (`m.lat`) find their slot by
+    /// pointer.
+    fn shape_id(&mut self, entries: &[(String, Expr)]) -> Result<u32, ApisenseError> {
+        let ids = entries
+            .iter()
+            .map(|(key, _)| self.name_id(key))
+            .collect::<Result<Vec<u32>, _>>()?;
+        if let Some(&id) = self.shape_index.get(&ids) {
             return Ok(id);
         }
         if self.map_shapes.len() >= MAX_TABLE {
@@ -651,8 +672,21 @@ impl<'p> Compiler<'p> {
             ));
         }
         let id = self.map_shapes.len() as u32;
-        self.map_shapes.push(shape.clone());
-        self.shape_index.insert(shape, id);
+        let shape = Shape::new(ids.iter().map(|&n| self.names[n as usize].clone()));
+        let mut value_of = vec![0; shape.len()];
+        // In source order, so a repeated key keeps its last value.
+        for (i, &n) in ids.iter().enumerate() {
+            let slot = shape
+                .slot(&self.names[n as usize])
+                .expect("the shape holds every key");
+            value_of[slot] = i as u32;
+        }
+        self.map_shapes.push(MapShape {
+            shape,
+            values: ids.len() as u32,
+            value_of: value_of.into_boxed_slice(),
+        });
+        self.shape_index.insert(ids, id);
         Ok(id)
     }
 
@@ -906,8 +940,7 @@ impl<'p> Compiler<'p> {
                 for (_, value) in entries {
                     self.expr(value)?;
                 }
-                let shape: Vec<String> = entries.iter().map(|(k, _)| k.clone()).collect();
-                let id = self.shape_id(shape)?;
+                let id = self.shape_id(entries)?;
                 self.emit(Op::MakeMap(id));
             }
             Expr::Unary(op, operand) => {

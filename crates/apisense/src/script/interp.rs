@@ -1,9 +1,9 @@
 //! Sandboxed tree-walking interpreter for the task-scripting DSL.
 
 use super::parser::{BinaryOp, Expr, Program, Stmt, UnaryOp};
-use super::Value;
+use super::{Record, Value};
 use crate::error::ApisenseError;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The device-side API surface exposed to scripts.
@@ -221,11 +221,11 @@ impl<'h> Interpreter<'h> {
                 Ok(Value::List(out))
             }
             Expr::Map(entries) => {
-                let mut out = BTreeMap::new();
+                let mut out = Vec::with_capacity(entries.len());
                 for (key, value) in entries {
-                    out.insert(key.clone(), self.eval(value)?);
+                    out.push((key.as_str(), self.eval(value)?));
                 }
-                Ok(Value::Map(out))
+                Ok(Value::Record(Record::new(out)))
             }
             Expr::Unary(op, operand) => {
                 let value = self.eval(operand)?;
@@ -241,7 +241,7 @@ impl<'h> Interpreter<'h> {
             Expr::Member(object, field) => {
                 let value = self.eval(object)?;
                 match value {
-                    Value::Map(m) => Ok(m.get(field).cloned().unwrap_or(Value::Null)),
+                    Value::Record(r) => Ok(r.get(field).cloned().unwrap_or(Value::Null)),
                     Value::List(items) if field == "length" => {
                         Ok(Value::Num(items.len() as f64))
                     }
@@ -261,8 +261,8 @@ impl<'h> Interpreter<'h> {
                         let i = n as usize;
                         Ok(items.get(i).cloned().unwrap_or(Value::Null))
                     }
-                    (Value::Map(m), Value::Str(k)) => {
-                        Ok(m.get(&k).cloned().unwrap_or(Value::Null))
+                    (Value::Record(r), Value::Str(k)) => {
+                        Ok(r.get(&k).cloned().unwrap_or(Value::Null))
                     }
                     (v, i) => Err(ApisenseError::Runtime(format!("cannot index {v} with {i}"))),
                 }
@@ -463,8 +463,8 @@ impl<'h> Interpreter<'h> {
             ));
         }
         match (field, idx, root) {
-            (Some(f), None, Value::Map(m)) => {
-                m.insert(f.clone(), value);
+            (Some(f), None, Value::Record(r)) => {
+                r.insert(f, value);
                 Ok(())
             }
             (None, Some(Value::Num(n)), Value::List(items)) => {
@@ -478,8 +478,8 @@ impl<'h> Interpreter<'h> {
                 items[i] = value;
                 Ok(())
             }
-            (None, Some(Value::Str(k)), Value::Map(m)) => {
-                m.insert(k, value);
+            (None, Some(Value::Str(k)), Value::Record(r)) => {
+                r.insert(&k, value);
                 Ok(())
             }
             _ => Err(ApisenseError::Runtime(
@@ -512,10 +512,8 @@ mod tests {
                 }
                 "sensor.battery" => Ok(Value::Num(0.75)),
                 "sensor.gps" => {
-                    let mut m = BTreeMap::new();
-                    m.insert("lat".to_string(), Value::Num(45.75));
-                    m.insert("lon".to_string(), Value::Num(4.85));
-                    Ok(Value::Map(m))
+                    let fix = [("lat", Value::Num(45.75)), ("lon", Value::Num(4.85))];
+                    Ok(Value::Record(Record::new(fix)))
                 }
                 "math.floor" => Ok(Value::Num(args[0].as_num().unwrap_or(f64::NAN).floor())),
                 other => Err(ApisenseError::UnknownSensor(other.to_string())),
@@ -618,9 +616,9 @@ mod tests {
             emit({ "lat": fix.lat, "lon": fix.lon, "battery": sensor.battery() });
             "#);
         assert_eq!(host.emitted.len(), 1);
-        let m = host.emitted[0].as_map().unwrap();
-        assert_eq!(m["lat"], Value::Num(45.75));
-        assert_eq!(m["battery"], Value::Num(0.75));
+        let m = &host.emitted[0];
+        assert_eq!(m.field("lat"), Some(&Value::Num(45.75)));
+        assert_eq!(m.field("battery"), Some(&Value::Num(0.75)));
     }
 
     #[test]
@@ -741,9 +739,8 @@ mod tests {
             "#);
         assert_eq!(host.emitted.len(), 3);
         for (i, record) in host.emitted.iter().enumerate() {
-            let m = record.as_map().unwrap();
-            assert_eq!(m["seq"], Value::Num(i as f64));
-            assert_eq!(m["quality"], Value::Str("good".into()));
+            assert_eq!(record.field("seq"), Some(&Value::Num(i as f64)));
+            assert_eq!(record.field("quality"), Some(&Value::Str("good".into())));
         }
     }
 }

@@ -16,6 +16,27 @@
 //! VM; both tiers produce identical values, errors and fuel-exhaustion
 //! classifications.
 //!
+//! # Values
+//!
+//! A [`Value`] is `null`, a boolean, a number, a string, a list or a
+//! [`Record`], the language's string-keyed map. A record is a [`Shape`], a
+//! sorted, deduplicated key list shared through an [`Arc`], plus one value
+//! slot per key in key order. Shapes are made once and shared: the compiler
+//! interns one per map literal (keys interned as names, so a field read
+//! names the key by the same pointer), and a host endpoint such as the
+//! device's `sensor.gps` makes its fix shape once. Building a record then
+//! costs one slot allocation, and a field read scans the keys comparing
+//! pointers first, then strings. Adding a key (`m.k = v` or
+//! `m["k"] = v` on a missing key) moves the record to a new shape. Every
+//! other construction ([`Record::new`], used by the tree-walker and
+//! [`Value::from_json`]) sorts and deduplicates its entries, the last
+//! duplicate winning as in a map literal.
+//!
+//! Records compare by content, so equal keys and values are equal whatever
+//! shape they were built against, and [`Value::to_json`] and `Display`
+//! list keys in sorted order: the bytes a payload renders to do not depend
+//! on how its record was built.
+//!
 //! # Example
 //!
 //! ```
@@ -55,7 +76,6 @@ pub use vm::Vm;
 
 use crate::error::ApisenseError;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -72,8 +92,157 @@ pub enum Value {
     Str(String),
     /// An ordered list.
     List(Vec<Value>),
-    /// A string-keyed map.
-    Map(BTreeMap<String, Value>),
+    /// A string-keyed record (the language's map): a shared key [`Shape`]
+    /// plus one value slot per key.
+    Record(Record),
+}
+
+/// The key set of a [`Record`]: sorted, deduplicated keys, shared through
+/// an [`Arc`] by every record built against it. Cloning a shape is one
+/// reference-count bump, so a compiled map literal or a host endpoint
+/// makes its shape once and stamps records from it without touching the
+/// keys again.
+#[derive(Clone)]
+pub struct Shape(Arc<Vec<Arc<str>>>);
+
+impl Shape {
+    /// The shape of `keys`, sorted by byte order and deduplicated.
+    pub fn new<K: Into<Arc<str>>>(keys: impl IntoIterator<Item = K>) -> Shape {
+        let mut keys: Vec<Arc<str>> = keys.into_iter().map(Into::into).collect();
+        keys.sort();
+        keys.dedup();
+        Shape(Arc::new(keys))
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the shape has no keys.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Slot index of `key`. Each key is compared by pointer first (a key
+    /// interned by the same compiler as `key` matches without reading a
+    /// byte), then by content.
+    pub fn slot(&self, key: &str) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|k| std::ptr::eq::<str>(&**k, key) || **k == *key)
+    }
+
+    /// A record of this shape holding `slots`, one value per key in slot
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// When `slots` does not hold exactly one value per key.
+    pub fn record(&self, slots: Box<[Value]>) -> Record {
+        assert_eq!(slots.len(), self.len(), "one slot per key of the shape");
+        Record {
+            shape: self.clone(),
+            slots,
+        }
+    }
+}
+
+impl PartialEq for Shape {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+    }
+}
+
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.0.iter()).finish()
+    }
+}
+
+/// A string-keyed record: a [`Shape`] plus one value per key, in the
+/// shape's (sorted) key order. Equality compares keys and values, never
+/// shape identity, so records built against different shapes with the
+/// same keys are equal.
+#[derive(Clone, PartialEq)]
+pub struct Record {
+    shape: Shape,
+    slots: Box<[Value]>,
+}
+
+impl Record {
+    /// Builds a record from `(key, value)` entries in any order; when a key
+    /// repeats, the last entry wins (the map-literal rule).
+    pub fn new<K: Into<Arc<str>>>(entries: impl IntoIterator<Item = (K, Value)>) -> Record {
+        let mut entries: Vec<(Arc<str>, Value)> =
+            entries.into_iter().map(|(k, v)| (k.into(), v)).collect();
+        // Stable: repeated keys keep their source order, so the last wins.
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut keys: Vec<Arc<str>> = Vec::with_capacity(entries.len());
+        let mut slots: Vec<Value> = Vec::with_capacity(entries.len());
+        for (key, value) in entries {
+            match (keys.last(), slots.last_mut()) {
+                (Some(last), Some(slot)) if *last == key => *slot = value,
+                _ => {
+                    keys.push(key);
+                    slots.push(value);
+                }
+            }
+        }
+        Record {
+            shape: Shape(Arc::new(keys)),
+            slots: slots.into_boxed_slice(),
+        }
+    }
+
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the record has no fields.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The value of field `key`.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.shape.slot(key).map(|i| &self.slots[i])
+    }
+
+    /// Moves field `key` out, leaving `null` behind.
+    pub fn take(&mut self, key: &str) -> Option<Value> {
+        let i = self.shape.slot(key)?;
+        Some(std::mem::replace(&mut self.slots[i], Value::Null))
+    }
+
+    /// Sets field `key`. A key the shape lacks moves the record to a new
+    /// shape with the key added in sorted position.
+    pub fn insert(&mut self, key: &str, value: Value) {
+        match self.shape.slot(key) {
+            Some(i) => self.slots[i] = value,
+            None => {
+                let at = self.shape.0.partition_point(|k| &**k < key);
+                let mut keys = self.shape.0.to_vec();
+                keys.insert(at, key.into());
+                let mut slots = std::mem::take(&mut self.slots).into_vec();
+                slots.insert(at, value);
+                self.shape = Shape(Arc::new(keys));
+                self.slots = slots.into_boxed_slice();
+            }
+        }
+    }
+
+    /// The fields in sorted key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
+        self.shape.0.iter().map(|k| &**k).zip(self.slots.iter())
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
 }
 
 impl Value {
@@ -85,7 +254,7 @@ impl Value {
             Value::Bool(b) => *b,
             Value::Num(n) => *n != 0.0 && !n.is_nan(),
             Value::Str(s) => !s.is_empty(),
-            Value::List(_) | Value::Map(_) => true,
+            Value::List(_) | Value::Record(_) => true,
         }
     }
 
@@ -105,12 +274,17 @@ impl Value {
         }
     }
 
-    /// Map view of the value, if it is a map.
-    pub fn as_map(&self) -> Option<&BTreeMap<String, Value>> {
+    /// Record view of the value, if it is a record.
+    pub fn as_record(&self) -> Option<&Record> {
         match self {
-            Value::Map(m) => Some(m),
+            Value::Record(r) => Some(r),
             _ => None,
         }
+    }
+
+    /// Field `key` of the value, if it is a record that has the field.
+    pub fn field(&self, key: &str) -> Option<&Value> {
+        self.as_record()?.get(key)
     }
 
     /// Renders the value as JSON text.
@@ -140,9 +314,9 @@ impl Value {
                 }
                 out.push(']');
             }
-            Value::Map(m) => {
+            Value::Record(r) => {
                 out.push('{');
-                for (i, (k, v)) in m.iter().enumerate() {
+                for (i, (k, v)) in r.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
@@ -249,10 +423,10 @@ impl JsonParser<'_> {
             }
             Some(b'{') => {
                 self.pos += 1;
-                let mut map = BTreeMap::new();
+                let mut entries = Vec::new();
                 self.skip_ws();
                 if self.eat("}") {
-                    return Ok(Value::Map(map));
+                    return Ok(Value::Record(Record::new(entries)));
                 }
                 loop {
                     self.skip_ws();
@@ -261,10 +435,10 @@ impl JsonParser<'_> {
                     if !self.eat(":") {
                         return Err(json_err(format!("expected : at byte {}", self.pos)));
                     }
-                    map.insert(key, self.parse_value()?);
+                    entries.push((key, self.parse_value()?));
                     self.skip_ws();
                     if self.eat("}") {
-                        return Ok(Value::Map(map));
+                        return Ok(Value::Record(Record::new(entries)));
                     }
                     if !self.eat(",") {
                         return Err(json_err(format!("expected , or }} at byte {}", self.pos)));
@@ -377,9 +551,9 @@ impl fmt::Display for Value {
                 }
                 write!(f, "]")
             }
-            Value::Map(m) => {
+            Value::Record(r) => {
                 write!(f, "{{")?;
-                for (i, (k, v)) in m.iter().enumerate() {
+                for (i, (k, v)) in r.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
                     }
@@ -525,7 +699,7 @@ mod tests {
         assert!(!Value::Str(String::new()).is_truthy());
         assert!(Value::Str("x".into()).is_truthy());
         assert!(Value::List(vec![]).is_truthy());
-        assert!(Value::Map(BTreeMap::new()).is_truthy());
+        assert!(Value::Record(Record::new(Vec::<(&str, Value)>::new())).is_truthy());
     }
 
     #[test]
@@ -536,9 +710,8 @@ mod tests {
             Value::List(vec![Value::Num(1.0), Value::Str("a".into())]).to_string(),
             "[1, a]"
         );
-        let mut m = BTreeMap::new();
-        m.insert("k".to_string(), Value::Bool(true));
-        assert_eq!(Value::Map(m).to_string(), "{k: true}");
+        let m = Record::new([("k", Value::Bool(true))]);
+        assert_eq!(Value::Record(m).to_string(), "{k: true}");
     }
 
     #[test]
@@ -548,7 +721,7 @@ mod tests {
         assert_eq!(Value::from("hi"), Value::Str("hi".into()));
         assert_eq!(Value::Num(3.0).as_num(), Some(3.0));
         assert_eq!(Value::Str("s".into()).as_str(), Some("s"));
-        assert!(Value::Null.as_map().is_none());
+        assert!(Value::Null.as_record().is_none());
     }
 
     #[test]

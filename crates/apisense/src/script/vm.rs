@@ -17,8 +17,12 @@
 //!   (re)declaration or a new run bumps the VM's binding epoch,
 //! - fuel is charged in per-basic-block batches instead of per AST node,
 //!   and `vm.fuel_spent` is counted once per run,
+//! - a map literal builds its record against the shape the compiler
+//!   interned for it: one slot allocation, each slot moved off the stack
+//!   (the last value written under its key), no key touched at run time,
 //! - field reads off a local (`fix.lat`) borrow the slot and clone only the
-//!   field, never the container.
+//!   field, never the container; the field's key matches by pointer when
+//!   the record's shape came from this program, by content otherwise.
 //!
 //! A `Vm` is cheap to keep around and is designed for compile-once /
 //! run-many: reusing one instance across readings reuses its stack, locals
@@ -30,7 +34,7 @@
 //! than a panic.
 
 use crate::error::ApisenseError;
-use crate::script::compile::{AssignFault, CompiledFn, CompiledProgram, NumOp, Op};
+use crate::script::compile::{AssignFault, CompiledFn, CompiledProgram, MapShape, NumOp, Op};
 use crate::script::interp::MAX_CALL_DEPTH;
 use crate::script::{Host, Value};
 
@@ -100,7 +104,7 @@ fn underflow(op: &'static str, pc: usize) -> ApisenseError {
 }
 
 fn name_of(program: &CompiledProgram, id: u32) -> &str {
-    program.names.get(id as usize).map_or("?", String::as_str)
+    program.names.get(id as usize).map_or("?", |name| name)
 }
 
 /// Charges `n` fuel units, or fails with `FuelExhausted` and charges
@@ -115,13 +119,13 @@ fn charge(fuel: &mut u64, n: u32) -> Result<(), ApisenseError> {
     Ok(())
 }
 
-/// Reads field `field` of `value` without consuming it: map fields (absent
-/// ones read as `null`) and the `length` of lists and strings. Clones only
-/// the field, never the container (the `Member` behavior).
+/// Reads field `field` of `value` without consuming it: record fields
+/// (absent ones read as `null`) and the `length` of lists and strings.
+/// Clones only the field, never the container (the `Member` behavior).
 #[inline]
 fn member_of(value: &Value, field: &str) -> Result<Value, ApisenseError> {
     match value {
-        Value::Map(m) => Ok(m.get(field).cloned().unwrap_or(Value::Null)),
+        Value::Record(r) => Ok(r.get(field).cloned().unwrap_or(Value::Null)),
         Value::List(items) if field == "length" => Ok(Value::Num(items.len() as f64)),
         Value::Str(s) if field == "length" => Ok(Value::Num(s.chars().count() as f64)),
         other => Err(ApisenseError::Runtime(format!(
@@ -182,8 +186,8 @@ fn set_index(root: &mut Value, idx: Value, value: Value) -> Result<(), ApisenseE
             items[i] = value;
             Ok(())
         }
-        (Value::Str(k), Value::Map(m)) => {
-            m.insert(k, value);
+        (Value::Str(k), Value::Record(r)) => {
+            r.insert(&k, value);
             Ok(())
         }
         _ => Err(ApisenseError::Runtime(
@@ -196,8 +200,8 @@ fn set_index(root: &mut Value, idx: Value, value: Value) -> Result<(), ApisenseE
 /// assignment).
 fn set_member(root: &mut Value, field: &str, value: Value) -> Result<(), ApisenseError> {
     match root {
-        Value::Map(m) => {
-            m.insert(field.to_string(), value);
+        Value::Record(r) => {
+            r.insert(field, value);
             Ok(())
         }
         _ => Err(ApisenseError::Runtime(
@@ -306,20 +310,30 @@ impl Vm {
                     self.stack.push(Value::List(items));
                 }
                 Op::MakeMap(i) => {
-                    let shape = program
+                    let MapShape {
+                        shape,
+                        values,
+                        value_of,
+                    } = program
                         .map_shapes
                         .get(i as usize)
                         .ok_or_else(|| fault("MakeMap", cur, "shape index out of range"))?;
                     let at = self
                         .stack
                         .len()
-                        .checked_sub(shape.len())
+                        .checked_sub(*values as usize)
                         .ok_or_else(|| underflow("MakeMap", cur))?;
-                    let mut map = std::collections::BTreeMap::new();
-                    for (key, value) in shape.iter().zip(self.stack.drain(at..)) {
-                        map.insert(key.clone(), value);
+                    let source = &mut self.stack[at..];
+                    let mut slots = Vec::with_capacity(value_of.len());
+                    for &v in value_of.iter() {
+                        let value = source
+                            .get_mut(v as usize)
+                            .ok_or_else(|| fault("MakeMap", cur, "value index out of range"))?;
+                        slots.push(std::mem::replace(value, Value::Null));
                     }
-                    self.stack.push(Value::Map(map));
+                    self.stack.truncate(at);
+                    let record = shape.record(slots.into_boxed_slice());
+                    self.stack.push(Value::Record(record));
                 }
                 Op::LoadSlot(i) => self.load_slot(base, i, cur)?,
                 Op::StoreSlot(i) => {
@@ -405,9 +419,9 @@ impl Vm {
                 }
                 Op::Member(f) => {
                     let out = match self.stack.pop().ok_or_else(|| underflow("Member", cur))? {
-                        // Sole owner of the map: move the field out.
-                        Value::Map(mut m) => {
-                            m.remove(name_of(program, f)).unwrap_or(Value::Null)
+                        // Sole owner of the record: move the field out.
+                        Value::Record(mut r) => {
+                            r.take(name_of(program, f)).unwrap_or(Value::Null)
                         }
                         other => member_of(&other, name_of(program, f))?,
                     };
@@ -425,8 +439,8 @@ impl Vm {
                                 Value::Null
                             }
                         }
-                        (Value::Map(mut m), Value::Str(k)) => {
-                            m.remove(&k).unwrap_or(Value::Null)
+                        (Value::Record(mut r), Value::Str(k)) => {
+                            r.take(&k).unwrap_or(Value::Null)
                         }
                         (v, i) => {
                             return Err(ApisenseError::Runtime(format!(
@@ -1009,8 +1023,7 @@ impl Vm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::script::Script;
-    use std::collections::BTreeMap;
+    use crate::script::{Record, Script};
 
     /// Host used by VM unit tests: `emit` collects, `math.double` doubles,
     /// anything else errors.
@@ -1151,11 +1164,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(value, Value::Num(6.0));
-        let mut expected = BTreeMap::new();
-        expected.insert("k".to_string(), Value::Num(1.0));
         assert_eq!(
             run_vm("let m = {}; m.k = 1; m;", 1_000).unwrap(),
-            Value::Map(expected)
+            Value::Record(Record::new([("k", Value::Num(1.0))]))
         );
     }
 }

@@ -8,12 +8,16 @@
 
 use crate::device::{Device, SensedRecord, SensorKind};
 use crate::hive::TaskId;
-use crate::script::{Script, Value, Vm};
+use crate::script::{Script, Shape, Value, Vm};
 use geo::{GeoPoint, Meters};
 use mobility::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::LazyLock;
+
+/// The shape of every reading's `{lat, lon}` payload, made once.
+static LOCATION_SHAPE: LazyLock<Shape> = LazyLock::new(|| Shape::new(["lat", "lon"]));
 
 /// How a virtual sensor picks the devices answering each query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -185,9 +189,6 @@ impl VirtualSensor {
             device.battery_mut().drain(
                 SensorKind::Gps.sample_cost() + SensorKind::NetworkQuality.sample_cost(),
             );
-            let mut payload = BTreeMap::new();
-            payload.insert("lat".to_string(), Value::Num(position.latitude()));
-            payload.insert("lon".to_string(), Value::Num(position.longitude()));
             readings.push(Reading {
                 member: idx,
                 record: SensedRecord {
@@ -195,7 +196,10 @@ impl VirtualSensor {
                     user: device.user(),
                     device: device.id(),
                     time: now,
-                    payload: Value::Map(payload),
+                    payload: Value::Record(LOCATION_SHAPE.record(Box::new([
+                        Value::Num(position.latitude()),
+                        Value::Num(position.longitude()),
+                    ]))),
                 },
             });
         }

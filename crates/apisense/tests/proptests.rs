@@ -71,22 +71,23 @@ proptest! {
     ) {
         use apisense::device::{DeviceId, SensedRecord};
         use apisense::hive::TaskId;
+        use apisense::script::Record;
         use mobility::{Timestamp, UserId};
-        use std::collections::BTreeMap;
 
         let prefs = PrivacyPreferences::default()
             .with_blur(geo::Meters::new(sigma))
             .with_salt(salt);
-        let mut payload = BTreeMap::new();
-        payload.insert("lat".to_string(), Value::Num(lat));
-        payload.insert("lon".to_string(), Value::Num(lon));
-        payload.insert("extra".to_string(), Value::Num(42.0));
+        let payload = Record::new([
+            ("lat", Value::Num(lat)),
+            ("lon", Value::Num(lon)),
+            ("extra", Value::Num(42.0)),
+        ]);
         let record = SensedRecord {
             task: TaskId(1),
             user: UserId(1),
             device: DeviceId(1),
             time: Timestamp::new(t),
-            payload: Value::Map(payload),
+            payload: Value::Record(payload),
         };
         let out1 = prefs.filter_record(record.clone()).unwrap();
         let out2 = prefs.filter_record(record.clone()).unwrap();
@@ -98,7 +99,7 @@ proptest! {
         // Gaussian tail: 6 sigma covers essentially everything.
         prop_assert!(d <= sigma * 6.0 + 1.0, "blur {d} m at sigma {sigma}");
         prop_assert_eq!(
-            out1.payload.as_map().unwrap().get("extra"),
+            out1.payload.field("extra"),
             Some(&Value::Num(42.0))
         );
     }
@@ -115,8 +116,8 @@ proptest! {
     ) {
         use apisense::device::{DeviceId, SensedRecord};
         use apisense::hive::TaskId;
+        use apisense::script::Record;
         use mobility::{Timestamp, UserId};
-        use std::collections::BTreeMap;
 
         let zone_center = GeoPoint::new(zone_lat, zone_lon).unwrap();
         let window = TimeWindow::new(win_start, (win_start + 8).min(24));
@@ -124,15 +125,13 @@ proptest! {
             .with_exclusion_zone(ExclusionZone::new(zone_center, geo::Meters::new(radius)))
             .with_time_window(window);
         for (la, lo, t) in points {
-            let mut payload = BTreeMap::new();
-            payload.insert("lat".to_string(), Value::Num(la));
-            payload.insert("lon".to_string(), Value::Num(lo));
+            let payload = Record::new([("lat", Value::Num(la)), ("lon", Value::Num(lo))]);
             let record = SensedRecord {
                 task: TaskId(1),
                 user: UserId(1),
                 device: DeviceId(1),
                 time: Timestamp::new(t),
-                payload: Value::Map(payload),
+                payload: Value::Record(payload),
             };
             if let Some(out) = prefs.filter_record(record) {
                 let p = out.location().unwrap();

@@ -19,14 +19,26 @@
 //!   they compile.
 //!
 //! Numeric comparison is NaN-aware (`0 / 0` must be "equal" across tiers
-//! even though `NaN != NaN`).
+//! even though `NaN != NaN`), and every compared value must also render to
+//! the same JSON bytes on both tiers.
+//!
+//! Records get their own coverage: the host's GPS fix is built against a
+//! shape made once (like the device host's), literals repeat keys, scripts
+//! add keys to fixes and literals by member and index assignment, read
+//! fields by string index, and compare fixes with literals that list the
+//! same keys in another order. A JSON round-trip proptest checks the record
+//! codec against a `BTreeMap` reference.
 
-use apisense::script::{Host, Script, Value, Vm, MAX_NESTING};
+use apisense::script::{Host, Record, Script, Shape, Value, Vm, MAX_NESTING};
 use apisense::ApisenseError;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::LazyLock;
+
+/// The shape of the host's GPS fix, made once like the device host's.
+static FIX_SHAPE: LazyLock<Shape> = LazyLock::new(|| Shape::new(["lon", "lat"]));
 
 /// Deterministic host with internal state (`seq.next`) and a failing path
 /// (`boom.fail`), recording every call for trace comparison.
@@ -49,12 +61,9 @@ impl Host for DiffHost {
                 self.counter += 1;
                 Ok(Value::Num((self.counter % 10) as f64 / 10.0))
             }
-            "sensor.gps" => {
-                let mut m = BTreeMap::new();
-                m.insert("lat".to_string(), Value::Num(45.75));
-                m.insert("lon".to_string(), Value::Num(4.85));
-                Ok(Value::Map(m))
-            }
+            "sensor.gps" => Ok(Value::Record(
+                FIX_SHAPE.record(Box::new([Value::Num(45.75), Value::Num(4.85)])),
+            )),
             "math.floor" => Ok(Value::Num(
                 args.first()
                     .and_then(Value::as_num)
@@ -67,19 +76,24 @@ impl Host for DiffHost {
 }
 
 /// Structural equality with NaN == NaN (derived `PartialEq` on `Value`
-/// would report a spurious mismatch when both tiers compute `NaN`).
+/// would report a spurious mismatch when both tiers compute `NaN`), plus
+/// byte-equal JSON renderings.
 fn values_equivalent(a: &Value, b: &Value) -> bool {
+    structurally_equal(a, b) && a.to_json() == b.to_json()
+}
+
+fn structurally_equal(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Num(x), Value::Num(y)) => x == y || (x.is_nan() && y.is_nan()),
         (Value::List(xs), Value::List(ys)) => {
-            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| values_equivalent(x, y))
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| structurally_equal(x, y))
         }
-        (Value::Map(xm), Value::Map(ym)) => {
-            xm.len() == ym.len()
-                && xm
+        (Value::Record(xr), Value::Record(yr)) => {
+            xr.len() == yr.len()
+                && xr
                     .iter()
-                    .zip(ym)
-                    .all(|((ka, va), (kb, vb))| ka == kb && values_equivalent(va, vb))
+                    .zip(yr.iter())
+                    .all(|((ka, va), (kb, vb))| ka == kb && structurally_equal(va, vb))
         }
         _ => a == b,
     }
@@ -229,7 +243,7 @@ impl ProgramGen {
             return;
         }
         self.budget -= 1;
-        match self.rng.gen_range(0..11) {
+        match self.rng.gen_range(0..12) {
             0..=3 => {
                 let e = self.expr(depth);
                 let name = self.fresh_var();
@@ -286,6 +300,19 @@ impl ProgramGen {
                 let e = self.expr(depth);
                 self.out.push_str(&format!("return {e};\n"));
             }
+            11 => {
+                // Member-set or string-index set of a present or missing key:
+                // on a record, a missing key moves it to a new shape.
+                let value = self.expr(depth);
+                if let Some(v) = self.declared_var() {
+                    let key = self.key();
+                    if self.rng.gen_bool(0.5) {
+                        self.out.push_str(&format!("{v}.{key} = {value};\n"));
+                    } else {
+                        self.out.push_str(&format!("{v}[\"{key}\"] = {value};\n"));
+                    }
+                }
+            }
             10 => {
                 // A local of a known shape, so later bare field reads
                 // (`v.lat`) meet maps, lists, strings, numbers and null.
@@ -305,7 +332,7 @@ impl ProgramGen {
         if depth >= 4 {
             return self.leaf();
         }
-        match self.rng.gen_range(0..12) {
+        match self.rng.gen_range(0..14) {
             0..=3 => self.leaf(),
             4 => {
                 let op = [
@@ -349,10 +376,26 @@ impl ProgramGen {
             }
             10 => self.call(depth),
             // Bare field read on a local: the VM's fused slot-field op.
-            _ => match self.declared_var() {
+            11 => match self.declared_var() {
                 Some(v) => format!("{v}.{}", self.field()),
                 None => self.leaf(),
             },
+            // String-index read on a local.
+            12 => match self.declared_var() {
+                Some(v) => format!("{v}[\"{}\"]", self.field()),
+                None => self.leaf(),
+            },
+            // A host fix against a literal of the same keys in another
+            // order (equal when the values match).
+            _ => {
+                let lat = if self.rng.gen_bool(0.7) {
+                    "45.75".to_string()
+                } else {
+                    self.expr(depth + 1)
+                };
+                let op = ["==", "!="][self.rng.gen_range(0..2)];
+                format!("(sensor.gps() {op} {{ \"lon\": 4.85, \"lat\": {lat} }})")
+            }
         }
     }
 
@@ -360,12 +403,23 @@ impl ProgramGen {
         ["lat", "lon", "length", "k0", "missing"][self.rng.gen_range(0..5)]
     }
 
-    /// A value of a chosen shape: map (literal or a GPS fix), list,
-    /// string, number or null.
+    /// A key an assignment writes: present in fixes or literals, or new.
+    fn key(&mut self) -> &'static str {
+        ["lat", "lon", "k0", "k1", "added", "a"][self.rng.gen_range(0..6)]
+    }
+
+    /// A value of a chosen shape: record (literal, literal with a repeated
+    /// key, or a GPS fix), list, string, number or null.
     fn shaped_value(&mut self, depth: usize) -> String {
-        match self.rng.gen_range(0..6) {
+        match self.rng.gen_range(0..7) {
             0 => format!(
                 "{{ \"lat\": {}, \"k0\": {} }}",
+                self.expr(depth + 1),
+                self.expr(depth + 1)
+            ),
+            6 => format!(
+                "{{ \"lon\": {}, \"lat\": {}, \"lon\": {} }}",
+                self.expr(depth + 1),
                 self.expr(depth + 1),
                 self.expr(depth + 1)
             ),
@@ -660,12 +714,12 @@ fn fuel_sweep_across_fused_field_reads() {
 }
 
 /// A script source builder over the number of nested constructs.
-type Shape = fn(usize) -> String;
+type NestingShape = fn(usize) -> String;
 
 /// Every way a script nests, as a source builder over the number of
 /// nested constructs: parentheses, lists, prefix minus, blocks, `else if`
 /// chains, binary links, member links and chained assignments.
-fn nesting_shapes() -> [(&'static str, Shape); 8] {
+fn nesting_shapes() -> [(&'static str, NestingShape); 8] {
     [
         ("parens", |k| {
             format!("emit({}1{});", "(".repeat(k), ")".repeat(k))
@@ -731,5 +785,123 @@ fn scripts_nested_at_the_limit_run_on_both_tiers() {
         let src = source(deepest);
         let script = Script::compile(&src).unwrap();
         assert_parity(&script, &mut Vm::new(), 1_000_000, &src);
+    }
+}
+
+/// Record semantics on both tiers, pinned to their JSON bytes: a repeated
+/// key keeps its last value, member and index assignment add keys to a
+/// host fix and to a literal, string indexing reads fields, and a fix
+/// equals a literal listing the same keys in another order.
+#[test]
+fn record_semantics_match_and_render_sorted() {
+    for (src, json) in [
+        (
+            "let m = { \"b\": 1, \"a\": 2, \"b\": 3 }; m;",
+            r#"{"a":2.0,"b":3.0}"#,
+        ),
+        (
+            "let f = sensor.gps(); f.accuracy = 5; f;",
+            r#"{"accuracy":5.0,"lat":45.75,"lon":4.85}"#,
+        ),
+        (
+            "let f = sensor.gps(); f[\"zone\"] = \"in\"; f;",
+            r#"{"lat":45.75,"lon":4.85,"zone":"in"}"#,
+        ),
+        (
+            "let m = { \"lon\": 1 }; m.alt = 2; m[\"a\"] = 3; m.lon = 4; m;",
+            r#"{"a":3.0,"alt":2.0,"lon":4.0}"#,
+        ),
+        (
+            "let f = sensor.gps(); [f[\"lat\"], f[\"none\"]];",
+            "[45.75,null]",
+        ),
+        ("sensor.gps() == { \"lon\": 4.85, \"lat\": 45.75 };", "true"),
+        ("{ \"lat\": 45.75, \"lon\": 4.85 } == sensor.gps();", "true"),
+        ("sensor.gps() == { \"lat\": 45.75 };", "false"),
+        ("sensor.gps() != { \"lat\": 45.75, \"lon\": 0 };", "true"),
+    ] {
+        assert_parity_across_budgets(src);
+        let script = Script::compile(src).unwrap();
+        let value = script
+            .run_vm(&mut Vm::new(), &mut DiffHost::default(), 10_000)
+            .unwrap();
+        assert_eq!(value.to_json(), json, "{src}");
+        assert_eq!(Value::from_json(json).unwrap(), value, "{src}");
+    }
+}
+
+/// A random value tree and its JSON text rendered independently through a
+/// `BTreeMap` (sorted keys, last duplicate wins).
+fn random_value(rng: &mut StdRng, depth: usize) -> (Value, String) {
+    let leaf = depth >= 3 || rng.gen_bool(0.4);
+    match rng.gen_range(0..if leaf { 4 } else { 6 }) {
+        0 => (Value::Null, "null".into()),
+        1 => {
+            let b = rng.gen_bool(0.5);
+            (Value::Bool(b), b.to_string())
+        }
+        2 => {
+            let n = rng.gen_range(-1e6..1e6);
+            (Value::Num(n), format!("{n:?}"))
+        }
+        3 => {
+            let s = ["", "a", "q\"uote", "back\\slash", "line\nfeed", "é"][rng.gen_range(0..6)];
+            let v = Value::Str(s.into());
+            let text = v.to_json();
+            (v, text)
+        }
+        4 => {
+            let (items, texts): (Vec<Value>, Vec<String>) = (0..rng.gen_range(0..4))
+                .map(|_| random_value(rng, depth + 1))
+                .unzip();
+            (Value::List(items), format!("[{}]", texts.join(",")))
+        }
+        _ => {
+            let mut entries = Vec::new();
+            let mut reference = BTreeMap::new();
+            for _ in 0..rng.gen_range(0..6) {
+                let key = ["lon", "lat", "accuracy", "a", "", "z\"k"][rng.gen_range(0..6)];
+                let (value, text) = random_value(rng, depth + 1);
+                entries.push((key, value));
+                reference.insert(key, text);
+            }
+            let fields: Vec<String> = reference
+                .iter()
+                .map(|(k, text)| format!("{}:{text}", Value::Str((*k).into()).to_json()))
+                .collect();
+            (
+                Value::Record(Record::new(entries)),
+                format!("{{{}}}", fields.join(",")),
+            )
+        }
+    }
+}
+
+/// Whether every record in `value` lists its keys strictly ascending.
+fn keys_sorted(value: &Value) -> bool {
+    match value {
+        Value::List(items) => items.iter().all(keys_sorted),
+        Value::Record(r) => {
+            let keys: Vec<&str> = r.iter().map(|(k, _)| k).collect();
+            keys.windows(2).all(|w| w[0] < w[1]) && r.iter().all(|(_, v)| keys_sorted(v))
+        }
+        _ => true,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// `to_json` renders records with sorted keys, byte for byte as a
+    /// `BTreeMap` would, and `from_json` gives back an equal value.
+    #[test]
+    fn record_json_round_trips_with_sorted_keys(seed in any::<u64>()) {
+        let (value, reference) = random_value(&mut StdRng::seed_from_u64(seed), 0);
+        prop_assert!(keys_sorted(&value));
+        prop_assert_eq!(value.to_json(), reference.clone());
+        let parsed = Value::from_json(&value.to_json()).unwrap();
+        prop_assert!(keys_sorted(&parsed));
+        prop_assert_eq!(&parsed, &value);
+        prop_assert_eq!(parsed.to_json(), reference);
     }
 }

@@ -3,26 +3,23 @@
 use apisense::device::{DeviceId, SensedRecord};
 use apisense::hive::TaskId;
 use apisense::privacy::{ExclusionZone, PrivacyPreferences, TimeWindow};
-use apisense::script::Value;
+use apisense::script::{Record, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mobility::{Timestamp, UserId};
-use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Duration;
 
 fn record(i: i64) -> SensedRecord {
-    let mut payload = BTreeMap::new();
-    payload.insert(
-        "lat".to_string(),
-        Value::Num(45.75 + (i % 100) as f64 * 1e-4),
-    );
-    payload.insert("lon".to_string(), Value::Num(4.85));
+    let payload = Record::new([
+        ("lat", Value::Num(45.75 + (i % 100) as f64 * 1e-4)),
+        ("lon", Value::Num(4.85)),
+    ]);
     SensedRecord {
         task: TaskId(1),
         user: UserId(1),
         device: DeviceId(1),
         time: Timestamp::new(i * 60),
-        payload: Value::Map(payload),
+        payload: Value::Record(payload),
     }
 }
 

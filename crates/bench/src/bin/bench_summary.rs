@@ -49,6 +49,11 @@ use bench::e15::{self, E15Config};
 use bench::e16::{self, E16Config};
 use bench::Scale;
 
+/// Counts heap allocations per thread, so E14 can report the script
+/// tiers' allocations per execution.
+#[global_allocator]
+static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Every argument must be a known flag or the value right after one —

@@ -6,7 +6,12 @@
 //! [`Device::sample_interpreted`] (the tree-walker baseline) and
 //! [`Device::sample_scripted`] (compile-once bytecode VM with a reused
 //! executor) — over two identical fleets, asserts record-for-record parity
-//! before reporting any number, and emits throughput plus speedup.
+//! before reporting any number, and emits throughput plus speedup. When the
+//! process installed [`crate::alloc::CountingAlloc`] (`bench_summary` does),
+//! it also reports each tier's heap allocations per execution, counted on
+//! one more pass with the obs recorder paused: the counts are deterministic,
+//! so CI compares them exactly and any new allocation on the script path
+//! fails the build.
 //!
 //! The `bench_summary` binary drives [`run`] and writes the numbers as
 //! `BENCH_e14.json`; the `e14_script` Criterion bench measures the same
@@ -125,6 +130,12 @@ pub struct E14Report {
     pub interp_total_ms: f64,
     /// Total wall time of the VM tier, ms.
     pub vm_total_ms: f64,
+    /// Heap allocations per interpreter execution (`None` without
+    /// [`crate::alloc::CountingAlloc`]).
+    pub interp_allocs_per_exec: Option<f64>,
+    /// Heap allocations per VM execution (`None` without
+    /// [`crate::alloc::CountingAlloc`]).
+    pub vm_allocs_per_exec: Option<f64>,
     /// Whether both tiers produced identical record streams (asserted in
     /// [`run`]; recorded so the JSON artifact carries the invariant).
     pub parity_ok: bool,
@@ -155,7 +166,8 @@ impl E14Report {
              \"executions\": {},\n  \"records\": {},\n  \
              \"interp_total_ms\": {:.3},\n  \"vm_total_ms\": {:.3},\n  \
              \"interp_execs_per_sec\": {:.1},\n  \"vm_execs_per_sec\": {:.1},\n  \
-             \"speedup\": {:.3},\n  \"parity_ok\": {}\n}}\n",
+             \"speedup\": {:.3},\n  \"interp_allocs_per_exec\": {},\n  \
+             \"vm_allocs_per_exec\": {},\n  \"parity_ok\": {}\n}}\n",
             crate::host_json(),
             self.label,
             self.devices,
@@ -168,9 +180,17 @@ impl E14Report {
             self.interp_execs_per_sec(),
             self.vm_execs_per_sec(),
             self.speedup(),
+            json_count(self.interp_allocs_per_exec),
+            json_count(self.vm_allocs_per_exec),
             self.parity_ok,
         )
     }
+}
+
+/// A per-execution count as JSON: three decimals, or `null` when not
+/// counted.
+fn json_count(count: Option<f64>) -> String {
+    count.map_or_else(|| "null".into(), |n| format!("{n:.3}"))
 }
 
 impl fmt::Display for E14Report {
@@ -187,7 +207,8 @@ impl fmt::Display for E14Report {
             self.records,
             if self.parity_ok { "ok" } else { "FAILED" }
         )?;
-        let widths = [14, 12, 14, 9];
+        let widths = [14, 12, 14, 9, 12];
+        let allocs = |n: Option<f64>| n.map_or_else(|| "-".into(), |n| format!("{n:.2}"));
         writeln!(
             f,
             "{}",
@@ -196,7 +217,8 @@ impl fmt::Display for E14Report {
                     "tier".into(),
                     "total ms".into(),
                     "execs/sec".into(),
-                    "speedup".into()
+                    "speedup".into(),
+                    "allocs/exec".into(),
                 ],
                 &widths
             )
@@ -210,6 +232,7 @@ impl fmt::Display for E14Report {
                     format!("{:.3}", self.interp_total_ms),
                     format!("{:.0}", self.interp_execs_per_sec()),
                     "1.00x".into(),
+                    allocs(self.interp_allocs_per_exec),
                 ],
                 &widths
             )
@@ -223,6 +246,7 @@ impl fmt::Display for E14Report {
                     format!("{:.3}", self.vm_total_ms),
                     format!("{:.0}", self.vm_execs_per_sec()),
                     format!("{:.2}x", self.speedup()),
+                    allocs(self.vm_allocs_per_exec),
                 ],
                 &widths
             )
@@ -243,13 +267,22 @@ fn idle_drain(fleet: &mut [Device], now: Timestamp) {
 /// least disturbed by the scheduler (same estimator criterion uses).
 const REPS: usize = 5;
 
+/// What one pass of the workload measured.
+struct Pass {
+    interp_ms: f64,
+    vm_ms: f64,
+    /// Allocations the current thread made inside each tier's executions.
+    interp_allocs: u64,
+    vm_allocs: u64,
+    executions: usize,
+    records: Vec<SensedRecord>,
+}
+
 /// One timed pass of the full workload: fresh fleets, interleaved per-query
-/// timing of both tiers, selection parity asserted on every query.
-fn run_once(
-    config: &E14Config,
-    script: &Script,
-    vm: &mut Vm,
-) -> (f64, f64, usize, Vec<SensedRecord>) {
+/// timing and allocation counting of both tiers, selection parity asserted
+/// on every query.
+fn run_once(config: &E14Config, script: &Script, vm: &mut Vm) -> Pass {
+    let allocations = || crate::alloc::allocations().unwrap_or(0);
     let mut interp_fleet = build_fleet(config.devices, 2, 0xE14);
     let mut vm_fleet = build_fleet(config.devices, 2, 0xE14);
     let mut vs_interp = VirtualSensor::new(SelectionStrategy::RoundRobin, config.per_query);
@@ -258,6 +291,7 @@ fn run_once(
     let start = Timestamp::from_day_time(0, 8, 0, 0);
     let mut interp_total_ms = 0.0;
     let mut vm_total_ms = 0.0;
+    let (mut interp_allocs, mut vm_allocs) = (0, 0);
     let mut executions = 0;
     let mut interp_records = Vec::new();
     let mut vm_records = Vec::new();
@@ -273,13 +307,19 @@ fn run_once(
 
         let timer = Instant::now();
         for &idx in &selected {
-            interp_records.extend(interp_fleet[idx].sample_interpreted(task, script, now));
+            let before = allocations();
+            let records = interp_fleet[idx].sample_interpreted(task, script, now);
+            interp_allocs += allocations() - before;
+            interp_records.extend(records);
         }
         interp_total_ms += timer.elapsed().as_secs_f64() * 1e3;
 
         let timer = Instant::now();
         for &idx in &selected {
-            vm_records.extend(vm_fleet[idx].sample_scripted(task, script, vm, now));
+            let before = allocations();
+            let records = vm_fleet[idx].sample_scripted(task, script, vm, now);
+            vm_allocs += allocations() - before;
+            vm_records.extend(records);
         }
         vm_total_ms += timer.elapsed().as_secs_f64() * 1e3;
 
@@ -293,7 +333,14 @@ fn run_once(
         interp_records.len(),
         vm_records.len()
     );
-    (interp_total_ms, vm_total_ms, executions, interp_records)
+    Pass {
+        interp_ms: interp_total_ms,
+        vm_ms: vm_total_ms,
+        interp_allocs,
+        vm_allocs,
+        executions,
+        records: interp_records,
+    }
 }
 
 /// Runs E14: executes the sensing workload through both tiers over two
@@ -301,7 +348,9 @@ fn run_once(
 /// before reporting any timing. The whole workload is repeated `REPS`
 /// times (fleets rebuilt from the same seed each time, parity re-asserted)
 /// and each tier reports its minimum total, which discards scheduler
-/// preemptions instead of averaging them in.
+/// preemptions instead of averaging them in. Allocations are counted on one
+/// more pass with the obs recorder paused, so a traced run reports the
+/// script path's allocations, not the recorder's.
 pub fn run(config: &E14Config) -> E14Report {
     let script = Script::compile(SENSING_SCRIPT).expect("sensing script compiles");
     let mut vm = Vm::new();
@@ -311,19 +360,32 @@ pub fn run(config: &E14Config) -> E14Report {
     let mut records = 0;
     let mut first_records: Option<Vec<SensedRecord>> = None;
     for _ in 0..REPS {
-        let (interp_ms, vm_ms, execs, recs) = run_once(config, &script, &mut vm);
-        interp_total_ms = interp_total_ms.min(interp_ms);
-        vm_total_ms = vm_total_ms.min(vm_ms);
-        executions = execs;
-        records = recs.len();
+        let pass = run_once(config, &script, &mut vm);
+        interp_total_ms = interp_total_ms.min(pass.interp_ms);
+        vm_total_ms = vm_total_ms.min(pass.vm_ms);
+        executions = pass.executions;
+        records = pass.records.len();
         match &first_records {
-            None => first_records = Some(recs),
+            None => first_records = Some(pass.records),
             Some(first) => assert_eq!(
-                first, &recs,
+                first, &pass.records,
                 "deterministic workload diverged across repetitions"
             ),
         }
     }
+    let (interp_allocs_per_exec, vm_allocs_per_exec) = match crate::alloc::allocations() {
+        Some(_) => {
+            let recording = obs::enabled();
+            obs::disable();
+            let pass = run_once(config, &script, &mut vm);
+            if recording {
+                obs::enable();
+            }
+            let per_exec = |n: u64| Some(n as f64 / pass.executions.max(1) as f64);
+            (per_exec(pass.interp_allocs), per_exec(pass.vm_allocs))
+        }
+        None => (None, None),
+    };
     E14Report {
         label: config.label.clone(),
         devices: config.devices,
@@ -333,6 +395,8 @@ pub fn run(config: &E14Config) -> E14Report {
         records,
         interp_total_ms,
         vm_total_ms,
+        interp_allocs_per_exec,
+        vm_allocs_per_exec,
         parity_ok: true,
     }
 }
@@ -361,6 +425,8 @@ mod tests {
             "\"interp_execs_per_sec\"",
             "\"vm_execs_per_sec\"",
             "\"speedup\"",
+            "\"interp_allocs_per_exec\": null",
+            "\"vm_allocs_per_exec\": null",
             "\"parity_ok\": true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
