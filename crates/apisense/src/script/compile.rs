@@ -899,7 +899,8 @@ impl<'p> Compiler<'p> {
                 self.emit(Op::Const(id));
             }
             Expr::Str(s) => {
-                let id = self.const_id(ConstKey::Str(s.clone()), Value::Str(s.clone()))?;
+                let id =
+                    self.const_id(ConstKey::Str(s.clone()), Value::Str(s.as_str().into()))?;
                 self.emit(Op::Const(id));
             }
             Expr::Bool(true) => self.emit(Op::True),
@@ -1122,7 +1123,7 @@ impl<'p> Compiler<'p> {
                 self.const_id(ConstKey::Num(n.to_bits()), Value::Num(*n))?,
             )),
             Expr::Str(s) => Some(ParamBinding::Const(
-                self.const_id(ConstKey::Str(s.clone()), Value::Str(s.clone()))?,
+                self.const_id(ConstKey::Str(s.clone()), Value::Str(s.as_str().into()))?,
             )),
             Expr::Bool(true) => Some(ParamBinding::True),
             Expr::Bool(false) => Some(ParamBinding::False),

@@ -206,7 +206,7 @@ impl<'h> Interpreter<'h> {
         self.burn()?;
         match expr {
             Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Str(s) => Ok(Value::Str(s.clone())),
+            Expr::Str(s) => Ok(Value::Str(s.as_str().into())),
             Expr::Bool(b) => Ok(Value::Bool(*b)),
             Expr::Null => Ok(Value::Null),
             Expr::Ident(name) => self
@@ -321,8 +321,8 @@ impl<'h> Interpreter<'h> {
             BinaryOp::Ne => Ok(Value::Bool(l != r)),
             BinaryOp::Add => match (&l, &r) {
                 (Value::Num(a), Value::Num(b)) => num_op(*a, *b, op),
-                (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-                (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+                (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}").into())),
+                (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}").into())),
                 (a, b) => Err(ApisenseError::Runtime(format!("cannot add {a} and {b}"))),
             },
             _ => match (&l, &r) {

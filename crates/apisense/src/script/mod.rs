@@ -19,7 +19,9 @@
 //! # Values
 //!
 //! A [`Value`] is `null`, a boolean, a number, a string, a list or a
-//! [`Record`], the language's string-keyed map. A record is a [`Shape`], a
+//! [`Record`], the language's string-keyed map. A string is an `Arc<str>`,
+//! so copying one (a constant push, a variable read) shares its bytes. A
+//! record is a [`Shape`], a
 //! sorted, deduplicated key list shared through an [`Arc`], plus one value
 //! slot per key in key order. Shapes are made once and shared: the compiler
 //! interns one per map literal (keys interned as names, so a field read
@@ -88,8 +90,9 @@ pub enum Value {
     Bool(bool),
     /// A 64-bit float (the only numeric type, as in JavaScript).
     Num(f64),
-    /// A string.
-    Str(String),
+    /// A string, shared: cloning one (a constant push, a variable read)
+    /// bumps a reference count.
+    Str(Arc<str>),
     /// An ordered list.
     List(Vec<Value>),
     /// A string-keyed record (the language's map): a shared key [`Shape`]
@@ -402,7 +405,7 @@ impl JsonParser<'_> {
             Some(b'n') if self.eat("null") => Ok(Value::Null),
             Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(Value::Str),
+            Some(b'"') => self.parse_string().map(|s| Value::Str(s.into())),
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -579,7 +582,7 @@ impl From<bool> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(s.to_string())
+        Value::Str(s.into())
     }
 }
 
@@ -696,7 +699,7 @@ mod tests {
         assert!(!Value::Num(0.0).is_truthy());
         assert!(!Value::Num(f64::NAN).is_truthy());
         assert!(Value::Num(1.5).is_truthy());
-        assert!(!Value::Str(String::new()).is_truthy());
+        assert!(!Value::Str("".into()).is_truthy());
         assert!(Value::Str("x".into()).is_truthy());
         assert!(Value::List(vec![]).is_truthy());
         assert!(Value::Record(Record::new(Vec::<(&str, Value)>::new())).is_truthy());

@@ -22,7 +22,9 @@
 //!   (the last value written under its key), no key touched at run time,
 //! - field reads off a local (`fix.lat`) borrow the slot and clone only the
 //!   field, never the container; the field's key matches by pointer when
-//!   the record's shape came from this program, by content otherwise.
+//!   the record's shape came from this program, by content otherwise,
+//! - a string constant is shared with the constant pool: pushing one bumps
+//!   a reference count and allocates nothing.
 //!
 //! A `Vm` is cheap to keep around and is designed for compile-once /
 //! run-many: reusing one instance across readings reuses its stack, locals
@@ -154,8 +156,8 @@ fn num_op(op: Op) -> NumOp {
 fn add_values(lhs: &Value, rhs: &Value) -> Result<Value, ApisenseError> {
     match (lhs, rhs) {
         (Value::Num(a), Value::Num(b)) => Ok(Value::Num(a + b)),
-        (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}"))),
-        (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}"))),
+        (Value::Str(a), b) => Ok(Value::Str(format!("{a}{b}").into())),
+        (a, Value::Str(b)) => Ok(Value::Str(format!("{a}{b}").into())),
         (a, b) => Err(ApisenseError::Runtime(format!("cannot add {a} and {b}"))),
     }
 }

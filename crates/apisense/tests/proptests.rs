@@ -52,7 +52,7 @@ proptest! {
         let src = format!(r#""{a}" + "{b}""#);
         let script = Script::compile(&src).unwrap();
         let result = script.run(&mut NullHost, 10_000).unwrap();
-        prop_assert_eq!(result, Value::Str(format!("{a}{b}")));
+        prop_assert_eq!(result, Value::Str(format!("{a}{b}").into()));
     }
 }
 

@@ -52,7 +52,7 @@
 use geo::{BoundingBox, GeoPoint, Meters, PointIndex, UniformGrid};
 use mobility::gen::GroundTruth;
 use mobility::poi::{extract_pois, PoiConfig};
-use mobility::staypoint::{detect_all, StayPoint, StayPointConfig};
+use mobility::staypoint::{detect_all_segments, StayPoint, StayPointConfig};
 use mobility::{Dataset, LocationRecord, Trajectory, UserId};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -439,8 +439,12 @@ impl PoiAttack {
                     _ => true,
                 };
                 if in_order {
-                    let mut mass = shard.dwell.mass.clone();
-                    let last = self.fold_dwell(&mut mass, memo.last, &fresh, grid);
+                    let (mass, last) = {
+                        let _span = obs::span("extract.dwell");
+                        let mut mass = shard.dwell.mass.clone();
+                        let last = self.fold_dwell(&mut mass, memo.last, &fresh, grid);
+                        (mass, last)
+                    };
                     // No new record precedes the old ones, so neither does
                     // a new stay: old ++ new is already the stable arrival
                     // sort a from-scratch extraction computes.
@@ -459,8 +463,12 @@ impl PoiAttack {
             path = ExtractionPath::Fallback;
         }
         let trajectories = read(0);
-        let mut mass = HashMap::new();
-        let last = self.fold_dwell(&mut mass, None, &time_sorted(&trajectories), grid);
+        let (mass, last) = {
+            let _span = obs::span("extract.dwell");
+            let mut mass = HashMap::new();
+            let last = self.fold_dwell(&mut mass, None, &time_sorted(&trajectories), grid);
+            (mass, last)
+        };
         let stays = self.detect_stays(&trajectories);
         let shard = self.finish_user(user, mass, &stays, grid);
         let memo = ExtractionMemo {
@@ -524,6 +532,10 @@ impl PoiAttack {
     /// Adds the dwell of each consecutive pair of `records` (time-sorted),
     /// starting from the pair `(prev, records[0])`, to the cell of the
     /// pair's first record. Returns the new last record.
+    ///
+    /// Consecutive pairs mostly start in the same cell, so a run of them is
+    /// summed before it touches the map; dwell masses are whole seconds,
+    /// so the sums are exact however they are grouped.
     fn fold_dwell(
         &self,
         mass: &mut HashMap<geo::CellId, f64>,
@@ -531,15 +543,27 @@ impl PoiAttack {
         records: &[LocationRecord],
         grid: &UniformGrid,
     ) -> Option<LocationRecord> {
+        let mut run: Option<(geo::CellId, f64)> = None;
         for record in records {
             if let Some(p) = prev {
                 let dwell =
                     (record.time - p.time).clamp(0, self.config.max_record_dwell_s) as f64;
                 if dwell > 0.0 {
-                    *mass.entry(grid.cell_of(&p.point)).or_insert(0.0) += dwell;
+                    let cell = grid.cell_of(&p.point);
+                    match &mut run {
+                        Some((current, sum)) if *current == cell => *sum += dwell,
+                        _ => {
+                            if let Some((done, sum)) = run.replace((cell, dwell)) {
+                                *mass.entry(done).or_insert(0.0) += sum;
+                            }
+                        }
+                    }
                 }
             }
             prev = Some(*record);
+        }
+        if let Some((done, sum)) = run {
+            *mass.entry(done).or_insert(0.0) += sum;
         }
         prev
     }
@@ -551,13 +575,17 @@ impl PoiAttack {
     /// the detector produces a uniform chain of pseudo-stays along the path,
     /// which an adversary can recognise (and must discard) by checking the
     /// published speeds directly.
+    ///
+    /// Each trajectory's segment lengths are measured once, for the speed
+    /// filter and the detector both.
     fn detect_stays(&self, trajectories: &[Arc<Trajectory>]) -> Vec<StayPoint> {
-        let kept = trajectories.iter().map(AsRef::as_ref).filter(|t| {
-            t.speed_cv()
+        let _span = obs::span("extract.stays");
+        let kept = trajectories.iter().map(|t| t.segments()).filter(|s| {
+            s.speed_cv()
                 .map(|cv| cv >= self.config.min_speed_cv)
                 .unwrap_or(true)
         });
-        detect_all(kept, &self.config.stay)
+        detect_all_segments(kept, &self.config.stay)
     }
 
     /// The per-user finish shared by both extraction paths: the dwell
@@ -570,6 +598,7 @@ impl PoiAttack {
         stays: &[StayPoint],
         grid: &UniformGrid,
     ) -> UserAttackShard {
+        let _span = obs::span("extract.finish");
         let mean_positive = if mass.is_empty() {
             0.0
         } else {

@@ -17,6 +17,8 @@ mod crowded;
 mod distortion;
 mod traffic;
 
+#[cfg(test)]
+pub(crate) use crowded::visitor_histogram;
 pub use crowded::{crowded_places_utility, CrowdedBaseline, CrowdedPlacesReport};
 pub use distortion::{spatial_distortion, DistortionReport};
 pub use traffic::{traffic_utility, TrafficBaseline, TrafficReport};

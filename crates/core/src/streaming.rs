@@ -133,7 +133,7 @@ use crate::pool::StrategyPool;
 use crate::selection::Objective;
 use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
-use mobility::{Dataset, DatasetWindow, Trajectory, UserId};
+use mobility::{Dataset, DatasetWindow, LocationRecord, Trajectory, UserId};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -419,7 +419,7 @@ impl BaselineSlot {
     fn fold(&mut self, trajectories: &[Arc<Trajectory>]) -> usize {
         let mut touched: HashSet<(CellId, i64)> = HashSet::new();
         for t in &trajectories[self.folded..] {
-            let contribution = Contribution::of(self.counts.key.0, &self.grid, t);
+            let contribution = Contribution::of(self.counts.key.0, &self.grid, t.records());
             touched.extend(contribution.bins());
             self.counts.apply(&contribution, 1.0);
         }
@@ -1477,11 +1477,15 @@ impl CandidateState {
             fills.released_all |= self.utility.replace(UtilityFold::new(key)).is_some();
         }
         let fold = self.utility.as_mut().expect("set on rebuild");
-        for (user, kept) in users {
-            let sources = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
-            let known = self.protected.entry(user).or_default();
-            fold.update(user, kept, sources, known, protector, grid, fills, redo);
+        {
+            let _span = obs::span("utility.fold");
+            for (user, kept) in users {
+                let sources = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+                let known = self.protected.entry(user).or_default();
+                fold.update(user, kept, sources, known, protector, grid, fills, redo);
+            }
         }
+        let _span = obs::span("utility.score");
         match context.baseline() {
             ObjectiveBaseline::Crowded(b) => b.score_counts(&fold.counts).precision_at_k,
             ObjectiveBaseline::Traffic(b) => b
@@ -1503,8 +1507,8 @@ enum FoldKind {
 /// grid — the value of a [`WorkStore`] utility entry.
 #[derive(Debug)]
 enum Contribution {
-    /// The output's distinct `(cell, record-user)` pairs.
-    Crowded(Vec<(CellId, UserId)>),
+    /// The output's distinct `(record-user, cell)` pairs, sorted.
+    Crowded(Box<[(UserId, CellId)]>),
     /// The output's record counts per `(cell, hour, day)`.
     Traffic(Vec<((CellId, i64, i64), f64)>),
 }
@@ -1514,7 +1518,7 @@ impl Contribution {
     /// crowded pair, `(cell, hour)` per traffic bin.
     fn bins(&self) -> Vec<(CellId, i64)> {
         match self {
-            Contribution::Crowded(pairs) => pairs.iter().map(|(cell, _)| (*cell, 0)).collect(),
+            Contribution::Crowded(pairs) => pairs.iter().map(|(_, cell)| (*cell, 0)).collect(),
             Contribution::Traffic(bins) => bins
                 .iter()
                 .map(|((cell, hour, _), _)| (*cell, *hour))
@@ -1522,20 +1526,25 @@ impl Contribution {
         }
     }
 
-    /// The contribution of `output` to a `kind` histogram on `grid`.
-    fn of(kind: FoldKind, grid: &UniformGrid, output: &Trajectory) -> Self {
+    /// The contribution of an output's `records` to a `kind` histogram on
+    /// `grid`.
+    fn of(kind: FoldKind, grid: &UniformGrid, records: &[LocationRecord]) -> Self {
         match kind {
             FoldKind::Crowded => {
-                let pairs: HashSet<(CellId, UserId)> = output
-                    .records()
+                let mut pairs: Vec<(UserId, CellId)> = records
                     .iter()
-                    .map(|r| (grid.cell_of(&r.point), r.user))
+                    .map(|r| (r.user, grid.cell_of(&r.point)))
                     .collect();
-                Contribution::Crowded(pairs.into_iter().collect())
+                // Consecutive records mostly share a cell: drop those runs
+                // before sorting.
+                pairs.dedup();
+                pairs.sort_unstable();
+                pairs.dedup();
+                Contribution::Crowded(pairs.into_boxed_slice())
             }
             FoldKind::Traffic => {
                 let mut bins: HashMap<(CellId, i64, i64), f64> = HashMap::new();
-                for r in output.records() {
+                for r in records {
                     let bin = (
                         grid.cell_of(&r.point),
                         r.time.hour_of_day(),
@@ -1563,12 +1572,12 @@ struct UtilityFold {
     /// Each user's contributions, index for index with the user's source
     /// trajectories.
     by_user: BTreeMap<UserId, Vec<Arc<Contribution>>>,
-    /// Crowded places: how many outputs carry each `(cell, record-user)`
-    /// pair. Distinct-visitor semantics need the refcount: a pair counts
-    /// once while *any* output carries it — exact for arbitrary record
-    /// ownership, not just the common `record.user == trajectory.user`
-    /// case.
-    pair_refs: HashMap<(CellId, UserId), u32>,
+    /// Crowded places: per record-user, how many outputs carry each cell,
+    /// sorted by cell. Distinct-visitor semantics need the refcount: a
+    /// `(user, cell)` pair counts once while *any* output carries it —
+    /// exact for arbitrary record ownership, not just the common
+    /// `record.user == trajectory.user` case.
+    pair_refs: BTreeMap<UserId, Vec<(CellId, u32)>>,
     /// Crowded places: distinct visitors per cell — fed to
     /// [`CrowdedBaseline::score_counts`] verbatim.
     counts: HashMap<CellId, u64>,
@@ -1586,7 +1595,7 @@ impl UtilityFold {
         Self {
             key,
             by_user: BTreeMap::new(),
-            pair_refs: HashMap::new(),
+            pair_refs: BTreeMap::new(),
             counts: HashMap::new(),
             total: HashMap::new(),
             by_day: BTreeMap::new(),
@@ -1622,7 +1631,8 @@ impl UtilityFold {
                 Some(stored) => Arc::clone(stored),
                 None => {
                     let output = protector.output_at(sources, known, at, produced);
-                    let computed = Arc::new(Contribution::of(self.key.0, grid, &output));
+                    let computed =
+                        Arc::new(Contribution::of(self.key.0, grid, output.records()));
                     fills.utility.push((user, key, Arc::clone(&computed)));
                     computed
                 }
@@ -1638,20 +1648,38 @@ impl UtilityFold {
     fn apply(&mut self, contribution: &Contribution, sign: f64) {
         match contribution {
             Contribution::Crowded(pairs) => {
-                for pair in pairs {
-                    let refs = self.pair_refs.entry(*pair).or_insert(0);
-                    let was = *refs;
-                    *refs = if sign > 0.0 { was + 1 } else { was - 1 };
-                    let now = *refs;
-                    if now == 0 {
-                        self.pair_refs.remove(pair);
-                    }
-                    if was == 0 || now == 0 {
-                        let count = self.counts.entry(pair.0).or_insert(0);
-                        *count = if now == 0 { *count - 1 } else { *count + 1 };
-                        if *count == 0 {
-                            self.counts.remove(&pair.0);
+                for visits in pairs.chunk_by(|a, b| a.0 == b.0) {
+                    let user = visits[0].0;
+                    let refs = self.pair_refs.entry(user).or_default();
+                    // Both sides are sorted by cell, so each search starts
+                    // at the previous cell's position.
+                    let mut from = 0;
+                    for &(_, cell) in visits {
+                        let at = from + refs[from..].partition_point(|(c, _)| *c < cell);
+                        let present = refs.get(at).is_some_and(|(c, _)| *c == cell);
+                        if sign > 0.0 {
+                            if present {
+                                refs[at].1 += 1;
+                            } else {
+                                refs.insert(at, (cell, 1));
+                                *self.counts.entry(cell).or_insert(0) += 1;
+                            }
+                        } else {
+                            assert!(present, "retracting a pair no output added");
+                            refs[at].1 -= 1;
+                            if refs[at].1 == 0 {
+                                refs.remove(at);
+                                let count = self.counts.get_mut(&cell).expect("counted cell");
+                                *count -= 1;
+                                if *count == 0 {
+                                    self.counts.remove(&cell);
+                                }
+                            }
                         }
+                        from = at;
+                    }
+                    if refs.is_empty() {
+                        self.pair_refs.remove(&user);
                     }
                 }
             }
@@ -3239,5 +3267,69 @@ mod tests {
             ds.record_count()
         );
         assert!(last.published.selection.winner().is_some());
+    }
+
+    /// A record of `user` at time `t` in one of a 4 × 4 block of 250 m
+    /// cells, so independent draws keep landing in shared cells.
+    fn visit(user: u64, t: i64, cell: u32) -> LocationRecord {
+        let (row, col) = (f64::from(cell / 4), f64::from(cell % 4));
+        let point = geo::GeoPoint::new(45.001 + 0.003 * row, 4.001 + 0.004 * col).unwrap();
+        LocationRecord::new(UserId(user), mobility::Timestamp::new(t), point)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The per-user crowded fold is exact under any add/retract order:
+        /// after every step its counts equal the distinct-visitor histogram
+        /// of the records still added. An output may be added more than
+        /// once (two outputs with equal pairs) and may hold records of
+        /// several users, as records owned by another user than the
+        /// trajectory's must still count for their own user.
+        #[test]
+        fn crowded_fold_matches_visitor_histogram(
+            outputs in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::collection::vec((0u64..4, 0u32..16), 0..24),
+                1..8,
+            ),
+            schedule in proptest::prelude::prop::collection::vec((0usize..8, 0u32..3), 1..40),
+        ) {
+            let bbox = BoundingBox::new(
+                geo::GeoPoint::new(45.0, 4.0).unwrap(),
+                geo::GeoPoint::new(45.02, 4.02).unwrap(),
+            )
+            .unwrap();
+            let grid = UniformGrid::new(bbox, Meters::new(250.0)).unwrap();
+            let outputs: Vec<Vec<LocationRecord>> = outputs
+                .iter()
+                .map(|visits| {
+                    visits
+                        .iter()
+                        .enumerate()
+                        .map(|(t, &(user, cell))| visit(user, t as i64 * 60, cell))
+                        .collect()
+                })
+                .collect();
+            let mut fold = UtilityFold::new((FoldKind::Crowded, grid_key(&grid)));
+            let mut added: Vec<usize> = Vec::new();
+            for (pick, op) in schedule {
+                let pick = pick % outputs.len();
+                // One step in three retracts an added output, if any.
+                if op == 0 && !added.is_empty() {
+                    let at = pick % added.len();
+                    let gone = added.swap_remove(at);
+                    fold.apply(&Contribution::of(FoldKind::Crowded, &grid, &outputs[gone]), -1.0);
+                } else {
+                    added.push(pick);
+                    fold.apply(&Contribution::of(FoldKind::Crowded, &grid, &outputs[pick]), 1.0);
+                }
+                let records = added.iter().flat_map(|&i| outputs[i].iter().copied()).collect();
+                let assembled = Dataset::from_records(records);
+                proptest::prop_assert_eq!(
+                    &fold.counts,
+                    &crate::metrics::visitor_histogram(&assembled, &grid)
+                );
+            }
+        }
     }
 }

@@ -163,11 +163,21 @@ impl UniformGrid {
 
     /// The `k` most visited cells of a histogram, most-visited first.
     ///
-    /// Ties are broken by cell id so the result is deterministic.
+    /// Ties are broken by cell id so the result is deterministic. The
+    /// order (count descending, then cell) is total over distinct cells, so
+    /// selecting the `k` first entries and sorting only those gives exactly
+    /// the prefix of the fully sorted histogram.
     pub fn top_k(histogram: &HashMap<CellId, u64>, k: usize) -> Vec<(CellId, u64)> {
+        let order = |a: &(CellId, u64), b: &(CellId, u64)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+        if k == 0 {
+            return Vec::new();
+        }
         let mut entries: Vec<(CellId, u64)> = histogram.iter().map(|(c, n)| (*c, *n)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        entries.truncate(k);
+        if k < entries.len() {
+            entries.select_nth_unstable_by(k - 1, order);
+            entries.truncate(k);
+        }
+        entries.sort_unstable_by(order);
         entries
     }
 }

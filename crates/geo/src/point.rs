@@ -100,12 +100,29 @@ impl GeoPoint {
     /// assert!((a.haversine_distance(&b).get() - 111_195.0).abs() < 100.0);
     /// ```
     pub fn haversine_distance(&self, other: &GeoPoint) -> Meters {
-        let phi1 = self.lat.to_radians();
-        let phi2 = other.lat.to_radians();
+        self.haversine_distance_cos(other, self.cos_latitude(), other.cos_latitude())
+    }
+
+    /// The cosine of the latitude, the per-point factor of
+    /// [`GeoPoint::haversine_distance`].
+    pub fn cos_latitude(&self) -> f64 {
+        self.lat.to_radians().cos()
+    }
+
+    /// [`GeoPoint::haversine_distance`] given both points'
+    /// [`GeoPoint::cos_latitude`], for callers measuring many pairs over the
+    /// same points: the result is bit-identical, and each cosine is
+    /// computed once per point instead of once per pair.
+    pub fn haversine_distance_cos(
+        &self,
+        other: &GeoPoint,
+        cos_self: f64,
+        cos_other: f64,
+    ) -> Meters {
         let dphi = (other.lat - self.lat).to_radians();
         let dlambda = (other.lon - self.lon).to_radians();
-        let a = (dphi / 2.0).sin().powi(2)
-            + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
+        let a =
+            (dphi / 2.0).sin().powi(2) + cos_self * cos_other * (dlambda / 2.0).sin().powi(2);
         let c = 2.0 * a.sqrt().asin();
         Meters::new(EARTH_RADIUS_M * c)
     }

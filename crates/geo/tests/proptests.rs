@@ -1,7 +1,10 @@
 //! Property-based tests of the geospatial substrate.
 
-use geo::{polyline, BoundingBox, GeoPoint, LocalProjection, Meters, QuadTree, UniformGrid};
+use geo::{
+    polyline, BoundingBox, CellId, GeoPoint, LocalProjection, Meters, QuadTree, UniformGrid,
+};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn lat() -> impl Strategy<Value = f64> {
     -80.0..80.0f64
@@ -29,6 +32,35 @@ proptest! {
         let d2 = b.haversine_distance(&a).get();
         prop_assert!(d1 >= 0.0);
         prop_assert!((d1 - d2).abs() < 1e-6);
+    }
+
+    /// The cosine-cached haversine is the plain one, bit for bit.
+    #[test]
+    fn cached_cosine_haversine_is_bit_identical(
+        a in (-90.0..90.0f64, -180.0..180.0f64),
+        b in (-90.0..90.0f64, -180.0..180.0f64),
+    ) {
+        let (a, b) = (GeoPoint::new(a.0, a.1).unwrap(), GeoPoint::new(b.0, b.1).unwrap());
+        let cached = a.haversine_distance_cos(&b, a.cos_latitude(), b.cos_latitude());
+        prop_assert_eq!(cached.get().to_bits(), a.haversine_distance(&b).get().to_bits());
+    }
+
+    /// `top_k` selects the `k` first entries and sorts only those; it must
+    /// equal the prefix of the fully sorted histogram, with counts drawn
+    /// from a tiny range (so ties abound) and at every edge of `k`.
+    #[test]
+    fn top_k_equals_the_full_sort(
+        cells in prop::collection::vec((-5i32..5, -5i32..5, 1u64..4), 0..80),
+        k in 0usize..90,
+    ) {
+        let histogram: HashMap<CellId, u64> =
+            cells.into_iter().map(|(ix, iy, n)| (CellId::new(ix, iy), n)).collect();
+        let mut sorted: Vec<(CellId, u64)> = histogram.iter().map(|(c, n)| (*c, *n)).collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let len = sorted.len();
+        for k in [0, 1, len.saturating_sub(1), len, len + 5, k] {
+            prop_assert_eq!(UniformGrid::top_k(&histogram, k), sorted[..k.min(len)].to_vec());
+        }
     }
 
     #[test]

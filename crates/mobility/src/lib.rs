@@ -49,6 +49,6 @@ pub mod window;
 
 pub use error::MobilityError;
 pub use filter::ParticipantFilter;
-pub use record::{Dataset, LocationRecord, Trajectory, UserId};
+pub use record::{Dataset, LocationRecord, Segments, Trajectory, UserId};
 pub use time::{Timestamp, DAY_SECONDS, HOUR_SECONDS, MINUTE_SECONDS};
 pub use window::{DatasetWindow, WindowedDataset};

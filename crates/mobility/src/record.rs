@@ -133,21 +133,17 @@ impl Trajectory {
         geo::polyline::length(&self.points())
     }
 
+    /// The segments between consecutive records, each segment's
+    /// great-circle length computed once (see [`Segments`]).
+    pub fn segments(&self) -> Segments<'_> {
+        Segments::of(&self.records)
+    }
+
     /// Speed of each segment between consecutive records.
     ///
     /// Segments with zero elapsed time are skipped.
     pub fn segment_speeds(&self) -> Vec<MetersPerSecond> {
-        self.records
-            .windows(2)
-            .filter_map(|w| {
-                let dt = w[1].time - w[0].time;
-                if dt <= 0 {
-                    return None;
-                }
-                let d = w[0].point.haversine_distance(&w[1].point).get();
-                Some(MetersPerSecond::new(d / dt as f64))
-            })
-            .collect()
+        self.segments().speeds().collect()
     }
 
     /// Mean segment speed, or `None` for trajectories with < 2 records.
@@ -166,17 +162,7 @@ impl Trajectory {
     /// speed-smoothed trajectory has a coefficient near zero. Returns `None`
     /// when there are fewer than two segments or the mean speed is zero.
     pub fn speed_cv(&self) -> Option<f64> {
-        let speeds = self.segment_speeds();
-        if speeds.len() < 2 {
-            return None;
-        }
-        let mean: f64 = speeds.iter().map(|s| s.get()).sum::<f64>() / speeds.len() as f64;
-        if mean <= f64::EPSILON {
-            return None;
-        }
-        let var: f64 =
-            speeds.iter().map(|s| (s.get() - mean).powi(2)).sum::<f64>() / speeds.len() as f64;
-        Some(var.sqrt() / mean)
+        self.segments().speed_cv()
     }
 
     /// Position at time `t`, linearly interpolated between the surrounding
@@ -236,6 +222,87 @@ impl Trajectory {
         let mut days: Vec<i64> = self.records.iter().map(|r| r.time.day_index()).collect();
         days.dedup();
         days
+    }
+}
+
+/// One pass over a trajectory's segments: the great-circle length of the
+/// segment from each record to the next, computed once and read by both
+/// the speed-constancy measure ([`Segments::speed_cv`]) and the stay-point
+/// detector ([`crate::staypoint::detect_segments`]).
+///
+/// [`Segments::distance`] of `(i, j)` equals
+/// `records[i].point.haversine_distance(&records[j].point)` bit for bit: an
+/// adjacent pair reads the segment length the pass measured, any other pair
+/// is measured with each record's cached latitude cosine.
+#[derive(Debug)]
+pub struct Segments<'a> {
+    records: &'a [LocationRecord],
+    /// `cos_latitude` of each record.
+    cos: Vec<f64>,
+    /// Length in metres of the segment from record `i` to record `i + 1`.
+    lengths: Vec<f64>,
+}
+
+impl<'a> Segments<'a> {
+    /// Measures every segment of `records` (time-sorted).
+    pub(crate) fn of(records: &'a [LocationRecord]) -> Self {
+        let cos: Vec<f64> = records.iter().map(|r| r.point.cos_latitude()).collect();
+        let lengths = records
+            .windows(2)
+            .zip(cos.windows(2))
+            .map(|(w, c)| {
+                w[0].point
+                    .haversine_distance_cos(&w[1].point, c[0], c[1])
+                    .get()
+            })
+            .collect();
+        Self {
+            records,
+            cos,
+            lengths,
+        }
+    }
+
+    /// The records the segments join.
+    pub(crate) fn records(&self) -> &'a [LocationRecord] {
+        self.records
+    }
+
+    /// Great-circle distance in metres from `records[i]` to `records[j]`.
+    pub fn distance(&self, i: usize, j: usize) -> f64 {
+        if j == i + 1 {
+            return self.lengths[i];
+        }
+        let (a, b) = (&self.records[i].point, &self.records[j].point);
+        a.haversine_distance_cos(b, self.cos[i], self.cos[j]).get()
+    }
+
+    /// Speed of each segment with a positive elapsed time, in order.
+    pub(crate) fn speeds(&self) -> impl Iterator<Item = MetersPerSecond> + '_ {
+        self.records
+            .windows(2)
+            .zip(&self.lengths)
+            .filter_map(|(w, d)| {
+                let dt = w[1].time - w[0].time;
+                (dt > 0).then(|| MetersPerSecond::new(d / dt as f64))
+            })
+    }
+
+    /// Coefficient of variation of the speeds of the segments with a
+    /// positive elapsed time (stddev / mean); `None` below two such
+    /// segments or at a zero mean speed.
+    pub fn speed_cv(&self) -> Option<f64> {
+        let speeds: Vec<f64> = self.speeds().map(|s| s.get()).collect();
+        if speeds.len() < 2 {
+            return None;
+        }
+        let mean: f64 = speeds.iter().sum::<f64>() / speeds.len() as f64;
+        if mean <= f64::EPSILON {
+            return None;
+        }
+        let var: f64 =
+            speeds.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / speeds.len() as f64;
+        Some(var.sqrt() / mean)
     }
 }
 

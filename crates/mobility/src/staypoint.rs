@@ -6,7 +6,7 @@
 //! Li et al., "Mining user similarity based on location history" (ACM GIS
 //! 2008), the algorithm used by the paper's companion work on POI attacks.
 
-use crate::record::Trajectory;
+use crate::record::{Segments, Trajectory};
 use crate::time::Timestamp;
 use geo::{GeoPoint, Meters};
 use serde::{Deserialize, Serialize};
@@ -72,7 +72,23 @@ impl Default for StayPointConfig {
 /// assert!(stays[0].duration_s() >= 15 * 60);
 /// ```
 pub fn detect(trajectory: &Trajectory, config: &StayPointConfig) -> Vec<StayPoint> {
-    let records = trajectory.records();
+    detect_segments(&trajectory.segments(), config)
+}
+
+/// Detects stay points across many trajectories (e.g. all days of one user).
+pub fn detect_all<'a, I>(trajectories: I, config: &StayPointConfig) -> Vec<StayPoint>
+where
+    I: IntoIterator<Item = &'a Trajectory>,
+{
+    detect_all_segments(trajectories.into_iter().map(Trajectory::segments), config)
+}
+
+/// [`detect`] over an already-measured segment pass: the distance from a
+/// window's first record to the next one is the pass's segment length, so
+/// only pairs further apart compute a haversine distance (see
+/// [`Segments::distance`]).
+pub fn detect_segments(segments: &Segments<'_>, config: &StayPointConfig) -> Vec<StayPoint> {
+    let records = segments.records();
     let mut stays = Vec::new();
     let n = records.len();
     let mut i = 0;
@@ -80,8 +96,7 @@ pub fn detect(trajectory: &Trajectory, config: &StayPointConfig) -> Vec<StayPoin
         // Find the longest window [i, j) staying within the radius of p_i.
         let mut j = i + 1;
         while j < n {
-            let d = records[i].point.haversine_distance(&records[j].point).get();
-            if d > config.distance_threshold.get() {
+            if segments.distance(i, j) > config.distance_threshold.get() {
                 break;
             }
             j += 1;
@@ -114,14 +129,15 @@ pub fn detect(trajectory: &Trajectory, config: &StayPointConfig) -> Vec<StayPoin
     stays
 }
 
-/// Detects stay points across many trajectories (e.g. all days of one user).
-pub fn detect_all<'a, I>(trajectories: I, config: &StayPointConfig) -> Vec<StayPoint>
+/// [`detect_all`] over already-measured segment passes: every pass's stays,
+/// stably sorted by arrival.
+pub fn detect_all_segments<'a, I>(segments: I, config: &StayPointConfig) -> Vec<StayPoint>
 where
-    I: IntoIterator<Item = &'a Trajectory>,
+    I: IntoIterator<Item = Segments<'a>>,
 {
-    let mut stays: Vec<StayPoint> = trajectories
+    let mut stays: Vec<StayPoint> = segments
         .into_iter()
-        .flat_map(|t| detect(t, config))
+        .flat_map(|s| detect_segments(&s, config))
         .collect();
     stays.sort_by_key(|s| s.arrival);
     stays
