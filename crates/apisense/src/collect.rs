@@ -35,6 +35,19 @@
 //! durable) and resumes from its last acknowledged sequence — at-least-once
 //! delivery end to end.
 //!
+//! # Wire format
+//!
+//! Batches are small: their headers are varints, and their records travel
+//! in one compact, lossless layout (`encode_records`, shared with
+//! [`crate::federated::ProtectedBatch`]): the first fix in full, then per
+//! fix a Gorilla-style delta-of-delta time (one bit at a steady sampling
+//! period) and each coordinate's bits XOR'd with the previous fix's. Every
+//! bit comes back, so byte-parity of the published windows is unaffected;
+//! [`window_fingerprint`] keeps its own fixed-width layout regardless. A
+//! chunk is encoded once, straight from the outbox's records, and then
+//! shared, not copied, up to the collector's decode. DESIGN.md §3.14 has
+//! the layout table and the decoder's bounds.
+//!
 //! # Example
 //!
 //! ```
@@ -63,14 +76,17 @@
 //! assert!(delta.is_clean());
 //! ```
 
-use bytes::{Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mobility::{
     Dataset, DatasetWindow, LocationRecord, Timestamp, Trajectory, UserId, DAY_SECONDS,
 };
 use privapi::streaming::IngestDelta;
 use simnet::reliable::{AckFrame, DataFrame, ReliableConfig, ReliableReceiver, ReliableSender};
-use simnet::wire::{Decode, Encode, WireError};
+use simnet::wire::{
+    get_varint, get_varint_len, put_varint, unzigzag, zigzag, Decode, Encode, WireError,
+};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One device's upload unit: the records it sensed for one day (possibly a
 /// partial slice — devices upload several batches per day), plus the
@@ -92,57 +108,27 @@ pub struct DayBatch {
 }
 
 impl Encode for DayBatch {
+    /// `device | user | day` as varints (the day zigzagged), the
+    /// `end_of_day` byte, then the records (see the module docs).
     fn encode(&self, buf: &mut BytesMut) {
-        self.device.encode(buf);
-        self.user.0.encode(buf);
-        self.day.encode(buf);
-        self.end_of_day.encode(buf);
+        put_day_batch_header(buf, self.device, self.user, self.day, self.end_of_day);
         encode_records(&self.records, buf);
     }
 }
 
-/// Encoded size of one record: time `i64`, latitude and longitude `f64`.
-const RECORD_BYTES: usize = 24;
-
-/// Appends `records` in the wire layout of a `Vec<(i64, f64, f64)>` of
-/// (time, latitude, longitude): a `u32` count, then the fields in order.
-pub(crate) fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
-    (records.len() as u32).encode(buf);
-    for r in records {
-        r.time.seconds().encode(buf);
-        r.point.latitude().encode(buf);
-        r.point.longitude().encode(buf);
-    }
-}
-
-/// Reads what [`encode_records`] wrote, attributing every record to
-/// `user`. Errors match a `Vec<(i64, f64, f64)>` decode followed by a
-/// coordinate check: an over-cap count, then a short buffer, then the
-/// first out-of-range coordinate.
-pub(crate) fn decode_records(
-    buf: &mut Bytes,
-    user: UserId,
-) -> Result<Vec<LocationRecord>, WireError> {
-    let len = simnet::wire::decode_len(buf)?;
-    if buf.len() < len * RECORD_BYTES {
-        return Err(WireError::Truncated);
-    }
-    let mut records = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        let t = i64::decode(buf)?;
-        let (lat, lon) = (f64::decode(buf)?, f64::decode(buf)?);
-        let point = geo::GeoPoint::new(lat, lon)
-            .map_err(|_| WireError::Corrupt("record coordinates out of range"))?;
-        records.push(LocationRecord::new(user, Timestamp::new(t), point));
-    }
-    Ok(records)
+/// The header of a [`DayBatch`]: everything before its records.
+fn put_day_batch_header(buf: &mut BytesMut, device: u64, user: UserId, day: i64, eod: bool) {
+    put_varint(buf, device);
+    put_varint(buf, user.0);
+    put_varint(buf, zigzag(day));
+    eod.encode(buf);
 }
 
 impl Decode for DayBatch {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let device = u64::decode(buf)?;
-        let user = UserId(u64::decode(buf)?);
-        let day = i64::decode(buf)?;
+        let device = get_varint(buf)?;
+        let user = UserId(get_varint(buf)?);
+        let day = unzigzag(get_varint(buf)?);
         let end_of_day = bool::decode(buf)?;
         let records = decode_records(buf, user)?;
         Ok(Self {
@@ -152,6 +138,332 @@ impl Decode for DayBatch {
             end_of_day,
             records,
         })
+    }
+}
+
+/// Appends `records` in the compact, lossless record layout that
+/// [`DayBatch`] and [`crate::federated::ProtectedBatch`] share:
+///
+/// * the record count as a varint;
+/// * the first fix: its time as a zigzag varint, then its latitude and
+///   longitude bits as two big-endian `u64`s;
+/// * every later fix in one bit stream, zero-padded to a whole byte:
+///   - the time as a delta of the previous delta (the first delta counts
+///     from 0), zigzagged into the buckets of [`TIME_BUCKETS`]: a repeat of
+///     the previous sampling period costs the single bit `0`;
+///   - latitude, then longitude, as their bits XOR'd with the previous
+///     fix's ([`XorColumn`]).
+///
+/// Time arithmetic wraps, so any `i64` sequence, sorted or not, comes back
+/// bit for bit.
+pub(crate) fn encode_records(records: &[LocationRecord], buf: &mut BytesMut) {
+    put_varint(buf, records.len() as u64);
+    let Some((first, rest)) = records.split_first() else {
+        return;
+    };
+    let (lat, lon) = (
+        first.point.latitude().to_bits(),
+        first.point.longitude().to_bits(),
+    );
+    put_varint(buf, zigzag(first.time.seconds()));
+    buf.put_u64(lat);
+    buf.put_u64(lon);
+    let mut time = TimeColumn::new(first.time.seconds());
+    let (mut lat, mut lon) = (XorColumn::new(lat), XorColumn::new(lon));
+    let mut bits = BitWriter::new(buf);
+    for r in rest {
+        time.encode(r.time.seconds(), &mut bits);
+        lat.encode(r.point.latitude(), &mut bits);
+        lon.encode(r.point.longitude(), &mut bits);
+    }
+    bits.finish();
+}
+
+/// Bytes of the first fix at the least: a one-byte time and two
+/// coordinates.
+const FIRST_RECORD_MIN_BYTES: u64 = 17;
+
+/// Reads what [`encode_records`] wrote, attributing every record to
+/// `user`. The count is checked before anything is allocated for it:
+/// above the 16 MiB cap it is [`WireError::LengthOverflow`], beyond what
+/// the remaining bytes can hold (17 bytes for the first fix, three bits for
+/// each later one) it is [`WireError::Truncated`]. Then the records decode
+/// in order; a short read is `Truncated`, and an out-of-range coordinate,
+/// a malformed XOR window or nonzero padding is [`WireError::Corrupt`].
+pub(crate) fn decode_records(
+    buf: &mut Bytes,
+    user: UserId,
+) -> Result<Vec<LocationRecord>, WireError> {
+    let len = get_varint_len(buf)?;
+    if len == 0 {
+        return Ok(Vec::new());
+    }
+    let min_bits = 8 * FIRST_RECORD_MIN_BYTES + 3 * (len as u64 - 1);
+    if (buf.len() as u64) * 8 < min_bits {
+        return Err(WireError::Truncated);
+    }
+    let t0 = unzigzag(get_varint(buf)?);
+    let (lat, lon) = (u64::decode(buf)?, u64::decode(buf)?);
+    let mut records = Vec::with_capacity(len);
+    records.push(record(user, t0, f64::from_bits(lat), f64::from_bits(lon))?);
+    let mut time = TimeColumn::new(t0);
+    let (mut lat, mut lon) = (XorColumn::new(lat), XorColumn::new(lon));
+    let mut bits = BitReader::new(buf.as_slice());
+    for _ in 1..len {
+        let t = time.decode(&mut bits)?;
+        let (lat, lon) = (lat.decode(&mut bits)?, lon.decode(&mut bits)?);
+        records.push(record(user, t, lat, lon)?);
+    }
+    let used = bits.finish()?;
+    buf.advance(used);
+    Ok(records)
+}
+
+fn record(user: UserId, t: i64, lat: f64, lon: f64) -> Result<LocationRecord, WireError> {
+    let point = geo::GeoPoint::new(lat, lon)
+        .map_err(|_| WireError::Corrupt("record coordinates out of range"))?;
+    Ok(LocationRecord::new(user, Timestamp::new(t), point))
+}
+
+/// Delta-of-delta buckets after the `0` of an unchanged delta: prefix,
+/// prefix length and payload width in bits. The payload is the zigzagged
+/// delta of deltas; the last bucket holds any `u64`.
+const TIME_BUCKETS: [(u64, u32, u32); 4] = [
+    (0b10, 2, 7),
+    (0b110, 3, 9),
+    (0b1110, 4, 12),
+    (0b1111, 4, 64),
+];
+
+/// The time column's state: the previous time and the previous delta.
+struct TimeColumn {
+    prev: i64,
+    delta: i64,
+}
+
+impl TimeColumn {
+    fn new(first: i64) -> Self {
+        Self {
+            prev: first,
+            delta: 0,
+        }
+    }
+
+    fn encode(&mut self, t: i64, bits: &mut BitWriter<'_>) {
+        let delta = t.wrapping_sub(self.prev);
+        let dod = zigzag(delta.wrapping_sub(self.delta));
+        (self.prev, self.delta) = (t, delta);
+        if dod == 0 {
+            return bits.put(0, 1);
+        }
+        let &(prefix, len, width) = TIME_BUCKETS
+            .iter()
+            .find(|&&(_, _, width)| width == 64 || dod >> width == 0)
+            .expect("the last bucket holds any u64");
+        bits.put(prefix, len);
+        bits.put(dod, width);
+    }
+
+    fn decode(&mut self, bits: &mut BitReader<'_>) -> Result<i64, WireError> {
+        // The bucket is the number of leading ones in the next four bits.
+        let ones = (bits.peek(4) << 60).leading_ones() as usize;
+        let dod = match ones.checked_sub(1) {
+            None => {
+                bits.skip(1)?;
+                0
+            }
+            Some(bucket) => {
+                let (_, len, width) = TIME_BUCKETS[bucket];
+                bits.skip(len)?;
+                unzigzag(bits.read_wide(width)?)
+            }
+        };
+        self.delta = self.delta.wrapping_add(dod);
+        self.prev = self.prev.wrapping_add(self.delta);
+        Ok(self.prev)
+    }
+}
+
+/// One coordinate column, Gorilla-style: each value's bits are XOR'd with
+/// the previous value's.
+///
+/// * `0` — the same value again;
+/// * `10` — the XOR's set bits fit the current window (its leading- and
+///   trailing-zero counts); the window's bits follow;
+/// * `11` — a new window: 5 bits of leading zeros (at most 31), 6 bits of
+///   width minus one, then that many bits.
+///
+/// The encoder reuses the window whenever the XOR fits it and reusing costs
+/// at most the 11 bits a new window's description would.
+struct XorColumn {
+    prev: u64,
+    lead: u32,
+    trail: u32,
+}
+
+impl XorColumn {
+    /// A column after a first value of bits `first`. There is no window
+    /// yet: its width is 0, which no nonzero XOR fits.
+    fn new(first: u64) -> Self {
+        Self {
+            prev: first,
+            lead: 64,
+            trail: 0,
+        }
+    }
+
+    fn width(&self) -> u32 {
+        64 - self.lead - self.trail
+    }
+
+    fn encode(&mut self, v: f64, bits: &mut BitWriter<'_>) {
+        let xor = v.to_bits() ^ self.prev;
+        self.prev = v.to_bits();
+        if xor == 0 {
+            return bits.put(0, 1);
+        }
+        let (lead, trail) = (xor.leading_zeros().min(31), xor.trailing_zeros());
+        let width = 64 - lead - trail;
+        if lead >= self.lead && trail >= self.trail && self.width() <= width + 11 {
+            bits.put(0b10, 2);
+        } else {
+            (self.lead, self.trail) = (lead, trail);
+            bits.put(0b11 << 11 | u64::from(lead) << 6 | u64::from(width - 1), 13);
+        }
+        bits.put(xor >> self.trail, self.width());
+    }
+
+    fn decode(&mut self, bits: &mut BitReader<'_>) -> Result<f64, WireError> {
+        match bits.peek(2) {
+            0b10 => {
+                bits.skip(2)?;
+                if self.width() == 0 {
+                    return Err(WireError::Corrupt("XOR window reused before one was set"));
+                }
+            }
+            0b11 => {
+                let head = bits.read(13)?;
+                let lead = (head >> 6 & 31) as u32;
+                let width = (head & 63) as u32 + 1;
+                if lead + width > 64 {
+                    return Err(WireError::Corrupt("XOR window wider than 64 bits"));
+                }
+                (self.lead, self.trail) = (lead, 64 - lead - width);
+            }
+            _ => {
+                bits.skip(1)?;
+                return Ok(f64::from_bits(self.prev));
+            }
+        }
+        self.prev ^= bits.read_wide(self.width())? << self.trail;
+        Ok(f64::from_bits(self.prev))
+    }
+}
+
+/// Packs bit fields most significant bit first, flushing whole 64-bit
+/// words into the buffer.
+struct BitWriter<'a> {
+    buf: &'a mut BytesMut,
+    /// Pending bits, left-aligned.
+    acc: u64,
+    /// How many bits of `acc` are pending (always below 64).
+    filled: u32,
+}
+
+impl<'a> BitWriter<'a> {
+    fn new(buf: &'a mut BytesMut) -> Self {
+        Self {
+            buf,
+            acc: 0,
+            filled: 0,
+        }
+    }
+
+    /// Appends the low `n` bits of `value` (`1 <= n <= 64`; the bits above
+    /// them must be zero).
+    fn put(&mut self, value: u64, n: u32) {
+        debug_assert!((1..=64).contains(&n) && (n == 64 || value >> n == 0));
+        let free = 64 - self.filled;
+        if n < free {
+            self.acc |= value << (free - n);
+            self.filled += n;
+        } else {
+            let spill = n - free;
+            self.buf.put_u64(self.acc | value >> spill);
+            self.acc = value.checked_shl(64 - spill).unwrap_or(0);
+            self.filled = spill;
+        }
+    }
+
+    /// Flushes the pending bits, zero-padded to a whole byte.
+    fn finish(self) {
+        let bytes = self.filled.div_ceil(8) as usize;
+        self.buf.put_slice(&self.acc.to_be_bytes()[..bytes]);
+    }
+}
+
+/// Reads the bit fields of a [`BitWriter`] a whole word at a time.
+struct BitReader<'a> {
+    data: &'a [u8],
+    /// Bits consumed so far.
+    pos: usize,
+}
+
+impl<'a> BitReader<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        Self { data, pos: 0 }
+    }
+
+    /// The next `n` bits (`1 <= n <= 57`) without consuming them; bits past
+    /// the end read as zero.
+    fn peek(&self, n: u32) -> u64 {
+        let at = self.pos / 8;
+        let word = match self.data.get(at..at + 8) {
+            Some(word) => u64::from_be_bytes(word.try_into().expect("eight bytes")),
+            None => {
+                let mut word = [0u8; 8];
+                let tail = self.data.get(at..).unwrap_or_default();
+                word[..tail.len()].copy_from_slice(tail);
+                u64::from_be_bytes(word)
+            }
+        };
+        (word << (self.pos % 8)) >> (64 - n)
+    }
+
+    /// Consumes `n` bits.
+    fn skip(&mut self, n: u32) -> Result<(), WireError> {
+        let pos = self.pos + n as usize;
+        if pos > self.data.len() * 8 {
+            return Err(WireError::Truncated);
+        }
+        self.pos = pos;
+        Ok(())
+    }
+
+    /// Reads `n` bits (`1 <= n <= 57`).
+    fn read(&mut self, n: u32) -> Result<u64, WireError> {
+        let v = self.peek(n);
+        self.skip(n)?;
+        Ok(v)
+    }
+
+    /// Reads `n` bits (`1 <= n <= 64`).
+    fn read_wide(&mut self, n: u32) -> Result<u64, WireError> {
+        if n <= 57 {
+            return self.read(n);
+        }
+        let high = self.read(n - 32)?;
+        Ok(high << 32 | self.read(32)?)
+    }
+
+    /// The bytes the fields took, after checking that the padding of the
+    /// last one is zero.
+    fn finish(self) -> Result<usize, WireError> {
+        let pad = (8 - self.pos % 8) % 8;
+        if pad > 0 && self.peek(pad as u32) != 0 {
+            return Err(WireError::Corrupt("nonzero padding after the record bits"));
+        }
+        Ok(self.pos.div_ceil(8))
     }
 }
 
@@ -235,7 +547,7 @@ impl DeviceLanes {
     }
 
     /// Chunks delivered but stuck behind a sequence gap, over all lanes.
-    pub(crate) fn buffered_chunks(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn buffered_chunks(&self) -> impl Iterator<Item = &Bytes> {
         self.0.values().flat_map(|l| l.rx.buffered_chunks())
     }
 
@@ -378,7 +690,7 @@ impl<P: LanePayload> LaneCollector<P> {
         let (released, ack) = lane.rx.accept(frame.sender, frame.seq, frame.chunk.clone());
         let mut result = Ok(ack);
         for (_seq, chunk) in released {
-            if let Err(e) = apply(&mut self.payload, device, lane, self.last_closed, &chunk) {
+            if let Err(e) = apply(&mut self.payload, device, lane, self.last_closed, chunk) {
                 // Keep applying later chunks (the transport has moved past
                 // them either way) but report the first failure.
                 result = result.and(Err(e));
@@ -413,17 +725,22 @@ impl<P: LanePayload> LaneCollector<P> {
     }
 }
 
-/// Applies one in-sequence chunk of `device`'s lane: decode, check the
-/// claimed device and owner, hand the batch to the payload and advance the
-/// lane's completion watermark.
+/// Applies one in-sequence chunk of `device`'s lane: decode (the chunk
+/// must end with its batch), check the claimed device and owner, hand the
+/// batch to the payload and advance the lane's completion watermark.
 fn apply<P: LanePayload>(
     payload: &mut P,
     device: u64,
     lane: &mut Lane,
     last_closed: Option<i64>,
-    chunk: &[u8],
+    mut chunk: Bytes,
 ) -> Result<(), CollectError> {
-    let batch = P::Batch::decode_from_slice(chunk)?;
+    let batch = P::Batch::decode(&mut chunk)?;
+    if !chunk.is_empty() {
+        return Err(CollectError::Wire(WireError::Corrupt(
+            "bytes after the batch's record block",
+        )));
+    }
     let (claimed, user) = P::origin(&batch);
     if claimed != device {
         obs::count("collect.misrouted", 1);
@@ -531,7 +848,7 @@ impl LanePayload for DayBuckets {
         delta.straggler_devices = lanes.stragglers(day);
         delta.records_deferred = lanes
             .buffered_chunks()
-            .filter_map(|chunk| DayBatch::decode_from_slice(chunk).ok())
+            .filter_map(|chunk| DayBatch::decode(&mut chunk.clone()).ok())
             .flat_map(|b| b.records)
             .filter(|r| r.time.day_index() <= day)
             .count() as u64;
@@ -592,6 +909,9 @@ pub(crate) struct Schedule {
     pub(crate) first_day: i64,
     /// Next day that still needs finalizing.
     pub(crate) finalize_next: i64,
+    /// Reused encoding buffer: each chunk is encoded here, then copied
+    /// once into its own exactly sized buffer.
+    scratch: BytesMut,
 }
 
 impl Schedule {
@@ -613,7 +933,20 @@ impl Schedule {
             records,
             first_day,
             finalize_next: first_day,
+            scratch: BytesMut::new(),
         }
+    }
+
+    /// Encodes one chunk with `encode`, which sees the schedule's records,
+    /// and enqueues it; returns the chunk's length.
+    pub(crate) fn enqueue(
+        &mut self,
+        encode: impl FnOnce(&[LocationRecord], &mut BytesMut),
+    ) -> usize {
+        self.scratch.clear();
+        encode(&self.records, &mut self.scratch);
+        self.tx.enqueue(Bytes::copy_from_slice(&self.scratch));
+        self.scratch.len()
     }
 
     /// The next day fully elapsed at wall-clock `now_s` that is not yet
@@ -705,24 +1038,25 @@ impl DeviceOutbox {
         batches
     }
 
-    fn take_records(&mut self, keep: impl Fn(Timestamp) -> bool) -> Vec<LocationRecord> {
+    /// Moves the cursor past the records `keep` accepts; returns their
+    /// range.
+    fn take_records(&mut self, keep: impl Fn(Timestamp) -> bool) -> Range<usize> {
         let records = &self.schedule.records;
         let start = self.cursor;
         while self.cursor < records.len() && keep(records[self.cursor].time) {
             self.cursor += 1;
         }
-        records[start..self.cursor].to_vec()
+        start..self.cursor
     }
 
-    fn enqueue_batch(&mut self, day: i64, end_of_day: bool, records: Vec<LocationRecord>) {
-        let batch = DayBatch {
-            device: self.schedule.device,
-            user: self.schedule.user,
-            day,
-            end_of_day,
-            records,
-        };
-        self.schedule.tx.enqueue(batch.encode_to_vec());
+    /// Encodes the schedule's `records` as one [`DayBatch`] chunk, straight
+    /// from the slice, and enqueues it.
+    fn enqueue_batch(&mut self, day: i64, end_of_day: bool, records: Range<usize>) {
+        let (device, user) = (self.schedule.device, self.schedule.user);
+        self.schedule.enqueue(|all, buf| {
+            put_day_batch_header(buf, device, user, day, end_of_day);
+            encode_records(&all[records], buf);
+        });
     }
 }
 
@@ -730,13 +1064,24 @@ impl DeviceOutbox {
 /// exactly when their fingerprints are equal. Used by the chaos tests to
 /// state the headline invariant: published windows under faults equal the
 /// fault-free run's, byte for byte.
+///
+/// The layout is fixed-width and independent of the wire codec, so the
+/// fingerprints (and every digest built on them) stay comparable across
+/// wire changes: `day:i64 | trajectories:u64`, then per trajectory
+/// `user:u64 | records:u32` and per record `time:i64 | lat:f64 | lon:f64`,
+/// all big-endian.
 pub fn window_fingerprint(window: &DatasetWindow) -> Vec<u8> {
     let mut buf = BytesMut::new();
     window.day().encode(&mut buf);
     (window.dataset().trajectory_count() as u64).encode(&mut buf);
     for traj in window.dataset().trajectories() {
         traj.user().0.encode(&mut buf);
-        encode_records(traj.records(), &mut buf);
+        (traj.len() as u32).encode(&mut buf);
+        for r in traj.records() {
+            buf.put_i64(r.time.seconds());
+            buf.put_f64(r.point.latitude());
+            buf.put_f64(r.point.longitude());
+        }
     }
     buf.to_vec()
 }
@@ -759,7 +1104,7 @@ mod tests {
         DataFrame {
             sender: device,
             seq,
-            chunk: batch.encode_to_vec(),
+            chunk: Bytes::from(batch.encode_to_vec()),
         }
     }
 
@@ -786,50 +1131,70 @@ mod tests {
         assert_eq!(back, b);
     }
 
-    #[test]
-    fn corrupt_coordinates_are_a_typed_wire_error() {
-        let mut b = batch(3, 9, 0, false, vec![rec(9, 5, 4.1)]);
-        // Hand-encode with an out-of-range latitude.
-        b.records.clear();
+    /// A day batch header, then a record block whose first fix is
+    /// `(5, lat0, 4.1)` and whose later fixes are `later`, written field by
+    /// field so the coordinates may be out of range.
+    fn hand_encoded(count: u64, lat0: f64, later: &[(i64, f64, f64)]) -> Bytes {
         let mut buf = BytesMut::new();
-        b.device.encode(&mut buf);
-        b.user.0.encode(&mut buf);
-        b.day.encode(&mut buf);
-        b.end_of_day.encode(&mut buf);
-        vec![(5i64, 123.0f64, 4.1f64)].encode(&mut buf);
-        let err = DayBatch::decode_from_slice(&buf).unwrap_err();
-        assert!(matches!(err, WireError::Corrupt(_)));
+        put_day_batch_header(&mut buf, 3, UserId(9), 0, false);
+        put_varint(&mut buf, count);
+        put_varint(&mut buf, zigzag(5));
+        buf.put_f64(lat0);
+        buf.put_f64(4.1);
+        let mut time = TimeColumn::new(5);
+        let (mut lat, mut lon) = (
+            XorColumn::new(lat0.to_bits()),
+            XorColumn::new(4.1f64.to_bits()),
+        );
+        let mut bits = BitWriter::new(&mut buf);
+        for &(t, la, lo) in later {
+            time.encode(t, &mut bits);
+            lat.encode(la, &mut bits);
+            lon.encode(lo, &mut bits);
+        }
+        bits.finish();
+        buf.freeze()
     }
 
-    /// Records as the `Vec<(i64, f64, f64)>` of (time, latitude, longitude)
-    /// whose wire layout batches and fingerprints use.
-    fn tuples(records: &[LocationRecord]) -> Vec<(i64, f64, f64)> {
-        records
-            .iter()
-            .map(|r| (r.time.seconds(), r.point.latitude(), r.point.longitude()))
+    #[test]
+    fn corrupt_coordinates_are_a_typed_wire_error() {
+        // Sanity: the hand encoder writes what `encode_records` writes.
+        let valid = batch(3, 9, 0, false, vec![rec(9, 5, 4.1), rec(9, 65, 4.1)]);
+        let mut bytes = hand_encoded(2, 45.0, &[(65, 45.0, 4.1)]);
+        assert_eq!(bytes.to_vec(), valid.encode_to_vec());
+        assert_eq!(DayBatch::decode(&mut bytes), Ok(valid));
+        // Out of range in the raw first fix, and in an XOR-coded later one.
+        for bad in [
+            hand_encoded(1, 123.0, &[]),
+            hand_encoded(2, 45.0, &[(65, -90.5, 4.1)]),
+            hand_encoded(2, 45.0, &[(65, 45.0, f64::NAN)]),
+        ] {
+            let err = DayBatch::decode(&mut bad.clone()).unwrap_err();
+            assert!(matches!(err, WireError::Corrupt(_)), "{err}");
+        }
+    }
+
+    /// `n` fixes one minute apart along a slow walk, with a jittered
+    /// sample every seventh fix.
+    fn walk(n: i64) -> Vec<LocationRecord> {
+        (0..n)
+            .map(|i| {
+                rec(
+                    9,
+                    60 * i + (i % 7 == 3) as i64 * 13,
+                    -179.5 + 1e-3 * i as f64,
+                )
+            })
             .collect()
     }
 
-    fn tuple_encoded_batch(b: &DayBatch) -> Vec<u8> {
-        let mut buf = BytesMut::new();
-        b.device.encode(&mut buf);
-        b.user.0.encode(&mut buf);
-        b.day.encode(&mut buf);
-        b.end_of_day.encode(&mut buf);
-        tuples(&b.records).encode(&mut buf);
-        buf.to_vec()
-    }
-
     #[test]
-    fn record_lists_keep_the_tuple_vector_bytes() {
-        // 1 500 records: past the 1 024-record preallocation cap.
+    fn record_lists_roundtrip_in_both_batch_types() {
+        // 1 500 records: well past any small preallocation.
         for n in [0, 1, 3, 1_500] {
-            let records: Vec<LocationRecord> = (0..n)
-                .map(|i| rec(9, 60 * i, -179.5 + 1e-3 * i as f64))
-                .collect();
+            let records = walk(n);
             let b = batch(3, 9, 0, n % 2 == 1, records.clone());
             let bytes = b.encode_to_vec();
-            assert_eq!(bytes, tuple_encoded_batch(&b), "{n} records");
             assert_eq!(DayBatch::decode_from_slice(&bytes).unwrap(), b);
 
             let p = ProtectedBatch {
@@ -839,67 +1204,118 @@ mod tests {
                 day: 0,
                 end_of_day: true,
                 had_data: n > 0,
-                records: records.clone(),
+                records,
             };
-            let bytes = p.encode_to_vec();
-            let mut expected = BytesMut::new();
-            p.device.encode(&mut expected);
-            p.user.0.encode(&mut expected);
-            p.version.encode(&mut expected);
-            p.day.encode(&mut expected);
-            p.end_of_day.encode(&mut expected);
-            p.had_data.encode(&mut expected);
-            tuples(&p.records).encode(&mut expected);
-            assert_eq!(bytes, expected.to_vec(), "{n} protected records");
-            assert_eq!(ProtectedBatch::decode_from_slice(&bytes).unwrap(), p);
-
-            let dataset = Dataset::from_records(records);
-            let window = DatasetWindow::from_parts(0, dataset.clone());
-            let mut expected = BytesMut::new();
-            0i64.encode(&mut expected);
-            (dataset.trajectory_count() as u64).encode(&mut expected);
-            for traj in dataset.trajectories() {
-                traj.user().0.encode(&mut expected);
-                tuples(traj.records()).encode(&mut expected);
-            }
-            assert_eq!(
-                window_fingerprint(&window),
-                expected.to_vec(),
-                "{n} records"
-            );
+            let protected = p.encode_to_vec();
+            assert_eq!(ProtectedBatch::decode_from_slice(&protected).unwrap(), p);
+            // The two batch types share the record block byte for byte:
+            // only their headers (4 bytes here, 6 protected) differ.
+            assert_eq!(bytes[4..], protected[6..], "{n} records");
         }
+        // A steady walk costs a fraction of the 24 bytes a fixed-width
+        // (time, latitude, longitude) tuple takes.
+        let long = batch(3, 9, 0, true, walk(1_500)).encode_to_vec();
+        assert!(long.len() < 1_500 * 12, "{} bytes", long.len());
+    }
+
+    #[test]
+    fn window_fingerprint_keeps_its_fixed_layout() {
+        let window = DatasetWindow::from_parts(
+            1,
+            Dataset::from_records(vec![
+                rec(2, 86_400, 4.5),
+                rec(7, 86_460, -0.0),
+                rec(7, 86_520, 180.0),
+            ]),
+        );
+        let golden = "0000000000000001\
+                      0000000000000002\
+                      0000000000000002 00000001\
+                      0000000000015180 4046800000000000 4012000000000000\
+                      0000000000000007 00000002\
+                      00000000000151bc 4046800000000000 8000000000000000\
+                      00000000000151f8 4046800000000000 4066800000000000";
+        let hex: String = window_fingerprint(&window)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, golden.replace(' ', ""));
     }
 
     #[test]
     fn truncated_and_oversized_record_lists_are_typed_wire_errors() {
-        let b = batch(3, 9, 0, true, vec![rec(9, 5, 4.1), rec(9, 65, 4.2)]);
-        let bytes = b.encode_to_vec();
+        let records = walk(40);
+        let b = batch(3, 9, 0, true, records.clone());
+        let p = ProtectedBatch {
+            device: 3,
+            user: UserId(9),
+            version: 1,
+            day: 0,
+            end_of_day: true,
+            had_data: true,
+            records,
+        };
         // Every proper prefix fails as truncated, never as a panic.
-        for cut in 0..bytes.len() {
-            assert_eq!(
-                DayBatch::decode_from_slice(&bytes[..cut]),
-                Err(WireError::Truncated),
-                "cut at {cut}"
-            );
+        let (raw, protected) = (b.encode_to_vec(), p.encode_to_vec());
+        for cut in 0..raw.len() {
+            let err = DayBatch::decode_from_slice(&raw[..cut]).err();
+            assert_eq!(err, Some(WireError::Truncated), "cut at {cut}");
         }
-        // A short list is reported as truncated even when an earlier
-        // record is out of range, as the tuple-vector decode did.
-        let mut bad = b.clone();
-        bad.records.clear();
-        let mut buf = BytesMut::new();
-        let header = bad.encode_to_vec();
-        buf.extend_from_slice(&header[..header.len() - 4]);
-        2u32.encode(&mut buf);
-        (5i64, 123.0f64, 4.1f64).encode(&mut buf);
-        assert_eq!(DayBatch::decode_from_slice(&buf), Err(WireError::Truncated));
+        for cut in 0..protected.len() {
+            let err = ProtectedBatch::decode_from_slice(&protected[..cut]).err();
+            assert_eq!(err, Some(WireError::Truncated), "protected cut at {cut}");
+        }
+        // The count is checked against the bytes present before any record
+        // decodes: a short block is truncated even when its first fix is
+        // out of range.
+        let short = hand_encoded(40, 123.0, &[(65, 45.0, 4.1)]);
+        assert_eq!(
+            DayBatch::decode(&mut short.clone()),
+            Err(WireError::Truncated)
+        );
         // A count above the 16 MiB cap is rejected before any read.
         let mut buf = BytesMut::new();
-        buf.extend_from_slice(&header[..header.len() - 4]);
-        (16 * 1024 * 1024 + 1u32).encode(&mut buf);
+        put_day_batch_header(&mut buf, 3, UserId(9), 0, true);
+        put_varint(&mut buf, 16 * 1024 * 1024 + 1);
         assert_eq!(
             DayBatch::decode_from_slice(&buf),
             Err(WireError::LengthOverflow(16 * 1024 * 1024 + 1))
         );
+        // Nonzero padding bits after the last field are corrupt.
+        let two = batch(3, 9, 0, true, vec![rec(9, 5, 4.1), rec(9, 65, 4.1)]);
+        let mut bytes = two.encode_to_vec();
+        *bytes.last_mut().unwrap() |= 1;
+        assert!(matches!(
+            DayBatch::decode_from_slice(&bytes),
+            Err(WireError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn bytes_after_a_batch_are_a_typed_wire_error() {
+        let b = batch(1, 1, 0, true, vec![rec(1, 10, 4.0), rec(1, 70, 4.1)]);
+        let mut padded = b.encode_to_vec();
+        padded.push(0);
+        let mut twice = b.encode_to_vec();
+        twice.extend(b.encode_to_vec());
+        for (seq, chunk) in [(1, padded), (2, twice)] {
+            let mut hive = Collector::new();
+            hive.register(1, UserId(1));
+            let chunk = Bytes::from(chunk);
+            let err = hive
+                .ingest(&DataFrame {
+                    sender: 1,
+                    seq: 1,
+                    chunk,
+                })
+                .unwrap_err();
+            assert!(
+                matches!(err, CollectError::Wire(WireError::Corrupt(_))),
+                "{seq}: {err}"
+            );
+            let (window, _) = hive.close_day(0).unwrap();
+            assert_eq!(window.record_count(), 0, "a rejected chunk applies nothing");
+        }
     }
 
     #[test]

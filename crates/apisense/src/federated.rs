@@ -68,7 +68,7 @@ use privapi::PrivapiError;
 use simnet::reliable::{
     AckFrame, DataFrame, ReliableConfig, ReliableReceiver, ReliableSender, Transmission,
 };
-use simnet::wire::{Decode, Encode, WireError};
+use simnet::wire::{get_varint, put_varint, unzigzag, zigzag, Decode, Encode, WireError};
 use simnet::{Context, NetworkStats, NodeId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -212,11 +212,14 @@ pub struct ProtectedBatch {
 }
 
 impl Encode for ProtectedBatch {
+    /// `device | user | version | day` as varints (the day zigzagged), the
+    /// `end_of_day` and `had_data` bytes, then the records in the layout
+    /// [`DayBatch`] uses.
     fn encode(&self, buf: &mut BytesMut) {
-        self.device.encode(buf);
-        self.user.0.encode(buf);
-        self.version.encode(buf);
-        self.day.encode(buf);
+        put_varint(buf, self.device);
+        put_varint(buf, self.user.0);
+        put_varint(buf, self.version);
+        put_varint(buf, zigzag(self.day));
         self.end_of_day.encode(buf);
         self.had_data.encode(buf);
         encode_records(&self.records, buf);
@@ -225,10 +228,10 @@ impl Encode for ProtectedBatch {
 
 impl Decode for ProtectedBatch {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let device = u64::decode(buf)?;
-        let user = UserId(u64::decode(buf)?);
-        let version = u64::decode(buf)?;
-        let day = i64::decode(buf)?;
+        let device = get_varint(buf)?;
+        let user = UserId(get_varint(buf)?);
+        let version = get_varint(buf)?;
+        let day = unzigzag(get_varint(buf)?);
         let end_of_day = bool::decode(buf)?;
         let had_data = bool::decode(buf)?;
         let records = decode_records(buf, user)?;
@@ -358,9 +361,7 @@ impl FederatedOutbox {
                 had_data,
                 records: protected,
             };
-            let chunk = batch.encode_to_vec();
-            self.bytes_enqueued += chunk.len() as u64;
-            self.schedule.tx.enqueue(chunk);
+            self.bytes_enqueued += self.schedule.enqueue(|_, buf| batch.encode(buf)) as u64;
             batches += 1;
         }
         batches
@@ -429,7 +430,7 @@ impl ConfigBroadcaster {
 
     /// Enqueues `config` to every registered device.
     pub fn broadcast(&mut self, config: &StrategyConfig) {
-        let chunk = ConfigFrame(*config).encode_to_vec();
+        let chunk = Bytes::from(ConfigFrame(*config).encode_to_vec());
         for sender in self.senders.values_mut() {
             sender.enqueue(chunk.clone());
         }
@@ -873,8 +874,8 @@ impl ProtectedLanes {
         }
         let (released, ack) = self.config_rx.accept(frame.sender, frame.seq, frame.chunk);
         let mut installed = false;
-        for (_seq, chunk) in released {
-            if let Ok(frame) = ConfigFrame::decode_from_slice(&chunk) {
+        for (_seq, mut chunk) in released {
+            if let Ok(frame) = ConfigFrame::decode(&mut chunk) {
                 // A non-instantiating config is ignored: the device
                 // keeps its previous mechanism.
                 installed |= self.outbox.install(frame.0).unwrap_or(false);
@@ -1261,7 +1262,7 @@ mod tests {
             let frame = DataFrame {
                 sender: batch.device | PROTECTED_LANE_BIT,
                 seq,
-                chunk: batch.encode_to_vec(),
+                chunk: batch.encode_to_vec().into(),
             };
             collector.ingest(&frame).unwrap()
         };
@@ -1335,7 +1336,7 @@ mod tests {
         let frame = DataFrame {
             sender: 1 | PROTECTED_LANE_BIT,
             seq: 1,
-            chunk: inconsistent.encode_to_vec(),
+            chunk: inconsistent.encode_to_vec().into(),
         };
         assert!(matches!(
             collector.ingest(&frame),

@@ -1,19 +1,25 @@
-//! Allocation budget of the scripted sensing path.
+//! Allocation budgets of the scripted sensing path and of the uplink.
 //!
-//! A device runs its task script once per reading, so every heap
-//! allocation on that path is paid hundreds of thousands of times per
-//! fleet-day. This test counts them with its own global allocator,
-//! counting per thread so the harness's parallel tests do not interfere.
-//! One location reading through a warm [`Vm`] may allocate the GPS fix's
-//! slots, the emitted record's slots and the returned `Vec`, and nothing
-//! else: record keys live in shapes made once per program and per host
-//! endpoint.
+//! A device runs its task script once per reading, and uploads a frame
+//! every few minutes, so every heap allocation on those paths is paid
+//! hundreds of thousands of times per fleet-day. These tests count them
+//! with their own global allocator, counting per thread so the harness's
+//! parallel tests do not interfere.
+//!
+//! * One location reading through a warm [`Vm`] may allocate the GPS fix's
+//!   slots, the emitted record's slots and the returned `Vec`, and nothing
+//!   else: record keys live in shapes made once per program and per host
+//!   endpoint.
+//! * One uplink frame round trip carries a chunk in one buffer from stage
+//!   to apply; see [`a_frame_round_trip_costs_at_most_twelve_allocations`].
 
+use apisense::collect::{Collector, DeviceOutbox};
 use apisense::device::{Device, DeviceId};
 use apisense::hive::TaskId;
 use apisense::script::{Script, Vm};
 use geo::GeoPoint;
 use mobility::{LocationRecord, Timestamp, Trajectory, UserId};
+use simnet::reliable::{AckFrame, DataFrame, ReliableConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,5 +118,76 @@ fn a_scripted_location_reading_costs_at_most_three_allocations() {
         worst <= 3,
         "a reading allocated {worst} times; the budget is the fix's slots, the \
          record's slots and the returned Vec"
+    );
+}
+
+/// One 15-record frame from the device outbox to the Hive and its ack
+/// back. Each step's allocations, in order:
+///
+/// * stage — the chunk's buffer and its shared handle;
+/// * poll — the returned `Vec`;
+/// * `DataFrame::to_message` — the message buffer and its handle;
+/// * `DataFrame::from_message` — none: the chunk is a view of the payload;
+/// * ingest — the released-chunk `Vec`, the decoded records, and now and
+///   then the growth of the day bucket they join;
+/// * `AckFrame::to_message` — the message buffer and its handle;
+/// * `AckFrame::from_message` — none;
+/// * `on_ack` — the returned latencies.
+#[test]
+fn a_frame_round_trip_costs_at_most_twelve_allocations() {
+    const PER_FRAME: i64 = 15;
+    const TICK_S: i64 = 300;
+    let user = UserId(1);
+    // A fix every 20 s: each 300 s upload tick stages 15 of them.
+    let records: Vec<LocationRecord> = (0..PER_FRAME * 40)
+        .map(|i| {
+            let point = GeoPoint::new(45.75 + 1e-5 * i as f64, 4.85 - 2e-5 * i as f64).unwrap();
+            LocationRecord::new(user, Timestamp::new(i * TICK_S / PER_FRAME), point)
+        })
+        .collect();
+    let mut outbox = DeviceOutbox::new(1, user, ReliableConfig::default(), records);
+    let mut hive = Collector::new();
+    hive.register(1, user);
+    let mut worst = (0, [0; 4]);
+    for tick in 1..=40 {
+        let now_s = tick * TICK_S - TICK_S / PER_FRAME;
+        let now_ms = now_s as u64 * 1_000;
+        let start = allocations();
+        assert_eq!(outbox.stage(now_s), 1);
+        let txs = outbox.sender_mut().poll(now_ms);
+        let staged = allocations();
+        let mut sent = 0;
+        let mut received = 0;
+        for tx in txs {
+            let before = allocations();
+            let msg = tx.frame.to_message();
+            sent += allocations() - before;
+            let frame = DataFrame::from_message(&msg).unwrap();
+            let before = allocations();
+            let ack = hive.ingest(&frame).unwrap();
+            received += allocations() - before;
+            let ack = AckFrame::from_message(&ack.to_message()).unwrap();
+            assert_eq!(outbox.sender_mut().on_ack(&ack, now_ms + 200), [200]);
+        }
+        let total = allocations() - start;
+        let steps = [
+            staged - start,
+            sent,
+            received,
+            total - (staged - start) - sent - received,
+        ];
+        // The first frames warm the outbox queue, the in-flight table and
+        // the receiver's reorder buffer.
+        if tick > 10 && total > worst.0 {
+            worst = (total, steps);
+        }
+    }
+    let (_, day) = hive.close_day(0).unwrap();
+    assert_eq!(day.records, 40 * PER_FRAME as u64);
+    let (total, [stage_poll, to_message, ingest, ack]) = worst;
+    assert!(
+        total <= 12,
+        "a frame round trip allocated {total} times (stage + poll {stage_poll}, \
+         to_message {to_message}, ingest {ingest}, ack {ack}); the budget is 12"
     );
 }

@@ -155,20 +155,150 @@ fn mutate(mut chunk: Vec<u8>, flip_at: usize, flip_bits: u8, cut: usize) -> Vec<
     chunk
 }
 
+/// A random walk of fixes from `start`, one per step. Each step's kind
+/// picks its time delta so that the deltas of deltas land in every bucket of
+/// the record codec: a steady minute (one bit), small, medium and large
+/// jitters, and jumps of days.
+fn random_walk(
+    start: (i64, f64, f64),
+    steps: &[(u8, i64, f64, f64)],
+) -> Vec<mobility::LocationRecord> {
+    use mobility::{LocationRecord, Timestamp, UserId};
+    let (mut t, mut lat, mut lon) = start;
+    let mut fixes = vec![(t, lat, lon)];
+    for &(kind, jitter, dlat, dlon) in steps {
+        t += match kind {
+            0 => 60,
+            1 => 60 + jitter % 60,
+            2 => jitter % 250,
+            3 => jitter,
+            _ => jitter * 1_000_000,
+        };
+        // Every third step stands still, so the XOR of a coordinate is 0.
+        if jitter % 3 != 0 {
+            lat = (lat + dlat).clamp(-90.0, 90.0);
+            lon = (lon + dlon).clamp(-180.0, 180.0);
+        }
+        fixes.push((t, lat, lon));
+    }
+    fixes
+        .into_iter()
+        .map(|(t, lat, lon)| {
+            LocationRecord::new(
+                UserId(1),
+                Timestamp::new(t),
+                GeoPoint::new(lat, lon).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// One fix of an arbitrary record list for the codec round trip, drawn
+/// from `(time kind, raw time, coordinate kind, latitude, longitude)`
+/// after `prev`: arbitrary, steady, repeated and extreme times; repeated
+/// fixes, ±0.0, the ±90/±180 edges, tiny and arbitrary coordinates.
+fn arbitrary_fix(
+    prev: Option<(i64, i64, f64, f64)>,
+    (time_kind, raw, coordinate_kind, lat, lon): (u8, i64, u8, f64, f64),
+) -> (i64, i64, f64, f64) {
+    let (prev_t, prev_delta, prev_lat, prev_lon) = prev.unwrap_or((0, 0, 0.0, 0.0));
+    let t = match time_kind {
+        0 => raw,
+        1 => prev_t.wrapping_add(prev_delta),
+        2 => prev_t,
+        3 => i64::MIN.wrapping_add(raw & 0xff),
+        4 => i64::MAX.wrapping_sub(raw & 0xff),
+        _ => prev_t.wrapping_add(raw % 5_000),
+    };
+    let sign = if raw & 1 == 0 { 1.0 } else { -1.0 };
+    let (lat, lon) = match coordinate_kind {
+        0 if prev.is_some() => (prev_lat, prev_lon),
+        1 => (sign * 0.0, -sign * 0.0),
+        2 => (sign * 90.0, -sign * 180.0),
+        3 => (lat * 1e-300, lon * 1e-310),
+        4 => (
+            (prev_lat + lat * 1e-6).clamp(-90.0, 90.0),
+            (prev_lon + lon * 1e-6).clamp(-180.0, 180.0),
+        ),
+        _ => (lat, lon),
+    };
+    (t, t.wrapping_sub(prev_t), lat, lon)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The record codec is lossless: any record list, sorted or not, comes
+    /// back bit for bit (times, and coordinate bits down to the sign of
+    /// zero) through both batch types.
+    #[test]
+    fn record_lists_roundtrip_bit_exactly(
+        draws in prop::collection::vec(
+            (0u8..6, any::<i64>(), 0u8..6, -90.0..90.0f64, -180.0..180.0f64),
+            0..60,
+        ),
+        day in any::<i64>(),
+        version in any::<u64>(),
+    ) {
+        use apisense::collect::DayBatch;
+        use apisense::federated::ProtectedBatch;
+        use mobility::{LocationRecord, Timestamp, UserId};
+        use simnet::wire::{Decode, Encode};
+
+        let user = UserId(u64::MAX - 3);
+        let mut prev = None;
+        let mut records = Vec::new();
+        for draw in draws {
+            let fix = arbitrary_fix(prev, draw);
+            prev = Some(fix);
+            let point = GeoPoint::new(fix.2, fix.3).unwrap();
+            records.push(LocationRecord::new(user, Timestamp::new(fix.0), point));
+        }
+        let bits = |records: &[LocationRecord]| -> Vec<(i64, u64, u64)> {
+            records
+                .iter()
+                .map(|r| {
+                    (r.time.seconds(), r.point.latitude().to_bits(), r.point.longitude().to_bits())
+                })
+                .collect()
+        };
+        let raw = DayBatch { device: u64::MAX, user, day, end_of_day: true, records };
+        let back = DayBatch::decode_from_slice(&raw.encode_to_vec()).unwrap();
+        prop_assert_eq!(bits(&back.records), bits(&raw.records));
+        prop_assert_eq!(&back, &raw);
+        let protected = ProtectedBatch {
+            device: 7,
+            user,
+            version,
+            day,
+            end_of_day: false,
+            had_data: true,
+            records: raw.records.clone(),
+        };
+        let back = ProtectedBatch::decode_from_slice(&protected.encode_to_vec()).unwrap();
+        prop_assert_eq!(bits(&back.records), bits(&protected.records));
+        prop_assert_eq!(back, protected);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Mutation fuzzing of the device→Hive boundary, after simnet's
     /// `frame_decoder_survives_mutated_frames`: take a valid `DayBatch`,
-    /// `ProtectedBatch` or `ConfigFrame` chunk, flip one byte and/or
-    /// truncate it, and drive the result through the three decoders and
-    /// through the ingest of both collectors, followed by the untouched
-    /// chunk and a duplicate. Nothing panics, every delivery yields an ack
-    /// or a typed payload error, and the days still close.
+    /// `ProtectedBatch` (a random walk of up to 40 fixes) or `ConfigFrame`
+    /// chunk, flip one byte and/or truncate it (then maybe append a byte),
+    /// or leave it intact but append a byte or a second copy of itself, and
+    /// drive the result through the three
+    /// decoders and through the ingest of both collectors, followed by the
+    /// untouched chunk and a duplicate. Nothing panics, every delivery
+    /// yields an ack or a typed payload error, a batch with bytes after its
+    /// record block is rejected, and the days still close.
     #[test]
     fn ingest_survives_mutated_chunks(
         kind in 0u8..3,
-        fixes in prop::collection::vec((0i64..172_800, 44.5..46.5f64, 3.5..5.5f64), 0..6),
+        start in (0i64..172_800, 44.5..46.5f64, 3.5..5.5f64),
+        steps in prop::collection::vec((0u8..5, 0i64..5_000, -1e-3..1e-3f64, -1e-3..1e-3f64), 0..40),
         version in 0u64..3,
         day in 0i64..2,
         end_of_day in any::<bool>(),
@@ -176,24 +306,21 @@ proptest! {
         flip_at in any::<usize>(),
         flip_bits in any::<u8>(),
         cut in any::<usize>(),
+        shape in 0u8..4,
     ) {
         use apisense::collect::{CollectError, Collector, DayBatch};
         use apisense::federated::{
             ConfigFrame, FederatedCollector, ProtectedBatch, PROTECTED_LANE_BIT,
         };
+        use bytes::Bytes;
         use geo::BoundingBox;
-        use mobility::{LocationRecord, Timestamp, UserId};
+        use mobility::UserId;
         use privapi::federated::{StrategyConfig, StrategySpec};
         use simnet::reliable::DataFrame;
-        use simnet::wire::{Decode, Encode};
+        use simnet::wire::{Decode, Encode, WireError};
 
         let user = UserId(1);
-        let records: Vec<LocationRecord> = fixes
-            .iter()
-            .map(|&(t, lat, lon)| {
-                LocationRecord::new(user, Timestamp::new(t), GeoPoint::new(lat, lon).unwrap())
-            })
-            .collect();
+        let records = random_walk(start, &steps);
         let region = BoundingBox::new(
             GeoPoint::new(45.0, 4.0).unwrap(),
             GeoPoint::new(46.0, 5.0).unwrap(),
@@ -225,7 +352,15 @@ proptest! {
             })
             .encode_to_vec(),
         };
-        let mutated = mutate(valid.clone(), flip_at, flip_bits, cut);
+        let mut mutated = match shape {
+            0 | 1 => mutate(valid.clone(), flip_at, flip_bits, cut),
+            _ => valid.clone(),
+        };
+        match shape {
+            0 => {}
+            1 | 2 => mutated.push(flip_bits),
+            _ => mutated.extend_from_slice(&valid),
+        }
         let _ = DayBatch::decode_from_slice(&mutated);
         let _ = ProtectedBatch::decode_from_slice(&mutated);
         let _ = ConfigFrame::decode_from_slice(&mutated);
@@ -237,13 +372,20 @@ proptest! {
         federated.install(config);
         // The mutated chunk, the untouched one, then a duplicate of the
         // first: cumulative acks 1, 2, 2 whenever a chunk is accepted.
+        let (mutated, valid) = (Bytes::from(mutated), Bytes::from(valid));
         let deliveries = [(1, &mutated, 1), (2, &valid, 2), (1, &mutated, 2)];
         for (seq, chunk, cumulative) in deliveries {
             let frame = |sender| DataFrame { sender, seq, chunk: chunk.clone() };
-            for outcome in [
-                raw.ingest(&frame(1)),
-                federated.ingest(&frame(1 | PROTECTED_LANE_BIT)),
+            for (lane, outcome) in [
+                (0, raw.ingest(&frame(1))),
+                (1, federated.ingest(&frame(1 | PROTECTED_LANE_BIT))),
             ] {
+                // A padded or concatenated batch of the lane's own kind
+                // is refused, never applied.
+                if seq == 1 && cumulative == 1 && shape >= 2 && lane == kind {
+                    let padded = matches!(outcome, Err(CollectError::Wire(WireError::Corrupt(_))));
+                    prop_assert!(padded, "padded batch accepted: {:?}", outcome);
+                }
                 match outcome {
                     Ok(ack) => prop_assert_eq!(ack.cumulative, cumulative),
                     Err(CollectError::Wire(_) | CollectError::Misrouted { .. }) => {}

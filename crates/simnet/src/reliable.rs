@@ -17,8 +17,12 @@
 //!   every frame with a cumulative [`AckFrame`].
 //!
 //! Frames are ordinary [`Message`]s ([`DATA_KIND`] / [`ACK_KIND`]) whose
-//! payloads use the [`crate::wire`] codec, so the same bytes travel the
-//! simulated network and the real TCP loopback transport unchanged.
+//! headers are [`crate::wire`] varints, so the same bytes travel the
+//! simulated network and the real TCP loopback transport unchanged. A
+//! chunk is one shared [`Bytes`] buffer from [`ReliableSender::enqueue`] to
+//! the receiver's release: the outbox, the in-flight table, every
+//! transmitted [`DataFrame`] and the reorder buffer hold views of it, and
+//! only [`DataFrame::to_message`] copies it, once, behind the header.
 //!
 //! The guarantee is **at-least-once, in-order release**: every enqueued
 //! chunk that the network eventually lets through is released to the
@@ -26,14 +30,17 @@
 //! were dropped, duplicated or reordered on the way.
 
 use crate::message::Message;
-use crate::wire::{Decode, Encode, WireError};
-use bytes::Bytes;
+use crate::wire::{get_varint, get_varint_len, put_varint, WireError};
+use bytes::{Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Message kind of a sequenced data frame.
 pub const DATA_KIND: u16 = 240;
 /// Message kind of an acknowledgement frame.
 pub const ACK_KIND: u16 = 241;
+
+/// Longest varint header of a frame: three ten-byte varints.
+const MAX_HEADER: usize = 30;
 
 /// A sequenced payload chunk travelling sender → receiver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,29 +50,54 @@ pub struct DataFrame {
     /// Sequence number, ascending from 1 per sender.
     pub seq: u64,
     /// Opaque application payload.
-    pub chunk: Vec<u8>,
+    pub chunk: Bytes,
 }
 
 impl DataFrame {
-    /// Packs this frame into a wire [`Message`] of kind [`DATA_KIND`].
+    /// Packs this frame into a wire [`Message`] of kind [`DATA_KIND`]:
+    /// `sender | seq | chunk length` as varints, then the chunk.
     pub fn to_message(&self) -> Message {
-        let body = (self.sender, self.seq, self.chunk.clone());
-        Message::event(DATA_KIND, body.encode_to_vec())
+        let mut buf = BytesMut::with_capacity(MAX_HEADER + self.chunk.len());
+        put_varint(&mut buf, self.sender);
+        put_varint(&mut buf, self.seq);
+        put_varint(&mut buf, self.chunk.len() as u64);
+        buf.extend_from_slice(&self.chunk);
+        event(DATA_KIND, buf)
     }
 
-    /// Unpacks a frame from a wire [`Message`].
+    /// Unpacks a frame from a wire [`Message`]. The chunk is a view of the
+    /// message payload, not a copy.
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Corrupt`] for a message of the wrong kind and
-    /// any [`WireError`] the payload decode produces.
+    /// Returns [`WireError::Corrupt`] for a message of the wrong kind or
+    /// with bytes after its chunk, and any [`WireError`] the header decode
+    /// produces.
     pub fn from_message(msg: &Message) -> Result<Self, WireError> {
         if msg.kind != DATA_KIND {
             return Err(WireError::Corrupt("not a reliable data frame"));
         }
         let mut payload = msg.payload.clone();
-        let (sender, seq, chunk) = <(u64, u64, Vec<u8>)>::decode(&mut payload)?;
+        let sender = get_varint(&mut payload)?;
+        let seq = get_varint(&mut payload)?;
+        let len = get_varint_len(&mut payload)?;
+        if payload.len() < len {
+            return Err(WireError::Truncated);
+        }
+        let chunk = payload.split_to(len);
+        if !payload.is_empty() {
+            return Err(WireError::Corrupt("bytes after the data frame's chunk"));
+        }
         Ok(Self { sender, seq, chunk })
+    }
+}
+
+/// An event message of `kind` carrying `payload`.
+fn event(kind: u16, payload: BytesMut) -> Message {
+    Message {
+        kind,
+        request_id: 0,
+        payload: payload.freeze(),
     }
 }
 
@@ -82,10 +114,14 @@ pub struct AckFrame {
 }
 
 impl AckFrame {
-    /// Packs this ack into a wire [`Message`] of kind [`ACK_KIND`].
+    /// Packs this ack into a wire [`Message`] of kind [`ACK_KIND`]:
+    /// `sender | cumulative | seq` as varints.
     pub fn to_message(&self) -> Message {
-        let body = (self.sender, self.cumulative, self.seq);
-        Message::event(ACK_KIND, body.encode_to_vec())
+        let mut buf = BytesMut::with_capacity(MAX_HEADER);
+        put_varint(&mut buf, self.sender);
+        put_varint(&mut buf, self.cumulative);
+        put_varint(&mut buf, self.seq);
+        event(ACK_KIND, buf)
     }
 
     /// Unpacks an ack from a wire [`Message`].
@@ -99,11 +135,10 @@ impl AckFrame {
             return Err(WireError::Corrupt("not a reliable ack frame"));
         }
         let mut payload = msg.payload.clone();
-        let (sender, cumulative, seq) = <(u64, u64, u64)>::decode(&mut payload)?;
         Ok(Self {
-            sender,
-            cumulative,
-            seq,
+            sender: get_varint(&mut payload)?,
+            cumulative: get_varint(&mut payload)?,
+            seq: get_varint(&mut payload)?,
         })
     }
 }
@@ -236,10 +271,10 @@ impl ReliableSender {
     }
 
     /// Appends a chunk to the outbox; returns its sequence number.
-    pub fn enqueue(&mut self, chunk: Vec<u8>) -> u64 {
+    pub fn enqueue(&mut self, chunk: impl Into<Bytes>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.outbox.push_back((seq, Bytes::from(chunk)));
+        self.outbox.push_back((seq, chunk.into()));
         self.stats.enqueued += 1;
         seq
     }
@@ -285,7 +320,7 @@ impl ReliableSender {
                     frame: DataFrame {
                         sender: self.id,
                         seq,
-                        chunk: entry.chunk.to_vec(),
+                        chunk: entry.chunk.clone(),
                     },
                     retransmit: true,
                 });
@@ -310,7 +345,7 @@ impl ReliableSender {
                 frame: DataFrame {
                     sender: self.id,
                     seq,
-                    chunk: chunk.to_vec(),
+                    chunk,
                 },
                 retransmit: false,
             });
@@ -323,34 +358,17 @@ impl ReliableSender {
     pub fn on_ack(&mut self, ack: &AckFrame, now_ms: u64) -> Vec<u64> {
         let mut latencies = Vec::new();
         self.acked = self.acked.max(ack.cumulative);
-        let confirmed: Vec<u64> = self
-            .in_flight
-            .keys()
-            .copied()
-            .filter(|&seq| seq <= ack.cumulative || seq == ack.seq)
-            .collect();
-        for seq in confirmed {
-            if let Some(entry) = self.in_flight.remove(&seq) {
-                self.stats.acked += 1;
-                let latency_ms = now_ms.saturating_sub(entry.first_sent_ms);
-                // One sim-stamped event per confirmed chunk carrying the
-                // exact latency sample (what E13 aggregates), plus the
-                // cheap histogram aggregate.
-                obs::observe(
-                    "reliable.delivery_latency_ms",
-                    obs::Buckets::LatencyMs,
-                    latency_ms,
-                );
-                obs::event_sim_ms(
-                    "reliable.delivered",
-                    now_ms,
-                    &[
-                        ("latency_ms", obs::AttrValue::U64(latency_ms)),
-                        ("seq", obs::AttrValue::U64(seq)),
-                    ],
-                );
-                latencies.push(latency_ms);
+        // Everything up to the cumulative watermark in ascending order,
+        // then the frame this ack names if it sits above a gap.
+        while let Some(entry) = self.in_flight.first_entry() {
+            if *entry.key() > ack.cumulative {
+                break;
             }
+            let (seq, entry) = entry.remove_entry();
+            latencies.push(self.confirm(seq, entry, now_ms));
+        }
+        if let Some(entry) = self.in_flight.remove(&ack.seq) {
+            latencies.push(self.confirm(ack.seq, entry, now_ms));
         }
         // Chunks re-queued by a crash may have been delivered before the
         // crash: the cumulative watermark retires them without resending.
@@ -359,6 +377,30 @@ impl ReliableSender {
         self.outbox.retain(|(seq, _)| *seq > acked);
         self.stats.acked += (before - self.outbox.len()) as u64;
         latencies
+    }
+
+    /// Counts one in-flight frame as delivered; returns its latency (ms,
+    /// first transmission → ack).
+    fn confirm(&mut self, seq: u64, entry: InFlight, now_ms: u64) -> u64 {
+        self.stats.acked += 1;
+        let latency_ms = now_ms.saturating_sub(entry.first_sent_ms);
+        // One sim-stamped event per confirmed chunk carrying the exact
+        // latency sample (what E13 aggregates), plus the cheap histogram
+        // aggregate.
+        obs::observe(
+            "reliable.delivery_latency_ms",
+            obs::Buckets::LatencyMs,
+            latency_ms,
+        );
+        obs::event_sim_ms(
+            "reliable.delivered",
+            now_ms,
+            &[
+                ("latency_ms", obs::AttrValue::U64(latency_ms)),
+                ("seq", obs::AttrValue::U64(seq)),
+            ],
+        );
+        latency_ms
     }
 
     /// When the next retransmission is due, if anything is in flight.
@@ -400,7 +442,7 @@ pub struct ReliableReceiver {
     /// Every sequence number `<= watermark` has been released in order.
     watermark: u64,
     /// Out-of-order frames waiting for the gap below them to fill.
-    pending: BTreeMap<u64, Vec<u8>>,
+    pending: BTreeMap<u64, Bytes>,
     stats: ReceiverStats,
 }
 
@@ -427,8 +469,8 @@ impl ReliableReceiver {
 
     /// The chunks stuck behind a sequence gap, in sequence order — what an
     /// ingestion endpoint audits as *delivered but not yet applicable*.
-    pub fn buffered_chunks(&self) -> impl Iterator<Item = &[u8]> {
-        self.pending.values().map(Vec::as_slice)
+    pub fn buffered_chunks(&self) -> impl Iterator<Item = &Bytes> {
+        self.pending.values()
     }
 
     /// Accepts one frame; returns the chunks newly released in sequence
@@ -442,8 +484,8 @@ impl ReliableReceiver {
         &mut self,
         sender: u64,
         seq: u64,
-        chunk: Vec<u8>,
-    ) -> (Vec<(u64, Vec<u8>)>, AckFrame) {
+        chunk: Bytes,
+    ) -> (Vec<(u64, Bytes)>, AckFrame) {
         let mut released = Vec::new();
         if seq <= self.watermark || self.pending.contains_key(&seq) {
             self.stats.duplicates += 1;
@@ -471,8 +513,8 @@ impl ReliableReceiver {
 mod tests {
     use super::*;
 
-    fn chunk(n: u64) -> Vec<u8> {
-        format!("chunk-{n}").into_bytes()
+    fn chunk(n: u64) -> Bytes {
+        Bytes::from(format!("chunk-{n}"))
     }
 
     #[test]
@@ -480,10 +522,12 @@ mod tests {
         let data = DataFrame {
             sender: 42,
             seq: 7,
-            chunk: vec![1, 2, 3],
+            chunk: Bytes::from(vec![1, 2, 3]),
         };
         let msg = data.to_message();
         assert_eq!(msg.kind, DATA_KIND);
+        // Varint header: sender, seq and chunk length take a byte each.
+        assert_eq!(msg.payload.as_ref(), &[42, 7, 3, 1, 2, 3]);
         assert_eq!(DataFrame::from_message(&msg).unwrap(), data);
         let ack = AckFrame {
             sender: 42,
@@ -492,7 +536,17 @@ mod tests {
         };
         let msg = ack.to_message();
         assert_eq!(msg.kind, ACK_KIND);
+        assert_eq!(msg.payload.as_ref(), &[42, 6, 7]);
         assert_eq!(AckFrame::from_message(&msg).unwrap(), ack);
+        // A short chunk is truncated; bytes after the chunk are corrupt.
+        let mut short = data.to_message();
+        short.payload = short.payload.slice(..5);
+        assert_eq!(DataFrame::from_message(&short), Err(WireError::Truncated));
+        let padded = Message::event(DATA_KIND, vec![42, 7, 3, 1, 2, 3, 0]);
+        assert!(matches!(
+            DataFrame::from_message(&padded),
+            Err(WireError::Corrupt(_))
+        ));
         // Kind confusion is a typed error, not a misparse.
         assert!(matches!(
             DataFrame::from_message(&ack.to_message()),
@@ -720,7 +774,7 @@ mod tests {
         #[derive(Default)]
         struct Collector {
             rx: ReliableReceiver,
-            chunks: Vec<(u64, Vec<u8>)>,
+            chunks: Vec<(u64, Bytes)>,
         }
         impl Actor for Collector {
             fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message) {

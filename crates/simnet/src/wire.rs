@@ -1,8 +1,10 @@
 //! Compact binary wire codec.
 //!
 //! A small, dependency-free serialization layer over [`bytes`], shared by the
-//! simulated transport and the real TCP transport. All integers are
-//! big-endian; strings and sequences are length-prefixed with `u32`.
+//! simulated transport and the real TCP transport. All fixed-width
+//! integers are big-endian; strings and sequences are length-prefixed with
+//! `u32`. Frame headers whose fields are usually small use LEB128 varints
+//! ([`put_varint`], [`get_varint`]) instead.
 //!
 //! # Example
 //!
@@ -101,6 +103,65 @@ pub fn decode_len(buf: &mut Bytes) -> Result<usize, WireError> {
         return Err(WireError::LengthOverflow(len));
     }
     Ok(len as usize)
+}
+
+/// Appends `v` as an unsigned LEB128 varint: seven bits per byte, the
+/// lowest group first, the high bit set on every byte but the last. Values
+/// below 128 take one byte, a full `u64` ten.
+pub fn put_varint(buf: &mut BytesMut, mut v: u64) {
+    while v >= 0x80 {
+        buf.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.put_u8(v as u8);
+}
+
+/// Reads a varint written by [`put_varint`].
+///
+/// # Errors
+///
+/// [`WireError::Truncated`] when the buffer ends inside the varint,
+/// [`WireError::Corrupt`] when its tenth byte carries more than the one
+/// bit a `u64` has left.
+pub fn get_varint(buf: &mut Bytes) -> Result<u64, WireError> {
+    let mut v = 0u64;
+    for shift in (0..64).step_by(7) {
+        let byte = u8::decode(buf)?;
+        if shift == 63 && byte > 1 {
+            return Err(WireError::Corrupt("varint overflows u64"));
+        }
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte & 0x80 == 0 {
+            break;
+        }
+    }
+    Ok(v)
+}
+
+/// Reads a varint length prefix, rejecting lengths above the 16 MiB sanity
+/// cap before anything is allocated for them.
+///
+/// # Errors
+///
+/// Those of [`get_varint`], and [`WireError::LengthOverflow`] when the
+/// length exceeds the cap.
+pub fn get_varint_len(buf: &mut Bytes) -> Result<usize, WireError> {
+    let len = get_varint(buf)?;
+    if len > MAX_LEN {
+        return Err(WireError::LengthOverflow(len));
+    }
+    Ok(len as usize)
+}
+
+/// Maps a signed value onto an unsigned one so that small magnitudes of
+/// either sign stay small: 0, -1, 1, -2, … become 0, 1, 2, 3, ….
+pub fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+/// The inverse of [`zigzag`].
+pub fn unzigzag(v: u64) -> i64 {
+    (v >> 1) as i64 ^ -((v & 1) as i64)
 }
 
 fn need(buf: &Bytes, n: usize) -> Result<(), WireError> {
@@ -397,6 +458,42 @@ mod tests {
         assert_eq!(decode_frame(&mut buf).unwrap(), Some(a));
         assert_eq!(decode_frame(&mut buf).unwrap(), Some(b));
         assert_eq!(decode_frame(&mut buf).unwrap(), None);
+    }
+
+    #[test]
+    fn varints_roundtrip_and_reject_overlong_input() {
+        for v in [0, 1, 127, 128, 300, 1 << 48, u64::MAX - 1, u64::MAX] {
+            let mut buf = BytesMut::new();
+            put_varint(&mut buf, v);
+            let mut bytes = buf.freeze();
+            assert_eq!(get_varint(&mut bytes), Ok(v));
+            assert!(bytes.is_empty());
+        }
+        let mut one = BytesMut::new();
+        put_varint(&mut one, 127);
+        assert_eq!(one.len(), 1);
+        // Ends inside the varint.
+        assert_eq!(
+            get_varint(&mut Bytes::from(vec![0x80])),
+            Err(WireError::Truncated)
+        );
+        // A tenth byte above 1 would overflow u64.
+        let mut long = vec![0xff; 9];
+        long.push(0x02);
+        assert!(matches!(
+            get_varint(&mut Bytes::from(long)),
+            Err(WireError::Corrupt(_))
+        ));
+        let mut cap = BytesMut::new();
+        put_varint(&mut cap, MAX_LEN + 1);
+        assert_eq!(
+            get_varint_len(&mut cap.freeze()),
+            Err(WireError::LengthOverflow(MAX_LEN + 1))
+        );
+        for v in [0, -1, 1, i64::MIN, i64::MAX] {
+            assert_eq!(unzigzag(zigzag(v)), v);
+        }
+        assert_eq!((zigzag(-1), zigzag(1), zigzag(-2)), (1, 2, 3));
     }
 
     #[test]
