@@ -733,14 +733,9 @@ fn apply<P: LanePayload>(
     device: u64,
     lane: &mut Lane,
     last_closed: Option<i64>,
-    mut chunk: Bytes,
+    chunk: Bytes,
 ) -> Result<(), CollectError> {
-    let batch = P::Batch::decode(&mut chunk)?;
-    if !chunk.is_empty() {
-        return Err(CollectError::Wire(WireError::Corrupt(
-            "bytes after the batch's record block",
-        )));
-    }
+    let batch = P::Batch::decode_exact(chunk)?;
     let (claimed, user) = P::origin(&batch);
     if claimed != device {
         obs::count("collect.misrouted", 1);

@@ -874,8 +874,8 @@ impl ProtectedLanes {
         }
         let (released, ack) = self.config_rx.accept(frame.sender, frame.seq, frame.chunk);
         let mut installed = false;
-        for (_seq, mut chunk) in released {
-            if let Ok(frame) = ConfigFrame::decode(&mut chunk) {
+        for (_seq, chunk) in released {
+            if let Ok(frame) = ConfigFrame::decode_exact(chunk) {
                 // A non-instantiating config is ignored: the device
                 // keeps its previous mechanism.
                 installed |= self.outbox.install(frame.0).unwrap_or(false);
@@ -1172,6 +1172,39 @@ mod tests {
             ConfigFrame::decode_from_slice(&bad),
             Err(WireError::InvalidTag("strategy-spec", 9))
         ));
+    }
+
+    /// A config chunk must hold exactly one `ConfigFrame`: the same frame
+    /// with two bytes appended is refused and installs nothing, while the
+    /// frame itself installs on the next sequence number.
+    #[test]
+    fn a_config_chunk_with_bytes_after_the_frame_is_not_installed() {
+        let config = StrategyConfig {
+            version: 1,
+            spec: StrategySpec::Identity,
+            seed: 0,
+            grid_anchor: None,
+        };
+        let exact = ConfigFrame(config).encode_to_vec();
+        let mut padded = exact.clone();
+        padded.extend_from_slice(&[0, 0]);
+        let mut lanes = ProtectedLanes::new(
+            &FederatedFleetConfig::small(1),
+            UserId(1),
+            vec![rec(1, 100, 45.5, 4.5)],
+        );
+        let frame = |seq, chunk: Vec<u8>| DataFrame {
+            sender: 0,
+            seq,
+            chunk: chunk.into(),
+        };
+        let (ack, installed) = lanes.on_config(frame(1, padded), 0).unwrap();
+        assert_eq!(ack.cumulative, 1, "the frame itself is delivered");
+        assert!(!installed, "a padded config must not install");
+        assert!(lanes.outbox.config().is_none());
+        let (_, installed) = lanes.on_config(frame(2, exact), 0).unwrap();
+        assert!(installed);
+        assert_eq!(lanes.outbox.config(), Some(&config));
     }
 
     /// A corrupt or hostile broadcast can carry any finite parameter. Each

@@ -2,77 +2,77 @@
 //! reuse.
 //!
 //! The batch path ([`crate::pipeline::PrivApi::publish`]) treats every
-//! release as a from-scratch job: it re-extracts every user's POI exposure
-//! and rebuilds the reference index even when yesterday's release already
-//! computed almost all of it. A continuously running deployment publishes
-//! *day windows* instead, and almost everything about the original-side
-//! attack state carries over from one window to the next:
+//! release as a from-scratch job: it runs the POI attack once on the
+//! original prefix and once on each candidate's protected prefix, from
+//! scratch, even when yesterday's release already computed almost all of
+//! it. A continuously running deployment publishes *day windows* instead,
+//! and almost all of that attack state carries over from one window to the
+//! next: a user without new records today has exactly yesterday's
+//! [`UserAttackShard`], and keeps their per-user [`geo::PointIndex`] in the
+//! [`ReferenceIndex`]; changed users are amended in place
+//! ([`ReferenceIndex::update_user`]).
 //!
-//! * the per-user [`UserAttackShard`]s — a user without new records today
-//!   has exactly yesterday's shard;
-//! * the [`ReferenceIndex`] — unchanged users keep their per-user
-//!   [`geo::PointIndex`]; changed users are amended in place
-//!   ([`ReferenceIndex::update_user`]).
-//!
-//! [`PopulationCache`] owns that cross-window state and
+//! [`PopulationCache`] owns the original side and
 //! [`PopulationCache::advance`] folds one [`DatasetWindow`] into it,
-//! tracking what was reused vs. re-extracted in a [`WindowDelta`].
+//! tracking what was reused vs. re-extracted in a [`WindowDelta`]. The
+//! [`StrategySessionCache`] owns one state per candidate of the pool.
 //! [`StreamingPublisher`] owns one session — the population cache, the
 //! per-strategy caches and the work store below — next to a
 //! [`crate::pipeline::PrivApi`], and publishes window after window
 //! through the one streaming step,
 //! [`crate::pipeline::PrivApi::publish_session`].
 //!
-//! # Invalidation rules
+//! # One attack side, run twice
 //!
-//! A cached shard for user `u` is valid for the grown prefix iff
+//! The original prefix and every candidate's protected data each run one
+//! `AttackSide`. It keeps each user's source trajectories, the bounding
+//! box of what is extracted from them, the grid anchor, and the per-user
+//! shards with their memos. The original side extracts the sources
+//! themselves; a candidate's side extracts its strategy's outputs and keys
+//! its shards by their output family too. On both, a cached shard for user
+//! `u` is valid for the grown prefix iff
 //!
-//! 1. `u` has **no records in the new window** (their merged record
-//!    history, and hence their dwell field, is unchanged), **and**
-//! 2. the **extraction grid is unchanged** — the dwell grid is anchored on
-//!    the prefix's bounding box, so a window that widens the bounding box
-//!    shifts every user's cell boundaries and invalidates *all* shards.
+//! 1. `u`'s **sources did not change** in the window, **and**
+//! 2. the **extraction grid did not move**. The grid is anchored on the
+//!    quantized, padded form ([`geo::BoundingBox::grid_anchor`]) of the
+//!    side's box, the union of its per-user boxes: growth inside the 0.05°
+//!    lattice keeps every shard, and a lattice crossing refreshes every
+//!    user. A candidate's box is its *protected* box, which noise can widen
+//!    on a window that left the original box alone.
 //!
-//! Either way no *full-dataset* extraction pass runs on the original side:
-//! refreshes go through the per-user [`PoiAttack::extract_user_from`]
-//! path (fanned out over the cores), which amends the user's cached shard
-//! with only the trajectories appended since it was extracted — the
-//! [`ExtractionMemo`] records the source handles, the last time-sorted
-//! record and the sorted stay list. A user's refresh therefore costs
-//! O(records the window added), not O(the user's whole history). The memo
-//! is dropped on a grid rebuild, and rejected — a from-scratch extraction,
-//! counted as a fallback — when the appended records are older than the
-//! memo's last one (late records quarantined into a later window).
+//! No *full-dataset* extraction pass runs: refreshes go through the
+//! per-user [`PoiAttack::extract_user_from`] path (fanned out over the
+//! cores), which amends the user's cached shard with only the trajectories
+//! appended since it was extracted — the [`ExtractionMemo`] records the
+//! source handles, the last time-sorted record and the sorted stay list. A
+//! user's refresh therefore costs O(records the window added), not O(the
+//! user's whole history). The memo is dropped on a grid move, and rejected
+//! — a from-scratch extraction, counted as a fallback — when the appended
+//! records are older than the memo's last one (late records quarantined
+//! into a later window).
 //!
-//! # The protected side: per-strategy caches
+//! # What a candidate adds: its outputs
 //!
-//! The original-side cache alone still leaves the dominant per-window
-//! cost untouched: every candidate strategy re-anonymizes the whole
-//! prefix and re-extracts every user's protected POIs on every window.
-//! [`StrategySessionCache`] extends the same per-user reuse to each
-//! candidate's *protected* data, keyed on the determinism contract the
-//! strategy declares through
-//! [`crate::strategy::AnonymizationStrategy::locality`] and states as
-//! [`crate::strategy::AnonymizationStrategy::protect`]:
+//! A candidate's sources are the prefix's trajectories; which of their
+//! outputs stay valid follows the determinism contract the strategy
+//! declares through [`crate::strategy::AnonymizationStrategy::locality`]
+//! and states as [`crate::strategy::AnonymizationStrategy::protect`]:
 //!
 //! * a [`UserLocality::UserLocal`] candidate protects only the
-//!   trajectories the window appended: everything derived from an output
-//!   whose source trajectory is still the same `Arc` in the prefix carries
-//!   over, and — while the candidate's protected bounding box holds still
-//!   — so do the protected-side [`UserAttackShard`]s of inactive users,
-//!   while active users' shards fold in only their appended outputs;
+//!   trajectories the window appended: an output whose source trajectory
+//!   is still the same `Arc` in the prefix carries over;
 //! * a [`UserLocality::GridAnchored`] candidate additionally re-anonymizes
-//!   the whole prefix when the bounding box's quantized anchor moves (its
-//!   tessellation moved);
+//!   the whole prefix when the original box's quantized anchor moves (its
+//!   tessellation moved). Such a full pass resets its side but keeps the
+//!   side's anchor, against which the next protected grid is judged;
 //! * a [`UserLocality::NonLocal`] candidate is never cached and re-runs
 //!   the full anonymize + self-attack, exactly as batch publish would.
 //!
 //! Since [`AnonymizationStrategy::protect`] is a deterministic function of
-//! (source, seed, anchor), the protected side is keyed by output family
-//! and **source** trajectory, never by the output itself: a shard's memo
-//! and store key hold the source list, a utility contribution is keyed by
-//! its output's family and source. An output is therefore transient. It
-//! is protected for the appended tail, folded into the per-user box, the
+//! (source, seed, anchor), everything derived from an output — its shard,
+//! its utility contribution — is keyed by output family and **source**,
+//! never by the output itself. An output is therefore transient. It is
+//! protected for the appended tail, folded into the per-user box, the
 //! shard and the contributions, offered to the store for the rest of the
 //! window, and dropped — unless its candidate is **feasible** (only a
 //! feasible candidate can win, so a winner's release is always pointer
@@ -83,14 +83,14 @@
 //! again, served from the store where another session holds it, and
 //! counts it in [`StrategyCacheDelta::trajectories_reprotected`].
 //!
-//! Together the two layers make the [`PoiAttack::extractions`] probe read
-//! **zero** full passes per window for a fully-local pool (batch pays
-//! `pool + 1` per release), and keep [`PoiAttack::user_extractions`]
-//! proportional to the users a window actually changed.
+//! Together this makes the [`PoiAttack::extractions`] probe read **zero**
+//! full passes per window for a fully-local pool (batch pays `pool + 1`
+//! per release), and keeps [`PoiAttack::user_extractions`] proportional to
+//! the users a window actually changed.
 //!
 //! # The work store
 //!
-//! Both layers read and fill one [`WorkStore`]: every protected output,
+//! Every side reads and fills one [`WorkStore`]: every protected output,
 //! per-user attack shard and per-output utility contribution is keyed by
 //! exactly the inputs it depends on — source trajectories and output
 //! families, never outputs — so sessions that share an input — several
@@ -195,28 +195,182 @@ obs::audit! {
     }
 }
 
-/// How a batch of per-user extractions split over the
-/// [`ExtractionPath`]s.
-#[derive(Debug, Clone, Copy, Default)]
-struct PathCounts {
-    appended: usize,
-    rebuilt: usize,
-    fallback: usize,
-}
-
-impl PathCounts {
-    fn add(&mut self, path: ExtractionPath) {
-        match path {
-            ExtractionPath::Appended => self.appended += 1,
-            ExtractionPath::Rebuilt => self.rebuilt += 1,
-            ExtractionPath::Fallback => self.fallback += 1,
-        }
-    }
-}
-
 /// [`WindowDelta::grid_quantum_millideg`], derived from the geo constant.
 fn grid_quantum_millideg() -> u32 {
     (geo::GRID_ANCHOR_QUANTUM_DEG * 1000.0).round() as u32
+}
+
+/// One side of the POI attack, kept across windows: the original prefix
+/// ([`PopulationCache`]) or one candidate's protected data
+/// ([`CandidateState`]). The original side extracts the sources
+/// themselves; a candidate's side extracts its [`Protector`]'s outputs
+/// and keys its shards by their output family too.
+#[derive(Debug, Default)]
+struct AttackSide {
+    /// Each user's source trajectories in prefix order, as shared handles
+    /// into the prefix's allocations.
+    sources: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
+    /// Per-user boxes of what is extracted (`None`: no records), so the
+    /// side's box is a fold over users, not a record scan.
+    boxes: BTreeMap<UserId, Option<BoundingBox>>,
+    /// The quantized anchor ([`geo::BoundingBox::grid_anchor`]) of the
+    /// side's box, which the extraction grid is built on.
+    grid_box: Option<BoundingBox>,
+    /// Per-user shards with the memos their next refresh amends, shared
+    /// with the [`WorkStore`] entries they were served from or filled.
+    shards: BTreeMap<UserId, Arc<CachedShard>>,
+}
+
+/// What one [`AttackSide::refresh`] did.
+#[derive(Debug, Default)]
+struct SideCounts {
+    /// Users whose shard was looked up: served or extracted.
+    refreshed: usize,
+    /// Refreshed users whose shard the store served.
+    served: usize,
+    /// Users whose shard was kept untouched.
+    reused: usize,
+    /// Extracted shards by [`ExtractionPath`].
+    appended: usize,
+    rebuilt: usize,
+    fallback: usize,
+    /// Whether the grid anchor differs from the last one; a first grid
+    /// counts.
+    grid_moved: bool,
+}
+
+impl AttackSide {
+    /// Forgets every user and shard, but keeps the anchor the next
+    /// refresh judges a grid move against.
+    fn reset(&mut self) {
+        self.sources.clear();
+        self.boxes.clear();
+        self.shards.clear();
+    }
+
+    /// `user`'s box with `tail` folded in.
+    fn grown_box(&self, user: UserId, tail: Option<BoundingBox>) -> Option<BoundingBox> {
+        let old = self.boxes.get(&user).copied().flatten();
+        old.into_iter().chain(tail).reduce(|a, b| a.union(&b))
+    }
+
+    /// Appends `source` to its user's list, to be extracted as itself.
+    fn append(&mut self, source: &Arc<Trajectory>) {
+        let user = source.user();
+        let bbox = self.grown_box(user, user_bounding_box(std::slice::from_ref(source)));
+        self.boxes.insert(user, bbox);
+        self.sources
+            .entry(user)
+            .or_default()
+            .push(Arc::clone(source));
+    }
+
+    /// Sets `user`'s source list and the box of what is extracted from it.
+    fn set_user(
+        &mut self,
+        user: UserId,
+        sources: Vec<Arc<Trajectory>>,
+        bbox: Option<BoundingBox>,
+    ) {
+        self.boxes.insert(user, bbox);
+        self.sources.insert(user, sources);
+    }
+
+    /// Re-anchors the grid on the side's box and refreshes the shards of
+    /// the `changed` users — of every user when the anchor moved. Each
+    /// shard is looked up in `store` first; a miss is extracted through
+    /// [`PoiAttack::extract_user_from`], amending the user's shard where
+    /// its memo applies, from `read(reader, sources, from)` — the
+    /// trajectories to extract for `sources[from..]`, through the reader
+    /// `open` made for the user — and queued in `fills`. Users fan out
+    /// over the cores and are filed in `UserId` order. Returns the counts
+    /// and the refreshed users with their readers.
+    ///
+    /// A side whose box is empty extracts nothing and drops every shard,
+    /// as [`PoiAttack::extract`] does on a record-less dataset.
+    #[allow(clippy::too_many_arguments)]
+    fn refresh<R: Send>(
+        &mut self,
+        attack: &PoiAttack,
+        changed: &[UserId],
+        family: Option<&OutputFamily>,
+        store: &WorkStore,
+        fills: &mut Fills,
+        mut open: impl FnMut(UserId) -> R,
+        read: impl Fn(&mut R, &[Arc<Trajectory>], usize) -> Vec<Arc<Trajectory>> + Sync,
+    ) -> (SideCounts, Vec<(UserId, R)>) {
+        let bbox = self
+            .boxes
+            .values()
+            .flatten()
+            .copied()
+            .reduce(|a, b| a.union(&b));
+        let grid_box = bbox.map(|b| b.grid_anchor());
+        let mut counts = SideCounts {
+            grid_moved: grid_box != self.grid_box,
+            ..SideCounts::default()
+        };
+        self.grid_box = grid_box;
+        let Some(bbox) = bbox else {
+            fills.released_all |= !self.shards.is_empty();
+            self.shards.clear();
+            return (counts, Vec::new());
+        };
+        let users: Vec<UserId> = if counts.grid_moved {
+            self.sources.keys().copied().collect()
+        } else {
+            changed.to_vec()
+        };
+        let mut readers: Vec<(UserId, R)> = users.into_iter().map(|u| (u, open(u))).collect();
+        let grid = attack.grid_for(bbox);
+        let grid_id = grid_key(&grid);
+        let config = extraction_config(attack.config());
+        let parent = obs::current_span();
+        let found: Vec<_> = readers
+            .par_iter_mut()
+            .map(|(user, reader)| {
+                let _span = parent.child("user.extract");
+                let sources = self.sources.get(user).map_or(&[][..], Vec::as_slice);
+                let key = ShardKey {
+                    config: config.clone(),
+                    grid: grid_id,
+                    user: *user,
+                    family: family.cloned(),
+                    sources: sources.to_vec(),
+                };
+                if let Some(stored) = store.shard(&key) {
+                    return (Arc::clone(stored), None);
+                }
+                let prior = self.shards.get(user).map(|c| (&c.shard, &c.memo));
+                let (shard, memo, path) = attack.extract_user_from(
+                    key.sources.clone(),
+                    &mut |from| read(reader, sources, from),
+                    *user,
+                    &grid,
+                    prior,
+                );
+                (Arc::new(CachedShard { shard, memo }), Some((key, path)))
+            })
+            .collect();
+        counts.refreshed = readers.len();
+        counts.reused = self.sources.len() - readers.len();
+        for ((user, _), (shard, fill)) in readers.iter().zip(found) {
+            match fill {
+                Some((key, path)) => {
+                    match path {
+                        ExtractionPath::Appended => counts.appended += 1,
+                        ExtractionPath::Rebuilt => counts.rebuilt += 1,
+                        ExtractionPath::Fallback => counts.fallback += 1,
+                    }
+                    fills.shards.push((key, Arc::clone(&shard)));
+                }
+                None => counts.served += 1,
+            }
+            self.shards.insert(*user, shard);
+            fills.released.push(*user);
+        }
+        (counts, readers)
+    }
 }
 
 obs::audit! {
@@ -320,8 +474,8 @@ impl std::fmt::Display for IngestDelta {
 }
 
 /// Cross-window **original-side** attack state: the accumulated prefix,
-/// the per-user shards extracted from it, and the reference POIs + spatial
-/// index the engine scores candidates against.
+/// its attack side (the per-user shards extracted from it), and the
+/// reference POIs + spatial index the engine scores candidates against.
 ///
 /// This is the population-level half of the streaming state, usable on its
 /// own: the multi-campaign orchestrator keeps *one* `PopulationCache` per
@@ -338,27 +492,12 @@ impl std::fmt::Display for IngestDelta {
 #[derive(Debug, Default)]
 pub struct PopulationCache {
     prefix: Dataset,
-    /// The prefix decomposed per user: each user's trajectories in prefix
-    /// order, as shared handles into the same allocations `prefix` holds.
-    /// This is what makes every per-user path — shard re-extraction,
-    /// per-user re-anonymization, protected-prefix assembly — O(that
-    /// user's history) instead of O(prefix): a user's history is a
-    /// `Vec<Arc>` clone, never a record copy or a full-prefix filter scan.
-    by_user: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-    /// The prefix's bounding box, maintained incrementally
-    /// ([`geo::BoundingBox::union`] per window — exact under append, so
-    /// the derived grid equals a from-scratch scan's without re-touching
-    /// old records).
-    bbox: Option<geo::BoundingBox>,
-    /// The quantized anchor ([`geo::BoundingBox::grid_anchor`]) of `bbox`
-    /// after the last window — the box the extraction grid is actually
-    /// built on. Shards are invalidated when *this* moves, not on every
-    /// raw-box drift: growth inside the padded 0.05° lattice keeps every
-    /// cached shard valid.
-    grid_box: Option<geo::BoundingBox>,
-    /// Per-user shards with the memos their next refresh amends — shared
-    /// with the [`WorkStore`] entries they were served from or filled.
-    shards: BTreeMap<UserId, Arc<CachedShard>>,
+    /// The original side of the attack: the prefix decomposed per user,
+    /// the per-user boxes, the grid anchor and the shards. The
+    /// decomposition is what makes every per-user path — shard
+    /// re-extraction, per-user re-anonymization, protected-prefix
+    /// assembly — O(that user's history) instead of O(prefix).
+    side: AttackSide,
     reference: ReferencePois,
     index: Option<ReferenceIndex>,
     windows_ingested: usize,
@@ -481,7 +620,7 @@ impl PopulationCache {
 
     /// The cached per-user shards, in user order.
     pub fn shards(&self) -> impl Iterator<Item = &UserAttackShard> + '_ {
-        self.shards.values().map(|cached| &cached.shard)
+        self.side.shards.values().map(|cached| &cached.shard)
     }
 
     /// The reference POIs extracted from the prefix (one entry per user).
@@ -505,20 +644,15 @@ impl PopulationCache {
         self.last_day
     }
 
-    /// The prefix's bounding box after the last ingested window.
-    pub fn bounding_box(&self) -> Option<geo::BoundingBox> {
-        self.bbox
-    }
-
     /// The quantized anchor box the extraction grid is built on — moves
     /// only when the raw box crosses the padded 0.05° lattice.
     pub fn grid_box(&self) -> Option<geo::BoundingBox> {
-        self.grid_box
+        self.side.grid_box
     }
 
     /// The prefix decomposed per user (shared handles, prefix order).
     pub(crate) fn by_user(&self) -> &BTreeMap<UserId, Vec<Arc<Trajectory>>> {
-        &self.by_user
+        &self.side.sources
     }
 
     /// The original-side utility projection for `objective` over the
@@ -538,7 +672,8 @@ impl PopulationCache {
         objective: Objective,
     ) -> (ObjectiveBaseline, BaselineDelta) {
         let mut delta = BaselineDelta::default();
-        let (Some(grid_box), false) = (self.grid_box, self.prefix.record_count() == 0) else {
+        let (Some(grid_box), false) = (self.side.grid_box, self.prefix.record_count() == 0)
+        else {
             // Empty prefix: mirror the legacy per-window build, which
             // errors into the zero-utility `Unavailable` baseline.
             return (ObjectiveBaseline::Unavailable, delta);
@@ -583,9 +718,9 @@ impl PopulationCache {
     }
 
     /// Folds one day window into the cache: appends its trajectories to
-    /// the prefix, re-extracts (only) the invalidated users' shards over
-    /// the grown prefix via the [`PoiAttack::extract_user_from`] delta
-    /// path, and amends the reference POIs and their spatial index.
+    /// the prefix, refreshes (only) the invalidated users' shards over the
+    /// grown prefix (see the [module docs](crate::streaming)), and amends
+    /// the reference POIs and their spatial index.
     ///
     /// Each invalidated shard is first looked up in `store`: a shard
     /// another cache already extracted for the same extraction parameters,
@@ -594,13 +729,6 @@ impl PopulationCache {
     /// [`PoiAttack::user_extractions`] cost — and every shard extracted
     /// here is filled in for the caches that follow. Served and extracted
     /// shards are byte-identical, so the store only ever skips work.
-    ///
-    /// Per-window cost is `O(window + refreshed users)`: the prefix
-    /// bounding box is maintained by [`geo::BoundingBox::union`] (exact
-    /// under append), never by rescanning the accumulated records.
-    /// Refreshes are fanned out over the available cores; results are
-    /// folded back in `UserId` order, so the cache state is deterministic
-    /// regardless of scheduling.
     ///
     /// The cache fingerprints the attack configuration it was advanced
     /// with: ingesting a window through an attack with *different*
@@ -641,104 +769,64 @@ impl PopulationCache {
         let config_changed = self.attack_config.is_some()
             && self.attack_config.as_ref() != Some(attack.config());
         if config_changed {
-            self.shards.clear();
+            self.side.shards.clear();
             self.reference.clear();
             self.index = None;
         }
         if self.attack_config.as_ref() != Some(attack.config()) {
             self.attack_config = Some(attack.config().clone());
         }
-        let changed = window.users();
         for t in window.dataset().trajectories() {
-            self.by_user
-                .entry(t.user())
-                .or_default()
-                .push(Arc::clone(t));
+            self.side.append(t);
         }
         self.prefix
             .extend(window.dataset().trajectories().iter().cloned());
         self.windows_ingested += 1;
         self.last_day = Some(window.day());
-        let merged_bbox = match (self.bbox, window.dataset().bounding_box()) {
-            (Some(a), Some(b)) => Some(a.union(&b)),
-            (a, None) => a,
-            (None, b) => b,
+        let mut delta = WindowDelta {
+            day: window.day(),
+            grid_quantum_millideg: grid_quantum_millideg(),
+            ..WindowDelta::default()
         };
-        let Some(bbox) = merged_bbox else {
-            // Empty prefix: nothing to extract yet.
-            return Ok(WindowDelta {
-                day: window.day(),
-                grid_quantum_millideg: grid_quantum_millideg(),
-                ..WindowDelta::default()
-            });
-        };
-        // The extraction grid is anchored on the *quantized* padded box:
-        // raw bounding-box growth inside the 0.05° lattice keeps every
-        // cached shard valid, so only a lattice crossing rebuilds.
-        let grid_box = bbox.grid_anchor();
-        let grid_rebuilt =
-            config_changed || (self.grid_box.is_some() && self.grid_box != Some(grid_box));
-        let to_refresh: Vec<UserId> = if grid_rebuilt {
-            self.by_user.keys().copied().collect()
+        let had_grid = self.side.grid_box.is_some();
+        let changed: Vec<UserId> = if config_changed {
+            self.side.sources.keys().copied().collect()
         } else {
-            changed
+            window.users()
         };
-        let grid = attack.grid_for(bbox);
-        let config = extraction_config(attack.config());
-        // Each refresh reads only the user's own history through the
-        // per-user decomposition — a `Vec<Arc>` clone, not a prefix scan —
-        // and, through the user's memo, re-reads only the trajectories
-        // appended since the last refresh.
-        let parent = obs::current_span();
-        let found: Vec<ShardLookup> = to_refresh
-            .par_iter()
-            .map(|&user| {
-                let _span = parent.child("user.extract");
-                let sources = self.by_user.get(&user).cloned().unwrap_or_default();
-                let prior = self.shards.get(&user).map(|cached| &**cached);
-                let key = ShardKey {
-                    config: config.clone(),
-                    grid: grid_key(&grid),
-                    user,
-                    family: None,
-                    sources: sources.clone(),
-                };
-                let read = &mut |from: usize| sources[from..].to_vec();
-                store.shard(attack, key, &grid, read, prior)
-            })
-            .collect();
         let mut fills = Fills::default();
-        let mut paths = PathCounts::default();
-        let users_derived =
-            file_shards(&to_refresh, found, &mut self.shards, &mut fills, &mut paths);
+        let (counts, refreshed) = self.side.refresh(
+            attack,
+            &changed,
+            None,
+            store,
+            &mut fills,
+            |_| (),
+            |(), sources, from| sources[from..].to_vec(),
+        );
+        if self.side.grid_box.is_none() {
+            // Empty prefix: nothing to extract yet.
+            return Ok(delta);
+        }
         let index = self
             .index
             .get_or_insert_with(|| ReferenceIndex::empty(attack.config().match_distance));
-        let mut indexes_extended = 0;
-        for user in &to_refresh {
-            let pois = &self.shards[user].shard.pois;
+        for (user, ()) in &refreshed {
+            let pois = &self.side.shards[user].shard.pois;
             if index.update_user(*user, pois) {
-                indexes_extended += 1;
+                delta.indexes_extended += 1;
             }
             self.reference.insert(*user, pois.clone());
         }
-        self.bbox = Some(bbox);
-        self.grid_box = Some(grid_box);
-        let delta = WindowDelta {
-            day: window.day(),
-            users_refreshed: to_refresh.len() - users_derived,
-            users_reused: self.shards.len() - to_refresh.len(),
-            indexes_extended,
-            grid_rebuilt,
-            users_derived,
-            grid_quantum_millideg: grid_quantum_millideg(),
-            shards_appended: paths.appended,
-            shards_rebuilt: paths.rebuilt,
-            shards_fallback: paths.fallback,
-            store_lookups: to_refresh.len(),
-            store_fills: fills.len(),
-        };
-        store.released.extend(&to_refresh);
+        delta.users_refreshed = counts.refreshed - counts.served;
+        delta.users_reused = counts.reused;
+        delta.grid_rebuilt = config_changed || (had_grid && counts.grid_moved);
+        delta.users_derived = counts.served;
+        delta.shards_appended = counts.appended;
+        delta.shards_rebuilt = counts.rebuilt;
+        delta.shards_fallback = counts.fallback;
+        delta.store_lookups = counts.refreshed;
+        delta.store_fills = fills.len();
         store.insert(fills);
         obs::record(&delta);
         obs::count("streaming.windows_ingested", 1);
@@ -863,26 +951,15 @@ obs::audit! {
     }
 }
 
-/// One candidate strategy's cross-window protected-side state: the input
-/// trajectories of each user's protected outputs, the protected bounding
-/// box the extraction grid is anchored on, the per-user self-attack
-/// shards extracted from the protected data and the folded utility
-/// counts.
+/// One candidate strategy's cross-window protected-side state: its attack
+/// side over the protected data, its outputs and the folded utility counts.
 ///
 /// Shards and utility contributions are keyed by the output family and
 /// the *source* trajectories, whose handles the population already owns,
-/// so they never keep an output alive. The outputs themselves are kept
-/// only while something reads them next window: by a **feasible**
-/// candidate, the only kind that can win, so a winner's release is always
-/// pointer clones; and under the Distortion objective, whose utility
-/// pairs records every window. Any other candidate holds its outputs for
-/// one window only. A path that later needs an output it let go of — a
-/// protected-grid move, a memo fallback, a non-append history change, a
-/// baseline-grid rebuild, the candidate turning feasible — protects it
-/// again, served from the [`WorkStore`] where another session holds it,
-/// and counts it in [`StrategyCacheDelta::trajectories_reprotected`].
-/// `protect` is a deterministic function of source, seed and anchor, so
-/// the second output equals the first.
+/// so they never keep an output alive. The outputs are kept only while
+/// something reads them next window (a feasible candidate, or the
+/// Distortion objective); a path that needs one it let go of protects it
+/// again, as the [module docs](crate::streaming) describe.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateState {
     /// Fingerprint of the candidate this state belongs to — its identity
@@ -893,28 +970,18 @@ pub(crate) struct CandidateState {
     /// The key a strategy without an exact output identity stores its
     /// outputs under: unique to this state, so nothing is shared.
     token: Option<u64>,
-    /// Each user's input trajectories as of the last window, in the user's
-    /// prefix order. An output stays valid while its source is the same
-    /// `Arc` in the prefix (the per-trajectory locality contract), so a
-    /// window re-anonymizes only the appended tail.
-    sources: BTreeMap<UserId, Vec<Arc<Trajectory>>>,
-    /// Protected trajectories per user, index for index with `sources`
-    /// (`None`: not held). Between windows this holds every output of a
-    /// retaining state and nothing otherwise; during a window it also
+    /// The candidate's side of the attack: each user's input trajectories
+    /// as of the last window, in the user's prefix order — an output stays
+    /// valid while its source is the same `Arc` in the prefix (the
+    /// per-trajectory locality contract), so a window re-anonymizes only
+    /// the appended tail — with the boxes of their outputs, the protected
+    /// grid anchor and the candidate's self-attack shards.
+    side: AttackSide,
+    /// Protected trajectories per user, index for index with the side's
+    /// sources (`None`: not held). Between windows this holds every output
+    /// of a retaining state and nothing otherwise; during a window it also
     /// holds what the window protected or was served.
     protected: BTreeMap<UserId, Vec<Option<Arc<Trajectory>>>>,
-    /// Per-user bounding boxes of the protected trajectories, so the
-    /// protected prefix box is a union fold over users — O(users) —
-    /// instead of a record scan over the assembled dataset.
-    boxes: BTreeMap<UserId, Option<geo::BoundingBox>>,
-    /// The quantized anchor ([`geo::BoundingBox::grid_anchor`]) of the
-    /// protected prefix box after the last window — the box the
-    /// protected-side extraction grid is actually built on. Shards survive
-    /// raw protected-box drift inside the padded lattice.
-    grid_box: Option<geo::BoundingBox>,
-    /// Per-user protected-side shards (the candidate's own self-attack
-    /// decomposition) with the memos their next refresh amends.
-    shards: BTreeMap<UserId, Arc<CachedShard>>,
     /// Incrementally maintained protected-side utility counts, keyed on
     /// the *baseline* grid (`None`: distortion or no baseline).
     utility: Option<UtilityFold>,
@@ -1045,10 +1112,7 @@ impl CandidateState {
     /// Drops all cached data (keeps the identity card).
     fn clear(&mut self) {
         self.protected.clear();
-        self.sources.clear();
-        self.boxes.clear();
-        self.grid_box = None;
-        self.shards.clear();
+        self.side = AttackSide::default();
         self.utility = None;
         self.primed = false;
     }
@@ -1105,6 +1169,7 @@ impl CandidateState {
             })
         };
         let users: Vec<UserId> = self
+            .side
             .sources
             .iter()
             .filter(|(user, sources)| !holds(user, sources))
@@ -1116,7 +1181,7 @@ impl CandidateState {
         let _span = obs::span("candidate.materialize");
         let parent = obs::current_span();
         let mut taken = self.take(&users);
-        let sources = &self.sources;
+        let sources = &self.side.sources;
         let work: Vec<Produced> = taken
             .par_iter_mut()
             .map(|(user, known)| {
@@ -1169,7 +1234,8 @@ impl CandidateState {
     /// cached shards — what [`PoiAttack::extract`] over its assembled
     /// protected prefix would return.
     pub(crate) fn extracted_pois(&self) -> ReferencePois {
-        self.shards
+        self.side
+            .shards
             .iter()
             .map(|(user, cached)| (*user, cached.shard.pois.clone()))
             .collect()
@@ -1222,14 +1288,14 @@ impl CandidateState {
         let full =
             !self.primed || (locality == UserLocality::GridAnchored && update.grid_rebuilt);
         // What this window lets go of: the refreshed users' old outputs,
-        // shards and contributions — everyone's on a full pass, and below
-        // on a protected grid or baseline grid move.
+        // shards and contributions — everyone's on a full pass. The side
+        // adds the users whose shards it replaces, the utility fold
+        // everyone on a baseline-grid move.
         fills.released_all = self.primed && full;
         fills.released = update.changed_users.to_vec();
         if full {
             self.protected.clear();
-            self.sources.clear();
-            self.boxes.clear();
+            self.side.reset();
         }
         let to_refresh: &[UserId] = if full {
             all_users
@@ -1254,112 +1320,64 @@ impl CandidateState {
         // Per refreshed user, how many of its outputs survived from the
         // last window — the utility fold adds only the ones after them.
         let mut kept_outputs: Vec<(UserId, usize)> = Vec::with_capacity(refreshed.len());
-        for Reanonymized {
-            user,
-            kept,
-            appended,
-            sources,
-            mut known,
-            tail_box,
-            produced,
-        } in refreshed
-        {
-            counts.trajectories_reused += kept;
-            counts.trajectories_anonymized += produced.protected;
-            if produced.served > 0 && produced.served == sources.len() - kept {
+        for mut r in refreshed {
+            counts.trajectories_reused += r.kept;
+            counts.trajectories_anonymized += r.produced.protected;
+            if r.produced.served > 0 && r.produced.served == r.sources.len() - r.kept {
                 counts.users_donated += 1;
             } else {
                 counts.users_refreshed += 1;
             }
-            produced.file(counts, &mut fills);
-            let bbox = if appended {
-                let old = self.boxes.get(&user).copied().flatten();
-                old.into_iter().chain(tail_box).reduce(|a, b| a.union(&b))
+            r.produced.file(counts, &mut fills);
+            let bbox = if r.appended {
+                self.side.grown_box(r.user, r.tail_box)
             } else {
                 // The history changed other than by appending: its box is
                 // taken over every output again.
-                user_bounding_box(&protector.outputs_from(&sources, &mut known, 0, &mut redo))
+                let outputs = protector.outputs_from(&r.sources, &mut r.known, 0, &mut redo);
+                user_bounding_box(&outputs)
             };
-            self.boxes.insert(user, bbox);
-            self.protected.insert(user, known);
-            self.sources.insert(user, sources);
-            kept_outputs.push((user, kept));
+            self.side.set_user(r.user, r.sources, bbox);
+            self.protected.insert(r.user, r.known);
+            kept_outputs.push((r.user, r.kept));
         }
-        // The protected-side extraction grid is anchored on the *protected*
-        // bounding box — through its quantized padded form, so drift inside
-        // the lattice reuses every shard; only an anchor move invalidates
-        // them all, no matter whose records changed.
-        let bbox = union_of(&self.boxes);
-        let grid_box = bbox.map(|b| b.grid_anchor());
-        let protected_grid_rebuilt = self.primed && grid_box != self.grid_box;
-        counts.protected_grid_rebuilds = usize::from(protected_grid_rebuilt);
-        fills.released_all |= protected_grid_rebuilt || (bbox.is_none() && self.primed);
-        let shard_refresh: &[UserId] = if !self.primed || protected_grid_rebuilt {
-            all_users
-        } else {
-            to_refresh
+        // The protected-side grid is anchored on the *protected* bounding
+        // box, which noise can widen on a window that left the original box
+        // alone.
+        let (side, readers) = {
+            let _span = obs::span("candidate.extract");
+            let protected = &mut self.protected;
+            self.side.refresh(
+                attack,
+                to_refresh,
+                Some(&protector.family),
+                protector.store,
+                &mut fills,
+                |user| {
+                    (
+                        protected.remove(&user).unwrap_or_default(),
+                        Produced::default(),
+                    )
+                },
+                |(known, produced), sources, from| {
+                    protector.outputs_from(sources, known, from, produced)
+                },
+            )
         };
-        counts.shards_reused = all_users.len() - shard_refresh.len();
-        match bbox {
-            Some(bbox) => {
-                let _span = obs::span("candidate.extract");
-                let parent = obs::current_span();
-                let grid = attack.grid_for(bbox);
-                let config = extraction_config(attack.config());
-                let mut taken = self.take(shard_refresh);
-                let (sources, shards) = (&self.sources, &self.shards);
-                let found: Vec<(ShardLookup, Produced)> = taken
-                    .par_iter_mut()
-                    .map(|(user, known)| {
-                        let _span = parent.child("user.extract");
-                        // The shard depends only on the user's own outputs
-                        // and the grid; after a full pass every output is
-                        // new, so no memo applies.
-                        let sources = sources.get(user).cloned().unwrap_or_default();
-                        let prior = shards.get(user).filter(|_| !full).map(|cached| &**cached);
-                        let key = ShardKey {
-                            config: config.clone(),
-                            grid: grid_key(&grid),
-                            user: *user,
-                            family: Some(protector.family.clone()),
-                            sources: sources.clone(),
-                        };
-                        let mut produced = Produced::default();
-                        let read = &mut |from: usize| {
-                            protector.outputs_from(&sources, known, from, &mut produced)
-                        };
-                        let found = protector.store.shard(attack, key, &grid, read, prior);
-                        (found, produced)
-                    })
-                    .collect();
-                self.put_back(taken);
-                let mut lookups = Vec::with_capacity(found.len());
-                for (found, produced) in found {
-                    redo.add(produced);
-                    lookups.push(found);
-                }
-                let mut paths = PathCounts::default();
-                counts.shards_donated = file_shards(
-                    shard_refresh,
-                    lookups,
-                    &mut self.shards,
-                    &mut fills,
-                    &mut paths,
-                );
-                counts.shards_refreshed = shard_refresh.len() - counts.shards_donated;
-                counts.store_lookups += shard_refresh.len();
-                counts.shards_appended = paths.appended;
-                counts.shards_rebuilt = paths.rebuilt;
-                counts.shards_fallback = paths.fallback;
+        for (user, (known, produced)) in readers {
+            if !known.is_empty() {
+                self.protected.insert(user, known);
             }
-            None => {
-                // An entirely emptied protected prefix extracts nothing —
-                // mirror `PoiAttack::extract` on a record-less dataset.
-                counts.shards_reused = 0;
-                self.shards.clear();
-            }
+            redo.add(produced);
         }
-        self.grid_box = grid_box;
+        counts.protected_grid_rebuilds = usize::from(self.primed && side.grid_moved);
+        counts.shards_reused = side.reused;
+        counts.shards_donated = side.served;
+        counts.shards_refreshed = side.refreshed - side.served;
+        counts.store_lookups += side.refreshed;
+        counts.shards_appended = side.appended;
+        counts.shards_rebuilt = side.rebuilt;
+        counts.shards_fallback = side.fallback;
         self.primed = true;
         let utility = {
             let _span = obs::span("candidate.utility");
@@ -1412,7 +1430,7 @@ impl CandidateState {
         sources: Vec<Arc<Trajectory>>,
         mut known: Vec<Option<Arc<Trajectory>>>,
     ) -> Reanonymized {
-        let cached = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+        let cached = self.side.sources.get(&user).map_or(&[][..], Vec::as_slice);
         let kept = sources
             .iter()
             .zip(cached)
@@ -1469,7 +1487,7 @@ impl CandidateState {
         let key = (kind, grid_key(grid));
         let rebuild = full || self.utility.as_ref().map(|f| f.key) != Some(key);
         let users: Vec<(UserId, usize)> = if rebuild {
-            self.sources.keys().map(|user| (*user, 0)).collect()
+            self.side.sources.keys().map(|user| (*user, 0)).collect()
         } else {
             refreshed.to_vec()
         };
@@ -1480,7 +1498,7 @@ impl CandidateState {
         {
             let _span = obs::span("utility.fold");
             for (user, kept) in users {
-                let sources = self.sources.get(&user).map(Vec::as_slice).unwrap_or(&[]);
+                let sources = self.side.sources.get(&user).map_or(&[][..], Vec::as_slice);
                 let known = self.protected.entry(user).or_default();
                 fold.update(user, kept, sources, known, protector, grid, fills, redo);
             }
@@ -1728,12 +1746,6 @@ fn user_bounding_box(trajectories: &[Arc<Trajectory>]) -> Option<BoundingBox> {
     .ok()
 }
 
-/// Union of the per-user boxes — the protected prefix's bounding box as an
-/// O(users) fold.
-fn union_of(boxes: &BTreeMap<UserId, Option<BoundingBox>>) -> Option<BoundingBox> {
-    boxes.values().flatten().copied().reduce(|a, b| a.union(&b))
-}
-
 /// A trajectory handle compared and hashed by address. A key holding one
 /// keeps the trajectory alive, so its address can never be reused by
 /// another trajectory while the key exists.
@@ -1851,36 +1863,6 @@ fn extraction_config(config: &PoiAttackConfig) -> PoiAttackConfig {
     }
 }
 
-/// A shard looked up in the store: the entry, or a freshly extracted shard
-/// with the key to fill it under and the path its extraction took.
-struct ShardLookup {
-    shard: Arc<CachedShard>,
-    fill: Option<(ShardKey, ExtractionPath)>,
-}
-
-/// Files looked-up shards into `shards`, queueing the extracted ones as
-/// fills and counting their paths; returns how many the store served.
-fn file_shards(
-    users: &[UserId],
-    found: Vec<ShardLookup>,
-    shards: &mut BTreeMap<UserId, Arc<CachedShard>>,
-    fills: &mut Fills,
-    paths: &mut PathCounts,
-) -> usize {
-    let mut served = 0;
-    for (user, ShardLookup { shard, fill }) in users.iter().zip(found) {
-        match fill {
-            Some((key, path)) => {
-                paths.add(path);
-                fills.shards.push((key, Arc::clone(&shard)));
-            }
-            None => served += 1,
-        }
-        shards.insert(*user, shard);
-    }
-    served
-}
-
 /// Entries computed on [`WorkStore`] misses, handed back by work that only
 /// reads the store (the parallel per-user and per-candidate sections) and
 /// inserted by its caller afterwards, in a fixed order — together with the
@@ -1891,7 +1873,8 @@ pub(crate) struct Fills {
     shards: Vec<(ShardKey, Arc<CachedShard>)>,
     utility: Vec<(UserId, UtilityKey, Arc<Contribution>)>,
     released: Vec<UserId>,
-    /// A reset, a full pass or a grid move: possibly any user's entries.
+    /// A reset, a full pass, an emptied side or a baseline-grid move:
+    /// possibly any user's entries.
     released_all: bool,
 }
 
@@ -2061,35 +2044,8 @@ impl WorkStore {
         self.users.get(&user)?.utility.get(key)
     }
 
-    /// The shard `key` names on `grid`: the stored entry when one
-    /// matches, else extracted here from the trajectories `read` returns
-    /// (see [`PoiAttack::extract_user_from`]) — amending `prior` when its
-    /// memo applies — with the key to fill it under.
-    fn shard(
-        &self,
-        attack: &PoiAttack,
-        key: ShardKey,
-        grid: &UniformGrid,
-        read: &mut dyn FnMut(usize) -> Vec<Arc<Trajectory>>,
-        prior: Option<&CachedShard>,
-    ) -> ShardLookup {
-        if let Some(stored) = self.users.get(&key.user).and_then(|e| e.shards.get(&key)) {
-            return ShardLookup {
-                shard: Arc::clone(stored),
-                fill: None,
-            };
-        }
-        let (shard, memo, path) = attack.extract_user_from(
-            key.sources.clone(),
-            read,
-            key.user,
-            grid,
-            prior.map(|cached| (&cached.shard, &cached.memo)),
-        );
-        ShardLookup {
-            shard: Arc::new(CachedShard { shard, memo }),
-            fill: Some((key, path)),
-        }
+    fn shard(&self, key: &ShardKey) -> Option<&Arc<CachedShard>> {
+        self.users.get(&key.user)?.shards.get(key)
     }
 
     /// Inserts `fills` in order; a key already present keeps its entry.
@@ -2113,30 +2069,13 @@ impl WorkStore {
 }
 
 /// Cross-window **protected-side** attack state, one entry per candidate
-/// strategy of the evaluated pool: each candidate's per-user source lists
-/// and the [`UserAttackShard`]s of its self-attack — and its protected
-/// prefix while the candidate is feasible.
-///
-/// This is the protected-side twin of [`PopulationCache`]. The original-side
-/// cache makes the *reference* extraction incremental; this one makes the
-/// per-candidate *self-attacks* — the measured dominant per-window cost —
-/// incremental too, under the determinism contract each strategy declares
-/// through [`AnonymizationStrategy::locality`]:
-///
-/// * [`UserLocality::UserLocal`] candidates anonymize only the
-///   trajectories each window appended and fold only those outputs into
-///   the active users' shards and utility counts;
-/// * [`UserLocality::GridAnchored`] candidates additionally re-anonymize
-///   the whole prefix when the bounding box's quantized anchor moves;
-/// * [`UserLocality::NonLocal`] candidates are never cached — every window
-///   re-runs their full anonymize + self-attack, exactly as batch publish
-///   would.
-///
-/// Whatever a candidate's locality, its protected-side *shards* are only
-/// reused while the candidate's own protected bounding box (which anchors
-/// the extraction grid) is unchanged — tracked per candidate, since noise
-/// mechanisms can widen their protected box on a window that leaves the
-/// original box alone.
+/// strategy of the evaluated pool. Each entry runs the same attack side as
+/// [`PopulationCache`] (see the [module docs](crate::streaming)), over the candidate's
+/// outputs instead of the prefix, which makes the per-candidate
+/// *self-attacks* — the measured dominant per-window cost — incremental.
+/// It adds the candidate's outputs while the candidate is feasible, the
+/// folded utility counts, and the re-anonymization rule of the strategy's
+/// [`AnonymizationStrategy::locality`].
 ///
 /// The cache is self-validating: it fingerprints the pool (per slot, the
 /// [`StrategyInfo`] and the exact
@@ -3078,6 +3017,69 @@ mod tests {
             "{} entries outlived the session",
             store.len()
         );
+    }
+
+    #[test]
+    fn an_identity_candidate_extracts_what_the_population_does() {
+        // The original side and a candidate's side are one machine: over a
+        // pass-through candidate, whose outputs are the prefix's own
+        // trajectories, the candidate's extracted POIs equal the
+        // reference after every window. Day 1 moves the grid of both
+        // sides (user 1 wanders far off); day 2 stays inside the widened
+        // box, so both sides fold in only the appended trajectories.
+        use crate::pool::StrategyPool;
+        use geo::GeoPoint;
+        use mobility::{Timestamp, DAY_SECONDS};
+        let mut records = Vec::new();
+        for (day, user, lat, lon) in [
+            (0, 1, 45.75, 4.801),
+            (0, 2, 45.75, 4.802),
+            (1, 1, 45.95, 5.10),
+            (2, 1, 45.75, 4.801),
+            (2, 2, 45.75, 4.802),
+        ] {
+            // A commute, then a long dwell at its end.
+            for i in 0..240i64 {
+                records.push(LocationRecord::new(
+                    UserId(user),
+                    Timestamp::new(day * DAY_SECONDS + i * 300),
+                    GeoPoint::new(lat, lon + 0.0004 * i.min(60) as f64).unwrap(),
+                ));
+            }
+        }
+        let windows = WindowedDataset::partition(&Dataset::from_records(records));
+        assert_eq!(windows.len(), 3);
+        let privapi = PrivApi::new(PrivApiConfig {
+            privacy_floor: 1.0, // keep the candidate feasible
+            ..PrivApiConfig::default()
+        })
+        .with_pool(StrategyPool::new().with(Box::new(PassThrough)));
+        let mut session = Session::default();
+        let mut paths = Vec::new();
+        for (i, window) in windows.iter().enumerate() {
+            let release = step(&privapi, &mut session, window).unwrap();
+            let (population, strategies, _) = &session;
+            let pois: usize = population.reference().values().map(Vec::len).sum();
+            assert!(pois > 0, "window {i}: nothing to compare");
+            assert_eq!(
+                &strategies.states[0].extracted_pois(),
+                population.reference(),
+                "window {i}"
+            );
+            let (original, candidate) = (release.delta, release.strategies);
+            assert_eq!(
+                (original.shards_appended, original.shards_rebuilt),
+                (candidate.shards_appended, candidate.shards_rebuilt),
+                "window {i}"
+            );
+            assert_eq!(
+                usize::from(original.grid_rebuilt),
+                candidate.protected_grid_rebuilds,
+                "window {i}"
+            );
+            paths.push((original.grid_rebuilt, original.shards_appended));
+        }
+        assert_eq!(paths, vec![(false, 0), (true, 0), (false, 2)]);
     }
 
     #[test]

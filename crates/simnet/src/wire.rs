@@ -82,11 +82,25 @@ pub trait Decode: Sized {
     /// Returns a [`WireError`] when the buffer is truncated or malformed.
     fn decode(buf: &mut Bytes) -> Result<Self, WireError>;
 
-    /// Convenience: decodes from a byte slice, requiring full consumption is
-    /// *not* enforced (trailing bytes are ignored).
+    /// Decodes exactly one value from `bytes`, without copying them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Decode::decode`], and [`WireError::Corrupt`] when bytes remain
+    /// after the value.
+    fn decode_exact(mut bytes: Bytes) -> Result<Self, WireError> {
+        let value = Self::decode(&mut bytes)?;
+        if !bytes.is_empty() {
+            return Err(WireError::Corrupt("bytes after the value"));
+        }
+        Ok(value)
+    }
+
+    /// Decodes exactly one value from a copy of `slice`, as
+    /// [`Decode::decode_exact`]: bytes after the value are
+    /// [`WireError::Corrupt`].
     fn decode_from_slice(slice: &[u8]) -> Result<Self, WireError> {
-        let mut bytes = Bytes::copy_from_slice(slice);
-        Self::decode(&mut bytes)
+        Self::decode_exact(Bytes::copy_from_slice(slice))
     }
 }
 
@@ -389,6 +403,16 @@ mod tests {
         let encoded = 12345u64.encode_to_vec();
         let r = u64::decode_from_slice(&encoded[..4]);
         assert_eq!(r, Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn bytes_after_the_value_are_corrupt() {
+        let mut encoded = 12345u64.encode_to_vec();
+        encoded.push(0);
+        let r = u64::decode_from_slice(&encoded);
+        assert_eq!(r, Err(WireError::Corrupt("bytes after the value")));
+        let r = u64::decode_exact(Bytes::from(encoded));
+        assert_eq!(r, Err(WireError::Corrupt("bytes after the value")));
     }
 
     #[test]
