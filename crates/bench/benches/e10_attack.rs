@@ -2,9 +2,10 @@
 //!
 //! Measures the three layers of the attack-path restructuring:
 //!
-//! * `extract_serial` vs `extract_parallel` — the per-user shard fan-out
-//!   (equal on a single-core host, ≥ 1.5× on 4+ cores; results are
-//!   byte-identical either way);
+//! * `extract_serial` (`extract` in a one-thread pool) vs
+//!   `extract_parallel` — the per-user shard fan-out (equal on a
+//!   single-core host, ≥ 1.5× on 4+ cores; results are byte-identical
+//!   either way);
 //! * `match_scan` vs `match_indexed` — pairwise O(R·E) matching vs probing
 //!   a pre-built `ReferenceIndex` (the engine shares one index across the
 //!   whole candidate pool, so the build is amortized — benched separately
@@ -38,8 +39,12 @@ fn bench_attack(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3));
 
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
     group.bench_function("extract_serial", |b| {
-        b.iter(|| black_box(attack.extract_serial(black_box(&data.dataset))))
+        b.iter(|| black_box(one_thread.install(|| attack.extract(black_box(&data.dataset)))))
     });
     group.bench_function("extract_parallel", |b| {
         b.iter(|| black_box(attack.extract(black_box(&data.dataset))))

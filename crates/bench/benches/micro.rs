@@ -1,9 +1,9 @@
-//! Micro-benchmarks of the substrates: geo primitives, spatial indexes,
+//! Micro-benchmarks of the substrates: geo primitives, the uniform grid,
 //! the script interpreter, the wire codec and the network simulator.
 
 use apisense::script::{Host, Script, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
-use geo::{BoundingBox, GeoPoint, Meters, QuadTree, UniformGrid};
+use geo::{BoundingBox, GeoPoint, Meters, UniformGrid};
 use simnet::wire::{decode_frame, encode_frame};
 use simnet::{Actor, Context, LinkModel, Message, NodeId, Simulation};
 use std::hint::black_box;
@@ -57,24 +57,6 @@ fn bench_micro(c: &mut Criterion) {
         .collect();
     group.bench_function("grid_histogram_10k", |bch| {
         bch.iter(|| black_box(grid.histogram(black_box(&points).iter())))
-    });
-
-    // Quadtree: build + nearest.
-    group.bench_function("quadtree_build_10k", |bch| {
-        bch.iter(|| {
-            let mut tree = QuadTree::new(bbox);
-            for (i, p) in points.iter().enumerate() {
-                tree.insert(*p, i);
-            }
-            black_box(tree.len())
-        })
-    });
-    let mut tree = QuadTree::new(bbox);
-    for (i, p) in points.iter().enumerate() {
-        tree.insert(*p, i);
-    }
-    group.bench_function("quadtree_nearest", |bch| {
-        bch.iter(|| black_box(tree.nearest(black_box(&a))))
     });
 
     // Script interpreter: arithmetic loop.

@@ -4,8 +4,10 @@
 //! This experiment is the measured counterpart of the attack-layer
 //! restructuring in `privapi::attack`:
 //!
-//! * `extract_serial` vs `extract` (the rayon per-user fan-out) — parity is
-//!   asserted before timing, so the speedup is never bought with drift;
+//! * `extract` inside a one-thread rayon pool (the sequential reference
+//!   path, reported as `extract_serial_ms`) vs `extract` (the rayon
+//!   per-user fan-out) — parity is asserted before timing, so the speedup
+//!   is never bought with drift;
 //! * `match_extracted_scan` (pairwise O(R·E)) vs `match_extracted` (probing
 //!   a pre-built `ReferenceIndex`, the shape the evaluation engine uses
 //!   across all candidates) — reports asserted bit-identical;
@@ -227,13 +229,17 @@ pub fn run(config: &E10Config) -> E10Report {
     let attack = PoiAttack::default();
 
     // Parity before timing: the fan-out must be byte-identical to the
-    // sequential reference path.
-    let serial = attack.extract_serial(&data.dataset);
+    // sequential reference path, the same extraction in a one-thread pool.
+    let one_thread = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("one-thread pool");
+    let serial = one_thread.install(|| attack.extract(&data.dataset));
     let reference = attack.extract(&data.dataset);
     assert_eq!(serial, reference, "parallel extract drifted from serial");
 
     let extract_serial_ms = time_best_ms(config.reps, || {
-        std::hint::black_box(attack.extract_serial(&data.dataset));
+        std::hint::black_box(one_thread.install(|| attack.extract(&data.dataset)));
     });
     let extract_parallel_ms = time_best_ms(config.reps, || {
         std::hint::black_box(attack.extract(&data.dataset));

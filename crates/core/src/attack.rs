@@ -37,7 +37,7 @@
 //!   [`UserAttackShard`] per user ([`PoiAttack::extract_user`]);
 //!   [`PoiAttack::extract`] fans the shards out over the available cores and
 //!   reassembles them in `UserId` order, so the result is byte-identical to
-//!   the sequential reference path ([`PoiAttack::extract_serial`]). Shards
+//!   a one-thread run (the sequential reference path). Shards
 //!   are also the unit the streaming caches keep, and
 //!   [`PoiAttack::extract_user_from`] amends a cached shard with only the
 //!   trajectories appended since it was extracted ([`ExtractionMemo`]).
@@ -500,27 +500,14 @@ impl PoiAttack {
     /// Extracts POI positions for every user of `dataset` (union of the
     /// stay-point and dwell-density extractors, de-duplicated).
     ///
-    /// Parallel over users; byte-identical to [`PoiAttack::extract_serial`].
+    /// Parallel over users. Shards are reassembled in `UserId` order, so the
+    /// result is byte-identical at any thread count: run inside a one-thread
+    /// `rayon::ThreadPool::install`, this is the sequential reference loop.
     pub fn extract(&self, dataset: &Dataset) -> ReferencePois {
         self.extract_shards(dataset)
             .into_iter()
             .map(|s| (s.user, s.pois))
             .collect()
-    }
-
-    /// The sequential reference implementation of [`PoiAttack::extract`],
-    /// kept for parity tests and serial-vs-parallel benchmarks.
-    pub fn extract_serial(&self, dataset: &Dataset) -> ReferencePois {
-        self.extractions.fetch_add(1, Ordering::Relaxed);
-        let mut out = ReferencePois::new();
-        let Some(grid) = self.extraction_grid(dataset) else {
-            return out;
-        };
-        for user in dataset.users() {
-            let shard = self.extract_user(dataset, user, &grid);
-            out.insert(shard.user, shard.pois);
-        }
-        out
     }
 
     /// The dwell threshold (seconds) a candidate must exceed for this user.
@@ -789,17 +776,6 @@ impl PoiAttack {
     ) -> PoiAttackReport {
         let extracted = self.extract(protected);
         self.match_extracted(&extracted, index)
-    }
-
-    /// Scan-matching twin of [`PoiAttack::evaluate_reference`], kept as the
-    /// verification baseline for the indexed path.
-    pub fn evaluate_reference_scan(
-        &self,
-        protected: &Dataset,
-        reference: &ReferencePois,
-    ) -> PoiAttackReport {
-        let extracted = self.extract(protected);
-        self.match_extracted_scan(&extracted, reference)
     }
 
     /// Runs the attack against generator ground truth.
@@ -1089,7 +1065,6 @@ mod tests {
     fn extract_is_empty_for_empty_dataset() {
         let attack = PoiAttack::default();
         assert!(attack.extract(&Dataset::new()).is_empty());
-        assert!(attack.extract_serial(&Dataset::new()).is_empty());
         assert!(attack.extract_shards(&Dataset::new()).is_empty());
         let report = attack.evaluate_reference(&Dataset::new(), &ReferencePois::new());
         assert_eq!(report.recall, 0.0);
@@ -1100,10 +1075,14 @@ mod tests {
     fn parallel_extract_equals_serial() {
         let data = small_data();
         let attack = PoiAttack::default();
-        assert_eq!(
-            attack.extract(&data.dataset),
-            attack.extract_serial(&data.dataset)
-        );
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| attack.extract(&data.dataset))
+        };
+        assert_eq!(in_pool(1), in_pool(2));
     }
 
     #[test]
@@ -1127,7 +1106,7 @@ mod tests {
         assert_eq!(attack.extractions(), 0);
         let clone = attack.clone();
         let _ = attack.extract(&data.dataset);
-        let _ = clone.extract_serial(&data.dataset);
+        let _ = clone.extract(&data.dataset);
         let _ = attack.extract_shards(&data.dataset);
         assert_eq!(attack.extractions(), 3, "clones share the probe");
         assert_eq!(clone.extractions(), 3);
@@ -1144,7 +1123,7 @@ mod tests {
                 .unwrap()
                 .anonymize(&data.dataset, strategy_seed);
             let indexed = attack.evaluate_reference(&protected, &reference);
-            let scan = attack.evaluate_reference_scan(&protected, &reference);
+            let scan = attack.match_extracted_scan(&attack.extract(&protected), &reference);
             assert_eq!(indexed, scan);
         }
     }

@@ -171,7 +171,7 @@ proptest! {
         let attack = PoiAttack::default();
         let reference = attack.extract(&ds);
         let indexed = attack.evaluate_reference(&ds, &reference);
-        let scan = attack.evaluate_reference_scan(&ds, &reference);
+        let scan = attack.match_extracted_scan(&attack.extract(&ds), &reference);
         prop_assert_eq!(indexed, scan);
     }
 }
@@ -180,9 +180,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The shard contract behind parallel extraction: for any generator
-    /// seed and population shape, the per-user rayon fan-out returns
-    /// `ReferencePois` byte-identical to the sequential reference path
-    /// (mirrors `parallel_engine_matches_sequential` one layer down).
+    /// seed and population shape, the per-user rayon fan-out over two
+    /// threads returns `ReferencePois` byte-identical to a one-thread pool,
+    /// the sequential reference path (mirrors
+    /// `parallel_engine_matches_sequential` one layer down).
     #[test]
     fn parallel_extract_matches_serial(
         seed in any::<u64>(),
@@ -200,10 +201,14 @@ proptest! {
                 leisure_probability: 0.3,
             });
         let attack = PoiAttack::default();
-        prop_assert_eq!(
-            attack.extract(&data.dataset),
-            attack.extract_serial(&data.dataset)
-        );
+        let in_pool = |threads: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+                .install(|| attack.extract(&data.dataset))
+        };
+        prop_assert_eq!(in_pool(1), in_pool(2));
     }
 }
 

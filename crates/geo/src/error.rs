@@ -21,7 +21,7 @@ pub enum GeoError {
     },
     /// An operation required a non-empty sequence of points.
     EmptyPolyline,
-    /// A grid or quadtree was configured with a non-positive size.
+    /// A grid, index or resampling step was given a non-positive size.
     InvalidSize(f64),
 }
 

@@ -10,7 +10,6 @@
 //! * [`BoundingBox`] — axis-aligned geographic boxes;
 //! * [`UniformGrid`] — a uniform metric cell index used for heat-maps and
 //!   crowded-place analyses;
-//! * [`QuadTree`] — a point quadtree for range and nearest-neighbour queries;
 //! * [`PointIndex`] — a hash-grid neighbor index answering fixed-radius and
 //!   nearest-neighbor queries with exact haversine results (the matching
 //!   substrate of PRIVAPI's POI attack);
@@ -38,7 +37,6 @@ mod grid;
 mod index;
 mod point;
 mod projection;
-mod quadtree;
 mod units;
 
 pub mod polyline;
@@ -49,5 +47,4 @@ pub use grid::{CellId, UniformGrid};
 pub use index::PointIndex;
 pub use point::{GeoPoint, EARTH_RADIUS_M};
 pub use projection::{LocalProjection, ProjectedPoint, WebMercator};
-pub use quadtree::QuadTree;
 pub use units::{Degrees, Kilometers, KmPerHour, Meters, MetersPerSecond, Radians};

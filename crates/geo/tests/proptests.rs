@@ -1,8 +1,6 @@
 //! Property-based tests of the geospatial substrate.
 
-use geo::{
-    polyline, BoundingBox, CellId, GeoPoint, LocalProjection, Meters, QuadTree, UniformGrid,
-};
+use geo::{polyline, BoundingBox, CellId, GeoPoint, LocalProjection, Meters, UniformGrid};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -167,51 +165,51 @@ proptest! {
             prop_assert!(points.contains(p));
         }
     }
-
-    #[test]
-    fn quadtree_nearest_matches_brute_force(
-        points in prop::collection::vec(city_point(), 1..60),
-        target in city_point(),
-    ) {
-        let bbox = BoundingBox::new(
-            GeoPoint::new(45.0, 4.0).unwrap(),
-            GeoPoint::new(46.0, 5.0).unwrap(),
-        ).unwrap();
-        let mut tree = QuadTree::new(bbox);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(*p, i);
-        }
-        let brute = points
-            .iter()
-            .map(|p| target.haversine_distance(p).get())
-            .fold(f64::INFINITY, f64::min);
-        let (_, _, d) = tree.nearest(&target).unwrap();
-        prop_assert!((d.get() - brute).abs() < 1e-6);
-    }
-
-    #[test]
-    fn quadtree_range_query_is_exact(
-        points in prop::collection::vec(city_point(), 0..60),
-        q_min in city_point(),
-    ) {
-        let bbox = BoundingBox::new(
-            GeoPoint::new(45.0, 4.0).unwrap(),
-            GeoPoint::new(46.0, 5.0).unwrap(),
-        ).unwrap();
-        let mut tree = QuadTree::new(bbox);
-        for (i, p) in points.iter().enumerate() {
-            tree.insert(*p, i);
-        }
-        let q_max = GeoPoint::clamped(q_min.latitude() + 0.2, q_min.longitude() + 0.2);
-        let range = BoundingBox::new(q_min, q_max).unwrap();
-        let found = tree.query_range(&range);
-        let expected = points.iter().filter(|p| range.contains(p)).count();
-        prop_assert_eq!(found.len(), expected);
-    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A radius query yields exactly the points a brute-force haversine
+    /// filter keeps, boundary distances included. Populations run past the
+    /// nearest-neighbor scan threshold, so both query paths are exercised.
+    #[test]
+    fn point_index_radius_query_equals_brute_force(
+        points in prop::collection::vec(city_point(), 0..160),
+        queries in prop::collection::vec(city_point(), 1..6),
+        cell in 50.0..2_000.0f64,
+        radius in 0.0..30_000.0f64,
+    ) {
+        let index = geo::PointIndex::build(points.clone(), Meters::new(cell)).unwrap();
+        for q in &queries {
+            let mut found = Vec::new();
+            index.for_each_within(q, Meters::new(radius), |i| found.push(i));
+            found.sort_unstable();
+            let brute: Vec<usize> = (0..points.len())
+                .filter(|&i| q.haversine_distance(&points[i]).get() <= radius)
+                .collect();
+            prop_assert_eq!(&found, &brute);
+            prop_assert_eq!(index.has_within(q, Meters::new(radius)), !brute.is_empty());
+        }
+    }
+
+    /// The nearest distance equals the brute-force minimum bit for bit, on
+    /// populations on both sides of the scan threshold.
+    #[test]
+    fn point_index_nearest_equals_brute_force(
+        points in prop::collection::vec(city_point(), 0..160),
+        queries in prop::collection::vec(city_point(), 1..6),
+        cell in 50.0..2_000.0f64,
+    ) {
+        let index = geo::PointIndex::build(points.clone(), Meters::new(cell)).unwrap();
+        for q in &queries {
+            let brute = points
+                .iter()
+                .map(|p| q.haversine_distance(p).get())
+                .min_by(f64::total_cmp);
+            prop_assert_eq!(index.nearest_distance(q).map(Meters::get), brute);
+        }
+    }
 
     /// An index grown incrementally (`insert`/`extend`) must answer radius
     /// and nearest-neighbor queries identically to one built from the same

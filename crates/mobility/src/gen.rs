@@ -7,9 +7,6 @@
 //! have the structure the attacks exploit — long dwells at semantically
 //! meaningful places, commutes at realistic speeds, GPS jitter — together
 //! with exact ground truth, which makes privacy metrics measurable.
-//!
-//! Two auxiliary models, [`random_waypoint`] and [`levy_flight`], provide
-//! unstructured workloads for stress tests and benchmarks.
 
 use crate::poi::PoiKind;
 use crate::record::{Dataset, LocationRecord, Trajectory, UserId};
@@ -752,92 +749,6 @@ fn segment_bounds(seg: &Segment) -> (i64, i64) {
     }
 }
 
-/// Generates a random-waypoint trace: pick a target uniformly in the disk,
-/// travel to it at constant speed, pause, repeat. Unstructured workload used
-/// by benchmarks.
-pub fn random_waypoint(
-    user: UserId,
-    center: GeoPoint,
-    radius_m: f64,
-    duration_s: i64,
-    interval_s: i64,
-    seed: u64,
-) -> Trajectory {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut records = Vec::new();
-    let mut pos = center;
-    let mut t: i64 = 0;
-    let interval_s = interval_s.max(1);
-    while t < duration_s {
-        let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-        let r = radius_m * rng.gen_range(0.0f64..1.0).sqrt();
-        let target = center.destination(geo::Degrees::new(theta.to_degrees()), Meters::new(r));
-        let speed = rng.gen_range(1.0..12.0);
-        let dist = pos.haversine_distance(&target).get();
-        let travel = (dist / speed).ceil() as i64;
-        let steps = (travel / interval_s).max(1);
-        for s in 0..steps {
-            if t >= duration_s {
-                break;
-            }
-            let frac = s as f64 / steps as f64;
-            records.push(LocationRecord::new(
-                user,
-                Timestamp::new(t),
-                pos.lerp(&target, frac),
-            ));
-            t += interval_s;
-        }
-        pos = target;
-        let pause = rng.gen_range(0..600);
-        let pause_steps = pause / interval_s;
-        for _ in 0..pause_steps {
-            if t >= duration_s {
-                break;
-            }
-            records.push(LocationRecord::new(user, Timestamp::new(t), pos));
-            t += interval_s;
-        }
-    }
-    Trajectory::new(user, records)
-}
-
-/// Generates a Lévy-flight trace: step lengths follow a heavy-tailed Pareto
-/// distribution, producing the burst-and-dwell structure observed in human
-/// mobility studies.
-pub fn levy_flight(
-    user: UserId,
-    center: GeoPoint,
-    radius_m: f64,
-    steps: usize,
-    interval_s: i64,
-    seed: u64,
-) -> Trajectory {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut records = Vec::new();
-    let mut pos = center;
-    let alpha = 1.6; // Pareto tail exponent
-    let min_step = 20.0;
-    for i in 0..steps {
-        records.push(LocationRecord::new(
-            user,
-            Timestamp::new(i as i64 * interval_s.max(1)),
-            pos,
-        ));
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        let step = (min_step / u.powf(1.0 / alpha)).min(radius_m);
-        let theta: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-        let next = pos.destination(geo::Degrees::new(theta.to_degrees()), Meters::new(step));
-        // Reflect back toward the centre when leaving the disk.
-        pos = if center.haversine_distance(&next).get() > radius_m {
-            center
-        } else {
-            next
-        };
-    }
-    Trajectory::new(user, records)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -996,26 +907,6 @@ mod tests {
             .map(|s| s.get())
             .fold(0.0, f64::max);
         assert!(max_speed > 2.0, "no movement detected: {max_speed}");
-    }
-
-    #[test]
-    fn random_waypoint_stays_in_disk() {
-        let center = GeoPoint::clamped(45.75, 4.83);
-        let t = random_waypoint(UserId(9), center, 2_000.0, 3_600, 30, 77);
-        assert!(!t.is_empty());
-        for r in t.records() {
-            assert!(center.haversine_distance(&r.point).get() <= 2_100.0);
-        }
-    }
-
-    #[test]
-    fn levy_flight_is_bounded_and_sized() {
-        let center = GeoPoint::clamped(45.75, 4.83);
-        let t = levy_flight(UserId(9), center, 3_000.0, 200, 60, 123);
-        assert_eq!(t.len(), 200);
-        for r in t.records() {
-            assert!(center.haversine_distance(&r.point).get() <= 3_100.0);
-        }
     }
 
     #[test]

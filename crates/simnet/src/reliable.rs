@@ -30,7 +30,7 @@
 //! were dropped, duplicated or reordered on the way.
 
 use crate::message::Message;
-use crate::wire::{get_varint, get_varint_len, put_varint, WireError};
+use crate::wire::{get_varint, get_varint_len, put_varint, Decode, WireError};
 use bytes::{Bytes, BytesMut};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -77,17 +77,19 @@ impl DataFrame {
         if msg.kind != DATA_KIND {
             return Err(WireError::Corrupt("not a reliable data frame"));
         }
-        let mut payload = msg.payload.clone();
-        let sender = get_varint(&mut payload)?;
-        let seq = get_varint(&mut payload)?;
-        let len = get_varint_len(&mut payload)?;
-        if payload.len() < len {
+        Self::decode_exact(msg.payload.clone())
+    }
+}
+
+impl Decode for DataFrame {
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+        let sender = get_varint(buf)?;
+        let seq = get_varint(buf)?;
+        let len = get_varint_len(buf)?;
+        if buf.len() < len {
             return Err(WireError::Truncated);
         }
-        let chunk = payload.split_to(len);
-        if !payload.is_empty() {
-            return Err(WireError::Corrupt("bytes after the data frame's chunk"));
-        }
+        let chunk = buf.split_to(len);
         Ok(Self { sender, seq, chunk })
     }
 }
@@ -128,17 +130,23 @@ impl AckFrame {
     ///
     /// # Errors
     ///
-    /// Returns [`WireError::Corrupt`] for a message of the wrong kind and
-    /// any [`WireError`] the payload decode produces.
+    /// Returns [`WireError::Corrupt`] for a message of the wrong kind or
+    /// with bytes after its three varints, and any [`WireError`] the
+    /// payload decode produces.
     pub fn from_message(msg: &Message) -> Result<Self, WireError> {
         if msg.kind != ACK_KIND {
             return Err(WireError::Corrupt("not a reliable ack frame"));
         }
-        let mut payload = msg.payload.clone();
+        Self::decode_exact(msg.payload.clone())
+    }
+}
+
+impl Decode for AckFrame {
+    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         Ok(Self {
-            sender: get_varint(&mut payload)?,
-            cumulative: get_varint(&mut payload)?,
-            seq: get_varint(&mut payload)?,
+            sender: get_varint(buf)?,
+            cumulative: get_varint(buf)?,
+            seq: get_varint(buf)?,
         })
     }
 }
@@ -538,13 +546,19 @@ mod tests {
         assert_eq!(msg.kind, ACK_KIND);
         assert_eq!(msg.payload.as_ref(), &[42, 6, 7]);
         assert_eq!(AckFrame::from_message(&msg).unwrap(), ack);
-        // A short chunk is truncated; bytes after the chunk are corrupt.
+        // A short chunk is truncated; bytes after the chunk or after an
+        // ack's three varints are corrupt.
         let mut short = data.to_message();
         short.payload = short.payload.slice(..5);
         assert_eq!(DataFrame::from_message(&short), Err(WireError::Truncated));
         let padded = Message::event(DATA_KIND, vec![42, 7, 3, 1, 2, 3, 0]);
         assert!(matches!(
             DataFrame::from_message(&padded),
+            Err(WireError::Corrupt(_))
+        ));
+        let padded = Message::event(ACK_KIND, vec![42, 6, 7, 0]);
+        assert!(matches!(
+            AckFrame::from_message(&padded),
             Err(WireError::Corrupt(_))
         ));
         // Kind confusion is a typed error, not a misparse.
