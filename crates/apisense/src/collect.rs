@@ -843,7 +843,7 @@ impl LanePayload for DayBuckets {
         delta.straggler_devices = lanes.stragglers(day);
         delta.records_deferred = lanes
             .buffered_chunks()
-            .filter_map(|chunk| DayBatch::decode(&mut chunk.clone()).ok())
+            .filter_map(|chunk| DayBatch::decode_exact(chunk.clone()).ok())
             .flat_map(|b| b.records)
             .filter(|r| r.time.day_index() <= day)
             .count() as u64;
@@ -1419,12 +1419,23 @@ mod tests {
     fn gapped_chunks_count_as_deferred_at_close() {
         let mut hive = Collector::new();
         hive.register(1, UserId(1));
+        hive.register(2, UserId(2));
         // seq 1 never arrives before the close; seq 2 sits gapped.
         hive.ingest(&frame(
             1,
             2,
             &batch(1, 1, 0, true, vec![rec(1, 40, 4.0), rec(1, 50, 4.1)]),
         ))
+        .unwrap();
+        // Device 2's gapped chunk has a byte after its batch: `apply` will
+        // reject it as corrupt, so it defers nothing.
+        let mut padded = batch(2, 2, 0, true, vec![rec(2, 45, 4.2)]).encode_to_vec();
+        padded.push(0);
+        hive.ingest(&DataFrame {
+            sender: 2,
+            seq: 2,
+            chunk: Bytes::from(padded),
+        })
         .unwrap();
         let (w0, d0) = hive.close_day(0).unwrap();
         assert_eq!(w0.record_count(), 0);

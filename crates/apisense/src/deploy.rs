@@ -402,16 +402,9 @@ pub fn run_campaign(task: &SensingTask, config: &CampaignConfig) -> CampaignRepo
         }
     }
     ack_latencies.sort_unstable();
-    let percentile = |p: f64| -> u64 {
-        if ack_latencies.is_empty() {
-            return 0;
-        }
-        let idx = ((ack_latencies.len() as f64 - 1.0) * p).round() as usize;
-        ack_latencies[idx]
-    };
     let acked = ack_latencies.len();
-    let deploy_p50 = percentile(0.50);
-    let deploy_p95 = percentile(0.95);
+    let deploy_p50 = obs::report::percentile(&ack_latencies, 0.50);
+    let deploy_p95 = obs::report::percentile(&ack_latencies, 0.95);
 
     let mut uploaded = 0;
     for node in 0..config.devices as u32 {
@@ -455,6 +448,15 @@ mod tests {
             .require_sensor(SensorKind::Gps)
             .sampling_interval_s(300)
             .build()
+    }
+
+    #[test]
+    fn deeply_nested_payload_decodes_to_null() {
+        let nested: WireRecord = (1, (2, (3, "[".repeat(100_000))));
+        let records = decode_records(TaskId(7), &vec![nested].encode_to_vec());
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].user, UserId(1));
+        assert_eq!(records[0].payload, Value::Null);
     }
 
     #[test]

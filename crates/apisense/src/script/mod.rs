@@ -39,6 +39,14 @@
 //! list keys in sorted order: the bytes a payload renders to do not depend
 //! on how its record was built.
 //!
+//! # JSON
+//!
+//! Payloads travel as JSON text. [`Value::to_json`] escapes strings with
+//! [`obs::export::escape_json`], and [`Value::from_json`] reads with
+//! [`obs::json::parse`]: RFC 8259 numbers only, and arrays and objects
+//! nested at most [`obs::json::MAX_DEPTH`] (128) deep, so a hostile payload
+//! is a typed error, not a stack overflow.
+//!
 //! # Example
 //!
 //! ```
@@ -77,6 +85,8 @@ pub use parser::{BinaryOp, Expr, Program, Stmt, UnaryOp, MAX_NESTING};
 pub use vm::Vm;
 
 use crate::error::ApisenseError;
+use obs::export::escape_json;
+use obs::json::JsonValue;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -332,209 +342,41 @@ impl Value {
         }
     }
 
-    /// Parses a JSON document into a value.
+    /// Parses a JSON document into a value with [`obs::json::parse`]. Each
+    /// object becomes a record through [`Record::new`]: keys sorted, the
+    /// last duplicate winning.
     ///
     /// # Errors
     ///
-    /// Returns [`ApisenseError::Runtime`] describing the first syntax error;
-    /// trailing non-whitespace input is rejected.
+    /// Returns [`ApisenseError::Runtime`] describing the first syntax error:
+    /// trailing non-whitespace input, a number outside the RFC 8259 grammar,
+    /// or nesting deeper than [`obs::json::MAX_DEPTH`].
     pub fn from_json(text: &str) -> Result<Value, ApisenseError> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        parser.skip_ws();
-        let value = parser.parse_value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(json_err(format!(
-                "trailing characters at byte {}",
-                parser.pos
-            )));
+        obs::json::parse(text)
+            .map(Value::from_parsed)
+            .map_err(|e| ApisenseError::Runtime(format!("invalid json: {e}")))
+    }
+
+    fn from_parsed(json: JsonValue) -> Value {
+        match json {
+            JsonValue::Null => Value::Null,
+            JsonValue::Bool(b) => Value::Bool(b),
+            JsonValue::Num(n) => Value::Num(n),
+            JsonValue::Str(s) => Value::Str(s.into()),
+            JsonValue::Arr(items) => {
+                Value::List(items.into_iter().map(Value::from_parsed).collect())
+            }
+            JsonValue::Obj(pairs) => Value::Record(Record::new(
+                pairs.into_iter().map(|(k, v)| (k, Value::from_parsed(v))),
+            )),
         }
-        Ok(value)
     }
 }
 
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&escape_json(s));
     out.push('"');
-}
-
-fn json_err(message: String) -> ApisenseError {
-    ApisenseError::Runtime(format!("invalid json: {message}"))
-}
-
-/// Minimal recursive-descent JSON parser backing [`Value::from_json`].
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, token: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(token.as_bytes()) {
-            self.pos += token.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value, ApisenseError> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            None => Err(json_err("unexpected end of input".into())),
-            Some(b'n') if self.eat("null") => Ok(Value::Null),
-            Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
-            Some(b'"') => self.parse_string().map(|s| Value::Str(s.into())),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.eat("]") {
-                    return Ok(Value::List(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    if self.eat("]") {
-                        return Ok(Value::List(items));
-                    }
-                    if !self.eat(",") {
-                        return Err(json_err(format!("expected , or ] at byte {}", self.pos)));
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.eat("}") {
-                    return Ok(Value::Record(Record::new(entries)));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    if !self.eat(":") {
-                        return Err(json_err(format!("expected : at byte {}", self.pos)));
-                    }
-                    entries.push((key, self.parse_value()?));
-                    self.skip_ws();
-                    if self.eat("}") {
-                        return Ok(Value::Record(Record::new(entries)));
-                    }
-                    if !self.eat(",") {
-                        return Err(json_err(format!("expected , or }} at byte {}", self.pos)));
-                    }
-                }
-            }
-            Some(_) => self.parse_number(),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, ApisenseError> {
-        if !self.eat("\"") {
-            return Err(json_err(format!("expected string at byte {}", self.pos)));
-        }
-        let mut out = String::new();
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(json_err("unterminated string".into()));
-            };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(&esc) = self.bytes.get(self.pos) else {
-                        return Err(json_err("unterminated escape".into()));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| json_err("bad \\u escape".into()))?;
-                            self.pos += 4;
-                            // Surrogates are not combined; replace like JS.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(json_err(format!("bad escape \\{}", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Re-decode the UTF-8 sequence starting at this byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| json_err("invalid utf-8 in string".into()))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, ApisenseError> {
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii digits are valid utf-8");
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| json_err(format!("bad number {text:?} at byte {start}")))
-    }
-}
-
-/// Byte length of the UTF-8 sequence introduced by `first`.
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 impl fmt::Display for Value {

@@ -3,8 +3,8 @@
 //! A device runs its task script once per reading, and uploads a frame
 //! every few minutes, so every heap allocation on those paths is paid
 //! hundreds of thousands of times per fleet-day. These tests count them
-//! with their own global allocator, counting per thread so the harness's
-//! parallel tests do not interfere.
+//! with [`obs::alloc::CountingAlloc`], which counts per thread so the
+//! harness's parallel tests do not interfere.
 //!
 //! * One location reading through a warm [`Vm`] may allocate the GPS fix's
 //!   slots, the emitted record's slots and the returned `Vec`, and nothing
@@ -20,55 +20,12 @@ use apisense::script::{Script, Vm};
 use geo::GeoPoint;
 use mobility::{LocationRecord, Timestamp, Trajectory, UserId};
 use simnet::reliable::{AckFrame, DataFrame, ReliableConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// [`System`] plus a per-thread count of allocations (reallocations
-/// included).
-struct CountingAlloc;
-
-fn counted() {
-    // `try_with`: the thread-local may already be gone while a thread
-    // tears down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the counting touches only a thread-local integer.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        counted();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        counted();
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        counted();
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
+    obs::alloc::allocations().expect("the counting allocator is installed")
 }
 
 /// The location task of the end-to-end benchmark's scripted fleet.

@@ -403,10 +403,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Mutation fuzzing of the two JSON readers: a dataset written as JSONL
+    /// Mutation fuzzing of the JSON readers: a dataset written as JSONL
     /// for `mobility::io::read_jsonl`, and a trace-style document for
-    /// `obs::json::parse`, each with one byte flipped and/or truncated.
-    /// Both return a value or a typed error, and never panic.
+    /// `obs::json::parse` and `Value::from_json`, each with one byte
+    /// flipped and/or truncated. Each returns a value or a typed error and
+    /// never panics, and the script reader accepts exactly what
+    /// `obs::json::parse` accepts.
     #[test]
     fn json_readers_survive_mutated_input(
         fixes in prop::collection::vec((0u64..4, 0i64..172_800, 44.5..46.5f64, 3.5..5.5f64), 1..6),
@@ -435,7 +437,12 @@ proptest! {
             samples.join(","),
         );
         prop_assert!(obs::json::parse(&document).is_ok());
+        prop_assert!(Value::from_json(&document).is_ok());
         let mutated = mutate(document.into_bytes(), flip_at, flip_bits, cut);
-        let _ = obs::json::parse(&String::from_utf8_lossy(&mutated));
+        let mutated = String::from_utf8_lossy(&mutated);
+        prop_assert_eq!(
+            Value::from_json(&mutated).is_ok(),
+            obs::json::parse(&mutated).is_ok()
+        );
     }
 }

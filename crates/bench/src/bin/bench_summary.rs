@@ -52,7 +52,7 @@ use bench::Scale;
 /// Counts heap allocations per thread, so E14 can report the script
 /// tiers' allocations per execution.
 #[global_allocator]
-static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
+static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

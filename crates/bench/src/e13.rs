@@ -25,6 +25,7 @@ use crate::Scale;
 use apisense::collect::window_fingerprint;
 use apisense::fleet::{run_fleet, FleetConfig, FleetOutcome};
 use mobility::DAY_SECONDS;
+use obs::report::percentile;
 use simnet::fault::Partition;
 use simnet::reliable::ReliableConfig;
 use simnet::{FaultPlan, LinkModel, NodeId};
@@ -132,14 +133,6 @@ pub struct RunNumbers {
     pub quarantined_records: u64,
     /// Windows published with a degraded (non-clean) delta.
     pub degraded_windows: usize,
-}
-
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn numbers(outcome: &FleetOutcome, wall_ms: f64) -> RunNumbers {
@@ -425,14 +418,5 @@ mod tests {
         assert_eq!(small.label, "small");
         assert_eq!(small.users, 30);
         assert_eq!(small.days, 7);
-    }
-
-    #[test]
-    fn percentiles_interpolate_sanely() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 0.0), 1);
-        assert_eq!(percentile(&sorted, 0.5), 51);
-        assert_eq!(percentile(&sorted, 1.0), 100);
     }
 }

@@ -7,7 +7,7 @@
 //! [`Device::sample_scripted`] (compile-once bytecode VM with a reused
 //! executor) — over two identical fleets, asserts record-for-record parity
 //! before reporting any number, and emits throughput plus speedup. When the
-//! process installed [`crate::alloc::CountingAlloc`] (`bench_summary` does),
+//! process installed [`obs::alloc::CountingAlloc`] (`bench_summary` does),
 //! it also reports each tier's heap allocations per execution, counted on
 //! one more pass with the obs recorder paused: the counts are deterministic,
 //! so CI compares them exactly and any new allocation on the script path
@@ -131,10 +131,10 @@ pub struct E14Report {
     /// Total wall time of the VM tier, ms.
     pub vm_total_ms: f64,
     /// Heap allocations per interpreter execution (`None` without
-    /// [`crate::alloc::CountingAlloc`]).
+    /// [`obs::alloc::CountingAlloc`]).
     pub interp_allocs_per_exec: Option<f64>,
     /// Heap allocations per VM execution (`None` without
-    /// [`crate::alloc::CountingAlloc`]).
+    /// [`obs::alloc::CountingAlloc`]).
     pub vm_allocs_per_exec: Option<f64>,
     /// Whether both tiers produced identical record streams (asserted in
     /// [`run`]; recorded so the JSON artifact carries the invariant).
@@ -282,7 +282,7 @@ struct Pass {
 /// timing and allocation counting of both tiers, selection parity asserted
 /// on every query.
 fn run_once(config: &E14Config, script: &Script, vm: &mut Vm) -> Pass {
-    let allocations = || crate::alloc::allocations().unwrap_or(0);
+    let allocations = || obs::alloc::allocations().unwrap_or(0);
     let mut interp_fleet = build_fleet(config.devices, 2, 0xE14);
     let mut vm_fleet = build_fleet(config.devices, 2, 0xE14);
     let mut vs_interp = VirtualSensor::new(SelectionStrategy::RoundRobin, config.per_query);
@@ -373,7 +373,7 @@ pub fn run(config: &E14Config) -> E14Report {
             ),
         }
     }
-    let (interp_allocs_per_exec, vm_allocs_per_exec) = match crate::alloc::allocations() {
+    let (interp_allocs_per_exec, vm_allocs_per_exec) = match obs::alloc::allocations() {
         Some(_) => {
             let recording = obs::enabled();
             obs::disable();

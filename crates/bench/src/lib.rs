@@ -6,7 +6,6 @@
 //! `experiments` binary drives them, and the Criterion benches under
 //! `benches/` measure the hot paths of each experiment.
 
-pub mod alloc;
 pub mod data;
 pub mod e1;
 pub mod e10;

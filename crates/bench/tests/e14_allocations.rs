@@ -4,7 +4,7 @@
 use bench::e14::{self, E14Config};
 
 #[global_allocator]
-static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
+static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
 
 #[test]
 fn e14_counts_allocations_per_execution() {

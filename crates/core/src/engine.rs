@@ -24,17 +24,15 @@
 //!    their spatial index depend only on the original dataset, yet the
 //!    legacy publish path extracted them outside the engine and every
 //!    candidate rebuilt its own matching scan. [`EvalContext`] now carries
-//!    the original extraction (per-user [`UserAttackShard`]s, built at most
-//!    once per run via [`EvalContext::extracting`]) and a shared
+//!    the original extraction (the reference POIs, extracted at most once
+//!    per run via [`EvalContext::extracting`]) and a shared
 //!    [`ReferenceIndex`] every candidate probes.
 //!
 //! The cached sweep audits each candidate in a [`CandidateDelta`] and
 //! records the window's sum ([`StrategySessionCache::last_window`]) into
 //! the `strategy.*` instruments with one [`obs::record`] call.
 
-use crate::attack::{
-    PoiAttack, PoiAttackReport, ReferenceIndex, ReferencePois, UserAttackShard,
-};
+use crate::attack::{PoiAttack, PoiAttackReport, ReferenceIndex, ReferencePois};
 use crate::error::PrivapiError;
 use crate::metrics::{spatial_distortion, CrowdedBaseline, TrafficBaseline};
 use crate::pool::StrategyPool;
@@ -53,15 +51,13 @@ use std::borrow::Cow;
 /// * the per-objective utility projection (crowded/traffic baselines);
 /// * the reference POIs privacy is scored against — either borrowed from
 ///   the caller or **extracted here exactly once**
-///   ([`EvalContext::extracting`]), together with the per-user
-///   [`UserAttackShard`]s the extraction decomposed into;
+///   ([`EvalContext::extracting`]);
 /// * the [`ReferenceIndex`] bucketing those POIs for neighbor-cell matching,
 ///   probed by every candidate instead of rebuilt per candidate.
 #[derive(Debug)]
 pub struct EvalContext<'a> {
     original: &'a Dataset,
     reference: Cow<'a, ReferencePois>,
-    shards: Option<Vec<UserAttackShard>>,
     reference_index: Cow<'a, ReferenceIndex>,
     baseline: ObjectiveBaseline,
 }
@@ -119,7 +115,6 @@ impl<'a> EvalContext<'a> {
         Self {
             original,
             reference: Cow::Borrowed(reference),
-            shards: None,
             reference_index: Cow::Owned(reference_index),
             baseline: ObjectiveBaseline::build(original, objective),
         }
@@ -146,34 +141,21 @@ impl<'a> EvalContext<'a> {
         Self {
             original,
             reference: Cow::Borrowed(reference),
-            shards: None,
             reference_index: Cow::Borrowed(reference_index),
             baseline,
         }
     }
 
     /// Like [`EvalContext::new`], but the context *owns* the reference:
-    /// `attack` extracts the original dataset's per-user shards here —
-    /// exactly once per selection run — and the reference POIs and their
-    /// index are derived from those shards. This is the publish path: no
+    /// `attack` extracts the original dataset's POIs here — exactly once
+    /// per selection run — and indexes them. This is the publish path: no
     /// caller-side extraction, no duplicate original-side attack.
-    ///
-    /// The full shards (dwell fields included) are retained for the run's
-    /// lifetime: they are the cache unit the streaming/incremental
-    /// publication path (ROADMAP) reuses across per-day releases, and
-    /// their memory is bounded by the original dataset's visited-cell
-    /// count — small next to the protected dataset copies the sweep holds
-    /// per worker. Callers that only need matching can stay on
-    /// [`EvalContext::new`], which stores no shards.
     pub fn extracting(attack: &PoiAttack, original: &'a Dataset, objective: Objective) -> Self {
-        let shards = attack.extract_shards(original);
-        let reference: ReferencePois =
-            shards.iter().map(|s| (s.user, s.pois.clone())).collect();
+        let reference = attack.extract(original);
         let reference_index = attack.index_reference(&reference);
         Self {
             original,
             reference: Cow::Owned(reference),
-            shards: Some(shards),
             reference_index: Cow::Owned(reference_index),
             baseline: ObjectiveBaseline::build(original, objective),
         }
@@ -193,12 +175,6 @@ impl<'a> EvalContext<'a> {
     /// candidate evaluation.
     pub fn reference_index(&self) -> &ReferenceIndex {
         &self.reference_index
-    }
-
-    /// The original dataset's per-user attack shards, when this context
-    /// performed the extraction itself ([`EvalContext::extracting`]).
-    pub fn shards(&self) -> Option<&[UserAttackShard]> {
-        self.shards.as_deref()
     }
 
     /// The objective baseline candidates are scored against.
@@ -765,18 +741,15 @@ mod tests {
                 });
         let attack = PoiAttack::default();
         let context = EvalContext::extracting(&attack, &data.dataset, Objective::Distortion);
-        let shards = context.shards().expect("extracting context owns shards");
-        assert_eq!(shards.len(), data.dataset.user_count());
-        assert_eq!(context.reference().len(), shards.len());
+        assert_eq!(context.reference().len(), data.dataset.user_count());
         assert_eq!(
             context.reference_index().total_pois(),
             context.reference().values().map(Vec::len).sum::<usize>()
         );
-        // A borrowed context carries no shards.
         let reference = attack.extract(&data.dataset);
+        assert_eq!(context.reference(), &reference);
         let borrowed =
             EvalContext::new(&attack, &data.dataset, &reference, Objective::Distortion);
-        assert!(borrowed.shards().is_none());
         assert_eq!(borrowed.reference(), &reference);
     }
 

@@ -90,28 +90,12 @@ impl BoundingBox {
         self.max
     }
 
-    /// Geometric centre of the box.
-    pub fn center(&self) -> GeoPoint {
-        GeoPoint::clamped(
-            (self.min.latitude() + self.max.latitude()) / 2.0,
-            (self.min.longitude() + self.max.longitude()) / 2.0,
-        )
-    }
-
     /// Whether `point` lies inside the box (inclusive on all edges).
     pub fn contains(&self, point: &GeoPoint) -> bool {
         point.latitude() >= self.min.latitude()
             && point.latitude() <= self.max.latitude()
             && point.longitude() >= self.min.longitude()
             && point.longitude() <= self.max.longitude()
-    }
-
-    /// Whether two boxes overlap (inclusive).
-    pub fn intersects(&self, other: &BoundingBox) -> bool {
-        self.min.latitude() <= other.max.latitude()
-            && self.max.latitude() >= other.min.latitude()
-            && self.min.longitude() <= other.max.longitude()
-            && self.max.longitude() >= other.min.longitude()
     }
 
     /// Smallest box covering both boxes.
@@ -251,19 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn intersection_logic() {
-        let a = BoundingBox::new(p(0.0, 0.0), p(2.0, 2.0)).unwrap();
-        let b = BoundingBox::new(p(1.0, 1.0), p(3.0, 3.0)).unwrap();
-        let c = BoundingBox::new(p(5.0, 5.0), p(6.0, 6.0)).unwrap();
-        assert!(a.intersects(&b));
-        assert!(b.intersects(&a));
-        assert!(!a.intersects(&c));
-        // Touching edges intersect.
-        let d = BoundingBox::new(p(2.0, 0.0), p(3.0, 2.0)).unwrap();
-        assert!(a.intersects(&d));
-    }
-
-    #[test]
     fn expanded_grows_box() {
         let a = BoundingBox::new(p(10.0, 10.0), p(11.0, 11.0)).unwrap();
         let e = a.expanded(0.5);
@@ -312,13 +283,5 @@ mod tests {
         let q = on_line.quantized(0.05, 0.001);
         assert!(q.min().latitude() < 45.75);
         assert!(q.max().latitude() > 45.75);
-    }
-
-    #[test]
-    fn center_is_centered() {
-        let a = BoundingBox::new(p(10.0, 20.0), p(12.0, 26.0)).unwrap();
-        let c = a.center();
-        assert!((c.latitude() - 11.0).abs() < 1e-9);
-        assert!((c.longitude() - 23.0).abs() < 1e-9);
     }
 }

@@ -107,7 +107,6 @@ proptest! {
         for p in &points {
             prop_assert!(bbox.contains(p));
         }
-        prop_assert!(bbox.contains(&bbox.center()));
     }
 
     #[test]

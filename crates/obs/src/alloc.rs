@@ -1,13 +1,23 @@
-//! Per-thread heap-allocation counting for experiments.
+//! Per-thread heap-allocation counting.
 //!
 //! [`CountingAlloc`] wraps the system allocator and counts every
 //! allocation (reallocations included) made by the current thread, so a
-//! single-threaded measurement is not disturbed by worker threads. A
-//! binary opts in by installing it (`bench_summary` does):
+//! single-threaded measurement is not disturbed by worker threads or by
+//! tests running in parallel. A binary or test target opts in by
+//! installing it (`bench_summary` and the allocation-budget tests do):
 //!
-//! ```ignore
+//! ```
 //! #[global_allocator]
-//! static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
+//! static ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc;
+//!
+//! fn main() {
+//!     // The first counted allocation marks the allocator as installed.
+//!     let first = std::hint::black_box(Box::new(1u64));
+//!     let before = obs::alloc::allocations().expect("CountingAlloc is installed");
+//!     let buffer = std::hint::black_box(vec![0u8; 64]);
+//!     assert_eq!(obs::alloc::allocations(), Some(before + 1));
+//!     drop((first, buffer));
+//! }
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};

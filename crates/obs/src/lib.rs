@@ -36,6 +36,7 @@
 //! instrument, so instrument names are derived from the struct fields,
 //! never spelled by hand.
 
+pub mod alloc;
 pub mod audit;
 pub mod clock;
 pub mod export;

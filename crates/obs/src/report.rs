@@ -226,9 +226,9 @@ impl TraceSummary {
     }
 }
 
-/// Nearest-rank percentile over ascending `sorted`, `q` in 0..=1 — the
-/// same formula the e13 bench uses, so reported percentiles match
-/// `BENCH_e13.json` exactly.
+/// Nearest-rank percentile over ascending `sorted`, `q` in 0..=1, and 0
+/// when there are no samples. E4, E13 and `obs_report` all use it, so the
+/// percentiles a trace reports match `BENCH_e13.json` exactly.
 pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -573,6 +573,7 @@ mod tests {
         assert_eq!(percentile(&samples, 0.50), 6);
         assert_eq!(percentile(&samples, 0.95), 10);
         assert_eq!(percentile(&samples, 0.0), 1);
+        assert_eq!(percentile(&samples, 1.0), 10);
         assert_eq!(percentile(&[], 0.5), 0);
     }
 
