@@ -618,6 +618,8 @@ pub struct LaneCollector<P> {
     pub(crate) lanes: DeviceLanes,
     last_closed: Option<i64>,
     pub(crate) payload: P,
+    /// The chunks one frame releases, reused from frame to frame.
+    released: Vec<(u64, Bytes)>,
 }
 
 /// The raw `collect` endpoint: devices upload their sensed fixes as
@@ -638,6 +640,7 @@ impl<P: LanePayload> LaneCollector<P> {
             lanes: DeviceLanes::default(),
             last_closed: None,
             payload,
+            released: Vec::new(),
         }
     }
 
@@ -687,9 +690,14 @@ impl<P: LanePayload> LaneCollector<P> {
             .0
             .get_mut(&device)
             .ok_or(CollectError::UnknownDevice(device))?;
-        let (released, ack) = lane.rx.accept(frame.sender, frame.seq, frame.chunk.clone());
+        let ack = lane.rx.accept(
+            frame.sender,
+            frame.seq,
+            frame.chunk.clone(),
+            &mut self.released,
+        );
         let mut result = Ok(ack);
-        for (_seq, chunk) in released {
+        for (_seq, chunk) in self.released.drain(..) {
             if let Err(e) = apply(&mut self.payload, device, lane, self.last_closed, chunk) {
                 // Keep applying later chunks (the transport has moved past
                 // them either way) but report the first failure.

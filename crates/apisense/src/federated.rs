@@ -828,6 +828,8 @@ impl FederatedFleetOutcome {
 pub(crate) struct ProtectedLanes {
     pub(crate) outbox: FederatedOutbox,
     config_rx: ReliableReceiver,
+    /// The config chunks one frame releases, reused from frame to frame.
+    config_released: Vec<(u64, Bytes)>,
     /// Sim-ms during which config frames are dropped unacked.
     deaf: Range<u64>,
 }
@@ -853,6 +855,7 @@ impl ProtectedLanes {
                 poisoned,
             ),
             config_rx: ReliableReceiver::new(),
+            config_released: Vec::new(),
             deaf,
         }
     }
@@ -872,9 +875,14 @@ impl ProtectedLanes {
         if self.deaf.contains(&now_ms) {
             return None;
         }
-        let (released, ack) = self.config_rx.accept(frame.sender, frame.seq, frame.chunk);
+        let ack = self.config_rx.accept(
+            frame.sender,
+            frame.seq,
+            frame.chunk,
+            &mut self.config_released,
+        );
         let mut installed = false;
-        for (_seq, chunk) in released {
+        for (_seq, chunk) in self.config_released.drain(..) {
             if let Ok(frame) = ConfigFrame::decode_exact(chunk) {
                 // A non-instantiating config is ignored: the device
                 // keeps its previous mechanism.

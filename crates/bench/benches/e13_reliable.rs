@@ -41,12 +41,15 @@ fn bench_reliable(c: &mut Criterion) {
         b.iter(|| {
             let mut tx = ReliableSender::new(1, ReliableConfig::default());
             let mut rx = ReliableReceiver::new();
+            let mut released = Vec::new();
             let mut now = 0u64;
             for _ in 0..256 {
                 tx.enqueue(chunk.clone());
                 for t in tx.poll(now) {
-                    let (released, ack) = rx.accept(t.frame.sender, t.frame.seq, t.frame.chunk);
-                    black_box(released);
+                    let ack =
+                        rx.accept(t.frame.sender, t.frame.seq, t.frame.chunk, &mut released);
+                    black_box(&released);
+                    released.clear();
                     tx.on_ack(&ack, now + 1);
                 }
                 now += 2;

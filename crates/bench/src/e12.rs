@@ -12,9 +12,13 @@
 //! * one user-subset campaign (the commuter cohort) with the same attack
 //!   configuration — is served its shards from the work store whenever
 //!   the extraction grids agree;
-//! * one campaign with its own matching distance — its own session, but
-//!   served every shard from the work store, since extraction does not
-//!   read the matching distance.
+//! * one campaign with its own matching distance — it joins the shared
+//!   session and reads the group's candidate states, since extraction
+//!   does not read the matching distance: only its matching is its own.
+//!
+//! A candidate state shared by several campaigns is refreshed once per
+//! window; the report counts each refresh once (`candidate_refreshes`,
+//! and the `strategy` audit), as it counts each session advance once.
 //!
 //! Per-campaign winner parity against the independent replay is asserted
 //! for every release before any number is reported. The `bench_summary`
@@ -162,6 +166,9 @@ pub struct E12Report {
     pub shared_sessions: usize,
     /// Releases published by the orchestrator across all windows.
     pub releases: usize,
+    /// Candidate-state refreshes across all windows: one per candidate,
+    /// window and group of campaigns sharing their states.
+    pub candidate_refreshes: usize,
     /// Wall time of the N independent streaming sessions, ms.
     pub independent_total_ms: f64,
     /// Wall time of the orchestrated run, ms.
@@ -187,7 +194,8 @@ pub struct E12Report {
     pub streaming: Tally<WindowDelta>,
     /// Utility-baseline fold audit summed per release.
     pub baseline: Tally<BaselineDelta>,
-    /// Protected-side audit summed per release.
+    /// Protected-side audit summed per candidate-state refresh (a state
+    /// shared by several campaigns counts once per window).
     pub strategy: StrategyCacheDelta,
     /// What the orchestrator's work store held after the last window.
     pub retained: Retained,
@@ -208,8 +216,8 @@ impl E12Report {
     }
 
     /// Work-store traffic of the orchestrated run, `(lookups, fills)`: the
-    /// session advances' shard lookups plus the releases' protected-side
-    /// lookups.
+    /// session advances' shard lookups plus the candidate-state refreshes'
+    /// protected-side lookups.
     pub fn store(&self) -> (u64, u64) {
         let total = |field: &str, protected: usize| self.sessions.get(field) + protected as u64;
         (
@@ -227,7 +235,7 @@ impl E12Report {
             "{{\n  \"experiment\": \"e12_multi_campaign\",\n{}  \"scale\": \"{}\",\n  \
              \"threads\": {},\n  \"users\": {},\n  \"records\": {},\n  \"windows\": {},\n  \
              \"campaigns\": {},\n  \"same_config_campaigns\": {},\n  \
-             \"shared_sessions\": {},\n  \"releases\": {},\n  \
+             \"shared_sessions\": {},\n  \"releases\": {},\n  \"candidate_refreshes\": {},\n  \
              \"independent_total_ms\": {:.3},\n  \"orchestrated_total_ms\": {:.3},\n  \
              \"total_speedup\": {:.3},\n  \"independent_user_extractions\": {},\n  \
              \"orchestrated_user_extractions\": {},\n  \
@@ -246,6 +254,7 @@ impl E12Report {
             self.same_config_campaigns,
             self.shared_sessions,
             self.releases,
+            self.candidate_refreshes,
             self.independent_total_ms,
             self.orchestrated_total_ms,
             self.total_speedup(),
@@ -320,11 +329,12 @@ impl fmt::Display for E12Report {
         writeln!(
             f,
             "full passes: {} independent vs {} orchestrated; {} shared sessions, \
-             {} releases; work store {} lookups / {} fills",
+             {} releases, {} candidate refreshes; work store {} lookups / {} fills",
             self.independent_extractions,
             self.orchestrated_extractions,
             self.shared_sessions,
             self.releases,
+            self.candidate_refreshes,
             lookups,
             fills
         )?;
@@ -452,6 +462,7 @@ pub fn run(config: &E12Config) -> E12Report {
     let mut streaming = Tally::default();
     let mut baseline = Tally::default();
     let mut strategy = StrategyCacheDelta::default();
+    let mut candidate_refreshes = 0;
     let mut retained = Retained::default();
     let pool = PrivApi::new(privacy).pool().len();
     let mut prefix_trajectories = 0;
@@ -470,6 +481,12 @@ pub fn run(config: &E12Config) -> E12Report {
         for delta in report.sessions.iter().chain(private) {
             sessions.add(delta);
         }
+        // Likewise each candidate state once per window, however many
+        // campaigns read it.
+        for candidate in &report.candidates {
+            strategy += candidate.counts;
+        }
+        candidate_refreshes += report.candidates.len();
         for (c, (id, _, _)) in mix.iter().enumerate() {
             let orchestrated = report.release_of(CampaignId(*id));
             let independent = independent_releases[c][w].as_ref();
@@ -483,7 +500,6 @@ pub fn run(config: &E12Config) -> E12Report {
                     releases += 1;
                     streaming.add(&a.delta);
                     baseline.add(&a.baseline);
-                    strategy += a.strategies;
                 }
                 (None, None) => {}
                 (a, b) => panic!(
@@ -518,6 +534,7 @@ pub fn run(config: &E12Config) -> E12Report {
         same_config_campaigns: config.same_config_campaigns,
         shared_sessions: orchestrator.shared_sessions(),
         releases,
+        candidate_refreshes,
         independent_total_ms,
         orchestrated_total_ms,
         independent_user_extractions,
@@ -544,10 +561,15 @@ mod tests {
         let report = run(&E12Config::smoke());
         assert_eq!(report.windows, 3);
         assert_eq!(report.campaigns, report.same_config_campaigns + 2);
-        // Two sessions: the default-attack group and the custom-attack
-        // campaign.
-        assert_eq!(report.shared_sessions, 2);
+        // One session: the custom attack differs only in its matching
+        // distance, so it joins the default-attack group.
+        assert_eq!(report.shared_sessions, 1);
         assert!(report.releases > 0);
+        // Two groups refresh candidate states every window: the shared
+        // session's campaigns together, and the subset.
+        let pool = PrivApi::new(PrivApiConfig::default()).pool().len();
+        assert_eq!(report.candidate_refreshes, pool * report.windows * 2);
+        assert_eq!(report.strategy.candidates, report.candidate_refreshes);
         // The orchestrated run must beat the independent replay on
         // per-user extraction work: the same-config group shares one
         // original-side pass instead of K.
@@ -575,8 +597,8 @@ mod tests {
         // paths (the default pool is fully local).
         assert_eq!(report.independent_extractions, 0);
         assert_eq!(report.orchestrated_extractions, 0);
-        // K = 3 same-config campaigns means two replicas per window, and
-        // the store serves them the first campaign's protected side.
+        // The subset's candidate states are served the shared group's
+        // protected side from the store.
         assert!(report.strategy.users_donated > 0, "{report:?}");
         assert!(report.strategy.shards_donated > 0, "{report:?}");
         // Every fill answers a miss; the rest of the lookups were served.
@@ -603,6 +625,7 @@ mod tests {
             "orchestrated_total_ms",
             "original_side_ratio",
             "independent_original_user_extractions",
+            "candidate_refreshes",
         ] {
             assert!(json.get(key).is_some(), "missing {key} in {json:?}");
         }

@@ -163,8 +163,9 @@ impl Campaign {
 
     /// Replaces the attack measuring POI exposure (custom parameters, or
     /// an instrumented probe for extraction accounting). Campaigns with
-    /// equal attack *configurations* share original-side extraction work
-    /// under the orchestrator; a campaign with its own parameters pays
+    /// equal *extraction* parameters (the configuration without its
+    /// matching distance) share original-side extraction work under the
+    /// orchestrator; a campaign with its own extraction parameters pays
     /// exactly its own pass.
     pub fn with_attack(mut self, attack: PoiAttack) -> Self {
         self.privapi = self.privapi.with_attack(attack);

@@ -7,21 +7,23 @@
 //! concurrent [`Campaign`]s — each with its own objective, privacy floor,
 //! seed, strategy pool, attack parameters, participant filter and
 //! lifetime — driven by an [`Orchestrator`] over one day-window stream,
-//! with the original-side extraction work **shared** across campaigns
-//! instead of repeated per campaign.
+//! with the original-side extraction and the candidate refreshes
+//! **shared** across campaigns instead of repeated per campaign.
 //!
 //! What is shared and what is not:
 //!
-//! * same attack configuration + full population → one shared
-//!   original-side session, K campaigns read it (the per-user extraction
-//!   cost is ~1/K of running K independent publishers);
-//! * same attack configuration + user-subset filter → a private view that
-//!   *derives* shards from the shared session whenever the extraction
-//!   grids agree;
-//! * different attack configuration → the campaign pays exactly its own
-//!   original-side pass, nothing more;
-//! * the protected side (per-candidate anonymizations and self-attacks)
-//!   is always per campaign — it depends on the campaign's pool and seed.
+//! * same extraction parameters + full population → one shared session,
+//!   K campaigns read it (the per-user extraction cost is ~1/K of running
+//!   K independent publishers), whatever their matching distances;
+//! * same session + same candidate, seed and objective → one candidate
+//!   state (anonymization, self-attack, utility fold), refreshed once per
+//!   window; each campaign only matches it against its own reference
+//!   index and privacy floor;
+//! * same extraction parameters + user-subset filter → a private view
+//!   that is *served* shards, outputs and contributions from the work
+//!   store whenever the extraction grids agree;
+//! * different extraction parameters → the campaign pays exactly its own
+//!   original-side pass, nothing more.
 //!
 //! Every campaign's releases stay **byte-identical** to running that
 //! campaign alone through a `StreamingPublisher` on its filtered stream

@@ -3,44 +3,58 @@
 //!
 //! # Why sharing works
 //!
-//! Every campaign's per-window cost splits into two halves:
+//! Every campaign's per-window cost splits into three tiers, each keyed by
+//! exactly what it depends on:
 //!
-//! * **original side** — extracting the population's own POI exposure
+//! * **session** — extracting the population's own POI exposure
 //!   (per-user [`privapi::attack::UserAttackShard`]s + the reference
-//!   index) over the accumulated prefix. This depends only on *(stream,
-//!   attack configuration)* — not on the campaign's objective, pool, seed
-//!   or privacy floor. K campaigns with the same attack configuration
-//!   need it exactly once.
-//! * **protected side** — anonymizing and self-attacking every candidate
-//!   strategy. Each protected output depends only on (strategy, seed,
-//!   quantized anchor, source trajectory), each attack shard only on
-//!   (extraction parameters, grid, user, trajectory list) and each utility
-//!   contribution only on (baseline grid, output).
+//!   POIs) over the accumulated prefix. This depends only on *(stream,
+//!   extraction parameters)* — the attack configuration without its
+//!   matching distance — not on the campaign's objective, pool, seed,
+//!   matching distance or privacy floor. The orchestrator keeps one
+//!   [`SharedSession`] (a [`PopulationCache`] plus the attack that
+//!   maintains it) per distinct *(extraction parameters, start day, stream
+//!   position)* group; it advances once per window and amends one
+//!   reference index per matching distance its campaigns use.
+//! * **candidate state** — anonymizing, self-attacking and
+//!   utility-folding one candidate strategy over the session's prefix.
+//!   This depends on *(session, candidate, seed, objective)*, not on the
+//!   matching distance or the floor. Each session keeps one state per such
+//!   key in its [`privapi::streaming::StrategySessionCache`], refreshed
+//!   **once per window** by the first campaign (in registration order)
+//!   that evaluates the candidate.
+//! * **campaign** — matching each candidate's extracted POIs against the
+//!   campaign's own reference index, judging feasibility under its own
+//!   floor, choosing the winner and assembling the release from the
+//!   winner's held outputs. Only this tier runs once per campaign.
 //!
-//! The orchestrator keeps one [`SharedSession`] (a [`PopulationCache`]
-//! plus the attack that maintains it) per distinct *(attack
-//! configuration, start day, stream position)* group, and one
-//! [`WorkStore`] that every session and every campaign's
-//! [`privapi::streaming::StrategySessionCache`] reads and fills. A
-//! campaign that differs from another only in its user subset, matching
-//! distance or objective is then served everything their inputs have in
-//! common — shards, outputs, contributions — instead of recomputing it;
-//! a served entry is byte-identical to a recomputed one, so the store
-//! only ever skips work.
+//! Below the tiers, one [`WorkStore`] that every session and candidate
+//! state reads and fills keys each protected output by (strategy, seed,
+//! quantized anchor, source trajectory), each attack shard by (extraction
+//! parameters, grid, user, trajectory list) and each utility contribution
+//! by (baseline grid, output). Caches that do not share a tier — a user
+//! subset's private view, a campaign with another seed — are still served
+//! everything their inputs have in common with another; a served entry
+//! is byte-identical to a recomputed one, so the store only ever skips
+//! work.
 //!
 //! [`Orchestrator::advance_day`] advances each consumed session **once**,
 //! then evaluates the campaigns in registration order, each sweep fanned
-//! out over its candidates. Sweeps only read the store; what each
-//! computed is inserted after it, in a fixed order, so releases and every
-//! counter are independent of thread count. At the end of the day the
-//! store drops every entry no session or campaign holds any more.
+//! out over its candidates, refreshing the states no earlier campaign
+//! refreshed this window. Sweeps only read the store; what each computed
+//! is inserted after it, in a fixed order — a shared state's fills at the
+//! position of the first campaign that refreshed it — so releases and
+//! every counter are independent of thread count. At the end of the day
+//! every state's window closes (outputs no campaign found feasible are let
+//! go of, states no live campaign evaluates are dropped) and the store
+//! drops every entry no session or state holds any more.
 //!
-//! Filtered campaigns own a private [`PopulationCache`] over their
-//! filtered stream. A user-subset filter keeps each kept trajectory as the
-//! same shared handle, so the subset's shards are served from the store
-//! whenever its extraction grid matches the population's (the subset
-//! spans the population's bounding box) — whatever order the campaigns
-//! were registered in.
+//! Filtered campaigns own a private [`PopulationCache`] and candidate
+//! states over their filtered stream. A user-subset filter keeps each kept
+//! trajectory as the same shared handle, so the subset's shards are served
+//! from the store whenever its extraction grid matches the population's
+//! (the subset spans the population's bounding box) — whatever order the
+//! campaigns were registered in.
 //!
 //! # The parity invariant
 //!
@@ -48,25 +62,25 @@
 //! campaign alone through a [`privapi::streaming::StreamingPublisher`]
 //! fed its filtered windows (skipping days its filter empties). This is
 //! by construction — the orchestrator drives the exact
-//! [`privapi::pipeline::PrivApi::publish_session`] path a standalone
-//! session runs — and enforced by property tests across seeds, sparse
-//! participation and subset filters.
+//! [`privapi::pipeline::PrivApi::publish_member`] step a standalone
+//! session runs as a group of one — and enforced by property tests across
+//! seeds, sparse participation, subset filters and random campaign mixes.
 
 use crate::campaign::{Campaign, CampaignError, CampaignId, CampaignStatus};
-use crate::registry::{CampaignEntry, CampaignRegistry, View};
+use crate::registry::{CampaignEntry, CampaignRegistry, PrivateView, View};
 use mobility::{DatasetWindow, UserId};
 use privapi::attack::PoiAttack;
 use privapi::federated::FederationDelta;
 use privapi::pipeline::PublishedDataset;
 use privapi::streaming::{
-    BaselineDelta, IngestDelta, PopulationCache, StrategyCacheDelta, StrategySessionCache,
-    WindowDelta, WorkStore,
+    BaselineDelta, CandidateDelta, IngestDelta, PopulationCache, StrategyCacheDelta,
+    StrategySessionCache, WindowDelta, WorkStore,
 };
 use privapi::PrivapiError;
 
-/// One shared original-side extraction session: the population's
-/// [`PopulationCache`] under one attack configuration, advanced once per
-/// window and read by every attached campaign.
+/// One shared session: the population's [`PopulationCache`] under one set
+/// of extraction parameters, advanced once per window, and the candidate
+/// states its campaigns evaluate, each refreshed once per window.
 #[derive(Debug)]
 pub(crate) struct SharedSession {
     /// The attack maintaining the cache (a clone of the first attached
@@ -74,6 +88,8 @@ pub(crate) struct SharedSession {
     /// probe).
     pub(crate) attack: PoiAttack,
     pub(crate) cache: PopulationCache,
+    /// The candidate states of every attached campaign.
+    pub(crate) strategies: StrategySessionCache,
     /// First day the session ingests (the attached campaigns' common
     /// `start_day`).
     pub(crate) start_day: Option<i64>,
@@ -131,8 +147,13 @@ pub struct CampaignRelease {
     /// to every sharer); [`WindowDelta::users_derived`] counts shards
     /// served from the work store.
     pub delta: WindowDelta,
-    /// Protected-side audit summed over the campaign's candidate pool.
-    /// [`StrategyCacheDelta::users_donated`] counts users whose new
+    /// Protected-side audit summed over the campaign's candidate pool,
+    /// each candidate reporting its state's audit for the window. A state
+    /// the campaign shares with others is refreshed once, by the first of
+    /// them, and its audit is reported to every sharer (as `delta` is),
+    /// including what a later sharer's retention added by its own
+    /// evaluation; [`DayReport::candidates`] lists each state's audit
+    /// once. [`StrategyCacheDelta::users_donated`] counts users whose new
     /// protected trajectories were all served from the work store instead
     /// of being re-anonymized.
     pub strategies: StrategyCacheDelta,
@@ -155,6 +176,12 @@ pub struct DayReport {
     /// Audit of every shared session advanced this day (one entry per
     /// session that had an attached consuming campaign).
     pub sessions: Vec<WindowDelta>,
+    /// Audit of every candidate state refreshed this day, once each: a
+    /// state several campaigns share (one population view, candidate,
+    /// seed and objective) is refreshed once and listed once, however many
+    /// of them read it. Sessions' states come first, in session order,
+    /// then private views' in registration order.
+    pub candidates: Vec<CandidateDelta>,
     /// Per-campaign outcomes, in registration order.
     pub outcomes: Vec<(CampaignId, CampaignOutcome)>,
     /// Provenance of the window itself, when it was assembled by the
@@ -210,14 +237,14 @@ impl DayReport {
 /// let mut orchestrator = Orchestrator::new();
 /// orchestrator.register(Campaign::new(1, "city-wide", PrivApiConfig::default())).unwrap();
 /// orchestrator.register(Campaign::new(2, "replica", PrivApiConfig::default())).unwrap();
+/// let pool = privapi::pool::StrategyPool::default_pool().len();
 /// for window in &WindowedDataset::partition(&data) {
 ///     let report = orchestrator.advance_day(window).unwrap();
 ///     // Both campaigns release; the original-side extraction ran once,
-///     // and the replica was served every candidate's work.
+///     // and each candidate was refreshed once for both.
 ///     assert_eq!(report.published().count(), 2);
 ///     assert_eq!(report.sessions.len(), 1);
-///     let replica = report.release_of(campaign::CampaignId(2)).unwrap();
-///     assert_eq!(replica.strategies.store_fills, 0);
+///     assert_eq!(report.candidates.len(), pool);
 /// }
 /// ```
 #[derive(Debug, Default)]
@@ -244,9 +271,9 @@ impl Orchestrator {
         self.last_day
     }
 
-    /// Number of shared original-side sessions currently maintained (one
-    /// per distinct attack-configuration × start-day × stream-position
-    /// group with at least one full-population campaign).
+    /// Number of shared sessions currently maintained (one per distinct
+    /// extraction-parameters × start-day × stream-position group with at
+    /// least one full-population campaign).
     pub fn shared_sessions(&self) -> usize {
         self.sessions.len()
     }
@@ -266,9 +293,10 @@ impl Orchestrator {
     /// bounded by [`Campaign::with_start_day`]).
     ///
     /// A full-population campaign joins (or creates) the shared session
-    /// matching its attack configuration, start day and stream position,
-    /// so K same-configuration campaigns pay the original-side extraction
-    /// once. A filtered campaign gets a private view, whose shards are
+    /// matching its extraction parameters, start day and stream position,
+    /// so K such campaigns pay the original-side extraction once, and
+    /// each candidate refresh once per (candidate, seed, objective) they
+    /// share. A filtered campaign gets a private view, whose shards are
     /// served from the work store wherever its inputs match another
     /// cache's — registration order does not matter.
     ///
@@ -295,21 +323,22 @@ impl Orchestrator {
         let view = if campaign.filter().is_all() {
             View::Shared(self.find_or_create_session(&campaign))
         } else {
-            View::Private(Box::new(PopulationCache::new()))
+            View::Private(Box::default())
         };
         self.registry.push(CampaignEntry {
             campaign,
             retired: false,
             view,
-            strategies: StrategySessionCache::new(),
             windows_published: 0,
             last_published_day: None,
         })
     }
 
     /// Retires an active campaign: it stops observing the stream
-    /// immediately, its id becomes reusable and its state is dropped. A
-    /// shared session whose last non-retired consumer retires is
+    /// immediately, its id becomes reusable and its state is dropped —
+    /// its private view, or the candidate states of its session that no
+    /// other campaign evaluates. A shared session whose last non-retired
+    /// consumer retires is
     /// garbage-collected on the spot (its cache freed, surviving session
     /// indices remapped); a later campaign with the same configuration
     /// starts a fresh session rather than resurrecting the dead one's
@@ -321,8 +350,40 @@ impl Orchestrator {
     pub fn retire(&mut self, id: CampaignId) -> Result<(), CampaignError> {
         self.registry.retire(id)?;
         self.collect_sessions();
+        self.close_windows();
         self.store.drop_unreferenced();
         Ok(())
+    }
+
+    /// Closes the window of every candidate-state cache
+    /// ([`StrategySessionCache::close_window`]): the outputs no campaign
+    /// found feasible are let go of, and the states no live campaign (not
+    /// retired, not ended) evaluates any more are dropped. Returns the
+    /// audit of each state refreshed this window, sessions first, then
+    /// private views in registration order.
+    fn close_windows(&mut self) -> Vec<CandidateDelta> {
+        let day = self.last_day;
+        let live = |e: &CampaignEntry| {
+            !e.retired && day.is_none_or(|d| e.campaign.end_day().is_none_or(|end| d <= end))
+        };
+        let mut refreshed = Vec::new();
+        for (index, session) in self.sessions.iter_mut().enumerate() {
+            let members = self
+                .registry
+                .entries
+                .iter()
+                .filter(|e| live(e) && e.view.shared_session() == Some(index));
+            let members = members.map(|e| (e.campaign.id().0, e.campaign.privapi()));
+            refreshed.extend(session.strategies.close_window(members, &mut self.store));
+        }
+        for entry in &mut self.registry.entries {
+            let members =
+                live(entry).then(|| (entry.campaign.id().0, entry.campaign.privapi()));
+            if let View::Private(view) = &mut entry.view {
+                refreshed.extend(view.strategies.close_window(members, &mut self.store));
+            }
+        }
+        refreshed
     }
 
     /// Drops every shared session left without a non-retired `Shared`
@@ -365,11 +426,12 @@ impl Orchestrator {
 
     /// Processes one population day window: advances every consumed shared
     /// session exactly once, then evaluates the campaigns in registration
-    /// order — each sweep fanned out over its candidate strategies, all of
-    /// them reading and filling the one work store — reports per-campaign
-    /// outcomes in registration order (the deterministic winner
-    /// schedule), and finally drops the store entries nothing holds any
-    /// more.
+    /// order — each sweep fanned out over its candidate strategies, each
+    /// candidate state refreshed by the first campaign that evaluates it,
+    /// all of them reading and filling the one work store — reports
+    /// per-campaign outcomes in registration order (the deterministic
+    /// winner schedule), and finally closes every state's window and drops
+    /// the store entries nothing holds any more.
     ///
     /// # Errors
     ///
@@ -415,6 +477,7 @@ impl Orchestrator {
             return Ok(DayReport {
                 day,
                 sessions: Vec::new(),
+                candidates: Vec::new(),
                 outcomes,
                 ingest: None,
                 federation: None,
@@ -453,17 +516,20 @@ impl Orchestrator {
                 let outcome = evaluate_campaign(
                     entry,
                     window,
-                    &self.sessions,
+                    &mut self.sessions,
                     &session_deltas,
                     &mut self.store,
                 );
                 (entry.campaign.id(), outcome)
             })
             .collect();
+        // Phase 3 — close the window of every candidate state.
+        let candidates = self.close_windows();
         self.store.drop_released();
         Ok(DayReport {
             day,
             sessions: session_deltas.into_iter().flatten().collect(),
+            candidates,
             outcomes,
             ingest: None,
             federation: None,
@@ -471,34 +537,43 @@ impl Orchestrator {
     }
 
     /// The session a full-population campaign joins: an existing one
-    /// matching its attack configuration, start day and stream position
+    /// matching its extraction parameters, start day and stream position
     /// (nothing ingested yet — a session that already absorbed windows
-    /// holds a prefix the newcomer never saw), or a new one.
+    /// holds a prefix the newcomer never saw), or a new one. The session
+    /// indexes its reference at the campaign's matching distance too.
     fn find_or_create_session(&mut self, campaign: &Campaign) -> usize {
-        if let Some(index) = self.sessions.iter().position(|s| {
+        let config = campaign.privapi().attack().config();
+        let index = match self.sessions.iter().position(|s| {
             s.cache.windows_ingested() == 0
                 && s.start_day == campaign.start_day()
-                && s.attack.config() == campaign.privapi().attack().config()
+                && s.attack.config().extraction_config() == config.extraction_config()
         }) {
-            return index;
-        }
-        self.sessions.push(SharedSession {
-            attack: campaign.privapi().attack().clone(),
-            cache: PopulationCache::new(),
-            start_day: campaign.start_day(),
-        });
-        self.sessions.len() - 1
+            Some(index) => index,
+            None => {
+                self.sessions.push(SharedSession {
+                    attack: campaign.privapi().attack().clone(),
+                    cache: PopulationCache::new(),
+                    strategies: StrategySessionCache::new(),
+                    start_day: campaign.start_day(),
+                });
+                self.sessions.len() - 1
+            }
+        };
+        self.sessions[index]
+            .cache
+            .track_match_distance(config.match_distance);
+        index
     }
 }
 
 /// One campaign's step for one day: scope checks, view ingest (shared
 /// read / private advance), then the standard
-/// [`privapi::pipeline::PrivApi::publish_session`] evaluation, both
-/// through the orchestrator's work store.
+/// [`privapi::pipeline::PrivApi::publish_member`] evaluation over the
+/// view's candidate states, both through the orchestrator's work store.
 fn evaluate_campaign(
     entry: &mut CampaignEntry,
     window: &DatasetWindow,
-    sessions: &[SharedSession],
+    sessions: &mut [SharedSession],
     session_deltas: &[Option<WindowDelta>],
     store: &mut WorkStore,
 ) -> CampaignOutcome {
@@ -509,21 +584,16 @@ fn evaluate_campaign(
     let mut span = obs::span("campaign.publish");
     span.set_attr("campaign", entry.campaign.id().0);
     span.set_attr("day", day);
-    let CampaignEntry {
-        campaign,
-        view,
-        strategies,
-        ..
-    } = entry;
+    let CampaignEntry { campaign, view, .. } = entry;
     if campaign.start_day().is_some_and(|s| day < s) {
         return CampaignOutcome::Skipped(SkipReason::NotStarted);
     }
     if campaign.end_day().is_some_and(|e| day > e) {
         return CampaignOutcome::Skipped(SkipReason::Ended);
     }
-    let filtered_window;
-    let (population, delta, changed_users, shared): (
+    let (population, strategies, delta, changed_users, shared): (
         &PopulationCache,
+        &mut StrategySessionCache,
         WindowDelta,
         Vec<UserId>,
         bool,
@@ -531,27 +601,30 @@ fn evaluate_campaign(
         View::Shared(index) => {
             let delta = session_deltas[*index]
                 .expect("an active shared campaign's session advanced this day");
-            (&sessions[*index].cache, delta, window.users(), true)
+            let SharedSession {
+                cache, strategies, ..
+            } = &mut sessions[*index];
+            (cache, strategies, delta, window.users(), true)
         }
-        View::Private(cache) => {
+        View::Private(view) => {
             let Some(filtered) = campaign.filter().filter_window(window) else {
                 return CampaignOutcome::Skipped(SkipReason::NoParticipants);
             };
-            filtered_window = filtered;
-            let delta =
-                match cache.advance(campaign.privapi().attack(), &filtered_window, store) {
-                    Ok(delta) => delta,
-                    Err(error) => return CampaignOutcome::Failed(error),
-                };
-            (&**cache, delta, filtered_window.users(), false)
+            let PrivateView { cache, strategies } = &mut **view;
+            let delta = match cache.advance(campaign.privapi().attack(), &filtered, store) {
+                Ok(delta) => delta,
+                Err(error) => return CampaignOutcome::Failed(error),
+            };
+            (cache, strategies, delta, filtered.users(), false)
         }
         View::Detached => unreachable!("only retired campaigns are detached"),
     };
-    match campaign.privapi().publish_session(
+    match campaign.privapi().publish_member(
         population,
         strategies,
         delta,
         &changed_users,
+        campaign.id().0,
         store,
     ) {
         Ok(window) => {

@@ -3,8 +3,8 @@
 //! The registry owns every campaign the orchestrator has ever seen —
 //! active, pending, completed and retired — together with the runtime
 //! state each one accumulates across windows: its view of the population
-//! (shared or private original-side cache) and its per-strategy
-//! protected-side caches. Overlapping duplicate ids are rejected at
+//! (a shared session, or a private original-side cache with its own
+//! candidate states). Overlapping duplicate ids are rejected at
 //! registration; a retired campaign's id becomes reusable, and its state
 //! is dropped.
 
@@ -16,20 +16,30 @@ use privapi::streaming::{PopulationCache, StrategySessionCache};
 pub(crate) enum View {
     /// Full-population campaign reading a shared
     /// [`crate::orchestrator::SharedSession`] directly (index into the
-    /// orchestrator's session table). Its original-side extraction is the
-    /// session's — paid once per window however many campaigns share it.
+    /// orchestrator's session table). Its original-side extraction and its
+    /// candidates' refreshes are the session's — each paid once per window
+    /// however many campaigns share it.
     Shared(usize),
     /// Filtered campaign with its own [`PopulationCache`] over its
-    /// filtered stream. Shards whose inputs it shares with another cache —
-    /// a user subset's kept users — are served from the orchestrator's
-    /// [`privapi::streaming::WorkStore`]. (Boxed: a populated cache dwarfs
-    /// the `Shared` index.)
-    Private(Box<PopulationCache>),
+    /// filtered stream, and its own candidate states over it. Shards,
+    /// outputs and contributions whose inputs it shares with another
+    /// cache — a user subset's kept users — are served from the
+    /// orchestrator's [`privapi::streaming::WorkStore`]. (Boxed: a
+    /// populated cache dwarfs the `Shared` index.)
+    Private(Box<PrivateView>),
     /// A retired campaign whose view was dropped: a private cache freed on
     /// retirement, or a shared session that was garbage-collected. A
     /// detached view can never be read again (retired campaigns skip every
     /// window before touching their view).
     Detached,
+}
+
+/// A filtered campaign's own view of its filtered stream.
+#[derive(Debug, Default)]
+pub(crate) struct PrivateView {
+    pub(crate) cache: PopulationCache,
+    /// The campaign's candidate states over `cache`.
+    pub(crate) strategies: StrategySessionCache,
 }
 
 impl View {
@@ -48,10 +58,6 @@ pub(crate) struct CampaignEntry {
     pub(crate) campaign: Campaign,
     pub(crate) retired: bool,
     pub(crate) view: View,
-    /// The campaign's protected-side per-candidate caches (its own pool,
-    /// seed and attack fingerprints). What they hold is shared with other
-    /// campaigns through the orchestrator's work store.
-    pub(crate) strategies: StrategySessionCache,
     /// Windows this campaign actually published.
     pub(crate) windows_published: usize,
     /// Day of the campaign's most recent release.
@@ -144,8 +150,8 @@ impl CampaignRegistry {
         Ok(id)
     }
 
-    /// Retires the active campaign holding `id` and drops its protected
-    /// state and any private view.
+    /// Retires the active campaign holding `id` and drops any private
+    /// view (its population cache and candidate states).
     pub(crate) fn retire(&mut self, id: CampaignId) -> Result<(), CampaignError> {
         match self
             .entries
@@ -154,7 +160,6 @@ impl CampaignRegistry {
         {
             Some(entry) => {
                 entry.retired = true;
-                entry.strategies = StrategySessionCache::new();
                 if let View::Private(_) = entry.view {
                     entry.view = View::Detached;
                 }

@@ -58,10 +58,10 @@ fn same_config_campaigns_share_the_original_side_extraction() {
     // The headline counter: K campaigns with identical (pool, seed,
     // attack, objective) fingerprints on one session pay the whole
     // per-user extraction bill ONCE, not K times — the original side
-    // through the shared session, the protected side through the work
-    // store (the first campaign in registration order computes; the
-    // others are served every output, shard and utility contribution).
-    // The orchestrator's total is exactly one standalone replay.
+    // through the shared session, the protected side through the shared
+    // candidate states (the first campaign in registration order
+    // refreshes each; the others only match and select). The
+    // orchestrator's total is exactly one standalone replay.
     let windows = WindowedDataset::partition(&dataset(61, 4, 3));
     let config = PrivApiConfig::default();
     let original = original_side_cost(&windows);
@@ -83,24 +83,24 @@ fn same_config_campaigns_share_the_original_side_extraction() {
         1,
         "one session for K sharers"
     );
+    let pool = PrivApi::new(config).pool().len();
     for window in &windows {
         let report = orchestrator.advance_day(window).unwrap();
         assert_eq!(report.published().count(), K);
         assert_eq!(report.sessions.len(), 1, "the session advanced once");
+        // Each candidate's state was refreshed once, not K times.
+        assert_eq!(report.candidates.len(), pool, "one refresh per candidate");
         let releases: Vec<_> = report.published().collect();
         let leader = releases[0];
         assert!(leader.shared);
         assert_eq!(leader.strategies.users_donated, 0, "the leader pays");
         for follower in &releases[1..] {
             assert!(follower.shared);
-            // Followers re-anonymize and re-attack nobody: every
-            // candidate's protected work is served from the store.
-            assert_eq!(follower.strategies.users_refreshed, 0);
-            assert_eq!(follower.strategies.shards_refreshed, 0);
-            assert!(follower.strategies.users_donated > 0);
-            assert!(follower.strategies.shards_donated > 0);
-            assert_eq!(follower.strategies.store_fills, 0);
-            // Serving is exact: byte-identical releases.
+            // Followers refresh nothing: they report the shared states'
+            // audit, as they report the shared session's.
+            assert_eq!(follower.strategies, leader.strategies);
+            assert_eq!(follower.delta, leader.delta);
+            // Sharing is exact: byte-identical releases.
             assert_eq!(follower.published.selection, leader.published.selection);
             assert_eq!(follower.published.dataset, leader.published.dataset);
         }
@@ -167,22 +167,30 @@ fn differing_config_campaigns_pay_exactly_their_own_pass() {
         .unwrap();
     assert_eq!(
         orchestrator.shared_sessions(),
-        3,
-        "differing attack configurations never share a session"
+        2,
+        "differing extraction parameters never share a session; a matching \
+         distance alone does"
     );
+    let pool = PrivApi::new(config).pool().len();
     for window in &windows {
         let report = orchestrator.advance_day(window).unwrap();
         assert_eq!(report.published().count(), 4);
-        assert_eq!(report.sessions.len(), 3);
+        assert_eq!(report.sessions.len(), 2);
+        assert_eq!(report.candidates.len(), 2 * pool, "one refresh per session");
         let matching = report.release_of(CampaignId(9)).unwrap();
-        assert_eq!(matching.delta.users_refreshed, 0, "served, not extracted");
-        assert_eq!(matching.strategies.shards_refreshed, 0);
+        let default = report.release_of(CampaignId(0)).unwrap();
+        assert!(matching.shared);
+        assert_eq!(matching.delta, default.delta, "the default session's pass");
+        assert_eq!(
+            matching.strategies, default.strategies,
+            "the default states"
+        );
     }
     // The same-config pair shares everything — one original-side pass
-    // through the session, one protected-side pass through the store. A
-    // campaign differing only in matching distance pays no extraction at
-    // all; one with its own extraction parameters pays exactly its own
-    // standalone cost — no more, no less.
+    // and one refresh per candidate through the session. A campaign
+    // differing only in matching distance joins that session and pays no
+    // extraction at all; one with its own extraction parameters pays
+    // exactly its own standalone cost — no more, no less.
     assert_eq!(shared_probe.user_extractions(), standalone_default);
     assert_eq!(matching_probe.user_extractions(), 0);
     assert_eq!(extraction_probe.user_extractions(), standalone_extraction);
@@ -577,7 +585,7 @@ fn session_gc_remaps_surviving_shared_indices() {
     let windows = WindowedDataset::partition(&dataset(37, 3, 3));
     let config = PrivApiConfig::default();
     let custom_attack_config = PoiAttackConfig {
-        match_distance: geo::Meters::new(500.0),
+        min_poi_dwell_s: 30 * 60,
         ..PoiAttackConfig::default()
     };
     let mut orchestrator = Orchestrator::new();

@@ -12,8 +12,10 @@ use mobility::{
 };
 use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
+use privapi::pool::StrategyPool;
 use privapi::streaming::StreamingPublisher;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
@@ -78,8 +80,8 @@ proptest! {
             ..PrivApiConfig::default()
         };
         // Campaign 4 is fingerprint-identical to campaign 1 (same pool,
-        // seed, attack and objective on the same session), so the store
-        // serves it all of campaign 1's protected-side work — its
+        // seed, attack and objective on the same session), so it reads
+        // campaign 1's candidate states, refreshed once per window — its
         // releases must STILL be bitwise-equal to its own standalone
         // replay.
         let campaigns: Vec<(u64, PrivApiConfig, ParticipantFilter)> = vec![
@@ -106,16 +108,22 @@ proptest! {
             reports.push(orchestrator.advance_day(window).unwrap());
         }
 
-        // The replica campaign was served every protected output and
-        // shard it published with — never re-anonymizing a user campaign
-        // 1 already covered.
+        // One refresh per candidate and window for campaigns 1 and 4
+        // together, one for campaign 3 (its own seed) and one for the
+        // subset whenever it evaluated; the replica reports the audit of
+        // the states it shares.
+        let pool = StrategyPool::default_pool().len();
         for report in &reports {
-            if let Some(release) = report.release_of(CampaignId(4)) {
-                prop_assert!(release.strategies.users_donated > 0,
-                    "day {}: the replica must be served campaign 1's work", report.day);
-                prop_assert_eq!(release.strategies.users_refreshed, 0);
-                prop_assert_eq!(release.strategies.shards_refreshed, 0);
-                prop_assert_eq!(release.strategies.store_fills, 0);
+            let subset = report
+                .outcomes
+                .iter()
+                .any(|(id, o)| *id == CampaignId(2) && !matches!(o, CampaignOutcome::Skipped(_)));
+            prop_assert_eq!(report.candidates.len(), pool * (2 + usize::from(subset)),
+                "day {}", report.day);
+            if let (Some(leader), Some(replica)) =
+                (report.release_of(CampaignId(1)), report.release_of(CampaignId(4)))
+            {
+                prop_assert_eq!(&replica.strategies, &leader.strategies);
             }
         }
 
@@ -236,6 +244,131 @@ proptest! {
         }
     }
 
+    /// Random mixes of campaigns that differ in privacy floor, matching
+    /// distance, extraction parameters, start day and subset filter, with
+    /// the first member of a group retired mid-stream: every campaign still
+    /// releases exactly what its own standalone publisher does, and every
+    /// group of campaigns sharing candidate states — one session, seed and
+    /// objective — refreshes each of them once per window, not once per
+    /// campaign.
+    #[test]
+    fn random_campaign_mixes_refresh_once_and_match_standalone(
+        seed in any::<u64>(),
+        users in 2usize..4,
+        leaders in any::<u64>(),
+        others in prop::collection::vec(any::<u64>(), 1..4),
+        retire_at in 1usize..3,
+    ) {
+        let data = CityModel::builder()
+            .seed(seed ^ 0x313)
+            .build()
+            .generate_population(&PopulationConfig {
+                users,
+                days: 3,
+                sampling_interval_s: 300,
+                gps_noise_m: 5.0,
+                leisure_probability: 0.3,
+            });
+        let windows = WindowedDataset::partition(&thin_participation_salted(&data, 70, seed));
+        let days = windows.days();
+        if days.len() <= retire_at {
+            return Ok(());
+        }
+        let subset = ParticipantFilter::users(
+            (0..users as u64 / 2 + 1).map(UserId).collect::<Vec<_>>(),
+        );
+        // Two full-population campaigns with the default extraction lead
+        // the mix: one group, whatever else they differ in.
+        let mut mix: Vec<MixedCampaign> = [leaders, leaders >> 8]
+            .iter()
+            .map(|bits| bits & 0b11)
+            .chain(others.iter().copied())
+            .enumerate()
+            .map(|(id, bits)| MixedCampaign::of(id as u64, bits, days[1], &subset))
+            .collect();
+        let mut orchestrator = Orchestrator::new();
+        for campaign in &mix {
+            orchestrator.register(campaign.campaign()).unwrap();
+        }
+        let pool = StrategyPool::default_pool().len();
+        let mut reports = Vec::new();
+        for (w, window) in windows.iter().enumerate() {
+            if w == retire_at {
+                orchestrator.retire(CampaignId(0)).unwrap();
+                mix[0].retired_from = Some(window.day());
+            }
+            let report = orchestrator.advance_day(window).unwrap();
+            // The groups that evaluated today: one per session with a
+            // started member, one per private view that did not skip.
+            let live = mix.iter().filter(|c| c.observes(window.day()));
+            let sessions: BTreeSet<(i64, Option<i64>)> = live
+                .filter(|c| c.filter.is_all())
+                .map(|c| (c.attack.min_poi_dwell_s, c.start))
+                .collect();
+            let private = mix
+                .iter()
+                .filter(|c| !c.filter.is_all())
+                .filter(|c| report.outcomes.iter().any(|(id, o)| {
+                    *id == CampaignId(c.id) && !matches!(o, CampaignOutcome::Skipped(_))
+                }))
+                .count();
+            prop_assert_eq!(
+                report.candidates.len(),
+                pool * (sessions.len() + private),
+                "day {}: each shared state refreshes once", window.day()
+            );
+            reports.push(report);
+        }
+        for campaign in &mix {
+            let mut standalone = StreamingPublisher::from_privapi(
+                PrivApi::new(campaign.config)
+                    .with_attack(PoiAttack::new(campaign.attack.clone())),
+            );
+            for (window, report) in windows.iter().zip(&reports) {
+                let outcome = &report
+                    .outcomes
+                    .iter()
+                    .find(|(id, _)| *id == CampaignId(campaign.id))
+                    .expect("every campaign reports every day")
+                    .1;
+                let at = format!("campaign {} day {}", campaign.id, window.day());
+                let filtered = campaign.filter.filter_window(window);
+                match (campaign.observes(window.day()), filtered) {
+                    (true, Some(filtered)) => {
+                        match (outcome, standalone.publish_window(&filtered)) {
+                            (CampaignOutcome::Published(release), Ok(expected)) => {
+                                prop_assert_eq!(
+                                    &release.published.selection,
+                                    &expected.published.selection,
+                                    "{}", at
+                                );
+                                prop_assert_eq!(
+                                    &release.published.privacy,
+                                    &expected.published.privacy,
+                                    "{}", at
+                                );
+                                prop_assert_eq!(
+                                    &release.published.dataset,
+                                    &expected.published.dataset,
+                                    "{}", at
+                                );
+                            }
+                            (CampaignOutcome::Failed(a), Err(b)) => {
+                                prop_assert_eq!(format!("{a}"), format!("{b}"), "{}", at);
+                            }
+                            (outcome, expected) => {
+                                return Err(TestCaseError::fail(format!(
+                                    "{at}: orchestrated {outcome:?} vs standalone {expected:?}"
+                                )));
+                            }
+                        }
+                    }
+                    _ => prop_assert!(matches!(outcome, CampaignOutcome::Skipped(_)), "{}", at),
+                }
+            }
+        }
+    }
+
     /// Work-store entries live exactly as long as some session or
     /// campaign holds them, whatever the retire schedule: after every day
     /// and every retirement no live entry is referenced by the store
@@ -290,5 +423,58 @@ proptest! {
         }
         prop_assert!(orchestrator.store().is_empty(),
             "{} entries outlived every campaign", orchestrator.store().len());
+    }
+}
+
+/// One campaign of a random mix, decoded from a few bits: the privacy
+/// floor, the matching distance, the extraction parameters, the start day
+/// and the participant filter.
+struct MixedCampaign {
+    id: u64,
+    config: PrivApiConfig,
+    attack: PoiAttackConfig,
+    start: Option<i64>,
+    filter: ParticipantFilter,
+    /// The day from which the campaign is retired.
+    retired_from: Option<i64>,
+}
+
+impl MixedCampaign {
+    fn of(id: u64, bits: u64, later_day: i64, subset: &ParticipantFilter) -> Self {
+        let bit = |i: u32| bits >> i & 1 == 1;
+        Self {
+            id,
+            config: PrivApiConfig {
+                privacy_floor: [0.25, 0.5][usize::from(bit(0))],
+                ..PrivApiConfig::default()
+            },
+            attack: PoiAttackConfig {
+                match_distance: geo::Meters::new(if bit(1) { 400.0 } else { 350.0 }),
+                min_poi_dwell_s: if bit(2) { 30 * 60 } else { 45 * 60 },
+                ..PoiAttackConfig::default()
+            },
+            start: bit(3).then_some(later_day),
+            filter: if bit(4) {
+                subset.clone()
+            } else {
+                ParticipantFilter::All
+            },
+            retired_from: None,
+        }
+    }
+
+    fn campaign(&self) -> Campaign {
+        let campaign = Campaign::new(self.id, format!("c{}", self.id), self.config)
+            .with_attack(PoiAttack::new(self.attack.clone()))
+            .with_filter(self.filter.clone());
+        match self.start {
+            Some(day) => campaign.with_start_day(day),
+            None => campaign,
+        }
+    }
+
+    /// Whether the campaign observes `day`: started and not retired.
+    fn observes(&self, day: i64) -> bool {
+        self.start.is_none_or(|s| s <= day) && self.retired_from.is_none_or(|r| day < r)
     }
 }

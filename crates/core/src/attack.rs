@@ -117,6 +117,18 @@ impl Default for PoiAttackConfig {
     }
 }
 
+impl PoiAttackConfig {
+    /// The parameters extraction reads: all of them but `match_distance`,
+    /// which only matching reads. Two attacks with equal extraction
+    /// configurations extract identical shards.
+    pub fn extraction_config(&self) -> PoiAttackConfig {
+        PoiAttackConfig {
+            match_distance: Meters::default(),
+            ..self.clone()
+        }
+    }
+}
+
 /// Result of a POI retrieval attack over a whole dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PoiAttackReport {

@@ -28,18 +28,21 @@
 //!    per run via [`EvalContext::extracting`]) and a shared
 //!    [`ReferenceIndex`] every candidate probes.
 //!
-//! The cached sweep audits each candidate in a [`CandidateDelta`] and
-//! records the window's sum ([`StrategySessionCache::last_window`]) into
-//! the `strategy.*` instruments with one [`obs::record`] call.
+//! The cached sweep audits each candidate in a
+//! [`crate::streaming::CandidateDelta`]; closing the window
+//! ([`StrategySessionCache::close_window`]) records the sum over the states
+//! it refreshed into the `strategy.*` instruments with one [`obs::record`]
+//! call.
 
 use crate::attack::{PoiAttack, PoiAttackReport, ReferenceIndex, ReferencePois};
 use crate::error::PrivapiError;
 use crate::metrics::{spatial_distortion, CrowdedBaseline, TrafficBaseline};
 use crate::pool::StrategyPool;
 use crate::selection::{CandidateResult, Objective, SelectionReport};
+use crate::strategy::AnonymizationStrategy;
 use crate::streaming::{
-    CandidateDelta, CandidateState, Fills, PopulationCache, StrategySessionCache, WindowUpdate,
-    WorkStore,
+    CandidateState, Fills, PopulationCache, Protector, Refreshed, SharedState,
+    StrategySessionCache, WindowUpdate, WorkStore,
 };
 use mobility::{Dataset, UserId};
 use rayon::prelude::*;
@@ -324,90 +327,132 @@ impl EvaluationEngine {
     /// the winner's release artifacts.
     ///
     /// This is the streaming publish path, driven by
-    /// [`crate::pipeline::PrivApi::publish_session`]. The context carries cached
-    /// *original-side* extraction state ([`EvalContext::from_cache`]) that
-    /// a session cache amends across day windows, so no original-side
+    /// [`crate::pipeline::PrivApi::publish_member`]. The context carries
+    /// cached *original-side* extraction state ([`EvalContext::from_cache`])
+    /// that a session cache amends across day windows, so no original-side
     /// extraction happens here at all. `strategies` carries the
-    /// *protected-side* per-candidate caches: each candidate is refreshed
-    /// per its declared [`crate::strategy::UserLocality`] — for local
-    /// candidates only the trajectories the `update`-listed changed users
-    /// appended are anonymized and folded into their shards, while
-    /// non-local candidates fall back to the full anonymize +
-    /// self-attack. The winner's release dataset is
-    /// re-assembled from its cache by pure clones instead of re-running
-    /// its strategy over the whole prefix.
+    /// *protected-side* candidate states of every publisher reading
+    /// `population`; publisher `member`'s candidates map onto them.
+    ///
+    /// Each candidate runs in two parts:
+    ///
+    /// 1. the **refresh** ([`EvaluationEngine::refresh_candidate`]), once
+    ///    per state and window — skipped when another publisher already
+    ///    refreshed the state this window. Per the candidate's declared
+    ///    [`crate::strategy::UserLocality`], only the trajectories the
+    ///    `update`-listed changed users appended are anonymized and folded
+    ///    into their shards and utility counts; a non-local candidate is
+    ///    left to the full path;
+    /// 2. the **selection** ([`EvaluationEngine::select_candidate`]), per
+    ///    publisher: matching against this publisher's reference index and
+    ///    feasibility under its floor, then [`choose_winner`] and the
+    ///    winner's release, re-assembled from its state by pure clones.
     ///
     /// Every protected output, shard and utility contribution is looked
     /// up in `store` first. Candidates are swept in parallel against the
     /// store as it stood before the sweep; what they computed on a miss is
-    /// inserted afterwards, in pool order.
+    /// inserted afterwards, in pool order — so a shared state's fills land
+    /// at the position of the first publisher that refreshed it.
     ///
     /// The report is identical to what
     /// [`EvaluationEngine::evaluate_release_extracting`] would produce on
     /// the same dataset — verified by the streaming parity property tests.
-    /// The per-candidate audit of what was reused lands in
+    /// The per-candidate audit lands in
     /// [`StrategySessionCache::last_deltas`].
     ///
     /// # Errors
     ///
     /// Returns [`PrivapiError::EmptyDataset`] when the pool or the
     /// context's dataset is empty.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn evaluate_release_with(
         &self,
         pool: &StrategyPool,
         context: &EvalContext<'_>,
         population: &PopulationCache,
         strategies: &mut StrategySessionCache,
+        slots: &[usize],
         update: &WindowUpdate<'_>,
         store: &mut WorkStore,
     ) -> Result<(SelectionReport, Option<WinnerRelease>), PrivapiError> {
         Self::check_nonempty(pool, context.original())?;
         let mut sweep_span = obs::span("engine.sweep");
         sweep_span.set_attr("candidates", pool.len());
-        if strategies.align(pool, self.seed, &self.attack) {
-            store.release_all();
-        }
         // Hoisted once per sweep: every candidate reuses the same user
         // list instead of re-deriving it from the prefix.
         let all_users: Vec<UserId> = population.by_user().keys().copied().collect();
-        let candidates: Vec<&dyn crate::strategy::AnonymizationStrategy> =
-            pool.iter().collect();
-        let mut work: Vec<(usize, &mut CandidateState)> =
-            strategies.states.iter_mut().enumerate().collect();
+        let candidates: Vec<&dyn AnonymizationStrategy> = pool.iter().collect();
+        // Each state once, under the first slot that maps onto it.
+        let mut unclaimed: Vec<Option<&mut SharedState>> =
+            strategies.states.iter_mut().map(Some).collect();
+        let mut work: Vec<(usize, &mut SharedState)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, state)| unclaimed[*state].take().map(|s| (slot, s)))
+            .collect();
         let read_only: &WorkStore = store;
         // Candidates run on rayon workers: each opens its span under the
         // sweep's, so the trace keeps the fan-out under `engine.sweep`.
         let parent = obs::current_span();
-        let eval = |slot: &mut (usize, &mut CandidateState)| {
-            let (index, state) = slot;
+        let eval = |(slot, shared): &mut (usize, &mut SharedState)| {
             let mut span = parent.child("engine.candidate");
-            span.set_attr("candidate", *index);
-            let scored = self.evaluate_candidate_cached(
-                candidates[*index],
-                state,
-                context,
-                population,
-                update,
-                &all_users,
-                read_only,
-            );
-            let full = scored.2.counts.full_fallbacks > 0;
+            span.set_attr("candidate", *slot);
+            let strategy = candidates[*slot];
+            let protector = shared
+                .state
+                .protector(strategy, population, self.seed, read_only);
+            let mut fills = Fills::default();
+            if shared.window.is_none() {
+                let (window, refreshed) = self.refresh_candidate(
+                    &protector,
+                    &mut shared.state,
+                    context,
+                    population,
+                    update,
+                    &all_users,
+                );
+                shared.window = Some(window);
+                fills = refreshed;
+            }
+            let scored =
+                self.select_candidate(strategy, &protector, shared, context, &mut fills);
+            let full = shared.window.as_ref().is_some_and(|w| w.scored.is_none());
             span.set_attr("path", if full { "full" } else { "cached" });
-            scored
+            (scored, fills)
         };
-        let scored: Vec<(CandidateResult, PoiAttackReport, CandidateDelta, Fills)> =
+        let scored: Vec<((CandidateResult, PoiAttackReport), Fills)> =
             work.par_iter_mut().map(eval).collect();
-        let mut results = Vec::with_capacity(scored.len());
-        let mut privacy_reports = Vec::with_capacity(scored.len());
-        let mut deltas = Vec::with_capacity(scored.len());
-        for (result, privacy, delta, fills) in scored {
-            results.push(result);
-            privacy_reports.push(privacy);
-            deltas.push(delta);
+        let mut evaluated = Vec::with_capacity(scored.len());
+        for (result, fills) in scored {
+            evaluated.push(result);
             store.insert(fills);
         }
-        strategies.last_deltas = deltas;
-        obs::record(&strategies.last_window());
+        // `evaluated` follows the slots that claimed a state; a slot whose
+        // state an earlier slot claimed scores as that slot.
+        let mut evaluated = evaluated.into_iter();
+        let mut results: Vec<CandidateResult> = Vec::with_capacity(slots.len());
+        let mut privacy_reports: Vec<PoiAttackReport> = Vec::with_capacity(slots.len());
+        for (slot, state) in slots.iter().enumerate() {
+            let first = slots.iter().position(|s| s == state).expect("own slot");
+            let (result, privacy) = if first == slot {
+                evaluated.next().expect("one evaluation per claimed state")
+            } else {
+                (results[first].clone(), privacy_reports[first].clone())
+            };
+            results.push(result);
+            privacy_reports.push(privacy);
+        }
+        strategies.last_deltas = slots
+            .iter()
+            .map(|state| {
+                strategies.states[*state]
+                    .window
+                    .as_ref()
+                    .expect("refreshed")
+                    .delta
+                    .clone()
+            })
+            .collect();
         let chosen = choose_winner(&results);
         let report = SelectionReport {
             candidates: results,
@@ -420,7 +465,8 @@ impl EvaluationEngine {
             // Cached candidates re-materialize the release by cloning their
             // per-user protected trajectories; only an uncached (non-local)
             // winner re-runs its strategy over the prefix.
-            dataset: strategies.states[index]
+            dataset: strategies.states[slots[index]]
+                .state
                 .assembled_release(context.original())
                 .unwrap_or_else(|| {
                     pool.get(index)
@@ -432,63 +478,87 @@ impl EvaluationEngine {
         Ok((report, winner))
     }
 
-    /// One candidate of the cached streaming sweep: refreshes the
-    /// candidate's cache per its declared locality — reading `store`,
-    /// returning what it computed as [`Fills`] — and scores privacy from
-    /// the cached shards and utility from the incremental counts, or falls
-    /// back to [`EvaluationEngine::evaluate_candidate`] when the candidate
-    /// cannot be cached. The refresh's phases (`candidate.anonymize`,
-    /// `.extract`, `.utility`, `.match`) record as child spans of the
-    /// caller's `engine.candidate` span.
-    ///
-    /// Once its feasibility is known, a cached candidate keeps its
-    /// protected outputs only if something reads them next window: a
-    /// feasible candidate may win and release them, and the Distortion
-    /// objective pairs records every window. Every other candidate lets
-    /// them go ([`CandidateState::settle`]).
+    /// The refresh of one candidate state, run once per window by the
+    /// first publisher evaluating it: refreshes the state per its declared
+    /// locality — reading the store, returning what it computed as
+    /// [`Fills`] — and keeps the extracted POIs and the utility score for
+    /// every publisher of the window. Its phases (`candidate.anonymize`,
+    /// `.extract`, `.utility`) record as child spans of the caller's
+    /// `engine.candidate` span.
     #[allow(clippy::too_many_arguments)]
-    fn evaluate_candidate_cached(
+    fn refresh_candidate(
         &self,
-        strategy: &dyn crate::strategy::AnonymizationStrategy,
+        protector: &Protector<'_>,
         state: &mut CandidateState,
         context: &EvalContext<'_>,
         population: &PopulationCache,
         update: &WindowUpdate<'_>,
         all_users: &[UserId],
-        store: &WorkStore,
-    ) -> (CandidateResult, PoiAttackReport, CandidateDelta, Fills) {
-        let protector = state.protector(strategy, population, self.seed, store);
-        let (cached, mut delta, mut fills) = state.refresh(
-            &protector,
+    ) -> (Refreshed, Fills) {
+        let (scored, mut delta, fills) = state.refresh(
+            protector,
             &self.attack,
             context,
             population,
             update,
             all_users,
         );
-        let (result, privacy) = match cached {
-            Some((extracted, utility)) => {
-                let privacy = {
-                    let _span = obs::span("candidate.match");
-                    self.attack
-                        .match_extracted(&extracted, context.reference_index())
-                };
-                let feasible = privacy.recall <= self.privacy_floor;
-                let retain =
-                    feasible || matches!(context.baseline(), ObjectiveBaseline::Distortion);
-                state.settle(retain, &protector, &mut delta.counts, &mut fills);
-                let result = CandidateResult {
-                    info: strategy.info(),
-                    poi_recall: privacy.recall,
-                    utility,
-                    feasible,
-                };
-                (result, privacy)
-            }
-            None => self.evaluate_candidate(strategy, context),
-        };
         delta.counts.store_fills = fills.len();
-        (result, privacy, delta, fills)
+        let window = Refreshed {
+            scored,
+            delta,
+            retained: false,
+        };
+        (window, fills)
+    }
+
+    /// The per-publisher part of one candidate: scores privacy by
+    /// matching the refreshed state's extracted POIs against this
+    /// publisher's reference index (`candidate.match`) and feasibility
+    /// under its floor, or falls back to
+    /// [`EvaluationEngine::evaluate_candidate`] when the candidate cannot
+    /// be cached.
+    ///
+    /// A cached candidate keeps its protected outputs only if something
+    /// reads them next window: a feasible candidate may win and release
+    /// them, and the Distortion objective pairs records every window. The
+    /// first publisher to find either retains the state's outputs
+    /// ([`CandidateState::retain`]); a state no publisher retains lets
+    /// them go when the window closes.
+    fn select_candidate(
+        &self,
+        strategy: &dyn AnonymizationStrategy,
+        protector: &Protector<'_>,
+        shared: &mut SharedState,
+        context: &EvalContext<'_>,
+        fills: &mut Fills,
+    ) -> (CandidateResult, PoiAttackReport) {
+        let window = shared.window.as_mut().expect("refreshed this window");
+        let Some((extracted, utility)) = &window.scored else {
+            return self.evaluate_candidate(strategy, context);
+        };
+        let privacy = {
+            let _span = obs::span("candidate.match");
+            self.attack
+                .match_extracted(extracted, context.reference_index())
+        };
+        let feasible = privacy.recall <= self.privacy_floor;
+        let result = CandidateResult {
+            info: strategy.info(),
+            poi_recall: privacy.recall,
+            utility: *utility,
+            feasible,
+        };
+        let retain = feasible || matches!(context.baseline(), ObjectiveBaseline::Distortion);
+        if retain && !window.retained {
+            let before = fills.len();
+            shared
+                .state
+                .retain(protector, &mut window.delta.counts, fills);
+            window.delta.counts.store_fills += fills.len() - before;
+            window.retained = true;
+        }
+        (result, privacy)
     }
 
     /// Shared guard for the public entry points.
@@ -525,8 +595,7 @@ impl EvaluationEngine {
         pool: &StrategyPool,
         context: &EvalContext<'_>,
     ) -> (SelectionReport, Vec<PoiAttackReport>) {
-        let candidates: Vec<&dyn crate::strategy::AnonymizationStrategy> =
-            pool.iter().collect();
+        let candidates: Vec<&dyn AnonymizationStrategy> = pool.iter().collect();
         let scored: Vec<(CandidateResult, PoiAttackReport)> = candidates
             .par_iter()
             .map(|s| self.evaluate_candidate(*s, context))
@@ -545,7 +614,7 @@ impl EvaluationEngine {
     /// Anonymize → self-attack → utility for one candidate.
     fn evaluate_candidate(
         &self,
-        strategy: &dyn crate::strategy::AnonymizationStrategy,
+        strategy: &dyn AnonymizationStrategy,
         context: &EvalContext<'_>,
     ) -> (CandidateResult, PoiAttackReport) {
         let protected = strategy.anonymize(context.original(), self.seed);

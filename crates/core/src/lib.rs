@@ -30,7 +30,8 @@
 //! * [`pipeline`] — the [`pipeline::PrivApi`] middleware facade a platform
 //!   (e.g. APISENSE) plugs in before releasing datasets: one batch call,
 //!   [`pipeline::PrivApi::publish`], and one streaming step,
-//!   [`pipeline::PrivApi::publish_session`];
+//!   [`pipeline::PrivApi::publish_member`] (run as a group of one by
+//!   [`pipeline::PrivApi::publish_session`]);
 //! * [`federated`] — the device-local release contract: serializable
 //!   [`federated::StrategySpec`]/[`federated::StrategyConfig`] broadcast
 //!   frames, deterministic calibration-cohort selection, and the
@@ -42,7 +43,8 @@
 //!   reference index across releases, and the per-candidate
 //!   [`streaming::StrategySessionCache`] extends the same reuse to every
 //!   pooled strategy's protected data and self-attack shards, per the
-//!   [`strategy::UserLocality`] contract each strategy declares; both read
+//!   [`strategy::UserLocality`] contract each strategy declares, refreshing
+//!   each candidate once per window for every publisher that reads it; both read
 //!   and fill one [`streaming::WorkStore`], so sessions over shared inputs
 //!   compute each output, shard and utility contribution once.
 //!

@@ -15,12 +15,14 @@
 //! [`PopulationCache`] owns the original side and
 //! [`PopulationCache::advance`] folds one [`DatasetWindow`] into it,
 //! tracking what was reused vs. re-extracted in a [`WindowDelta`]. The
-//! [`StrategySessionCache`] owns one state per candidate of the pool.
-//! [`StreamingPublisher`] owns one session — the population cache, the
-//! per-strategy caches and the work store below — next to a
-//! [`crate::pipeline::PrivApi`], and publishes window after window
-//! through the one streaming step,
-//! [`crate::pipeline::PrivApi::publish_session`].
+//! [`StrategySessionCache`] owns one state per candidate, seed and
+//! objective its publishers evaluate, refreshed once per window however
+//! many publishers read it. [`StreamingPublisher`] owns one session — the
+//! population cache, the per-strategy caches and the work store below —
+//! next to a [`crate::pipeline::PrivApi`], and publishes window after
+//! window through the one streaming step,
+//! [`crate::pipeline::PrivApi::publish_member`], as a group of one
+//! ([`crate::pipeline::PrivApi::publish_session`]).
 //!
 //! # One attack side, run twice
 //!
@@ -129,7 +131,6 @@ use crate::engine::{EvalContext, ObjectiveBaseline};
 use crate::error::PrivapiError;
 use crate::metrics::{CrowdedBaseline, TrafficBaseline};
 use crate::pipeline::{PrivApi, PrivApiConfig, PublishedDataset};
-use crate::pool::StrategyPool;
 use crate::selection::Objective;
 use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
@@ -324,7 +325,7 @@ impl AttackSide {
         let mut readers: Vec<(UserId, R)> = users.into_iter().map(|u| (u, open(u))).collect();
         let grid = attack.grid_for(bbox);
         let grid_id = grid_key(&grid);
-        let config = extraction_config(attack.config());
+        let config = attack.config().extraction_config();
         let parent = obs::current_span();
         let found: Vec<_> = readers
             .par_iter_mut()
@@ -475,14 +476,16 @@ impl std::fmt::Display for IngestDelta {
 
 /// Cross-window **original-side** attack state: the accumulated prefix,
 /// its attack side (the per-user shards extracted from it), and the
-/// reference POIs + spatial index the engine scores candidates against.
+/// reference POIs + one spatial index per matching distance the engine
+/// scores candidates against.
 ///
 /// This is the population-level half of the streaming state, usable on its
 /// own: the multi-campaign orchestrator keeps *one* `PopulationCache` per
-/// attack configuration and lets every same-configuration campaign read
-/// it, so the original-side extraction work is paid once per window
-/// instead of once per campaign. A [`StreamingPublisher`] pairs one
-/// `PopulationCache` with one [`StrategySessionCache`].
+/// set of extraction parameters and lets every campaign extracting that
+/// way read it, whatever its matching distance, so the original-side
+/// extraction work is paid once per window instead of once per campaign.
+/// A [`StreamingPublisher`] pairs one `PopulationCache` with one
+/// [`StrategySessionCache`].
 ///
 /// The cache is pure state — it holds no attack of its own.
 /// [`PopulationCache::advance`] borrows the caller's [`PoiAttack`] so the
@@ -499,7 +502,9 @@ pub struct PopulationCache {
     /// assembly — O(that user's history) instead of O(prefix).
     side: AttackSide,
     reference: ReferencePois,
-    index: Option<ReferenceIndex>,
+    /// One amended spatial index over the reference per matching distance
+    /// its readers match at ([`PopulationCache::track_match_distance`]).
+    indexes: Vec<ReferenceIndex>,
     windows_ingested: usize,
     last_day: Option<i64>,
     /// Fingerprint of the attack parameters the cached shards, reference
@@ -628,10 +633,34 @@ impl PopulationCache {
         &self.reference
     }
 
-    /// The amended spatial index over [`PopulationCache::reference`], or
-    /// `None` before the first window.
-    pub fn reference_index(&self) -> Option<&ReferenceIndex> {
-        self.index.as_ref()
+    /// The amended spatial index over [`PopulationCache::reference`] at
+    /// `match_distance`, or `None` before the first window or when no
+    /// reader matches at that distance.
+    pub fn reference_index(&self, match_distance: Meters) -> Option<&ReferenceIndex> {
+        let index = self
+            .indexes
+            .iter()
+            .find(|i| i.match_distance() == match_distance);
+        index.filter(|_| self.side.grid_box.is_some())
+    }
+
+    /// Keeps a spatial index over the reference at `match_distance` from
+    /// now on, built over the current reference and amended with it every
+    /// window. [`PopulationCache::advance`] tracks its attack's distance
+    /// itself; a cache whose readers match at other distances — campaigns
+    /// that share one extraction but differ in matching — tracks theirs.
+    pub fn track_match_distance(&mut self, match_distance: Meters) {
+        if self
+            .indexes
+            .iter()
+            .all(|i| i.match_distance() != match_distance)
+        {
+            let mut index = ReferenceIndex::empty(match_distance);
+            for (user, pois) in &self.reference {
+                index.update_user(*user, pois);
+            }
+            self.indexes.push(index);
+        }
     }
 
     /// Number of windows folded into this cache.
@@ -771,7 +800,9 @@ impl PopulationCache {
         if config_changed {
             self.side.shards.clear();
             self.reference.clear();
-            self.index = None;
+            for index in &mut self.indexes {
+                *index = ReferenceIndex::empty(index.match_distance());
+            }
         }
         if self.attack_config.as_ref() != Some(attack.config()) {
             self.attack_config = Some(attack.config().clone());
@@ -808,14 +839,16 @@ impl PopulationCache {
             // Empty prefix: nothing to extract yet.
             return Ok(delta);
         }
-        let index = self
-            .index
-            .get_or_insert_with(|| ReferenceIndex::empty(attack.config().match_distance));
+        self.track_match_distance(attack.config().match_distance);
         for (user, ()) in &refreshed {
             let pois = &self.side.shards[user].shard.pois;
-            if index.update_user(*user, pois) {
-                delta.indexes_extended += 1;
+            // Whether an index extends depends on the POIs alone, so every
+            // index answers alike.
+            let mut extended = false;
+            for index in &mut self.indexes {
+                extended = index.update_user(*user, pois);
             }
+            delta.indexes_extended += usize::from(extended);
             self.reference.insert(*user, pois.clone());
         }
         delta.users_refreshed = counts.refreshed - counts.served;
@@ -839,7 +872,7 @@ impl PopulationCache {
 /// records, and whether the prefix bounding box (and with it every
 /// grid anchored on it) moved.
 ///
-/// Built by [`crate::pipeline::PrivApi::publish_session`] from the
+/// Built by [`crate::pipeline::PrivApi::publish_member`] from the
 /// window's users and [`PopulationCache::advance`]'s delta, and consumed
 /// by the engine's cached sweep to decide, per candidate strategy, which
 /// cached protected outputs survive.
@@ -962,11 +995,6 @@ obs::audit! {
 /// again, as the [module docs](crate::streaming) describe.
 #[derive(Debug, Default)]
 pub(crate) struct CandidateState {
-    /// Fingerprint of the candidate this state belongs to — its identity
-    /// card and its exact output identity, since the card's parameter text
-    /// is rounded for display (`None` until first primed). A pool edit
-    /// that changes the candidate at this slot resets the state.
-    fingerprint: Option<Fingerprint>,
     /// The key a strategy without an exact output identity stores its
     /// outputs under: unique to this state, so nothing is shared.
     token: Option<u64>,
@@ -987,14 +1015,6 @@ pub(crate) struct CandidateState {
     utility: Option<UtilityFold>,
     /// Whether this state has absorbed at least one window.
     primed: bool,
-}
-
-/// What a [`CandidateState`] slot is valid for: the candidate's identity
-/// card and exact output identity.
-type Fingerprint = (StrategyInfo, Option<OutputIdentity>);
-
-fn fingerprint(strategy: &dyn AnonymizationStrategy) -> Fingerprint {
-    (strategy.info(), strategy.output_identity())
 }
 
 /// A fresh [`Sharing::Private`] token.
@@ -1255,7 +1275,7 @@ impl CandidateState {
     /// as [`Fills`] for the caller to insert once the sweep is over, so
     /// candidates swept in parallel only ever read the store. The caller
     /// then tells the state whether to keep its outputs
-    /// ([`CandidateState::settle`]).
+    /// ([`CandidateState::retain`]), or lets them go when the window closes.
     ///
     /// Returns `(None, delta, _)` when the candidate cannot be cached
     /// ([`UserLocality::NonLocal`]): the caller must evaluate it through
@@ -1275,7 +1295,6 @@ impl CandidateState {
         let mut delta = CandidateDelta::empty(info.clone(), locality);
         let counts = &mut delta.counts;
         let mut fills = Fills::default();
-        self.fingerprint = Some((info.clone(), strategy.output_identity()));
         if locality == UserLocality::NonLocal {
             fills.released_all = self.primed;
             self.clear();
@@ -1395,27 +1414,26 @@ impl CandidateState {
         (Some((self.extracted_pois(), utility)), delta, fills)
     }
 
-    /// Keeps or lets go of the candidate's outputs once the sweep knows
-    /// whether anything reads them next window (`retain`: the candidate is
-    /// feasible, or the objective pairs records). A state that starts
-    /// retaining produces the outputs it let go of; one that stops
-    /// releases every user's.
-    pub(crate) fn settle(
+    /// Keeps every output, once a publisher found the candidate feasible
+    /// (it may win and release them) or the objective pairs records: a
+    /// state that starts retaining produces the outputs it let go of.
+    pub(crate) fn retain(
         &mut self,
-        retain: bool,
         protector: &Protector<'_>,
         counts: &mut StrategyCacheDelta,
         fills: &mut Fills,
     ) {
-        if !retain {
-            fills.released.extend(self.protected.keys().copied());
-            self.protected.clear();
-            return;
-        }
         let mut produced = Produced::default();
         self.materialize(protector, &mut produced);
         counts.trajectories_reprotected += produced.protected;
         produced.file(counts, fills);
+    }
+
+    /// Lets go of every output, at the end of a window in which no
+    /// publisher retained them: nothing reads them next window.
+    fn release(&mut self, released: &mut Vec<UserId>) {
+        released.extend(self.protected.keys().copied());
+        self.protected.clear();
     }
 
     /// Re-anonymizes `user`, whose history is now `sources`, for a window:
@@ -1811,10 +1829,10 @@ type OutputKey = (OutputFamily, ById);
 type UtilityKey = (FoldKind, GridKey, OutputKey);
 
 /// The key of a per-user attack shard: the extraction parameters
-/// ([`extraction_config`]), the grid, the user, and the user's
-/// trajectories — the source list by identity, and on the protected side
-/// the output family its outputs were produced under. Original-side and
-/// protected-side shards share it.
+/// ([`PoiAttackConfig::extraction_config`]), the grid, the user, and the
+/// user's trajectories — the source list by identity, and on the protected
+/// side the output family its outputs were produced under. Original-side
+/// and protected-side shards share it.
 #[derive(Debug)]
 struct ShardKey {
     config: PoiAttackConfig,
@@ -1851,15 +1869,6 @@ impl Hash for ShardKey {
         for source in &self.sources {
             Arc::as_ptr(source).hash(state);
         }
-    }
-}
-
-/// The attack parameters a shard depends on: all of them but
-/// `match_distance`, which only matching reads.
-fn extraction_config(config: &PoiAttackConfig) -> PoiAttackConfig {
-    PoiAttackConfig {
-        match_distance: Meters::default(),
-        ..config.clone()
     }
 }
 
@@ -2063,43 +2072,121 @@ impl WorkStore {
             let entries = self.users.entry(user).or_default();
             entries.utility.entry(key).or_insert(value);
         }
-        self.released.extend(fills.released);
-        self.released_all |= fills.released_all;
+        self.release(fills.released, fills.released_all);
+    }
+
+    /// Notes that the holders of `users`' entries — of any user's, with
+    /// `all` — may have let go of some.
+    pub(crate) fn release(&mut self, users: Vec<UserId>, all: bool) {
+        self.released.extend(users);
+        self.released_all |= all;
     }
 }
 
-/// Cross-window **protected-side** attack state, one entry per candidate
-/// strategy of the evaluated pool. Each entry runs the same attack side as
-/// [`PopulationCache`] (see the [module docs](crate::streaming)), over the candidate's
-/// outputs instead of the prefix, which makes the per-candidate
-/// *self-attacks* — the measured dominant per-window cost — incremental.
-/// It adds the candidate's outputs while the candidate is feasible, the
-/// folded utility counts, and the re-anonymization rule of the strategy's
-/// [`AnonymizationStrategy::locality`].
+/// Cross-window **protected-side** attack state: one candidate state
+/// per candidate, seed and objective that the publishers reading one
+/// [`PopulationCache`] evaluate. Each state runs the same attack side as
+/// [`PopulationCache`] (see the [module docs](crate::streaming)), over the
+/// candidate's outputs instead of the prefix, which makes the
+/// per-candidate *self-attacks* — the measured dominant per-window cost —
+/// incremental. It adds the candidate's outputs while the candidate is
+/// feasible, the folded utility counts, and the re-anonymization rule of
+/// the strategy's [`AnonymizationStrategy::locality`].
 ///
-/// The cache is self-validating: it fingerprints the pool (per slot, the
-/// [`StrategyInfo`] and the exact
-/// [`AnonymizationStrategy::output_identity`]), the selection seed and the
-/// attack parameters, and
-/// resets any entry whose fingerprint no longer matches, so a session that
-/// swaps pools, seeds or attacks mid-stream degrades to correct full
-/// recomputation instead of reusing stale state.
+/// A state depends on the population view, the candidate, the seed, the
+/// objective and the extraction parameters — not on the matching distance
+/// or the privacy floor. So it is **refreshed once per window**, by the
+/// first publisher that evaluates its candidate
+/// ([`PrivApi::publish_member`]); every other publisher evaluating the same
+/// candidate only matches the extracted POIs against its own reference
+/// index and floor. A [`StreamingPublisher`] is a group of one; the
+/// campaign orchestrator keeps one cache per population view.
+/// [`StrategySessionCache::close_window`] ends each window.
+///
+/// The cache is self-validating: states are keyed by the candidate's
+/// [`StrategyInfo`] and exact [`AnonymizationStrategy::output_identity`],
+/// the seed and the objective, and the whole cache resets when the
+/// attack's extraction parameters change, so a session that swaps pools,
+/// seeds or attacks mid-stream degrades to correct recomputation instead
+/// of reusing stale state. A candidate without an exact output identity
+/// gets a state of its own per publisher and pool slot.
 #[derive(Debug, Default)]
 pub struct StrategySessionCache {
-    seed: Option<u64>,
-    attack_config: Option<PoiAttackConfig>,
-    pub(crate) states: Vec<CandidateState>,
+    /// The extraction parameters every state was derived under.
+    extraction: Option<PoiAttackConfig>,
+    pub(crate) states: Vec<SharedState>,
     pub(crate) last_deltas: Vec<CandidateDelta>,
 }
 
+/// One state of a [`StrategySessionCache`]: what selects it, the state,
+/// and what this window's refresh scored.
+#[derive(Debug)]
+pub(crate) struct SharedState {
+    key: StateKey,
+    pub(crate) state: CandidateState,
+    /// This window's refresh (`None` until a publisher refreshes the state
+    /// this window).
+    pub(crate) window: Option<Refreshed>,
+}
+
+/// What one window's refresh of a [`CandidateState`] gave every publisher
+/// evaluating its candidate.
+#[derive(Debug)]
+pub(crate) struct Refreshed {
+    /// The extracted protected-side POIs and the utility score, or `None`
+    /// for a candidate that cannot be cached
+    /// ([`UserLocality::NonLocal`]): each publisher evaluates it in full.
+    pub(crate) scored: Option<(ReferencePois, f64)>,
+    /// The state's audit for the window: its refresh and its retention.
+    pub(crate) delta: CandidateDelta,
+    /// Whether the state holds every output for the rest of the window: a
+    /// publisher found the candidate feasible, or the objective pairs
+    /// records.
+    pub(crate) retained: bool,
+}
+
+/// What a [`CandidateState`] is valid for.
+#[derive(Debug, Clone, PartialEq)]
+struct StateKey {
+    /// The candidate's identity card and exact output identity, since the
+    /// card's parameter text is rounded for display.
+    candidate: (StrategyInfo, Option<OutputIdentity>),
+    seed: u64,
+    objective: Objective,
+    /// The publisher and pool slot of a candidate without an exact output
+    /// identity, whose state is never shared.
+    owner: Option<(u64, usize)>,
+}
+
+impl StateKey {
+    /// The key of each slot of `privapi`'s pool for publisher `member`.
+    fn all(privapi: &PrivApi, member: u64) -> impl Iterator<Item = StateKey> + '_ {
+        let config = privapi.config();
+        privapi
+            .pool()
+            .iter()
+            .enumerate()
+            .map(move |(slot, strategy)| {
+                let identity = strategy.output_identity();
+                StateKey {
+                    owner: identity.is_none().then_some((member, slot)),
+                    candidate: (strategy.info(), identity),
+                    seed: config.seed,
+                    objective: config.objective,
+                }
+            })
+    }
+}
+
 impl StrategySessionCache {
-    /// Creates an empty cache (sized lazily to the evaluated pool).
+    /// Creates an empty cache (filled lazily with the evaluated pools).
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Per-candidate audit of the most recent window, in pool order.
-    /// Empty before the first cached evaluation.
+    /// Per-candidate audit of the most recent evaluation, in pool order.
+    /// Empty before the first cached evaluation. A state shared with an
+    /// earlier publisher of the window reports that refresh's audit.
     pub fn last_deltas(&self) -> &[CandidateDelta] {
         &self.last_deltas
     }
@@ -2113,7 +2200,7 @@ impl StrategySessionCache {
         total
     }
 
-    /// Number of candidate slots currently tracked.
+    /// Number of candidate states currently tracked.
     pub fn candidates(&self) -> usize {
         self.states.len()
     }
@@ -2123,28 +2210,76 @@ impl StrategySessionCache {
         self.states.is_empty()
     }
 
-    /// Sizes the cache to `pool` and resets every slot whose fingerprint
-    /// (candidate identity, seed, attack parameters) no longer matches —
-    /// called by the engine before each cached sweep. Returns whether a
-    /// slot holding state was dropped.
-    pub(crate) fn align(&mut self, pool: &StrategyPool, seed: u64, attack: &PoiAttack) -> bool {
-        let mut dropped = false;
-        if self.seed != Some(seed) || self.attack_config.as_ref() != Some(attack.config()) {
-            dropped = !self.states.is_empty();
-            self.states.clear();
-            self.seed = Some(seed);
-            self.attack_config = Some(attack.config().clone());
+    /// Resets every state when `attack`'s extraction parameters are not the
+    /// ones the states were derived under — called before each publisher's
+    /// sweep. Returns whether a state holding data was dropped.
+    pub(crate) fn align(&mut self, attack: &PoiAttack) -> bool {
+        let extraction = attack.config().extraction_config();
+        if self.extraction.as_ref() == Some(&extraction) {
+            return false;
         }
-        dropped |= self.states.len() > pool.len();
-        self.states.truncate(pool.len());
-        self.states.resize_with(pool.len(), CandidateState::default);
-        for (state, strategy) in self.states.iter_mut().zip(pool.iter()) {
-            if state.fingerprint.as_ref() != Some(&fingerprint(strategy)) {
-                dropped |= state.primed;
-                *state = CandidateState::default();
+        self.extraction = Some(extraction);
+        let dropped = self.states.iter().any(|s| s.state.primed);
+        self.states.clear();
+        dropped
+    }
+
+    /// The state of each slot of `privapi`'s pool for publisher `member`,
+    /// created empty where none matches.
+    pub(crate) fn slots(&mut self, privapi: &PrivApi, member: u64) -> Vec<usize> {
+        StateKey::all(privapi, member)
+            .map(|key| match self.states.iter().position(|s| s.key == key) {
+                Some(at) => at,
+                None => {
+                    self.states.push(SharedState {
+                        key,
+                        state: CandidateState::default(),
+                        window: None,
+                    });
+                    self.states.len() - 1
+                }
+            })
+            .collect()
+    }
+
+    /// Ends the window for every publisher reading this cache: lets go of
+    /// the outputs of each state that no publisher found feasible, records
+    /// the audit of each state refreshed this window into the `strategy.*`
+    /// instruments — once, however many publishers read it — and drops
+    /// every state that none of `members` (publisher ids with their
+    /// middlewares) evaluates any more. Returns the audits of the states
+    /// refreshed this window, in state order.
+    pub fn close_window<'a>(
+        &mut self,
+        members: impl IntoIterator<Item = (u64, &'a PrivApi)>,
+        store: &mut WorkStore,
+    ) -> Vec<CandidateDelta> {
+        let live: Vec<StateKey> = members
+            .into_iter()
+            .flat_map(|(member, privapi)| StateKey::all(privapi, member))
+            .collect();
+        let (mut released, mut released_all) = (Vec::new(), false);
+        let mut refreshed = Vec::new();
+        let mut total = StrategyCacheDelta::default();
+        for shared in &mut self.states {
+            if let Some(window) = shared.window.take() {
+                if !window.retained {
+                    shared.state.release(&mut released);
+                }
+                total += window.delta.counts;
+                refreshed.push(window.delta);
             }
         }
-        dropped
+        self.states.retain(|shared| {
+            let kept = live.contains(&shared.key);
+            released_all |= !kept && shared.state.primed;
+            kept
+        });
+        store.release(released, released_all);
+        if !refreshed.is_empty() {
+            obs::record(&total);
+        }
+        refreshed
     }
 }
 
@@ -2174,7 +2309,8 @@ pub struct PublishedWindow {
 ///
 /// It owns one session; the multi-campaign orchestrator owns N campaigns
 /// over one population. Both drive the same streaming step,
-/// [`PrivApi::publish_session`].
+/// [`PrivApi::publish_member`]; a publisher is a group of one
+/// ([`PrivApi::publish_session`]).
 ///
 /// # Example
 ///
@@ -2572,7 +2708,10 @@ mod tests {
         assert_eq!(cache.windows_ingested(), 2);
         assert_eq!(cache.reference().len(), 2);
         assert_eq!(
-            cache.reference_index().unwrap().user_count(),
+            cache
+                .reference_index(PoiAttackConfig::default().match_distance)
+                .unwrap()
+                .user_count(),
             2,
             "index covers both users"
         );
@@ -3062,7 +3201,7 @@ mod tests {
             let pois: usize = population.reference().values().map(Vec::len).sum();
             assert!(pois > 0, "window {i}: nothing to compare");
             assert_eq!(
-                &strategies.states[0].extracted_pois(),
+                &strategies.states[0].state.extracted_pois(),
                 population.reference(),
                 "window {i}"
             );
@@ -3164,6 +3303,59 @@ mod tests {
     }
 
     #[test]
+    fn a_matching_distance_the_population_does_not_index_is_built() {
+        // The population is advanced at the default 350 m; a publisher
+        // matching at 400 m still releases exactly what a batch publish at
+        // 400 m does, over an index built for it.
+        let windows = WindowedDataset::partition(&dataset(23, 3, 2));
+        let wide = PrivApi::default().with_attack(PoiAttack::new(PoiAttackConfig {
+            match_distance: geo::Meters::new(400.0),
+            ..PoiAttackConfig::default()
+        }));
+        let mut session = Session::default();
+        for (i, window) in windows.iter().enumerate() {
+            let (population, strategies, store) = &mut session;
+            let delta = population
+                .advance(&PoiAttack::default(), window, store)
+                .unwrap();
+            assert!(population
+                .reference_index(geo::Meters::new(400.0))
+                .is_none());
+            let release = wide
+                .publish_session(population, strategies, delta, &window.users(), store)
+                .unwrap();
+            let batch = wide.publish(&windows.prefix(i)).unwrap();
+            assert_eq!(release.published.selection, batch.selection, "window {i}");
+            assert_eq!(release.published.dataset, batch.dataset, "window {i}");
+        }
+    }
+
+    #[test]
+    fn a_pool_listing_a_candidate_twice_refreshes_it_once() {
+        // Both slots map onto one state: it is refreshed once, both score
+        // alike, and the release still equals batch.
+        use crate::pool::StrategyPool;
+        let windows = WindowedDataset::partition(&dataset(37, 3, 2));
+        let privapi = PrivApi::new(PrivApiConfig {
+            privacy_floor: 1.0, // keep the candidate feasible
+            ..PrivApiConfig::default()
+        })
+        .with_pool(
+            StrategyPool::new()
+                .with_gaussian_perturbation(&[100.0, 100.0])
+                .unwrap(),
+        );
+        let mut publisher = StreamingPublisher::from_privapi(privapi);
+        for (i, window) in windows.iter().enumerate() {
+            let release = publisher.publish_window(window).unwrap();
+            assert_eq!(publisher.strategies().candidates(), 1, "window {i}");
+            let batch = publisher.privapi().publish(&windows.prefix(i)).unwrap();
+            assert_eq!(release.published.selection, batch.selection, "window {i}");
+            assert_eq!(release.published.dataset, batch.dataset, "window {i}");
+        }
+    }
+
+    #[test]
     fn sub_display_pool_swap_mid_session_resets_the_slot() {
         // 100 m and 100.3 m Gaussians share one display card
         // (`sigma=100m`), so a slot fingerprinted by the card alone would
@@ -3219,7 +3411,7 @@ mod tests {
                  over {prefix} trajectories"
             );
             for (state, candidate) in publisher.strategies().states.iter().zip(candidates) {
-                let held: usize = state.protected.values().flatten().flatten().count();
+                let held: usize = state.state.protected.values().flatten().flatten().count();
                 let expected = if candidate.feasible { prefix } else { 0 };
                 assert_eq!(held, expected, "window {i}: {}", candidate.info);
             }
@@ -3232,7 +3424,9 @@ mod tests {
         let publisher = StreamingPublisher::new(PrivApiConfig::default());
         let population = publisher.population();
         assert_eq!(population.windows_ingested(), 0);
-        assert!(population.reference_index().is_none());
+        assert!(population
+            .reference_index(PoiAttackConfig::default().match_distance)
+            .is_none());
         assert_eq!(population.prefix().record_count(), 0);
         assert!(population.shards().next().is_none());
         assert!(publisher.store().is_empty());

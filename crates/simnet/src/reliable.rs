@@ -481,9 +481,11 @@ impl ReliableReceiver {
         self.pending.values()
     }
 
-    /// Accepts one frame; returns the chunks newly released in sequence
-    /// order (possibly empty, possibly several when a gap closes) and the
-    /// ack to answer with.
+    /// Accepts one frame: appends the chunks it newly releases to
+    /// `released`, in sequence order (none, or several when a gap closes),
+    /// and returns the ack to answer with. The caller owns `released`, so
+    /// a receiver that reuses one buffer allocates nothing per frame once
+    /// it has grown.
     ///
     /// Duplicates — below the watermark or already buffered — release
     /// nothing but are still acknowledged, so a sender whose ack got lost
@@ -493,8 +495,8 @@ impl ReliableReceiver {
         sender: u64,
         seq: u64,
         chunk: Bytes,
-    ) -> (Vec<(u64, Bytes)>, AckFrame) {
-        let mut released = Vec::new();
+        released: &mut Vec<(u64, Bytes)>,
+    ) -> AckFrame {
         if seq <= self.watermark || self.pending.contains_key(&seq) {
             self.stats.duplicates += 1;
         } else {
@@ -506,14 +508,11 @@ impl ReliableReceiver {
                 released.push((self.watermark, chunk));
             }
         }
-        (
-            released,
-            AckFrame {
-                sender,
-                cumulative: self.watermark,
-                seq,
-            },
-        )
+        AckFrame {
+            sender,
+            cumulative: self.watermark,
+            seq,
+        }
     }
 }
 
@@ -676,24 +675,26 @@ mod tests {
     #[test]
     fn receiver_releases_in_order_and_absorbs_duplicates() {
         let mut rx = ReliableReceiver::new();
+        let mut released = Vec::new();
         // 2 arrives before 1: buffered, acked with cumulative 0.
-        let (released, ack) = rx.accept(9, 2, chunk(2));
+        let ack = rx.accept(9, 2, chunk(2), &mut released);
         assert!(released.is_empty());
         assert_eq!(ack.cumulative, 0);
         assert_eq!(rx.buffered(), 1);
         // 1 closes the gap: both release, in order.
-        let (released, ack) = rx.accept(9, 1, chunk(1));
+        let ack = rx.accept(9, 1, chunk(1), &mut released);
         assert_eq!(
             released.iter().map(|(s, _)| *s).collect::<Vec<_>>(),
             vec![1, 2]
         );
         assert_eq!(ack.cumulative, 2);
-        // Duplicates of both release nothing but still ack.
-        let (released, ack) = rx.accept(9, 1, chunk(1));
-        assert!(released.is_empty());
+        // Duplicates of both release nothing but still ack; the buffer
+        // only ever grows by what is released.
+        let ack = rx.accept(9, 1, chunk(1), &mut released);
+        assert_eq!(released.len(), 2);
         assert_eq!(ack.cumulative, 2);
-        let (released, _) = rx.accept(9, 2, chunk(2));
-        assert!(released.is_empty());
+        rx.accept(9, 2, chunk(2), &mut released);
+        assert_eq!(released.len(), 2);
         assert_eq!(rx.stats().duplicates, 2);
         assert_eq!(rx.stats().released, 2);
     }
@@ -793,8 +794,9 @@ mod tests {
         impl Actor for Collector {
             fn on_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message) {
                 if let Ok(frame) = DataFrame::from_message(&msg) {
-                    let (released, ack) = self.rx.accept(frame.sender, frame.seq, frame.chunk);
-                    self.chunks.extend(released);
+                    let ack =
+                        self.rx
+                            .accept(frame.sender, frame.seq, frame.chunk, &mut self.chunks);
                     ctx.send(from, ack.to_message());
                 }
             }
@@ -848,8 +850,7 @@ mod tests {
             let frame = DataFrame::from_message(&msg).ok()?;
             let mut guard = server_state.lock().unwrap();
             let (rx, chunks) = &mut *guard;
-            let (released, ack) = rx.accept(frame.sender, frame.seq, frame.chunk);
-            chunks.extend(released);
+            let ack = rx.accept(frame.sender, frame.seq, frame.chunk, chunks);
             let mut reply = ack.to_message();
             reply.request_id = msg.request_id;
             Some(reply)
