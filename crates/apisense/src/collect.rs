@@ -5,7 +5,7 @@
 //! network may drop, duplicate, reorder, partition or crash-restart — so the
 //! Hive-side [`Collector`] must turn that chaos back into the clean,
 //! strictly-ascending day-window stream the PRIVAPI publication pipeline
-//! demands ([`privapi::streaming::PopulationCache::advance`] rejects any
+//! demands ([`privapi::streaming::Session::advance`] rejects any
 //! day that does not strictly ascend):
 //!
 //! * **dedup** — each device's frames carry a sequence number; the per-device

@@ -38,16 +38,15 @@ fn bench_streaming(c: &mut Criterion) {
     });
 
     group.bench_function("session_advance_all_windows", |b| {
-        let attack = PoiAttack::default();
         b.iter(|| {
             let mut store = WorkStore::new();
-            let mut cache = PopulationCache::new();
+            let mut session = Session::new(PoiAttack::default());
             for window in &windows {
-                let delta = cache.advance(&attack, window, &mut store);
+                let delta = session.advance(window, &mut store);
                 black_box(delta.expect("ascending windows"));
                 store.drop_released();
             }
-            black_box(cache.windows_ingested())
+            black_box(session.population().windows_ingested())
         })
     });
 

@@ -32,8 +32,7 @@ use obs::Tally;
 use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
 use privapi::streaming::{
-    BaselineDelta, PopulationCache, StrategyCacheDelta, StreamingPublisher, WindowDelta,
-    WorkStore,
+    BaselineDelta, Session, StrategyCacheDelta, StreamingPublisher, WindowDelta, WorkStore,
 };
 use std::fmt;
 use std::time::Instant;
@@ -429,11 +428,11 @@ pub fn run(config: &E12Config) -> E12Report {
     // same-config group shares under the orchestrator and pays K× when
     // independent.
     let original_probe = PoiAttack::default();
-    let mut original_cache = PopulationCache::new();
+    let mut original = Session::new(original_probe.clone());
     let mut store = WorkStore::new();
     for window in &windows {
-        original_cache
-            .advance(&original_probe, window, &mut store)
+        original
+            .advance(window, &mut store)
             .expect("ascending windows");
     }
     let original_side_user_extractions = original_probe.user_extractions();
@@ -471,7 +470,7 @@ pub fn run(config: &E12Config) -> E12Report {
         let report = orchestrator.advance_day(window).expect("ascending days");
         orchestrated_total_ms += start.elapsed().as_secs_f64() * 1e3;
         // Shared sessions advance once per window whatever the number of
-        // campaigns reading them; private views advance per campaign.
+        // campaigns reading them; private sessions advance per campaign.
         let private = report
             .outcomes
             .iter()

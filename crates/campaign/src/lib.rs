@@ -19,7 +19,7 @@
 //!   state (anonymization, self-attack, utility fold), refreshed once per
 //!   window; each campaign only matches it against its own reference
 //!   index and privacy floor;
-//! * same extraction parameters + user-subset filter → a private view
+//! * same extraction parameters + user-subset filter → a private session
 //!   that is *served* shards, outputs and contributions from the work
 //!   store whenever the extraction grids agree;
 //! * different extraction parameters → the campaign pays exactly its own

@@ -12,8 +12,7 @@
 //!   extraction parameters)* — the attack configuration without its
 //!   matching distance — not on the campaign's objective, pool, seed,
 //!   matching distance or privacy floor. The orchestrator keeps one
-//!   [`SharedSession`] (a [`PopulationCache`] plus the attack that
-//!   maintains it) per distinct *(extraction parameters, start day, stream
+//!   [`Session`] per distinct *(extraction parameters, start day, stream
 //!   position)* group; it advances once per window and amends one
 //!   reference index per matching distance its campaigns use.
 //! * **candidate state** — anonymizing, self-attacking and
@@ -33,10 +32,10 @@
 //! quantized anchor, source trajectory), each attack shard by (extraction
 //! parameters, grid, user, trajectory list) and each utility contribution
 //! by (baseline grid, output). Caches that do not share a tier — a user
-//! subset's private view, a campaign with another seed — are still served
-//! everything their inputs have in common with another; a served entry
-//! is byte-identical to a recomputed one, so the store only ever skips
-//! work.
+//! subset's private session, a campaign with another seed — are still
+//! served everything their inputs have in common with another; a served
+//! entry is byte-identical to a recomputed one, so the store only ever
+//! skips work.
 //!
 //! [`Orchestrator::advance_day`] advances each consumed session **once**,
 //! then evaluates the campaigns in registration order, each sweep fanned
@@ -49,47 +48,40 @@
 //! go of, states no live campaign evaluates are dropped) and the store
 //! drops every entry no session or state holds any more.
 //!
-//! Filtered campaigns own a private [`PopulationCache`] and candidate
-//! states over their filtered stream. A user-subset filter keeps each kept
-//! trajectory as the same shared handle, so the subset's shards are served
-//! from the store whenever its extraction grid matches the population's
-//! (the subset spans the population's bounding box) — whatever order the
-//! campaigns were registered in.
+//! Filtered campaigns own a private [`Session`] over their filtered
+//! stream. A user-subset filter keeps each kept trajectory as the same
+//! shared handle, so the subset's shards are served from the store
+//! whenever its extraction grid matches the population's (the subset spans
+//! the population's bounding box) — whatever order the campaigns were
+//! registered in.
 //!
 //! # The parity invariant
 //!
 //! Each campaign's releases are **byte-identical** to running that
 //! campaign alone through a [`privapi::streaming::StreamingPublisher`]
 //! fed its filtered windows (skipping days its filter empties). This is
-//! by construction — the orchestrator drives the exact
-//! [`privapi::pipeline::PrivApi::publish_member`] step a standalone
-//! session runs as a group of one — and enforced by property tests across
-//! seeds, sparse participation, subset filters and random campaign mixes.
+//! by construction — the orchestrator drives the exact [`Session`] calls a
+//! standalone publisher runs as a group of one — and enforced by property
+//! tests across seeds, sparse participation, subset filters and random
+//! campaign mixes.
 
 use crate::campaign::{Campaign, CampaignError, CampaignId, CampaignStatus};
-use crate::registry::{CampaignEntry, CampaignRegistry, PrivateView, View};
-use mobility::{DatasetWindow, UserId};
-use privapi::attack::PoiAttack;
+use crate::registry::{CampaignEntry, CampaignRegistry, View};
+use mobility::DatasetWindow;
 use privapi::federated::FederationDelta;
 use privapi::pipeline::PublishedDataset;
 use privapi::streaming::{
-    BaselineDelta, CandidateDelta, IngestDelta, PopulationCache, StrategyCacheDelta,
-    StrategySessionCache, WindowDelta, WorkStore,
+    BaselineDelta, CandidateDelta, IngestDelta, Session, StrategyCacheDelta, WindowDelta,
+    WorkStore,
 };
 use privapi::PrivapiError;
 
-/// One shared session: the population's [`PopulationCache`] under one set
-/// of extraction parameters, advanced once per window, and the candidate
-/// states its campaigns evaluate, each refreshed once per window.
+/// One shared session: the population's [`Session`] under the attack of
+/// its first campaign (whose probe its extraction accounting lands on),
+/// advanced once per window for every campaign attached to it.
 #[derive(Debug)]
 pub(crate) struct SharedSession {
-    /// The attack maintaining the cache (a clone of the first attached
-    /// campaign's, so its extraction accounting lands on that campaign's
-    /// probe).
-    pub(crate) attack: PoiAttack,
-    pub(crate) cache: PopulationCache,
-    /// The candidate states of every attached campaign.
-    pub(crate) strategies: StrategySessionCache,
+    pub(crate) session: Session,
     /// First day the session ingests (the attached campaigns' common
     /// `start_day`).
     pub(crate) start_day: Option<i64>,
@@ -179,8 +171,8 @@ pub struct DayReport {
     /// Audit of every candidate state refreshed this day, once each: a
     /// state several campaigns share (one population view, candidate,
     /// seed and objective) is refreshed once and listed once, however many
-    /// of them read it. Sessions' states come first, in session order,
-    /// then private views' in registration order.
+    /// of them read it. Shared sessions' states come first, in session
+    /// order, then private sessions' in registration order.
     pub candidates: Vec<CandidateDelta>,
     /// Per-campaign outcomes, in registration order.
     pub outcomes: Vec<(CampaignId, CampaignOutcome)>,
@@ -296,9 +288,9 @@ impl Orchestrator {
     /// matching its extraction parameters, start day and stream position,
     /// so K such campaigns pay the original-side extraction once, and
     /// each candidate refresh once per (candidate, seed, objective) they
-    /// share. A filtered campaign gets a private view, whose shards are
+    /// share. A filtered campaign gets a private session, whose shards are
     /// served from the work store wherever its inputs match another
-    /// cache's — registration order does not matter.
+    /// session's — registration order does not matter.
     ///
     /// # Errors
     ///
@@ -323,7 +315,7 @@ impl Orchestrator {
         let view = if campaign.filter().is_all() {
             View::Shared(self.find_or_create_session(&campaign))
         } else {
-            View::Private(Box::default())
+            View::Private(Box::new(Session::new(campaign.privapi().attack().clone())))
         };
         self.registry.push(CampaignEntry {
             campaign,
@@ -336,7 +328,7 @@ impl Orchestrator {
 
     /// Retires an active campaign: it stops observing the stream
     /// immediately, its id becomes reusable and its state is dropped —
-    /// its private view, or the candidate states of its session that no
+    /// its private session, or the candidate states of its session that no
     /// other campaign evaluates. A shared session whose last non-retired
     /// consumer retires is
     /// garbage-collected on the spot (its cache freed, surviving session
@@ -355,12 +347,11 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// Closes the window of every candidate-state cache
-    /// ([`StrategySessionCache::close_window`]): the outputs no campaign
-    /// found feasible are let go of, and the states no live campaign (not
-    /// retired, not ended) evaluates any more are dropped. Returns the
-    /// audit of each state refreshed this window, sessions first, then
-    /// private views in registration order.
+    /// Closes the window of every session ([`Session::close_window`]): the
+    /// outputs no campaign found feasible are let go of, and the states no
+    /// live campaign (not retired, not ended) evaluates any more are
+    /// dropped. Returns the audit of each state refreshed this window,
+    /// shared sessions first, then private ones in registration order.
     fn close_windows(&mut self) -> Vec<CandidateDelta> {
         let day = self.last_day;
         let live = |e: &CampaignEntry| {
@@ -374,13 +365,13 @@ impl Orchestrator {
                 .iter()
                 .filter(|e| live(e) && e.view.shared_session() == Some(index));
             let members = members.map(|e| (e.campaign.id().0, e.campaign.privapi()));
-            refreshed.extend(session.strategies.close_window(members, &mut self.store));
+            refreshed.extend(session.session.close_window(members, &mut self.store));
         }
         for entry in &mut self.registry.entries {
             let members =
                 live(entry).then(|| (entry.campaign.id().0, entry.campaign.privapi()));
-            if let View::Private(view) = &mut entry.view {
-                refreshed.extend(view.strategies.close_window(members, &mut self.store));
+            if let View::Private(session) = &mut entry.view {
+                refreshed.extend(session.close_window(members, &mut self.store));
             }
         }
         refreshed
@@ -486,8 +477,7 @@ impl Orchestrator {
 
         // Phase 1 — advance each shared session consumed by at least one
         // campaign observing this day.
-        let mut session_deltas: Vec<Option<WindowDelta>> = Vec::new();
-        session_deltas.resize_with(self.sessions.len(), || None);
+        let mut session_deltas: Vec<WindowDelta> = Vec::new();
         for (index, session) in self.sessions.iter_mut().enumerate() {
             if session.start_day.is_some_and(|s| day < s) {
                 continue;
@@ -499,10 +489,10 @@ impl Orchestrator {
                 continue;
             }
             let delta = session
-                .cache
-                .advance(&session.attack, window, &mut self.store)
+                .session
+                .advance(window, &mut self.store)
                 .expect("sessions follow the orchestrator's strictly ascending days");
-            session_deltas[index] = Some(delta);
+            session_deltas.push(delta);
         }
 
         // Phase 2 — evaluate every campaign against its view, in
@@ -513,13 +503,8 @@ impl Orchestrator {
             .entries
             .iter_mut()
             .map(|entry| {
-                let outcome = evaluate_campaign(
-                    entry,
-                    window,
-                    &mut self.sessions,
-                    &session_deltas,
-                    &mut self.store,
-                );
+                let outcome =
+                    evaluate_campaign(entry, window, &mut self.sessions, &mut self.store);
                 (entry.campaign.id(), outcome)
             })
             .collect();
@@ -528,7 +513,7 @@ impl Orchestrator {
         self.store.drop_released();
         Ok(DayReport {
             day,
-            sessions: session_deltas.into_iter().flatten().collect(),
+            sessions: session_deltas,
             candidates,
             outcomes,
             ingest: None,
@@ -539,99 +524,75 @@ impl Orchestrator {
     /// The session a full-population campaign joins: an existing one
     /// matching its extraction parameters, start day and stream position
     /// (nothing ingested yet — a session that already absorbed windows
-    /// holds a prefix the newcomer never saw), or a new one. The session
-    /// indexes its reference at the campaign's matching distance too.
+    /// holds a prefix the newcomer never saw), or a new one.
     fn find_or_create_session(&mut self, campaign: &Campaign) -> usize {
-        let config = campaign.privapi().attack().config();
-        let index = match self.sessions.iter().position(|s| {
-            s.cache.windows_ingested() == 0
+        let attack = campaign.privapi().attack();
+        let extraction = attack.config().extraction_config();
+        let found = self.sessions.iter().position(|s| {
+            s.session.population().windows_ingested() == 0
                 && s.start_day == campaign.start_day()
-                && s.attack.config().extraction_config() == config.extraction_config()
-        }) {
-            Some(index) => index,
-            None => {
-                self.sessions.push(SharedSession {
-                    attack: campaign.privapi().attack().clone(),
-                    cache: PopulationCache::new(),
-                    strategies: StrategySessionCache::new(),
-                    start_day: campaign.start_day(),
-                });
-                self.sessions.len() - 1
-            }
-        };
-        self.sessions[index]
-            .cache
-            .track_match_distance(config.match_distance);
-        index
+                && s.session.attack().config().extraction_config() == extraction
+        });
+        found.unwrap_or_else(|| {
+            self.sessions.push(SharedSession {
+                session: Session::new(attack.clone()),
+                start_day: campaign.start_day(),
+            });
+            self.sessions.len() - 1
+        })
     }
 }
 
-/// One campaign's step for one day: scope checks, view ingest (shared
-/// read / private advance), then the standard
-/// [`privapi::pipeline::PrivApi::publish_member`] evaluation over the
-/// view's candidate states, both through the orchestrator's work store.
+/// One campaign's step for one day: scope checks, then its session's
+/// [`Session::publish`] — a private session advanced over the filtered
+/// window first — through the orchestrator's work store. The
+/// `campaign.publish` span covers only the days the campaign reads.
 fn evaluate_campaign(
     entry: &mut CampaignEntry,
     window: &DatasetWindow,
     sessions: &mut [SharedSession],
-    session_deltas: &[Option<WindowDelta>],
     store: &mut WorkStore,
 ) -> CampaignOutcome {
     let day = window.day();
-    if entry.retired {
+    let CampaignEntry {
+        campaign,
+        retired,
+        view,
+        windows_published,
+        last_published_day,
+    } = entry;
+    if *retired {
         return CampaignOutcome::Skipped(SkipReason::Retired);
     }
-    let mut span = obs::span("campaign.publish");
-    span.set_attr("campaign", entry.campaign.id().0);
-    span.set_attr("day", day);
-    let CampaignEntry { campaign, view, .. } = entry;
     if campaign.start_day().is_some_and(|s| day < s) {
         return CampaignOutcome::Skipped(SkipReason::NotStarted);
     }
     if campaign.end_day().is_some_and(|e| day > e) {
         return CampaignOutcome::Skipped(SkipReason::Ended);
     }
-    let (population, strategies, delta, changed_users, shared): (
-        &PopulationCache,
-        &mut StrategySessionCache,
-        WindowDelta,
-        Vec<UserId>,
-        bool,
-    ) = match view {
-        View::Shared(index) => {
-            let delta = session_deltas[*index]
-                .expect("an active shared campaign's session advanced this day");
-            let SharedSession {
-                cache, strategies, ..
-            } = &mut sessions[*index];
-            (cache, strategies, delta, window.users(), true)
-        }
-        View::Private(view) => {
-            let Some(filtered) = campaign.filter().filter_window(window) else {
-                return CampaignOutcome::Skipped(SkipReason::NoParticipants);
-            };
-            let PrivateView { cache, strategies } = &mut **view;
-            let delta = match cache.advance(campaign.privapi().attack(), &filtered, store) {
-                Ok(delta) => delta,
-                Err(error) => return CampaignOutcome::Failed(error),
-            };
-            (cache, strategies, delta, filtered.users(), false)
-        }
+    let (session, filtered) = match view {
+        View::Shared(index) => (&mut sessions[*index].session, None),
+        View::Private(session) => match campaign.filter().filter_window(window) {
+            Some(filtered) => (&mut **session, Some(filtered)),
+            None => return CampaignOutcome::Skipped(SkipReason::NoParticipants),
+        },
         View::Detached => unreachable!("only retired campaigns are detached"),
     };
-    match campaign.privapi().publish_member(
-        population,
-        strategies,
-        delta,
-        &changed_users,
-        campaign.id().0,
-        store,
-    ) {
+    let mut span = obs::span("campaign.publish");
+    span.set_attr("campaign", campaign.id().0);
+    span.set_attr("day", day);
+    let shared = filtered.is_none();
+    if let Some(filtered) = &filtered {
+        if let Err(error) = session.advance(filtered, store) {
+            return CampaignOutcome::Failed(error);
+        }
+    }
+    match session.publish(campaign.privapi(), campaign.id().0, store) {
         Ok(window) => {
-            entry.windows_published += 1;
-            entry.last_published_day = Some(day);
+            *windows_published += 1;
+            *last_published_day = Some(day);
             CampaignOutcome::Published(Box::new(CampaignRelease {
-                id: entry.campaign.id(),
+                id: campaign.id(),
                 day,
                 delta: window.delta,
                 strategies: window.strategies,

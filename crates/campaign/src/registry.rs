@@ -3,13 +3,12 @@
 //! The registry owns every campaign the orchestrator has ever seen —
 //! active, pending, completed and retired — together with the runtime
 //! state each one accumulates across windows: its view of the population
-//! (a shared session, or a private original-side cache with its own
-//! candidate states). Overlapping duplicate ids are rejected at
-//! registration; a retired campaign's id becomes reusable, and its state
-//! is dropped.
+//! (a shared session, or a private session over its filtered stream).
+//! Overlapping duplicate ids are rejected at registration; a retired
+//! campaign's id becomes reusable, and its state is dropped.
 
 use crate::campaign::{Campaign, CampaignError, CampaignId, CampaignStatus};
-use privapi::streaming::{PopulationCache, StrategySessionCache};
+use privapi::streaming::Session;
 
 /// How a campaign reads the population stream's original-side state.
 #[derive(Debug)]
@@ -20,26 +19,17 @@ pub(crate) enum View {
     /// candidates' refreshes are the session's — each paid once per window
     /// however many campaigns share it.
     Shared(usize),
-    /// Filtered campaign with its own [`PopulationCache`] over its
-    /// filtered stream, and its own candidate states over it. Shards,
-    /// outputs and contributions whose inputs it shares with another
-    /// cache — a user subset's kept users — are served from the
-    /// orchestrator's [`privapi::streaming::WorkStore`]. (Boxed: a
-    /// populated cache dwarfs the `Shared` index.)
-    Private(Box<PrivateView>),
-    /// A retired campaign whose view was dropped: a private cache freed on
-    /// retirement, or a shared session that was garbage-collected. A
+    /// Filtered campaign with a [`Session`] of its own over its filtered
+    /// stream. Shards, outputs and contributions whose inputs it shares
+    /// with another session — a user subset's kept users — are served from
+    /// the orchestrator's [`privapi::streaming::WorkStore`]. (Boxed: a
+    /// populated session dwarfs the `Shared` index.)
+    Private(Box<Session>),
+    /// A retired campaign whose view was dropped: a private session freed
+    /// on retirement, or a shared session that was garbage-collected. A
     /// detached view can never be read again (retired campaigns skip every
     /// window before touching their view).
     Detached,
-}
-
-/// A filtered campaign's own view of its filtered stream.
-#[derive(Debug, Default)]
-pub(crate) struct PrivateView {
-    pub(crate) cache: PopulationCache,
-    /// The campaign's candidate states over `cache`.
-    pub(crate) strategies: StrategySessionCache,
 }
 
 impl View {
@@ -151,7 +141,7 @@ impl CampaignRegistry {
     }
 
     /// Retires the active campaign holding `id` and drops any private
-    /// view (its population cache and candidate states).
+    /// session.
     pub(crate) fn retire(&mut self, id: CampaignId) -> Result<(), CampaignError> {
         match self
             .entries

@@ -14,7 +14,7 @@ use mobility::{
 use privapi::attack::{PoiAttack, PoiAttackConfig};
 use privapi::pipeline::{PrivApi, PrivApiConfig};
 use privapi::pool::StrategyPool;
-use privapi::streaming::{PopulationCache, StreamingPublisher, WorkStore};
+use privapi::streaming::{Session, StreamingPublisher, WorkStore};
 
 fn dataset(seed: u64, users: usize, days: usize) -> Dataset {
     CityModel::builder()
@@ -30,13 +30,13 @@ fn dataset(seed: u64, users: usize, days: usize) -> Dataset {
 }
 
 /// Original-side-only per-user extraction cost of one streaming replay:
-/// what a session cache alone (no candidate evaluation) pays.
+/// what a session alone (no candidate evaluation) pays.
 fn original_side_cost(windows: &WindowedDataset) -> usize {
     let probe = PoiAttack::default();
-    let mut cache = PopulationCache::new();
+    let mut session = Session::new(probe.clone());
     let mut store = WorkStore::new();
     for window in windows {
-        cache.advance(&probe, window, &mut store).unwrap();
+        session.advance(window, &mut store).unwrap();
     }
     probe.user_extractions()
 }

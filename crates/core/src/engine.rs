@@ -30,9 +30,9 @@
 //!
 //! The cached sweep audits each candidate in a
 //! [`crate::streaming::CandidateDelta`]; closing the window
-//! ([`StrategySessionCache::close_window`]) records the sum over the states
-//! it refreshed into the `strategy.*` instruments with one [`obs::record`]
-//! call.
+//! ([`crate::streaming::Session::close_window`]) records the sum over the
+//! states it refreshed into the `strategy.*` instruments with one
+//! [`obs::record`] call.
 
 use crate::attack::{PoiAttack, PoiAttackReport, ReferenceIndex, ReferencePois};
 use crate::error::PrivapiError;
@@ -327,7 +327,7 @@ impl EvaluationEngine {
     /// the winner's release artifacts.
     ///
     /// This is the streaming publish path, driven by
-    /// [`crate::pipeline::PrivApi::publish_member`]. The context carries
+    /// [`crate::streaming::Session::publish`]. The context carries
     /// cached *original-side* extraction state ([`EvalContext::from_cache`])
     /// that a session cache amends across day windows, so no original-side
     /// extraction happens here at all. `strategies` carries the

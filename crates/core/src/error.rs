@@ -31,6 +31,12 @@ pub enum PrivapiError {
         /// Day index of the most recently ingested window.
         last_day: i64,
     },
+    /// A streaming session was asked to publish through a middleware
+    /// whose attack extracts under other parameters than the session's
+    /// ([`crate::attack::PoiAttackConfig::extraction_config`]): its shards,
+    /// reference and candidate states were not derived the way the
+    /// publisher derives them. Nothing was touched.
+    ExtractionMismatch,
     /// An underlying mobility-layer error.
     Mobility(mobility::MobilityError),
     /// A federated deployment was asked to run a strategy that cannot be
@@ -64,6 +70,11 @@ impl fmt::Display for PrivapiError {
                 f,
                 "window for day {day} arrived after day {last_day}: streaming windows must \
                  ascend strictly (duplicate ingest of an already-published window?)"
+            ),
+            PrivapiError::ExtractionMismatch => write!(
+                f,
+                "the publisher's attack extracts under other parameters than the \
+                 session's: a session serves one set of extraction parameters"
             ),
             PrivapiError::Mobility(e) => write!(f, "mobility error: {e}"),
             PrivapiError::NonFederable { strategy } => write!(

@@ -29,24 +29,26 @@
 //!   search;
 //! * [`pipeline`] — the [`pipeline::PrivApi`] middleware facade a platform
 //!   (e.g. APISENSE) plugs in before releasing datasets: one batch call,
-//!   [`pipeline::PrivApi::publish`], and one streaming step,
-//!   [`pipeline::PrivApi::publish_member`] (run as a group of one by
-//!   [`pipeline::PrivApi::publish_session`]);
+//!   [`pipeline::PrivApi::publish`], with its streaming counterpart in
+//!   [`streaming`];
 //! * [`federated`] — the device-local release contract: serializable
 //!   [`federated::StrategySpec`]/[`federated::StrategyConfig`] broadcast
 //!   frames, deterministic calibration-cohort selection, and the
 //!   server-side [`federated::FederatedSession`] that re-assembles
 //!   per-device protected uploads byte-identically to a central release;
-//! * [`streaming`] — day-windowed incremental publication, one session
-//!   owned by a [`streaming::StreamingPublisher`]: the original-side
+//! * [`streaming`] — day-windowed incremental publication over a
+//!   [`streaming::Session`], the state of one population view under one
+//!   set of extraction parameters: the original-side
 //!   [`streaming::PopulationCache`] reuses per-user attack shards and the
 //!   reference index across releases, and the per-candidate
 //!   [`streaming::StrategySessionCache`] extends the same reuse to every
 //!   pooled strategy's protected data and self-attack shards, per the
 //!   [`strategy::UserLocality`] contract each strategy declares, refreshing
-//!   each candidate once per window for every publisher that reads it; both read
-//!   and fill one [`streaming::WorkStore`], so sessions over shared inputs
-//!   compute each output, shard and utility contribution once.
+//!   each candidate once per window for every publisher that reads it; both
+//!   read and fill one [`streaming::WorkStore`], so sessions over shared
+//!   inputs compute each output, shard and utility contribution once.
+//!   [`streaming::StreamingPublisher`] is one publisher with a session of
+//!   its own.
 //!
 //! # Example
 //!
@@ -114,7 +116,7 @@ pub mod prelude {
     };
     pub use crate::strategy::{AnonymizationStrategy, StrategyInfo, UserLocality};
     pub use crate::streaming::{
-        CandidateDelta, IngestDelta, PopulationCache, PublishedWindow, StrategyCacheDelta,
-        StrategySessionCache, StreamingPublisher, WindowDelta, WorkStore,
+        CandidateDelta, IngestDelta, PopulationCache, PublishedWindow, Session,
+        StrategyCacheDelta, StrategySessionCache, StreamingPublisher, WindowDelta, WorkStore,
     };
 }

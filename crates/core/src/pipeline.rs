@@ -11,26 +11,22 @@
 //! and returns the protected dataset together with a full audit report.
 //!
 //! A deployment that releases every day instead publishes one window at a
-//! time through [`PrivApi::publish_member`], the streaming step. Its state
-//! has one owner per shape: [`crate::streaming::StreamingPublisher`] for one
-//! session ([`PrivApi::publish_session`], a group of one), the `campaign`
-//! crate's orchestrator for N campaigns over one population. Each
-//! streaming release is byte-identical to a batch [`PrivApi::publish`] of
-//! the same prefix, which is why the batch call stays: it is the reference
-//! every streaming parity test compares against.
+//! time over a [`crate::streaming::Session`], the streaming state of one
+//! population view: [`crate::streaming::StreamingPublisher`] owns one for
+//! a single publisher, the `campaign` crate's orchestrator one per view
+//! its campaigns read. Each streaming release is byte-identical to a
+//! batch [`PrivApi::publish`] of the same prefix, which is why the batch
+//! call stays: it is the reference every streaming parity test compares
+//! against.
 
 use crate::attack::{PoiAttack, PoiAttackReport};
-use crate::engine::{EvalContext, EvaluationEngine};
+use crate::engine::EvaluationEngine;
 use crate::error::PrivapiError;
 use crate::pool::StrategyPool;
 use crate::selection::{Objective, SelectionReport};
 use crate::strategy::StrategyInfo;
-use crate::streaming::{
-    PopulationCache, PublishedWindow, StrategySessionCache, WindowDelta, WindowUpdate,
-    WorkStore,
-};
 use geo::Meters;
-use mobility::{Dataset, UserId};
+use mobility::Dataset;
 
 /// Configuration of the PRIVAPI middleware.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,120 +162,9 @@ impl PrivApi {
         Ok(self.assemble(selection, winner))
     }
 
-    /// The streaming step: selects and releases over an
-    /// **already-advanced** [`PopulationCache`], refreshing the caller's
-    /// per-strategy caches along the way, then closes the window
-    /// ([`StrategySessionCache::close_window`]). `delta` is what the
-    /// caller's [`PopulationCache::advance`] returned for the window, and
-    /// `changed_users` are that window's users (sorted, deduplicated —
-    /// [`mobility::DatasetWindow::users`]).
-    ///
-    /// This is [`PrivApi::publish_member`] for a group of one: the caller's
-    /// `strategies` serve this middleware alone.
-    /// [`crate::streaming::StreamingPublisher::publish_window`] runs it.
-    ///
-    /// # Errors
-    ///
-    /// As [`PrivApi::publish_member`].
-    pub fn publish_session(
-        &self,
-        population: &PopulationCache,
-        strategies: &mut StrategySessionCache,
-        delta: WindowDelta,
-        changed_users: &[UserId],
-        store: &mut WorkStore,
-    ) -> Result<PublishedWindow, PrivapiError> {
-        let published =
-            self.publish_member(population, strategies, delta, changed_users, 0, store);
-        strategies.close_window([(0, self)], store);
-        published
-    }
-
-    /// One publisher's streaming step within a group that reads one
-    /// [`PopulationCache`] and one [`StrategySessionCache`]: the
-    /// multi-campaign orchestrator calls it once per campaign of the group,
-    /// in a fixed order, and closes the window
-    /// ([`StrategySessionCache::close_window`]) after the last. `member`
-    /// names this publisher within the group (any id unique among them).
-    ///
-    /// The per-candidate self-attacks run against the protected-side
-    /// candidate states, anonymizing only the trajectories the window
-    /// appended and folding only those into the changed users' shards, for
-    /// every candidate whose [`crate::strategy::UserLocality`] permits it.
-    /// A state depends on the candidate, the seed, the objective and the
-    /// extraction parameters, so it is refreshed once per window, by the
-    /// first publisher evaluating it; a later one only matches what it
-    /// extracted against its own reference index and privacy floor. Either
-    /// way the release is byte-identical to [`PrivApi::publish`] over the
-    /// same prefix.
-    ///
-    /// `store` is read and filled by every candidate — the session's own
-    /// store, or the one the orchestrator shares across campaigns, where
-    /// a campaign finds what the campaigns before it already computed for
-    /// the same inputs. Dropping its unreferenced entries afterwards is the
-    /// caller's job ([`WorkStore::drop_released`]).
-    ///
-    /// # Errors
-    ///
-    /// * [`PrivapiError::EmptyDataset`] when the population cache holds no
-    ///   records yet;
-    /// * [`PrivapiError::NoFeasibleStrategy`] when no pooled strategy can
-    ///   meet the privacy floor on the accumulated prefix.
-    pub fn publish_member(
-        &self,
-        population: &PopulationCache,
-        strategies: &mut StrategySessionCache,
-        delta: WindowDelta,
-        changed_users: &[UserId],
-        member: u64,
-        store: &mut WorkStore,
-    ) -> Result<PublishedWindow, PrivapiError> {
-        if population.grid_box().is_none() {
-            return Err(PrivapiError::EmptyDataset);
-        }
-        // A population advanced at another matching distance has no index
-        // at this one: build it here.
-        let built;
-        let index = match population.reference_index(self.attack.config().match_distance) {
-            Some(index) => index,
-            None => {
-                built = self.attack.index_reference(population.reference());
-                &built
-            }
-        };
-        let (baseline_cells, baseline) = population.baseline_for(self.config.objective);
-        let context = EvalContext::from_cache(
-            population.prefix(),
-            population.reference(),
-            index,
-            baseline_cells,
-        );
-        let update = WindowUpdate {
-            changed_users,
-            grid_rebuilt: delta.grid_rebuilt,
-        };
-        if strategies.align(&self.attack) {
-            store.release_all();
-        }
-        let slots = strategies.slots(self, member);
-        let (selection, winner) = self.engine().evaluate_release_with(
-            &self.pool, &context, population, strategies, &slots, &update, store,
-        )?;
-        let Some(winner) = winner else {
-            return Err(selection.no_feasible_error());
-        };
-        Ok(PublishedWindow {
-            day: delta.day,
-            delta,
-            strategies: strategies.last_window(),
-            baseline,
-            published: self.assemble(selection, winner),
-        })
-    }
-
-    /// The evaluation engine both publish calls drive, configured
+    /// The evaluation engine both publish paths drive, configured
     /// with this middleware's objective, floor, seed and attack.
-    fn engine(&self) -> EvaluationEngine {
+    pub(crate) fn engine(&self) -> EvaluationEngine {
         EvaluationEngine::new(
             self.config.objective,
             self.config.privacy_floor,
@@ -289,7 +174,7 @@ impl PrivApi {
     }
 
     /// Folds a winning release into the published audit record.
-    fn assemble(
+    pub(crate) fn assemble(
         &self,
         selection: SelectionReport,
         winner: crate::engine::WinnerRelease,

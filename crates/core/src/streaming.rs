@@ -12,17 +12,18 @@
 //! [`ReferenceIndex`]; changed users are amended in place
 //! ([`ReferenceIndex::update_user`]).
 //!
-//! [`PopulationCache`] owns the original side and
-//! [`PopulationCache::advance`] folds one [`DatasetWindow`] into it,
-//! tracking what was reused vs. re-extracted in a [`WindowDelta`]. The
-//! [`StrategySessionCache`] owns one state per candidate, seed and
-//! objective its publishers evaluate, refreshed once per window however
-//! many publishers read it. [`StreamingPublisher`] owns one session — the
-//! population cache, the per-strategy caches and the work store below —
-//! next to a [`crate::pipeline::PrivApi`], and publishes window after
-//! window through the one streaming step,
-//! [`crate::pipeline::PrivApi::publish_member`], as a group of one
-//! ([`crate::pipeline::PrivApi::publish_session`]).
+//! A [`Session`] holds this state for one population view, under the
+//! extraction parameters it was created with. Its [`PopulationCache`] is
+//! the original side: [`Session::advance`] folds one [`DatasetWindow`]
+//! into it, tracking what was reused vs. re-extracted in a
+//! [`WindowDelta`]. Its [`StrategySessionCache`] holds one state per
+//! candidate, seed and objective its publishers evaluate, refreshed once
+//! per window however many publishers read it: [`Session::publish`] runs
+//! one publisher over the advanced window, and [`Session::close_window`]
+//! ends the window after the last. [`StreamingPublisher`] is a
+//! [`crate::pipeline::PrivApi`] with one session and a work store of its
+//! own; the `campaign` crate's orchestrator drives one session per
+//! population view over one shared store.
 //!
 //! # One attack side, run twice
 //!
@@ -97,7 +98,7 @@
 //! exactly the inputs it depends on — source trajectories and output
 //! families, never outputs — so sessions that share an input — several
 //! campaigns over one population, a user subset, a campaign that differs
-//! only in its matching distance — compute it once. A session owns its
+//! only in its matching distance — compute it once. A publisher owns its
 //! own store; the multi-campaign orchestrator owns one for all. Shards and
 //! contributions live as long as a candidate state holds them; outputs
 //! only as long as a retaining (feasible or Distortion) state does, or for
@@ -142,7 +143,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 obs::audit! {
-    /// What [`PopulationCache::advance`] did with one day window — the audit
+    /// What [`Session::advance`] did with one day window — the audit
     /// record of the incremental path's cache behaviour, recorded into the
     /// `streaming.*` instruments.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -403,7 +404,7 @@ obs::audit! {
     ///
     /// The ingestion protocol (the platform's `collect` endpoint)
     /// guarantees the strictly-ascending-day contract of
-    /// [`PopulationCache::advance`] by construction: a day window is closed
+    /// [`Session::advance`] by construction: a day window is closed
     /// exactly once, in order, after a delivery deadline. Data that misses
     /// its deadline — e.g. a partitioned region's stragglers — is
     /// **quarantined into the next window** instead of poisoning the stream
@@ -479,19 +480,11 @@ impl std::fmt::Display for IngestDelta {
 /// reference POIs + one spatial index per matching distance the engine
 /// scores candidates against.
 ///
-/// This is the population-level half of the streaming state, usable on its
-/// own: the multi-campaign orchestrator keeps *one* `PopulationCache` per
-/// set of extraction parameters and lets every campaign extracting that
-/// way read it, whatever its matching distance, so the original-side
-/// extraction work is paid once per window instead of once per campaign.
-/// A [`StreamingPublisher`] pairs one `PopulationCache` with one
-/// [`StrategySessionCache`].
-///
-/// The cache is pure state — it holds no attack of its own.
-/// [`PopulationCache::advance`] borrows the caller's [`PoiAttack`] so the
-/// extraction accounting (and any custom attack parameters) stay with the
-/// publisher that owns the session, and the caller's [`WorkStore`], so
-/// caches over overlapping inputs extract each shard once.
+/// This is the population-level half of a [`Session`], which grows it
+/// through [`Session::advance`] under the session's one attack: every
+/// publisher extracting that way reads it, whatever its matching
+/// distance, so the original-side extraction work is paid once per window
+/// instead of once per publisher.
 #[derive(Debug, Default)]
 pub struct PopulationCache {
     prefix: Dataset,
@@ -503,20 +496,14 @@ pub struct PopulationCache {
     side: AttackSide,
     reference: ReferencePois,
     /// One amended spatial index over the reference per matching distance
-    /// its readers match at ([`PopulationCache::track_match_distance`]).
+    /// its publishers match at.
     indexes: Vec<ReferenceIndex>,
     windows_ingested: usize,
     last_day: Option<i64>,
-    /// Fingerprint of the attack parameters the cached shards, reference
-    /// and index were derived under. A session advanced by an attack with
-    /// a different configuration drops the derived state (the prefix
-    /// itself stays valid) and re-extracts everyone instead of silently
-    /// matching at stale parameters.
-    attack_config: Option<PoiAttackConfig>,
     /// Incrementally folded per-objective utility baselines, one per
     /// objective the session has been published under (interior
     /// mutability: folding is a cache amendment, not an observable state
-    /// change — `publish_session` borrows the population immutably).
+    /// change — the sweep borrows the population immutably).
     baselines: Mutex<Vec<BaselineSlot>>,
 }
 
@@ -611,11 +598,6 @@ impl BaselineSlot {
 }
 
 impl PopulationCache {
-    /// Creates an empty cache (no windows ingested).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The accumulated prefix: every ingested window's trajectories,
     /// concatenated in ingestion order. Equals
     /// [`mobility::WindowedDataset::prefix`] of the same windows.
@@ -634,8 +616,9 @@ impl PopulationCache {
     }
 
     /// The amended spatial index over [`PopulationCache::reference`] at
-    /// `match_distance`, or `None` before the first window or when no
-    /// reader matches at that distance.
+    /// `match_distance`, or `None` before the first window, or at a
+    /// distance neither the session's attack nor any publisher of it has
+    /// matched at.
     pub fn reference_index(&self, match_distance: Meters) -> Option<&ReferenceIndex> {
         let index = self
             .indexes
@@ -646,10 +629,9 @@ impl PopulationCache {
 
     /// Keeps a spatial index over the reference at `match_distance` from
     /// now on, built over the current reference and amended with it every
-    /// window. [`PopulationCache::advance`] tracks its attack's distance
-    /// itself; a cache whose readers match at other distances — campaigns
-    /// that share one extraction but differ in matching — tracks theirs.
-    pub fn track_match_distance(&mut self, match_distance: Meters) {
+    /// window. [`PopulationCache::advance`] tracks its attack's distance;
+    /// [`Session::publish`] tracks each publisher's.
+    fn track_match_distance(&mut self, match_distance: Meters) {
         if self
             .indexes
             .iter()
@@ -740,16 +722,12 @@ impl PopulationCache {
         (slot.project(), delta)
     }
 
-    /// The attack configuration the cached extraction was derived under
-    /// (`None` before the first window).
-    pub fn attack_config(&self) -> Option<&PoiAttackConfig> {
-        self.attack_config.as_ref()
-    }
-
-    /// Folds one day window into the cache: appends its trajectories to
-    /// the prefix, refreshes (only) the invalidated users' shards over the
-    /// grown prefix (see the [module docs](crate::streaming)), and amends
-    /// the reference POIs and their spatial index.
+    /// Folds one day window into the cache under the session's `attack`
+    /// (see [`Session::advance`]): appends its trajectories to the prefix,
+    /// refreshes (only) the invalidated users' shards over the grown prefix
+    /// — the window's `users`, or everyone on a grid move (see the
+    /// [module docs](crate::streaming)) — and amends the reference POIs
+    /// and their spatial indexes.
     ///
     /// Each invalidated shard is first looked up in `store`: a shard
     /// another cache already extracted for the same extraction parameters,
@@ -759,14 +737,6 @@ impl PopulationCache {
     /// here is filled in for the caches that follow. Served and extracted
     /// shards are byte-identical, so the store only ever skips work.
     ///
-    /// The cache fingerprints the attack configuration it was advanced
-    /// with: ingesting a window through an attack with *different*
-    /// parameters (grid cell, thresholds, match distance) drops all
-    /// derived state — shards, reference POIs, index — and re-extracts
-    /// every user under the new parameters (reported as a grid rebuild),
-    /// so a mid-session attack swap can never silently match at stale
-    /// distances.
-    ///
     /// # Errors
     ///
     /// Windows must arrive in strictly ascending day order. A window
@@ -774,10 +744,11 @@ impl PopulationCache {
     /// ingest, or an out-of-order replay — is rejected with
     /// [`PrivapiError::StreamError`] *before* touching any state, so the
     /// prefix can never silently double-count a day's records.
-    pub fn advance(
+    pub(crate) fn advance(
         &mut self,
         attack: &PoiAttack,
         window: &DatasetWindow,
+        users: &[UserId],
         store: &mut WorkStore,
     ) -> Result<WindowDelta, PrivapiError> {
         let mut span = obs::span("streaming.advance");
@@ -789,23 +760,6 @@ impl PopulationCache {
                     last_day: last,
                 });
             }
-        }
-        // The cached shards, reference POIs and index were all derived
-        // under the attack parameters of the sessions before this one: a
-        // different configuration (grid cell, thresholds, match distance)
-        // makes every derived value stale even though the prefix itself is
-        // still good. Drop the derived state and re-extract everyone.
-        let config_changed = self.attack_config.is_some()
-            && self.attack_config.as_ref() != Some(attack.config());
-        if config_changed {
-            self.side.shards.clear();
-            self.reference.clear();
-            for index in &mut self.indexes {
-                *index = ReferenceIndex::empty(index.match_distance());
-            }
-        }
-        if self.attack_config.as_ref() != Some(attack.config()) {
-            self.attack_config = Some(attack.config().clone());
         }
         for t in window.dataset().trajectories() {
             self.side.append(t);
@@ -820,15 +774,10 @@ impl PopulationCache {
             ..WindowDelta::default()
         };
         let had_grid = self.side.grid_box.is_some();
-        let changed: Vec<UserId> = if config_changed {
-            self.side.sources.keys().copied().collect()
-        } else {
-            window.users()
-        };
         let mut fills = Fills::default();
         let (counts, refreshed) = self.side.refresh(
             attack,
-            &changed,
+            users,
             None,
             store,
             &mut fills,
@@ -853,7 +802,7 @@ impl PopulationCache {
         }
         delta.users_refreshed = counts.refreshed - counts.served;
         delta.users_reused = counts.reused;
-        delta.grid_rebuilt = config_changed || (had_grid && counts.grid_moved);
+        delta.grid_rebuilt = had_grid && counts.grid_moved;
         delta.users_derived = counts.served;
         delta.shards_appended = counts.appended;
         delta.shards_rebuilt = counts.rebuilt;
@@ -872,8 +821,8 @@ impl PopulationCache {
 /// records, and whether the prefix bounding box (and with it every
 /// grid anchored on it) moved.
 ///
-/// Built by [`crate::pipeline::PrivApi::publish_member`] from the
-/// window's users and [`PopulationCache::advance`]'s delta, and consumed
+/// Built by [`Session::publish`] from what [`Session::advance`]
+/// remembered of the window, and consumed
 /// by the engine's cached sweep to decide, per candidate strategy, which
 /// cached protected outputs survive.
 #[derive(Debug, Clone, Copy)]
@@ -2040,11 +1989,6 @@ impl WorkStore {
         }
     }
 
-    /// Notes that any user's holders may have let go of entries.
-    pub(crate) fn release_all(&mut self) {
-        self.released_all = true;
-    }
-
     fn output(&self, key: &OutputKey) -> Option<&Arc<Trajectory>> {
         self.users.get(&key.1 .0.user())?.outputs.get(key)
     }
@@ -2096,24 +2040,20 @@ impl WorkStore {
 /// A state depends on the population view, the candidate, the seed, the
 /// objective and the extraction parameters — not on the matching distance
 /// or the privacy floor. So it is **refreshed once per window**, by the
-/// first publisher that evaluates its candidate
-/// ([`PrivApi::publish_member`]); every other publisher evaluating the same
-/// candidate only matches the extracted POIs against its own reference
-/// index and floor. A [`StreamingPublisher`] is a group of one; the
-/// campaign orchestrator keeps one cache per population view.
-/// [`StrategySessionCache::close_window`] ends each window.
+/// first publisher that evaluates its candidate ([`Session::publish`]);
+/// every other publisher evaluating the same candidate only matches the
+/// extracted POIs against its own reference index and floor.
+/// [`Session::close_window`] ends each window.
 ///
-/// The cache is self-validating: states are keyed by the candidate's
-/// [`StrategyInfo`] and exact [`AnonymizationStrategy::output_identity`],
-/// the seed and the objective, and the whole cache resets when the
-/// attack's extraction parameters change, so a session that swaps pools,
-/// seeds or attacks mid-stream degrades to correct recomputation instead
-/// of reusing stale state. A candidate without an exact output identity
-/// gets a state of its own per publisher and pool slot.
+/// States are keyed by the candidate's [`StrategyInfo`] and exact
+/// [`AnonymizationStrategy::output_identity`], the seed and the objective,
+/// so a session whose publishers swap pools or seeds mid-stream degrades
+/// to correct recomputation instead of reusing stale state; the extraction
+/// parameters are the session's, fixed at its creation. A candidate
+/// without an exact output identity gets a state of its own per publisher
+/// and pool slot.
 #[derive(Debug, Default)]
 pub struct StrategySessionCache {
-    /// The extraction parameters every state was derived under.
-    extraction: Option<PoiAttackConfig>,
     pub(crate) states: Vec<SharedState>,
     pub(crate) last_deltas: Vec<CandidateDelta>,
 }
@@ -2179,11 +2119,6 @@ impl StateKey {
 }
 
 impl StrategySessionCache {
-    /// Creates an empty cache (filled lazily with the evaluated pools).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Per-candidate audit of the most recent evaluation, in pool order.
     /// Empty before the first cached evaluation. A state shared with an
     /// earlier publisher of the window reports that refresh's audit.
@@ -2210,20 +2145,6 @@ impl StrategySessionCache {
         self.states.is_empty()
     }
 
-    /// Resets every state when `attack`'s extraction parameters are not the
-    /// ones the states were derived under — called before each publisher's
-    /// sweep. Returns whether a state holding data was dropped.
-    pub(crate) fn align(&mut self, attack: &PoiAttack) -> bool {
-        let extraction = attack.config().extraction_config();
-        if self.extraction.as_ref() == Some(&extraction) {
-            return false;
-        }
-        self.extraction = Some(extraction);
-        let dropped = self.states.iter().any(|s| s.state.primed);
-        self.states.clear();
-        dropped
-    }
-
     /// The state of each slot of `privapi`'s pool for publisher `member`,
     /// created empty where none matches.
     pub(crate) fn slots(&mut self, privapi: &PrivApi, member: u64) -> Vec<usize> {
@@ -2240,46 +2161,6 @@ impl StrategySessionCache {
                 }
             })
             .collect()
-    }
-
-    /// Ends the window for every publisher reading this cache: lets go of
-    /// the outputs of each state that no publisher found feasible, records
-    /// the audit of each state refreshed this window into the `strategy.*`
-    /// instruments — once, however many publishers read it — and drops
-    /// every state that none of `members` (publisher ids with their
-    /// middlewares) evaluates any more. Returns the audits of the states
-    /// refreshed this window, in state order.
-    pub fn close_window<'a>(
-        &mut self,
-        members: impl IntoIterator<Item = (u64, &'a PrivApi)>,
-        store: &mut WorkStore,
-    ) -> Vec<CandidateDelta> {
-        let live: Vec<StateKey> = members
-            .into_iter()
-            .flat_map(|(member, privapi)| StateKey::all(privapi, member))
-            .collect();
-        let (mut released, mut released_all) = (Vec::new(), false);
-        let mut refreshed = Vec::new();
-        let mut total = StrategyCacheDelta::default();
-        for shared in &mut self.states {
-            if let Some(window) = shared.window.take() {
-                if !window.retained {
-                    shared.state.release(&mut released);
-                }
-                total += window.delta.counts;
-                refreshed.push(window.delta);
-            }
-        }
-        self.states.retain(|shared| {
-            let kept = live.contains(&shared.key);
-            released_all |= !kept && shared.state.primed;
-            kept
-        });
-        store.release(released, released_all);
-        if !refreshed.is_empty() {
-            obs::record(&total);
-        }
-        refreshed
     }
 }
 
@@ -2302,15 +2183,234 @@ pub struct PublishedWindow {
     pub published: PublishedDataset,
 }
 
-/// One streaming publication session: a [`PrivApi`] with the
-/// cross-window state it publishes over — the original-side
-/// [`PopulationCache`], the per-candidate protected-side
-/// [`StrategySessionCache`] and the [`WorkStore`] both read and fill.
+/// The streaming state of one population view: the original-side
+/// [`PopulationCache`] and the protected-side [`StrategySessionCache`],
+/// grown under the one attack the session was created with.
 ///
-/// It owns one session; the multi-campaign orchestrator owns N campaigns
-/// over one population. Both drive the same streaming step,
-/// [`PrivApi::publish_member`]; a publisher is a group of one
-/// ([`PrivApi::publish_session`]).
+/// [`Session::new`] fixes the session's extraction parameters
+/// ([`PoiAttackConfig::extraction_config`]): [`Session::advance`] extracts
+/// under them, and [`Session::publish`] rejects a publisher that extracts
+/// otherwise, so every shard, reference POI and candidate state a release
+/// reads was derived the way that publisher derives it. Publishers that
+/// differ only in matching distance share everything; the session keeps
+/// one reference index per distance they match at.
+///
+/// A window runs [`Session::advance`] once, [`Session::publish`] once per
+/// publisher reading the view, in a fixed order, and
+/// [`Session::close_window`] after the last. The [`WorkStore`] is the
+/// caller's: a [`StreamingPublisher`] owns one for its session, the
+/// campaign orchestrator one for all of its sessions.
+///
+/// # Example
+///
+/// ```
+/// use mobility::gen::{CityModel, PopulationConfig};
+/// use mobility::WindowedDataset;
+/// use privapi::attack::{PoiAttack, PoiAttackConfig};
+/// use privapi::pipeline::PrivApi;
+/// use privapi::streaming::{Session, WorkStore};
+///
+/// let data = CityModel::builder().seed(3).build().generate_population(
+///     &PopulationConfig { users: 3, days: 2, ..PopulationConfig::default() },
+/// );
+/// let wide = PrivApi::default();
+/// let near = PrivApi::default().with_attack(PoiAttack::new(PoiAttackConfig {
+///     match_distance: geo::Meters::new(300.0),
+///     ..PoiAttackConfig::default()
+/// }));
+/// let mut session = Session::new(wide.attack().clone());
+/// let mut store = WorkStore::new();
+/// for window in &WindowedDataset::partition(&data) {
+///     session.advance(window, &mut store).unwrap();
+///     for (member, privapi) in [(1, &wide), (2, &near)] {
+///         let release = session.publish(privapi, member, &mut store).unwrap();
+///         assert_eq!(release.day, window.day());
+///     }
+///     // Each candidate was refreshed once, for both publishers.
+///     let refreshed = session.close_window([(1, &wide), (2, &near)], &mut store);
+///     assert_eq!(refreshed.len(), wide.pool().len());
+///     store.drop_released();
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Session {
+    attack: PoiAttack,
+    population: PopulationCache,
+    strategies: StrategySessionCache,
+    /// What the last [`Session::advance`] ingested: its delta and its
+    /// users (sorted, deduplicated).
+    window: Option<(WindowDelta, Vec<UserId>)>,
+}
+
+impl Session {
+    /// An empty session extracting with `attack` (its extraction
+    /// accounting lands on `attack`'s probe).
+    pub fn new(attack: PoiAttack) -> Self {
+        Self {
+            attack,
+            population: PopulationCache::default(),
+            strategies: StrategySessionCache::default(),
+            window: None,
+        }
+    }
+
+    /// The attack the session extracts with.
+    pub fn attack(&self) -> &PoiAttack {
+        &self.attack
+    }
+
+    /// The original-side half: the prefix, its shards, reference POIs and
+    /// indexes, and the window count.
+    pub fn population(&self) -> &PopulationCache {
+        &self.population
+    }
+
+    /// The protected-side half: the candidate states.
+    pub fn strategies(&self) -> &StrategySessionCache {
+        &self.strategies
+    }
+
+    /// Folds one day window into the population — the only way it grows
+    /// (see [`PopulationCache`]) — and remembers the window's delta and
+    /// users for the publishers of the window.
+    ///
+    /// # Errors
+    ///
+    /// [`PrivapiError::StreamError`] for a window whose day is not past
+    /// [`PopulationCache::last_day`]; nothing is ingested.
+    pub fn advance(
+        &mut self,
+        window: &DatasetWindow,
+        store: &mut WorkStore,
+    ) -> Result<WindowDelta, PrivapiError> {
+        let users = window.users();
+        let delta = self
+            .population
+            .advance(&self.attack, window, &users, store)?;
+        self.window = Some((delta, users));
+        Ok(delta)
+    }
+
+    /// One publisher's streaming step over the last advanced window:
+    /// selects and releases under `privapi` over the accumulated prefix.
+    /// `member` names the publisher among those reading the session (any
+    /// id unique among them).
+    ///
+    /// The per-candidate self-attacks run against the candidate states,
+    /// anonymizing only the trajectories the window appended and folding
+    /// only those into the changed users' shards, for every candidate whose
+    /// [`crate::strategy::UserLocality`] permits it. A state is refreshed
+    /// once per window, by the first publisher evaluating it; a later one
+    /// only matches what it extracted against its own reference index and
+    /// privacy floor. Either way the release is byte-identical to
+    /// [`PrivApi::publish`] over the same prefix.
+    ///
+    /// `store` is read and filled by every candidate. Dropping its
+    /// unreferenced entries, after [`Session::close_window`], is the
+    /// caller's job ([`WorkStore::drop_released`]).
+    ///
+    /// # Errors
+    ///
+    /// * [`PrivapiError::ExtractionMismatch`] when `privapi`'s attack
+    ///   extracts under other parameters than the session's (nothing is
+    ///   touched);
+    /// * [`PrivapiError::EmptyDataset`] when the population holds no
+    ///   records yet;
+    /// * [`PrivapiError::NoFeasibleStrategy`] when no pooled strategy can
+    ///   meet the privacy floor on the accumulated prefix.
+    pub fn publish(
+        &mut self,
+        privapi: &PrivApi,
+        member: u64,
+        store: &mut WorkStore,
+    ) -> Result<PublishedWindow, PrivapiError> {
+        let attack = privapi.attack().config();
+        if attack.extraction_config() != self.attack.config().extraction_config() {
+            return Err(PrivapiError::ExtractionMismatch);
+        }
+        let (Some((delta, users)), Some(_)) = (&self.window, self.population.grid_box()) else {
+            return Err(PrivapiError::EmptyDataset);
+        };
+        self.population.track_match_distance(attack.match_distance);
+        let population = &self.population;
+        let index = population.reference_index(attack.match_distance);
+        let (baseline_cells, baseline) = population.baseline_for(privapi.config().objective);
+        let context = EvalContext::from_cache(
+            population.prefix(),
+            population.reference(),
+            index.expect("tracked above"),
+            baseline_cells,
+        );
+        let update = WindowUpdate {
+            changed_users: users,
+            grid_rebuilt: delta.grid_rebuilt,
+        };
+        let slots = self.strategies.slots(privapi, member);
+        let (selection, winner) = privapi.engine().evaluate_release_with(
+            privapi.pool(),
+            &context,
+            population,
+            &mut self.strategies,
+            &slots,
+            &update,
+            store,
+        )?;
+        let Some(winner) = winner else {
+            return Err(selection.no_feasible_error());
+        };
+        Ok(PublishedWindow {
+            day: delta.day,
+            delta: *delta,
+            strategies: self.strategies.last_window(),
+            baseline,
+            published: privapi.assemble(selection, winner),
+        })
+    }
+
+    /// Ends the window for every publisher reading the session: lets go of
+    /// the outputs of each candidate state no publisher found feasible,
+    /// records the audit of each state refreshed this window into the
+    /// `strategy.*` instruments — once, however many publishers read it —
+    /// and drops every state that none of `members` (the publishers still
+    /// reading the session, ids with their middlewares) evaluates any
+    /// more. Returns the audits of the states refreshed this window, in
+    /// state order.
+    pub fn close_window<'a>(
+        &mut self,
+        members: impl IntoIterator<Item = (u64, &'a PrivApi)>,
+        store: &mut WorkStore,
+    ) -> Vec<CandidateDelta> {
+        let live: Vec<StateKey> = members
+            .into_iter()
+            .flat_map(|(member, privapi)| StateKey::all(privapi, member))
+            .collect();
+        let (mut released, mut released_all) = (Vec::new(), false);
+        let mut refreshed = Vec::new();
+        let mut total = StrategyCacheDelta::default();
+        for shared in &mut self.strategies.states {
+            if let Some(window) = shared.window.take() {
+                if !window.retained {
+                    shared.state.release(&mut released);
+                }
+                total += window.delta.counts;
+                refreshed.push(window.delta);
+            }
+        }
+        self.strategies.states.retain(|shared| {
+            let kept = live.contains(&shared.key);
+            released_all |= !kept && shared.state.primed;
+            kept
+        });
+        store.release(released, released_all);
+        if !refreshed.is_empty() {
+            obs::record(&total);
+        }
+        refreshed
+    }
+}
+
+/// A [`PrivApi`] publishing window after window over a [`Session`] and a
+/// [`WorkStore`] of its own — a group of one.
 ///
 /// # Example
 ///
@@ -2334,8 +2434,7 @@ pub struct PublishedWindow {
 #[derive(Debug)]
 pub struct StreamingPublisher {
     privapi: PrivApi,
-    population: PopulationCache,
-    strategies: StrategySessionCache,
+    session: Session,
     store: WorkStore,
 }
 
@@ -2347,12 +2446,11 @@ impl StreamingPublisher {
     }
 
     /// Wraps an already-configured middleware (custom pool or attack),
-    /// starting an empty session.
+    /// starting an empty session under its attack.
     pub fn from_privapi(privapi: PrivApi) -> Self {
         Self {
+            session: Session::new(privapi.attack().clone()),
             privapi,
-            population: PopulationCache::new(),
-            strategies: StrategySessionCache::new(),
             store: WorkStore::new(),
         }
     }
@@ -2365,13 +2463,13 @@ impl StreamingPublisher {
     /// The original-side half of the session: its prefix, shards,
     /// reference POIs and index, and window count.
     pub fn population(&self) -> &PopulationCache {
-        &self.population
+        self.session.population()
     }
 
     /// The per-strategy protected-side caches the session maintains
     /// alongside the original-side state.
     pub fn strategies(&self) -> &StrategySessionCache {
-        &self.strategies
+        self.session.strategies()
     }
 
     /// The session's work store.
@@ -2380,12 +2478,11 @@ impl StreamingPublisher {
     }
 
     /// Protects and publishes one **day window** incrementally: the window
-    /// is folded into the session's [`PopulationCache`] (per-user shard
-    /// reuse, amended reference index — see [`PopulationCache::advance`])
-    /// and the release is selected over the full accumulated prefix by
-    /// [`PrivApi::publish_session`], with **zero** original-side
-    /// extraction passes and the per-candidate self-attacks served from
-    /// the session's per-strategy caches.
+    /// is folded into the session ([`Session::advance`]: per-user shard
+    /// reuse, amended reference index) and the release is selected over
+    /// the full accumulated prefix ([`Session::publish`]), with **zero**
+    /// original-side extraction passes and the per-candidate self-attacks
+    /// served from the session's per-strategy caches.
     ///
     /// The release is byte-identical to [`PrivApi::publish`] over the same
     /// prefix — only cheaper: the [`PoiAttack::extractions`] probe counts
@@ -2442,16 +2539,10 @@ impl StreamingPublisher {
         // breakdown.
         let mut span = obs::span("privapi.window");
         span.set_attr("day", window.day());
-        let delta = self
-            .population
-            .advance(self.privapi.attack(), window, &mut self.store)?;
-        let published = self.privapi.publish_session(
-            &self.population,
-            &mut self.strategies,
-            delta,
-            &window.users(),
-            &mut self.store,
-        );
+        self.session.advance(window, &mut self.store)?;
+        let published = self.session.publish(&self.privapi, 0, &mut self.store);
+        self.session
+            .close_window([(0, &self.privapi)], &mut self.store);
         self.store.drop_released();
         published
     }
@@ -2569,6 +2660,29 @@ mod tests {
         }
     }
 
+    /// Two days of two users: user 1, a commute plus long dwells spanning
+    /// the box, on both days; user 2 dwelling inside the same box on day 0
+    /// only.
+    fn sparse_windows() -> WindowedDataset {
+        use mobility::{Timestamp, DAY_SECONDS};
+        let site = |lon: f64| geo::GeoPoint::new(45.75, lon).unwrap();
+        let mut records = Vec::new();
+        for day in 0..2i64 {
+            for i in 0..240i64 {
+                let at = Timestamp::new(day * DAY_SECONDS + i * 300);
+                let lon = 4.80 + 0.0004 * (i.min(60)) as f64;
+                records.push(LocationRecord::new(UserId(1), at, site(lon)));
+            }
+        }
+        for i in 0..240i64 {
+            let at = Timestamp::new(i * 300);
+            records.push(LocationRecord::new(UserId(2), at, site(4.81)));
+        }
+        let windows = WindowedDataset::partition(&Dataset::from_records(records));
+        assert_eq!(windows.len(), 2);
+        windows
+    }
+
     #[test]
     fn sparse_window_costs_scale_with_changed_users() {
         // Two users on day 0; only user 1 has day-1 records (inside the
@@ -2577,29 +2691,7 @@ mod tests {
         // test: strictly fewer than `pool` full protected-side
         // extractions, and per-user work proportional to the *changed*
         // users rather than the population.
-        use geo::GeoPoint;
-        use mobility::{LocationRecord, Timestamp, DAY_SECONDS};
-        let site = |lon: f64| GeoPoint::new(45.75, lon).unwrap();
-        let mut records = Vec::new();
-        for day in 0..2i64 {
-            for i in 0..240i64 {
-                let lon = 4.80 + 0.0004 * (i.min(60)) as f64;
-                records.push(LocationRecord::new(
-                    UserId(1),
-                    Timestamp::new(day * DAY_SECONDS + i * 300),
-                    site(lon),
-                ));
-            }
-        }
-        for i in 0..240i64 {
-            records.push(LocationRecord::new(
-                UserId(2),
-                Timestamp::new(i * 300),
-                site(4.81),
-            ));
-        }
-        let windows = WindowedDataset::partition(&Dataset::from_records(records));
-        assert_eq!(windows.len(), 2);
+        let windows = sparse_windows();
         let mut publisher = StreamingPublisher::new(PrivApiConfig::default());
         let pool = publisher.privapi().pool().len();
         let probe = publisher.privapi().attack().clone();
@@ -2653,48 +2745,16 @@ mod tests {
         // Two users on day 0; only one of them has day-1 records that stay
         // inside the day-0 bounding box, so day 1 must refresh exactly that
         // user and reuse the other's shard.
-        use geo::GeoPoint;
-        use mobility::{LocationRecord, Timestamp, DAY_SECONDS};
-        let site = |lon: f64| GeoPoint::new(45.75, lon).unwrap();
-        let mut records = Vec::new();
-        // User 1: a commute plus long dwells on both days, spanning the box.
-        for day in 0..2i64 {
-            for i in 0..240i64 {
-                let lon = 4.80 + 0.0004 * (i.min(60)) as f64;
-                records.push(LocationRecord::new(
-                    UserId(1),
-                    Timestamp::new(day * DAY_SECONDS + i * 300),
-                    site(lon),
-                ));
-            }
-        }
-        // User 2: day 0 only, dwelling inside the same box.
-        for i in 0..240i64 {
-            records.push(LocationRecord::new(
-                UserId(2),
-                Timestamp::new(i * 300),
-                site(4.81),
-            ));
-        }
-        let ds = Dataset::from_records(records);
-        let windows = WindowedDataset::partition(&ds);
-        assert_eq!(windows.len(), 2);
-
-        let attack = PoiAttack::default();
-        let mut store = WorkStore::new();
-        let mut cache = PopulationCache::new();
-        let d0 = cache
-            .advance(&attack, &windows.windows()[0], &mut store)
-            .unwrap();
+        let windows = sparse_windows();
+        let (mut session, mut store) = fresh();
+        let d0 = session.advance(&windows.windows()[0], &mut store).unwrap();
         assert_eq!(d0.users_refreshed, 2);
         assert_eq!(d0.users_reused, 0);
         assert!(!d0.grid_rebuilt, "first window never reports a rebuild");
-        let user2_day0 = shard_of(&cache, UserId(2));
+        let user2_day0 = shard_of(session.population(), UserId(2));
 
         assert_eq!(d0.shards_rebuilt, 2, "a first window has no memo");
-        let d1 = cache
-            .advance(&attack, &windows.windows()[1], &mut store)
-            .unwrap();
+        let d1 = session.advance(&windows.windows()[1], &mut store).unwrap();
         assert!(!d1.grid_rebuilt, "day 1 stays inside the day-0 bbox");
         assert_eq!(d1.users_refreshed, 1, "only user 1 has new records");
         assert_eq!(d1.users_reused, 1);
@@ -2704,7 +2764,8 @@ mod tests {
             "user 1's shard folds in only the day-1 trajectory"
         );
         // The reused shard is bitwise yesterday's.
-        assert_eq!(shard_of(&cache, UserId(2)), user2_day0);
+        let cache = session.population();
+        assert_eq!(shard_of(cache, UserId(2)), user2_day0);
         assert_eq!(cache.windows_ingested(), 2);
         assert_eq!(cache.reference().len(), 2);
         assert_eq!(
@@ -2740,15 +2801,9 @@ mod tests {
             ));
         }
         let windows = WindowedDataset::partition(&Dataset::from_records(records));
-        let attack = PoiAttack::default();
-        let mut store = WorkStore::new();
-        let mut cache = PopulationCache::new();
-        cache
-            .advance(&attack, &windows.windows()[0], &mut store)
-            .unwrap();
-        let d1 = cache
-            .advance(&attack, &windows.windows()[1], &mut store)
-            .unwrap();
+        let (mut session, mut store) = fresh();
+        session.advance(&windows.windows()[0], &mut store).unwrap();
+        let d1 = session.advance(&windows.windows()[1], &mut store).unwrap();
         assert!(d1.grid_rebuilt, "widened bbox must rebuild the grid");
         assert_eq!(d1.users_refreshed, 2, "a grid rebuild touches everyone");
         assert_eq!(d1.users_reused, 0);
@@ -2906,38 +2961,71 @@ mod tests {
     }
 
     #[test]
-    fn attack_config_change_mid_session_resets_derived_state() {
-        // The original-side cache fingerprints the attack parameters:
-        // advancing the same session with a different configuration must
-        // drop the cached shards/reference/index and re-extract under the
-        // new parameters instead of silently matching at stale distances.
-        // Parity with a batch publish under the new attack is the proof.
-        let ds = dataset(31, 3, 2);
-        let windows = WindowedDataset::partition(&ds);
-        let mut session = Session::default();
-        step(&PrivApi::default(), &mut session, &windows.windows()[0]).unwrap();
-        let custom = PoiAttack::new(PoiAttackConfig {
-            match_distance: geo::Meters::new(500.0),
+    fn a_matching_distance_change_keeps_every_shard() {
+        // Extraction never reads the matching distance, so a session
+        // advanced under the default 350 m serves a 500 m publisher from
+        // the same shards: on day 1 only user 1 is re-extracted, the grid
+        // stays, and each day's release equals a batch publish at the
+        // publisher's own distance.
+        let windows = sparse_windows();
+        let wide = PrivApi::default().with_attack(PoiAttack::new(PoiAttackConfig {
+            match_distance: Meters::new(500.0),
             ..PoiAttackConfig::default()
-        });
-        let release = step(
-            &PrivApi::default().with_attack(custom.clone()),
-            &mut session,
-            &windows.windows()[1],
-        )
-        .unwrap();
-        let batch = PrivApi::default()
-            .with_attack(custom)
-            .publish(&windows.prefix(1))
-            .unwrap();
+        }));
+        let mut session = fresh();
+        let day0 = step(&PrivApi::default(), &mut session, &windows.windows()[0]).unwrap();
+        let batch0 = PrivApi::default().publish(&windows.prefix(0)).unwrap();
+        assert_eq!(day0.published.selection, batch0.selection);
+        let user2_day0 = shard_of(session.0.population(), UserId(2));
+        let release = step(&wide, &mut session, &windows.windows()[1]).unwrap();
+        assert!(!release.delta.grid_rebuilt);
+        assert_eq!(
+            (release.delta.users_refreshed, release.delta.users_reused),
+            (1, 1)
+        );
+        assert_eq!(shard_of(session.0.population(), UserId(2)), user2_day0);
+        let batch = wide.publish(&windows.prefix(1)).unwrap();
         assert_eq!(release.published.selection, batch.selection);
         assert_eq!(release.published.privacy, batch.privacy);
         assert_eq!(release.published.dataset, batch.dataset);
-        assert!(
-            release.delta.grid_rebuilt,
-            "a config change must be reported as a grid rebuild"
-        );
-        assert_eq!(release.delta.users_reused, 0, "nothing stale survives");
+    }
+
+    #[test]
+    fn a_publisher_extracting_otherwise_is_rejected_untouched() {
+        // A publisher whose attack extracts under other parameters gets the
+        // typed error before anything is read or created; the session's
+        // own publisher then releases exactly what a twin session that
+        // never saw the rejected call releases.
+        let windows = WindowedDataset::partition(&dataset(31, 3, 2));
+        let privapi = PrivApi::default();
+        let other = PrivApi::default().with_attack(PoiAttack::new(PoiAttackConfig {
+            min_poi_dwell_s: 30 * 60,
+            ..PoiAttackConfig::default()
+        }));
+        let (mut session, mut twin) = (fresh(), fresh());
+        for s in [&mut session, &mut twin] {
+            step(&privapi, s, &windows.windows()[0]).unwrap();
+            s.0.advance(&windows.windows()[1], &mut s.1).unwrap();
+        }
+        let (session, store) = &mut session;
+        let deltas = session.strategies().last_deltas().to_vec();
+        let states = session.strategies().candidates();
+        let records = session.population().prefix().record_count();
+        let entries = (store.len(), store.unreferenced());
+        let err = session.publish(&other, 1, store).unwrap_err();
+        assert!(matches!(err, PrivapiError::ExtractionMismatch), "got {err}");
+        assert_eq!(session.strategies().last_deltas(), deltas.as_slice());
+        assert_eq!(session.strategies().candidates(), states);
+        assert_eq!(session.population().prefix().record_count(), records);
+        assert_eq!((store.len(), store.unreferenced()), entries);
+        let release = session.publish(&privapi, 0, store).unwrap();
+        let expected = twin.0.publish(&privapi, 0, &mut twin.1).unwrap();
+        assert_eq!(release.delta, expected.delta);
+        assert_eq!(release.strategies, expected.strategies);
+        assert_eq!(release.published.selection, expected.published.selection);
+        assert_eq!(release.published.dataset, expected.published.dataset);
+        let batch = privapi.publish(&windows.prefix(1)).unwrap();
+        assert_eq!(release.published.selection, batch.selection);
     }
 
     #[test]
@@ -2948,7 +3036,7 @@ mod tests {
         // batch publish at the *new* seed is the proof.
         let ds = dataset(47, 3, 2);
         let windows = WindowedDataset::partition(&ds);
-        let mut session = Session::default();
+        let mut session = fresh();
         let first = PrivApi::new(PrivApiConfig {
             seed: 1,
             ..PrivApiConfig::default()
@@ -3052,13 +3140,13 @@ mod tests {
         let (pop_windows, sub_windows) = pinned_population(2);
         let attack = PoiAttack::default();
         let mut store = WorkStore::new();
-        let mut population = PopulationCache::new();
-        let mut derived = PopulationCache::new();
-        let mut standalone = PopulationCache::new();
+        let mut population = Session::new(attack.clone());
+        let mut derived = Session::new(attack.clone());
+        let (mut standalone, _) = fresh();
         for (pop_w, sub_w) in pop_windows.iter().zip(sub_windows.iter()) {
-            population.advance(&attack, pop_w, &mut store).unwrap();
+            population.advance(pop_w, &mut store).unwrap();
             let before = attack.user_extractions();
-            let delta = derived.advance(&attack, sub_w, &mut store).unwrap();
+            let delta = derived.advance(sub_w, &mut store).unwrap();
             assert_eq!(delta.users_derived, 2, "both subset users are served");
             assert_eq!(delta.users_refreshed, 0, "nothing re-extracted");
             assert_eq!((delta.store_lookups, delta.store_fills), (2, 0));
@@ -3067,9 +3155,8 @@ mod tests {
                 before,
                 "derivation must not pay the per-user probe"
             );
-            standalone
-                .advance(&attack, sub_w, &mut WorkStore::new())
-                .unwrap();
+            standalone.advance(sub_w, &mut WorkStore::new()).unwrap();
+            let (derived, standalone) = (derived.population(), standalone.population());
             assert!(derived.shards().eq(standalone.shards()), "shards drifted");
             assert_eq!(derived.reference(), standalone.reference());
             store.drop_released();
@@ -3078,14 +3165,13 @@ mod tests {
 
         // A store that holds nothing for the subset's inputs serves
         // nothing: the subset extracts its users itself.
-        let mut own = PopulationCache::new();
-        let delta = own
-            .advance(&attack, &sub_windows[0], &mut WorkStore::new())
-            .unwrap();
+        let (mut own, mut empty) = fresh();
+        let delta = own.advance(&sub_windows[0], &mut empty).unwrap();
         assert_eq!((delta.users_derived, delta.users_refreshed), (0, 2));
         assert!(own
+            .population()
             .shards()
-            .eq(standalone_prefix_shards(&attack, &sub_windows[0]).iter()));
+            .eq(standalone_prefix_shards(&sub_windows[0]).iter()));
 
         // Entries live exactly as long as a cache holds them.
         assert!(!store.is_empty());
@@ -3127,29 +3213,18 @@ mod tests {
             ..PrivApiConfig::default()
         })
         .with_pool(StrategyPool::new().with(Box::new(PassThrough)));
-        let mut store = WorkStore::new();
-        let mut population = PopulationCache::new();
-        let mut strategies = StrategySessionCache::new();
+        let (mut session, mut store) = fresh();
         for (i, window) in windows.iter().enumerate() {
-            let delta = population
-                .advance(privapi.attack(), window, &mut store)
-                .unwrap();
-            privapi
-                .publish_session(
-                    &population,
-                    &mut strategies,
-                    delta,
-                    &window.users(),
-                    &mut store,
-                )
-                .unwrap();
-            let candidate = &strategies.last_deltas()[0];
+            session.advance(window, &mut store).unwrap();
+            session.publish(&privapi, 0, &mut store).unwrap();
+            session.close_window([(0, &privapi)], &mut store);
+            let candidate = &session.strategies().last_deltas()[0];
             assert_eq!(candidate.counts.full_fallbacks, 0, "window {i}");
             assert!(candidate.counts.store_lookups > 0, "window {i}");
             store.drop_released();
             assert_eq!(store.unreferenced(), 0, "window {i}");
         }
-        drop((population, strategies));
+        drop(session);
         store.drop_unreferenced();
         assert!(
             store.is_empty(),
@@ -3193,11 +3268,11 @@ mod tests {
             ..PrivApiConfig::default()
         })
         .with_pool(StrategyPool::new().with(Box::new(PassThrough)));
-        let mut session = Session::default();
+        let mut session = fresh();
         let mut paths = Vec::new();
         for (i, window) in windows.iter().enumerate() {
             let release = step(&privapi, &mut session, window).unwrap();
-            let (population, strategies, _) = &session;
+            let (population, strategies) = (session.0.population(), session.0.strategies());
             let pois: usize = population.reference().values().map(Vec::len).sum();
             assert!(pois > 0, "window {i}: nothing to compare");
             assert_eq!(
@@ -3230,20 +3305,18 @@ mod tests {
         // carry their extraction memo, so it amends them with only the
         // day-2 trajectories. Every step equals a standalone cache.
         let (pop_windows, sub_windows) = pinned_population(3);
-        let attack = PoiAttack::default();
-        let mut store = WorkStore::new();
-        let mut population = PopulationCache::new();
-        let mut subset = PopulationCache::new();
-        let mut standalone = PopulationCache::new();
+        let (mut population, mut store) = fresh();
+        let (mut subset, _) = fresh();
+        let (mut standalone, _) = fresh();
         let mut paths = Vec::new();
         for (day, (pop_w, sub_w)) in pop_windows.iter().zip(sub_windows.iter()).enumerate() {
             let subset_first = day != 1;
             if !subset_first {
-                population.advance(&attack, pop_w, &mut store).unwrap();
+                population.advance(pop_w, &mut store).unwrap();
             }
-            let delta = subset.advance(&attack, sub_w, &mut store).unwrap();
+            let delta = subset.advance(sub_w, &mut store).unwrap();
             if subset_first {
-                let served = population.advance(&attack, pop_w, &mut store).unwrap();
+                let served = population.advance(pop_w, &mut store).unwrap();
                 assert_eq!(
                     served.users_derived, 2,
                     "day {day}: users 1 and 2 are served"
@@ -3255,26 +3328,20 @@ mod tests {
                 delta.shards_rebuilt,
                 delta.shards_fallback,
             ));
-            standalone
-                .advance(&attack, sub_w, &mut WorkStore::new())
-                .unwrap();
-            assert!(subset.shards().eq(standalone.shards()), "day {day}");
+            standalone.advance(sub_w, &mut WorkStore::new()).unwrap();
+            let shards = subset.population().shards();
+            assert!(shards.eq(standalone.population().shards()), "day {day}");
             store.drop_released();
             assert_eq!(store.unreferenced(), 0, "day {day}");
         }
         assert_eq!(paths, vec![(0, 0, 2, 0), (2, 0, 0, 0), (0, 2, 0, 0)]);
     }
 
-    /// Shards of a from-scratch cache over one window.
-    fn standalone_prefix_shards(
-        attack: &PoiAttack,
-        window: &DatasetWindow,
-    ) -> Vec<UserAttackShard> {
-        let mut cache = PopulationCache::new();
-        cache
-            .advance(attack, window, &mut WorkStore::new())
-            .unwrap();
-        cache.shards().cloned().collect()
+    /// Shards of a from-scratch session over one window.
+    fn standalone_prefix_shards(window: &DatasetWindow) -> Vec<UserAttackShard> {
+        let (mut session, mut store) = fresh();
+        session.advance(window, &mut store).unwrap();
+        session.population().shards().cloned().collect()
     }
 
     /// A copy of `user`'s cached shard.
@@ -3283,51 +3350,24 @@ mod tests {
         shards.find(|s| s.user == user).unwrap().clone()
     }
 
-    /// Session state owned by the caller, for tests that switch
-    /// middlewares (attack, seed, pool) mid-session.
-    type Session = (PopulationCache, StrategySessionCache, WorkStore);
-
-    /// One streaming step over `session`, exactly as
-    /// [`StreamingPublisher::publish_window`] runs it.
-    fn step(
-        privapi: &PrivApi,
-        session: &mut Session,
-        window: &DatasetWindow,
-    ) -> Result<PublishedWindow, PrivapiError> {
-        let (population, strategies, store) = session;
-        let delta = population.advance(privapi.attack(), window, store)?;
-        let published =
-            privapi.publish_session(population, strategies, delta, &window.users(), store);
-        store.drop_released();
-        published
+    /// An empty session under the default attack, with a store of its own.
+    fn fresh() -> (Session, WorkStore) {
+        (Session::new(PoiAttack::default()), WorkStore::new())
     }
 
-    #[test]
-    fn a_matching_distance_the_population_does_not_index_is_built() {
-        // The population is advanced at the default 350 m; a publisher
-        // matching at 400 m still releases exactly what a batch publish at
-        // 400 m does, over an index built for it.
-        let windows = WindowedDataset::partition(&dataset(23, 3, 2));
-        let wide = PrivApi::default().with_attack(PoiAttack::new(PoiAttackConfig {
-            match_distance: geo::Meters::new(400.0),
-            ..PoiAttackConfig::default()
-        }));
-        let mut session = Session::default();
-        for (i, window) in windows.iter().enumerate() {
-            let (population, strategies, store) = &mut session;
-            let delta = population
-                .advance(&PoiAttack::default(), window, store)
-                .unwrap();
-            assert!(population
-                .reference_index(geo::Meters::new(400.0))
-                .is_none());
-            let release = wide
-                .publish_session(population, strategies, delta, &window.users(), store)
-                .unwrap();
-            let batch = wide.publish(&windows.prefix(i)).unwrap();
-            assert_eq!(release.published.selection, batch.selection, "window {i}");
-            assert_eq!(release.published.dataset, batch.dataset, "window {i}");
-        }
+    /// One streaming step of `privapi` over `session`, exactly as
+    /// [`StreamingPublisher::publish_window`] runs it, for tests that
+    /// switch middlewares (seed, pool, matching distance) mid-session.
+    fn step(
+        privapi: &PrivApi,
+        (session, store): &mut (Session, WorkStore),
+        window: &DatasetWindow,
+    ) -> Result<PublishedWindow, PrivapiError> {
+        session.advance(window, store)?;
+        let published = session.publish(privapi, 0, store);
+        session.close_window([(0, privapi)], store);
+        store.drop_released();
+        published
     }
 
     #[test]
@@ -3377,7 +3417,7 @@ mod tests {
         };
         let (first, second) = (make(100.0), make(100.3));
         assert_eq!(first.pool().infos(), second.pool().infos());
-        let mut session = Session::default();
+        let mut session = fresh();
         step(&first, &mut session, &windows.windows()[0]).unwrap();
         let release = step(&second, &mut session, &windows.windows()[1]).unwrap();
         let mut fresh = StreamingPublisher::from_privapi(make(100.3));

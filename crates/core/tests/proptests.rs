@@ -843,9 +843,8 @@ fn late_windows(
         .collect()
 }
 
-/// Streams `windows` through sessions that share one population cache and
-/// one work store, as the campaign orchestrator runs them: each window the
-/// population advances once, then every session publishes under its
+/// Streams `windows` through one session per middleware, all over one
+/// work store: each window every session advances, then publishes under its
 /// middleware for that window (`sessions[s](i)`). Every release must equal
 /// a batch `publish` of the window's prefix under the same middleware
 /// byte for byte — or fail the same way — with no full extraction pass and
@@ -855,31 +854,28 @@ fn streaming_matches_batch(
     sessions: &[&dyn Fn(usize) -> PrivApi],
     windows: &[mobility::DatasetWindow],
 ) -> Result<Vec<Vec<Option<privapi::streaming::PublishedWindow>>>, TestCaseError> {
-    use privapi::streaming::{PopulationCache, StrategySessionCache, WorkStore};
-    let mut population = PopulationCache::new();
+    use privapi::streaming::{Session, WorkStore};
     let mut store = WorkStore::new();
-    let mut caches: Vec<StrategySessionCache> = sessions
+    let mut states: Vec<Session> = sessions
         .iter()
-        .map(|_| StrategySessionCache::new())
+        .map(|session| Session::new(session(0).attack().clone()))
         .collect();
     let mut releases: Vec<Vec<_>> = sessions.iter().map(|_| Vec::new()).collect();
     let mut prefix = Dataset::new();
     for (i, window) in windows.iter().enumerate() {
         prefix.extend(window.dataset().trajectories().iter().cloned());
-        let attack = sessions[0](i).attack().clone();
-        let delta = population
-            .advance(&attack, window, &mut store)
-            .map_err(|e| TestCaseError::fail(format!("window {i}: {e}")))?;
         for (s, session) in sessions.iter().enumerate() {
+            let state = &mut states[s];
+            state
+                .advance(window, &mut store)
+                .map_err(|e| TestCaseError::fail(format!("window {i}: {e}")))?;
             let privapi = session(i);
-            let incremental = privapi.publish_session(
-                &population,
-                &mut caches[s],
-                delta,
-                &window.users(),
-                &mut store,
+            let incremental = state.publish(&privapi, 0, &mut store);
+            state.close_window([(0, &privapi)], &mut store);
+            prop_assert_eq!(
+                state.attack().extractions() + privapi.attack().extractions(),
+                0
             );
-            prop_assert_eq!(attack.extractions() + privapi.attack().extractions(), 0);
             match (incremental, session(i).publish(&prefix)) {
                 (Ok(inc), Ok(batch)) => {
                     let at = format!("session {s} window {i}");

@@ -24,7 +24,7 @@ use crowdsense::campaign::Campaign;
 use crowdsense::mobility::LocationRecord;
 use crowdsense::privapi::attack::PoiAttack;
 use crowdsense::privapi::pipeline::PrivApiConfig;
-use crowdsense::privapi::streaming::{IngestDelta, PopulationCache, WorkStore};
+use crowdsense::privapi::streaming::{IngestDelta, Session, WorkStore};
 use crowdsense::simnet::fault::{Crash, Partition};
 use crowdsense::simnet::{FaultPlan, NodeId};
 use mobility::DAY_SECONDS;
@@ -144,10 +144,9 @@ fn duplicate_and_reordered_delivery_never_surfaces_as_stream_error() {
     assert!(outcome.is_clean(), "absorbed faults leave clean deltas");
 
     // Feed the collector's windows straight into the strict stream
-    // consumers: the population cache and a full campaign gateway. Both
+    // consumers: a streaming session and a full campaign gateway. Both
     // must accept every window — the protocol already serialized the days.
-    let probe = PoiAttack::default();
-    let mut cache = PopulationCache::new();
+    let mut session = Session::new(PoiAttack::default());
     let mut store = WorkStore::new();
     let mut gateway = CampaignGateway::new();
     gateway
@@ -157,8 +156,8 @@ fn duplicate_and_reordered_delivery_never_surfaces_as_stream_error() {
         )
         .unwrap();
     for (window, delta) in outcome.windows.iter().zip(&outcome.deltas) {
-        cache
-            .advance(&probe, window, &mut store)
+        session
+            .advance(window, &mut store)
             .expect("protocol-ordered windows can never violate the stream guard");
         let mut report = gateway
             .publish_day(window)
@@ -170,7 +169,7 @@ fn duplicate_and_reordered_delivery_never_surfaces_as_stream_error() {
 
     // Negative control: the guard itself still works — replaying a day is
     // a harness bug and must be rejected loudly.
-    let replay = cache.advance(&probe, &outcome.windows[0], &mut store);
+    let replay = session.advance(&outcome.windows[0], &mut store);
     assert!(replay.is_err(), "the ascending-day guard must still exist");
 }
 
