@@ -797,21 +797,25 @@ impl LanePayload for DayBuckets {
     ) -> Result<Option<i64>, CollectError> {
         self.batches_applied += 1;
         let mut quarantined_here: u64 = 0;
-        for rec in batch.records {
-            let day = rec.time.day_index();
+        // Each run of one user's records of one day takes one bucket
+        // lookup, in application order.
+        let runs = batch
+            .records
+            .chunk_by(|a, b| a.user == b.user && a.time.day_index() == b.time.day_index());
+        for run in runs {
+            let (user, day) = (run[0].user, run[0].time.day_index());
             if last_closed.is_some_and(|closed| day <= closed) {
-                self.quarantine.entry(rec.user).or_default().push(rec);
-                self.quarantined_records += 1;
-                quarantined_here += 1;
+                self.quarantine
+                    .entry(user)
+                    .or_default()
+                    .extend_from_slice(run);
+                quarantined_here += run.len() as u64;
             } else {
-                self.open
-                    .entry(day)
-                    .or_default()
-                    .entry(rec.user)
-                    .or_default()
-                    .push(rec);
+                let bucket = self.open.entry(day).or_default().entry(user).or_default();
+                bucket.extend_from_slice(run);
             }
         }
+        self.quarantined_records += quarantined_here;
         if quarantined_here > 0 {
             let reason = "day_already_closed";
             trace_quarantine("ingest.quarantine", device, quarantined_here, reason);

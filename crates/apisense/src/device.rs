@@ -243,12 +243,6 @@ impl Device {
         self
     }
 
-    /// Restricts the available sensors.
-    pub fn with_sensors<I: IntoIterator<Item = SensorKind>>(mut self, sensors: I) -> Self {
-        self.sensors = sensors.into_iter().collect();
-        self
-    }
-
     /// The device id.
     pub fn id(&self) -> DeviceId {
         self.id

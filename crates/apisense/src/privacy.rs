@@ -153,11 +153,6 @@ impl PrivacyPreferences {
         self.enabled_sensors.contains(&sensor)
     }
 
-    /// The configured blur level.
-    pub fn blur_sigma(&self) -> Meters {
-        Meters::new(self.blur_sigma_m)
-    }
-
     /// Applies the full filter chain to a record.
     ///
     /// Returns `None` when the record must be suppressed (outside every

@@ -396,11 +396,6 @@ impl CompiledProgram {
     pub fn is_empty(&self) -> bool {
         self.code.is_empty()
     }
-
-    /// Number of distinct call sites (each has its own inline cache).
-    pub fn call_sites(&self) -> usize {
-        self.sites.len()
-    }
 }
 
 /// Hashable identity of a pooled constant (`f64` keyed by bit pattern).

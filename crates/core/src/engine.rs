@@ -41,7 +41,7 @@ use crate::pool::StrategyPool;
 use crate::selection::{CandidateResult, Objective, SelectionReport};
 use crate::strategy::AnonymizationStrategy;
 use crate::streaming::{
-    CandidateState, Fills, PopulationCache, Protector, Refreshed, SharedState,
+    CandidateState, Fills, NoiseDraws, PopulationCache, Protector, Refreshed, SharedState,
     StrategySessionCache, WindowUpdate, WorkStore,
 };
 use mobility::{Dataset, UserId};
@@ -391,6 +391,9 @@ impl EvaluationEngine {
             .filter_map(|(slot, state)| unclaimed[*state].take().map(|s| (slot, s)))
             .collect();
         let read_only: &WorkStore = store;
+        // One draw per noise kind and source for the whole sweep: every
+        // geo-I candidate scales the same draws, and so does every Gaussian.
+        let draws = NoiseDraws::new(&strategies.noise_draws);
         // Candidates run on rayon workers: each opens its span under the
         // sweep's, so the trace keeps the fan-out under `engine.sweep`.
         let parent = obs::current_span();
@@ -400,7 +403,7 @@ impl EvaluationEngine {
             let strategy = candidates[*slot];
             let protector = shared
                 .state
-                .protector(strategy, population, self.seed, read_only);
+                .protector(strategy, population, self.seed, read_only, &draws);
             let mut fills = Fills::default();
             if shared.window.is_none() {
                 let (window, refreshed) = self.refresh_candidate(
@@ -422,6 +425,7 @@ impl EvaluationEngine {
         };
         let scored: Vec<((CandidateResult, PoiAttackReport), Fills)> =
             work.par_iter_mut().map(eval).collect();
+        drop(draws);
         let mut evaluated = Vec::with_capacity(scored.len());
         for (result, fills) in scored {
             evaluated.push(result);

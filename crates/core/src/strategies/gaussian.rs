@@ -1,8 +1,15 @@
 //! Independent Gaussian perturbation — the naive noise baseline.
+//!
+//! Each fix's noise comes in two steps. The draw ([`NormalDraw`]) takes
+//! two unit normals from the trajectory's RNG stream and the source
+//! latitude's cosine (floored at 0.01); the scale step multiplies the
+//! normals by σ and offsets the fix. Candidates of several σ within one
+//! sweep thus share one draw per fix (the sweep's draw memo, DESIGN.md
+//! §3.11), and every output is bit-identical to a fresh draw.
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::perturb_trajectory;
+use crate::strategies::{draw_each, scale_each};
 use crate::strategy::{
     protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
 };
@@ -37,22 +44,54 @@ impl GaussianPerturbation {
         self.sigma
     }
 
-    fn perturb(&self, p: &GeoPoint, rng: &mut StdRng) -> GeoPoint {
+    /// The scale-free draws of `trajectory`'s fixes under `seed`, one per
+    /// fix, shared by every σ.
+    pub(crate) fn draws(trajectory: &Trajectory, seed: u64) -> Vec<NormalDraw> {
+        draw_each(trajectory, seed, NormalDraw::new)
+    }
+
+    /// `trajectory` protected from its [`GaussianPerturbation::draws`].
+    pub(crate) fn scaled(&self, trajectory: &Trajectory, draws: &[NormalDraw]) -> Trajectory {
+        scale_each(trajectory, draws, |p, d| self.scale(p, d))
+    }
+
+    fn scale(&self, p: &GeoPoint, draw: &NormalDraw) -> GeoPoint {
         if self.sigma.get() == 0.0 {
             return *p;
         }
+        let de = draw.east * self.sigma.get();
+        let dn = draw.north * self.sigma.get();
+        GeoPoint::clamped(
+            p.latitude() + dn / 111_320.0,
+            p.longitude() + de / (111_320.0 * draw.cos_lat),
+        )
+    }
+}
+
+/// One fix's share of the Gaussian noise that σ does not enter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NormalDraw {
+    /// The unit normals of the east and north offsets.
+    east: f64,
+    north: f64,
+    /// The source fix's latitude cosine, floored at 0.01.
+    cos_lat: f64,
+}
+
+impl NormalDraw {
+    fn new(p: &GeoPoint, rng: &mut StdRng) -> Self {
         let gauss = |rng: &mut StdRng| -> f64 {
             let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
             let u2: f64 = rng.gen_range(0.0..1.0);
             (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         };
-        let de = gauss(rng) * self.sigma.get();
-        let dn = gauss(rng) * self.sigma.get();
-        let cos_lat = p.latitude().to_radians().cos().max(0.01);
-        GeoPoint::clamped(
-            p.latitude() + dn / 111_320.0,
-            p.longitude() + de / (111_320.0 * cos_lat),
-        )
+        let east = gauss(rng);
+        let north = gauss(rng);
+        Self {
+            east,
+            north,
+            cos_lat: p.cos_latitude().max(0.01),
+        }
     }
 }
 
@@ -74,9 +113,7 @@ impl AnonymizationStrategy for GaussianPerturbation {
         seed: u64,
         _anchor: Option<&BoundingBox>,
     ) -> Arc<Trajectory> {
-        Arc::new(perturb_trajectory(trajectory, seed, |p, rng| {
-            self.perturb(p, rng)
-        }))
+        Arc::new(self.scaled(trajectory, &Self::draws(trajectory, seed)))
     }
 
     /// Noise is drawn from a per-trajectory RNG keyed by `(seed, user,
@@ -103,6 +140,11 @@ mod tests {
     use mobility::{LocationRecord, Timestamp, UserId};
     use rand::SeedableRng;
 
+    /// One fix drawn and scaled, as `protect` moves each fix.
+    fn perturb(mech: &GaussianPerturbation, p: &GeoPoint, rng: &mut StdRng) -> GeoPoint {
+        mech.scale(p, &NormalDraw::new(p, rng))
+    }
+
     #[test]
     fn rejects_negative_sigma() {
         assert!(GaussianPerturbation::new(Meters::new(-1.0)).is_err());
@@ -117,7 +159,7 @@ mod tests {
         let mech = GaussianPerturbation::new(Meters::new(0.0)).unwrap();
         let origin = GeoPoint::new(45.0, 4.0).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(mech.perturb(&origin, &mut rng), origin);
+        assert_eq!(perturb(&mech, &origin, &mut rng), origin);
     }
 
     #[test]
@@ -130,7 +172,7 @@ mod tests {
         let mean: f64 = (0..n)
             .map(|_| {
                 origin
-                    .haversine_distance(&mech.perturb(&origin, &mut rng))
+                    .haversine_distance(&perturb(&mech, &origin, &mut rng))
                     .get()
             })
             .sum::<f64>()

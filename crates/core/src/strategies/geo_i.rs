@@ -8,14 +8,24 @@
 //! systems" (CCS 2013): each fix is displaced by polar Laplace noise with
 //! privacy parameter `epsilon` (in 1/metres); the radius is sampled by
 //! inverting the Gamma(2, ε) CDF via the Lambert W₋₁ function.
+//!
+//! Each fix's noise comes in two steps. The draw ([`PolarDraw`]) takes the
+//! bearing and the radius quantile from the trajectory's RNG stream and
+//! holds everything computed from them and from the source fix that ε does
+//! not enter: the bearing's sine and cosine, `W₋₁((p−1)/e) + 1` and the
+//! source latitude's sine and cosine. The scale step multiplies by `1/ε`
+//! and moves the fix with [`GeoPoint::destination_sin_cos`]. Candidates of
+//! several ε within one sweep thus share one draw per fix (the sweep's
+//! draw memo, DESIGN.md §3.11), and every output is bit-identical to a
+//! fresh [`GeoIndistinguishability::perturb`].
 
 use crate::error::PrivapiError;
 use crate::federated::StrategySpec;
-use crate::strategies::perturb_trajectory;
+use crate::strategies::{draw_each, scale_each};
 use crate::strategy::{
     protect_each, AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality,
 };
-use geo::{BoundingBox, Degrees, GeoPoint, Meters};
+use geo::{BoundingBox, GeoPoint, Meters};
 use mobility::{Dataset, Trajectory};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,13 +82,52 @@ impl GeoIndistinguishability {
 
     /// Samples a noisy version of one point.
     pub fn perturb(&self, point: &GeoPoint, rng: &mut StdRng) -> GeoPoint {
-        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-        let p: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
+        self.scale(point, &PolarDraw::new(point, rng))
+    }
+
+    /// The scale-free draws of `trajectory`'s fixes under `seed`, one per
+    /// fix, shared by every ε.
+    pub(crate) fn draws(trajectory: &Trajectory, seed: u64) -> Vec<PolarDraw> {
+        draw_each(trajectory, seed, PolarDraw::new)
+    }
+
+    /// `trajectory` protected from its [`GeoIndistinguishability::draws`].
+    pub(crate) fn scaled(&self, trajectory: &Trajectory, draws: &[PolarDraw]) -> Trajectory {
+        scale_each(trajectory, draws, |p, d| self.scale(p, d))
+    }
+
+    fn scale(&self, point: &GeoPoint, draw: &PolarDraw) -> GeoPoint {
         // Inverse CDF of the planar Laplace radius (Gamma(2, ε)):
         // r = -(1/ε) * (W₋₁((p-1)/e) + 1)
+        let r = -(1.0 / self.epsilon) * draw.w_plus_1;
+        point.destination_sin_cos(draw.latitude, draw.bearing, Meters::new(r))
+    }
+}
+
+/// One fix's share of the planar Laplace noise that ε does not enter.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PolarDraw {
+    /// Sine and cosine of the bearing, in radians as
+    /// [`GeoPoint::destination`] converts it from degrees.
+    bearing: (f64, f64),
+    /// `W₋₁((p−1)/e) + 1` of the radius quantile `p`.
+    w_plus_1: f64,
+    /// Sine and cosine of the source fix's latitude.
+    latitude: (f64, f64),
+}
+
+impl PolarDraw {
+    fn new(point: &GeoPoint, rng: &mut StdRng) -> Self {
+        let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+        let p: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
         let w = lambert_w_minus1((p - 1.0) / std::f64::consts::E);
-        let r = -(1.0 / self.epsilon) * (w + 1.0);
-        point.destination(Degrees::new(theta.to_degrees()), Meters::new(r))
+        let bearing = theta.to_degrees().to_radians();
+        let phi = point.latitude().to_radians();
+        Self {
+            bearing: (bearing.sin(), bearing.cos()),
+            w_plus_1: w + 1.0,
+            latitude: (phi.sin(), phi.cos()),
+        }
     }
 }
 
@@ -132,9 +181,7 @@ impl AnonymizationStrategy for GeoIndistinguishability {
         seed: u64,
         _anchor: Option<&BoundingBox>,
     ) -> Arc<Trajectory> {
-        Arc::new(perturb_trajectory(trajectory, seed, |p, rng| {
-            self.perturb(p, rng)
-        }))
+        Arc::new(self.scaled(trajectory, &Self::draws(trajectory, seed)))
     }
 
     /// The planar Laplace noise is drawn from a per-trajectory RNG keyed

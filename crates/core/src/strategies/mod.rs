@@ -9,6 +9,13 @@
 //! * [`GaussianPerturbation`] — naive iid noise;
 //! * [`TemporalDownsampling`] — record thinning;
 //! * [`Identity`] — the no-protection control.
+//!
+//! Both noise mechanisms (geo-I, gaussian) move each fix in two steps: a
+//! draw from the trajectory's own RNG stream that no scale enters
+//! (`draw_each`), then the scale step applying ε or σ (`scale_each`).
+//! `protect` is the two in a row; a candidate sweep draws once per
+//! (mechanism, seed, trajectory) and scales the same draws for every
+//! candidate of that mechanism, with bit-identical outputs.
 
 mod gaussian;
 mod geo_i;
@@ -18,7 +25,9 @@ mod spatial_cloaking;
 mod temporal;
 
 pub use gaussian::GaussianPerturbation;
+pub(crate) use gaussian::NormalDraw;
 pub use geo_i::GeoIndistinguishability;
+pub(crate) use geo_i::PolarDraw;
 pub use identity::Identity;
 pub use smoothing::SpeedSmoothing;
 pub use spatial_cloaking::SpatialCloaking;
@@ -76,23 +85,42 @@ pub(crate) fn trajectory_rng(seed: u64, user: u64, start_s: i64) -> StdRng {
     StdRng::seed_from_u64(mix)
 }
 
-/// Rewrites one trajectory's points through `perturb`, drawing randomness
-/// from the per-trajectory [`trajectory_rng`] stream — the unit both noise
-/// mechanisms (gaussian, geo-I) build their `protect` from, and the reason
-/// they can declare [`crate::strategy::UserLocality::UserLocal`].
-pub(crate) fn perturb_trajectory<F>(t: &Trajectory, seed: u64, mut perturb: F) -> Trajectory
-where
-    F: FnMut(&GeoPoint, &mut StdRng) -> GeoPoint,
-{
+/// One value per fix of `t`, in record order, drawn from its
+/// [`trajectory_rng`] stream: the half of both noise mechanisms (gaussian,
+/// geo-I) that no scale enters, and the reason they can declare
+/// [`crate::strategy::UserLocality::UserLocal`].
+///
+/// The draws depend on nothing but `seed` and `t`, so candidates that
+/// differ only in scale can share them ([`scale_each`] applies a scale).
+pub(crate) fn draw_each<D>(
+    t: &Trajectory,
+    seed: u64,
+    mut draw: impl FnMut(&GeoPoint, &mut StdRng) -> D,
+) -> Vec<D> {
     let mut rng = trajectory_rng(
         seed,
         t.user().0,
         t.start_time().map(|ts| ts.seconds()).unwrap_or(0),
     );
+    t.records()
+        .iter()
+        .map(|r| draw(&r.point, &mut rng))
+        .collect()
+}
+
+/// `t` with each fix moved by `scale` from its draw, index for index with
+/// `draws` (see [`draw_each`]).
+pub(crate) fn scale_each<D>(
+    t: &Trajectory,
+    draws: &[D],
+    scale: impl Fn(&GeoPoint, &D) -> GeoPoint,
+) -> Trajectory {
+    debug_assert_eq!(t.len(), draws.len(), "one draw per fix");
     let records: Vec<LocationRecord> = t
         .records()
         .iter()
-        .map(|r| LocationRecord::new(r.user, r.time, perturb(&r.point, &mut rng)))
+        .zip(draws)
+        .map(|(r, d)| LocationRecord::new(r.user, r.time, scale(&r.point, d)))
         .collect();
     Trajectory::new(t.user(), records)
 }

@@ -130,17 +130,19 @@ use crate::attack::{
 };
 use crate::engine::{EvalContext, ObjectiveBaseline};
 use crate::error::PrivapiError;
+use crate::federated::StrategySpec;
 use crate::metrics::{CrowdedBaseline, TrafficBaseline};
 use crate::pipeline::{PrivApi, PrivApiConfig, PublishedDataset};
 use crate::selection::Objective;
+use crate::strategies::{GaussianPerturbation, GeoIndistinguishability, NormalDraw, PolarDraw};
 use crate::strategy::{AnonymizationStrategy, OutputIdentity, StrategyInfo, UserLocality};
 use geo::{BoundingBox, CellId, Meters, UniformGrid};
 use mobility::{Dataset, DatasetWindow, LocationRecord, Trajectory, UserId};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 obs::audit! {
     /// What [`Session::advance`] did with one day window — the audit
@@ -982,12 +984,119 @@ pub(crate) struct CachedShard {
 
 /// How one window produces a candidate's outputs: the strategy, the
 /// family its outputs are keyed under, the anchor a grid-anchored strategy
-/// protects against, and the store to be served from.
+/// protects against, the store to be served from, and — for a noise
+/// mechanism — the sweep's draw memo it scales.
 pub(crate) struct Protector<'a> {
     strategy: &'a dyn AnonymizationStrategy,
     family: OutputFamily,
     anchor: Option<BoundingBox>,
     store: &'a WorkStore,
+    noise: Option<Noise>,
+    draws: &'a NoiseDraws<'a>,
+}
+
+/// A noise mechanism whose outputs scale draws that no scale enters,
+/// recognised by its [`AnonymizationStrategy::spec`] — the identity the
+/// [`WorkStore`] already trusts to share outputs.
+enum Noise {
+    Polar(GeoIndistinguishability),
+    Normal(GaussianPerturbation),
+}
+
+impl Noise {
+    fn of(strategy: &dyn AnonymizationStrategy) -> Option<Self> {
+        match strategy.spec()? {
+            StrategySpec::GeoIndistinguishability { epsilon } => {
+                GeoIndistinguishability::new(epsilon).ok().map(Noise::Polar)
+            }
+            StrategySpec::GaussianPerturbation { sigma_m } => {
+                GaussianPerturbation::new(Meters::new(sigma_m))
+                    .ok()
+                    .map(Noise::Normal)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// The noise draws of one candidate sweep, keyed by (kind, seed, source
+/// trajectory by identity) and filled lazily: the first candidate of a
+/// kind to protect a source draws it, every other candidate of that kind —
+/// whatever its ε or σ — scales the same draws. A draw depends on nothing
+/// but its key, so which candidate draws first leaves every output
+/// unchanged; each entry is drawn once even when candidates race for it.
+///
+/// The memo lives as long as the sweep: candidates sharing a source read
+/// it within one window, and nothing keeps it past the window.
+pub(crate) struct NoiseDraws<'a> {
+    polar: DrawMemo<PolarDraw>,
+    normal: DrawMemo<NormalDraw>,
+    /// How many trajectories' draws this memo computed.
+    computed: AtomicUsize,
+    /// Where the count lands when the memo is dropped.
+    tally: &'a AtomicUsize,
+}
+
+type DrawMemo<D> = Mutex<HashMap<(u64, ById), Arc<OnceLock<Vec<D>>>>>;
+
+impl<'a> NoiseDraws<'a> {
+    /// An empty memo that adds what it computed to `tally` when dropped.
+    pub(crate) fn new(tally: &'a AtomicUsize) -> Self {
+        Self {
+            polar: DrawMemo::default(),
+            normal: DrawMemo::default(),
+            computed: AtomicUsize::new(0),
+            tally,
+        }
+    }
+
+    fn protect(&self, noise: &Noise, source: &Arc<Trajectory>, seed: u64) -> Trajectory {
+        match noise {
+            Noise::Polar(mechanism) => self.scale(
+                &self.polar,
+                source,
+                seed,
+                GeoIndistinguishability::draws,
+                |d| mechanism.scaled(source, d),
+            ),
+            Noise::Normal(mechanism) => self.scale(
+                &self.normal,
+                source,
+                seed,
+                GaussianPerturbation::draws,
+                |d| mechanism.scaled(source, d),
+            ),
+        }
+    }
+
+    /// `scale` over the draws of `source` under `seed` in `memo`, drawing
+    /// them with `draw` on the first miss.
+    fn scale<D>(
+        &self,
+        memo: &DrawMemo<D>,
+        source: &Arc<Trajectory>,
+        seed: u64,
+        draw: fn(&Trajectory, u64) -> Vec<D>,
+        scale: impl FnOnce(&[D]) -> Trajectory,
+    ) -> Trajectory {
+        let cell = Arc::clone(
+            memo.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .entry((seed, ById(Arc::clone(source))))
+                .or_default(),
+        );
+        scale(cell.get_or_init(|| {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            draw(source, seed)
+        }))
+    }
+}
+
+impl Drop for NoiseDraws<'_> {
+    fn drop(&mut self) {
+        self.tally
+            .fetch_add(*self.computed.get_mut(), Ordering::Relaxed);
+    }
 }
 
 /// What producing outputs cost: store lookups, outputs served, outputs
@@ -1036,9 +1145,11 @@ impl Protector<'_> {
                 return Arc::clone(output);
             }
             produced.protected += 1;
-            let output = self
-                .strategy
-                .protect(source, self.family.seed, self.anchor.as_ref());
+            let seed = self.family.seed;
+            let output = match &self.noise {
+                Some(noise) => Arc::new(self.draws.protect(noise, source, seed)),
+                None => self.strategy.protect(source, seed, self.anchor.as_ref()),
+            };
             // An output that is its own source would keep itself alive
             // through its key: nothing to share anyway.
             if !Arc::ptr_eq(source, &output) {
@@ -1095,6 +1206,7 @@ impl CandidateState {
         population: &PopulationCache,
         seed: u64,
         store: &'a WorkStore,
+        draws: &'a NoiseDraws<'a>,
     ) -> Protector<'a> {
         let anchor = match strategy.locality() {
             UserLocality::GridAnchored => population.grid_box(),
@@ -1113,6 +1225,8 @@ impl CandidateState {
             },
             anchor,
             store,
+            noise: Noise::of(strategy),
+            draws,
         }
     }
 
@@ -2056,6 +2170,9 @@ impl WorkStore {
 pub struct StrategySessionCache {
     pub(crate) states: Vec<SharedState>,
     pub(crate) last_deltas: Vec<CandidateDelta>,
+    /// How many trajectories' noise draws this cache's sweeps computed,
+    /// counted as each sweep's [`NoiseDraws`] is dropped.
+    pub(crate) noise_draws: AtomicUsize,
 }
 
 /// One state of a [`StrategySessionCache`]: what selects it, the state,
@@ -3392,6 +3509,40 @@ mod tests {
             let batch = publisher.privapi().publish(&windows.prefix(i)).unwrap();
             assert_eq!(release.published.selection, batch.selection, "window {i}");
             assert_eq!(release.published.dataset, batch.dataset, "window {i}");
+        }
+    }
+
+    #[test]
+    fn noise_candidates_draw_each_new_source_once_per_kind() {
+        // The default pool's three geo-I and two Gaussian candidates scale
+        // one sweep-scoped draw per (kind, source): a window draws each
+        // source it appended twice, not five times. The tally only counts
+        // a sweep's draws when its memo is dropped, so reading them all
+        // after the publish shows that none outlives the sweep.
+        let windows = WindowedDataset::partition(&dataset(61, 4, 3));
+        let mut publisher = StreamingPublisher::new(PrivApiConfig {
+            privacy_floor: 1.0, // every candidate retains: none re-protects
+            ..PrivApiConfig::default()
+        });
+        let kinds = publisher
+            .privapi()
+            .pool()
+            .iter()
+            .filter_map(|s| Noise::of(s).map(|n| matches!(n, Noise::Polar(_))))
+            .collect::<Vec<_>>();
+        assert_eq!(kinds.iter().filter(|polar| **polar).count(), 3);
+        assert_eq!(kinds.len(), 5);
+        for (i, window) in windows.iter().enumerate() {
+            let before = publisher.strategies().noise_draws.load(Ordering::Relaxed);
+            let release = publisher.publish_window(window).unwrap();
+            let drawn = publisher.strategies().noise_draws.load(Ordering::Relaxed) - before;
+            let appended = window.dataset().trajectories().len();
+            assert!(appended > 0, "window {i}");
+            assert_eq!(drawn, 2 * appended, "window {i}");
+            assert!(
+                release.strategies.trajectories_anonymized >= 5 * appended,
+                "window {i}"
+            );
         }
     }
 

@@ -1007,3 +1007,285 @@ proptest! {
         }
     }
 }
+
+/// `trajectory_rng` as the noise mechanisms derive it, inline: the oracle
+/// below must not share code with what it checks.
+fn oracle_rng(seed: u64, t: &Trajectory) -> StdRng {
+    let start = t.start_time().map(|ts| ts.seconds()).unwrap_or(0);
+    StdRng::seed_from_u64(
+        seed ^ t.user().0.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ (start as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    )
+}
+
+/// The W₋₁ Newton loop of geo-indistinguishability, inline.
+fn oracle_lambert_w_minus1(x: f64) -> f64 {
+    if x <= -1.0 / std::f64::consts::E + 1e-300 {
+        return -1.0;
+    }
+    let l = (-x).ln();
+    let mut w = l - (-l).ln();
+    for _ in 0..100 {
+        let ew = w.exp();
+        let f = w * ew - x;
+        let fprime = ew * (w + 1.0);
+        if fprime.abs() < 1e-300 {
+            break;
+        }
+        let step = f / fprime;
+        w -= step;
+        if step.abs() < 1e-13 * w.abs().max(1.0) {
+            break;
+        }
+    }
+    w
+}
+
+/// Geo-I's per-fix formula in one piece — the planar Laplace draw, its
+/// radius at `epsilon` and the great-circle destination — as bits.
+fn oracle_geo_i(t: &Trajectory, seed: u64, epsilon: f64) -> Vec<(u64, u64)> {
+    use rand::Rng;
+    let mut rng = oracle_rng(seed, t);
+    t.records()
+        .iter()
+        .map(|r| {
+            let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+            let p: f64 = rng.gen_range(1e-12..1.0 - 1e-12);
+            let w = oracle_lambert_w_minus1((p - 1.0) / std::f64::consts::E);
+            let radius = -(1.0 / epsilon) * (w + 1.0);
+            let delta = radius / geo::EARTH_RADIUS_M;
+            let theta = theta.to_degrees().to_radians();
+            let phi1 = r.point.latitude().to_radians();
+            let lambda1 = r.point.longitude().to_radians();
+            let phi2 =
+                (phi1.sin() * delta.cos() + phi1.cos() * delta.sin() * theta.cos()).asin();
+            let lambda2 = lambda1
+                + (theta.sin() * delta.sin() * phi1.cos())
+                    .atan2(delta.cos() - phi1.sin() * phi2.sin());
+            let q = GeoPoint::clamped(phi2.to_degrees(), lambda2.to_degrees());
+            (q.latitude().to_bits(), q.longitude().to_bits())
+        })
+        .collect()
+}
+
+/// The Gaussian per-fix formula in one piece — two Box–Muller normals at
+/// `sigma` and the degree offset — as bits.
+fn oracle_gaussian(t: &Trajectory, seed: u64, sigma: f64) -> Vec<(u64, u64)> {
+    use rand::Rng;
+    let mut rng = oracle_rng(seed, t);
+    let mut gauss = || -> f64 {
+        let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = rng.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    };
+    t.records()
+        .iter()
+        .map(|r| {
+            let p = r.point;
+            let q = if sigma == 0.0 {
+                p
+            } else {
+                let de = gauss() * sigma;
+                let dn = gauss() * sigma;
+                let cos_lat = p.latitude().to_radians().cos().max(0.01);
+                GeoPoint::clamped(
+                    p.latitude() + dn / 111_320.0,
+                    p.longitude() + de / (111_320.0 * cos_lat),
+                )
+            };
+            (q.latitude().to_bits(), q.longitude().to_bits())
+        })
+        .collect()
+}
+
+fn bits(t: &Trajectory) -> Vec<(u64, u64)> {
+    t.records()
+        .iter()
+        .map(|r| (r.point.latitude().to_bits(), r.point.longitude().to_bits()))
+        .collect()
+}
+
+/// Up to four single-user trajectories of 0–24 fixes within day 0, with
+/// latitudes up to ±89° and longitudes near the antimeridian, so both noise
+/// mechanisms reach `GeoPoint::clamped`'s wrap.
+fn far_flung_trajectories() -> impl Strategy<Value = Vec<Trajectory>> {
+    // Within a degree west of 180°W, east of 180°E, or anywhere.
+    let longitude = (0u8..3, 0.0..1.0f64).prop_map(|(k, x)| match k {
+        0 => -180.0 + x,
+        1 => 180.0 - x,
+        _ => -180.0 + 360.0 * x,
+    });
+    let fix = ((-89.0..89.0f64), longitude);
+    let trajectory = (prop::collection::vec(fix, 0..24), 0i64..40_000);
+    prop::collection::vec(trajectory, 1..5).prop_map(|ts| {
+        ts.into_iter()
+            .enumerate()
+            .map(|(u, (fixes, start))| {
+                let user = UserId(u as u64);
+                let records = fixes
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (la, lo))| {
+                        let at = Timestamp::new(start + i as i64 * 60);
+                        LocationRecord::new(user, at, GeoPoint::new(la, lo).unwrap())
+                    })
+                    .collect();
+                Trajectory::new(user, records)
+            })
+            .collect()
+    })
+}
+
+/// An ε anywhere in geo-I's accepted range: both bounds, and expected
+/// displacements `2/ε` from `MAX_SCALE_M` down to 2e-308 m.
+fn any_epsilon() -> impl Strategy<Value = f64> {
+    let least = 2.0 / privapi::strategies::MAX_SCALE_M;
+    (0u8..4, 0.0..1.0f64).prop_map(move |(k, x)| match k {
+        0 => least,
+        1 => f64::MAX,
+        _ => least * 10f64.powf(315.0 * x),
+    })
+}
+
+/// A σ anywhere in the Gaussian's accepted range, zero included.
+fn any_sigma() -> impl Strategy<Value = f64> {
+    let most = privapi::strategies::MAX_SCALE_M;
+    (0u8..4, 0.0..1.0f64).prop_map(move |(k, x)| match k {
+        0 => 0.0,
+        1 => most,
+        2 => most * x,
+        _ => 10f64.powf(6.0 * x),
+    })
+}
+
+/// Releases `window` under `[make(first), make(second)]`, then under each
+/// alone, all in one session: the one-worker sweep of the pair draws for
+/// `first` and scales the same draws for `second`, and the lone publishers
+/// release the states the pair refreshed. Returns each release's fixes as
+/// (user, time, bits), sorted.
+#[allow(clippy::type_complexity)]
+fn one_sweep_for_both(
+    window: &mobility::DatasetWindow,
+    make: impl Fn(f64) -> Box<dyn AnonymizationStrategy>,
+    (first, second): (f64, f64),
+    seed: u64,
+) -> Result<[Vec<(UserId, Timestamp, (u64, u64))>; 2], TestCaseError> {
+    use privapi::streaming::{Session, WorkStore};
+    let middleware = |scales: &[f64]| {
+        let pool = scales
+            .iter()
+            .fold(StrategyPool::new(), |pool, scale| pool.with(make(*scale)));
+        PrivApi::new(PrivApiConfig {
+            privacy_floor: 1.0, // every candidate feasible and retained
+            seed,
+            ..PrivApiConfig::default()
+        })
+        .with_pool(pool)
+    };
+    let both = middleware(&[first, second]);
+    let alone = [middleware(&[first]), middleware(&[second])];
+    let mut store = WorkStore::new();
+    let mut session = Session::new(both.attack().clone());
+    let fail = |e: privapi::PrivapiError| TestCaseError::fail(format!("{e}"));
+    session.advance(window, &mut store).map_err(fail)?;
+    let one_worker = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .unwrap();
+    let released = one_worker.install(|| -> Result<Vec<Dataset>, privapi::PrivapiError> {
+        session.publish(&both, 0, &mut store)?;
+        let mut released = Vec::new();
+        for (member, privapi) in (1..).zip(&alone) {
+            released.push(
+                session
+                    .publish(privapi, member, &mut store)?
+                    .published
+                    .dataset,
+            );
+        }
+        Ok(released)
+    });
+    let released = released.map_err(fail)?;
+    Ok([record_bits(&released[0]), record_bits(&released[1])])
+}
+
+fn record_bits(ds: &Dataset) -> Vec<(UserId, Timestamp, (u64, u64))> {
+    let mut fixes: Vec<_> = ds
+        .iter_records()
+        .map(|r| {
+            let bits = (r.point.latitude().to_bits(), r.point.longitude().to_bits());
+            (r.user, r.time, bits)
+        })
+        .collect();
+    fixes.sort();
+    fixes
+}
+
+/// `oracle` over every trajectory of `window`, as [`record_bits`].
+fn oracle_bits(
+    window: &mobility::DatasetWindow,
+    oracle: impl Fn(&Trajectory) -> Vec<(u64, u64)>,
+) -> Vec<(UserId, Timestamp, (u64, u64))> {
+    let mut fixes: Vec<_> = window
+        .dataset()
+        .trajectories()
+        .iter()
+        .flat_map(|t| {
+            let bits = oracle(t);
+            t.records()
+                .iter()
+                .zip(bits)
+                .map(|(r, b)| (r.user, r.time, b))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    fixes.sort();
+    fixes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Geo-I and Gaussian noise, split into a scale-free draw and a scale
+    /// step, still give the per-fix formulas' every bit: through `protect`
+    /// (fresh draws), and through one streaming sweep whose draw memo
+    /// serves ε₁ then ε₂ (σ₁ then σ₂).
+    #[test]
+    fn noise_matches_the_per_fix_formulas_bit_for_bit(
+        trajectories in far_flung_trajectories(),
+        seed in any::<u64>(),
+        epsilons in (any_epsilon(), any_epsilon()),
+        sigmas in (any_sigma(), any_sigma()),
+    ) {
+        let geo_i = |e: f64| GeoIndistinguishability::new(e).unwrap();
+        let gaussian = |s: f64| GaussianPerturbation::new(geo::Meters::new(s)).unwrap();
+        for t in &trajectories {
+            let source = std::sync::Arc::new(t.clone());
+            for e in [epsilons.0, epsilons.1] {
+                let out = geo_i(e).protect(&source, seed, None);
+                prop_assert_eq!(bits(&out), oracle_geo_i(t, seed, e), "epsilon {}", e);
+            }
+            for s in [sigmas.0, sigmas.1] {
+                let out = gaussian(s).protect(&source, seed, None);
+                prop_assert_eq!(bits(&out), oracle_gaussian(t, seed, s), "sigma {}", s);
+            }
+        }
+        let windows = mobility::WindowedDataset::partition(
+            &Dataset::from_trajectories(trajectories),
+        );
+        if let Some(window) = windows.windows().first() {
+            let released =
+                one_sweep_for_both(window, |e| Box::new(geo_i(e)), epsilons, seed)?;
+            for (release, e) in released.iter().zip([epsilons.0, epsilons.1]) {
+                let want = oracle_bits(window, |t| oracle_geo_i(t, seed, e));
+                prop_assert_eq!(release, &want, "epsilon {}", e);
+            }
+            let released =
+                one_sweep_for_both(window, |s| Box::new(gaussian(s)), sigmas, seed)?;
+            for (release, s) in released.iter().zip([sigmas.0, sigmas.1]) {
+                let want = oracle_bits(window, |t| oracle_gaussian(t, seed, s));
+                prop_assert_eq!(release, &want, "sigma {}", s);
+            }
+        }
+    }
+}

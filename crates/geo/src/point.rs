@@ -139,14 +139,32 @@ impl GeoPoint {
 
     /// Destination point reached by travelling `distance` along `bearing`.
     pub fn destination(&self, bearing: Degrees, distance: Meters) -> GeoPoint {
-        let delta = distance.get() / EARTH_RADIUS_M;
         let theta = bearing.get().to_radians();
         let phi1 = self.lat.to_radians();
+        self.destination_sin_cos(
+            (phi1.sin(), phi1.cos()),
+            (theta.sin(), theta.cos()),
+            distance,
+        )
+    }
+
+    /// [`GeoPoint::destination`] given the sine and cosine of this point's
+    /// latitude and of the bearing, both in radians, for callers moving one
+    /// point along one bearing by several distances: the result is
+    /// bit-identical, and the four are computed once instead of once per
+    /// distance.
+    pub fn destination_sin_cos(
+        &self,
+        (sin_phi1, cos_phi1): (f64, f64),
+        (sin_theta, cos_theta): (f64, f64),
+        distance: Meters,
+    ) -> GeoPoint {
+        let delta = distance.get() / EARTH_RADIUS_M;
+        let (sin_delta, cos_delta) = (delta.sin(), delta.cos());
         let lambda1 = self.lon.to_radians();
-        let phi2 = (phi1.sin() * delta.cos() + phi1.cos() * delta.sin() * theta.cos()).asin();
+        let phi2 = (sin_phi1 * cos_delta + cos_phi1 * sin_delta * cos_theta).asin();
         let lambda2 = lambda1
-            + (theta.sin() * delta.sin() * phi1.cos())
-                .atan2(delta.cos() - phi1.sin() * phi2.sin());
+            + (sin_theta * sin_delta * cos_phi1).atan2(cos_delta - sin_phi1 * phi2.sin());
         GeoPoint::clamped(phi2.to_degrees(), lambda2.to_degrees())
     }
 

@@ -146,16 +146,6 @@ impl Trajectory {
         self.segments().speeds().collect()
     }
 
-    /// Mean segment speed, or `None` for trajectories with < 2 records.
-    pub fn mean_speed(&self) -> Option<MetersPerSecond> {
-        let speeds = self.segment_speeds();
-        if speeds.is_empty() {
-            return None;
-        }
-        let sum: f64 = speeds.iter().map(|s| s.get()).sum();
-        Some(MetersPerSecond::new(sum / speeds.len() as f64))
-    }
-
     /// Coefficient of variation of segment speeds (stddev / mean).
     ///
     /// This is the speed-constancy measure used by experiment E2: a perfectly
@@ -357,11 +347,6 @@ impl Dataset {
     /// Adds a trajectory.
     pub fn push(&mut self, trajectory: Trajectory) {
         self.trajectories.push(Arc::new(trajectory));
-    }
-
-    /// Adds an already-shared trajectory (no record data copied).
-    pub fn push_shared(&mut self, trajectory: Arc<Trajectory>) {
-        self.trajectories.push(trajectory);
     }
 
     /// All trajectories (shared handles; deref to [`Trajectory`]).
